@@ -33,7 +33,6 @@ from .reduction import (
     agoh_dilcher_reduce,
     f_n_closed,
     f_n_inductive,
-    lower_order,
     negative_power_expand,
     product_reduce,
     reduce_to_first_order,

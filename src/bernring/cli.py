@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Sequence
 
@@ -323,11 +322,7 @@ def _cmd_verify(args, out: list[str]) -> int:
             return fn(*call_args, order=args.order)
         return fn(*call_args)
 
-    if args.jobs and args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(run, cases))
-    else:
-        reports = [run(case) for case in cases]
+    reports = [run(case) for case in cases]
     for report in reports:
         if args.format == "json":
             out.append(json.dumps(report.to_json_dict()))
@@ -347,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "json", "latex"), default="text")
     parser.add_argument("--order", type=int, default=None, help="series bound override")
-    parser.add_argument("--jobs", type=int, default=1, help="worker pool size for verification grids")
     parser.add_argument("--out", default=None, help="write output to a file instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -19,12 +19,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .polys import binomial
-from .series import (
-    RING_Q,
-    TruncatedSeries,
-    bernoulli_power_series,
-    exp_series,
-)
+from .series import TruncatedSeries, bernoulli_power_series, exp_series
 
 
 @dataclass(frozen=True, order=True)

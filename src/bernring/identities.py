@@ -30,7 +30,6 @@ from .reduction import (
     stirling,
 )
 from .series import (
-    RING_QS,
     TruncatedSeries,
     bernoulli_number,
     bernoulli_number_order,
@@ -465,51 +464,54 @@ def _poly_s() -> Poly:
 def _witness_values(lhs_items, rhs_items) -> tuple[Fraction, Fraction, bool]:
     """Collapse two coefficient lists to a fingerprint pair.
 
-    Equal lists produce equal values; differing lists produce provably
-    different values (the first differing coefficients, evaluated at a point
-    separating them when they are polynomials).
+    Equal lists produce their common sum twice; differing lists produce their
+    first differing coefficients, which differ.
     """
-    verified = lhs_items == rhs_items
-    if verified:
-        total = Fraction(0)
-        for c in lhs_items:
-            total += c(Fraction(1)) if isinstance(c, Poly) else c
+    if lhs_items == rhs_items:
+        total = sum(lhs_items, Fraction(0))
         return total, total, True
     for left, right in zip(lhs_items, rhs_items):
-        if left == right:
-            continue
-        if isinstance(left, Poly) or isinstance(right, Poly):
-            lp = left if isinstance(left, Poly) else Poly.const(left)
-            rp = right if isinstance(right, Poly) else Poly.const(right)
-            point = 0
-            while lp(point) == rp(point):
-                point += 1
-            return lp(Fraction(point)), rp(Fraction(point)), False
-        return left, right, False
+        if left != right:
+            return left, right, False
     raise AssertionError("lists compared unequal but no differing entry found")
 
 
 def verify_miki_s_relation(order: int) -> IdentityReport:
-    """The parameterized product relation, checked with polynomial coefficients.
+    """The parameterized product relation, decided exactly at rational points.
 
     B(sT) B((1-s)T) = (1-s)(B(sT) + sT/2) B + s(B((1-s)T) + (1-s)T/2) B,
-    as an identity of series whose coefficients are exact polynomials in s.
+    as an identity of series in T whose coefficients are polynomials in s,
+    checked for the coefficients of T^0 .. T^order.
+
+    Proof that the finite check decides it: on each side the T^i coefficient
+    has degree at most i+1 in s, and both sides are unchanged by s -> 1-s.
+    So their difference is a polynomial of degree at most (i+1)//2 in
+    u = s(1-s).  The points s = 2, 3, ..., (order+1)//2 + 2 have distinct u,
+    and there are (order+1)//2 + 1 of them, so exact equality of every T^i,
+    i <= order, at all of them makes each difference the zero polynomial.
+
+    The right side is evaluated as ((1-s)B(sT) + sB((1-s)T) + s(1-s)T) B, one
+    product per point.  The verified fingerprint is the value at s = 1, where
+    both sides are B: the sum of [T^i]B for i <= order.  On failure the report
+    holds the two sides of the first differing coefficient at the first point
+    that separates them.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    s = _poly_s()
-    one_minus_s = Poly.one() - s
-    base = bernoulli_series(order).to_poly_coeffs()
-    b_s = base.scale_arg(s)
-    b_1ms = base.scale_arg(one_minus_s)
-    t_ser = TruncatedSeries.monomial(1, 1, order, RING_QS)
-    lhs = b_s * b_1ms
-    rhs = ((b_s + t_ser.scale(s / 2)) * base).scale(one_minus_s) + (
-        (b_1ms + t_ser.scale(one_minus_s / 2)) * base
-    ).scale(s)
-    bound = min(lhs.bound, rhs.bound)
-    lhs_list = [lhs.coeff(i) for i in range(bound + 1)]
-    rhs_list = [rhs.coeff(i) for i in range(bound + 1)]
+    base = bernoulli_series(order)
+    for point in range(2, (order + 1) // 2 + 3):
+        s = Fraction(point)
+        b_s = base.scale_arg(s)
+        b_1ms = base.scale_arg(1 - s)
+        lhs = b_s * b_1ms
+        t_term = TruncatedSeries.monomial(1, s * (1 - s), order)
+        rhs = (b_s.scale(1 - s) + b_1ms.scale(s) + t_term) * base
+        lhs_list = [lhs.coeff(i) for i in range(order + 1)]
+        rhs_list = [rhs.coeff(i) for i in range(order + 1)]
+        if lhs_list != rhs_list:
+            break
+    else:
+        lhs_list = rhs_list = [base.coeff(i) for i in range(order + 1)]
     lv, rv, ok = _witness_values(lhs_list, rhs_list)
     return IdentityReport(
         name="miki-s-relation", params=(("N", Fraction(order)),),

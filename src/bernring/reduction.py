@@ -1,6 +1,6 @@
 """Rewriting algorithms on B-elements.
 
-* ``lower_order`` / ``reduce_to_first_order``: express higher B-powers through
+* ``lowering_op`` / ``reduce_to_first_order``: express higher B-powers through
   first-order generators with Weyl operators in front (order lowering).
 * ``product_reduce``: the exact ring product of two elements, written again as
   an element.  Distinct argument scales are rescaled to a least common
@@ -69,24 +69,6 @@ def lowering_op(n: int, b: Fraction, a: Fraction) -> WeylOp:
             1: Poly([Fraction(0), Fraction(-1, n)]),
         }
     )
-
-
-def lower_order(at: Atom) -> BElement:
-    """Apply the lowering operator for an atom with B-power n >= 2.
-
-    Computes (1 - bT + aT/(n-1) - (T/(n-1)) d) applied to the power-(n-1)
-    base element.  Note that at the element level this application is a fixed
-    point: the derivative of B^(n-1) contributes a B^n term that cancels the
-    rest, so the returned element is the input atom again (the identity is
-    circular once the derivative is evaluated).  Genuine order lowering keeps
-    the operator unapplied; see :func:`reduce_to_first_order`, which chains
-    the same operators symbolically.
-    """
-    if at.n < 2:
-        raise ValueError("lower_order needs B-power at least 2")
-    op = lowering_op(at.n - 1, at.b, at.a)
-    base = BElement({Atom(b=at.b, n=at.n - 1, m=0, a=at.a): Fraction(1)})
-    return op.apply_element(base).mul_monomial(at.m)
 
 
 def _lowering_chain(n: int, b: Fraction, a: Fraction) -> WeylOp:

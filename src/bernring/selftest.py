@@ -44,7 +44,7 @@ from .reduction import (
     derivative_power_element,
     f_n_closed,
     f_n_inductive,
-    lower_order,
+    lowering_op,
     negative_power_expand,
     product_reduce,
     reduce_to_first_order,
@@ -420,10 +420,11 @@ def check_reduction_soundness():
         count += 1
     for _ in range(20):
         n = rng.randint(2, 4)
-        at = atom(rng.randint(-2, 2), n, rng.choice(SCALES), rng.choice(SHIFTS))
-        ((key, _),) = at.terms.items()
-        if not lower_order(key).equals(at):
-            return False, f"lower_order unsound on {at.render()}"
+        m, b, a = rng.randint(-2, 2), rng.choice(SCALES), rng.choice(SHIFTS)
+        at = atom(m, n, b, a)
+        lowered = lowering_op(n - 1, b, a).apply_element(atom(0, n - 1, b, a)).mul_monomial(m)
+        if not lowered.equals(at):
+            return False, f"lowering operator unsound on {at.render()}"
         count += 1
     for m in range(3):
         for n in range(3):

@@ -1,4 +1,4 @@
-"""Truncated Laurent series over Q, and over Q[s] for the parameterized variants.
+"""Truncated Laurent series over Q.
 
 A ``TruncatedSeries`` knows its coefficients exactly for every exponent up to
 an explicit ``bound``; nothing beyond the bound is ever assumed.  Every
@@ -17,41 +17,16 @@ from typing import Sequence
 
 from .polys import Poly, binomial, factorial
 
-#: coefficient-domain tags
-RING_Q = "Q"
-RING_QS = "Q[s]"
-
-
 class InsufficientBoundError(Exception):
     """A coefficient past the guaranteed order bound was requested."""
 
 
-class CoefficientRingMismatch(TypeError):
-    """Two series over different coefficient domains were combined."""
-
-
-def _coerce(ring: str, value):
-    if ring == RING_Q:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        raise TypeError(f"Q-series coefficient must be rational, got {type(value).__name__}")
-    if ring == RING_QS:
-        if isinstance(value, Poly):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Poly.const(value)
-        raise TypeError(f"Q[s]-series coefficient must be Poly, got {type(value).__name__}")
-    raise ValueError(f"unknown coefficient ring {ring!r}")
-
-
-def _zero(ring: str):
-    return Fraction(0) if ring == RING_Q else Poly.zero()
-
-
-def _is_zero(value) -> bool:
-    return value == 0 if isinstance(value, Fraction) else value.is_zero()
+def _coerce(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"series coefficient must be rational, got {type(value).__name__}")
 
 
 class TruncatedSeries:
@@ -62,20 +37,19 @@ class TruncatedSeries:
     up to its bound stores no coefficients and has ``low == bound + 1``.
     """
 
-    __slots__ = ("ring", "low", "coeffs", "bound")
+    __slots__ = ("low", "coeffs", "bound")
 
-    def __init__(self, ring: str, low: int, coeffs: Sequence, bound: int):
-        coeffs = [_coerce(ring, c) for c in coeffs]
+    def __init__(self, low: int, coeffs: Sequence, bound: int):
+        coeffs = [_coerce(c) for c in coeffs]
         if coeffs and low + len(coeffs) - 1 != bound:
             raise ValueError("coefficient window does not match bound")
         start = 0
-        while start < len(coeffs) and _is_zero(coeffs[start]):
+        while start < len(coeffs) and not coeffs[start]:
             start += 1
         coeffs = coeffs[start:]
         low += start
         if not coeffs:
             low = bound + 1
-        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "bound", bound)
@@ -86,25 +60,25 @@ class TruncatedSeries:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(bound: int, ring: str = RING_Q) -> "TruncatedSeries":
-        return TruncatedSeries(ring, bound + 1, (), bound)
+    def zero(bound: int) -> "TruncatedSeries":
+        return TruncatedSeries(bound + 1, (), bound)
 
     @staticmethod
-    def one(bound: int, ring: str = RING_Q) -> "TruncatedSeries":
-        return TruncatedSeries.monomial(0, 1, bound, ring)
+    def one(bound: int) -> "TruncatedSeries":
+        return TruncatedSeries.monomial(0, 1, bound)
 
     @staticmethod
-    def monomial(exponent: int, coeff, bound: int, ring: str = RING_Q) -> "TruncatedSeries":
+    def monomial(exponent: int, coeff, bound: int) -> "TruncatedSeries":
         if exponent > bound:
             raise ValueError("monomial exponent beyond requested bound")
-        window = [_zero(ring)] * (bound - exponent + 1)
-        window[0] = _coerce(ring, coeff)
-        return TruncatedSeries(ring, exponent, window, bound)
+        window = [Fraction(0)] * (bound - exponent + 1)
+        window[0] = coeff
+        return TruncatedSeries(exponent, window, bound)
 
     @staticmethod
-    def from_coeffs(coeffs: Sequence, bound: int, ring: str = RING_Q, low: int = 0) -> "TruncatedSeries":
+    def from_coeffs(coeffs: Sequence, bound: int, low: int = 0) -> "TruncatedSeries":
         """Series with the given window low .. low+len(coeffs)-1 == bound."""
-        return TruncatedSeries(ring, low, coeffs, bound)
+        return TruncatedSeries(low, coeffs, bound)
 
     # -- basic queries -----------------------------------------------------
 
@@ -123,7 +97,7 @@ class TruncatedSeries:
                 f"coefficient of T^{exponent} requested but series is only exact to T^{self.bound}"
             )
         if exponent < self.low:
-            return _zero(self.ring)
+            return Fraction(0)
         return self.coeffs[exponent - self.low]
 
     def window(self, lo: int, hi: int) -> list:
@@ -135,7 +109,7 @@ class TruncatedSeries:
         if bound == self.bound:
             return self
         keep = max(0, bound - self.low + 1)
-        return TruncatedSeries(self.ring, self.low, self.coeffs[:keep], bound)
+        return TruncatedSeries(self.low, self.coeffs[:keep], bound)
 
     def same_up_to(self, other: "TruncatedSeries", bound: int) -> bool:
         """Coefficient-wise equality for all exponents <= bound (must be guaranteed)."""
@@ -144,25 +118,18 @@ class TruncatedSeries:
 
     # -- ring operations ---------------------------------------------------
 
-    def _check_ring(self, other: "TruncatedSeries"):
-        if self.ring != other.ring:
-            raise CoefficientRingMismatch(
-                f"cannot combine series over {self.ring} with series over {other.ring}"
-            )
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        self._check_ring(other)
         bound = min(self.bound, other.bound)
         low = min(self.low, other.low)
         if low > bound:
-            return TruncatedSeries.zero(bound, self.ring)
+            return TruncatedSeries.zero(bound)
         window = [self.coeff(i) + other.coeff(i) for i in range(low, bound + 1)]
-        return TruncatedSeries(self.ring, low, window, bound)
+        return TruncatedSeries(low, window, bound)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.ring, self.low, [-c for c in self.coeffs], self.bound)
+        return TruncatedSeries(self.low, [-c for c in self.coeffs], self.bound)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
@@ -173,42 +140,41 @@ class TruncatedSeries:
         """Cauchy product; bound = min(N_x + v_y, N_y + v_x)."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        self._check_ring(other)
         bound = min(self.bound + other.low, other.bound + self.low)
         low = self.low + other.low
         if low > bound:
-            return TruncatedSeries.zero(bound, self.ring)
-        window = [_zero(self.ring)] * (bound - low + 1)
+            return TruncatedSeries.zero(bound)
+        window = [Fraction(0)] * (bound - low + 1)
         for i, a in enumerate(self.coeffs):
-            if _is_zero(a):
+            if not a:
                 continue
             ei = self.low + i
             jmax = min(len(other.coeffs) - 1, bound - ei - other.low)
             for j in range(jmax + 1):
                 b = other.coeffs[j]
-                if _is_zero(b):
+                if not b:
                     continue
                 window[ei + other.low + j - low] += a * b
-        return TruncatedSeries(self.ring, low, window, bound)
+        return TruncatedSeries(low, window, bound)
 
     def scale(self, c) -> "TruncatedSeries":
-        """Multiply by a scalar from the coefficient ring (exact, bound kept)."""
-        c = _coerce(self.ring, c)
-        if _is_zero(c):
-            return TruncatedSeries.zero(self.bound, self.ring)
-        return TruncatedSeries(self.ring, self.low, [a * c for a in self.coeffs], self.bound)
+        """Multiply by a rational scalar (exact, bound kept)."""
+        c = _coerce(c)
+        if not c:
+            return TruncatedSeries.zero(self.bound)
+        return TruncatedSeries(self.low, [a * c for a in self.coeffs], self.bound)
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by T^k (exact; bound moves by k)."""
-        return TruncatedSeries(self.ring, self.low + k, self.coeffs, self.bound + k)
+        return TruncatedSeries(self.low + k, self.coeffs, self.bound + k)
 
     def mul_poly_in_t(self, p: Poly) -> "TruncatedSeries":
         """Multiply by a polynomial in T with rational coefficients (exact shift-and-add)."""
         if p.is_zero():
             # a zero multiplier is exact at every order; keep a conservative bound
-            return TruncatedSeries.zero(self.bound, self.ring)
+            return TruncatedSeries.zero(self.bound)
         val = p.trailing_valuation()
-        acc = TruncatedSeries.zero(self.bound + val, self.ring)
+        acc = TruncatedSeries.zero(self.bound + val)
         for d in range(val, p.degree + 1):
             c = p.coeff(d)
             if c == 0:
@@ -220,42 +186,34 @@ class TruncatedSeries:
         """Multiplicative inverse; requires an invertible coefficient at the valuation."""
         if self.is_known_zero():
             raise ZeroDivisionError("cannot invert a series that vanishes up to its bound")
-        lead = self.coeffs[0]
-        if self.ring == RING_QS:
-            if lead.degree not in (0,):
-                raise ValueError("series over Q[s] invertible only with nonzero constant leading coefficient")
-            inv_lead = Poly.const(1 / lead.coeff(0))
-        else:
-            inv_lead = 1 / lead
+        inv_lead = 1 / self.coeffs[0]
         v = self.low
         n_terms = self.bound - v + 1
-        out = [_zero(self.ring)] * n_terms
+        out = [Fraction(0)] * n_terms
         out[0] = inv_lead
         # y_k solves sum_{i=0..k} x_i * y_{k-i} = 0 for k >= 1 (indices relative to valuations)
         for k in range(1, n_terms):
-            acc = _zero(self.ring)
+            acc = Fraction(0)
             for i in range(1, k + 1):
-                xi = self.coeffs[i] if i < len(self.coeffs) else _zero(self.ring)
-                if _is_zero(xi):
+                xi = self.coeffs[i]
+                if not xi:
                     continue
                 acc = acc + xi * out[k - i]
             out[k] = -(acc * inv_lead)
         bound = self.bound - 2 * v
-        return TruncatedSeries(self.ring, -v, out, bound)
+        return TruncatedSeries(-v, out, bound)
 
     def scale_arg(self, b) -> "TruncatedSeries":
         """Substitute T -> b*T: the coefficient of T^i picks up a factor b^i."""
-        b = _coerce(self.ring, b)
-        if _is_zero(b):
+        b = _coerce(b)
+        if not b:
             raise ValueError("argument scale must be nonzero")
-        if self.low < 0 and self.ring == RING_QS:
-            raise ValueError("negative-valuation argument scaling requires rational coefficients")
-        power = b ** self.low if self.low >= 0 else Fraction(b) ** self.low
+        power = b**self.low
         out = []
         for c in self.coeffs:
             out.append(c * power)
             power = power * b
-        return TruncatedSeries(self.ring, self.low, out, self.bound)
+        return TruncatedSeries(self.low, out, self.bound)
 
     def derivative(self) -> "TruncatedSeries":
         """Termwise d/dT; the guaranteed bound drops by one."""
@@ -264,15 +222,9 @@ class TruncatedSeries:
             e = self.low + i
             out.append(c * e)
         if self.coeffs:
-            ser = TruncatedSeries(self.ring, self.low - 1, out, self.low + len(out) - 2)
+            ser = TruncatedSeries(self.low - 1, out, self.low + len(out) - 2)
             return ser.truncate(self.bound - 1)
-        return TruncatedSeries.zero(self.bound - 1, self.ring)
-
-    def to_poly_coeffs(self) -> "TruncatedSeries":
-        """Reinterpret a Q-series as a Q[s]-series with constant coefficients."""
-        if self.ring == RING_QS:
-            return self
-        return TruncatedSeries(RING_QS, self.low, [Poly.const(c) for c in self.coeffs], self.bound)
+        return TruncatedSeries.zero(self.bound - 1)
 
     def __repr__(self) -> str:
         bits = []
@@ -294,12 +246,12 @@ def exp_series(a: Fraction | int, bound: int) -> TruncatedSeries:
     for i in range(bound + 1):
         coeffs.append(power / factorial(i))
         power *= a
-    return TruncatedSeries(RING_Q, 0, coeffs, bound)
+    return TruncatedSeries(0, coeffs, bound)
 
 
 def exp_minus_one_over_t(bound: int) -> TruncatedSeries:
     """(e^T - 1)/T = sum_i T^i/(i+1)!."""
-    return TruncatedSeries(RING_Q, 0, [Fraction(1, int(factorial(i + 1))) for i in range(bound + 1)], bound)
+    return TruncatedSeries(0, [Fraction(1, int(factorial(i + 1))) for i in range(bound + 1)], bound)
 
 
 _B_CACHE: TruncatedSeries | None = None

@@ -125,7 +125,7 @@ class WeylOp:
         """Left-module action on a truncated series, with exact bound tracking."""
         max_order = self.order()
         if max_order < 0:
-            return TruncatedSeries.zero(x.bound, x.ring)
+            return TruncatedSeries.zero(x.bound)
         acc = None
         deriv = x
         for k in range(max_order + 1):

@@ -137,10 +137,11 @@ class TestVerify:
         )
         assert code == 0 and len(out.splitlines()) == 4 * 2 * 2
 
-    def test_jobs_flag_deterministic(self, capsys):
-        _, serial, _ = run(capsys, "verify", "euler", "--m", "2..12")
-        _, parallel, _ = run(capsys, "--jobs", "4", "verify", "euler", "--m", "2..12")
-        assert serial == parallel
+    def test_jobs_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--jobs", "2", "verify", "euler", "--m", "2..12"])
+        capsys.readouterr()
+        assert exc.value.code == 2
 
     def test_out_of_range_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "euler", "--m", "1..1")

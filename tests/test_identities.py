@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from bernring import identities, series
 from bernring.elements import atom, b_element
 from bernring.identities import (
     BernSymbol,
@@ -30,9 +31,11 @@ from bernring.identities import (
     verify_recurrence,
     verify_stirling_gf,
 )
+from bernring.polys import Poly
 from bernring.reduction import product_reduce, reduce_to_first_order
-from bernring.series import bernoulli_number, bernoulli_series, exp_series, harmonic
+from bernring.series import TruncatedSeries, bernoulli_number, bernoulli_series, exp_series, harmonic
 from bernring.weyl import derivative_of_element
+from conftest import poly_cauchy
 
 F = Fraction
 
@@ -104,6 +107,37 @@ class TestClosedFormFamilies:
 class TestParameterizedRelation:
     def test_series_relation(self):
         assert verify_miki_s_relation(10).verified
+
+    def test_series_relation_against_symbolic_route(self):
+        # oracle: both sides as series whose coefficients are polynomials in s
+        s = Poly.X()
+        one_minus_s = Poly.one() - s
+        for order in range(1, 13):
+            base = [Poly.const(c) for c in bernoulli_series(order).coeffs]
+            b_s = [c * s**i for i, c in enumerate(base)]
+            b_1ms = [c * one_minus_s**i for i, c in enumerate(base)]
+            half_t = [Poly.zero(), Poly.const(F(1, 2))] + [Poly.zero()] * (order - 1)
+            lhs = poly_cauchy(b_s, b_1ms)
+            left = poly_cauchy([x + t * s for x, t in zip(b_s, half_t)], base)
+            right = poly_cauchy([y + t * one_minus_s for y, t in zip(b_1ms, half_t)], base)
+            rhs = [one_minus_s * x + s * y for x, y in zip(left, right)]
+            assert len(lhs) == order + 1
+            assert all((x - y).is_zero() for x, y in zip(lhs, rhs))
+            report = verify_miki_s_relation(order)
+            fingerprint = sum((bernoulli_number(i) / math.factorial(i) for i in range(order + 1)), F(0))
+            assert report.verified
+            assert report.lhs_value == report.rhs_value == fingerprint
+
+    def test_series_relation_tampered_series_fails(self, monkeypatch):
+        def tampered(bound):
+            coeffs = list(series.bernoulli_series(bound).coeffs)
+            coeffs[4] += 1
+            return TruncatedSeries.from_coeffs(coeffs, bound)
+
+        monkeypatch.setattr(identities, "bernoulli_series", tampered)
+        report = verify_miki_s_relation(8)
+        assert not report.verified
+        assert report.lhs_value != report.rhs_value
 
     def test_coefficient_identity_in_s(self):
         for n in range(1, 13):
