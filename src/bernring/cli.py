@@ -12,7 +12,8 @@ Subcommands::
     verify NAME --<param> ... identity verification over parameter grids
     selftest [--json]         the full acceptance suite
 
-INDEX arguments accept either a single integer or an inclusive range ``A..B``.
+INDEX arguments accept either a single integer or an inclusive range ``A..B``,
+up to the command's cap in ``INDEX_CAPS``.
 Rational arguments are ``p/q`` strings; list-valued flags take comma-separated
 values.  Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
 All rationals are emitted as exact ``p/q`` strings, never floats.
@@ -204,26 +205,36 @@ def _combination_json(dc: DCombination) -> list[dict]:
 # -- subcommand implementations ----------------------------------------------------
 
 
+#: the largest index each ``bern`` command accepts, and the largest order of
+#: ``num-order``; B_2000 takes about 1 s and B^(20)_300 about 2.5 s on one core
+INDEX_CAPS = {"num": 2000, "num-order": 300, "poly": 1000}
+MAX_ORDER = 20
+
+
 def _cmd_bern(args, out: list[str]) -> int:
+    # largest index first, so the table grows once; the values are put back in order below
+    indices = _parse_index_range(args.index)[::-1]
+    order = int(args.order_n) if args.kind == "num-order" else 1
+    for what, value, cap in (("index", indices[0], INDEX_CAPS[args.kind]), ("order", order, MAX_ORDER)):
+        if value > cap:
+            raise UsageError(f"{what} {value} is past the cap of {cap} for bern {args.kind}")
     if args.kind == "num":
-        values = [bernoulli_number(i) for i in _parse_index_range(args.index)]
+        values = [bernoulli_number(i) for i in indices]
     elif args.kind == "num-order":
-        order = int(args.order_n)
-        values = [bernoulli_number_order(order, i) for i in _parse_index_range(args.index)]
-    else:  # poly
-        indices = _parse_index_range(args.index)
-        if args.at is not None:
-            point = _parse_rational(args.at)
-            values = [bernoulli_poly_value(1, i, point) for i in indices]
+        values = [bernoulli_number_order(order, i) for i in indices]
+    elif args.at is not None:
+        point = _parse_rational(args.at)
+        values = [bernoulli_poly_value(1, i, point) for i in indices]
+    else:
+        polys = [bernoulli_polynomial(i) for i in indices][::-1]
+        if args.format == "json":
+            out.append(json.dumps([[str(c) for c in p.coeffs] for p in polys]))
+        elif args.format == "latex":
+            out.extend(_latex_poly(p) for p in polys)
         else:
-            polys = [bernoulli_polynomial(i) for i in indices]
-            if args.format == "json":
-                out.append(json.dumps([[str(c) for c in p.coeffs] for p in polys]))
-            elif args.format == "latex":
-                out.extend(_latex_poly(p) for p in polys)
-            else:
-                out.extend(format_poly(p) for p in polys)
-            return 0
+            out.extend(format_poly(p) for p in polys)
+        return 0
+    values.reverse()
     if args.format == "json":
         out.append(json.dumps([str(v) for v in values]))
     elif args.format == "latex":

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .polys import binomial
-from .series import TruncatedSeries, bernoulli_power_series, exp_series
+from .series import TruncatedSeries, bernoulli_power_series, exp_series, grown_size
 
 
 @dataclass(frozen=True, order=True)
@@ -303,7 +303,7 @@ _EXP_CACHE: dict[Fraction, TruncatedSeries] = {}
 def _scaled_power(b: Fraction, n: int, bound: int) -> TruncatedSeries:
     cached = _SCALED_POWER_CACHE.get((b, n))
     if cached is None or cached.bound < bound:
-        work = max(bound, 32)
+        work = grown_size(cached.bound if cached is not None else 0, bound)
         cached = bernoulli_power_series(n, work).scale_arg(b)
         _SCALED_POWER_CACHE[(b, n)] = cached
     return cached.truncate(bound)
@@ -312,7 +312,7 @@ def _scaled_power(b: Fraction, n: int, bound: int) -> TruncatedSeries:
 def _exp_cached(a: Fraction, bound: int) -> TruncatedSeries:
     cached = _EXP_CACHE.get(a)
     if cached is None or cached.bound < bound:
-        work = max(bound, 32)
+        work = grown_size(cached.bound if cached is not None else 0, bound)
         cached = exp_series(a, work)
         _EXP_CACHE[a] = cached
     return cached.truncate(bound)

@@ -288,10 +288,6 @@ def x_power_minus_one(n: int) -> Poly:
     return Poly([-1] + [0] * (n - 1) + [1])
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x)
-
-
 def format_poly(p: Poly, var: str = "X") -> str:
     """Render ascending by exponent, e.g. ``-1/2 + 1/3*X^2``."""
     if p.is_zero():

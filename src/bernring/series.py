@@ -12,10 +12,11 @@ Bernoulli numbers/polynomials of any order derived from them.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
-from .polys import Poly, binomial, factorial
+from .polys import Poly, factorial
 
 class InsufficientBoundError(Exception):
     """A coefficient past the guaranteed order bound was requested."""
@@ -85,11 +86,6 @@ class TruncatedSeries:
     def is_known_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def valuation_floor(self) -> int:
-        """The valuation if nonzero, else bound+1 (true valuation is >= this)."""
-        return self.low
-
     def coeff(self, exponent: int):
         """Exact coefficient of T^exponent; raises past the guaranteed bound."""
         if exponent > self.bound:
@@ -99,9 +95,6 @@ class TruncatedSeries:
         if exponent < self.low:
             return Fraction(0)
         return self.coeffs[exponent - self.low]
-
-    def window(self, lo: int, hi: int) -> list:
-        return [self.coeff(i) for i in range(lo, hi + 1)]
 
     def truncate(self, bound: int) -> "TruncatedSeries":
         if bound > self.bound:
@@ -254,77 +247,120 @@ def exp_minus_one_over_t(bound: int) -> TruncatedSeries:
     return TruncatedSeries(0, [Fraction(1, int(factorial(i + 1))) for i in range(bound + 1)], bound)
 
 
-_B_CACHE: TruncatedSeries | None = None
+def grown_size(current: int, wanted: int) -> int:
+    """The one growth rule of every table and cache: at least double, at least 32."""
+    return max(wanted, 2 * current, 32)
 
-#: Bernoulli numbers B_i; tests may tamper with this table to exercise selftest.
-_BERNOULLI_TABLE: dict[int, Fraction] = {}
+
+class _Row(list):
+    """A table row B^(n)_0, B^(n)_1, ...; ``get`` lets a test patch an entry as in a mapping."""
+
+    def get(self, i, default=None):
+        return self[i] if 0 <= i < len(self) else default
+
+
+#: the rows of every order read so far; row 1, the Bernoulli numbers B_i, is
+#: the table tests may tamper with to exercise selftest
+_ROWS: dict[int, _Row] = {1: _Row()}
+_BERNOULLI_TABLE = _ROWS[1]
+
+
+def _bernoulli_numbers(size: int) -> list[Fraction]:
+    """B_0..B_{size-1} from the tangent numbers T_m (Brent and Harvey's integer recurrence).
+
+    B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)); B_1 = -1/2 and the other odd B_j vanish.
+    """
+    k = (size - 1) // 2
+    t = [0] + [math.factorial(m - 1) for m in range(1, k + 1)]
+    for j in range(2, k + 1):
+        for m in range(j, k + 1):
+            t[m] = (m - j) * t[m - 1] + (m - j + 2) * t[m]
+    out = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (size - 2)
+    for m in range(1, k + 1):
+        out[2 * m] = Fraction((-1) ** (m - 1) * 2 * m * t[m], 4**m * (4**m - 1))
+    return out[:size]
+
+
+def _numerators(values: list[Fraction]) -> tuple[int, list[int]]:
+    """(d, [d * x for x in values]) for the least common denominator d."""
+    d = math.lcm(*(x.denominator for x in values))
+    return d, [x.numerator * (d // x.denominator) for x in values]
+
+
+def _fill(n: int, size: int) -> None:
+    """Extend the short row n to ``size`` entries; rows 1 and n - 1 already reach ``size``."""
+    row = _ROWS[n]
+    if n <= 1:
+        new = _bernoulli_numbers(size) if n else [Fraction(int(not i)) for i in range(size)]
+        row.extend(new[len(row) :])
+        return
+    # B^(n)_i = sum_j C(i,j) B^(n-1)_{i-j} B_j, where only B_0, B_1 and the even B_j
+    # are nonzero, summed over integer numerators on common denominators
+    (d, prev), (e, b) = _numerators(_ROWS[n - 1][:size]), _numerators(_ROWS[1][:size])
+    for i in range(len(row), size):
+        acc = prev[i] * b[0] + (i * prev[i - 1] * b[1] if i else 0)
+        acc += sum(math.comb(i, j) * prev[i - j] * b[j] for j in range(2, i + 1, 2))
+        row.append(Fraction(acc, d * e))
+
+
+def _row(n: int, wanted: int) -> _Row:
+    """Row n with at least ``wanted`` entries; a short row grows to :func:`grown_size`.
+
+    The rows below that it pulls grow to exactly that size, so growth never
+    cascades, and entries already in a row never change.
+    """
+    if n < 0:
+        raise ValueError("order must be nonnegative")
+    row = _ROWS.setdefault(n, _Row())
+    if len(row) < wanted:
+        size = grown_size(len(row), wanted)
+        for m in range(1, n + 1) if n else (0,):
+            if len(_ROWS.setdefault(m, _Row())) < size:
+                _fill(m, size)
+    return row
+
+
+def _series_of_row(n: int, bound: int) -> TruncatedSeries:
+    row = _row(n, bound + 1)
+    return TruncatedSeries(0, [row[i] / math.factorial(i) for i in range(bound + 1)], bound)
 
 
 def bernoulli_series(bound: int) -> TruncatedSeries:
-    """B(T) = T/(e^T - 1), exact to the bound."""
-    global _B_CACHE
-    if _B_CACHE is None or _B_CACHE.bound < bound:
-        work = max(bound, 32)
-        _B_CACHE = exp_minus_one_over_t(work).inverse()
-    return _B_CACHE.truncate(bound)
+    """B(T) = T/(e^T - 1), exact to the bound, read from the Bernoulli table."""
+    return _series_of_row(1, bound)
 
 
 def bernoulli_number(i: int) -> Fraction:
     """The classical Bernoulli number B_i (order one)."""
     if i < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    if i not in _BERNOULLI_TABLE:
-        ser = bernoulli_series(max(i, 2 * len(_BERNOULLI_TABLE) + 16))
-        for j in range(ser.bound + 1):
-            _BERNOULLI_TABLE.setdefault(j, ser.coeff(j) * factorial(j))
-    return _BERNOULLI_TABLE[i]
-
-
-_B_POWER_CACHE: dict[int, TruncatedSeries] = {}
+    return _row(1, i + 1)[i]
 
 
 def bernoulli_power_series(n: int, bound: int) -> TruncatedSeries:
-    """B^n exact to the bound, memoized per order."""
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    if n == 0:
-        return TruncatedSeries.one(bound)
-    cached = _B_POWER_CACHE.get(n)
-    if cached is None or cached.bound < bound:
-        work = max(bound, 32)
-        base = bernoulli_series(work)
-        acc = base
-        for _ in range(n - 1):
-            acc = acc * base
-        _B_POWER_CACHE[n] = cached = acc
-    return cached.truncate(bound)
+    """B^n exact to the bound, read from row n of the table."""
+    return _series_of_row(n, bound)
 
 
 def bernoulli_number_order(n: int, i: int) -> Fraction:
     """B^(n)_i = i! * [T^i] B^n."""
     if i < 0:
         raise ValueError("index must be nonnegative")
-    return bernoulli_power_series(n, i).coeff(i) * factorial(i)
+    return _row(n, i + 1)[i]
 
 
 def bernoulli_poly_value(n: int, i: int, x: Fraction | int) -> Fraction:
     """B^(n)_i(x) = i! * [T^i] (B^n e^{xT}), via the binomial convolution."""
-    x = Fraction(x)
-    acc = Fraction(0)
-    xpow = Fraction(1)
-    for k in range(i, -1, -1):
-        # term k of sum_k C(i,k) B^(n)_k x^(i-k), accumulating powers of x upward
-        acc += binomial(i, k) * bernoulli_number_order(n, k) * xpow
-        xpow *= x
+    x, row, acc = Fraction(x), _row(n, i + 1), Fraction(0)
+    for k in range(i + 1):
+        acc = acc * x + math.comb(i, k) * row[k]  # Horner's rule for sum_k C(i,k) B^(n)_k x^(i-k)
     return acc
 
 
 def bernoulli_polynomial(i: int) -> Poly:
     """The classical Bernoulli polynomial B_i(X) as an exact Poly."""
-    coeffs = [Fraction(0)] * (i + 1)
-    for k in range(i + 1):
-        coeffs[i - k] = binomial(i, k) * bernoulli_number(k)
-    return Poly(coeffs)
+    row = _row(1, i + 1)
+    return Poly([math.comb(i, k) * row[k] for k in range(i, -1, -1)])
 
 
 def harmonic(n: int) -> Fraction:

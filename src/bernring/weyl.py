@@ -46,10 +46,6 @@ class WeylOp:
         return WeylOp({0: Poly.one()})
 
     @staticmethod
-    def from_poly(p: Poly) -> "WeylOp":
-        return WeylOp({0: p})
-
-    @staticmethod
     def d(order: int = 1) -> "WeylOp":
         return WeylOp({order: Poly.one()})
 

@@ -7,7 +7,8 @@ from bernring import cli
 from bernring.elements import atom
 from bernring.exprparse import parse_element
 from bernring.reduction import product_reduce
-from bernring.series import _BERNOULLI_TABLE, bernoulli_number
+from bernring.series import _BERNOULLI_TABLE, bernoulli_number, bernoulli_number_order, bernoulli_polynomial
+from conftest import staudt_clausen_denominator
 
 
 def run(capsys, *argv):
@@ -48,6 +49,42 @@ class TestBern:
     def test_malformed_argument(self, capsys):
         code, _, err = run(capsys, "bern", "poly", "2", "--at", "nope")
         assert code == 2 and "error" in err
+
+
+class TestSizeCaps:
+    @pytest.mark.parametrize(
+        "argv, cap",
+        [
+            (["bern", "num", str(cli.INDEX_CAPS["num"] + 1)], cli.INDEX_CAPS["num"]),
+            (["bern", "num", f"0..{10 * cli.INDEX_CAPS['num']}"], cli.INDEX_CAPS["num"]),
+            (["bern", "num-order", "3", str(cli.INDEX_CAPS["num-order"] + 1)], cli.INDEX_CAPS["num-order"]),
+            (["bern", "num-order", str(cli.MAX_ORDER + 1), "2"], cli.MAX_ORDER),
+            (["bern", "poly", str(cli.INDEX_CAPS["poly"] + 1)], cli.INDEX_CAPS["poly"]),
+            (["bern", "poly", str(cli.INDEX_CAPS["poly"] + 1), "--at", "1/2"], cli.INDEX_CAPS["poly"]),
+        ],
+    )
+    def test_refused_past_cap(self, capsys, argv, cap):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"past the cap of {cap}" in err
+
+    def test_largest_number(self, capsys):
+        top = cli.INDEX_CAPS["num"]
+        code, out, _ = run(capsys, "bern", "num", str(top))
+        value = Fraction(out.strip())
+        assert code == 0 and value < 0
+        assert value.denominator == staudt_clausen_denominator(top)
+
+    def test_largest_order_and_index(self, capsys):
+        order, top = cli.MAX_ORDER, cli.INDEX_CAPS["num-order"]
+        code, out, _ = run(capsys, "bern", "num-order", str(order), f"{top - 1}..{top}")
+        assert code == 0
+        assert [Fraction(v) for v in out.split()] == [bernoulli_number_order(order, i) for i in (top - 1, top)]
+
+    def test_largest_polynomial_value(self, capsys):
+        top = cli.INDEX_CAPS["poly"]
+        code, out, _ = run(capsys, "bern", "poly", str(top), "--at", "5/7")
+        assert code == 0 and Fraction(out.strip()) == bernoulli_polynomial(top)(Fraction(5, 7))
 
 
 class TestStirlingAndPf:

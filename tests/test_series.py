@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bernring import series
 from bernring.polys import Poly, factorial
 from bernring.series import (
     InsufficientBoundError,
@@ -16,8 +18,16 @@ from bernring.series import (
     bernoulli_series,
     exp_minus_one_over_t,
     exp_series,
+    grown_size,
 )
-from conftest import poly_cauchy, random_rational, small_rationals
+from conftest import (
+    bernoulli_by_inversion,
+    norlund_by_products,
+    poly_cauchy,
+    random_rational,
+    small_rationals,
+    staudt_clausen_denominator,
+)
 
 
 def naive_inverse(coeffs, n_terms):
@@ -206,3 +216,73 @@ class TestProperties:
     def test_exp_additivity(self, a, b):
         n = 10
         assert (exp_series(a, n) * exp_series(b, n)).same_up_to(exp_series(a + b, n), n)
+
+
+class TestBernoulliTable:
+    """The table kernel against the inversion route it replaced, kept here as the oracle."""
+
+    def test_numbers_match_inversion(self):
+        top = 400
+        oracle = bernoulli_by_inversion(top)
+        for i in range(top + 1):
+            value = bernoulli_number(i)
+            assert value == oracle.coeff(i) * factorial(i)
+            if i >= 2 and i % 2 == 0:
+                assert value.denominator == staudt_clausen_denominator(i)
+        assert bernoulli_series(top).same_up_to(oracle, top)
+
+    def test_norlund_rows_match_products(self):
+        top = 120
+        for n in range(1, 13):
+            oracle = norlund_by_products(n, top)
+            assert [bernoulli_number_order(n, i) for i in range(top + 1)] == [
+                oracle.coeff(i) * factorial(i) for i in range(top + 1)
+            ]
+            assert bernoulli_power_series(n, top).same_up_to(oracle, top)
+
+    @given(st.integers(0, 6), st.integers(0, 30), small_rationals)
+    @settings(max_examples=60, deadline=None)
+    def test_poly_value_matches_oracle_product(self, n, i, x):
+        power = norlund_by_products(n, 30).truncate(i) if n else TruncatedSeries.one(i)
+        assert bernoulli_poly_value(n, i, x) == (power * exp_series(x, i)).coeff(i) * factorial(i)
+
+    def test_lower_rows_grow_to_exactly_the_target(self, monkeypatch):
+        monkeypatch.setattr(series, "_ROWS", {1: series._Row()})
+        bernoulli_number_order(13, 64)
+        assert {n: len(row) for n, row in series._ROWS.items()} == {n: 65 for n in range(1, 14)}
+
+    def test_extension_keeps_the_row_and_its_prefix(self):
+        bernoulli_number_order(3, 40)
+        row = series._ROWS[3]
+        before = list(row)
+        bernoulli_number_order(3, len(before))
+        assert series._ROWS[3] is row
+        assert len(row) == grown_size(len(before), len(before) + 1)
+        assert all(new is old for new, old in zip(row, before))
+
+    def test_series_reads_the_table_without_inversion(self, monkeypatch):
+        calls = []
+        inverse = TruncatedSeries.inverse
+
+        def counted(self):
+            calls.append(self.bound)
+            return inverse(self)
+
+        monkeypatch.setattr(TruncatedSeries, "inverse", counted)
+        bernoulli_number(300)
+        b = bernoulli_series(256)
+        assert calls == []
+        assert all(b.coeff(i) * factorial(i) == bernoulli_number(i) for i in range(257))
+
+    def test_tampered_number_reaches_every_route(self, monkeypatch):
+        monkeypatch.setattr(series, "_ROWS", {1: series._Row()})
+        bernoulli_number(4)
+        monkeypatch.setitem(series._ROWS[1], 4, Fraction(999))
+        assert bernoulli_series(8).coeff(4) == Fraction(999, 24)
+        assert bernoulli_poly_value(1, 4, 0) == 999
+        assert bernoulli_number_order(2, 4) != norlund_by_products(2, 8).coeff(4) * factorial(4)
+
+    def test_growth_rule(self):
+        assert grown_size(0, 5) == 32
+        assert grown_size(40, 41) == 80
+        assert grown_size(40, 200) == 200
