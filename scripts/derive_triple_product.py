@@ -3,7 +3,8 @@
 
 Prints the pairwise product reductions, the first-order operator combination,
 and the multinomial Bernoulli identity obtained by equating coefficients, with
-every value exact.  Usage: python scripts/derive_triple_product.py [max_order]
+every value exact; exits 1 if any identity mismatches.
+Usage: python scripts/derive_triple_product.py [max_order]
 """
 
 import sys
@@ -35,15 +36,17 @@ def main() -> int:
     assert combo.semantic_element().equals(triple)
 
     print(f"step 4: coefficient identities for T^n, n = 2..{max_order}")
+    mismatches = 0
     for n in range(2, max_order + 1):
         ident = coefficient_identity([b2, b3, b5], combo, n)
         report = verify_235(n)
-        status = "ok" if report.verified and ident.lhs_value() == report.lhs_value else "MISMATCH"
+        ok = report.verified and ident.lhs_value() == report.lhs_value
+        mismatches += not ok
         print(
             f"  n={n:2d}: sum C(n;i,j,k) 2^i 3^j 5^k B_i B_j B_k"
-            f" = {ident.lhs_value()}  [{status}]"
+            f" = {ident.lhs_value()}  [{'ok' if ok else 'MISMATCH'}]"
         )
-    return 0
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

@@ -1,48 +1,22 @@
 #!/usr/bin/env python3
 """Run the whole identity-verification grid and emit one JSON line per report.
 
-The grid mirrors the ranges of the acceptance suite.  Exits nonzero if any
-instance fails.  Usage: python scripts/verify_grid.py
+The grid is the acceptance suite's (``bernring.selftest.GRID``).  Exits nonzero
+if any instance fails.  Usage: python scripts/verify_grid.py
 """
 
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from bernring import identities as idn
-
-F = Fraction
-
-GRID = [
-    (idn.verify_euler, [(m,) for m in range(2, 31)]),
-    (idn.verify_recurrence, [(n,) for n in range(0, 61)]),
-    (
-        idn.verify_multiplication,
-        [(m, n, a) for m in range(0, 31) for n in range(1, 7) for a in (F(0), F(1, 2), F(1), F(7, 3))],
-    ),
-    (
-        idn.verify_lowering,
-        [(n, i, a) for n in range(1, 9) for i in range(1, 31) for a in (F(0), F(1), F(3, 2))],
-    ),
-    (idn.verify_agoh_dilcher_example, [(n,) for n in range(0, 31)]),
-    (idn.verify_rademacher, [(n,) for n in range(4, 25)]),
-    (idn.verify_23, [(n,) for n in range(2, 25)]),
-    (idn.verify_23_even, [(n,) for n in range(2, 25)]),
-    (idn.verify_235, [(n,) for n in range(2, 25)]),
-    (idn.verify_miki, [(n,) for n in range(4, 31)]),
-    (idn.verify_miki_s_relation, [(20,)]),
-    (idn.verify_kaneko, [(k,) for k in range(1, 16)]),
-    (idn.verify_stirling_gf, [(n, k) for n in range(0, 21) for k in range(1, 7)]),
-    (idn.verify_f_derivative, [(n,) for n in range(0, 11)]),
-]
+from bernring.selftest import GRID
 
 
 def main() -> int:
     failures = 0
-    for fn, cases in GRID:
+    for fn, cases in GRID.items():
         for case in cases:
             report = fn(*case)
             print(json.dumps(report.to_json_dict()))

@@ -29,9 +29,9 @@ from typing import Sequence
 
 from .elements import Atom, BElement
 from .exprparse import ExprError, parse_element
-from .identities import IDENTITY_REGISTRY, IdentityReport, _latex_rational
+from .identities import IDENTITY_REGISTRY, IdentityReport
 from .partfrac import g_pair, h_f
-from .polys import Poly, format_poly
+from .polys import LATEX, TEXT, Style, format_poly
 from .reduction import DCombination, reduce_to_first_order, stirling
 from .series import bernoulli_number, bernoulli_number_order, bernoulli_poly_value, bernoulli_polynomial
 from .weyl import WeylOp
@@ -43,12 +43,13 @@ class UsageError(ValueError):
 
 def _parse_rational(text: str) -> Fraction:
     try:
-        if "/" in text:
-            num, den = text.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+        parts = [int(part) for part in text.split("/", 1)]
+        value = Fraction(*parts)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"malformed rational {text!r}") from exc
+    if any(abs(part) >= 10**MAX_RATIONAL_DIGITS for part in parts):
+        raise UsageError(f"rational {text!r} is past the cap of {MAX_RATIONAL_DIGITS} digits")
+    return value
 
 
 def _parse_index_range(text: str) -> list[int]:
@@ -76,102 +77,6 @@ def _parse_param_values(text: str) -> list[Fraction]:
         else:
             values.append(_parse_rational(chunk))
     return values
-
-
-# -- LaTeX rendering (presentation only; pinned by golden tests) -----------------
-
-
-def _latex_poly(p: Poly, var: str = "X") -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for i, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        if i == 0:
-            body = _latex_rational(c)
-        else:
-            mag = "" if abs(c) == 1 else _latex_rational(abs(c))
-            power = var if i == 1 else f"{var}^{{{i}}}"
-            body = f"{mag}{power}"
-            if c < 0:
-                body = "-" + body
-        if parts and not body.startswith("-"):
-            parts.append("+ " + body)
-        elif parts:
-            parts.append("- " + body[1:])
-        else:
-            parts.append(body)
-    return " ".join(parts)
-
-
-def _latex_scalar_times_t(value: Fraction) -> str:
-    if value == 1:
-        return "T"
-    return f"{_latex_rational(value)}T"
-
-
-def _latex_atom(at: Atom) -> str:
-    bits = []
-    if at.m == 1:
-        bits.append("T")
-    elif at.m != 0:
-        bits.append(f"T^{{{at.m}}}")
-    if at.n >= 1:
-        base = "B" if at.b == 1 else f"B({_latex_scalar_times_t(at.b)})"
-        bits.append(base if at.n == 1 else f"{base}^{{{at.n}}}")
-    if at.a != 0:
-        bits.append(f"e^{{{_latex_scalar_times_t(at.a)}}}")
-    return "".join(bits) if bits else "1"
-
-
-def _latex_element(el: BElement) -> str:
-    if not el.terms:
-        return "0"
-    parts = []
-    for at, c in el.atoms():
-        body = _latex_atom(at)
-        mag = _latex_rational(abs(c)) if (abs(c) != 1 or body == "1") else ""
-        text = f"{mag}{body}" if body != "1" else mag
-        if not parts:
-            parts.append(text if c > 0 else f"-{text}")
-        else:
-            parts.append(("+ " if c > 0 else "- ") + text)
-    return " ".join(parts)
-
-
-def _latex_weyl(op: WeylOp) -> str:
-    if op.is_zero():
-        return "0"
-    parts = []
-    for k in sorted(op.parts):
-        f = op.parts[k]
-        dpart = "" if k == 0 else ("\\frac{d}{dT}" if k == 1 else f"\\frac{{d^{{{k}}}}}{{dT^{{{k}}}}}")
-        nonzero = [c for c in f.coeffs if c != 0]
-        if k == 0:
-            body = _latex_poly(f, var="T")
-        elif f == Poly.one():
-            body = dpart
-        elif len(nonzero) == 1:
-            body = _latex_poly(f, var="T") + dpart
-        else:
-            body = f"\\left({_latex_poly(f, var='T')}\\right){dpart}"
-        if parts and not body.startswith("-"):
-            parts.append("+ " + body)
-        elif parts:
-            parts.append("- " + body[1:])
-        else:
-            parts.append(body)
-    return " ".join(parts)
-
-
-def _latex_combination(dc: DCombination) -> str:
-    if not dc.entries:
-        return "0"
-    parts = []
-    for gen in sorted(dc.entries, key=lambda g: g.key()):
-        parts.append(f"\\left({_latex_weyl(dc.entries[gen])}\\right)\\!\\left({_latex_atom(gen)}\\right)")
-    return " + ".join(parts)
 
 
 # -- JSON rendering ---------------------------------------------------------------
@@ -209,6 +114,15 @@ def _combination_json(dc: DCombination) -> list[dict]:
 #: ``num-order``; B_2000 takes about 1 s and B^(20)_300 about 2.5 s on one core
 INDEX_CAPS = {"num": 2000, "num-order": 300, "poly": 1000}
 MAX_ORDER = 20
+#: the largest ``--order`` (``verify f-derivative --n 12 --order 200`` takes about 4 s), and the
+#: most digits in a rational argument's numerator or denominator, which bounds every answer
+#: (``bern poly 1000`` at a 20-digit/20-digit point prints about 42,000 characters in 0.7 s)
+MAX_SERIES_ORDER = 200
+MAX_RATIONAL_DIGITS = 20
+
+
+def _style(args) -> Style:
+    return LATEX if args.format == "latex" else TEXT
 
 
 def _cmd_bern(args, out: list[str]) -> int:
@@ -229,18 +143,14 @@ def _cmd_bern(args, out: list[str]) -> int:
         polys = [bernoulli_polynomial(i) for i in indices][::-1]
         if args.format == "json":
             out.append(json.dumps([[str(c) for c in p.coeffs] for p in polys]))
-        elif args.format == "latex":
-            out.extend(_latex_poly(p) for p in polys)
         else:
-            out.extend(format_poly(p) for p in polys)
+            out.extend(format_poly(p, style=_style(args)) for p in polys)
         return 0
     values.reverse()
     if args.format == "json":
         out.append(json.dumps([str(v) for v in values]))
-    elif args.format == "latex":
-        out.extend(_latex_rational(v) for v in values)
     else:
-        out.extend(str(v) for v in values)
+        out.extend(_style(args).rational(v) for v in values)
     return 0
 
 
@@ -273,33 +183,26 @@ def _cmd_pf(args, out: list[str]) -> int:
         for key, _, poly in items:
             payload[key] = [str(c) for c in poly.coeffs]
         out.append(json.dumps(payload))
-    elif args.format == "latex":
-        out.extend(f"{name} = {_latex_poly(p)}" for _, name, p in items)
     else:
-        out.extend(f"{name} = {format_poly(p)}" for _, name, p in items)
+        out.extend(f"{name} = {format_poly(p, style=_style(args))}" for _, name, p in items)
     return 0
 
 
 def _cmd_reduce(args, out: list[str]) -> int:
     element = parse_element(args.expr)
-    fmt = args.emit or args.format
     if not args.to_first_order:
-        if fmt == "json":
+        if args.format == "json":
             out.append(json.dumps(_element_json(element)))
-        elif fmt == "latex":
-            out.append(_latex_element(element))
         else:
-            out.append(element.render())
+            out.append(element.render(_style(args)))
         return 0
     combo = reduce_to_first_order(element)
     if not combo.semantic_element().equals(element):
         raise RuntimeError("internal error: first-order combination is not equal to its source")
-    if fmt == "json":
+    if args.format == "json":
         out.append(json.dumps({"element": _element_json(element), "first_order": _combination_json(combo)}))
-    elif fmt == "latex":
-        out.append(_latex_combination(combo))
     else:
-        out.append(combo.render())
+        out.append(combo.render(_style(args)))
     return 0
 
 
@@ -352,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computer algebra for Bernoulli-type series: reductions and identity verification.",
     )
     parser.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    parser.add_argument("--order", type=int, default=None, help="series bound override")
+    parser.add_argument("--order", type=int, default=None, help=f"series bound override, at most {MAX_SERIES_ORDER}")
     parser.add_argument("--out", default=None, help="write output to a file instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -386,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = reduce_sub.add_parser("product")
     p.add_argument("expr")
     p.add_argument("--to-first-order", action="store_true")
-    p.add_argument("--emit", choices=("text", "json", "latex"), default=None)
 
     p = sub.add_parser("verify", help="verify a named identity over a parameter grid")
     p.add_argument("name")
@@ -405,8 +307,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # exact answers may pass Python's 4,300-digit int-to-str limit (3.10.7+); the caps bound their size
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(args)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(args) -> int:
     out: list[str] = []
     if args.command == "selftest":
         from .selftest import selftest_main
@@ -416,6 +329,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 return selftest_main(json_output=args.json or args.format == "json", stream=fh)
         return selftest_main(json_output=args.json or args.format == "json")
     try:
+        if args.order is not None and args.order > MAX_SERIES_ORDER:
+            raise UsageError(f"--order {args.order} is past the cap of {MAX_SERIES_ORDER}")
         if args.command == "bern":
             code = _cmd_bern(args, out)
         elif args.command == "stirling":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .polys import binomial
+from .polys import TEXT, Style, binomial, join_signed, scaled
 from .series import TruncatedSeries, bernoulli_power_series, exp_series, grown_size
 
 
@@ -174,45 +174,27 @@ class BElement:
 
     # -- rendering -----------------------------------------------------------
 
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for at, c in self.atoms():
-            body = _render_atom(at)
-            mag = abs(c)
-            if body == "1":
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            if not chunks:
-                chunks.append(text if c > 0 else f"-{text}")
-            else:
-                chunks.append(("+ " if c > 0 else "- ") + text)
-        return " ".join(chunks)
+    def render(self, style: Style = TEXT) -> str:
+        return join_signed([scaled(c, render_atom(at, style), style) for at, c in self.atoms()])
 
     def __repr__(self) -> str:
         return f"<BElement {self.render()}>"
 
 
-def _render_scalar_times_t(value: Fraction) -> str:
-    return "T" if value == 1 else f"{value}T" if value > 0 else f"-{abs(value)}T"
+def render_atom(at: Atom, style: Style = TEXT) -> str:
+    """``T^m*B(bT)^n*e^{aT}`` with trivial factors left out; ``1`` for the unit atom."""
 
+    def times_t(value: Fraction) -> str:
+        return "T" if value == 1 else f"{style.rational(value)}T"
 
-def _render_atom(at: Atom) -> str:
     factors = []
-    if at.m == 1:
-        factors.append("T")
-    elif at.m != 0:
-        factors.append(f"T^{at.m}")
+    if at.m != 0:
+        factors.append(style.power("T", at.m))
     if at.n >= 1:
-        b_part = "B" if at.b == 1 else f"B({_render_scalar_times_t(at.b)})"
-        factors.append(b_part if at.n == 1 else f"{b_part}^{at.n}")
+        factors.append(style.power("B" if at.b == 1 else f"B({times_t(at.b)})", at.n))
     if at.a != 0:
-        factors.append(f"e^{{{_render_scalar_times_t(at.a)}}}")
-    return "*".join(factors) if factors else "1"
+        factors.append(f"e^{{{times_t(at.a)}}}")
+    return style.times.join(factors) or "1"
 
 
 class ExpPoly:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .elements import Atom, BElement
-from .polys import Poly, binomial, factorial
+from .polys import LATEX, Poly, binomial, factorial
 from .reduction import (
     DCombination,
     derivative_power_element,
@@ -205,13 +205,6 @@ def coefficient_identity(
 # -- verification reports -------------------------------------------------------
 
 
-def _latex_rational(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    sign = "-" if x < 0 else ""
-    return f"{sign}\\frac{{{abs(x.numerator)}}}{{{x.denominator}}}"
-
-
 @dataclass(frozen=True)
 class IdentityReport:
     """Exact verification record for one identity instance."""
@@ -230,7 +223,7 @@ class IdentityReport:
         rel = "=" if self.verified else "\\neq"
         return (
             f"\\mathrm{{{self.name}}}({args}):\\ "
-            f"{_latex_rational(self.lhs_value)} {rel} {_latex_rational(self.rhs_value)}"
+            f"{LATEX.rational(self.lhs_value)} {rel} {LATEX.rational(self.rhs_value)}"
         )
 
     def to_json_dict(self) -> dict:
@@ -606,6 +599,8 @@ def verify_stirling_gf(n: int, k: int) -> IdentityReport:
 
 def verify_f_derivative(n: int, order: int = 30) -> IdentityReport:
     """d^n B/dT^n = T^-n f_n(T, B), compared as series to the given order."""
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
     direct = bernoulli_series(order + n)
     for _ in range(n):
         direct = direct.derivative()

@@ -288,29 +288,63 @@ def x_power_minus_one(n: int) -> Poly:
     return Poly([-1] + [0] * (n - 1) + [1])
 
 
-def format_poly(p: Poly, var: str = "X") -> str:
-    """Render ascending by exponent, e.g. ``-1/2 + 1/3*X^2``."""
-    if p.is_zero():
+class Style:
+    """How rendered values are spelled: plain text (``TEXT``) or LaTeX (``LATEX``)."""
+
+    def __init__(self, latex: bool):
+        self.latex = latex
+
+    @property
+    def times(self) -> str:
+        return "" if self.latex else "*"
+
+    def rational(self, x: Fraction) -> str:
+        if not self.latex or x.denominator == 1:
+            return str(x)
+        sign = "-" if x < 0 else ""
+        return f"{sign}\\frac{{{abs(x.numerator)}}}{{{x.denominator}}}"
+
+    def power(self, base: str, k: int) -> str:
+        """``base^k``, or plain ``base`` for k = 1."""
+        if k == 1:
+            return base
+        return f"{base}^{{{k}}}" if self.latex else f"{base}^{k}"
+
+    def bracket(self, body: str) -> str:
+        return f"\\left({body}\\right)" if self.latex else f"({body})"
+
+    def d(self, k: int) -> str:
+        """The k-th derivative in T, k >= 1."""
+        if self.latex:
+            return f"\\frac{{{self.power('d', k)}}}{{{self.power('dT', k)}}}"
+        return self.power("d", k)
+
+
+TEXT = Style(latex=False)
+LATEX = Style(latex=True)
+
+
+def scaled(c: Fraction, body: str, style: Style = TEXT) -> str:
+    """``c`` times ``body`` with a unit coefficient dropped; ``body`` "1" gives ``c`` alone."""
+    if body == "1":
+        return style.rational(c)
+    mag = "" if abs(c) == 1 else style.rational(abs(c)) + style.times
+    return ("-" if c < 0 else "") + mag + body
+
+
+def join_signed(chunks: Sequence[str]) -> str:
+    """``a + b - c`` from the chunks ``a``, ``b``, ``-c``; ``0`` if there are none."""
+    if not chunks:
         return "0"
-    parts = []
-    for i, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        if i == 0:
-            term = str(c)
-        else:
-            mag = "" if abs(c) == 1 else f"{abs(c)}*"
-            xpow = var if i == 1 else f"{var}^{i}"
-            term = f"{mag}{xpow}"
-            if c < 0:
-                term = "-" + term
-        if parts and not term.startswith("-"):
-            parts.append("+ " + term)
-        elif parts:
-            parts.append("- " + term[1:])
-        else:
-            parts.append(term)
-    return " ".join(parts)
+    rest = (f" - {c[1:]}" if c.startswith("-") else f" + {c}" for c in chunks[1:])
+    return chunks[0] + "".join(rest)
+
+
+def format_poly(p: Poly, var: str = "X", style: Style = TEXT) -> str:
+    """Render ascending by exponent, e.g. ``-1/2 + 1/3*X^2``."""
+    return join_signed(
+        [scaled(c, style.power(var, i) if i else "1", style) for i, c in enumerate(p.coeffs) if c]
+    )
 
 
 class BiPoly:

@@ -20,9 +20,9 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
-from .elements import Atom, BElement
+from .elements import Atom, BElement, render_atom
 from .partfrac import g_pair, h_f
-from .polys import BiPoly, Poly, binomial, factorial
+from .polys import TEXT, BiPoly, Poly, Style, binomial, factorial
 from .weyl import WeylOp
 
 
@@ -125,15 +125,17 @@ class DCombination:
     def equals(self, other: "DCombination") -> bool:
         return self.semantic_element().equals(other.semantic_element())
 
-    def render(self) -> str:
+    def render(self, style: Style = TEXT) -> str:
+        """One ``[op] (gen)`` line per generator, or one LaTeX sum of ``(op)(gen)``."""
         if not self.entries:
             return "0"
-        from .elements import _render_atom
-
-        lines = []
-        for gen in sorted(self.entries, key=lambda g: g.key()):
-            lines.append(f"[{self.entries[gen].render()}] ({_render_atom(gen)})")
-        return "\n".join(lines)
+        pairs = [
+            (self.entries[gen].render(style), render_atom(gen, style))
+            for gen in sorted(self.entries, key=lambda g: g.key())
+        ]
+        if style.latex:
+            return " + ".join(f"{style.bracket(op)}\\!{style.bracket(gen)}" for op, gen in pairs)
+        return "\n".join(f"[{op}] ({gen})" for op, gen in pairs)
 
     def __repr__(self) -> str:
         return f"<DCombination of {len(self.entries)} generators>"

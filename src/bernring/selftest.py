@@ -17,6 +17,7 @@ from typing import Callable, TextIO
 
 from .elements import Atom, BElement, atom, b_element, from_scalar
 from .identities import (
+    IdentityReport,
     beta_integral,
     beta_integral_by_quadrature,
     harmonic_integral,
@@ -83,6 +84,36 @@ class CriterionResult:
         )
 
 
+F = Fraction
+LOWERING_SHIFTS = (F(0), F(1), F(3, 2))
+
+#: every ``verify_*`` family with its cases: the criteria check these, and
+#: ``scripts/verify_grid.py`` prints one report per case in this order
+GRID: dict[Callable[..., IdentityReport], list[tuple]] = {
+    verify_euler: [(m,) for m in range(2, 31)],
+    verify_recurrence: [(n,) for n in range(0, 61)],
+    verify_multiplication: [
+        (m, n, a) for m in range(0, 31) for n in range(1, 7) for a in (F(0), F(1, 2), F(1), F(7, 3))
+    ],
+    verify_lowering: [(n, i, a) for n in range(1, 9) for i in range(1, 31) for a in LOWERING_SHIFTS],
+    verify_agoh_dilcher_example: [(n,) for n in range(0, 31)],
+    verify_rademacher: [(n,) for n in range(4, 25)],
+    verify_23: [(n,) for n in range(2, 25)],
+    verify_23_even: [(n,) for n in range(2, 25)],
+    verify_235: [(n,) for n in range(2, 25)],
+    verify_miki: [(n,) for n in range(4, 31)],
+    verify_miki_s_relation: [(20,)],
+    verify_kaneko: [(k,) for k in range(1, 16)],
+    verify_stirling_gf: [(n, k) for n in range(0, 21) for k in range(1, 7)],
+    verify_f_derivative: [(n,) for n in range(0, 11)],
+}
+
+
+def grid_reports(*families) -> list[IdentityReport]:
+    """One report per grid case of each family, in the given order."""
+    return [fn(*case) for fn in families for case in GRID[fn]]
+
+
 def _all_verified(reports) -> tuple[bool, str]:
     reports = list(reports)
     bad = [r for r in reports if not r.verified]
@@ -95,6 +126,11 @@ def _all_verified(reports) -> tuple[bool, str]:
 # -- criterion checks ----------------------------------------------------------
 
 
+def _grid_check(*families) -> Callable[[], tuple[bool, str]]:
+    """The check that every grid case of the given families verifies."""
+    return lambda: _all_verified(grid_reports(*families))
+
+
 def check_bernoulli_baseline():
     ok = bernoulli_number(0) == 1 and bernoulli_number(1) == Fraction(-1, 2)
     ok = ok and all(bernoulli_number(2 * k + 1) == 0 for k in range(1, 31))
@@ -105,35 +141,14 @@ def check_bernoulli_baseline():
     return ok, "B0, B1, odd vanishing through B61, B4, defining product"
 
 
-def check_euler():
-    return _all_verified(verify_euler(m) for m in range(2, 31))
-
-
-def check_recurrence():
-    return _all_verified(verify_recurrence(n) for n in range(0, 61))
-
-
-def check_multiplication():
-    args = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(7, 3)]
-    return _all_verified(
-        verify_multiplication(m, n, a)
-        for m in range(0, 31)
-        for n in range(1, 7)
-        for a in args
-    )
-
-
 def check_lowering():
-    args = [Fraction(0), Fraction(1), Fraction(3, 2)]
-    ok, detail = _all_verified(
-        verify_lowering(n, i, a) for n in range(1, 9) for i in range(1, 31) for a in args
-    )
+    ok, detail = _all_verified(grid_reports(verify_lowering))
     if not ok:
         return ok, detail
     # cross-check every value against the direct series product B^n e^{aT}
     for n in range(1, 10):
         power = bernoulli_power_series(n, 30)
-        for a in args:
+        for a in LOWERING_SHIFTS:
             ser = power * exp_series(a, 30) if a else power
             for i in range(31):
                 if ser.coeff(i) * factorial(i) != bernoulli_poly_value(n, i, a):
@@ -253,25 +268,18 @@ def check_triple_product():
     return ok, "B(2T)B(3T)B(5T) reduction equals the printed operator combination"
 
 
-def check_multinomial_identities():
-    reports = [verify_235(n) for n in range(2, 25)]
-    reports += [verify_23(n) for n in range(2, 25)]
-    reports += [verify_23_even(n) for n in range(2, 25)]
-    return _all_verified(reports)
-
-
 def check_derivative_polynomials():
     for n in range(13):
         if f_n_closed(n) != f_n_inductive(n):
             return False, f"closed and inductive f_{n} differ"
         if not f_n_closed(n).is_integral():
             return False, f"f_{n} has a non-integer coefficient"
-    ok, detail = _all_verified(verify_f_derivative(n) for n in range(11))
+    ok, detail = _all_verified(grid_reports(verify_f_derivative))
     return ok, "f_n forms agree and are integral (n <= 12); " + detail
 
 
 def check_agoh_dilcher():
-    ok, detail = _all_verified(verify_agoh_dilcher_example(n) for n in range(0, 31))
+    ok, detail = _all_verified(grid_reports(verify_agoh_dilcher_example))
     if not ok:
         return ok, detail
     golden = WeylOp(
@@ -291,7 +299,7 @@ def check_agoh_dilcher():
 
 
 def check_rademacher():
-    ok, detail = _all_verified(verify_rademacher(n) for n in range(4, 25))
+    ok, detail = _all_verified(grid_reports(verify_rademacher))
     if not ok:
         return ok, detail
     b_prime = derivative_of_element(b_element())
@@ -305,10 +313,10 @@ def check_rademacher():
 
 
 def check_miki():
-    ok, detail = _all_verified(verify_miki(n) for n in range(4, 31))
+    ok, detail = _all_verified(grid_reports(verify_miki))
     if not ok:
         return ok, detail
-    if not verify_miki_s_relation(20).verified:
+    if not all(r.verified for r in grid_reports(verify_miki_s_relation)):
         return False, "parameterized product relation failed at order 20"
     for i in range(1, 11):
         for j in range(1, 11):
@@ -318,10 +326,6 @@ def check_miki():
         if harmonic_integral(n) != 2 * harmonic(n - 1):
             return False, f"harmonic companion mismatch at n={n}"
     return True, detail + "; s-relation to order 20, Beta and harmonic companions"
-
-
-def check_kaneko():
-    return _all_verified(verify_kaneko(k) for k in range(1, 16))
 
 
 def _set_partitions_count(n: int, k: int) -> int:
@@ -343,9 +347,7 @@ def _set_partitions_count(n: int, k: int) -> int:
 
 
 def check_stirling_gf():
-    ok, detail = _all_verified(
-        verify_stirling_gf(n, k) for n in range(0, 21) for k in range(1, 7)
-    )
+    ok, detail = _all_verified(grid_reports(verify_stirling_gf))
     if not ok:
         return ok, detail
     if stirling(4, 2) != 7 or _set_partitions_count(4, 2) != 7:
@@ -486,19 +488,19 @@ def check_property_suites():
 
 CRITERIA: list[tuple[int, str, float, Callable[[], tuple[bool, str]]]] = [
     (1, "bernoulli-baseline", 1.0, check_bernoulli_baseline),
-    (2, "euler", 1.0, check_euler),
-    (3, "recurrence", 1.0, check_recurrence),
-    (4, "multiplication", 5.0, check_multiplication),
+    (2, "euler", 1.0, _grid_check(verify_euler)),
+    (3, "recurrence", 1.0, _grid_check(verify_recurrence)),
+    (4, "multiplication", 5.0, _grid_check(verify_multiplication)),
     (5, "order-lowering", 10.0, check_lowering),
     (6, "partial-fractions", 2.0, check_partial_fractions),
     (7, "product-goldens", 2.0, check_product_goldens),
     (8, "triple-product", 5.0, check_triple_product),
-    (9, "multinomial-identities", 5.0, check_multinomial_identities),
+    (9, "multinomial-identities", 5.0, _grid_check(verify_235, verify_23, verify_23_even)),
     (10, "derivative-polynomials", 5.0, check_derivative_polynomials),
     (11, "agoh-dilcher", 5.0, check_agoh_dilcher),
     (12, "rademacher", 10.0, check_rademacher),
     (13, "miki", 10.0, check_miki),
-    (14, "kaneko", 5.0, check_kaneko),
+    (14, "kaneko", 5.0, _grid_check(verify_kaneko)),
     (15, "stirling-gf", 2.0, check_stirling_gf),
     (16, "property-suites", 60.0, check_property_suites),
 ]

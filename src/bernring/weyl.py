@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .elements import Atom, BElement
-from .polys import Poly, binomial, format_poly
+from .polys import TEXT, Poly, Style, binomial, format_poly, join_signed, scaled
 from .series import TruncatedSeries
 
 
@@ -152,31 +152,20 @@ class WeylOp:
 
     # -- rendering -----------------------------------------------------------
 
-    def render(self) -> str:
-        if not self.parts:
-            return "0"
+    def render(self, style: Style = TEXT) -> str:
         chunks = []
-        for k in sorted(self.parts):
-            f = self.parts[k]
+        for k, f in sorted(self.parts.items()):
             if k == 0:
-                chunks.append(format_poly(f, var="T"))
+                chunks.append(format_poly(f, "T", style))
                 continue
-            dpart = "d" if k == 1 else f"d^{k}"
-            if f == Poly.one():
-                chunks.append(dpart)
-            elif f == -Poly.one():
-                chunks.append(f"-{dpart}")
-            elif len([c for c in f.coeffs if c != 0]) == 1:
-                chunks.append(f"{format_poly(f, var='T')}*{dpart}")
-            else:
-                chunks.append(f"({format_poly(f, var='T')})*{dpart}")
-        text = chunks[0]
-        for chunk in chunks[1:]:
-            if chunk.startswith("-"):
-                text += " - " + chunk[1:]
-            else:
-                text += " + " + chunk
-        return text
+            terms = [(j, c) for j, c in enumerate(f.coeffs) if c]
+            if len(terms) > 1:
+                chunks.append(style.bracket(format_poly(f, "T", style)) + style.times + style.d(k))
+            else:  # c*T^j*d^k, with a unit c dropped like in any other term
+                (j, c), = terms
+                t_part = style.power("T", j) + style.times if j else ""
+                chunks.append(scaled(c, t_part + style.d(k), style))
+        return join_signed(chunks)
 
     def __repr__(self) -> str:
         return f"<WeylOp {self.render()}>"

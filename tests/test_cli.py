@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,45 @@ class TestSizeCaps:
         code, out, _ = run(capsys, "bern", "poly", str(top), "--at", "5/7")
         assert code == 0 and Fraction(out.strip()) == bernoulli_polynomial(top)(Fraction(5, 7))
 
+    def test_order_refused_past_cap(self, capsys):
+        top = cli.MAX_SERIES_ORDER
+        code, out, err = run(capsys, "--order", str(top + 1), "verify", "f-derivative", "--n", "12")
+        assert code == 2 and out == ""
+        assert f"past the cap of {top}" in err
+
+    def test_negative_order_refused(self, capsys):
+        code, out, err = run(capsys, "--order", "-5", "verify", "f-derivative", "--n", "12")
+        assert code == 2 and out == ""
+        assert "nonnegative" in err
+
+    def test_largest_order(self, capsys):
+        code, out, _ = run(capsys, "--order", str(cli.MAX_SERIES_ORDER), "verify", "f-derivative", "--n", "3")
+        assert code == 0 and out.endswith("[ok]\n")
+
+    def test_rational_refused_past_digit_cap(self, capsys):
+        digits = cli.MAX_RATIONAL_DIGITS
+        for point in (f"{10**digits}/3", f"1/{10**digits}", f"-{10**digits}"):
+            code, out, err = run(capsys, "bern", "poly", "3", "--at", point)
+            assert code == 2 and out == ""
+            assert f"past the cap of {digits} digits" in err
+
+    def test_largest_rational(self, capsys):
+        point = Fraction(10**cli.MAX_RATIONAL_DIGITS - 1, 10**cli.MAX_RATIONAL_DIGITS - 3)
+        code, out, _ = run(capsys, "bern", "poly", "3", "--at", str(point))
+        assert code == 0 and Fraction(out.strip()) == bernoulli_polynomial(3)(point)
+
+    def test_answer_past_int_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "bern", "poly", "1000", "--at", "123456789/1000000007")
+        assert code == 0 and err == ""
+        assert sys.get_int_max_str_digits() == limit  # main puts the limit back
+        assert len(out) > limit
+        sys.set_int_max_str_digits(0)
+        try:
+            assert Fraction(out.strip()) == bernoulli_polynomial(1000)(Fraction(123456789, 1000000007))
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 class TestStirlingAndPf:
     def test_stirling(self, capsys):
@@ -142,13 +182,97 @@ class TestReduce:
         assert code == 2 and "^" in err
 
     def test_latex_emission(self, capsys):
-        _, out, _ = run(capsys, "reduce", "product", "B(2T)*B(3T)", "--emit", "latex")
+        _, out, _ = run(capsys, "--format", "latex", "reduce", "product", "B(2T)*B(3T)")
         assert out == "B^{2} - \\frac{3}{2}TB(2T) - \\frac{2}{3}TB(3T) + \\frac{2}{3}TB(3T)e^{T}\n"
+
+    def test_emit_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["reduce", "product", "B(2T)*B(3T)", "--emit", "latex"])
+        capsys.readouterr()
+        assert exc.value.code == 2
+
+    def test_unit_operator_coefficient(self, capsys):
+        # a +-1 coefficient of d^k is dropped in both styles
+        _, text, _ = run(capsys, "reduce", "product", "1-d[B]", "--to-first-order")
+        _, latex, _ = run(capsys, "--format", "latex", "reduce", "product", "1-d[B]", "--to-first-order")
+        assert text == "[1] (1)\n[-d] (B)\n"
+        assert latex == "\\left(1\\right)\\!\\left(1\\right) + \\left(-\\frac{d}{dT}\\right)\\!\\left(B\\right)\n"
 
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "reduce", "product", "B(2T)*B(3T)*B(5T)")
         _, second, _ = run(capsys, "reduce", "product", "B(2T)*B(3T)*B(5T)")
         assert first == second
+
+
+TRIPLE = "B(2T)*B(3T)*B(5T)"
+HALF = "B(1/2T)^2*e^{-3/2T}"
+
+#: exact output of each command in each style; the text and LaTeX spellings of one value
+GOLDENS = {
+    ("bern", "num", "0..4"): (
+        ["1", "-1/2", "1/6", "0", "-1/30"],
+        ["1", r"-\frac{1}{2}", r"\frac{1}{6}", "0", r"-\frac{1}{30}"],
+    ),
+    ("bern", "poly", "0..3"): (
+        ["1", "-1/2 + X", "1/6 - X + X^2", "1/2*X - 3/2*X^2 + X^3"],
+        ["1", r"-\frac{1}{2} + X", r"\frac{1}{6} - X + X^{2}", r"\frac{1}{2}X - \frac{3}{2}X^{2} + X^{3}"],
+    ),
+    ("pf", "hf", "2", "1", "5"): (
+        ["h^{(2)}_{1,5} = 3/5 - 2/5*X", "f^{(2)}_{1,5} = 2/5 + 3/5*X + 3/5*X^2 + 2/5*X^3"],
+        [
+            r"h^{(2)}_{1,5} = \frac{3}{5} - \frac{2}{5}X",
+            r"f^{(2)}_{1,5} = \frac{2}{5} + \frac{3}{5}X + \frac{3}{5}X^{2} + \frac{2}{5}X^{3}",
+        ],
+    ),
+    ("reduce", "product", TRIPLE, "--to-first-order"): (
+        [
+            "[3 - 20/3*T + 31/6*T^2 + (-3*T + 20/3*T^2)*d + 3/2*T^2*d^2] (B)",
+            "[-2 + 5/3*T + (2*T - 5/3*T^2)*d - T^2*d^2] (B*e^{T})",
+            "[15/4*T^2] (B(2T))",
+            "[10/9*T^2] (B(3T))",
+            "[-20/9*T^2] (B(3T)*e^{T})",
+            "[10/9*T^2] (B(3T)*e^{2T})",
+            "[14/5*T^2] (B(5T))",
+            "[-4/5*T^2] (B(5T)*e^{T})",
+            "[2/5*T^2] (B(5T)*e^{2T})",
+            "[2/5*T^2] (B(5T)*e^{3T})",
+            "[-4/5*T^2] (B(5T)*e^{4T})",
+        ],
+        [
+            " + ".join(
+                [
+                    r"\left(3 - \frac{20}{3}T + \frac{31}{6}T^{2} + \left(-3T + \frac{20}{3}T^{2}\right)\frac{d}{dT}"
+                    r" + \frac{3}{2}T^{2}\frac{d^{2}}{dT^{2}}\right)\!\left(B\right)",
+                    r"\left(-2 + \frac{5}{3}T + \left(2T - \frac{5}{3}T^{2}\right)\frac{d}{dT}"
+                    r" - T^{2}\frac{d^{2}}{dT^{2}}\right)\!\left(Be^{T}\right)",
+                    r"\left(\frac{15}{4}T^{2}\right)\!\left(B(2T)\right)",
+                    r"\left(\frac{10}{9}T^{2}\right)\!\left(B(3T)\right)",
+                    r"\left(-\frac{20}{9}T^{2}\right)\!\left(B(3T)e^{T}\right)",
+                    r"\left(\frac{10}{9}T^{2}\right)\!\left(B(3T)e^{2T}\right)",
+                    r"\left(\frac{14}{5}T^{2}\right)\!\left(B(5T)\right)",
+                    r"\left(-\frac{4}{5}T^{2}\right)\!\left(B(5T)e^{T}\right)",
+                    r"\left(\frac{2}{5}T^{2}\right)\!\left(B(5T)e^{2T}\right)",
+                    r"\left(\frac{2}{5}T^{2}\right)\!\left(B(5T)e^{3T}\right)",
+                    r"\left(-\frac{4}{5}T^{2}\right)\!\left(B(5T)e^{4T}\right)",
+                ]
+            )
+        ],
+    ),
+    ("reduce", "product", HALF, "--to-first-order"): (
+        ["[1 - 2*T - T*d] (B(1/2T)*e^{-3/2T})"],
+        [r"\left(1 - 2T - T\frac{d}{dT}\right)\!\left(B(\frac{1}{2}T)e^{-\frac{3}{2}T}\right)"],
+    ),
+}
+
+
+class TestGoldens:
+    @pytest.mark.parametrize("argv", list(GOLDENS), ids=" ".join)
+    @pytest.mark.parametrize("style", ["text", "latex"])
+    def test_exact_output(self, capsys, argv, style):
+        code, out, err = run(capsys, "--format", style, *argv)
+        text_lines, latex_lines = GOLDENS[argv]
+        assert code == 0 and err == ""
+        assert out == "".join(line + "\n" for line in (text_lines if style == "text" else latex_lines))
 
 
 class TestVerify:

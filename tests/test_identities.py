@@ -188,6 +188,11 @@ class TestStirlingAndDerivatives:
         assert verify_f_derivative(1).verified
         assert verify_f_derivative(8).verified
 
+    def test_f_derivative_negative_order_refused(self):
+        # an empty coefficient range would compare nothing and report 0 = 0
+        with pytest.raises(ValueError, match="nonnegative"):
+            verify_f_derivative(12, order=-5)
+
 
 class TestRademacherOperator:
     def test_combined_relation_semantic(self):
