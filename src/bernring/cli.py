@@ -13,7 +13,10 @@ Subcommands::
     selftest [--json]         the full acceptance suite
 
 INDEX arguments accept either a single integer or an inclusive range ``A..B``,
-up to the command's cap in ``INDEX_CAPS``.
+up to the command's cap in ``INDEX_CAPS``.  ``stirling`` takes N up to
+``MAX_STIRLING_N``; a ``verify`` grid takes integers up to ``MAX_VERIFY_INDEX``
+and at most ``MAX_VERIFY_CASES`` cases; ``reduce`` takes exponents up to
+``exprparse.MAX_EXPONENT``.
 Rational arguments are ``p/q`` strings; list-valued flags take comma-separated
 values.  Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
 All rationals are emitted as exact ``p/q`` strings, never floats.
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -52,7 +56,8 @@ def _parse_rational(text: str) -> Fraction:
     return value
 
 
-def _parse_index_range(text: str) -> list[int]:
+def _parse_index_range(text: str, cap: int, where: str) -> list[int]:
+    """The integers of ``A..B`` or ``N``; one past ``cap`` in absolute value is refused before the list is built."""
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
         try:
@@ -61,19 +66,23 @@ def _parse_index_range(text: str) -> list[int]:
             raise UsageError(f"malformed range {text!r}") from exc
         if hi < lo:
             raise UsageError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    try:
-        return [int(text)]
-    except ValueError as exc:
-        raise UsageError(f"malformed integer {text!r}") from exc
+    else:
+        try:
+            lo = hi = int(text)
+        except ValueError as exc:
+            raise UsageError(f"malformed integer {text!r}") from exc
+    for value in (hi, lo):
+        if abs(value) > cap:
+            raise UsageError(f"index {value} is past the cap of {cap} for {where}")
+    return list(range(lo, hi + 1))
 
 
-def _parse_param_values(text: str) -> list[Fraction]:
+def _parse_param_values(text: str, where: str) -> list[Fraction]:
     values: list[Fraction] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if ".." in chunk:
-            values.extend(Fraction(i) for i in _parse_index_range(chunk))
+            values.extend(Fraction(i) for i in _parse_index_range(chunk, MAX_VERIFY_INDEX, where))
         else:
             values.append(_parse_rational(chunk))
     return values
@@ -119,6 +128,12 @@ MAX_ORDER = 20
 #: (``bern poly 1000`` at a 20-digit/20-digit point prints about 42,000 characters in 0.7 s)
 MAX_SERIES_ORDER = 200
 MAX_RATIONAL_DIGITS = 20
+#: the largest ``stirling`` N (the table keeps every row up to N: N = 500 takes 0.2 s and 40 MB);
+#: the largest integer ``verify`` parameter and the most cases in one ``verify`` grid
+#: (the slowest full range, ``verify miki-s-relation --N 1..60``, takes about 6 s)
+MAX_STIRLING_N = 500
+MAX_VERIFY_INDEX = 60
+MAX_VERIFY_CASES = 1000
 
 
 def _style(args) -> Style:
@@ -127,11 +142,10 @@ def _style(args) -> Style:
 
 def _cmd_bern(args, out: list[str]) -> int:
     # largest index first, so the table grows once; the values are put back in order below
-    indices = _parse_index_range(args.index)[::-1]
+    indices = _parse_index_range(args.index, INDEX_CAPS[args.kind], f"bern {args.kind}")[::-1]
     order = int(args.order_n) if args.kind == "num-order" else 1
-    for what, value, cap in (("index", indices[0], INDEX_CAPS[args.kind]), ("order", order, MAX_ORDER)):
-        if value > cap:
-            raise UsageError(f"{what} {value} is past the cap of {cap} for bern {args.kind}")
+    if order > MAX_ORDER:
+        raise UsageError(f"order {order} is past the cap of {MAX_ORDER} for bern {args.kind}")
     if args.kind == "num":
         values = [bernoulli_number(i) for i in indices]
     elif args.kind == "num-order":
@@ -155,7 +169,10 @@ def _cmd_bern(args, out: list[str]) -> int:
 
 
 def _cmd_stirling(args, out: list[str]) -> int:
-    value = stirling(int(args.n), int(args.k))
+    n = int(args.n)
+    if n > MAX_STIRLING_N:
+        raise UsageError(f"N {n} is past the cap of {MAX_STIRLING_N} for stirling")
+    value = stirling(n, int(args.k))
     if args.format == "json":
         out.append(json.dumps({"n": int(args.n), "k": int(args.k), "value": str(value)}))
     else:
@@ -217,7 +234,10 @@ def _cmd_verify(args, out: list[str]) -> int:
         raw = getattr(args, pname if pname != "N" else "cap_n", None)
         if raw is None:
             raise UsageError(f"identity {name!r} needs --{pname}")
-        grids.append(_parse_param_values(raw))
+        grids.append(_parse_param_values(raw, f"verify --{pname}"))
+    size = math.prod(len(grid) for grid in grids)
+    if size > MAX_VERIFY_CASES:
+        raise UsageError(f"a grid of {size} cases is past the cap of {MAX_VERIFY_CASES} for verify")
     cases: list[tuple[Fraction, ...]] = [()]
     for grid in grids:
         cases = [prefix + (v,) for prefix in cases for v in grid]
@@ -225,6 +245,8 @@ def _cmd_verify(args, out: list[str]) -> int:
     def _as_int(pname: str, v: Fraction) -> int:
         if v.denominator != 1:
             raise UsageError(f"parameter --{pname} must be an integer, got {v}")
+        if abs(v) > MAX_VERIFY_INDEX:
+            raise UsageError(f"index {v} is past the cap of {MAX_VERIFY_INDEX} for verify --{pname}")
         return int(v)
 
     def run(case: tuple[Fraction, ...]) -> IdentityReport:

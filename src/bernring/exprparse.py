@@ -11,9 +11,10 @@ Supported constructs (whitespace-insensitive)::
 
 ``scalar`` is an optionally signed rational (defaulting to 1), so ``B(2T)``,
 ``B(-3/2T)``, ``e^{T}`` and ``e^{-1/2T}`` all parse.  ``d[...]`` takes the
-derivative of the enclosed element.  Exponents are integers, optionally braced
-or parenthesized; a negative exponent is accepted on a single-atom base (it
-inverts T-powers, exponentials and B-factors exactly).
+derivative of the enclosed element.  Exponents are integers of absolute value
+at most ``MAX_EXPONENT``, optionally braced or parenthesized; a negative
+exponent is accepted on a single-atom base (it inverts T-powers, exponentials
+and B-factors exactly).
 
 Multiplication of elements is the exact ring product (fully reduced), so every
 parsed expression is again a plain element.
@@ -28,6 +29,10 @@ from .elements import Atom, BElement, atom, from_scalar
 from .polys import binomial
 from .reduction import product_reduce
 from .weyl import derivative_of_element
+
+#: the largest exponent (in absolute value) after ``^``: ``B(2T)^6*B(3T)^6 --to-first-order``
+#: takes about 3 s, and each step up about doubles the time
+MAX_EXPONENT = 6
 
 
 class ExprError(ValueError):
@@ -138,6 +143,8 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind != "number" or "/" in val:
             raise ExprError("expected an integer exponent", self.text, pos)
+        if int(val) > MAX_EXPONENT:
+            raise ExprError(f"exponent {sign * int(val)} is past the cap of {MAX_EXPONENT}", self.text, pos)
         self.advance()
         if closing:
             self.expect(closing)

@@ -71,11 +71,15 @@ def lowering_op(n: int, b: Fraction, a: Fraction) -> WeylOp:
     )
 
 
-def _lowering_chain(n: int, b: Fraction, a: Fraction) -> WeylOp:
-    """Product of lowering operators carrying B(bT)e^{aT} all the way to B^n(bT)e^{aT}."""
-    chain = WeylOp.identity()
-    for j in range(n - 1, 0, -1):
-        chain = chain * lowering_op(j, b, a)
+def _lowering_chain(n: int, b: Fraction, a: Fraction, chains: dict[tuple, WeylOp]) -> WeylOp:
+    """chain(n) = L(n-1) * chain(n-1), carrying B(bT)e^{aT} to B^n(bT)e^{aT}; ``chains`` keeps each by (n, b, a)."""
+    start = n
+    while start > 1 and (start, b, a) not in chains:
+        start -= 1
+    chain = chains.get((start, b, a), WeylOp.identity())
+    for j in range(start, n):
+        chain = lowering_op(j, b, a) * chain
+        chains[(j + 1, b, a)] = chain
     return chain
 
 
@@ -113,11 +117,12 @@ class DCombination:
         return self.entries.get(gen, WeylOp.zero())
 
     def semantic_element(self) -> BElement:
-        acc = BElement.zero()
+        out: dict[Atom, Fraction] = {}
         for gen, op in self.entries.items():
             base = BElement({Atom(b=gen.b, n=gen.n, m=0, a=gen.a): Fraction(1)})
-            acc = acc + op.apply_element(base).mul_monomial(gen.m)
-        return acc
+            for at, c in op.apply_element(base).mul_monomial(gen.m).terms.items():
+                out[at] = out.get(at, Fraction(0)) + c
+        return BElement(out)
 
     def expand(self, bound: int):
         return self.semantic_element().expand(bound)
@@ -152,8 +157,9 @@ def reduce_to_first_order(x: BElement) -> DCombination:
     operator).
     """
     buckets: dict[tuple[int, Fraction, Fraction], dict[int, WeylOp]] = {}
+    chains: dict[tuple, WeylOp] = {}
     for at, c in x.terms.items():
-        chain = _lowering_chain(at.n, at.b, at.a) if at.n >= 1 else WeylOp.identity()
+        chain = _lowering_chain(at.n, at.b, at.a, chains) if at.n >= 1 else WeylOp.identity()
         gen_n = 1 if at.n >= 1 else 0
         key = (gen_n, at.b if gen_n else Fraction(1), at.a)
         slot = buckets.setdefault(key, {})
@@ -189,54 +195,55 @@ def reduce_to_first_order(x: BElement) -> DCombination:
 
 
 def product_reduce(x: BElement, y: BElement) -> BElement:
-    """The exact product x*y in the Laurent field, expressed again as an element."""
-    acc = BElement.zero()
+    """The exact product x*y in the Laurent field, expressed again as an element.
+
+    A pair of atoms with distinct scales becomes a pending state c * U^r * e^{(f + sigma/q)T} *
+    prod_p B(pU)^factors[p] in U = T/q, q the common denominator of its scales and 0 <= f < 1/q;
+    equal states of all pairs are merged.
+    """
+    out: dict[Atom, Fraction] = {}
+    pending: dict[tuple[int, Fraction], list[dict]] = {}
     for at1, c1 in x.terms.items():
         for at2, c2 in y.terms.items():
-            acc = acc + _atom_product(at1, at2, c1 * c2)
-    return acc
+            m, a, c = at1.m + at2.m, at1.a + at2.a, c1 * c2
+            if at1.n == 0 or at2.n == 0 or at1.b == at2.b:  # an atom with n = 0 has b = 1
+                key = Atom(b=at1.b if at1.n else at2.b, n=at1.n + at2.n, m=m, a=a)
+                out[key] = out.get(key, Fraction(0)) + c
+                continue
+            q = math.lcm(at1.b.denominator, at2.b.denominator)
+            sigma = math.floor(a * q)
+            buckets = pending.setdefault((q, a - Fraction(sigma, q)), [])
+            _push(buckets, c * Fraction(q) ** m, m, sigma, {int(at1.b * q): at1.n, int(at2.b * q): at2.n})
+    for (q, f), buckets in pending.items():
+        _drain(q, f, buckets, out)
+    return BElement(out)
 
 
 def _measure(factors: dict[int, int]) -> int:
     return sum(p * n for p, n in factors.items())
 
 
-def _atom_product(at1: Atom, at2: Atom, c: Fraction) -> BElement:
-    m = at1.m + at2.m
-    a = at1.a + at2.a
-    if at1.n == 0 or at2.n == 0 or at1.b == at2.b:
-        n = at1.n + at2.n
-        b = at1.b if at1.n else at2.b
-        return BElement({Atom(b=b if n else Fraction(1), n=n, m=m, a=a): c})
-    q = math.lcm(at1.b.denominator, at2.b.denominator)
-    p1 = int(at1.b * q)
-    p2 = int(at2.b * q)
-    done = []
-    states = [(c, 0, 0, {p1: at1.n, p2: at2.n})]
-    while states:
-        state = states.pop()
-        coeff, r, sigma, factors = state
-        if len(factors) <= 1:
-            done.append(state)
-            continue
-        measure = _measure(factors)
-        new_states = _rewrite_step(coeff, r, sigma, factors)
-        for ns in new_states:
-            if _measure(ns[3]) >= measure:
-                raise ReductionError("product-reduction measure failed to decrease")
-        states.extend(new_states)
-    out: dict[Atom, Fraction] = {}
-    for coeff, r, sigma, factors in done:
-        coeff = coeff * Fraction(1, q) ** r
-        a_total = a + Fraction(sigma, q)
-        m_total = m + r
-        if factors:
-            ((p, n),) = factors.items()
-            key = Atom(b=Fraction(p, q), n=n, m=m_total, a=a_total)
-        else:
-            key = Atom(b=Fraction(1), n=0, m=m_total, a=a_total)
-        out[key] = out.get(key, Fraction(0)) + coeff
-    return BElement(out)
+def _push(buckets: list[dict], coeff: Fraction, r: int, sigma: int, factors: dict[int, int]) -> None:
+    measure, state = _measure(factors), (r, sigma, frozenset(factors.items()))
+    buckets.extend({} for _ in range(measure + 1 - len(buckets)))
+    pending = buckets[measure].get(state)
+    buckets[measure][state] = (pending[0] + coeff, factors) if pending else (coeff, factors)
+
+
+def _drain(q: int, f: Fraction, buckets: list[dict], out: dict[Atom, Fraction]) -> None:
+    """Rewrite the states of one (q, f) into ``out`` from the highest measure down; as a rewrite
+    lowers the measure, each state is rewritten once, after every contribution to it arrived."""
+    for measure in range(len(buckets) - 1, -1, -1):
+        for (r, sigma, _), (coeff, factors) in buckets[measure].items():
+            if len(factors) > 1:
+                for ns in _rewrite_step(coeff, r, sigma, factors):
+                    if _measure(ns[3]) >= measure:
+                        raise ReductionError("product-reduction measure failed to decrease")
+                    _push(buckets, *ns)
+                continue
+            ((p, n),) = factors.items() or [(q, 0)]  # no factor left: the unit atom, b = 1
+            key = Atom(b=Fraction(p, q), n=n, m=r, a=f + Fraction(sigma, q))
+            out[key] = out.get(key, Fraction(0)) + coeff * Fraction(1, q) ** r
 
 
 def _rewrite_step(coeff: Fraction, r: int, sigma: int, factors: dict[int, int]):

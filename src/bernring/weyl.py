@@ -138,17 +138,19 @@ class WeylOp:
         max_order = self.order()
         if max_order < 0:
             return BElement.zero()
-        acc = BElement.zero()
+        out: dict[Atom, Fraction] = {}
         deriv = x
         for k in range(max_order + 1):
             f = self.parts.get(k)
             if f is not None:
-                for d, c in enumerate(f.coeffs):
-                    if c != 0:
-                        acc = acc + deriv.mul_monomial(d).scale(c)
+                for at, v in deriv.terms.items():
+                    for d, c in enumerate(f.coeffs):
+                        if c:
+                            key = Atom(b=at.b, n=at.n, m=at.m + d, a=at.a)
+                            out[key] = out.get(key, Fraction(0)) + c * v
             if k < max_order:
                 deriv = derivative_of_element(deriv)
-        return acc
+        return BElement(out)
 
     # -- rendering -----------------------------------------------------------
 
@@ -178,28 +180,18 @@ def derivative_of_atom(at: Atom) -> BElement:
     the n/T, -nb and -(n/T) B^(n+1) terms) together with the product rule for
     the T^m prefactor.
     """
-    terms: dict[Atom, Fraction] = {}
-
-    def put(m: int, n: int, b: Fraction, coeff: Fraction):
-        if coeff == 0:
-            return
-        key = Atom(b=b if n else Fraction(1), n=n, m=m, a=at.a)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-
-    if at.m != 0:
-        put(at.m - 1, at.n, at.b, Fraction(at.m))
-    if at.a != 0:
-        put(at.m, at.n, at.b, at.a)
-    if at.n >= 1:
-        n = Fraction(at.n)
-        put(at.m - 1, at.n, at.b, n)
-        put(at.m, at.n, at.b, -n * at.b)
-        put(at.m - 1, at.n + 1, at.b, -n)
-    return BElement(terms)
+    return derivative_of_element(BElement({at: Fraction(1)}))
 
 
 def derivative_of_element(x: BElement) -> BElement:
-    acc = BElement.zero()
+    terms: dict[Atom, Fraction] = {}
     for at, c in x.terms.items():
-        acc = acc + derivative_of_atom(at).scale(c)
-    return acc
+        # (m, n, coefficient) of each term; an atom with n = 0 already has b = 1
+        parts = [(at.m - 1, at.n, at.m), (at.m, at.n, at.a)]
+        if at.n >= 1:
+            parts += [(at.m - 1, at.n, at.n), (at.m, at.n, -at.n * at.b), (at.m - 1, at.n + 1, -at.n)]
+        for m, n, coeff in parts:
+            if coeff:
+                key = Atom(b=at.b, n=n, m=m, a=at.a)
+                terms[key] = terms.get(key, Fraction(0)) + c * coeff
+    return BElement(terms)

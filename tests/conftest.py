@@ -7,8 +7,11 @@ import pytest
 from hypothesis import strategies as st
 
 from bernring import elements, series
+from bernring.elements import Atom, BElement
 from bernring.polys import Poly
+from bernring.reduction import ReductionError, _measure, _rewrite_step, lowering_op
 from bernring.series import TruncatedSeries, exp_minus_one_over_t
+from bernring.weyl import WeylOp, derivative_of_atom
 
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -73,3 +76,87 @@ def norlund_by_products(n: int, bound: int) -> TruncatedSeries:
     if n == 1:
         return bernoulli_by_inversion(bound)
     return norlund_by_products(n - 1, bound) * bernoulli_by_inversion(bound)
+
+
+# -- the slow routes of the reduce path, kept as oracles ----------------------
+
+
+def tree_walk_atom_product(at1: Atom, at2: Atom, c: Fraction) -> BElement:
+    """c * at1 * at2 by walking the tree of pending states, none merged."""
+    m = at1.m + at2.m
+    a = at1.a + at2.a
+    if at1.n == 0 or at2.n == 0 or at1.b == at2.b:
+        n = at1.n + at2.n
+        b = at1.b if at1.n else at2.b
+        return BElement({Atom(b=b if n else Fraction(1), n=n, m=m, a=a): c})
+    q = math.lcm(at1.b.denominator, at2.b.denominator)
+    done = []
+    states = [(c, 0, 0, {int(at1.b * q): at1.n, int(at2.b * q): at2.n})]
+    while states:
+        state = states.pop()
+        if len(state[3]) <= 1:
+            done.append(state)
+            continue
+        new_states = _rewrite_step(*state)
+        for ns in new_states:
+            if _measure(ns[3]) >= _measure(state[3]):
+                raise ReductionError("product-reduction measure failed to decrease")
+        states.extend(new_states)
+    out: dict[Atom, Fraction] = {}
+    for coeff, r, sigma, factors in done:
+        if factors:
+            ((p, n),) = factors.items()
+            key = Atom(b=Fraction(p, q), n=n, m=m + r, a=a + Fraction(sigma, q))
+        else:
+            key = Atom(b=Fraction(1), n=0, m=m + r, a=a + Fraction(sigma, q))
+        out[key] = out.get(key, Fraction(0)) + coeff * Fraction(1, q) ** r
+    return BElement(out)
+
+
+def fold_product_reduce(x: BElement, y: BElement) -> BElement:
+    """x * y as a running sum ``acc = acc + ...`` of tree-walked atom products."""
+    acc = BElement.zero()
+    for at1, c1 in x.terms.items():
+        for at2, c2 in y.terms.items():
+            acc = acc + tree_walk_atom_product(at1, at2, c1 * c2)
+    return acc
+
+
+def fold_derivative_of_element(x: BElement) -> BElement:
+    acc = BElement.zero()
+    for at, c in x.terms.items():
+        acc = acc + derivative_of_atom(at).scale(c)
+    return acc
+
+
+def fold_apply_element(op, x: BElement) -> BElement:
+    """op(x) for a WeylOp, summing one scaled T-shift at a time."""
+    max_order = op.order()
+    acc = BElement.zero()
+    deriv = x
+    for k in range(max_order + 1):
+        f = op.parts.get(k)
+        if f is not None:
+            for d, c in enumerate(f.coeffs):
+                if c != 0:
+                    acc = acc + deriv.mul_monomial(d).scale(c)
+        if k < max_order:
+            deriv = fold_derivative_of_element(deriv)
+    return acc
+
+
+def fold_semantic_element(combo) -> BElement:
+    """The element a DCombination denotes, summed one generator at a time."""
+    acc = BElement.zero()
+    for gen, op in combo.entries.items():
+        base = BElement({Atom(b=gen.b, n=gen.n, m=0, a=gen.a): Fraction(1)})
+        acc = acc + fold_apply_element(op, base).mul_monomial(gen.m)
+    return acc
+
+
+def lowering_chain_by_products(n: int, b: Fraction, a: Fraction) -> WeylOp:
+    """L(n-1) * ... * L(1), multiplied from the left end, with nothing reused."""
+    chain = WeylOp.identity()
+    for j in range(n - 1, 0, -1):
+        chain = chain * lowering_op(j, b, a)
+    return chain

@@ -5,10 +5,16 @@ from fractions import Fraction
 import pytest
 
 from bernring import cli
-from bernring.elements import atom
-from bernring.exprparse import parse_element
+from bernring.elements import Atom, BElement, atom
+from bernring.exprparse import MAX_EXPONENT, parse_element
 from bernring.reduction import product_reduce
-from bernring.series import _BERNOULLI_TABLE, bernoulli_number, bernoulli_number_order, bernoulli_polynomial
+from bernring.series import (
+    _BERNOULLI_TABLE,
+    bernoulli_number,
+    bernoulli_number_order,
+    bernoulli_polynomial,
+    bernoulli_power_series,
+)
 from conftest import staudt_clausen_denominator
 
 
@@ -62,12 +68,46 @@ class TestSizeCaps:
             (["bern", "num-order", str(cli.MAX_ORDER + 1), "2"], cli.MAX_ORDER),
             (["bern", "poly", str(cli.INDEX_CAPS["poly"] + 1)], cli.INDEX_CAPS["poly"]),
             (["bern", "poly", str(cli.INDEX_CAPS["poly"] + 1), "--at", "1/2"], cli.INDEX_CAPS["poly"]),
+            (["stirling", str(cli.MAX_STIRLING_N + 1), "2"], cli.MAX_STIRLING_N),
+            (["verify", "recurrence", "--n", "0..100000"], cli.MAX_VERIFY_INDEX),
+            (["verify", "recurrence", f"--n={-10 * cli.MAX_VERIFY_INDEX}..0"], cli.MAX_VERIFY_INDEX),
+            (["verify", "recurrence", "--n", str(cli.MAX_VERIFY_INDEX + 1)], cli.MAX_VERIFY_INDEX),
+            (["verify", "lowering", "--n", "2", "--i", f"3,{cli.MAX_VERIFY_INDEX + 1}", "--a", "0"], cli.MAX_VERIFY_INDEX),
+            (["verify", "multiplication", "--m", "1..59", "--n", "1..17", "--a", "0"], cli.MAX_VERIFY_CASES),
+            (["reduce", "product", f"B(2T)^{MAX_EXPONENT + 1}*B(3T)"], MAX_EXPONENT),
+            (["reduce", "product", f"T^{{-{MAX_EXPONENT + 1}}}", "--to-first-order"], MAX_EXPONENT),
         ],
     )
     def test_refused_past_cap(self, capsys, argv, cap):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert f"past the cap of {cap}" in err
+
+    def test_largest_stirling(self, capsys):
+        top = cli.MAX_STIRLING_N
+        code, out, _ = run(capsys, "stirling", str(top), "2")
+        assert code == 0 and int(out) == 2 ** (top - 1) - 1
+
+    def test_largest_verify_grid(self, capsys):
+        top = cli.MAX_VERIFY_INDEX
+        assert (top - 20) * 25 == cli.MAX_VERIFY_CASES
+        code, out, _ = run(capsys, "verify", "multiplication", "--m", f"21..{top}", "--n", "1..25", "--a", "1/2")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == cli.MAX_VERIFY_CASES
+        assert lines[-1].startswith(f"multiplication(m={top}, n=25, a=1/2)") and lines[-1].endswith("[ok]")
+
+    def test_largest_exponent(self, capsys):
+        k = MAX_EXPONENT
+        code, out, _ = run(capsys, "--format", "json", "reduce", "product", f"B(2T)^{k}*B(3T)^{k}", "--to-first-order")
+        assert code == 0
+        element = BElement(
+            {
+                Atom(b=Fraction(at["b"]), n=at["n"], m=at["m"], a=Fraction(at["a"])): Fraction(at["coeff"])
+                for at in json.loads(out)["element"]["atoms"]
+            }
+        )
+        direct = bernoulli_power_series(k, 24).scale_arg(2) * bernoulli_power_series(k, 24).scale_arg(3)
+        assert element.expand(12).same_up_to(direct.truncate(12), 12)
 
     def test_largest_number(self, capsys):
         top = cli.INDEX_CAPS["num"]

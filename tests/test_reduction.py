@@ -3,11 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bernring import reduction
 from bernring.elements import Atom, BElement, atom, b_element, from_scalar
 from bernring.polys import Poly
 from bernring.reduction import (
     DCombination,
+    ReductionError,
+    _lowering_chain,
     agoh_dilcher_reduce,
     derivative_power_element,
     element_from_bipoly,
@@ -27,6 +32,15 @@ from bernring.selftest import (
     _golden_triple_combination,
 )
 from bernring.weyl import WeylOp, derivative_of_element
+from conftest import (
+    fold_apply_element,
+    fold_derivative_of_element,
+    fold_product_reduce,
+    fold_semantic_element,
+    lowering_chain_by_products,
+    polys,
+    small_rationals,
+)
 
 F = Fraction
 
@@ -256,3 +270,81 @@ class TestTermination:
         for k in (2, 3, 4):
             direct = direct * bernoulli_series(16).scale_arg(k)
         assert acc.expand(12).same_up_to(direct.truncate(12), 12)
+
+
+# -- the merged-state and one-dict routes against the slow routes --------------
+
+# powers stop at 2: the unmerged tree walk takes 20 s on B^3(5/3 T) * B^3(3/2 T)
+ORACLE_SCALES = (F(1), F(2), F(3), F(5), F(3, 2), F(5, 3), F(5, 2))
+oracle_atoms = st.builds(
+    single_atom,
+    st.integers(-3, 3),
+    st.integers(0, 2),
+    st.sampled_from(ORACLE_SCALES),
+    st.sampled_from((F(0), F(1), F(-1, 2), F(3, 2), F(1, 3))),
+)
+oracle_elements = st.dictionaries(oracle_atoms, small_rationals.filter(bool), min_size=1, max_size=3).map(BElement)
+oracle_ops = st.dictionaries(st.integers(0, 3), polys, max_size=3).map(WeylOp)
+
+
+def assert_routes_agree(x: BElement, y: BElement) -> None:
+    """Every fast path of the reduce path gives the same terms as its slow route."""
+    product = product_reduce(x, y)
+    assert product == fold_product_reduce(x, y)
+    assert derivative_of_element(product) == fold_derivative_of_element(product)
+    combo = reduce_to_first_order(product)
+    assert combo.semantic_element() == fold_semantic_element(combo)
+    for op in combo.entries.values():
+        assert op.apply_element(y) == fold_apply_element(op, y)
+
+
+class TestFastPathsAgainstOracles:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_equal_powers_of_two_and_three(self, k):
+        assert_routes_agree(atom(0, k, 2), atom(0, k, 3))
+
+    def test_prime_scales_two_to_eleven(self):
+        fast = slow = atom(0, 1, 2)
+        for p in (3, 5, 7):
+            fast = product_reduce(fast, atom(0, 1, p))
+            slow = fold_product_reduce(slow, atom(0, 1, p))
+            assert fast == slow
+        assert_routes_agree(fast, atom(0, 1, 11))
+
+    @pytest.mark.parametrize("b1, b2", itertools.combinations([F(3, 2), F(5, 3), F(5, 2)], 2))
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_rational_scales(self, b1, b2, n1, n2):
+        assert_routes_agree(atom(0, n1, b1), atom(0, n2, b2))
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            (atom(-2, 2, 2, F(1, 2)), atom(-1, 1, 3, F(-3, 2))),
+            (atom(-3, 1, F(3, 2), F(1, 3)), atom(1, 2, F(5, 2), -1)),
+            (atom(-1, 2, 3) + atom(-2, 1, 5, F(1, 2)), atom(0, 2, 2, F(-1, 2)) - atom(-1, 1, F(5, 3), 1)),
+        ],
+    )
+    def test_negative_t_powers_with_shifts(self, x, y):
+        assert_routes_agree(x, y)
+
+    @given(oracle_elements, oracle_elements)
+    @settings(max_examples=40, deadline=None)
+    def test_random_elements(self, x, y):
+        assert_routes_agree(x, y)
+
+    @given(oracle_ops, oracle_elements)
+    @settings(max_examples=60, deadline=None)
+    def test_random_operators(self, op, x):
+        assert op.apply_element(x) == fold_apply_element(op, x)
+
+    def test_lowering_chains_reused_in_any_order(self):
+        chains = {}
+        for n, b, a in [(5, F(2), F(1, 2)), (3, F(2), F(1, 2)), (8, F(2), F(1, 2)), (4, F(3, 2), F(0)), (1, F(1), F(0))]:
+            assert _lowering_chain(n, b, a, chains) == lowering_chain_by_products(n, b, a)
+
+
+class TestMeasureGuard:
+    def test_rewrite_that_keeps_the_measure_is_refused(self, monkeypatch):
+        monkeypatch.setattr(reduction, "_rewrite_step", lambda coeff, r, sigma, factors: [(coeff, r, sigma, dict(factors))])
+        with pytest.raises(ReductionError, match="failed to decrease"):
+            product_reduce(atom(0, 1, 2), atom(0, 1, 3))
