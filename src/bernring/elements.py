@@ -278,31 +278,22 @@ def t_element(power: int = 1) -> BElement:
 
 # -- series cache ------------------------------------------------------------
 
-_SCALED_POWER_CACHE: dict[tuple[Fraction, int], TruncatedSeries] = {}
-_EXP_CACHE: dict[Fraction, TruncatedSeries] = {}
+_SERIES_CACHE: dict[tuple[Fraction, int], TruncatedSeries] = {}
 
 
-def _scaled_power(b: Fraction, n: int, bound: int) -> TruncatedSeries:
-    cached = _SCALED_POWER_CACHE.get((b, n))
+def _cached_series(c: Fraction, n: int, bound: int) -> TruncatedSeries:
+    """B(cT)^n for n >= 1 and e^{cT} for n = 0, kept grown by grown_size and cut to the bound."""
+    cached = _SERIES_CACHE.get((c, n))
     if cached is None or cached.bound < bound:
         work = grown_size(cached.bound if cached is not None else 0, bound)
-        cached = bernoulli_power_series(n, work).scale_arg(b)
-        _SCALED_POWER_CACHE[(b, n)] = cached
-    return cached.truncate(bound)
-
-
-def _exp_cached(a: Fraction, bound: int) -> TruncatedSeries:
-    cached = _EXP_CACHE.get(a)
-    if cached is None or cached.bound < bound:
-        work = grown_size(cached.bound if cached is not None else 0, bound)
-        cached = exp_series(a, work)
-        _EXP_CACHE[a] = cached
+        cached = bernoulli_power_series(n, work).scale_arg(c) if n else exp_series(c, work)
+        _SERIES_CACHE[(c, n)] = cached
     return cached.truncate(bound)
 
 
 def _atom_series(at: Atom, bound: int) -> TruncatedSeries:
     work = bound - at.m
-    ser = _scaled_power(at.b, at.n, work) if at.n >= 1 else TruncatedSeries.one(work)
+    ser = _cached_series(at.b, at.n, work) if at.n >= 1 else TruncatedSeries.one(work)
     if at.a != 0:
-        ser = ser * _exp_cached(at.a, work)
+        ser = ser * _cached_series(at.a, 0, work)
     return ser.shift(at.m)

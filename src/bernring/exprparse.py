@@ -14,7 +14,8 @@ Supported constructs (whitespace-insensitive)::
 derivative of the enclosed element.  Exponents are integers of absolute value
 at most ``MAX_EXPONENT``, optionally braced or parenthesized; a negative
 exponent is accepted on a single-atom base (it inverts T-powers, exponentials
-and B-factors exactly).
+and B-factors exactly).  A product whose operands' largest B-powers add up to
+more than ``MAX_PRODUCT_POWER`` is refused before it is reduced.
 
 Multiplication of elements is the exact ring product (fully reduced), so every
 parsed expression is again a plain element.
@@ -33,6 +34,11 @@ from .weyl import derivative_of_element
 #: the largest exponent (in absolute value) after ``^``: ``B(2T)^6*B(3T)^6 --to-first-order``
 #: takes about 3 s, and each step up about doubles the time
 MAX_EXPONENT = 6
+
+#: the largest sum of the two operands' largest B-powers in one product, so that nested powers
+#: and long ``*`` chains stay bounded.  It bounds powers, not scales: of the inputs tried with
+#: scales up to 13, the slowest, ``B(11T)^6*B(13T)^6 --to-first-order``, takes 5.8 s
+MAX_PRODUCT_POWER = 12
 
 
 class ExprError(ValueError):
@@ -114,8 +120,14 @@ class _Parser:
         value = self.unary()
         while self.peek()[1] == "*":
             self.advance()
-            value = product_reduce(value, self.unary())
+            value = self.product(value, self.unary())
         return value
+
+    def product(self, x: BElement, y: BElement) -> BElement:
+        total = sum(max((at.n for at in z.terms), default=0) for z in (x, y))
+        if total > MAX_PRODUCT_POWER:
+            self.fail(f"B-power {total} of a product is past the cap of {MAX_PRODUCT_POWER}")
+        return product_reduce(x, y)
 
     def unary(self) -> BElement:
         if self.peek()[1] == "-":
@@ -224,7 +236,7 @@ def _element_power(base: BElement, exponent: int, parser: _Parser) -> BElement:
     if exponent >= 0:
         result = from_scalar(1)
         for _ in range(exponent):
-            result = product_reduce(result, base)
+            result = parser.product(result, base)
         return result
     if len(base.terms) != 1:
         parser.fail("negative powers are only defined for a single generator term")

@@ -99,7 +99,7 @@ class WeylOp:
                     if deriv.is_zero():
                         break
                     key = i - r + j
-                    contrib = f * deriv * binomial(i, r)
+                    contrib = f * deriv if r in (0, i) else f * deriv * binomial(i, r)
                     out[key] = out.get(key, Poly.zero()) + contrib
                     deriv = deriv.derivative()
         return WeylOp(out)

@@ -10,7 +10,8 @@ from bernring import elements, series
 from bernring.elements import Atom, BElement
 from bernring.polys import Poly
 from bernring.reduction import ReductionError, _measure, _rewrite_step, lowering_op
-from bernring.series import TruncatedSeries, exp_minus_one_over_t
+from bernring.selftest import run_all
+from bernring.series import TruncatedSeries, bernoulli_number, bernoulli_poly_value, exp_minus_one_over_t
 from bernring.weyl import WeylOp, derivative_of_atom
 
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -21,7 +22,7 @@ nonzero_polys = polys.filter(lambda p: not p.is_zero())
 
 @pytest.fixture(autouse=True)
 def derived_tables_per_test(monkeypatch):
-    """Give each test its own Nörlund rows and scaled-power cache.
+    """Give each test its own Nörlund rows and element series cache.
 
     Row 1 of the Bernoulli table is shared: it is computed from tangent
     numbers alone, and a test that patches one of its entries undoes that
@@ -30,7 +31,13 @@ def derived_tables_per_test(monkeypatch):
     patched would otherwise outlive the patch.
     """
     monkeypatch.setattr(series, "_ROWS", {1: series._ROWS[1]})
-    monkeypatch.setattr(elements, "_SCALED_POWER_CACHE", {})
+    monkeypatch.setattr(elements, "_SERIES_CACHE", {})
+
+
+@pytest.fixture(scope="session")
+def selftest_results():
+    """The acceptance suite, run once per test session for every test that checks its results."""
+    return run_all()
 
 
 @pytest.fixture
@@ -160,3 +167,69 @@ def lowering_chain_by_products(n: int, b: Fraction, a: Fraction) -> WeylOp:
     for j in range(n - 1, 0, -1):
         chain = chain * lowering_op(j, b, a)
     return chain
+
+
+# -- the hand-derived product identities, kept as oracles ----------------------
+#
+# Each returns (left side, right side) of the identity at n, as the product
+# families once typed them in; the library now reads both sides off the ring.
+
+F2, F3, F5 = Fraction(2), Fraction(3), Fraction(5)
+
+
+def product_23_by_hand(n: int) -> tuple[Fraction, Fraction]:
+    """n! [T^n] B(2T)B(3T) as a convolution, and its scaled-argument right side."""
+    b, bp = bernoulli_number, bernoulli_poly_value
+    lhs = sum((F3**i * F2 ** (n - i) * math.comb(n, i) * b(i) * b(n - i) for i in range(n + 1)), Fraction(0))
+    p3, p2 = 2 * n * F3 ** (n - 2), 3 * n * F2 ** (n - 2)
+    rhs = p3 * bp(1, n - 1, Fraction(1, 3)) - (p3 + p2 + n) * b(n - 1) + (1 - n) * b(n)
+    return lhs, rhs
+
+
+def product_23_even_by_hand(n: int) -> tuple[Fraction, Fraction]:
+    """The even-index terms of the 2,3-product identity at 2n (n >= 2)."""
+    b = bernoulli_number
+    lhs = sum(
+        (F3 ** (2 * i) * F2 ** (2 * n - 2 * i) * math.comb(2 * n, 2 * i) * b(2 * i) * b(2 * n - 2 * i)
+         for i in range(n + 1)),
+        Fraction(0),
+    )
+    rhs = 4 * n * F3 ** (2 * n - 2) * bernoulli_poly_value(1, 2 * n - 1, Fraction(1, 3)) + (1 - 2 * n) * b(2 * n)
+    return lhs, rhs
+
+
+def product_235_by_hand(n: int) -> tuple[Fraction, Fraction]:
+    """n! [T^n] B(2T)B(3T)B(5T) as a multinomial sum, and its right side (n >= 2)."""
+    b, bp, nn = bernoulli_number, bernoulli_poly_value, Fraction(n)
+    lhs = Fraction(0)
+    for i in range(n + 1):
+        for j in range(n - i + 1):
+            k = n - i - j
+            w = Fraction(math.factorial(n), math.factorial(i) * math.factorial(j) * math.factorial(k))
+            lhs += w * F2**i * F3**j * F5**k * b(i) * b(j) * b(k)
+    rhs = (
+        Fraction(1, 2) * (nn - 1) * (nn - 2) * b(n)
+        + 5 * nn * (nn - 2) * b(n - 1)
+        + (Fraction(9, 2) + Fraction(15, 4) * F2 ** (n - 2) + Fraction(18, 5) * F5 ** (n - 2))
+        * nn * (nn - 1) * b(n - 2)
+        - Fraction(10, 3) * nn * (nn - 1) * F3 ** (n - 2) * bp(1, n - 2, Fraction(1, 3))
+        + Fraction(6, 5) * nn * (nn - 1) * F5 ** (n - 2)
+        * (bp(1, n - 2, Fraction(2, 5)) + bp(1, n - 2, Fraction(3, 5)))
+    )
+    return lhs, rhs
+
+
+def agoh_dilcher_by_hand(n: int) -> tuple[Fraction, Fraction]:
+    """n! [T^n] (B')^2 as a convolution, and (n-1)/6 B_n - B_{n+1} - (n+3)/6 B_{n+2}."""
+    b = bernoulli_number
+    lhs = sum((math.comb(n, i) * b(1 + i) * b(1 + n - i) for i in range(n + 1)), Fraction(0))
+    rhs = Fraction(n - 1, 6) * b(n) - b(n + 1) - Fraction(n + 3, 6) * b(n + 2)
+    return lhs, rhs
+
+
+def euler_polynomial_by_hand(n: int, a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
+    """sum C(n,i) B_i(a) B_{n-i}(b), and (1-n) B_n(a+b) + n(a+b-1) B_{n-1}(a+b) (n >= 1)."""
+    bp, s = bernoulli_poly_value, a + b
+    lhs = sum((math.comb(n, i) * bp(1, i, a) * bp(1, n - i, b) for i in range(n + 1)), Fraction(0))
+    rhs = (1 - n) * bp(1, n, s) + n * (s - 1) * bp(1, n - 1, s)
+    return lhs, rhs

@@ -6,12 +6,12 @@ pass/fail lines with timings; the same checks back ``bernring selftest``.
 
 import pytest
 
-from bernring.selftest import CRITERIA, TOTAL_LIMIT, run_all
+from bernring.selftest import CRITERIA, TOTAL_LIMIT
 
 
 @pytest.fixture(scope="module")
-def results():
-    return {r.index: r for r in run_all()}
+def results(selftest_results):
+    return {r.index: r for r in selftest_results}
 
 
 @pytest.mark.parametrize(

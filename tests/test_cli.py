@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from bernring import cli
+from bernring import cli, selftest
 from bernring.elements import Atom, BElement, atom
-from bernring.exprparse import MAX_EXPONENT, parse_element
+from bernring.exprparse import MAX_EXPONENT, MAX_PRODUCT_POWER, parse_element
 from bernring.reduction import product_reduce
 from bernring.series import (
     _BERNOULLI_TABLE,
@@ -76,6 +76,8 @@ class TestSizeCaps:
             (["verify", "multiplication", "--m", "1..59", "--n", "1..17", "--a", "0"], cli.MAX_VERIFY_CASES),
             (["reduce", "product", f"B(2T)^{MAX_EXPONENT + 1}*B(3T)"], MAX_EXPONENT),
             (["reduce", "product", f"T^{{-{MAX_EXPONENT + 1}}}", "--to-first-order"], MAX_EXPONENT),
+            (["reduce", "product", "((B(2T)*B(3T))^6)^3"], MAX_PRODUCT_POWER),
+            (["reduce", "product", "B(2T)^6*B(3T)^6*B(5T)", "--to-first-order"], MAX_PRODUCT_POWER),
         ],
     )
     def test_refused_past_cap(self, capsys, argv, cap):
@@ -366,7 +368,9 @@ class TestVerify:
 
 
 class TestSelftestCommand:
-    def test_json_summary_passes(self, capsys):
+    def test_json_summary_passes(self, capsys, monkeypatch, selftest_results):
+        # the CLI renders the session's one run of the suite
+        monkeypatch.setattr(selftest, "run_all", lambda: selftest_results)
         code, out, _ = run(capsys, "selftest", "--json")
         data = json.loads(out)
         assert code == 0 and data["passed"] is True

@@ -3,8 +3,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernring import identities, series
+from bernring.cli import MAX_VERIFY_INDEX
 from bernring.elements import atom, b_element
 from bernring.identities import (
     BernSymbol,
@@ -35,7 +38,14 @@ from bernring.polys import Poly
 from bernring.reduction import product_reduce, reduce_to_first_order
 from bernring.series import TruncatedSeries, bernoulli_number, bernoulli_series, exp_series, harmonic
 from bernring.weyl import derivative_of_element
-from conftest import poly_cauchy
+from conftest import (
+    agoh_dilcher_by_hand,
+    euler_polynomial_by_hand,
+    poly_cauchy,
+    product_23_by_hand,
+    product_23_even_by_hand,
+    product_235_by_hand,
+)
 
 F = Fraction
 
@@ -102,6 +112,58 @@ class TestClosedFormFamilies:
         odd = verify_miki(5)
         assert odd.verified and odd.lhs_value == 0 and odd.rhs_value == 0
         assert verify_miki(20).verified
+
+
+class TestProductFamiliesAgainstHandFormulas:
+    """The product families read both sides off the ring; the hand formulas they replaced agree."""
+
+    @pytest.mark.parametrize(
+        "family, oracle, first",
+        [
+            (verify_23, product_23_by_hand, 1),
+            (verify_23_even, product_23_even_by_hand, 2),
+            (verify_235, product_235_by_hand, 2),
+            (verify_agoh_dilcher_example, agoh_dilcher_by_hand, 0),
+        ],
+        ids=["product-23", "product-23-even", "product-235", "agoh-dilcher"],
+    )
+    def test_every_allowed_n(self, family, oracle, first):
+        for n in range(first, MAX_VERIFY_INDEX + 1):
+            report = family(n)
+            assert report.verified
+            assert (report.lhs_value, report.rhs_value) == oracle(n)
+
+    @pytest.mark.parametrize("a, b", [(F(0), F(0)), (F(-2, 3), F(5, 7))])
+    def test_euler_polynomial_every_allowed_n(self, a, b):
+        for n in range(1, MAX_VERIFY_INDEX + 1):
+            report = verify_euler_polynomial(n, a, b)
+            assert report.verified
+            assert (report.lhs_value, report.rhs_value) == euler_polynomial_by_hand(n, a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=20),
+        a=st.fractions(min_value=-3, max_value=3, max_denominator=9),
+        b=st.fractions(min_value=-3, max_value=3, max_denominator=9),
+    )
+    def test_euler_polynomial_random_points(self, n, a, b):
+        report = verify_euler_polynomial(n, a, b)
+        assert report.verified
+        assert (report.lhs_value, report.rhs_value) == euler_polynomial_by_hand(n, a, b)
+
+    def test_tampered_table_gives_unverified_reports(self, monkeypatch):
+        bernoulli_number(4)  # make sure the table is populated before tampering
+        monkeypatch.setitem(series._BERNOULLI_TABLE, 4, F(999))
+        reports = [
+            verify_23(4),
+            verify_23_even(2),
+            verify_235(4),
+            verify_agoh_dilcher_example(2),
+            verify_euler_polynomial(4, 0, 0),
+        ]
+        for report in reports:
+            assert not report.verified, report.name
+            assert report.lhs_value != report.rhs_value
 
 
 class TestParameterizedRelation:
