@@ -25,6 +25,7 @@ All rationals are emitted as exact ``p/q`` strings, never floats.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -107,13 +108,10 @@ def _weyl_json(op: WeylOp) -> list[dict]:
 
 
 def _combination_json(dc: DCombination) -> list[dict]:
-    out = []
-    for gen in sorted(dc.entries, key=lambda g: g.key()):
-        entry = _atom_json(gen, Fraction(1))
-        del entry["coeff"]
-        entry["operator"] = _weyl_json(dc.entries[gen])
-        out.append(entry)
-    return out
+    return [
+        {"m": gen.m, "n": gen.n, "b": str(gen.b), "a": str(gen.a), "operator": _weyl_json(dc.entries[gen])}
+        for gen in sorted(dc.entries, key=lambda g: g.key())
+    ]
 
 
 # -- subcommand implementations ----------------------------------------------------
@@ -196,10 +194,7 @@ def _cmd_pf(args, out: list[str]) -> int:
         ]
         meta = {"k": pair.k, "ell": pair.ell, "n": pair.n}
     if args.format == "json":
-        payload = dict(meta)
-        for key, _, poly in items:
-            payload[key] = [str(c) for c in poly.coeffs]
-        out.append(json.dumps(payload))
+        out.append(json.dumps(dict(meta, **{key: [str(c) for c in poly.coeffs] for key, _, poly in items})))
     else:
         out.extend(f"{name} = {format_poly(p, style=_style(args))}" for _, name, p in items)
     return 0
@@ -238,9 +233,7 @@ def _cmd_verify(args, out: list[str]) -> int:
     size = math.prod(len(grid) for grid in grids)
     if size > MAX_VERIFY_CASES:
         raise UsageError(f"a grid of {size} cases is past the cap of {MAX_VERIFY_CASES} for verify")
-    cases: list[tuple[Fraction, ...]] = [()]
-    for grid in grids:
-        cases = [prefix + (v,) for prefix in cases for v in grid]
+    cases = list(itertools.product(*grids))
 
     def _as_int(pname: str, v: Fraction) -> int:
         if v.denominator != 1:

@@ -53,7 +53,7 @@ def _make_atom(m: int, n: int, b, a) -> Atom:
 class BElement:
     """Finite Q-linear combination of atoms; the empty combination is zero."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: Mapping[Atom, Fraction] | None = None):
         cleaned: dict[Atom, Fraction] = {}
@@ -63,6 +63,7 @@ class BElement:
                 if c != 0:
                     cleaned[at] = c
         object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BElement is immutable")
@@ -99,7 +100,9 @@ class BElement:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        if self._hash is None:  # computed once: the element is immutable
+            object.__setattr__(self, "_hash", hash(frozenset(self.terms.items())))
+        return self._hash
 
     def mul_monomial(self, k: int, a_shift=0) -> "BElement":
         """Multiply by T^k * e^{a_shift * T}: a pure shift of every atom."""
@@ -118,10 +121,7 @@ class BElement:
 
     def expand(self, bound: int) -> TruncatedSeries:
         """The Laurent series of this element, exact to the given bound."""
-        acc = TruncatedSeries.zero(bound)
-        for at, c in self.terms.items():
-            acc = acc + _atom_series(at, bound).scale(c)
-        return acc
+        return TruncatedSeries.combination([(_atom_series(at, bound), 0, c) for at, c in self.terms.items()], bound)
 
     def to_exp_poly(self) -> tuple["ExpPoly", str]:
         """Clear all B-factors and return the resulting exponential polynomial.

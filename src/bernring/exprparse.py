@@ -15,7 +15,8 @@ derivative of the enclosed element.  Exponents are integers of absolute value
 at most ``MAX_EXPONENT``, optionally braced or parenthesized; a negative
 exponent is accepted on a single-atom base (it inverts T-powers, exponentials
 and B-factors exactly).  A product whose operands' largest B-powers add up to
-more than ``MAX_PRODUCT_POWER`` is refused before it is reduced.
+more than ``MAX_PRODUCT_POWER``, or with a pair of atoms of distinct scales whose rewrite
+measure is past ``MAX_PRODUCT_MEASURE``, is refused before it is reduced.
 
 Multiplication of elements is the exact ring product (fully reduced), so every
 parsed expression is again a plain element.
@@ -23,6 +24,7 @@ parsed expression is again a plain element.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -31,14 +33,18 @@ from .polys import binomial
 from .reduction import product_reduce
 from .weyl import derivative_of_element
 
-#: the largest exponent (in absolute value) after ``^``: ``B(2T)^6*B(3T)^6 --to-first-order``
-#: takes about 3 s, and each step up about doubles the time
+#: the largest exponent (in absolute value) after ``^``
 MAX_EXPONENT = 6
 
 #: the largest sum of the two operands' largest B-powers in one product, so that nested powers
-#: and long ``*`` chains stay bounded.  It bounds powers, not scales: of the inputs tried with
-#: scales up to 13, the slowest, ``B(11T)^6*B(13T)^6 --to-first-order``, takes 5.8 s
+#: and long ``*`` chains stay bounded
 MAX_PRODUCT_POWER = 12
+
+#: the largest measure q (b1 n1 + b2 n2), q the lcm of the scales' denominators, that a pair of
+#: atoms B(b1 T)^n1, B(b2 T)^n2 of distinct scales starts its rewriting from in one product.  Of
+#: the inputs tried, the slowest accepted, ``B(2/3T)^6*B(7/4T)^6`` (174), takes 3.5 s with
+#: ``--to-first-order``; ``B(29T)^6*B(31T)^6`` (360) took 21 s
+MAX_PRODUCT_MEASURE = 180
 
 
 class ExprError(ValueError):
@@ -127,6 +133,13 @@ class _Parser:
         total = sum(max((at.n for at in z.terms), default=0) for z in (x, y))
         if total > MAX_PRODUCT_POWER:
             self.fail(f"B-power {total} of a product is past the cap of {MAX_PRODUCT_POWER}")
+        measure = max(
+            (int(math.lcm(p.b.denominator, q.b.denominator) * (p.b * p.n + q.b * q.n))
+             for p in x.terms for q in y.terms if p.n and q.n and p.b != q.b),
+            default=0,
+        )
+        if measure > MAX_PRODUCT_MEASURE:
+            self.fail(f"rewrite measure {measure} of a product is past the cap of {MAX_PRODUCT_MEASURE}")
         return product_reduce(x, y)
 
     def unary(self) -> BElement:

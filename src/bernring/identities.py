@@ -101,19 +101,11 @@ class CoefficientIdentity:
 
 
 def _combine_terms(raw: Iterable[tuple[Fraction, tuple[BernSymbol, ...]]]) -> tuple[IdentityTerm, ...]:
-    merged: dict[tuple, tuple[Fraction, tuple[BernSymbol, ...]]] = {}
+    merged: dict[tuple[BernSymbol, ...], Fraction] = {}
     for coeff, factors in raw:
         factors = tuple(sorted(factors, key=lambda s: s.sort_key()))
-        key = factors
-        if key in merged:
-            merged[key] = (merged[key][0] + coeff, factors)
-        else:
-            merged[key] = (coeff, factors)
-    out = [
-        IdentityTerm(coeff=c, factors=f)
-        for c, f in merged.values()
-        if c != 0
-    ]
+        merged[factors] = merged[factors] + coeff if factors in merged else coeff
+    out = [IdentityTerm(coeff=c, factors=f) for f, c in merged.items() if c != 0]
     out.sort(key=lambda t: tuple(s.sort_key() for s in t.factors))
     return tuple(out)
 
@@ -191,10 +183,7 @@ def coefficient_identity(
     series; symbolic sides are additionally evaluated and compared exactly.
     """
     factors = [lhs] if isinstance(lhs, BElement) else list(lhs)
-    product = factors[0]
-    for extra in factors[1:]:
-        product = product_reduce(product, extra)
-    if not product.equals(rhs.semantic_element()):
+    if not functools.reduce(product_reduce, factors).equals(rhs.semantic_element()):
         raise ValueError("left and right sides are not semantically equal")
     raw_lhs = []
     for chosen in itertools.product(*(f.atoms() for f in factors)):
@@ -306,15 +295,10 @@ def verify_euler(m: int) -> IdentityReport:
 def verify_recurrence(n: int) -> IdentityReport:
     """sum C(n,i) B_i = (-1)^n B_n; equal to B_n itself once n >= 2."""
     total = sum((binomial(n, i) * bernoulli_number(i) for i in range(n + 1)), Fraction(0))
-    signed = Fraction((-1) ** n) * bernoulli_number(n)
-    ok_plain = total == bernoulli_number(n) if n >= 2 else True
-    report = _report("recurrence", [("n", n)], total, signed)
-    if not ok_plain:
-        return IdentityReport(
-            name=report.name, params=report.params,
-            lhs_value=total, rhs_value=bernoulli_number(n), verified=False,
-        )
-    return report
+    # from n = 2 on the sum must be B_n as well; where it is not, the report holds B_n
+    plain = n >= 2 and total != bernoulli_number(n)
+    rhs = bernoulli_number(n) if plain else Fraction((-1) ** n) * bernoulli_number(n)
+    return _report("recurrence", [("n", n)], total, rhs)
 
 
 def verify_multiplication(m: int, n: int, a) -> IdentityReport:
@@ -397,19 +381,10 @@ def verify_miki(n: int) -> IdentityReport:
     """Miki's identity for n >= 4 (odd n degenerates to 0 = 0)."""
     if n < 4:
         raise ValueError("Miki's identity requires n >= 4")
-    lhs = sum(
-        (
-            bernoulli_number(i) / i * bernoulli_number(n - i) / (n - i)
-            for i in range(2, n - 1)
-        ),
-        Fraction(0),
-    )
+    terms = [bernoulli_number(i) / i * bernoulli_number(n - i) / (n - i) for i in range(2, n - 1)]
+    lhs = sum(terms, Fraction(0))
     rhs = Fraction(2, n) * harmonic(n) * bernoulli_number(n) + sum(
-        (
-            binomial(n, k) * bernoulli_number(k) / k * bernoulli_number(n - k) / (n - k)
-            for k in range(2, n - 1)
-        ),
-        Fraction(0),
+        (binomial(n, k) * t for k, t in enumerate(terms, 2)), Fraction(0)
     )
     return _report("miki", [("n", n)], lhs, rhs, degenerate=(n % 2 == 1))
 

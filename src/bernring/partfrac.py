@@ -75,13 +75,7 @@ def g_pair(m: int, n: int) -> GPair:
     _, _, v = gcd_ext(phi_m, phi_n)
     g_mn_hat = (lhs * v) % phi_m
     g_nm_hat = (lhs - g_mn_hat * phi_n).exact_div(phi_m)
-    return GPair(
-        m=m,
-        n=n,
-        ell=ell,
-        g_mn=g_mn_hat.compose_power(ell),
-        g_nm=g_nm_hat.compose_power(ell),
-    )
+    return GPair(m=m, n=n, ell=ell, g_mn=g_mn_hat.compose_power(ell), g_nm=g_nm_hat.compose_power(ell))
 
 
 @lru_cache(maxsize=None)
@@ -102,10 +96,8 @@ def h_f(k: int, ell: int, n: int) -> HFPair:
         for j in range(i - 1):
             acc += a[j] * binomial(nh, i - j)
         a.append(-acc / nh)
-    h_hat = Poly.zero()
     x_minus_one = Poly([-1, 1])
-    for j, aj in enumerate(a):
-        h_hat = h_hat + x_minus_one**j * aj
+    h_hat = sum((x_minus_one**j * aj for j, aj in enumerate(a)), Poly.zero())
     f_hat = (Poly.one() - cyclotomic_sum(nh) * h_hat).exact_div(x_minus_one**k)
     return HFPair(k=k, ell=ell, n=n, h=h_hat.compose_power(ell), f=f_hat.compose_power(ell))
 

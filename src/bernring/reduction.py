@@ -22,7 +22,8 @@ from typing import Mapping
 
 from .elements import Atom, BElement, render_atom
 from .partfrac import g_pair, h_f
-from .polys import TEXT, BiPoly, Poly, Style, binomial, factorial
+from .polys import TEXT, BiPoly, Poly, Style, binomial
+from .series import common_numerators
 from .weyl import WeylOp
 
 
@@ -45,13 +46,7 @@ def stirling(n: int, j: int) -> int:
         return 0
     while len(_STIRLING_ROWS) <= n:
         prev = _STIRLING_ROWS[-1]
-        top = len(prev) - 1
-        row = [0] * (top + 2)
-        for jj in range(top + 2):
-            left = prev[jj - 1] if 1 <= jj <= top + 1 else 0
-            right = jj * prev[jj] if jj <= top else 0
-            row[jj] = left + right
-        _STIRLING_ROWS.append(row)
+        _STIRLING_ROWS.append([left + j * right for j, (left, right) in enumerate(zip([0, *prev], [*prev, 0]))])
     row = _STIRLING_ROWS[n]
     return row[j] if j < len(row) else 0
 
@@ -63,24 +58,49 @@ def lowering_op(n: int, b: Fraction, a: Fraction) -> WeylOp:
     """The operator carrying B^n(bT)e^{aT} to B^(n+1)(bT)e^{aT}: 1 - bT + aT/n - (T/n)d."""
     if n < 1:
         raise ValueError("lowering operator defined for source order >= 1")
-    return WeylOp(
-        {
-            0: Poly([Fraction(1), Fraction(a, n) - Fraction(b)]),
-            1: Poly([Fraction(0), Fraction(-1, n)]),
-        }
-    )
+    return WeylOp({0: Poly([1, Fraction(a, n) - b]), 1: Poly([0, Fraction(-1, n)])})
 
 
-def _lowering_chain(n: int, b: Fraction, a: Fraction, chains: dict[tuple, WeylOp]) -> WeylOp:
-    """chain(n) = L(n-1) * chain(n-1), carrying B(bT)e^{aT} to B^n(bT)e^{aT}; ``chains`` keeps each by (n, b, a)."""
-    start = n
-    while start > 1 and (start, b, a) not in chains:
-        start -= 1
-    chain = chains.get((start, b, a), WeylOp.identity())
-    for j in range(start, n):
-        chain = lowering_op(j, b, a) * chain
-        chains[(j + 1, b, a)] = chain
-    return chain
+#: chain(n) = L(n-1)...L(1) at (b, a) = (1, 0), carrying B to B^n, as integer numerators over
+#: (n-1)!; row n holds at [k][e] the coefficient of T^e d^k.  Row 0 is the identity, as row 1.
+_CHAIN_ROWS: list[list[list[int]]] = [[[1]], [[1]]]
+
+
+def _chain_row(n: int) -> list[list[int]]:
+    """Row n of the lowering table, grown a row at a time by the left product with
+    j L(j) = j - jT - T d (j = n-1): c'[k][e] = (j-e) c[k][e] - j c[k][e-1] - c[k-1][e-1]."""
+    while len(_CHAIN_ROWS) <= n:
+        j, prev = len(_CHAIN_ROWS) - 1, _CHAIN_ROWS[-1]
+        row = [[0] * (j + 1) for _ in range(j + 1)]
+        for k, cs in enumerate(prev):
+            for e, c in enumerate(cs):
+                if c:
+                    row[k][e] += (j - e) * c
+                    row[k][e + 1] -= j * c
+                    row[k + 1][e + 1] -= c
+        _CHAIN_ROWS.append(row)
+    return _CHAIN_ROWS[n]
+
+
+def _lowered(atoms: list[tuple[Atom, Fraction]], b: Fraction, a: Fraction, pole: int) -> WeylOp:
+    """T^-pole times the sum of c T^m chain(n) at (b, a) over the atoms, as Phi_{b,a} of the sum of
+    c b^(pole-m) T^(m-pole) chain(n) at (1, 0), taken in integers over one denominator."""
+    den, weights = common_numerators([c / b ** (at.m - pole) / math.factorial(max(at.n - 1, 0)) for at, c in atoms])
+    frame: dict[tuple[int, int], int] = {}
+    for w, (at, _) in zip(weights, atoms):
+        for k, cs in enumerate(_chain_row(at.n)):
+            for e, v in enumerate(cs, at.m - pole):
+                frame[k, e] = frame.get((k, e), 0) + w * v
+    (bn, bd), (an, ad) = b.as_integer_ratio(), a.as_integer_ratio()
+    top_k, top_e = max(k for k, _ in frame), max(e for _, e in frame)
+    parts: dict[int, list[int]] = {}  # times bn^top_k bd^top_e ad^top_k
+    for (k, e), c in frame.items():
+        c *= bn ** (e - k + top_k) * bd ** (top_e - e + k)
+        for i in range(0 if an else k, k + 1):  # (d - a)^k = sum_i C(k, i) (-a)^(k-i) d^i
+            w = math.comb(k, i) * (-an) ** (k - i) * ad ** (top_k - k + i)
+            parts.setdefault(i, [0] * (top_e + 1))[e] += c * w
+    scale = den * bn**top_k * bd**top_e * ad**top_k
+    return WeylOp({i: Poly([Fraction(v, scale) for v in row]) for i, row in parts.items()})
 
 
 class DCombination:
@@ -117,15 +137,35 @@ class DCombination:
         return self.entries.get(gen, WeylOp.zero())
 
     def semantic_element(self) -> BElement:
-        out: dict[Atom, Fraction] = {}
-        for gen, op in self.entries.items():
-            base = BElement({Atom(b=gen.b, n=gen.n, m=0, a=gen.a): Fraction(1)})
-            for at, c in op.apply_element(base).mul_monomial(gen.m).terms.items():
-                out[at] = out.get(at, Fraction(0)) + c
-        return BElement(out)
+        """The element sum T^m op(B^n(bT)e^{aT}) over the generators, in closed form.
 
-    def expand(self, bound: int):
-        return self.semantic_element().expand(bound)
+        op(B(bT)e^{aT}) = e^{aT} op(T, d + a)[B(bT)], d^r B(bT) = T^-r f_r(bT, B(bT)), and for n = 0
+        only the d^0 part of op(T, d + a) acts, on 1.  Each generator is summed in integers.
+        """
+        groups: dict[tuple[Fraction, int, Fraction], dict[tuple[int, int], Fraction]] = {}
+        for gen, op in self.entries.items():
+            (bn, bd), (an, ad), top = gen.b.as_integer_ratio(), gen.a.as_integer_ratio(), op.order()
+            den = math.lcm(*(c.denominator for p in op.parts.values() for c in p.coeffs))
+            shifted: dict[int, list[int]] = {}  # r -> the T-coefficients of d^r in op(T, d + a), times den ad^top
+            for k, p in op.parts.items():
+                coeffs = [c.numerator * (den // c.denominator) for c in p.coeffs]
+                for r in range(k + 1) if gen.n else (0,):
+                    if w := math.comb(k, r) * an ** (k - r) * ad ** (top - k + r):
+                        q = shifted.setdefault(r, [])
+                        q.extend([0] * (len(coeffs) - len(q)))
+                        for d, c in enumerate(coeffs):
+                            q[d] += w * c
+            acc: dict[tuple[int, int], int] = {}  # (B-power, T-power) -> coefficient, times den ad^top bd^(top+1)
+            for r, q in shifted.items():
+                for (i, j), f in _derivative_row(r).items() if gen.n else (((0, 0), 1),):
+                    f *= bn**i * bd ** (top + 1 - i)
+                    for d, c in enumerate(q, gen.m + i - r):
+                        acc[j, d] = acc.get((j, d), 0) + f * c
+            scale, group = den * ad**top * bd ** (top + 1), groups.setdefault((gen.b, gen.n, gen.a), {})
+            for key, c in acc.items():
+                if c:
+                    group[key] = group[key] + Fraction(c, scale) if key in group else Fraction(c, scale)
+        return BElement({Atom(b, j, m, a): c for (b, _, a), group in groups.items() for (j, m), c in group.items()})
 
     def equals(self, other: "DCombination") -> bool:
         return self.semantic_element().equals(other.semantic_element())
@@ -149,45 +189,23 @@ class DCombination:
 def reduce_to_first_order(x: BElement) -> DCombination:
     """Rewrite an element as Weyl operators applied to first-order generators.
 
-    All B-powers are lowered through the chain of lowering operators;
-    coefficients and nonnegative T-powers fold into the operators.  Groups
-    whose atoms carried negative T-powers are re-divided by the common pole:
-    if every operator coefficient is divisible the pole disappears, otherwise
-    it remains on the generator (it cannot live inside a polynomial-coefficient
-    operator).
+    Each B^n(bT)e^{aT} is chain(n) at (b, a) applied to B(bT)e^{aT}.  The automorphism Phi_{b,a}:
+    T -> bT, d -> (d - a)/b of the Weyl algebra takes c T^e d^k to c b^(e-k) T^e (d - a)^k and L(j),
+    so chain(n), at (1, 0) to the same at (b, a).  As T^m Phi(X) = Phi(b^-m T^m X), the atoms of one
+    generator are summed against the lowering table at (1, 0) and Phi is applied once.  Atoms with
+    negative T-powers are summed times T^-pole, the lowest, and divided again: if every operator
+    coefficient is divisible the pole disappears, otherwise it stays on the generator.
     """
-    buckets: dict[tuple[int, Fraction, Fraction], dict[int, WeylOp]] = {}
-    chains: dict[tuple, WeylOp] = {}
+    groups: dict[tuple[int, Fraction, Fraction], list[tuple[Atom, Fraction]]] = {}
     for at, c in x.terms.items():
-        chain = _lowering_chain(at.n, at.b, at.a, chains) if at.n >= 1 else WeylOp.identity()
-        gen_n = 1 if at.n >= 1 else 0
-        key = (gen_n, at.b if gen_n else Fraction(1), at.a)
-        slot = buckets.setdefault(key, {})
-        if at.m >= 0:
-            op = WeylOp({0: Poly.monomial(at.m, c)}) * chain
-            slot[0] = slot.get(0, WeylOp.zero()) + op
-        else:
-            slot[at.m] = slot.get(at.m, WeylOp.zero()) + chain.scale(c)
+        groups.setdefault((1 if at.n else 0, at.b, at.a), []).append((at, c))
     entries: dict[Atom, WeylOp] = {}
-    for (gen_n, b, a), slots in buckets.items():
-        slots = {m: op for m, op in slots.items() if not op.is_zero()}
-        if not slots:
-            continue
-        m_min = min(slots)
-        if m_min >= 0:
-            total, gen_m = slots[0], 0
-        else:
-            total = WeylOp.zero()
-            for m, op in slots.items():
-                total = total + WeylOp.t_power(m - m_min) * op
-            divided = total.left_divide_t_power(-m_min)
-            if divided is not None:
-                total, gen_m = divided, 0
-            else:
-                gen_m = m_min
-        if total.is_zero():
-            continue
-        entries[Atom(b=b, n=gen_n, m=gen_m, a=a)] = total
+    for (gen_n, b, a), atoms in groups.items():
+        pole = min(0, *(at.m for at, _ in atoms))
+        total = _lowered(atoms, b, a, pole)
+        if (divided := total.left_divide_t_power(-pole)) is not None:
+            total, pole = divided, 0
+        entries[Atom(b=b, n=gen_n, m=pole, a=a)] = total
     return DCombination(entries)
 
 
@@ -323,23 +341,32 @@ def negative_power_expand(k: int) -> BElement:
 # -- derivative polynomials ----------------------------------------------------
 
 
+#: f_n(U, V) as {(i, j): integer coefficient of U^i V^j}, appended a row at a time
+_DERIVATIVE_ROWS: list[dict[tuple[int, int], int]] = []
+
+
+def _derivative_row(n: int) -> dict[tuple[int, int], int]:
+    """f_n from Stirling numbers of the second kind:
+    (-1)^n f_n = sum_j (j-1)! (S(n+1, j) U^(n-j+1) - n S(n, j) U^(n-j)) V^j."""
+    while len(_DERIVATIVE_ROWS) <= n:
+        k = len(_DERIVATIVE_ROWS)
+        stirling(k + 1, 0)
+        upper, lower = _STIRLING_ROWS[k + 1], _STIRLING_ROWS[k]
+        row: dict[tuple[int, int], int] = {}
+        for j in range(1, k + 2):
+            w = (-1) ** k * math.factorial(j - 1)
+            row[k - j + 1, j] = w * upper[j]
+            if j <= k:
+                row[k - j, j] = -w * k * lower[j]
+        _DERIVATIVE_ROWS.append(row)
+    return _DERIVATIVE_ROWS[n]
+
+
 def f_n_closed(n: int) -> BiPoly:
     """Closed form of f_n(U, V) from Stirling numbers of the second kind."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    sign = Fraction((-1) ** n)
-    terms: dict[tuple[int, int], Fraction] = {}
-    for j in range(1, n + 2):
-        fac = factorial(j - 1)
-        s_up = stirling(n + 1, j)
-        if s_up:
-            key = (n - j + 1, j)
-            terms[key] = terms.get(key, Fraction(0)) + sign * fac * s_up
-        s_curr = stirling(n, j)
-        if n and s_curr:
-            key = (n - j, j)
-            terms[key] = terms.get(key, Fraction(0)) - sign * fac * n * s_curr
-    return BiPoly(terms)
+    return BiPoly(_derivative_row(n))
 
 
 _F_INDUCTIVE_CACHE: list[BiPoly] = [BiPoly.monomial(0, 1)]

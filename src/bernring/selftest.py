@@ -392,10 +392,7 @@ def _known_zero(rng: random.Random) -> BElement:
     if kind == 0:
         # the multiplication-theorem combination sums to n*B
         n = rng.randint(2, 6)
-        acc = b_element().scale(-n)
-        for i in range(n):
-            acc = acc + atom(0, 1, n, i)
-        base = acc
+        base = sum((atom(0, 1, n, i) for i in range(n)), b_element().scale(-n))
     elif kind == 1:
         base = atom(0, 1, 1, 1) - atom(0, 1, 1, 0) - atom(1, 0, 1, 0)
     else:

@@ -161,19 +161,22 @@ class TruncatedSeries:
         """Multiply by T^k (exact; bound moves by k)."""
         return TruncatedSeries(self.low + k, self.coeffs, self.bound + k)
 
-    def mul_poly_in_t(self, p: Poly) -> "TruncatedSeries":
-        """Multiply by a polynomial in T with rational coefficients (exact shift-and-add)."""
-        if p.is_zero():
-            # a zero multiplier is exact at every order; keep a conservative bound
-            return TruncatedSeries.zero(self.bound)
-        val = p.trailing_valuation()
-        acc = TruncatedSeries.zero(self.bound + val)
-        for d in range(val, p.degree + 1):
-            c = p.coeff(d)
-            if c == 0:
-                continue
-            acc = acc + self.shift(d).truncate(self.bound + val).scale(c)
-        return acc
+    @staticmethod
+    def combination(parts: Sequence[tuple], bound: int | None = None) -> "TruncatedSeries":
+        """The sum of c T^d x over the parts (x, d, c), c nonzero, summed in one coefficient window.
+
+        It is exact to the least of ``bound`` and every x.bound + d, as a running sum of the
+        terms would be.
+        """
+        bound = min([x.bound + d for x, d, _ in parts] + ([] if bound is None else [bound]))
+        low = min([x.low + d for x, d, _ in parts], default=bound + 1)
+        if low > bound:
+            return TruncatedSeries.zero(bound)
+        window = [Fraction(0)] * (bound - low + 1)
+        for x, d, c in parts:
+            for i, v in enumerate(x.coeffs[: max(0, bound - x.low - d + 1)], x.low + d - low):
+                window[i] += c * v
+        return TruncatedSeries(low, window, bound)
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires an invertible coefficient at the valuation."""
@@ -281,7 +284,7 @@ def _bernoulli_numbers(size: int) -> list[Fraction]:
     return out[:size]
 
 
-def _numerators(values: list[Fraction]) -> tuple[int, list[int]]:
+def common_numerators(values: list[Fraction]) -> tuple[int, list[int]]:
     """(d, [d * x for x in values]) for the least common denominator d."""
     d = math.lcm(*(x.denominator for x in values))
     return d, [x.numerator * (d // x.denominator) for x in values]
@@ -296,7 +299,7 @@ def _fill(n: int, size: int) -> None:
         return
     # B^(n)_i = sum_j C(i,j) B^(n-1)_{i-j} B_j, where only B_0, B_1 and the even B_j
     # are nonzero, summed over integer numerators on common denominators
-    (d, prev), (e, b) = _numerators(_ROWS[n - 1][:size]), _numerators(_ROWS[1][:size])
+    (d, prev), (e, b) = common_numerators(_ROWS[n - 1][:size]), common_numerators(_ROWS[1][:size])
     for i in range(len(row), size):
         acc = prev[i] * b[0] + (i * prev[i - 1] * b[1] if i else 0)
         acc += sum(math.comb(i, j) * prev[i - j] * b[j] for j in range(2, i + 1, 2))

@@ -122,16 +122,14 @@ class WeylOp:
         max_order = self.order()
         if max_order < 0:
             return TruncatedSeries.zero(x.bound)
-        acc = None
+        parts = []
         deriv = x
         for k in range(max_order + 1):
-            f = self.parts.get(k)
-            if f is not None:
-                term = deriv.mul_poly_in_t(f)
-                acc = term if acc is None else acc + term
+            if (f := self.parts.get(k)) is not None:
+                parts += [(deriv, d, c) for d, c in enumerate(f.coeffs) if c]
             if k < max_order:
                 deriv = deriv.derivative()
-        return acc
+        return TruncatedSeries.combination(parts)
 
     def apply_element(self, x: BElement) -> BElement:
         """Action on symbolic elements; stays inside the generated subspace."""

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from bernring import elements, series
 from bernring.elements import Atom, BElement
 from bernring.polys import Poly
-from bernring.reduction import ReductionError, _measure, _rewrite_step, lowering_op
+from bernring.reduction import DCombination, ReductionError, _measure, _rewrite_step, lowering_op
 from bernring.selftest import run_all
 from bernring.series import TruncatedSeries, bernoulli_number, bernoulli_poly_value, exp_minus_one_over_t
 from bernring.weyl import WeylOp, derivative_of_atom
@@ -152,6 +152,43 @@ def fold_apply_element(op, x: BElement) -> BElement:
     return acc
 
 
+def window(ser: TruncatedSeries) -> tuple:
+    """What a series is, compared exactly: its first stored exponent, its bound and its coefficients."""
+    return ser.low, ser.bound, ser.coeffs
+
+
+def fold_expand(x: BElement, bound: int) -> TruncatedSeries:
+    """x's series as a running sum of scaled atom series."""
+    acc = TruncatedSeries.zero(bound)
+    for at, c in x.terms.items():
+        acc = acc + elements._atom_series(at, bound).scale(c)
+    return acc
+
+
+def fold_mul_poly_in_t(x: TruncatedSeries, p: Poly) -> TruncatedSeries:
+    """x times a nonzero polynomial in T, one shifted and scaled copy at a time."""
+    val = p.trailing_valuation()
+    acc = TruncatedSeries.zero(x.bound + val)
+    for d in range(val, p.degree + 1):
+        if p.coeff(d) != 0:
+            acc = acc + x.shift(d).truncate(x.bound + val).scale(p.coeff(d))
+    return acc
+
+
+def fold_apply_series(op: WeylOp, x: TruncatedSeries) -> TruncatedSeries:
+    """op(x) as a running sum of f_k(T) times the k-th derivative of x."""
+    if op.is_zero():
+        return TruncatedSeries.zero(x.bound)
+    acc = None
+    deriv = x
+    for k in range(op.order() + 1):
+        if k in op.parts:
+            term = fold_mul_poly_in_t(deriv, op.parts[k])
+            acc = term if acc is None else acc + term
+        deriv = deriv.derivative()
+    return acc
+
+
 def fold_semantic_element(combo) -> BElement:
     """The element a DCombination denotes, summed one generator at a time."""
     acc = BElement.zero()
@@ -167,6 +204,50 @@ def lowering_chain_by_products(n: int, b: Fraction, a: Fraction) -> WeylOp:
     for j in range(n - 1, 0, -1):
         chain = chain * lowering_op(j, b, a)
     return chain
+
+
+def lowering_chain(n: int, b: Fraction, a: Fraction, chains: dict[tuple, WeylOp]) -> WeylOp:
+    """chain(n) = L(n-1) * chain(n-1), carrying B(bT)e^{aT} to B^n(bT)e^{aT}; ``chains`` keeps each by (n, b, a)."""
+    start = n
+    while start > 1 and (start, b, a) not in chains:
+        start -= 1
+    chain = chains.get((start, b, a), WeylOp.identity())
+    for j in range(start, n):
+        chain = lowering_op(j, b, a) * chain
+        chains[(j + 1, b, a)] = chain
+    return chain
+
+
+def reduce_to_first_order_by_chains(x: BElement) -> DCombination:
+    """The first-order combination with one Weyl product per atom: T^m c times its lowering chain."""
+    buckets: dict[tuple[int, Fraction, Fraction], dict[int, WeylOp]] = {}
+    chains: dict[tuple, WeylOp] = {}
+    for at, c in x.terms.items():
+        chain = lowering_chain(at.n, at.b, at.a, chains) if at.n >= 1 else WeylOp.identity()
+        gen_n = 1 if at.n >= 1 else 0
+        slot = buckets.setdefault((gen_n, at.b if gen_n else Fraction(1), at.a), {})
+        if at.m >= 0:
+            op = WeylOp({0: Poly.monomial(at.m, c)}) * chain
+            slot[0] = slot.get(0, WeylOp.zero()) + op
+        else:
+            slot[at.m] = slot.get(at.m, WeylOp.zero()) + chain.scale(c)
+    entries: dict[Atom, WeylOp] = {}
+    for (gen_n, b, a), slots in buckets.items():
+        slots = {m: op for m, op in slots.items() if not op.is_zero()}
+        if not slots:
+            continue
+        m_min = min(slots)
+        if m_min >= 0:
+            total, gen_m = slots[0], 0
+        else:
+            total = WeylOp.zero()
+            for m, op in slots.items():
+                total = total + WeylOp.t_power(m - m_min) * op
+            divided = total.left_divide_t_power(-m_min)
+            total, gen_m = (divided, 0) if divided is not None else (total, m_min)
+        if not total.is_zero():
+            entries[Atom(b=b, n=gen_n, m=gen_m, a=a)] = total
+    return DCombination(entries)
 
 
 # -- the hand-derived product identities, kept as oracles ----------------------

@@ -6,7 +6,7 @@ import pytest
 
 from bernring import cli, selftest
 from bernring.elements import Atom, BElement, atom
-from bernring.exprparse import MAX_EXPONENT, MAX_PRODUCT_POWER, parse_element
+from bernring.exprparse import MAX_EXPONENT, MAX_PRODUCT_MEASURE, MAX_PRODUCT_POWER, parse_element
 from bernring.reduction import product_reduce
 from bernring.series import (
     _BERNOULLI_TABLE,
@@ -78,12 +78,19 @@ class TestSizeCaps:
             (["reduce", "product", f"T^{{-{MAX_EXPONENT + 1}}}", "--to-first-order"], MAX_EXPONENT),
             (["reduce", "product", "((B(2T)*B(3T))^6)^3"], MAX_PRODUCT_POWER),
             (["reduce", "product", "B(2T)^6*B(3T)^6*B(5T)", "--to-first-order"], MAX_PRODUCT_POWER),
+            (["reduce", "product", "B(97T)^6*B(89T)^6", "--to-first-order"], MAX_PRODUCT_MEASURE),
+            (["reduce", "product", "B(1/13T)^6*B(1/19T)^6"], MAX_PRODUCT_MEASURE),
         ],
     )
     def test_refused_past_cap(self, capsys, argv, cap):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert f"past the cap of {cap}" in err
+
+    def test_product_at_the_measure_cap(self, capsys):
+        scale = (MAX_PRODUCT_MEASURE - 6) // 6  # B(T)^6 B(pT)^6 starts at measure 6 + 6p
+        code, out, _ = run(capsys, "reduce", "product", f"B(T)^6*B({scale}T)^6", "--to-first-order")
+        assert code == 0 and out.startswith("[")
 
     def test_largest_stirling(self, capsys):
         top = cli.MAX_STIRLING_N

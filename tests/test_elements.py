@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from bernring import identities
 from bernring.elements import Atom, BElement, atom, b_element, from_scalar, t_element
 from bernring.series import bernoulli_poly_value, bernoulli_series, factorial
-from bernring.selftest import COEFFS, SCALES, SHIFTS, random_element
+from bernring.selftest import COEFFS, SCALES, SHIFTS, _known_zero, random_element
+from conftest import fold_expand, window
 
 
 class TestAtomNormalization:
@@ -148,6 +150,43 @@ class TestProperties:
 
         ok, detail = check_zero_test_agreement()
         assert ok, detail
+
+
+class TestOneWindowExpand:
+    def test_random_elements_match_running_sum(self):
+        rng = random.Random(31)
+        for _ in range(120):
+            x = random_element(rng)
+            for bound in (2, 9, 24):
+                assert window(x.expand(bound)) == window(fold_expand(x, bound))
+
+    def test_negative_t_powers(self):
+        x = atom(-3, 2, 2, Fraction(1, 2)) - atom(-1, 0, 1, 1).scale(Fraction(5, 3)) + atom(-2, 1, 3)
+        for bound in (-1, 0, 7):
+            assert window(x.expand(bound)) == window(fold_expand(x, bound))
+
+    def test_known_zeros(self):
+        rng = random.Random(17)
+        for x in [BElement.zero(), atom(0, 1, 1, 1) - b_element() - t_element()] + [_known_zero(rng) for _ in range(30)]:
+            for bound in (4, 16):
+                got = x.expand(bound)
+                assert got.is_known_zero() and window(got) == window(fold_expand(x, bound))
+
+
+class TestHash:
+    def test_equal_elements_hash_equal(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            x = random_element(rng)
+            y = BElement(dict(reversed(list(x.terms.items()))))
+            assert x == y and hash(x) == hash(y) == hash(x)
+
+    def test_product_combination_cache_hits_on_equal_factors(self):
+        identities._product_combination.cache_clear()
+        first = identities._product_combination((atom(0, 1, 2), atom(0, 1, 3)))
+        again = identities._product_combination((atom(0, 1, 2), atom(0, 1, 3)))
+        assert again is first
+        assert identities._product_combination.cache_info().hits == 1
 
 
 class TestRendering:

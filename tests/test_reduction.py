@@ -12,7 +12,6 @@ from bernring.polys import Poly
 from bernring.reduction import (
     DCombination,
     ReductionError,
-    _lowering_chain,
     agoh_dilcher_reduce,
     derivative_power_element,
     element_from_bipoly,
@@ -37,8 +36,10 @@ from conftest import (
     fold_derivative_of_element,
     fold_product_reduce,
     fold_semantic_element,
+    lowering_chain,
     lowering_chain_by_products,
     polys,
+    reduce_to_first_order_by_chains,
     small_rationals,
 )
 
@@ -293,7 +294,8 @@ def assert_routes_agree(x: BElement, y: BElement) -> None:
     assert product == fold_product_reduce(x, y)
     assert derivative_of_element(product) == fold_derivative_of_element(product)
     combo = reduce_to_first_order(product)
-    assert combo.semantic_element() == fold_semantic_element(combo)
+    assert combo == reduce_to_first_order_by_chains(product)
+    assert combo.semantic_element().terms == fold_semantic_element(combo).terms
     for op in combo.entries.values():
         assert op.apply_element(y) == fold_apply_element(op, y)
 
@@ -337,10 +339,85 @@ class TestFastPathsAgainstOracles:
     def test_random_operators(self, op, x):
         assert op.apply_element(x) == fold_apply_element(op, x)
 
-    def test_lowering_chains_reused_in_any_order(self):
+    def test_lowering_chains_reused_in_any_order(self, monkeypatch):
+        monkeypatch.setattr(reduction, "_CHAIN_ROWS", [[[1]], [[1]]])
         chains = {}
         for n, b, a in [(5, F(2), F(1, 2)), (3, F(2), F(1, 2)), (8, F(2), F(1, 2)), (4, F(3, 2), F(0)), (1, F(1), F(0))]:
-            assert _lowering_chain(n, b, a, chains) == lowering_chain_by_products(n, b, a)
+            table = reduce_to_first_order(atom(0, n, b, a)).op_for(1, b, a)
+            assert table == lowering_chain(n, b, a, chains) == lowering_chain_by_products(n, b, a)
+        assert len(reduction._CHAIN_ROWS) == 9
+
+    def test_table_rows_are_integer_chains_over_factorials(self):
+        for n in range(1, 10):
+            row = reduction._chain_row(n)
+            want = lowering_chain_by_products(n, F(1), F(0))
+            assert all(isinstance(v, int) for cs in row for v in cs)
+            got = WeylOp({k: Poly([F(v, factorial(n - 1)) for v in cs]) for k, cs in enumerate(row)})
+            assert got == want
+
+
+# -- the lowering table and closed-form derivatives against the Weyl-product routes ----------
+
+TABLE_SCALES = (F(1), F(2), F(3), F(1, 2), F(3, 2), F(5, 2))
+TABLE_SHIFTS = (F(0), F(1), F(-7, 5), F(3, 2), F(-1, 3))
+table_atoms = st.builds(
+    single_atom,
+    st.integers(-4, 4),
+    st.integers(0, 8),
+    st.sampled_from(TABLE_SCALES),
+    st.sampled_from(TABLE_SHIFTS),
+)
+table_elements = st.dictionaries(table_atoms, small_rationals.filter(bool), min_size=1, max_size=4).map(BElement)
+
+
+def assert_first_order_agrees(x: BElement) -> None:
+    """The table route gives the chain-product combination, and its element term for term."""
+    combo = reduce_to_first_order(x)
+    assert combo == reduce_to_first_order_by_chains(x)
+    assert combo.semantic_element().terms == fold_semantic_element(combo).terms
+
+
+class TestLoweringTableAgainstChains:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_equal_powers_of_two_and_three(self, k):
+        assert_first_order_agrees(product_reduce(atom(0, k, 2), atom(0, k, 3)))
+
+    @pytest.mark.parametrize("b1, b2", itertools.combinations([F(3, 2), F(5, 3), F(5, 2)], 2))
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_rational_scales(self, b1, b2, n1, n2):
+        assert_first_order_agrees(product_reduce(atom(0, n1, b1), atom(0, n2, b2)))
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            atom(-1, 1, 1),
+            atom(-3, 4, 2, F(-7, 5)) + atom(-1, 2, 2, F(-7, 5)) + atom(2, 3, 2, F(-7, 5)),
+            atom(-2, 0, 1, F(1, 2)) - atom(-4, 3, F(3, 2)) + atom(1, 8, F(5, 2), 1),
+            product_reduce(atom(-2, 2, 2, F(1, 2)), atom(-1, 1, 3, F(-3, 2))),
+        ],
+    )
+    def test_negative_t_powers(self, x):
+        assert_first_order_agrees(x)
+
+    @pytest.mark.parametrize("m, n", [(m, n) for m in range(6) for n in range(6)])
+    def test_agoh_dilcher(self, m, n):
+        product = element_from_bipoly(f_n_closed(m) * f_n_closed(n)).mul_monomial(-(m + n))
+        assert agoh_dilcher_reduce(m, n) == reduce_to_first_order_by_chains(product)
+        assert_first_order_agrees(product)
+
+    @given(table_elements)
+    @settings(max_examples=60, deadline=None)
+    def test_random_elements(self, x):
+        assert_first_order_agrees(x)
+
+    @pytest.mark.parametrize("b, a", [(F(1), F(0)), (F(2), F(1, 2)), (F(3, 2), F(-7, 5)), (F(5, 2), F(3))])
+    def test_derivatives_in_closed_form(self, b, a):
+        for n in (0, 1):
+            gen = Atom(b=b if n else F(1), n=n, m=0, a=a)
+            iterated = BElement({gen: F(1)})
+            for r in range(13):
+                assert DCombination({gen: WeylOp.d(r)}).semantic_element().terms == iterated.terms
+                iterated = derivative_of_element(iterated)
 
 
 class TestMeasureGuard:

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 from bernring.elements import Atom, atom, b_element, t_element
 from bernring.polys import Poly
-from bernring.series import bernoulli_series
+from bernring.series import TruncatedSeries, bernoulli_series
 from bernring.selftest import check_weyl_representation, random_series, random_weyl_op
 from bernring.weyl import WeylOp, derivative_of_atom, derivative_of_element
+from conftest import fold_apply_series, window
 
 D = WeylOp.d()
 T_OP = WeylOp.t_power(1)
@@ -58,6 +59,26 @@ class TestSeriesAction:
         x = bernoulli_series(10)
         assert D.apply_series(x).bound == 9
         assert WeylOp({2: Poly.one()}).apply_series(x).bound == 8
+
+
+class TestOneWindowApplySeries:
+    def test_random_operators_match_running_sum(self):
+        rng = random.Random(23)
+        for _ in range(150):
+            op, x = random_weyl_op(rng), random_series(rng, rng.randint(3, 20))
+            assert window(op.apply_series(x)) == window(fold_apply_series(op, x))
+
+    def test_least_bound_and_known_zeros(self):
+        x = TruncatedSeries.from_coeffs([3, 0, 1, 2], 1, low=-2)
+        for op in [
+            WeylOp({0: Poly([0, 0, 0, 1]), 3: Poly.one()}),  # T^3 keeps bound 4, d^3 drops it to -2
+            WeylOp({1: Poly([0, 1]), 0: Poly([2])}),  # T d + 2 on T^-2 cancels it
+            WeylOp({1: Poly([0, 0, 5])}),
+            WeylOp.zero(),
+        ]:
+            for y in (x, TruncatedSeries.zero(6), TruncatedSeries.monomial(1, 1, 1)):
+                assert window(op.apply_series(y)) == window(fold_apply_series(op, y))
+        assert (WeylOp({1: Poly([0, 1]), 0: Poly([-1])}).apply_series(t_ser(9))).is_known_zero()
 
 
 def t_ser(bound):
