@@ -14,36 +14,73 @@ because distinct exponentials are linearly independent over Q(T).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from typing import Iterator, Mapping
 
 from .polys import TEXT, Style, binomial, join_signed, scaled
 from .series import TruncatedSeries, bernoulli_power_series, exp_series, grown_size
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
+_set = object.__setattr__
+
+
+class Frozen:
+    """Base of small immutable records.  ``__slots__`` names the fields and then ``_hash``, which
+    the record sets once, from integers it is known by; equality compares the fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__[:-1])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self.key() == other.key()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), self.key()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__[:-1])})"
+
+
+@total_ordering
+class Atom(Frozen):
     """One generator T^m * B(bT)^n * e^{aT}.
 
     Ordering (b, n, m, a) is the deterministic rendering order.
     """
 
-    b: Fraction
-    n: int
-    m: int
-    a: Fraction
+    __slots__ = ("b", "n", "m", "a", "_hash")
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, b: Fraction, n: int, m: int, a: Fraction):
+        if n < 0:
             raise ValueError("B-power must be nonnegative")
-        if self.b <= 0:
+        if b.numerator <= 0:  # a denominator is positive
             raise ValueError("stored atoms must have positive argument scale")
-        if self.n == 0 and self.b != 1:
+        if n == 0 and b != 1:
             raise ValueError("scale is meaningless for n = 0 atoms; use b = 1")
+        _set(self, "b", b)
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "a", a)
+        _set(self, "_hash", hash((b.numerator, b.denominator, n, m, a.numerator, a.denominator)))
 
     def key(self) -> tuple:
         return (self.b, self.n, self.m, self.a)
+
+    def __lt__(self, other) -> bool:
+        return self.key() < other.key() if other.__class__ is Atom else NotImplemented
 
 
 def _make_atom(m: int, n: int, b, a) -> Atom:
@@ -59,8 +96,9 @@ class BElement:
         cleaned: dict[Atom, Fraction] = {}
         if terms:
             for at, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
+                if c.__class__ is not Fraction:
+                    c = Fraction(c)
+                if c:
                     cleaned[at] = c
         object.__setattr__(self, "terms", cleaned)
         object.__setattr__(self, "_hash", None)
@@ -80,7 +118,7 @@ class BElement:
     def __add__(self, other: "BElement") -> "BElement":
         out = dict(self.terms)
         for at, c in other.terms.items():
-            out[at] = out.get(at, Fraction(0)) + c
+            out[at] = out[at] + c if at in out else c
         return BElement(out)
 
     def __neg__(self) -> "BElement":
@@ -247,20 +285,15 @@ def atom(m: int, n: int, b, a=0) -> BElement:
     For b < 0 the identity B(-T) = B(T) + T turns B(bT)^n into the binomial
     expansion of (B(|b|T) + |b|T)^n, so the result may have several atoms.
     """
-    b = Fraction(b)
-    a = Fraction(a)
+    b, a = Fraction(b), Fraction(a)
     if b == 0:
         raise ValueError("argument scale b must be nonzero")
     if n == 0:
         return BElement({_make_atom(m, 0, 1, a): Fraction(1)})
     if b > 0:
         return BElement({_make_atom(m, n, b, a): Fraction(1)})
-    mag = -b
-    terms: dict[Atom, Fraction] = {}
-    for j in range(n + 1):
-        at = _make_atom(m + n - j, j, mag if j else Fraction(1), a)
-        terms[at] = terms.get(at, Fraction(0)) + binomial(n, j) * mag ** (n - j)
-    return BElement(terms)
+    mag = -b  # the atoms of the binomial expansion have distinct B-powers j
+    return BElement({_make_atom(m + n - j, j, mag if j else 1, a): binomial(n, j) * mag ** (n - j) for j in range(n + 1)})
 
 
 def from_scalar(c) -> BElement:

@@ -42,8 +42,8 @@ MAX_PRODUCT_POWER = 12
 
 #: the largest measure q (b1 n1 + b2 n2), q the lcm of the scales' denominators, that a pair of
 #: atoms B(b1 T)^n1, B(b2 T)^n2 of distinct scales starts its rewriting from in one product.  Of
-#: the inputs tried, the slowest accepted, ``B(2/3T)^6*B(7/4T)^6`` (174), takes 3.5 s with
-#: ``--to-first-order``; ``B(29T)^6*B(31T)^6`` (360) took 21 s
+#: the inputs tried, the slowest accepted, ``B(2/3T)^6*B(7/4T)^6`` (174), takes 0.9 s with
+#: ``--to-first-order``; past the cap, ``B(97T)^6*B(89T)^6`` (1,116) takes 5.4 s in-process
 MAX_PRODUCT_MEASURE = 180
 
 

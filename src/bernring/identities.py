@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .elements import Atom, BElement, atom, b_element
+from .elements import Atom, BElement, Frozen, atom, b_element
 from .polys import LATEX, Poly, binomial, factorial
 from .reduction import (
     DCombination,
@@ -48,14 +48,15 @@ from .weyl import WeylOp, derivative_of_element
 # -- symbolic identities -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BernSymbol:
+class BernSymbol(Frozen):
     """Symbolic value scale^index * B^(order)_index(argument)."""
 
-    order: int
-    index: int
-    argument: Fraction
-    scale: Fraction
+    __slots__ = ("order", "index", "argument", "scale", "_hash")
+
+    def __init__(self, order: int, index: int, argument: Fraction, scale: Fraction):
+        ints = (order, index, argument.numerator, argument.denominator, scale.numerator, scale.denominator)
+        for name, value in zip(BernSymbol.__slots__, (order, index, argument, scale, hash(ints))):
+            object.__setattr__(self, name, value)
 
     def value(self) -> Fraction:
         if not self.argument:
@@ -68,8 +69,7 @@ class BernSymbol:
         pre = f"{self.scale}^{self.index}*" if self.scale != 1 else ""
         return f"{pre}B{sup}_{self.index}{arg}"
 
-    def sort_key(self):
-        return (self.order, self.index, self.argument, self.scale)
+    sort_key = Frozen.key
 
 
 @dataclass(frozen=True)

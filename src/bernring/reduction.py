@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import repeat
+from operator import add, mul
 from typing import Mapping
 
 from .elements import Atom, BElement, render_atom
@@ -215,9 +218,10 @@ def reduce_to_first_order(x: BElement) -> DCombination:
 def product_reduce(x: BElement, y: BElement) -> BElement:
     """The exact product x*y in the Laurent field, expressed again as an element.
 
-    A pair of atoms with distinct scales becomes a pending state c * U^r * e^{(f + sigma/q)T} *
-    prod_p B(pU)^factors[p] in U = T/q, q the common denominator of its scales and 0 <= f < 1/q;
-    equal states of all pairs are merged.
+    A pair of atoms with distinct scales becomes a pending term c * U^r * X^sigma * e^{fT} *
+    prod_p B(pU)^factors[p] in U = T/q and X = e^U, q the common denominator of its scales and
+    0 <= f < 1/q.  The terms of all pairs with one (q, f) and one (r, factors) are one row: a
+    Laurent polynomial in X, kept as (integer numerators, one denominator, lowest power of X).
     """
     out: dict[Atom, Fraction] = {}
     pending: dict[tuple[int, Fraction], list[dict]] = {}
@@ -226,12 +230,12 @@ def product_reduce(x: BElement, y: BElement) -> BElement:
             m, a, c = at1.m + at2.m, at1.a + at2.a, c1 * c2
             if at1.n == 0 or at2.n == 0 or at1.b == at2.b:  # an atom with n = 0 has b = 1
                 key = Atom(b=at1.b if at1.n else at2.b, n=at1.n + at2.n, m=m, a=a)
-                out[key] = out.get(key, Fraction(0)) + c
+                out[key] = out[key] + c if key in out else c
                 continue
             q = math.lcm(at1.b.denominator, at2.b.denominator)
-            sigma = math.floor(a * q)
+            sigma, c = math.floor(a * q), c * Fraction(q) ** m
             buckets = pending.setdefault((q, a - Fraction(sigma, q)), [])
-            _push(buckets, c * Fraction(q) ** m, m, sigma, {int(at1.b * q): at1.n, int(at2.b * q): at2.n})
+            _push(buckets, m, {int(at1.b * q): at1.n, int(at2.b * q): at2.n}, ([c.numerator], c.denominator, sigma))
     for (q, f), buckets in pending.items():
         _drain(q, f, buckets, out)
     return BElement(out)
@@ -241,101 +245,106 @@ def _measure(factors: dict[int, int]) -> int:
     return sum(p * n for p, n in factors.items())
 
 
-def _push(buckets: list[dict], coeff: Fraction, r: int, sigma: int, factors: dict[int, int]) -> None:
-    measure, state = _measure(factors), (r, sigma, frozenset(factors.items()))
+def _push(buckets: list[dict], r: int, factors: dict[int, int], row: tuple) -> None:
+    measure, key = _measure(factors), (r, frozenset(factors.items()))
     buckets.extend({} for _ in range(measure + 1 - len(buckets)))
-    pending = buckets[measure].get(state)
-    buckets[measure][state] = (pending[0] + coeff, factors) if pending else (coeff, factors)
+    held = buckets[measure].get(key)
+    buckets[measure][key] = (factors, _merged(held[1], row) if held else row)
+
+
+def _merged(x: tuple, y: tuple) -> tuple:
+    """The sum of two rows, over the lcm of their denominators and on one window, divided by the gcd."""
+    (xs, xd, xlo), (ys, yd, ylo) = x, y
+    den, lo = math.lcm(xd, yd), min(xlo, ylo)
+    total = [0] * (max(xlo + len(xs), ylo + len(ys)) - lo)
+    for vs, d, start in ((xs, xd, xlo - lo), (ys, yd, ylo - lo)):
+        end = start + len(vs)
+        total[start:end] = map(add, total[start:end], map(mul, vs, repeat(den // d)))
+    g = math.gcd(den, *total)
+    return [v // g for v in total], den // g, lo
 
 
 def _drain(q: int, f: Fraction, buckets: list[dict], out: dict[Atom, Fraction]) -> None:
-    """Rewrite the states of one (q, f) into ``out`` from the highest measure down; as a rewrite
-    lowers the measure, each state is rewritten once, after every contribution to it arrived."""
+    """Rewrite the rows of one (q, f) into ``out`` from the highest measure down; as a rewrite
+    lowers the measure, each row is rewritten once, after every contribution to it arrived."""
     for measure in range(len(buckets) - 1, -1, -1):
-        for (r, sigma, _), (coeff, factors) in buckets[measure].items():
+        for (r, _), (factors, row) in buckets[measure].items():
             if len(factors) > 1:
-                for ns in _rewrite_step(coeff, r, sigma, factors):
-                    if _measure(ns[3]) >= measure:
+                for child in _rewrite_step(r, factors, row):
+                    if _measure(child[1]) >= measure:
                         raise ReductionError("product-reduction measure failed to decrease")
-                    _push(buckets, *ns)
+                    _push(buckets, *child)
                 continue
             ((p, n),) = factors.items() or [(q, 0)]  # no factor left: the unit atom, b = 1
-            key = Atom(b=Fraction(p, q), n=n, m=r, a=f + Fraction(sigma, q))
-            out[key] = out.get(key, Fraction(0)) + coeff * Fraction(1, q) ** r
+            (num, den, lo), b, (fn, fd) = row, Fraction(p, q), f.as_integer_ratio()
+            top, bottom = (1, den * q**r) if r >= 0 else (q**-r, den)  # each entry times q^-r / den
+            for sigma, v in enumerate(num, lo):
+                if v:  # at e^{(f + sigma/q)T}
+                    key, c = Atom(b, n, r, Fraction(fn * q + sigma * fd, fd * q)), Fraction(v * top, bottom)
+                    out[key] = out[key] + c if key in out else c
 
 
-def _rewrite_step(coeff: Fraction, r: int, sigma: int, factors: dict[int, int]):
-    """Eliminate one pair of distinct scales from a pending product term.
+@lru_cache(maxsize=None)
+def _identity_terms(ps: int, pn: int, k: int) -> list[tuple[int, list[tuple[int, int]]]]:
+    """The two polynomials in X of the rewrite of B^k(ps U) B(pn U), as (denominator, [(d, integer
+    numerator of X^d)]): ps^k f and (pn/ps) h of ``h_f`` if ps | pn, else ps g_nm and pn g_mn of ``g_pair``."""
+    if pn % ps == 0:
+        pair = h_f(k, ps, pn)
+        polys = [(pair.f, ps**k), (pair.h, pn // ps)]
+    else:
+        gp = g_pair(ps, pn)
+        polys = [(gp.g_nm, ps), (gp.g_mn, pn)]
+    out = []
+    for poly, factor in polys:
+        den, nums = common_numerators(poly.coeffs)
+        g = math.gcd(den, factor)
+        out.append((den // g, [(d, v * (factor // g)) for d, v in enumerate(nums) if v]))
+    return out
 
-    Scales live in units of U = T/q; the state tracks the accumulated power of
-    U (r), the integer exponential shift (sigma, in e^U units) and the multiset
-    of remaining B-factors {scale: power}.
+
+def _times(row: tuple, poly: tuple[int, list[tuple[int, int]]]) -> tuple:
+    """A row times a polynomial in X given as integer terms: one integer convolution."""
+    (num, den, lo), (pden, terms) = row, poly
+    first, size = terms[0][0], len(num)
+    out = [0] * (size + terms[-1][0] - first)
+    for d, v in terms:
+        d -= first
+        out[d : d + size] = map(add, out[d : d + size], map(mul, num, repeat(v)))
+    return out, den * pden, lo + first
+
+
+def _rewrite_step(r: int, factors: dict[int, int], row: tuple) -> list[tuple]:
+    """Eliminate one pair of distinct scales from a pending row; returns the child rows.
+
+    Scales live in units of U = T/q; a row holds the power of U (r), the multiset of remaining
+    B-factors {scale: power} and a polynomial in X = e^U, which each partial-fraction identity
+    multiplies by a fixed polynomial.  A child is ``(r, factors, row)``.
     """
     scales = sorted(factors)
-    div_pair = None
-    for small in scales:
-        for big in scales:
-            if small != big and big % small == 0:
-                div_pair = (small, big)
-                break
-        if div_pair:
-            break
-    new_states = []
-    if div_pair:
+    pair = next(((s, big) for s in scales for big in scales if s != big and big % s == 0), None)
+    ps, pn = pair or scales[:2]
+    k = factors[ps] if pair else 1
+    rest = {p: e for p, e in {**factors, ps: factors[ps] - k, pn: factors[pn] - 1}.items() if e}
+    first, second = _identity_terms(ps, pn, k)
+    with_pn = {**rest, pn: rest.get(pn, 0) + 1}
+    if pair:
         # B^k(l U) B(n U) with l | n: raises the pole order at l, or trades
         # the whole B^k(l U) for a T-power in front of B(n U).
-        ell, nsc = div_pair
-        k = factors[ell]
-        pair = h_f(k, ell, nsc)
-        fa = dict(factors)
-        del fa[ell]
-        lead = coeff * Fraction(ell) ** k
-        for d, fd in enumerate(pair.f.coeffs):
-            if fd != 0:
-                new_states.append((lead * fd, r + k, sigma + d, fa))
-        fb = dict(factors)
-        fb[ell] = k + 1
-        fb[nsc] -= 1
-        if fb[nsc] == 0:
-            del fb[nsc]
-        ratio = coeff * Fraction(nsc, ell)
-        for d, hd in enumerate(pair.h.coeffs):
-            if hd != 0:
-                new_states.append((ratio * hd, r, sigma + d, fb))
+        children, pieces = [], [(r + k, with_pn, first), (r, {**rest, ps: k + 1}, second)]
     else:
         # incomparable pair: one B-factor of each combines into B^2 at the gcd
         # scale plus simple terms weighted by the g-polynomials.
-        ps, pn = scales[0], scales[1]
-        gp = g_pair(ps, pn)
-        base = dict(factors)
-        for p in (ps, pn):
-            base[p] -= 1
-            if base[p] == 0:
-                del base[p]
-        fa = dict(base)
-        fa[gp.ell] = fa.get(gp.ell, 0) + 2
-        new_states.append((coeff, r, sigma, fa))
-        fb = dict(base)
-        fb[pn] = fb.get(pn, 0) + 1
-        for d, gd in enumerate(gp.g_nm.coeffs):
-            if gd != 0:
-                new_states.append((coeff * ps * gd, r + 1, sigma + d, fb))
-        fc = dict(base)
-        fc[ps] = fc.get(ps, 0) + 1
-        for d, gd in enumerate(gp.g_mn.coeffs):
-            if gd != 0:
-                new_states.append((coeff * pn * gd, r + 1, sigma + d, fc))
-    return new_states
+        ell = math.gcd(ps, pn)
+        children = [(r, {**rest, ell: rest.get(ell, 0) + 2}, row)]
+        pieces = [(r + 1, with_pn, first), (r + 1, {**rest, ps: rest.get(ps, 0) + 1}, second)]
+    return children + [(s, fs, _times(row, poly)) for s, fs, poly in pieces if poly[1]]
 
 
 def negative_power_expand(k: int) -> BElement:
     """B^-k = (T^-1 (e^T - 1))^k, expanded into n = 0 atoms."""
     if k < 1:
         raise ValueError("negative power must be at least 1")
-    terms = {}
-    for j in range(k + 1):
-        terms[Atom(b=Fraction(1), n=0, m=-k, a=Fraction(j))] = binomial(k, j) * (-1) ** (k - j)
-    return BElement(terms)
+    return BElement({Atom(b=Fraction(1), n=0, m=-k, a=Fraction(j)): binomial(k, j) * (-1) ** (k - j) for j in range(k + 1)})
 
 
 # -- derivative polynomials ----------------------------------------------------
@@ -380,25 +389,13 @@ def f_n_inductive(n: int) -> BiPoly:
         k = len(_F_INDUCTIVE_CACHE)
         prev = _F_INDUCTIVE_CACHE[-1]
         dv = prev.d_v()
-        nxt = (
-            prev * (1 - k)
-            + prev.d_u().shift(1, 0)
-            + dv.shift(0, 1)
-            - dv.shift(1, 1)
-            - dv.shift(0, 2)
-        )
-        _F_INDUCTIVE_CACHE.append(nxt)
+        _F_INDUCTIVE_CACHE.append(prev * (1 - k) + prev.d_u().shift(1, 0) + dv.shift(0, 1) - dv.shift(1, 1) - dv.shift(0, 2))
     return _F_INDUCTIVE_CACHE[n]
 
 
 def element_from_bipoly(bp: BiPoly) -> BElement:
     """Substitute (U, V) -> (T, B): each monomial U^i V^j becomes T^i B^j."""
-    return BElement(
-        {
-            Atom(b=Fraction(1), n=j, m=i, a=Fraction(0)): c
-            for (i, j), c in bp.terms.items()
-        }
-    )
+    return BElement({Atom(b=Fraction(1), n=j, m=i, a=Fraction(0)): c for (i, j), c in bp.terms.items()})
 
 
 def derivative_power_element(n: int) -> BElement:

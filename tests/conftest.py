@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from bernring import elements, series
 from bernring.elements import Atom, BElement
 from bernring.polys import Poly
-from bernring.reduction import DCombination, ReductionError, _measure, _rewrite_step, lowering_op
+from bernring.partfrac import g_pair, h_f
+from bernring.reduction import DCombination, ReductionError, _measure, lowering_op
 from bernring.selftest import run_all
 from bernring.series import TruncatedSeries, bernoulli_number, bernoulli_poly_value, exp_minus_one_over_t
 from bernring.weyl import WeylOp, derivative_of_atom
@@ -88,6 +89,104 @@ def norlund_by_products(n: int, bound: int) -> TruncatedSeries:
 # -- the slow routes of the reduce path, kept as oracles ----------------------
 
 
+def rewrite_state(coeff: Fraction, r: int, sigma: int, factors: dict[int, int]) -> list[tuple]:
+    """Eliminate one pair of distinct scales from one pending state c * U^r * X^sigma * prod B(pU)^k_p,
+    one Fraction per power of X: the children ``(coeff, r, sigma, factors)``."""
+    scales = sorted(factors)
+    div_pair = None
+    for small in scales:
+        for big in scales:
+            if small != big and big % small == 0:
+                div_pair = (small, big)
+                break
+        if div_pair:
+            break
+    new_states = []
+    if div_pair:
+        ell, nsc = div_pair
+        k = factors[ell]
+        pair = h_f(k, ell, nsc)
+        fa = dict(factors)
+        del fa[ell]
+        lead = coeff * Fraction(ell) ** k
+        for d, fd in enumerate(pair.f.coeffs):
+            if fd != 0:
+                new_states.append((lead * fd, r + k, sigma + d, fa))
+        fb = dict(factors)
+        fb[ell] = k + 1
+        fb[nsc] -= 1
+        if fb[nsc] == 0:
+            del fb[nsc]
+        ratio = coeff * Fraction(nsc, ell)
+        for d, hd in enumerate(pair.h.coeffs):
+            if hd != 0:
+                new_states.append((ratio * hd, r, sigma + d, fb))
+    else:
+        ps, pn = scales[0], scales[1]
+        gp = g_pair(ps, pn)
+        base = dict(factors)
+        for p in (ps, pn):
+            base[p] -= 1
+            if base[p] == 0:
+                del base[p]
+        fa = dict(base)
+        fa[gp.ell] = fa.get(gp.ell, 0) + 2
+        new_states.append((coeff, r, sigma, fa))
+        fb = dict(base)
+        fb[pn] = fb.get(pn, 0) + 1
+        for d, gd in enumerate(gp.g_nm.coeffs):
+            if gd != 0:
+                new_states.append((coeff * ps * gd, r + 1, sigma + d, fb))
+        fc = dict(base)
+        fc[ps] = fc.get(ps, 0) + 1
+        for d, gd in enumerate(gp.g_mn.coeffs):
+            if gd != 0:
+                new_states.append((coeff * pn * gd, r + 1, sigma + d, fc))
+    return new_states
+
+
+def _push_state(buckets: list[dict], coeff: Fraction, r: int, sigma: int, factors: dict[int, int]) -> None:
+    measure, state = _measure(factors), (r, sigma, frozenset(factors.items()))
+    buckets.extend({} for _ in range(measure + 1 - len(buckets)))
+    pending = buckets[measure].get(state)
+    buckets[measure][state] = (pending[0] + coeff, factors) if pending else (coeff, factors)
+
+
+def _drain_states(q: int, f: Fraction, buckets: list[dict], out: dict[Atom, Fraction]) -> None:
+    for measure in range(len(buckets) - 1, -1, -1):
+        for (r, sigma, _), (coeff, factors) in buckets[measure].items():
+            if len(factors) > 1:
+                for ns in rewrite_state(coeff, r, sigma, factors):
+                    if _measure(ns[3]) >= measure:
+                        raise ReductionError("product-reduction measure failed to decrease")
+                    _push_state(buckets, *ns)
+                continue
+            ((p, n),) = factors.items() or [(q, 0)]
+            key = Atom(b=Fraction(p, q), n=n, m=r, a=f + Fraction(sigma, q))
+            out[key] = out.get(key, Fraction(0)) + coeff * Fraction(1, q) ** r
+
+
+def product_reduce_by_states(x: BElement, y: BElement) -> BElement:
+    """x * y with one pending state, and one Fraction, per (r, sigma, factors): equal states of all
+    atom pairs merged and rewritten from the highest measure down, as the row route does per (r, factors)."""
+    out: dict[Atom, Fraction] = {}
+    pending: dict[tuple[int, Fraction], list[dict]] = {}
+    for at1, c1 in x.terms.items():
+        for at2, c2 in y.terms.items():
+            m, a, c = at1.m + at2.m, at1.a + at2.a, c1 * c2
+            if at1.n == 0 or at2.n == 0 or at1.b == at2.b:
+                key = Atom(b=at1.b if at1.n else at2.b, n=at1.n + at2.n, m=m, a=a)
+                out[key] = out.get(key, Fraction(0)) + c
+                continue
+            q = math.lcm(at1.b.denominator, at2.b.denominator)
+            sigma = math.floor(a * q)
+            buckets = pending.setdefault((q, a - Fraction(sigma, q)), [])
+            _push_state(buckets, c * Fraction(q) ** m, m, sigma, {int(at1.b * q): at1.n, int(at2.b * q): at2.n})
+    for (q, f), buckets in pending.items():
+        _drain_states(q, f, buckets, out)
+    return BElement(out)
+
+
 def tree_walk_atom_product(at1: Atom, at2: Atom, c: Fraction) -> BElement:
     """c * at1 * at2 by walking the tree of pending states, none merged."""
     m = at1.m + at2.m
@@ -104,7 +203,7 @@ def tree_walk_atom_product(at1: Atom, at2: Atom, c: Fraction) -> BElement:
         if len(state[3]) <= 1:
             done.append(state)
             continue
-        new_states = _rewrite_step(*state)
+        new_states = rewrite_state(*state)
         for ns in new_states:
             if _measure(ns[3]) >= _measure(state[3]):
                 raise ReductionError("product-reduction measure failed to decrease")

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -187,6 +189,65 @@ class TestHash:
         again = identities._product_combination((atom(0, 1, 2), atom(0, 1, 3)))
         assert again is first
         assert identities._product_combination.cache_info().hits == 1
+
+
+class TestAtomContract:
+    """Atom keeps the contract of the frozen, ordered record it replaced: equality and order by
+    (b, n, m, a), a hash that agrees with equality, immutability, validation and repr."""
+
+    def test_equal_fields_from_differently_formed_fractions(self):
+        pairs = [
+            (Atom(Fraction(4, 2), 1, 0, Fraction(-3, 6)), Atom(Fraction(2), 1, 0, Fraction("-1/2"))),
+            (Atom(Fraction(1), 0, -2, Fraction(0)), Atom(Fraction(3, 3), 0, -2, Fraction(0, 7))),
+            (Atom(Fraction(5, 3), 2, 1, Fraction(0.25)), Atom(Fraction("10/6"), 2, 1, Fraction(1, 4))),
+            (Atom(Fraction(1), 1, 0, Fraction(0)), Atom(1, 1, 0, 0)),
+        ]
+        for x, y in pairs:
+            assert x == y and hash(x) == hash(y)
+            assert len({x: 1, y: 2}) == 1
+        assert Atom(Fraction(2), 1, 0, Fraction(1, 2)) != Atom(Fraction(2), 1, 0, Fraction(1, 3))
+        assert Atom(Fraction(2), 1, 0, Fraction(0)) != (Fraction(2), 1, 0, Fraction(0))
+
+    def test_order_is_field_order(self):
+        rng = random.Random(8)
+        atoms = [
+            Atom(b if n else Fraction(1), n, rng.randint(-3, 3), rng.choice(SHIFTS))
+            for n in (0, 1, 2, 3)
+            for b in (Fraction(1), Fraction(2), Fraction(3, 2), Fraction(1, 3))
+            for _ in range(4)
+        ]
+        rng.shuffle(atoms)
+        want = sorted(atoms, key=lambda at: (at.b, at.n, at.m, at.a))
+        assert sorted(atoms) == want
+        assert [at.key() for at in sorted(atoms, key=Atom.key)] == [at.key() for at in want]
+        x, y = want[0], want[-1]
+        assert x < y and x <= y and y > x and y >= x and x <= x and not x < x
+
+    def test_immutable(self):
+        at = Atom(Fraction(2), 1, 0, Fraction(1))
+        with pytest.raises(AttributeError):
+            at.b = Fraction(3)
+        with pytest.raises(AttributeError):
+            at.extra = 1
+        with pytest.raises(AttributeError):
+            del at.n
+        assert at.key() == (Fraction(2), 1, 0, Fraction(1))
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="B-power must be nonnegative"):
+            Atom(Fraction(1), -1, 0, Fraction(0))
+        with pytest.raises(ValueError, match="positive argument scale"):
+            Atom(Fraction(-2), 1, 0, Fraction(0))
+        with pytest.raises(ValueError, match="positive argument scale"):
+            Atom(Fraction(0), 1, 0, Fraction(0))
+        with pytest.raises(ValueError, match="use b = 1"):
+            Atom(Fraction(2), 0, 0, Fraction(0))
+
+    def test_repr_and_copies(self):
+        at = Atom(b=Fraction(3, 2), n=2, m=-1, a=Fraction(1, 3))
+        assert repr(at) == "Atom(b=Fraction(3, 2), n=2, m=-1, a=Fraction(1, 3))"
+        for twin in (copy.copy(at), copy.deepcopy(at), pickle.loads(pickle.dumps(at))):
+            assert twin == at and hash(twin) == hash(at)
 
 
 class TestRendering:

@@ -318,6 +318,16 @@ class TestCoefficientIdentity:
         sym = BernSymbol(order=1, index=2, argument=F(0), scale=F(3))
         assert sym.value() == 9 * bernoulli_number(2)
 
+    def test_symbol_is_a_hashed_record(self):
+        sym = BernSymbol(order=1, index=2, argument=F(-2, 6), scale=F(3))
+        twin = BernSymbol(order=1, index=2, argument=F("-1/3"), scale=F(9, 3))
+        assert sym == twin and hash(sym) == hash(twin) and len({sym, twin}) == 1
+        assert sym != BernSymbol(order=2, index=2, argument=F(-1, 3), scale=F(3))
+        assert sym.sort_key() == (1, 2, F(-1, 3), F(3))
+        assert repr(sym) == "BernSymbol(order=1, index=2, argument=Fraction(-1, 3), scale=Fraction(3, 1))"
+        with pytest.raises(AttributeError):
+            sym.index = 3
+
 
 class TestReportInterface:
     def test_json_schema(self):

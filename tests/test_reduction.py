@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bernring import reduction
 from bernring.elements import Atom, BElement, atom, b_element, from_scalar
+from bernring.exprparse import parse_element
 from bernring.polys import Poly
 from bernring.reduction import (
     DCombination,
@@ -39,6 +40,7 @@ from conftest import (
     lowering_chain,
     lowering_chain_by_products,
     polys,
+    product_reduce_by_states,
     reduce_to_first_order_by_chains,
     small_rationals,
 )
@@ -291,7 +293,7 @@ oracle_ops = st.dictionaries(st.integers(0, 3), polys, max_size=3).map(WeylOp)
 def assert_routes_agree(x: BElement, y: BElement) -> None:
     """Every fast path of the reduce path gives the same terms as its slow route."""
     product = product_reduce(x, y)
-    assert product == fold_product_reduce(x, y)
+    assert product.terms == product_reduce_by_states(x, y).terms == fold_product_reduce(x, y).terms
     assert derivative_of_element(product) == fold_derivative_of_element(product)
     combo = reduce_to_first_order(product)
     assert combo == reduce_to_first_order_by_chains(product)
@@ -312,6 +314,21 @@ class TestFastPathsAgainstOracles:
             slow = fold_product_reduce(slow, atom(0, 1, p))
             assert fast == slow
         assert_routes_agree(fast, atom(0, 1, 11))
+
+    def test_prime_scales_two_to_thirteen(self):
+        fast = states = slow = atom(0, 1, 2)
+        for p in (3, 5, 7, 11):
+            fast = product_reduce(fast, atom(0, 1, p))
+            states = product_reduce_by_states(states, atom(0, 1, p))
+            slow = fold_product_reduce(slow, atom(0, 1, p))
+            assert fast.terms == states.terms == slow.terms
+        assert_routes_agree(fast, atom(0, 1, 13))
+
+    @pytest.mark.parametrize("expr", ["B(13T)^6*B(17T)^6", "B(2/3T)^6*B(7/4T)^6"])
+    def test_rows_at_the_measure_cap(self, expr):
+        # the unmerged tree walk is far too slow here; the per-state route is the oracle
+        left, right = (parse_element(side) for side in expr.split("*"))
+        assert product_reduce(left, right).terms == product_reduce_by_states(left, right).terms
 
     @pytest.mark.parametrize("b1, b2", itertools.combinations([F(3, 2), F(5, 3), F(5, 2)], 2))
     @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 2), (2, 1), (2, 2)])
@@ -422,6 +439,6 @@ class TestLoweringTableAgainstChains:
 
 class TestMeasureGuard:
     def test_rewrite_that_keeps_the_measure_is_refused(self, monkeypatch):
-        monkeypatch.setattr(reduction, "_rewrite_step", lambda coeff, r, sigma, factors: [(coeff, r, sigma, dict(factors))])
+        monkeypatch.setattr(reduction, "_rewrite_step", lambda r, factors, row: [(r, dict(factors), row)])
         with pytest.raises(ReductionError, match="failed to decrease"):
             product_reduce(atom(0, 1, 2), atom(0, 1, 3))
