@@ -28,9 +28,8 @@ import math
 import re
 from fractions import Fraction
 
-from .elements import Atom, BElement, atom, from_scalar
-from .polys import binomial
-from .reduction import product_reduce
+from .elements import BElement, atom, from_scalar
+from .reduction import invert_term, product_reduce
 from .weyl import derivative_of_element
 
 #: the largest exponent (in absolute value) after ``^``
@@ -233,18 +232,6 @@ class _Parser:
         raise ExprError(f"expected a value, found {val!r}" if val else "unexpected end of input", self.text, pos)
 
 
-def _invert_single_atom(at: Atom, coeff: Fraction) -> BElement:
-    """(coeff * T^m B(bT)^n e^{aT})^-1 as an element of n = 0 atoms."""
-    if at.n == 0:
-        return BElement({Atom(b=Fraction(1), n=0, m=-at.m, a=-at.a): 1 / coeff})
-    terms = {}
-    scale = at.b ** (-at.n) / coeff
-    for j in range(at.n + 1):
-        key = Atom(b=Fraction(1), n=0, m=-at.m - at.n, a=j * at.b - at.a)
-        terms[key] = binomial(at.n, j) * Fraction(-1) ** (at.n - j) * scale
-    return BElement(terms)
-
-
 def _element_power(base: BElement, exponent: int, parser: _Parser) -> BElement:
     if exponent >= 0:
         result = from_scalar(1)
@@ -254,8 +241,7 @@ def _element_power(base: BElement, exponent: int, parser: _Parser) -> BElement:
     if len(base.terms) != 1:
         parser.fail("negative powers are only defined for a single generator term")
     ((at, coeff),) = base.terms.items()
-    inverse = _invert_single_atom(at, coeff)
-    return _element_power(inverse, -exponent, parser)
+    return _element_power(invert_term(at, coeff), -exponent, parser)
 
 
 def parse_element(text: str) -> BElement:

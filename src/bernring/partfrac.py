@@ -9,10 +9,13 @@ Bernoulli-type series:
   order k+1 at the divisor scale plus a simple term at scale n.
 
 Both are computed once at the coprime level (extended Euclid / an inductive
-coefficient recurrence) and lifted by the substitution X -> X^ell.  A general
-multi-factor decomposition is provided by :func:`lemma_decompose`, obtained by
-merging factors pairwise; it promises only the recombination identity and the
-bound (pole order) <= sum of the input multiplicities, not a canonical form.
+coefficient recurrence) and lifted by the substitution X -> X^ell.  The general
+multi-factor decomposition, :func:`lemma_decompose`, is read off the rewrite of
+:func:`bernring.reduction.product_reduce`: with X = e^U, 1/(X^k-1) = B(kU)/(kU),
+so the product of the factors is one pending row of that rewrite, and each row
+it leaves with a single scale is one term.  It promises only the recombination
+identity and the bound (pole order) <= sum of the input multiplicities, not a
+canonical form.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .polys import Poly, binomial, cyclotomic_sum, gcd_ext, x_power_minus_one
+from .polys import Poly, binomial, cyclotomic_sum, gcd_ext
 
 
 @dataclass(frozen=True)
@@ -111,67 +114,19 @@ def h_via_bezout(k: int, n: int) -> Poly:
     return u % modulus
 
 
-def _three_way(a_poly: Poly, b_poly: Poly, c_poly: Poly) -> tuple[Poly, Poly, Poly]:
-    """Split 1/(A*B*C) = alpha/A + beta/B + gamma/C for pairwise-coprime inputs.
-
-    beta and gamma are reduced modulo their denominators; alpha absorbs the rest
-    and is recovered by an exact division, which doubles as a consistency check.
-    """
-    if b_poly == Poly.one():
-        beta = Poly.zero()
-    else:
-        _, u, _ = gcd_ext(a_poly * c_poly, b_poly)
-        beta = u % b_poly
-    if c_poly == Poly.one():
-        gamma = Poly.zero()
-    else:
-        _, u, _ = gcd_ext(a_poly * b_poly, c_poly)
-        gamma = u % c_poly
-    alpha = (Poly.one() - beta * a_poly * c_poly - gamma * a_poly * b_poly).exact_div(
-        b_poly * c_poly
-    )
-    return alpha, beta, gamma
-
-
-def _merge_pair(k1: int, n1: int, k2: int, n2: int) -> list[tuple[Poly, int, int]]:
-    """Decompose 1/((X^k1-1)^n1 (X^k2-1)^n2) for distinct k1, k2.
-
-    Returns (numerator, scale, pole order) triples; pole orders are bounded by
-    n1 + n2.  Solved at the coprime level and lifted by X -> X^gcd.
-    """
-    kc = math.gcd(k1, k2)
-    h1, h2 = k1 // kc, k2 // kc
-    alpha, beta, gamma = _three_way(
-        Poly([-1, 1]) ** (n1 + n2),
-        cyclotomic_sum(h1) ** n1,
-        cyclotomic_sum(h2) ** n2,
-    )
-    out = []
-    if not alpha.is_zero():
-        out.append((alpha.compose_power(kc), kc, n1 + n2))
-    if not beta.is_zero():
-        out.append((_lifted_cofactor(beta, kc, n1), k1, n1))
-    if not gamma.is_zero():
-        out.append((_lifted_cofactor(gamma, kc, n2), k2, n2))
-    return out
-
-
-def _lifted_cofactor(poly: Poly, kc: int, power: int) -> Poly:
-    """Lift a numerator over phi^power to one over (X^k-1)^power.
-
-    After X -> X^kc the denominator phi(X^kc)^power equals
-    ((X^k-1)/(X^kc-1))^power, so the numerator picks up (X^kc-1)^power.
-    """
-    return poly.compose_power(kc) * x_power_minus_one(kc) ** power
-
-
 def lemma_decompose(factors: list[tuple[int, int]]) -> list[tuple[Poly, int, int]]:
     """General decomposition of 1/prod (X^k_i - 1)^n_i into sum g_i/(X^m_i-1)^l_i.
 
-    Every returned pole order l_i is at most the total multiplicity sum(n_i).
-    The decomposition is not unique; only the recombination identity and the
-    order bound are promised.
+    With X = e^U, 1/(X^k-1) = B(kU)/(kU), so the product is U^-N prod B(k_i U)^n_i over
+    prod k_i^n_i, N = sum(n_i): one row of the product reduction with r = -N.  Its rewrite keeps
+    r + sum of the B-powers, so a row it leaves with one scale m and power l is
+    U^-l B(mU)^l row(X) = m^l row(X)/(X^m-1)^l, and no power grows past N.  The terms come
+    sorted by (m, l).  The decomposition is not unique; only the recombination identity and
+    the order bound are promised.
     """
+    # Imported here: a module-level import would be circular, as reduction imports g_pair and h_f.
+    from .reduction import _drain, _push
+
     if not factors:
         raise ValueError("need at least one factor")
     merged: dict[int, int] = {}
@@ -179,17 +134,11 @@ def lemma_decompose(factors: list[tuple[int, int]]) -> list[tuple[Poly, int, int
         if k < 1 or n < 1:
             raise ValueError("factors must have positive scale and multiplicity")
         merged[k] = merged.get(k, 0) + n
-    items = sorted(merged.items())
-    acc: dict[tuple[int, int], Poly] = {(items[0][0], items[0][1]): Poly.one()}
-    for k, n in items[1:]:
-        grown: dict[tuple[int, int], Poly] = {}
-        for (mk, ml), g in acc.items():
-            if mk == k:
-                key = (mk, ml + n)
-                grown[key] = grown.get(key, Poly.zero()) + g
-                continue
-            for piece, scale, order in _merge_pair(mk, ml, k, n):
-                key = (scale, order)
-                grown[key] = grown.get(key, Poly.zero()) + g * piece
-        acc = {key: g for key, g in grown.items() if not g.is_zero()}
-    return [(g, scale, order) for (scale, order), g in sorted(acc.items())]
+    buckets: list[dict] = []
+    _push(buckets, -sum(merged.values()), merged, ([1], math.prod(k**n for k, n in merged.items()), 0))
+    terms = []
+    for _, finished, (num, den, lo) in _drain(buckets):
+        ((m, l),) = finished.items()
+        if any(num):
+            terms.append((Poly([0] * lo + [Fraction(m**l * v, den) for v in num]), m, l))
+    return sorted(terms, key=lambda term: term[1:])

@@ -242,11 +242,6 @@ class Poly:
             return self
         return Poly((Fraction(0),) * k + self.coeffs)
 
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return self / self.leading
-
     def trailing_valuation(self) -> int:
         """Lowest exponent with a nonzero coefficient (0 for the zero poly)."""
         for i, c in enumerate(self.coeffs):

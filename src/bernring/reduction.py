@@ -7,8 +7,9 @@
   denominator and then eliminated pairwise through the two partial-fraction
   identities (divisor scales first, then general pairs through the gcd scale);
   a strictly decreasing measure is asserted at every rewrite.
-* ``negative_power_expand``: B^-k as a combination of pure T/exponential atoms,
-  which also encodes the Stirling-number generating function.
+* ``invert_term`` / ``negative_power_expand``: the inverse of one term, and B^-k,
+  as combinations of pure T/exponential atoms; B^-k also encodes the
+  Stirling-number generating function.
 * ``f_n_closed`` / ``f_n_inductive``: the integer polynomials f_n(U, V) with
   T^-n f_n(T, B) = n-th derivative of B, by closed Stirling form and by the
   first-order recursion; the two must agree.
@@ -21,11 +22,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .elements import Atom, BElement, render_atom
 from .partfrac import g_pair, h_f
-from .polys import TEXT, BiPoly, Poly, Style, binomial
+from .polys import TEXT, BiPoly, Poly, Style
 from .series import common_numerators
 from .weyl import WeylOp
 
@@ -237,7 +238,15 @@ def product_reduce(x: BElement, y: BElement) -> BElement:
             buckets = pending.setdefault((q, a - Fraction(sigma, q)), [])
             _push(buckets, m, {int(at1.b * q): at1.n, int(at2.b * q): at2.n}, ([c.numerator], c.denominator, sigma))
     for (q, f), buckets in pending.items():
-        _drain(q, f, buckets, out)
+        fn, fd = f.as_integer_ratio()
+        for r, factors, (num, den, lo) in _drain(buckets):
+            ((p, n),) = factors.items() or [(q, 0)]  # no factor left: the unit atom, b = 1
+            b = Fraction(p, q)
+            top, bottom = (1, den * q**r) if r >= 0 else (q**-r, den)  # each entry times q^-r / den
+            for sigma, v in enumerate(num, lo):
+                if v:  # at e^{(f + sigma/q)T}
+                    key, c = Atom(b, n, r, Fraction(fn * q + sigma * fd, fd * q)), Fraction(v * top, bottom)
+                    out[key] = out[key] + c if key in out else c
     return BElement(out)
 
 
@@ -264,24 +273,19 @@ def _merged(x: tuple, y: tuple) -> tuple:
     return [v // g for v in total], den // g, lo
 
 
-def _drain(q: int, f: Fraction, buckets: list[dict], out: dict[Atom, Fraction]) -> None:
-    """Rewrite the rows of one (q, f) into ``out`` from the highest measure down; as a rewrite
-    lowers the measure, each row is rewritten once, after every contribution to it arrived."""
+def _drain(buckets: list[dict]) -> Iterator[tuple]:
+    """Rewrite the rows in ``buckets`` from the highest measure down and yield each row left with at
+    most one scale as ``(r, factors, row)``; as a rewrite lowers the measure, each row is rewritten
+    or yielded once, after every contribution to it arrived."""
     for measure in range(len(buckets) - 1, -1, -1):
         for (r, _), (factors, row) in buckets[measure].items():
-            if len(factors) > 1:
-                for child in _rewrite_step(r, factors, row):
-                    if _measure(child[1]) >= measure:
-                        raise ReductionError("product-reduction measure failed to decrease")
-                    _push(buckets, *child)
+            if len(factors) <= 1:
+                yield r, factors, row
                 continue
-            ((p, n),) = factors.items() or [(q, 0)]  # no factor left: the unit atom, b = 1
-            (num, den, lo), b, (fn, fd) = row, Fraction(p, q), f.as_integer_ratio()
-            top, bottom = (1, den * q**r) if r >= 0 else (q**-r, den)  # each entry times q^-r / den
-            for sigma, v in enumerate(num, lo):
-                if v:  # at e^{(f + sigma/q)T}
-                    key, c = Atom(b, n, r, Fraction(fn * q + sigma * fd, fd * q)), Fraction(v * top, bottom)
-                    out[key] = out[key] + c if key in out else c
+            for child in _rewrite_step(r, factors, row):
+                if _measure(child[1]) >= measure:
+                    raise ReductionError("product-reduction measure failed to decrease")
+                _push(buckets, *child)
 
 
 @lru_cache(maxsize=None)
@@ -340,11 +344,22 @@ def _rewrite_step(r: int, factors: dict[int, int], row: tuple) -> list[tuple]:
     return children + [(s, fs, _times(row, poly)) for s, fs, poly in pieces if poly[1]]
 
 
+def invert_term(at: Atom, coeff: Fraction) -> BElement:
+    """(coeff T^m B(bT)^n e^{aT})^-1 = T^-(m+n) e^{-aT} (e^{bT} - 1)^n / (coeff b^n), expanded into n = 0 atoms."""
+    (bn, bd), (an, ad), n = at.b.as_integer_ratio(), at.a.as_integer_ratio(), at.n
+    num, den = bd**n * coeff.denominator, bn**n * coeff.numerator
+    terms = {}
+    for j in range(n + 1):  # C(n, j) (-1)^(n-j) num/den at e^{(jb - a)T}, num/den = 1/(coeff b^n)
+        key = Atom(Fraction(1), 0, -at.m - n, Fraction(j * bn * ad - an * bd, bd * ad))
+        terms[key] = Fraction((-1) ** (n - j) * math.comb(n, j) * num, den)
+    return BElement(terms)
+
+
 def negative_power_expand(k: int) -> BElement:
     """B^-k = (T^-1 (e^T - 1))^k, expanded into n = 0 atoms."""
     if k < 1:
         raise ValueError("negative power must be at least 1")
-    return BElement({Atom(b=Fraction(1), n=0, m=-k, a=Fraction(j)): binomial(k, j) * (-1) ** (k - j) for j in range(k + 1)})
+    return invert_term(Atom(b=Fraction(1), n=k, m=0, a=Fraction(0)), Fraction(1))
 
 
 # -- derivative polynomials ----------------------------------------------------

@@ -38,7 +38,7 @@ from .identities import (
     verify_stirling_gf,
 )
 from .partfrac import GPair, HFPair, g_pair, h_f
-from .polys import Poly, factorial
+from .polys import Poly, factorial, x_power_minus_one
 from .reduction import (
     DCombination,
     agoh_dilcher_reduce,
@@ -157,8 +157,6 @@ def check_lowering():
 
 
 def _g_recombines(pair: GPair) -> bool:
-    from .polys import x_power_minus_one
-
     lhs = x_power_minus_one(pair.ell) ** 2
     rhs = (
         x_power_minus_one(pair.n) * x_power_minus_one(pair.m) * Fraction(pair.ell**2, pair.m * pair.n)
@@ -169,8 +167,6 @@ def _g_recombines(pair: GPair) -> bool:
 
 
 def _hf_recombines(pair: HFPair) -> bool:
-    from .polys import x_power_minus_one
-
     lhs = x_power_minus_one(pair.ell)
     rhs = pair.h * x_power_minus_one(pair.n) + pair.f * x_power_minus_one(pair.ell) ** (pair.k + 1)
     return lhs == rhs

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernring.partfrac import g_pair, h_f, h_via_bezout, lemma_decompose
 from bernring.polys import Poly, x_power_minus_one
@@ -142,3 +144,41 @@ class TestLemmaDecompose:
         assert _recombination_holds(factors, terms)
         total = sum(n for _, n in factors)
         assert all(order <= total for _, _, order in terms)
+
+
+def _nonzero_by_scale_and_order(terms):
+    return sorted((term for term in terms if not term[0].is_zero()), key=lambda term: term[1:])
+
+
+class TestLemmaOnTheRewrite:
+    """The general lemma is read off the rows of the product reduction's rewrite."""
+
+    def test_two_simple_factors_give_the_pair_identity(self):
+        for m in range(1, 13):
+            for n in range(1, 13):
+                if m == n:
+                    continue
+                small, big = sorted((m, n))
+                if big % small == 0:
+                    pair = h_f(1, small, big)
+                    expected = [(pair.h, small, 2), (pair.f, big, 1)]
+                else:
+                    gp = g_pair(m, n)
+                    expected = [(Poly.const(Fraction(gp.ell**2, m * n)), gp.ell, 2), (gp.g_mn, m, 1), (gp.g_nm, n, 1)]
+                assert lemma_decompose([(m, 1), (n, 1)]) == _nonzero_by_scale_and_order(expected)
+
+    def test_divisor_power_gives_h_f(self):
+        for n in range(2, 13):
+            for ell in (d for d in range(1, n) if n % d == 0):
+                for k in range(1, 5):
+                    pair = h_f(k, ell, n)
+                    expected = [(pair.h, ell, k + 1), (pair.f, n, 1)]
+                    assert lemma_decompose([(ell, k), (n, 1)]) == _nonzero_by_scale_and_order(expected)
+
+    @given(st.lists(st.tuples(st.integers(1, 8), st.integers(1, 2)), min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_random_factors_recombine(self, factors):
+        terms = lemma_decompose(factors)
+        assert _recombination_holds(factors, terms)
+        total = sum(n for _, n in factors)
+        assert all(not g.is_zero() and order <= total for g, _, order in terms)

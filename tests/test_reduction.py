@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bernring import reduction
 from bernring.elements import Atom, BElement, atom, b_element, from_scalar
 from bernring.exprparse import parse_element
+from bernring.partfrac import lemma_decompose
 from bernring.polys import Poly
 from bernring.reduction import (
     DCombination,
@@ -18,6 +19,7 @@ from bernring.reduction import (
     element_from_bipoly,
     f_n_closed,
     f_n_inductive,
+    invert_term,
     lowering_op,
     negative_power_expand,
     product_reduce,
@@ -162,6 +164,18 @@ class TestNegativePowers:
 
     def test_inverse_times_b(self):
         assert product_reduce(negative_power_expand(1), b_element()).equals(from_scalar(1))
+
+    @given(
+        st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4),
+        st.integers(0, 3),
+        st.integers(-2, 2),
+        small_rationals,
+        small_rationals.filter(bool),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_term_times_its_inverse_is_one(self, b, n, m, a, c):
+        at = Atom(b=b if n else F(1), n=n, m=m, a=a)
+        assert product_reduce(BElement({at: c}), invert_term(at, c)).equals(from_scalar(1))
 
     def test_stirling_generating_function(self):
         for k in (1, 2, 3):
@@ -442,3 +456,5 @@ class TestMeasureGuard:
         monkeypatch.setattr(reduction, "_rewrite_step", lambda r, factors, row: [(r, dict(factors), row)])
         with pytest.raises(ReductionError, match="failed to decrease"):
             product_reduce(atom(0, 1, 2), atom(0, 1, 3))
+        with pytest.raises(ReductionError, match="failed to decrease"):
+            lemma_decompose([(2, 1), (3, 1)])
