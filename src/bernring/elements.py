@@ -7,9 +7,9 @@ the product-reduction algorithms expect.
 
 Equality of elements is semantic, not structural: distinct atom combinations
 can denote the same Laurent series (e.g. B*e^T and B + T).  The exact zero
-test multiplies by enough factors of (e^{bT} - 1) to clear every B and then
-checks the resulting exponential polynomial, whose vanishing is decidable
-because distinct exponentials are linearly independent over Q(T).
+test multiplies by enough factors of (e^{bT} - 1) to clear every B; what is
+left is again an element, of atoms T^m e^{aT}, and it vanishes iff it has no
+terms, because distinct T^m e^{aT} are linearly independent over Q.
 """
 
 from __future__ import annotations
@@ -161,25 +161,23 @@ class BElement:
         """The Laurent series of this element, exact to the given bound."""
         return TruncatedSeries.combination([(_atom_series(at, bound), 0, c) for at, c in self.terms.items()], bound)
 
-    def to_exp_poly(self) -> tuple["ExpPoly", str]:
-        """Clear all B-factors and return the resulting exponential polynomial.
+    def to_exp_poly(self) -> tuple["BElement", str]:
+        """Clear all B-factors: x*D as an element of atoms T^m e^{aT}, and a description of D.
 
-        Multiplies by D = prod over distinct scales b of (e^{bT}-1)^{M_b} with
-        M_b the largest B-power at that scale; returns (expansion of self*D,
-        human-readable description of D).  D is a unit multiple of a monomial
-        in the Laurent field, so self == 0 iff the expansion is empty.
+        D = prod over distinct scales b of (e^{bT}-1)^{M_b}, M_b the largest B-power at that
+        scale, is a unit multiple of a monomial in the Laurent field, and distinct T^m e^{aT}
+        are linearly independent over Q; so x == 0 iff x*D has no terms.
         """
         max_power: dict[Fraction, int] = {}
         for at in self.terms:
             if at.n >= 1:
                 max_power[at.b] = max(max_power.get(at.b, 0), at.n)
-        epoly: dict[Fraction, dict[int, Fraction]] = {}
+        cleared: dict[tuple[Fraction, int], Fraction] = {}
         for at, c in self.terms.items():
             # B(bT)^n * (e^{bT}-1)^n = (bT)^n; leftover factors expand binomially
-            tpow = at.m + at.n
             base: dict[Fraction, Fraction] = {at.a: c * at.b**at.n}
             for scale, mult in max_power.items():
-                k = mult - at.n if (at.n >= 1 and scale == at.b) else mult
+                k = mult - at.n if scale == at.b else mult  # n = 0 gives mult either way
                 if k == 0:
                     continue
                 grown: dict[Fraction, Fraction] = {}
@@ -190,21 +188,16 @@ class BElement:
                         grown[key] = grown.get(key, Fraction(0)) + w * coeff
                 base = grown
             for shift, coeff in base.items():
-                if coeff == 0:
-                    continue
-                row = epoly.setdefault(shift, {})
-                row[tpow] = row.get(tpow, Fraction(0)) + coeff
+                key = (shift, at.m + at.n)
+                cleared[key] = cleared.get(key, Fraction(0)) + coeff
         desc = " * ".join(
             f"(e^{{{scale}T}}-1)^{mult}" for scale, mult in sorted(max_power.items())
         )
-        return ExpPoly.from_terms(epoly), (desc or "1")
+        return BElement({Atom(Fraction(1), 0, m, a): c for (a, m), c in cleared.items()}), (desc or "1")
 
     def is_zero(self) -> bool:
         """Exact zero test (sound and complete on the whole space)."""
-        if not self.terms:
-            return True
-        epoly, _ = self.to_exp_poly()
-        return epoly.is_zero()
+        return not self.terms or self.to_exp_poly()[0].is_structurally_zero()
 
     def equals(self, other: "BElement") -> bool:
         """Semantic equality: the two elements denote the same Laurent series."""
@@ -233,47 +226,6 @@ def render_atom(at: Atom, style: Style = TEXT) -> str:
     if at.a != 0:
         factors.append(f"e^{{{times_t(at.a)}}}")
     return style.times.join(factors) or "1"
-
-
-class ExpPoly:
-    """Exponential polynomial sum_c p_c(T) e^{cT} with Laurent-monomial support.
-
-    Zero iff no terms survive pruning: distinct exponentials are linearly
-    independent over the field of rational functions in T.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Fraction, dict[int, Fraction]]):
-        object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExpPoly is immutable")
-
-    @staticmethod
-    def from_terms(raw: dict[Fraction, dict[int, Fraction]]) -> "ExpPoly":
-        cleaned = {}
-        for shift, row in raw.items():
-            pruned = {e: c for e, c in row.items() if c != 0}
-            if pruned:
-                cleaned[shift] = pruned
-        return ExpPoly(cleaned)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def exponents(self) -> list[Fraction]:
-        return sorted(self.terms)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "<ExpPoly 0>"
-        bits = []
-        for shift in self.exponents():
-            row = self.terms[shift]
-            poly = " + ".join(f"{c}*T^{e}" for e, c in sorted(row.items()))
-            bits.append(f"({poly})*e^{{{shift}T}}")
-        return "<ExpPoly " + " + ".join(bits) + ">"
 
 
 # -- construction ------------------------------------------------------------

@@ -174,28 +174,25 @@ class _Parser:
             self.expect(closing)
         return sign * int(val)
 
+    def number(self) -> Fraction:
+        """The ``p`` or ``p/q`` literal at the cursor; a zero denominator is refused at the literal."""
+        _, val, pos = self.advance()
+        num, _, den = val.partition("/")
+        if den and int(den) == 0:
+            raise ExprError(f"zero denominator in {val!r}", self.text, pos)
+        return Fraction(int(num), int(den or 1))
+
     def scalar(self, default=Fraction(1)) -> Fraction:
         sign = 1
         if self.peek()[1] == "-":
             self.advance()
             sign = -1
-        kind, val, _ = self.peek()
-        if kind == "number":
-            self.advance()
-            if "/" in val:
-                num, den = val.split("/")
-                return sign * Fraction(int(num), int(den))
-            return sign * Fraction(int(val))
-        return sign * default
+        return sign * (self.number() if self.peek()[0] == "number" else default)
 
     def primary(self) -> BElement:
         kind, val, pos = self.peek()
         if kind == "number":
-            self.advance()
-            if "/" in val:
-                num, den = val.split("/")
-                return from_scalar(Fraction(int(num), int(den)))
-            return from_scalar(int(val))
+            return from_scalar(self.number())
         if val == "T":
             self.advance()
             return atom(1, 0, 1)

@@ -392,10 +392,6 @@ def verify_miki(n: int) -> IdentityReport:
 # -- series-shaped identities ----------------------------------------------------
 
 
-def _poly_s() -> Poly:
-    return Poly.X()
-
-
 def _witness_values(lhs_items, rhs_items) -> tuple[Fraction, Fraction, bool]:
     """Collapse two coefficient lists to a fingerprint pair.
 
@@ -454,26 +450,6 @@ def verify_miki_s_relation(order: int) -> IdentityReport:
     )
 
 
-def miki_s_coefficient_sides(n: int) -> tuple[Poly, Poly]:
-    """Both sides of the T^n coefficient identity of the s-relation, in Q[s]."""
-    s = _poly_s()
-    one_minus_s = Poly.one() - s
-    lhs = Poly.zero()
-    for i in range(1, n):
-        j = n - i
-        coeff = bernoulli_number(i) / factorial(i) * bernoulli_number(j) / factorial(j)
-        lhs = lhs + s**i * one_minus_s**j * coeff
-    rhs = Poly.zero()
-    for k in range(1, n // 2 + 1):
-        ell = n - 2 * k
-        weight = one_minus_s * s ** (2 * k) + s * one_minus_s ** (2 * k)
-        rhs = rhs + weight * (
-            bernoulli_number(ell) / factorial(ell) * bernoulli_number(2 * k) / factorial(2 * k)
-        )
-    rhs = rhs + (Poly.one() - s**n - one_minus_s**n) * (bernoulli_number(n) / factorial(n))
-    return lhs, rhs
-
-
 def beta_integral(i: int, j: int) -> Fraction:
     """The exact Beta value: integral of s^i (1-s)^j / (s(1-s)) over [0, 1]."""
     if i < 1 or j < 1:
@@ -485,7 +461,7 @@ def beta_integral_by_quadrature(i: int, j: int) -> Fraction:
     """Same value by exact polynomial integration (the independent route)."""
     if i < 1 or j < 1:
         raise ValueError("both exponents must be at least 1")
-    s = _poly_s()
+    s = Poly.X()
     integrand = s ** (i - 1) * (Poly.one() - s) ** (j - 1)
     return integrand.integral()(1)
 
@@ -494,7 +470,7 @@ def harmonic_integral(n: int) -> Fraction:
     """integral of (1 - s^n - (1-s)^n)/(s(1-s)) over [0, 1], equal to 2 H_{n-1}."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    s = _poly_s()
+    s = Poly.X()
     numerator = Poly.one() - s**n - (Poly.one() - s) ** n
     integrand = numerator.exact_div(s * (Poly.one() - s)) if not numerator.is_zero() else Poly.zero()
     return integrand.integral()(1)

@@ -105,15 +105,6 @@ def h_f(k: int, ell: int, n: int) -> HFPair:
     return HFPair(k=k, ell=ell, n=n, h=h_hat.compose_power(ell), f=f_hat.compose_power(ell))
 
 
-def h_via_bezout(k: int, n: int) -> Poly:
-    """Independent route to h^(k)_{1,n}: invert 1+X+...+X^(n-1) modulo (X-1)^k."""
-    modulus = Poly([-1, 1]) ** k
-    g, u, _ = gcd_ext(cyclotomic_sum(n), modulus)
-    if g != Poly.one():
-        raise ValueError("cofactors unexpectedly not coprime")
-    return u % modulus
-
-
 def lemma_decompose(factors: list[tuple[int, int]]) -> list[tuple[Poly, int, int]]:
     """General decomposition of 1/prod (X^k_i - 1)^n_i into sum g_i/(X^m_i-1)^l_i.
 

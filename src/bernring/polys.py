@@ -1,10 +1,10 @@
-"""Exact univariate and two-variable polynomial arithmetic over the rationals.
+"""Exact univariate polynomial arithmetic over the rationals, and the renderer.
 
 ``Rational`` is an alias for :class:`fractions.Fraction`: arbitrary precision,
 always stored gcd-reduced with a positive denominator, so equality is
 structural.  ``Poly`` is a dense univariate polynomial over ``Rational`` with
 an abstract indeterminate (used for X, T and s in different contexts).
-``BiPoly`` is a sparse polynomial in two variables U, V.
+``Style`` and the helpers after it spell values as plain text or LaTeX.
 
 Everything here is immutable and safe to share between threads.
 """
@@ -340,93 +340,3 @@ def format_poly(p: Poly, var: str = "X", style: Style = TEXT) -> str:
     return join_signed(
         [scaled(c, style.power(var, i) if i else "1", style) for i, c in enumerate(p.coeffs) if c]
     )
-
-
-class BiPoly:
-    """Sparse polynomial in two variables U, V over the rationals.
-
-    Stored as a map from (u_exponent, v_exponent) to a nonzero coefficient.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
-        cleaned = {}
-        if terms:
-            for (i, j), c in terms.items():
-                c = _as_fraction(c)
-                if c != 0:
-                    if i < 0 or j < 0:
-                        raise ValueError("BiPoly exponents must be nonnegative")
-                    cleaned[(i, j)] = c
-        object.__setattr__(self, "terms", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiPoly is immutable")
-
-    @staticmethod
-    def zero() -> "BiPoly":
-        return BiPoly()
-
-    @staticmethod
-    def monomial(i: int, j: int, coeff: Fraction | int = 1) -> "BiPoly":
-        return BiPoly({(i, j): _as_fraction(coeff)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(("BiPoly", frozenset(self.terms.items())))
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return BiPoly(out)
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly({key: -c for key, c in self.terms.items()})
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "BiPoly":
-        if isinstance(other, (int, Fraction)):
-            return BiPoly({key: c * other for key, c in self.terms.items()})
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return BiPoly(out)
-
-    __rmul__ = __mul__
-
-    def d_u(self) -> "BiPoly":
-        return BiPoly({(i - 1, j): i * c for (i, j), c in self.terms.items() if i > 0})
-
-    def d_v(self) -> "BiPoly":
-        return BiPoly({(i, j - 1): j * c for (i, j), c in self.terms.items() if j > 0})
-
-    def shift(self, du: int, dv: int) -> "BiPoly":
-        """Multiply by U^du * V^dv."""
-        return BiPoly({(i + du, j + dv): c for (i, j), c in self.terms.items()})
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
-
-    def sorted_terms(self) -> Sequence[tuple[tuple[int, int], Fraction]]:
-        return sorted(self.terms.items())
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "BiPoly(0)"
-        bits = []
-        for (i, j), c in self.sorted_terms():
-            bits.append(f"{c}*U^{i}*V^{j}")
-        return "BiPoly(" + " + ".join(bits) + ")"

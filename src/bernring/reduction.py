@@ -10,9 +10,9 @@
 * ``invert_term`` / ``negative_power_expand``: the inverse of one term, and B^-k,
   as combinations of pure T/exponential atoms; B^-k also encodes the
   Stirling-number generating function.
-* ``f_n_closed`` / ``f_n_inductive``: the integer polynomials f_n(U, V) with
-  T^-n f_n(T, B) = n-th derivative of B, by closed Stirling form and by the
-  first-order recursion; the two must agree.
+* ``f_n_closed`` / ``f_n_inductive``: the elements f_n(T, B), integer
+  combinations of T^i B^j with T^-n f_n(T, B) = n-th derivative of B, by the
+  closed Stirling form and by n first-order derivatives; the two must agree.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ from itertools import repeat
 from operator import add, mul
 from typing import Iterator, Mapping
 
-from .elements import Atom, BElement, render_atom
+from .elements import Atom, BElement, b_element, render_atom
 from .partfrac import g_pair, h_f
-from .polys import TEXT, BiPoly, Poly, Style
+from .polys import TEXT, Poly, Style
 from .series import common_numerators
-from .weyl import WeylOp
+from .weyl import WeylOp, derivative_of_element
 
 
 class ReductionError(Exception):
@@ -365,13 +365,13 @@ def negative_power_expand(k: int) -> BElement:
 # -- derivative polynomials ----------------------------------------------------
 
 
-#: f_n(U, V) as {(i, j): integer coefficient of U^i V^j}, appended a row at a time
+#: f_n(T, B) as {(i, j): integer coefficient of T^i B^j}, appended a row at a time
 _DERIVATIVE_ROWS: list[dict[tuple[int, int], int]] = []
 
 
 def _derivative_row(n: int) -> dict[tuple[int, int], int]:
     """f_n from Stirling numbers of the second kind:
-    (-1)^n f_n = sum_j (j-1)! (S(n+1, j) U^(n-j+1) - n S(n, j) U^(n-j)) V^j."""
+    (-1)^n f_n = sum_j (j-1)! (S(n+1, j) T^(n-j+1) - n S(n, j) T^(n-j)) B^j."""
     while len(_DERIVATIVE_ROWS) <= n:
         k = len(_DERIVATIVE_ROWS)
         stirling(k + 1, 0)
@@ -386,44 +386,32 @@ def _derivative_row(n: int) -> dict[tuple[int, int], int]:
     return _DERIVATIVE_ROWS[n]
 
 
-def f_n_closed(n: int) -> BiPoly:
-    """Closed form of f_n(U, V) from Stirling numbers of the second kind."""
+def f_n_closed(n: int) -> BElement:
+    """f_n(T, B), the element with T^-n f_n(T, B) = d^n B, read off the Stirling closed form."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return BiPoly(_derivative_row(n))
+    return BElement({Atom(b=Fraction(1), n=j, m=i, a=Fraction(0)): c for (i, j), c in _derivative_row(n).items()})
 
 
-_F_INDUCTIVE_CACHE: list[BiPoly] = [BiPoly.monomial(0, 1)]
-
-
-def f_n_inductive(n: int) -> BiPoly:
-    """f_n by the first-order recursion f_n = (1-n + U d_U + (1 - U - V) V d_V) f_(n-1)."""
+def f_n_inductive(n: int) -> BElement:
+    """f_n(T, B) as T^n d^n B, by n first-order derivatives of B: no Stirling numbers involved."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    while len(_F_INDUCTIVE_CACHE) <= n:
-        k = len(_F_INDUCTIVE_CACHE)
-        prev = _F_INDUCTIVE_CACHE[-1]
-        dv = prev.d_v()
-        _F_INDUCTIVE_CACHE.append(prev * (1 - k) + prev.d_u().shift(1, 0) + dv.shift(0, 1) - dv.shift(1, 1) - dv.shift(0, 2))
-    return _F_INDUCTIVE_CACHE[n]
-
-
-def element_from_bipoly(bp: BiPoly) -> BElement:
-    """Substitute (U, V) -> (T, B): each monomial U^i V^j becomes T^i B^j."""
-    return BElement({Atom(b=Fraction(1), n=j, m=i, a=Fraction(0)): c for (i, j), c in bp.terms.items()})
+    x = b_element()
+    for _ in range(n):
+        x = derivative_of_element(x)
+    return x.mul_monomial(n)
 
 
 def derivative_power_element(n: int) -> BElement:
     """The n-th derivative of B as an element: T^-n f_n(T, B)."""
-    return element_from_bipoly(f_n_closed(n)).mul_monomial(-n)
+    return f_n_closed(n).mul_monomial(-n)
 
 
 def agoh_dilcher_reduce(m: int, n: int) -> DCombination:
     """Write (d^m B/dT^m)(d^n B/dT^n) as an operator combination on B.
 
-    The product equals T^-(m+n) f_m(T,B) f_n(T,B); lowering the B-powers and
-    dividing out the T-pole leaves a single polynomial operator on B.
+    The product equals T^-(m+n) f_m(T,B) f_n(T,B), a product at one scale; lowering the
+    B-powers and dividing out the T-pole leaves a single polynomial operator on B.
     """
-    fp = f_n_closed(m) * f_n_closed(n)
-    elem = element_from_bipoly(fp).mul_monomial(-(m + n))
-    return reduce_to_first_order(elem)
+    return reduce_to_first_order(product_reduce(derivative_power_element(m), derivative_power_element(n)))

@@ -42,7 +42,6 @@ from .polys import Poly, factorial, x_power_minus_one
 from .reduction import (
     DCombination,
     agoh_dilcher_reduce,
-    derivative_power_element,
     f_n_closed,
     f_n_inductive,
     lowering_op,
@@ -268,7 +267,7 @@ def check_derivative_polynomials():
     for n in range(13):
         if f_n_closed(n) != f_n_inductive(n):
             return False, f"closed and inductive f_{n} differ"
-        if not f_n_closed(n).is_integral():
+        if any(c.denominator != 1 for c in f_n_closed(n).terms.values()):
             return False, f"f_{n} has a non-integer coefficient"
     ok, detail = _all_verified(grid_reports(verify_f_derivative))
     return ok, "f_n forms agree and are integral (n <= 12); " + detail
@@ -424,7 +423,7 @@ def check_reduction_soundness():
     for m in range(3):
         for n in range(3):
             combo = agoh_dilcher_reduce(m, n)
-            want = product_reduce(derivative_power_element(m), derivative_power_element(n))
+            want = product_reduce(f_n_inductive(m), f_n_inductive(n)).mul_monomial(-(m + n))
             if not combo.semantic_element().equals(want):
                 return False, f"derivative-product reduction unsound at ({m},{n})"
             count += 1

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bernring import elements, series
 from bernring.elements import Atom, BElement
-from bernring.polys import Poly
+from bernring.polys import Poly, cyclotomic_sum, gcd_ext
 from bernring.partfrac import g_pair, h_f
 from bernring.reduction import DCombination, ReductionError, _measure, lowering_op
 from bernring.selftest import run_all
@@ -347,6 +347,63 @@ def reduce_to_first_order_by_chains(x: BElement) -> DCombination:
         if not total.is_zero():
             entries[Atom(b=b, n=gen_n, m=gen_m, a=a)] = total
     return DCombination(entries)
+
+
+# -- the routes of f_n, the zero test and h^(k)_{1,n} before they moved onto the ring --------
+
+
+def f_n_by_recursion(n: int) -> dict[tuple[int, int], Fraction]:
+    """f_n(U, V) as {(i, j): coefficient of U^i V^j}, by f_n = (1-n + U d_U + (1-U-V) V d_V) f_(n-1)
+    from f_0 = V, on plain dicts."""
+    f = {(0, 1): Fraction(1)}
+    for k in range(1, n + 1):
+        out: dict[tuple[int, int], Fraction] = {}
+        for (i, j), c in f.items():
+            for key, w in (((i, j), 1 - k + i + j), ((i + 1, j), -j), ((i, j + 1), -j)):
+                out[key] = out.get(key, Fraction(0)) + w * c
+        f = {key: c for key, c in out.items() if c}
+    return f
+
+
+def exp_poly_by_nested_dicts(x: BElement) -> tuple[dict[Fraction, dict[int, Fraction]], str]:
+    """x*D as {a: {m: coefficient of T^m e^{aT}}}, with D = prod over scales b of (e^{bT}-1)^{M_b},
+    cleared one atom and one scale at a time; rows and entries that vanish are pruned."""
+    max_power: dict[Fraction, int] = {}
+    for at in x.terms:
+        if at.n >= 1:
+            max_power[at.b] = max(max_power.get(at.b, 0), at.n)
+    epoly: dict[Fraction, dict[int, Fraction]] = {}
+    for at, c in x.terms.items():
+        tpow = at.m + at.n
+        base: dict[Fraction, Fraction] = {at.a: c * at.b**at.n}
+        for scale, mult in max_power.items():
+            k = mult - at.n if (at.n >= 1 and scale == at.b) else mult
+            if k == 0:
+                continue
+            grown: dict[Fraction, Fraction] = {}
+            for r in range(k + 1):
+                w = math.comb(k, r) * (-1) ** (k - r)
+                for shift, coeff in base.items():
+                    key = shift + r * scale
+                    grown[key] = grown.get(key, Fraction(0)) + w * coeff
+            base = grown
+        for shift, coeff in base.items():
+            if coeff == 0:
+                continue
+            row = epoly.setdefault(shift, {})
+            row[tpow] = row.get(tpow, Fraction(0)) + coeff
+    pruned = {shift: {e: c for e, c in row.items() if c} for shift, row in epoly.items()}
+    desc = " * ".join(f"(e^{{{scale}T}}-1)^{mult}" for scale, mult in sorted(max_power.items()))
+    return {shift: row for shift, row in pruned.items() if row}, (desc or "1")
+
+
+def h_via_bezout(k: int, n: int) -> Poly:
+    """Independent route to h^(k)_{1,n}: invert 1+X+...+X^(n-1) modulo (X-1)^k."""
+    modulus = Poly([-1, 1]) ** k
+    g, u, _ = gcd_ext(cyclotomic_sum(n), modulus)
+    if g != Poly.one():
+        raise ValueError("cofactors unexpectedly not coprime")
+    return u % modulus
 
 
 # -- the hand-derived product identities, kept as oracles ----------------------

@@ -230,6 +230,12 @@ class TestReduce:
         code, _, err = run(capsys, "reduce", "product", "B(2T")
         assert code == 2 and "^" in err
 
+    @pytest.mark.parametrize("expr, column", [("B(1/0T)", 3), ("3/0*B", 1), ("e^{2/0T}", 4)])
+    def test_zero_denominator_refused(self, capsys, expr, column):
+        code, out, err = run(capsys, "reduce", "product", expr, "--to-first-order")
+        assert code == 2 and out == ""
+        assert f"zero denominator in {expr[column - 1:column + 2]!r} at column {column}" in err
+
     def test_latex_emission(self, capsys):
         _, out, _ = run(capsys, "--format", "latex", "reduce", "product", "B(2T)*B(3T)")
         assert out == "B^{2} - \\frac{3}{2}TB(2T) - \\frac{2}{3}TB(3T) + \\frac{2}{3}TB(3T)e^{T}\n"

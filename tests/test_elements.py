@@ -4,12 +4,24 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernring import identities
 from bernring.elements import Atom, BElement, atom, b_element, from_scalar, t_element
 from bernring.series import bernoulli_poly_value, bernoulli_series, factorial
 from bernring.selftest import COEFFS, SCALES, SHIFTS, _known_zero, random_element
-from conftest import fold_expand, window
+from conftest import exp_poly_by_nested_dicts, fold_expand, small_rationals, window
+
+
+def cleared_rows(x: BElement) -> tuple[dict, str]:
+    """``to_exp_poly`` of x as {a: {m: coefficient of T^m e^{aT}}}, checking that every atom has n = 0."""
+    ep, desc = x.to_exp_poly()
+    rows: dict = {}
+    for at, c in ep.terms.items():
+        assert at.n == 0 and at.b == 1
+        rows.setdefault(at.a, {})[at.m] = c
+    return rows, desc
 
 
 class TestAtomNormalization:
@@ -84,20 +96,36 @@ class TestExpand:
 class TestExpPoly:
     def test_defining_identity(self):
         ep, desc = b_element().to_exp_poly()
-        assert ep.terms == {Fraction(0): {1: Fraction(1)}}
+        assert ep == t_element()
         assert desc == "(e^{1T}-1)^1"
 
     def test_relation_clears_to_zero(self):
         rel = atom(0, 1, 1, 1) - b_element() - t_element()
         ep, _ = rel.to_exp_poly()
-        assert ep.is_zero()
+        assert ep.is_structurally_zero()
 
     def test_inverse_b_as_exponentials(self):
         el = atom(-1, 0, 1, 1) - atom(-1, 0, 1, 0)
         ep, desc = el.to_exp_poly()
         assert desc == "1"
-        assert ep.exponents() == [Fraction(0), Fraction(1)]
-        assert ep.terms[Fraction(1)] == {-1: Fraction(1)}
+        assert ep == el
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-2, 2), st.integers(0, 3), st.sampled_from(SCALES), st.sampled_from(SHIFTS), small_rationals),
+            max_size=5,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_nested_dict_clearing(self, parts):
+        x = sum((atom(m, n, b, a).scale(c) for m, n, b, a, c in parts), BElement.zero())
+        assert cleared_rows(x) == exp_poly_by_nested_dicts(x)
+
+    def test_known_zeros_match_nested_dict_clearing(self):
+        rng = random.Random(4)
+        for _ in range(60):
+            x = _known_zero(rng)
+            assert cleared_rows(x) == exp_poly_by_nested_dicts(x) and x.is_zero()
 
 
 class TestZeroTest:

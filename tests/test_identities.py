@@ -16,7 +16,6 @@ from bernring.identities import (
     coefficient_identity,
     harmonic_integral,
     kaneko_operator,
-    miki_s_coefficient_sides,
     rademacher_operator,
     verify_23,
     verify_23_even,
@@ -34,7 +33,7 @@ from bernring.identities import (
     verify_recurrence,
     verify_stirling_gf,
 )
-from bernring.polys import Poly
+from bernring.polys import Poly, factorial
 from bernring.reduction import product_reduce, reduce_to_first_order
 from bernring.series import TruncatedSeries, bernoulli_number, bernoulli_series, exp_series, harmonic
 from bernring.weyl import derivative_of_element
@@ -48,6 +47,26 @@ from conftest import (
 )
 
 F = Fraction
+
+
+def miki_s_coefficient_sides(n: int) -> tuple[Poly, Poly]:
+    """Both sides of the T^n coefficient identity of the s-relation, in Q[s]."""
+    s = Poly.X()
+    one_minus_s = Poly.one() - s
+    lhs = Poly.zero()
+    for i in range(1, n):
+        j = n - i
+        coeff = bernoulli_number(i) / factorial(i) * bernoulli_number(j) / factorial(j)
+        lhs = lhs + s**i * one_minus_s**j * coeff
+    rhs = Poly.zero()
+    for k in range(1, n // 2 + 1):
+        ell = n - 2 * k
+        weight = one_minus_s * s ** (2 * k) + s * one_minus_s ** (2 * k)
+        rhs = rhs + weight * (
+            bernoulli_number(ell) / factorial(ell) * bernoulli_number(2 * k) / factorial(2 * k)
+        )
+    rhs = rhs + (Poly.one() - s**n - one_minus_s**n) * (bernoulli_number(n) / factorial(n))
+    return lhs, rhs
 
 
 class TestClosedFormFamilies:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bernring.partfrac import g_pair, h_f, h_via_bezout, lemma_decompose
+from bernring.partfrac import g_pair, h_f, lemma_decompose
 from bernring.polys import Poly, x_power_minus_one
+from conftest import h_via_bezout
 
 
 def as_poly(*coeffs):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from bernring.polys import BiPoly, Poly, binomial, cyclotomic_sum, gcd_ext, x_power_minus_one
+from bernring.polys import Poly, binomial, cyclotomic_sum, gcd_ext, x_power_minus_one
 from conftest import nonzero_polys, polys, random_poly, small_rationals
 
 X = Poly.X()
@@ -121,22 +121,3 @@ class TestHelpers:
     def test_trailing_valuation(self):
         assert Poly([0, 0, 5, 1]).trailing_valuation() == 2
         assert Poly.zero().trailing_valuation() == 0
-
-
-class TestBiPoly:
-    def test_basic_ops(self):
-        u = BiPoly.monomial(1, 0)
-        v = BiPoly.monomial(0, 1)
-        assert u * v == BiPoly.monomial(1, 1)
-        assert (u + v) - u == v
-        assert (u * 0).is_zero()
-
-    def test_derivatives(self):
-        p = BiPoly({(2, 1): Fraction(3)})
-        assert p.d_u() == BiPoly({(1, 1): Fraction(6)})
-        assert p.d_v() == BiPoly({(2, 0): Fraction(3)})
-        assert BiPoly.monomial(0, 0, 5).d_u().is_zero()
-
-    def test_integrality(self):
-        assert BiPoly({(0, 1): Fraction(2)}).is_integral()
-        assert not BiPoly({(0, 1): Fraction(1, 2)}).is_integral()

@@ -16,7 +16,6 @@ from bernring.reduction import (
     ReductionError,
     agoh_dilcher_reduce,
     derivative_power_element,
-    element_from_bipoly,
     f_n_closed,
     f_n_inductive,
     invert_term,
@@ -35,6 +34,7 @@ from bernring.selftest import (
 )
 from bernring.weyl import WeylOp, derivative_of_element
 from conftest import (
+    f_n_by_recursion,
     fold_apply_element,
     fold_derivative_of_element,
     fold_product_reduce,
@@ -220,18 +220,17 @@ class TestStirling:
 
 class TestDerivativePolynomials:
     def test_f0_f1(self):
-        from bernring.polys import BiPoly
-
-        assert f_n_closed(0) == BiPoly.monomial(0, 1)
-        assert f_n_closed(1) == BiPoly({(0, 1): F(1), (1, 1): F(-1), (0, 2): F(-1)})
+        assert f_n_closed(0) == b_element()
+        assert f_n_closed(1) == b_element() - atom(1, 1, 1) - atom(0, 2, 1)
 
     def test_closed_matches_inductive(self):
-        for n in range(13):
-            assert f_n_closed(n) == f_n_inductive(n)
+        for n in range(21):
+            want = BElement({Atom(F(1), j, i, F(0)): c for (i, j), c in f_n_by_recursion(n).items()})
+            assert f_n_closed(n) == f_n_inductive(n) == want
 
     def test_integrality(self):
         for n in range(13):
-            assert f_n_closed(n).is_integral()
+            assert all(c.denominator == 1 for c in f_n_closed(n).terms.values())
 
     def test_substitution_gives_derivatives(self):
         order = 30
@@ -432,7 +431,7 @@ class TestLoweringTableAgainstChains:
 
     @pytest.mark.parametrize("m, n", [(m, n) for m in range(6) for n in range(6)])
     def test_agoh_dilcher(self, m, n):
-        product = element_from_bipoly(f_n_closed(m) * f_n_closed(n)).mul_monomial(-(m + n))
+        product = product_reduce(f_n_inductive(m), f_n_inductive(n)).mul_monomial(-(m + n))
         assert agoh_dilcher_reduce(m, n) == reduce_to_first_order_by_chains(product)
         assert_first_order_agrees(product)
 
