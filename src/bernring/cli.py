@@ -118,17 +118,19 @@ def _combination_json(dc: DCombination) -> list[dict]:
 
 
 #: the largest index each ``bern`` command accepts, and the largest order of
-#: ``num-order``; B_2000 takes about 1 s and B^(20)_300 about 2.5 s on one core
+#: ``num-order``; B_2000 takes about 0.9 s and B^(20)_300 about 0.8 s on one core
 INDEX_CAPS = {"num": 2000, "num-order": 300, "poly": 1000}
 MAX_ORDER = 20
-#: the largest ``--order`` (``verify f-derivative --n 12 --order 200`` takes about 4 s), and the
-#: most digits in a rational argument's numerator or denominator, which bounds every answer
-#: (``bern poly 1000`` at a 20-digit/20-digit point prints about 42,000 characters in 0.7 s)
+#: the largest ``--order`` (``verify f-derivative --n 12 --order 200`` takes about 1.4 s, but
+#: ``--n 1..60`` about 40 s), and the most digits in a rational argument's numerator or
+#: denominator, which bounds every answer (``bern poly 1000`` at a 20-digit/20-digit point
+#: prints about 42,000 characters in 0.35 s)
 MAX_SERIES_ORDER = 200
 MAX_RATIONAL_DIGITS = 20
 #: the largest ``stirling`` N (the table keeps every row up to N: N = 500 takes 0.2 s and 40 MB);
 #: the largest integer ``verify`` parameter and the most cases in one ``verify`` grid
-#: (the slowest full range, ``verify miki-s-relation --N 1..60``, takes about 6 s)
+#: (``verify miki-s-relation --N 1..60`` takes about 1.2 s; the slowest grid at the default
+#: order, ``verify stirling-gf --n 45..60 --k 1..60``, about 11 s)
 MAX_STIRLING_N = 500
 MAX_VERIFY_INDEX = 60
 MAX_VERIFY_CASES = 1000

@@ -13,6 +13,7 @@ Bernoulli numbers/polynomials of any order derived from them.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -30,39 +31,58 @@ def _coerce(value) -> Fraction:
     raise TypeError(f"series coefficient must be rational, got {type(value).__name__}")
 
 
+def common_numerators(values: list[Fraction]) -> tuple[int, list[int]]:
+    """(d, [d * x for x in values]) for the least common denominator d."""
+    d = math.lcm(*(x.denominator for x in values))
+    return d, [x.numerator * (d // x.denominator) for x in values]
+
+
 class TruncatedSeries:
     """Laurent series with exact coefficients for exponents <= ``bound``.
 
     ``low`` is the exponent of the first stored coefficient and equals the
     valuation when the series is nonzero; a series that is known to vanish
     up to its bound stores no coefficients and has ``low == bound + 1``.
+    The coefficients are stored as integer numerators ``nums`` over one
+    positive denominator ``den``, with no factor common to all of them;
+    ``coeffs`` hands them out as Fractions.
     """
 
-    __slots__ = ("low", "coeffs", "bound")
+    __slots__ = ("low", "nums", "den", "bound", "_coeffs")
 
-    def __init__(self, low: int, coeffs: Sequence, bound: int):
-        coeffs = [_coerce(c) for c in coeffs]
+    def __init__(self, low: int, coeffs: Sequence, bound: int, den: int | None = None):
+        """The series of the rationals ``coeffs`` or, given ``den``, of the integers ``coeffs`` over ``den``."""
+        if den is None:
+            den, coeffs = common_numerators([_coerce(c) for c in coeffs])
         if coeffs and low + len(coeffs) - 1 != bound:
             raise ValueError("coefficient window does not match bound")
         start = 0
         while start < len(coeffs) and not coeffs[start]:
             start += 1
-        coeffs = coeffs[start:]
-        low += start
-        if not coeffs:
-            low = bound + 1
-        object.__setattr__(self, "low", low)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "bound", bound)
+        nums, low = tuple(coeffs[start:]), low + start
+        if not nums:
+            low, den = bound + 1, 1
+        g = math.gcd(den, *nums)  # one gcd per result keeps the numerators small
+        if g > 1:
+            nums, den = tuple(n // g for n in nums), den // g
+        for name, value in zip(self.__slots__, (low, nums, den, bound, None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The stored coefficients as Fractions, built on first use and kept."""
+        if self._coeffs is None:
+            object.__setattr__(self, "_coeffs", tuple(Fraction(n, self.den) for n in self.nums))
+        return self._coeffs
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(bound: int) -> "TruncatedSeries":
-        return TruncatedSeries(bound + 1, (), bound)
+        return TruncatedSeries(bound + 1, (), bound, 1)
 
     @staticmethod
     def one(bound: int) -> "TruncatedSeries":
@@ -72,9 +92,8 @@ class TruncatedSeries:
     def monomial(exponent: int, coeff, bound: int) -> "TruncatedSeries":
         if exponent > bound:
             raise ValueError("monomial exponent beyond requested bound")
-        window = [Fraction(0)] * (bound - exponent + 1)
-        window[0] = coeff
-        return TruncatedSeries(exponent, window, bound)
+        coeff = _coerce(coeff)
+        return TruncatedSeries(exponent, [coeff.numerator] + [0] * (bound - exponent), bound, coeff.denominator)
 
     @staticmethod
     def from_coeffs(coeffs: Sequence, bound: int, low: int = 0) -> "TruncatedSeries":
@@ -84,7 +103,7 @@ class TruncatedSeries:
     # -- basic queries -----------------------------------------------------
 
     def is_known_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def coeff(self, exponent: int):
         """Exact coefficient of T^exponent; raises past the guaranteed bound."""
@@ -102,7 +121,7 @@ class TruncatedSeries:
         if bound == self.bound:
             return self
         keep = max(0, bound - self.low + 1)
-        return TruncatedSeries(self.low, self.coeffs[:keep], bound)
+        return TruncatedSeries(self.low, self.nums[:keep], bound, self.den)
 
     def same_up_to(self, other: "TruncatedSeries", bound: int) -> bool:
         """Coefficient-wise equality for all exponents <= bound (must be guaranteed)."""
@@ -114,20 +133,15 @@ class TruncatedSeries:
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        bound = min(self.bound, other.bound)
-        low = min(self.low, other.low)
-        if low > bound:
-            return TruncatedSeries.zero(bound)
-        window = [self.coeff(i) + other.coeff(i) for i in range(low, bound + 1)]
-        return TruncatedSeries(low, window, bound)
+        return TruncatedSeries.combination([(self, 0, 1), (other, 0, 1)])
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.low, [-c for c in self.coeffs], self.bound)
+        return TruncatedSeries(self.low, [-n for n in self.nums], self.bound, self.den)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self + (-other)
+        return TruncatedSeries.combination([(self, 0, 1), (other, 0, -1)])
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product; bound = min(N_x + v_y, N_y + v_x)."""
@@ -137,46 +151,43 @@ class TruncatedSeries:
         low = self.low + other.low
         if low > bound:
             return TruncatedSeries.zero(bound)
-        window = [Fraction(0)] * (bound - low + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            ei = self.low + i
-            jmax = min(len(other.coeffs) - 1, bound - ei - other.low)
-            for j in range(jmax + 1):
-                b = other.coeffs[j]
-                if not b:
-                    continue
-                window[ei + other.low + j - low] += a * b
-        return TruncatedSeries(low, window, bound)
+        # both windows reach the result's bound; output k is the dot product of
+        # the first k + 1 numerators of one with the last k + 1 of the other, reversed
+        size = bound - low + 1
+        xs, ys = self.nums[:size], other.nums[size - 1 :: -1]
+        window = [sum(map(operator.mul, xs[: k + 1], ys[size - 1 - k :])) for k in range(size)]
+        return TruncatedSeries(low, window, bound, self.den * other.den)
 
     def scale(self, c) -> "TruncatedSeries":
         """Multiply by a rational scalar (exact, bound kept)."""
         c = _coerce(c)
         if not c:
             return TruncatedSeries.zero(self.bound)
-        return TruncatedSeries(self.low, [a * c for a in self.coeffs], self.bound)
+        return TruncatedSeries(self.low, [n * c.numerator for n in self.nums], self.bound, self.den * c.denominator)
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by T^k (exact; bound moves by k)."""
-        return TruncatedSeries(self.low + k, self.coeffs, self.bound + k)
+        return TruncatedSeries(self.low + k, self.nums, self.bound + k, self.den)
 
     @staticmethod
     def combination(parts: Sequence[tuple], bound: int | None = None) -> "TruncatedSeries":
         """The sum of c T^d x over the parts (x, d, c), c nonzero, summed in one coefficient window.
 
         It is exact to the least of ``bound`` and every x.bound + d, as a running sum of the
-        terms would be.
+        terms would be.  The terms are summed as integers over the lcm of their denominators.
         """
         bound = min([x.bound + d for x, d, _ in parts] + ([] if bound is None else [bound]))
         low = min([x.low + d for x, d, _ in parts], default=bound + 1)
         if low > bound:
             return TruncatedSeries.zero(bound)
-        window = [Fraction(0)] * (bound - low + 1)
-        for x, d, c in parts:
-            for i, v in enumerate(x.coeffs[: max(0, bound - x.low - d + 1)], x.low + d - low):
-                window[i] += c * v
-        return TruncatedSeries(low, window, bound)
+        dens = [x.den * c.denominator for x, _, c in parts]
+        den = math.lcm(*dens)
+        window = [0] * (bound - low + 1)
+        for (x, d, c), xd in zip(parts, dens):
+            m, start = c.numerator * (den // xd), x.low + d - low
+            part = x.nums[: max(0, bound - x.low - d + 1)]
+            window[start : start + len(part)] = [w + m * v for w, v in zip(window[start:], part)]
+        return TruncatedSeries(low, window, bound, den)
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires an invertible coefficient at the valuation."""
@@ -200,27 +211,25 @@ class TruncatedSeries:
         return TruncatedSeries(-v, out, bound)
 
     def scale_arg(self, b) -> "TruncatedSeries":
-        """Substitute T -> b*T: the coefficient of T^i picks up a factor b^i."""
+        """Substitute T -> b*T: with b = p/q, n_i / d picks up b^low p^(i-low) q^(bound-i) / q^(bound-low)."""
         b = _coerce(b)
         if not b:
             raise ValueError("argument scale must be nonzero")
-        power = b**self.low
-        out = []
-        for c in self.coeffs:
-            out.append(c * power)
-            power = power * b
-        return TruncatedSeries(self.low, out, self.bound)
+        if not self.nums:
+            return self
+        p, q, first, top = b.numerator, b.denominator, b**self.low, self.bound - self.low
+        out, power = [], first.numerator * q**top
+        for n in self.nums:
+            out.append(n * power)
+            power = power * p // q  # exact until past the last term
+        return TruncatedSeries(self.low, out, self.bound, self.den * first.denominator * q**top)
 
     def derivative(self) -> "TruncatedSeries":
         """Termwise d/dT; the guaranteed bound drops by one."""
-        out = []
-        for i, c in enumerate(self.coeffs):
-            e = self.low + i
-            out.append(c * e)
-        if self.coeffs:
-            ser = TruncatedSeries(self.low - 1, out, self.low + len(out) - 2)
-            return ser.truncate(self.bound - 1)
-        return TruncatedSeries.zero(self.bound - 1)
+        if not self.nums:
+            return TruncatedSeries.zero(self.bound - 1)
+        out = [n * e for e, n in enumerate(self.nums, self.low)]
+        return TruncatedSeries(self.low - 1, out, self.bound - 1, self.den)
 
     def __repr__(self) -> str:
         bits = []
@@ -235,14 +244,15 @@ class TruncatedSeries:
 
 
 def exp_series(a: Fraction | int, bound: int) -> TruncatedSeries:
-    """e^{aT} = sum a^i T^i / i!, exact to the bound."""
+    """e^{aT} = sum a^i T^i / i!, exact to the bound, as p^i q^(bound-i) bound!/i! over q^bound bound!."""
     a = Fraction(a)
-    coeffs = []
-    power = Fraction(1)
+    p, q = a.numerator, a.denominator
+    out, t = [], q**bound * math.factorial(bound)
+    den = t
     for i in range(bound + 1):
-        coeffs.append(power / factorial(i))
-        power *= a
-    return TruncatedSeries(0, coeffs, bound)
+        out.append(t)
+        t = t * p // (q * (i + 1))  # exact while i < bound
+    return TruncatedSeries(0, out, bound, den)
 
 
 def exp_minus_one_over_t(bound: int) -> TruncatedSeries:
@@ -256,10 +266,26 @@ def grown_size(current: int, wanted: int) -> int:
 
 
 class _Row(list):
-    """A table row B^(n)_0, B^(n)_1, ...; ``get`` lets a test patch an entry as in a mapping."""
+    """A table row B^(n)_0, B^(n)_1, ... that keeps its entries over one common denominator.
+
+    ``get`` lets a test patch an entry as in a mapping; a patch drops the kept
+    numerators, and they are rebuilt on the next read.
+    """
+
+    common: tuple[int, list[int]] | None = None
 
     def get(self, i, default=None):
         return self[i] if 0 <= i < len(self) else default
+
+    def __setitem__(self, i, value):
+        super().__setitem__(i, value)
+        self.common = None
+
+    def numerators(self) -> tuple[int, list[int]]:
+        """:func:`common_numerators` of the row, rebuilt only after it grew or was patched."""
+        if self.common is None or len(self.common[1]) != len(self):
+            self.common = common_numerators(self)
+        return self.common
 
 
 #: the rows of every order read so far; row 1, the Bernoulli numbers B_i, is
@@ -284,12 +310,6 @@ def _bernoulli_numbers(size: int) -> list[Fraction]:
     return out[:size]
 
 
-def common_numerators(values: list[Fraction]) -> tuple[int, list[int]]:
-    """(d, [d * x for x in values]) for the least common denominator d."""
-    d = math.lcm(*(x.denominator for x in values))
-    return d, [x.numerator * (d // x.denominator) for x in values]
-
-
 def _fill(n: int, size: int) -> None:
     """Extend the short row n to ``size`` entries; rows 1 and n - 1 already reach ``size``."""
     row = _ROWS[n]
@@ -299,10 +319,12 @@ def _fill(n: int, size: int) -> None:
         return
     # B^(n)_i = sum_j C(i,j) B^(n-1)_{i-j} B_j, where only B_0, B_1 and the even B_j
     # are nonzero, summed over integer numerators on common denominators
-    (d, prev), (e, b) = common_numerators(_ROWS[n - 1][:size]), common_numerators(_ROWS[1][:size])
+    (d, prev), (e, b) = _ROWS[n - 1].numerators(), _ROWS[1].numerators()
     for i in range(len(row), size):
-        acc = prev[i] * b[0] + (i * prev[i - 1] * b[1] if i else 0)
-        acc += sum(math.comb(i, j) * prev[i - j] * b[j] for j in range(2, i + 1, 2))
+        acc, c = prev[i] * b[0] + (i * prev[i - 1] * b[1] if i else 0), 1
+        for j in range(2, i + 1, 2):
+            c = c * (i - j + 2) * (i - j + 1) // ((j - 1) * j)  # C(i, j) from C(i, j - 2)
+            acc += c * prev[i - j] * b[j]
         row.append(Fraction(acc, d * e))
 
 
@@ -324,8 +346,13 @@ def _row(n: int, wanted: int) -> _Row:
 
 
 def _series_of_row(n: int, bound: int) -> TruncatedSeries:
-    row = _row(n, bound + 1)
-    return TruncatedSeries(0, [row[i] / math.factorial(i) for i in range(bound + 1)], bound)
+    """sum_k B^(n)_k T^k / k! as N_k bound!/k! over d bound!, N_k / d the row's entries."""
+    d, nums = _row(n, bound + 1).numerators()
+    out, f = [], 1
+    for k in range(bound, -1, -1):
+        out.append(nums[k] * f)
+        f *= k or 1
+    return TruncatedSeries(0, out[::-1], bound, d * f)
 
 
 def bernoulli_series(bound: int) -> TruncatedSeries:
@@ -353,11 +380,18 @@ def bernoulli_number_order(n: int, i: int) -> Fraction:
 
 
 def bernoulli_poly_value(n: int, i: int, x: Fraction | int) -> Fraction:
-    """B^(n)_i(x) = i! * [T^i] (B^n e^{xT}), via the binomial convolution."""
-    x, row, acc = Fraction(x), _row(n, i + 1), Fraction(0)
+    """B^(n)_i(x) = i! * [T^i] (B^n e^{xT}), via the binomial convolution.
+
+    With x = p/q and the row's entries N_k / d, it is sum_k C(i,k) N_k p^(i-k) q^k / (d q^i),
+    summed by Horner's rule in p over integers.
+    """
+    x = Fraction(x)
+    (d, nums), p, q = _row(n, i + 1).numerators(), x.numerator, x.denominator
+    acc, c, qk = 0, 1, 1  # c = C(i, k), qk = q^k
     for k in range(i + 1):
-        acc = acc * x + math.comb(i, k) * row[k]  # Horner's rule for sum_k C(i,k) B^(n)_k x^(i-k)
-    return acc
+        acc = acc * p + c * nums[k] * qk
+        c, qk = c * (i - k) // (k + 1), qk * q
+    return Fraction(acc, d * q**i)
 
 
 def bernoulli_polynomial(i: int) -> Poly:

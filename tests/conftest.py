@@ -12,7 +12,13 @@ from bernring.polys import Poly, cyclotomic_sum, gcd_ext
 from bernring.partfrac import g_pair, h_f
 from bernring.reduction import DCombination, ReductionError, _measure, lowering_op
 from bernring.selftest import run_all
-from bernring.series import TruncatedSeries, bernoulli_number, bernoulli_poly_value, exp_minus_one_over_t
+from bernring.series import (
+    TruncatedSeries,
+    bernoulli_number,
+    bernoulli_number_order,
+    bernoulli_poly_value,
+    exp_minus_one_over_t,
+)
 from bernring.weyl import WeylOp, derivative_of_atom
 
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -83,7 +89,47 @@ def norlund_by_products(n: int, bound: int) -> TruncatedSeries:
     """B^n (n >= 1) by n - 1 Cauchy products of the inverted series."""
     if n == 1:
         return bernoulli_by_inversion(bound)
-    return norlund_by_products(n - 1, bound) * bernoulli_by_inversion(bound)
+    return fraction_cauchy(norlund_by_products(n - 1, bound), bernoulli_by_inversion(bound))
+
+
+# -- the Fraction routes of the series kernels, kept as oracles ---------------
+
+
+def fraction_cauchy(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
+    """x * y as a schoolbook Cauchy product, one Fraction multiply-add per pair of terms."""
+    bound = min(x.bound + y.low, y.bound + x.low)
+    low = x.low + y.low
+    if low > bound:
+        return TruncatedSeries.zero(bound)
+    window = [Fraction(0)] * (bound - low + 1)
+    for i, a in enumerate(x.coeffs):
+        if not a:
+            continue
+        ei = x.low + i
+        for j in range(min(len(y.coeffs) - 1, bound - ei - y.low) + 1):
+            window[ei + y.low + j - low] += a * y.coeffs[j]
+    return TruncatedSeries(low, window, bound)
+
+
+def fraction_combination(parts, bound: int | None = None) -> TruncatedSeries:
+    """The sum of c T^d x over the parts (x, d, c), summed term by term in Fractions."""
+    bound = min([x.bound + d for x, d, _ in parts] + ([] if bound is None else [bound]))
+    low = min([x.low + d for x, d, _ in parts], default=bound + 1)
+    if low > bound:
+        return TruncatedSeries.zero(bound)
+    window = [Fraction(0)] * (bound - low + 1)
+    for x, d, c in parts:
+        for i, v in enumerate(x.coeffs[: max(0, bound - x.low - d + 1)], x.low + d - low):
+            window[i] += c * v
+    return TruncatedSeries(low, window, bound)
+
+
+def fraction_poly_value(n: int, i: int, x: Fraction) -> Fraction:
+    """B^(n)_i(x) by Horner's rule in Fractions, with one math.comb per term."""
+    acc = Fraction(0)
+    for k in range(i + 1):
+        acc = acc * x + math.comb(i, k) * bernoulli_number_order(n, k)
+    return acc
 
 
 # -- the slow routes of the reduce path, kept as oracles ----------------------

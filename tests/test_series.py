@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernring import series
+from bernring.elements import atom
 from bernring.polys import Poly, factorial
 from bernring.series import (
     InsufficientBoundError,
@@ -16,17 +17,22 @@ from bernring.series import (
     bernoulli_polynomial,
     bernoulli_power_series,
     bernoulli_series,
+    common_numerators,
     exp_minus_one_over_t,
     exp_series,
     grown_size,
 )
 from conftest import (
     bernoulli_by_inversion,
+    fraction_cauchy,
+    fraction_combination,
+    fraction_poly_value,
     norlund_by_products,
     poly_cauchy,
     random_rational,
     small_rationals,
     staudt_clausen_denominator,
+    window,
 )
 
 
@@ -276,13 +282,118 @@ class TestBernoulliTable:
 
     def test_tampered_number_reaches_every_route(self, monkeypatch):
         monkeypatch.setattr(series, "_ROWS", {1: series._Row()})
-        bernoulli_number(4)
+        bernoulli_series(8)  # the row's integer numerators are kept from here on
         monkeypatch.setitem(series._ROWS[1], 4, Fraction(999))
         assert bernoulli_series(8).coeff(4) == Fraction(999, 24)
+        assert atom(0, 1, 1).expand(8).coeff(4) == Fraction(999, 24)
         assert bernoulli_poly_value(1, 4, 0) == 999
+        assert bernoulli_poly_value(1, 4, Fraction(1, 3)) == fraction_poly_value(1, 4, Fraction(1, 3))
         assert bernoulli_number_order(2, 4) != norlund_by_products(2, 8).coeff(4) * factorial(4)
 
     def test_growth_rule(self):
         assert grown_size(0, 5) == 32
         assert grown_size(40, 41) == 80
         assert grown_size(40, 200) == 200
+
+
+# rationals with denominators up to 9, zero drawn often so that windows have interior zeros
+nonzero_coefficients = st.builds(Fraction, st.integers(-81, 81).filter(bool), st.integers(1, 9))
+coefficients = st.one_of(st.just(Fraction(0)), nonzero_coefficients)
+# points and scales with numerator and denominator of up to 20 digits
+huge_rationals = st.builds(Fraction, st.integers(-(10**20) + 1, 10**20 - 1), st.integers(1, 10**20 - 1))
+
+
+@st.composite
+def series_values(draw, max_len=14):
+    """A series with low in -4..4, possibly known to be zero (low == bound + 1)."""
+    low = draw(st.integers(-4, 4))
+    coeffs = draw(st.lists(coefficients, max_size=max_len))
+    bound = low + len(coeffs) - 1 if coeffs else draw(st.integers(-5, 10))
+    return TruncatedSeries(low, coeffs, bound)
+
+
+def fraction_window(low: int, values, bound: int) -> tuple:
+    """The window a series built from Fraction values has."""
+    return window(TruncatedSeries(low, list(values), bound))
+
+
+def assert_canonical(ser: TruncatedSeries) -> None:
+    """The integers stored are the Fractions handed out, over their least common denominator."""
+    assert (ser.den, list(ser.nums)) == common_numerators(list(ser.coeffs))
+    assert ser.coeffs is ser.coeffs
+
+
+class TestIntegerKernels:
+    """The integer series kernels against the Fraction routes they replaced."""
+
+    @given(series_values(), series_values())
+    @settings(max_examples=300, deadline=None)
+    def test_mul_matches_fraction_cauchy(self, x, y):
+        got = x * y
+        assert window(got) == window(fraction_cauchy(x, y))
+        assert_canonical(got)
+
+    @given(st.lists(st.tuples(series_values(), st.integers(-3, 3), nonzero_coefficients), min_size=1, max_size=4),
+           st.none() | st.integers(-6, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_combination_matches_fraction_sum(self, parts, bound):
+        got = TruncatedSeries.combination(parts, bound)
+        assert window(got) == window(fraction_combination(parts, bound))
+        assert_canonical(got)
+
+    @given(series_values(), series_values(), coefficients, st.integers(-3, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_linear_ops_match_fractions(self, x, y, c, k):
+        assert window(x + y) == window(fraction_combination([(x, 0, 1), (y, 0, 1)]))
+        assert window(x - y) == window(fraction_combination([(x, 0, 1), (y, 0, -1)]))
+        assert window(-x) == fraction_window(x.low, [-v for v in x.coeffs], x.bound)
+        assert window(x.scale(c)) == fraction_window(x.low, [c * v for v in x.coeffs], x.bound)
+        assert window(x.shift(k)) == (x.low + k, x.bound + k, x.coeffs)
+        deriv = [e * v for e, v in enumerate(x.coeffs, x.low)]
+        assert window(x.derivative()) == fraction_window(x.low - 1, deriv, x.bound - 1)
+        assert_canonical(x.derivative())
+
+    @given(series_values(), st.one_of(nonzero_coefficients, huge_rationals.filter(bool)))
+    @settings(max_examples=200, deadline=None)
+    def test_scale_arg_matches_fractions(self, x, b):
+        got = x.scale_arg(b)
+        assert window(got) == fraction_window(x.low, [v * b**e for e, v in enumerate(x.coeffs, x.low)], x.bound)
+        assert_canonical(got)
+
+    @given(st.integers(0, 6), st.integers(0, 40), st.one_of(coefficients, huge_rationals))
+    @settings(max_examples=200, deadline=None)
+    def test_poly_value_matches_fraction_horner(self, n, i, x):
+        assert bernoulli_poly_value(n, i, x) == fraction_poly_value(n, i, x)
+
+    @pytest.mark.parametrize("bound", [0, 1, 64, 256])
+    def test_fixed_grid(self, bound):
+        points = [Fraction(p, q) for q in range(1, 10) for p in (-7, 1, 5)]
+        points.append(Fraction(12345678901234567890, 98765432109876543211))
+        b = bernoulli_series(bound)
+        # the Fraction Cauchy product at bound 256 takes one to three seconds a point
+        cauchy_points = points if bound <= 64 else [points[0], points[-2]]
+        for a in points:
+            e = exp_series(a, bound)
+            assert window(e) == fraction_window(0, [a**i / factorial(i) for i in range(bound + 1)], bound)
+            if a in cauchy_points:
+                assert window(b * e) == window(fraction_cauchy(b, e))
+            assert window(b.scale_arg(a)) == fraction_window(0, [v * a**i for i, v in enumerate(b.coeffs)], bound)
+            parts = [(b, 0, a), (e, 1, Fraction(-1, 9)), (b.shift(-2), 2, Fraction(3))]
+            assert window(TruncatedSeries.combination(parts)) == window(fraction_combination(parts))
+        for n in (0, 1, 2, 5):
+            row = [bernoulli_number_order(n, i) / factorial(i) for i in range(bound + 1)]
+            assert window(bernoulli_power_series(n, bound)) == fraction_window(0, row, bound)
+            for a in points[::4]:
+                assert bernoulli_poly_value(n, bound, a) == fraction_poly_value(n, bound, a)
+
+    def test_known_zero_and_negative_low(self):
+        zero = TruncatedSeries(-3, [0, 0, 0], -1)
+        assert window(zero) == (0, -1, ()) and (zero.nums, zero.den) == ((), 1)
+        x = TruncatedSeries(-2, [Fraction(1, 6), 0, Fraction(-3, 4), 0, 5], 2)
+        assert (x.nums, x.den) == ((2, 0, -9, 0, 60), 12)
+        for y in (zero, x, TruncatedSeries.zero(4), TruncatedSeries.monomial(-1, Fraction(2, 9), 3)):
+            assert window(x * y) == window(fraction_cauchy(x, y))
+            assert window(y * x) == window(fraction_cauchy(y, x))
+            assert window(x + y) == window(fraction_combination([(x, 0, 1), (y, 0, 1)]))
+        assert window(zero.scale_arg(Fraction(7, 9))) == window(zero)
+        assert window(zero.derivative()) == (-1, -2, ())
