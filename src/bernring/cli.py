@@ -13,10 +13,12 @@ Subcommands::
     selftest [--json]         the full acceptance suite
 
 INDEX arguments accept either a single integer or an inclusive range ``A..B``,
-up to the command's cap in ``INDEX_CAPS``.  ``stirling`` takes N up to
-``MAX_STIRLING_N``; a ``verify`` grid takes integers up to ``MAX_VERIFY_INDEX``
-and at most ``MAX_VERIFY_CASES`` cases; ``reduce`` takes exponents up to
-``exprparse.MAX_EXPONENT``.
+up to the command's cap in ``INDEX_CAPS``; ``bern poly --at`` also caps the
+count of the range times the digits of the point (``MAX_POLY_RANGE_WORK``).
+``stirling`` takes N up to ``MAX_STIRLING_N``; a ``verify`` grid takes integers
+up to ``MAX_VERIFY_INDEX`` and at most ``MAX_VERIFY_CASES`` cases, and
+``f-derivative`` caps its n jointly with ``--order`` (``MAX_F_DERIVATIVE_WORK``);
+``reduce`` takes exponents up to ``exprparse.MAX_EXPONENT``.
 Rational arguments are ``p/q`` strings; list-valued flags take comma-separated
 values.  Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
 All rationals are emitted as exact ``p/q`` strings, never floats.
@@ -34,7 +36,7 @@ from typing import Sequence
 
 from .elements import Atom, BElement
 from .exprparse import ExprError, parse_element
-from .identities import IDENTITY_REGISTRY, IdentityReport
+from .identities import F_DERIVATIVE_ORDER, IDENTITY_REGISTRY, IdentityReport
 from .partfrac import g_pair, h_f
 from .polys import LATEX, TEXT, Style, format_poly
 from .reduction import DCombination, reduce_to_first_order, stirling
@@ -121,16 +123,24 @@ def _combination_json(dc: DCombination) -> list[dict]:
 #: ``num-order``; B_2000 takes about 0.9 s and B^(20)_300 about 0.8 s on one core
 INDEX_CAPS = {"num": 2000, "num-order": 300, "poly": 1000}
 MAX_ORDER = 20
-#: the largest ``--order`` (``verify f-derivative --n 12 --order 200`` takes about 1.4 s, but
-#: ``--n 1..60`` about 40 s), and the most digits in a rational argument's numerator or
-#: denominator, which bounds every answer (``bern poly 1000`` at a 20-digit/20-digit point
-#: prints about 42,000 characters in 0.35 s)
+#: the largest ``--order`` (``verify f-derivative`` caps it jointly with n below), and the most
+#: digits in a rational argument's numerator or denominator, which bounds every answer
+#: (``bern poly 1000`` at a 20-digit/20-digit point prints about 42,000 characters in 0.35 s)
 MAX_SERIES_ORDER = 200
 MAX_RATIONAL_DIGITS = 20
+#: ``verify f-derivative`` at n reads n + 1 Nörlund rows to about ``--order`` + n entries, so
+#: n (order + n)^2 past this cap is refused: ``--n 0..60`` at the default order 30 (486,000) takes
+#: about 1.6 s and ``--order 200 --n 12`` (539,000) about 1.8 s, but ``--order 200 --n 1..60`` 40 s
+MAX_F_DERIVATIVE_WORK = 600_000
+#: the count of a ``bern poly`` range times the digits of ``--at``: ``0..1000 --at 1/3`` (1,001)
+#: prints 1.3 MB in about 3 s and a 3-digit point (3,003) 3.4 MB in about 7 s; ``0..1000`` at a
+#: 20-digit point would print 20.8 MB in about 50 s
+MAX_POLY_RANGE_WORK = 4000
 #: the largest ``stirling`` N (the table keeps every row up to N: N = 500 takes 0.2 s and 40 MB);
 #: the largest integer ``verify`` parameter and the most cases in one ``verify`` grid
-#: (``verify miki-s-relation --N 1..60`` takes about 1.2 s; the slowest grid at the default
-#: order, ``verify stirling-gf --n 45..60 --k 1..60``, about 11 s)
+#: (``verify miki-s-relation --N 1..60`` takes about 1.4 s and ``verify stirling-gf --n 45..60
+#: --k 1..60`` about 1.0 s; the slowest grid found, ``verify euler-polynomial --n 1..60`` at four
+#: values of a and of b with a 20-digit one among each, about 2 s)
 MAX_STIRLING_N = 500
 MAX_VERIFY_INDEX = 60
 MAX_VERIFY_CASES = 1000
@@ -152,6 +162,12 @@ def _cmd_bern(args, out: list[str]) -> int:
         values = [bernoulli_number_order(order, i) for i in indices]
     elif args.at is not None:
         point = _parse_rational(args.at)
+        work = len(indices) * len(str(max(abs(point.numerator), point.denominator)))
+        if work > MAX_POLY_RANGE_WORK:
+            raise UsageError(
+                f"{len(indices)} values at the point {point} ({work} values x digits) are past the cap of "
+                f"{MAX_POLY_RANGE_WORK} for bern poly --at"
+            )
         values = [bernoulli_poly_value(1, i, point) for i in indices]
     else:
         polys = [bernoulli_polynomial(i) for i in indices][::-1]
@@ -235,6 +251,14 @@ def _cmd_verify(args, out: list[str]) -> int:
     size = math.prod(len(grid) for grid in grids)
     if size > MAX_VERIFY_CASES:
         raise UsageError(f"a grid of {size} cases is past the cap of {MAX_VERIFY_CASES} for verify")
+    if name == "f-derivative":
+        order = F_DERIVATIVE_ORDER if args.order is None else args.order
+        n = max(abs(v) for v in grids[0])
+        if n * (order + n) ** 2 > MAX_F_DERIVATIVE_WORK:
+            raise UsageError(
+                f"n = {n} at order {order} (n (order + n)^2 = {n * (order + n) ** 2}) is past the cap of "
+                f"{MAX_F_DERIVATIVE_WORK} for verify f-derivative"
+            )
     cases = list(itertools.product(*grids))
 
     def _as_int(pname: str, v: Fraction) -> int:

@@ -16,10 +16,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
+from math import factorial
 from typing import Iterator, Mapping
 
 from .polys import TEXT, Style, binomial, join_signed, scaled
-from .series import TruncatedSeries, bernoulli_power_series, exp_series, grown_size
+from .series import (
+    TruncatedSeries,
+    bernoulli_power_series,
+    exp_series,
+    fraction_sum,
+    grown_size,
+    poly_value_numerator,
+)
 
 
 _set = object.__setattr__
@@ -161,6 +169,27 @@ class BElement:
         """The Laurent series of this element, exact to the given bound."""
         return TruncatedSeries.combination([(_atom_series(at, bound), 0, c) for at, c in self.terms.items()], bound)
 
+    def coeff(self, i: int) -> Fraction:
+        """The exact T^i coefficient, read in closed form with no series built.
+
+        From T^n e^{xT}/(e^T - 1)^n = sum_j B^(n)_j(x) T^j/j!, the atom c T^m B(bT)^n e^{aT}
+        contributes c b^j B^(n)_j(a/b)/j! with j = i - m, and c a^j/j! when n = 0.  With
+        a/b = p/q for p = a.num b.den and q = a.den b.num, the term is c H / (d (a.den b.den)^j j!),
+        H / (d q^j) the Horner value of :func:`poly_value_numerator`.
+        """
+        parts = []
+        for at, c in self.terms.items():
+            j = i - at.m
+            if j < 0:
+                continue
+            a, b = at.a, at.b
+            if at.n:
+                h, d = poly_value_numerator(at.n, j, a.numerator * b.denominator, a.denominator * b.numerator)
+            else:
+                h, d = a.numerator**j, 1
+            parts.append((c.numerator * h, c.denominator * d * (a.denominator * b.denominator) ** j * factorial(j)))
+        return fraction_sum(parts)
+
     def to_exp_poly(self) -> tuple["BElement", str]:
         """Clear all B-factors: x*D as an element of atoms T^m e^{aT}, and a description of D.
 
@@ -278,7 +307,11 @@ def _cached_series(c: Fraction, n: int, bound: int) -> TruncatedSeries:
 
 def _atom_series(at: Atom, bound: int) -> TruncatedSeries:
     work = bound - at.m
-    ser = _cached_series(at.b, at.n, work) if at.n >= 1 else TruncatedSeries.one(work)
+    if work < 0:  # T^m times a power series has no term up to the bound
+        return TruncatedSeries.zero(bound)
+    if at.n == 0:
+        return _cached_series(at.a, 0, work).shift(at.m)
+    ser = _cached_series(at.b, at.n, work)
     if at.a != 0:
         ser = ser * _cached_series(at.a, 0, work)
     return ser.shift(at.m)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +34,7 @@ from .reduction import (
     stirling,
 )
 from .series import (
+    InsufficientBoundError,
     TruncatedSeries,
     bernoulli_number,
     bernoulli_number_order,
@@ -40,7 +42,10 @@ from .series import (
     bernoulli_series,
     default_bound,
     exp_series,
+    fraction_sum,
     harmonic,
+    norlund_numerators,
+    poly_value_numerator,
 )
 from .weyl import WeylOp, derivative_of_element
 
@@ -210,16 +215,19 @@ def _product_sides(factors: tuple[BElement, ...], n: int) -> tuple[Fraction, Fra
     """n! [T^n] of a product of elements, two ways: the parametric product identity at n.
 
     The left side convolves the factors' expansions, each distinct factor
-    expanded once and only the T^n coefficient of the last convolution formed.
-    The right side reads the coefficient off the product's first-order
-    combination, each distinct Bernoulli value evaluated once.
+    expanded once; the T^n coefficient of the last convolution is one dot
+    product of the two windows' integer numerators.  The right side reads the
+    coefficient off the product's first-order combination, each distinct
+    Bernoulli value evaluated once.
     """
     expansions = {f: f.expand(n) for f in set(factors)}
     *head, last = (expansions[f] for f in factors)
     partial = functools.reduce(operator.mul, head)
-    lhs = factorial(n) * sum(
-        (partial.coeff(i) * last.coeff(n - i) for i in range(partial.low, n - last.low + 1)), Fraction(0)
-    )
+    if n > min(partial.bound + last.low, last.bound + partial.low):
+        raise InsufficientBoundError(f"the product of the factors' expansions is not exact to T^{n}")
+    size = max(n - partial.low - last.low + 1, 0)  # terms partial_i * last_(n-i) with both stored
+    dot = sum(map(operator.mul, partial.nums[:size], last.nums[size - 1 :: -1])) if size else 0
+    lhs = Fraction(math.factorial(n) * dot, partial.den * last.den)
     weights: dict[BernSymbol, Fraction] = {}
     for coeff, (sym,) in _rhs_terms_for_combination(_product_combination(factors), n):
         weights[sym] = weights.get(sym, 0) + coeff
@@ -283,18 +291,16 @@ def verify_euler(m: int) -> IdentityReport:
     """sum_{i=1}^{m-1} C(2m,2i) B_2i B_{2m-2i} = -(2m+1) B_2m for m >= 2."""
     if m < 2:
         raise ValueError("Euler identity requires m >= 2")
-    lhs = sum(
-        (binomial(2 * m, 2 * i) * bernoulli_number(2 * i) * bernoulli_number(2 * m - 2 * i)
-         for i in range(1, m)),
-        Fraction(0),
-    )
+    d, b = norlund_numerators(1, 2 * m + 1)
+    lhs = fraction_sum((math.comb(2 * m, 2 * i) * b[2 * i] * b[2 * m - 2 * i], d * d) for i in range(1, m))
     rhs = -(2 * m + 1) * bernoulli_number(2 * m)
     return _report("euler", [("m", m)], lhs, rhs)
 
 
 def verify_recurrence(n: int) -> IdentityReport:
     """sum C(n,i) B_i = (-1)^n B_n; equal to B_n itself once n >= 2."""
-    total = sum((binomial(n, i) * bernoulli_number(i) for i in range(n + 1)), Fraction(0))
+    d, b = norlund_numerators(1, n + 1)
+    total = Fraction(sum(math.comb(n, i) * b[i] for i in range(n + 1)), d)
     # from n = 2 on the sum must be B_n as well; where it is not, the report holds B_n
     plain = n >= 2 and total != bernoulli_number(n)
     rhs = bernoulli_number(n) if plain else Fraction((-1) ** n) * bernoulli_number(n)
@@ -306,10 +312,12 @@ def verify_multiplication(m: int, n: int, a) -> IdentityReport:
     if n < 1:
         raise ValueError("multiplication theorem requires n >= 1")
     a = Fraction(a)
-    lhs = sum(
-        (bernoulli_poly_value(1, m, a + Fraction(i, n)) for i in range(n)), Fraction(0)
-    )
-    rhs = Fraction(n) ** (1 - m) * bernoulli_poly_value(1, m, n * a)
+    # with a = p/q, the points a + i/n = (p n + i q)/(q n) and n^(1-m) B_m(p n/q) = n H / (d q^m n^m)
+    # are all over d (q n)^m, so both sides sum Horner numerators
+    p, q = a.numerator, a.denominator
+    den = norlund_numerators(1, m + 1)[0] * (q * n) ** m
+    lhs = Fraction(sum(poly_value_numerator(1, m, p * n + i * q, q * n)[0] for i in range(n)), den)
+    rhs = Fraction(n * poly_value_numerator(1, m, p * n, q)[0], den)
     return _report("multiplication", [("m", m), ("n", n), ("a", a)], lhs, rhs)
 
 
@@ -319,9 +327,10 @@ def verify_lowering(n: int, i: int, a) -> IdentityReport:
         raise ValueError("order lowering requires n >= 1 and i >= 1")
     a = Fraction(a)
     lhs = bernoulli_poly_value(n + 1, i, a)
-    rhs = (1 - Fraction(i, n)) * bernoulli_poly_value(n, i, a) + (a - n) * Fraction(
-        i, n
-    ) * bernoulli_poly_value(n, i - 1, a)
+    # with a = p/q both terms are over n d q^i: ((n - i) H_i + i (p - n q) H_(i-1)) / (n d q^i)
+    p, q = a.numerator, a.denominator
+    (h, d), (h_low, _) = poly_value_numerator(n, i, p, q), poly_value_numerator(n, i - 1, p, q)
+    rhs = Fraction((n - i) * h + i * (p - n * q) * h_low, n * d * q**i)
     return _report("lowering", [("n", n), ("i", i), ("a", a)], lhs, rhs)
 
 
@@ -347,10 +356,12 @@ def verify_rademacher(n: int) -> IdentityReport:
     """
     if n < 3:
         raise ValueError("identity stated for n >= 4 (n = 3 degenerates to 0 = 0)")
-    lhs = Fraction(0)
-    for i in range(2, n - 1):
-        w = factorial(2 * n - 2) / (factorial(2 * i - 2) * factorial(2 * n - 2 * i - 2))
-        lhs += w * bernoulli_number(2 * i) / (2 * i) * bernoulli_number(2 * n - 2 * i) / (2 * n - 2 * i)
+    d, b = norlund_numerators(1, 2 * n + 1)
+    f = math.factorial
+    lhs = fraction_sum(
+        (f(2 * n - 2) // (f(2 * i - 2) * f(2 * n - 2 * i - 2)) * b[2 * i] * b[2 * n - 2 * i], d * d * 4 * i * (n - i))
+        for i in range(2, n - 1)
+    )
     rhs = -Fraction((2 * n + 1) * (n - 3), 6 * n) * bernoulli_number(2 * n)
     return _report("rademacher", [("n", n)], lhs, rhs, degenerate=(n == 3))
 
@@ -381,10 +392,11 @@ def verify_miki(n: int) -> IdentityReport:
     """Miki's identity for n >= 4 (odd n degenerates to 0 = 0)."""
     if n < 4:
         raise ValueError("Miki's identity requires n >= 4")
-    terms = [bernoulli_number(i) / i * bernoulli_number(n - i) / (n - i) for i in range(2, n - 1)]
-    lhs = sum(terms, Fraction(0))
-    rhs = Fraction(2, n) * harmonic(n) * bernoulli_number(n) + sum(
-        (binomial(n, k) * t for k, t in enumerate(terms, 2)), Fraction(0)
+    d, b = norlund_numerators(1, n + 1)
+    terms = [(b[i] * b[n - i], d * d * i * (n - i)) for i in range(2, n - 1)]
+    lhs = fraction_sum(terms)
+    rhs = Fraction(2, n) * harmonic(n) * bernoulli_number(n) + fraction_sum(
+        (math.comb(n, i) * t, den) for i, (t, den) in enumerate(terms, 2)
     )
     return _report("miki", [("n", n)], lhs, rhs, degenerate=(n % 2 == 1))
 
@@ -511,11 +523,15 @@ def verify_stirling_gf(n: int, k: int) -> IdentityReport:
         raise ValueError("k must be at least 1")
     lhs = Fraction(stirling(n, k)) / factorial(n)
     gf = negative_power_expand(k).mul_monomial(k).scale(1 / factorial(k))
-    rhs = gf.expand(n).coeff(n)
+    rhs = gf.coeff(n)
     return _report("stirling-gf", [("n", n), ("k", k)], lhs, rhs)
 
 
-def verify_f_derivative(n: int, order: int = 30) -> IdentityReport:
+#: the series order to which ``verify_f_derivative`` compares by default
+F_DERIVATIVE_ORDER = 30
+
+
+def verify_f_derivative(n: int, order: int = F_DERIVATIVE_ORDER) -> IdentityReport:
     """d^n B/dT^n = T^-n f_n(T, B), compared as series to the given order."""
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")

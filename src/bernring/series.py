@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .polys import Poly, factorial
 
@@ -35,6 +35,13 @@ def common_numerators(values: list[Fraction]) -> tuple[int, list[int]]:
     """(d, [d * x for x in values]) for the least common denominator d."""
     d = math.lcm(*(x.denominator for x in values))
     return d, [x.numerator * (d // x.denominator) for x in values]
+
+
+def fraction_sum(parts: Iterable[tuple[int, int]]) -> Fraction:
+    """The sum of the n / d over the integer pairs (n, d), d > 0, summed over the lcm of the d: one Fraction."""
+    parts = list(parts)
+    den = math.lcm(*(d for _, d in parts))
+    return Fraction(sum(n * (den // d) for n, d in parts), den)
 
 
 class TruncatedSeries:
@@ -379,19 +386,30 @@ def bernoulli_number_order(n: int, i: int) -> Fraction:
     return _row(n, i + 1)[i]
 
 
-def bernoulli_poly_value(n: int, i: int, x: Fraction | int) -> Fraction:
-    """B^(n)_i(x) = i! * [T^i] (B^n e^{xT}), via the binomial convolution.
+def norlund_numerators(n: int, size: int) -> tuple[int, list[int]]:
+    """(d, [N_0, N_1, ...]) with B^(n)_k = N_k / d: row n over one denominator, at least ``size`` entries."""
+    return _row(n, size).numerators()
 
-    With x = p/q and the row's entries N_k / d, it is sum_k C(i,k) N_k p^(i-k) q^k / (d q^i),
-    summed by Horner's rule in p over integers.
+
+def poly_value_numerator(n: int, i: int, p: int, q: int) -> tuple[int, int]:
+    """(H, d) with B^(n)_i(p/q) = H / (d q^i), for integers p and q > 0; p/q need not be in lowest terms.
+
+    With row n's entries N_k / d, H = sum_k C(i,k) N_k p^(i-k) q^k, summed by Horner's rule in p.
     """
-    x = Fraction(x)
-    (d, nums), p, q = _row(n, i + 1).numerators(), x.numerator, x.denominator
+    d, nums = _row(n, i + 1).numerators()
     acc, c, qk = 0, 1, 1  # c = C(i, k), qk = q^k
     for k in range(i + 1):
         acc = acc * p + c * nums[k] * qk
         c, qk = c * (i - k) // (k + 1), qk * q
-    return Fraction(acc, d * q**i)
+    return acc, d
+
+
+def bernoulli_poly_value(n: int, i: int, x: Fraction | int) -> Fraction:
+    """B^(n)_i(x) = i! * [T^i] (B^n e^{xT}), via the binomial convolution (:func:`poly_value_numerator`)."""
+    if x.__class__ is not Fraction:
+        x = Fraction(x)
+    h, d = poly_value_numerator(n, i, x.numerator, x.denominator)
+    return Fraction(h, d * x.denominator**i)
 
 
 def bernoulli_polynomial(i: int) -> Poly:

@@ -516,3 +516,63 @@ def euler_polynomial_by_hand(n: int, a: Fraction, b: Fraction) -> tuple[Fraction
     lhs = sum((math.comb(n, i) * bp(1, i, a) * bp(1, n - i, b) for i in range(n + 1)), Fraction(0))
     rhs = (1 - n) * bp(1, n, s) + n * (s - 1) * bp(1, n - 1, s)
     return lhs, rhs
+
+
+# -- the Fraction routes of the coefficient reader and the verify families, kept as oracles --------
+
+
+def coeff_by_expansion(x: BElement, i: int) -> Fraction:
+    """The T^i coefficient of x read off its series expanded to T^i."""
+    return x.expand(i).coeff(i)
+
+
+def product_lhs_by_coefficients(factors, n: int) -> Fraction:
+    """n! [T^n] of a product of elements, one Fraction product of stored coefficients per term."""
+    *head, last = (f.expand(n) for f in factors)
+    partial = functools.reduce(fraction_cauchy, head)
+    return math.factorial(n) * sum(
+        (partial.coeff(i) * last.coeff(n - i) for i in range(partial.low, n - last.low + 1)), Fraction(0)
+    )
+
+
+def euler_by_fractions(m: int) -> tuple[Fraction, Fraction]:
+    b = bernoulli_number
+    lhs = sum((math.comb(2 * m, 2 * i) * b(2 * i) * b(2 * m - 2 * i) for i in range(1, m)), Fraction(0))
+    return lhs, -(2 * m + 1) * b(2 * m)
+
+
+def recurrence_by_fractions(n: int) -> tuple[Fraction, Fraction]:
+    b = bernoulli_number
+    total = sum((math.comb(n, i) * b(i) for i in range(n + 1)), Fraction(0))
+    plain = n >= 2 and total != b(n)
+    return total, b(n) if plain else (-1) ** n * b(n)
+
+
+def multiplication_by_fractions(m: int, n: int, a: Fraction) -> tuple[Fraction, Fraction]:
+    lhs = sum((fraction_poly_value(1, m, a + Fraction(i, n)) for i in range(n)), Fraction(0))
+    return lhs, Fraction(n) ** (1 - m) * fraction_poly_value(1, m, n * a)
+
+
+def lowering_by_fractions(n: int, i: int, a: Fraction) -> tuple[Fraction, Fraction]:
+    lhs = fraction_poly_value(n + 1, i, a)
+    rhs = (1 - Fraction(i, n)) * fraction_poly_value(n, i, a) + (a - n) * Fraction(i, n) * fraction_poly_value(
+        n, i - 1, a
+    )
+    return lhs, rhs
+
+
+def rademacher_by_fractions(n: int) -> tuple[Fraction, Fraction]:
+    b, f = bernoulli_number, math.factorial
+    lhs = Fraction(0)
+    for i in range(2, n - 1):
+        w = Fraction(f(2 * n - 2), f(2 * i - 2) * f(2 * n - 2 * i - 2))
+        lhs += w * b(2 * i) / (2 * i) * b(2 * n - 2 * i) / (2 * n - 2 * i)
+    return lhs, -Fraction((2 * n + 1) * (n - 3), 6 * n) * b(2 * n)
+
+
+def miki_by_fractions(n: int) -> tuple[Fraction, Fraction]:
+    b = bernoulli_number
+    terms = [b(i) / i * b(n - i) / (n - i) for i in range(2, n - 1)]
+    harmonic = sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
+    rhs = Fraction(2, n) * harmonic * b(n) + sum((math.comb(n, k) * t for k, t in enumerate(terms, 2)), Fraction(0))
+    return sum(terms, Fraction(0)), rhs

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bernring import cli, selftest
+from bernring import cli, identities, selftest
 from bernring.elements import Atom, BElement, atom
 from bernring.exprparse import MAX_EXPONENT, MAX_PRODUCT_MEASURE, MAX_PRODUCT_POWER, parse_element
 from bernring.reduction import product_reduce
@@ -12,6 +12,7 @@ from bernring.series import (
     _BERNOULLI_TABLE,
     bernoulli_number,
     bernoulli_number_order,
+    bernoulli_poly_value,
     bernoulli_polynomial,
     bernoulli_power_series,
 )
@@ -80,6 +81,10 @@ class TestSizeCaps:
             (["reduce", "product", "B(2T)^6*B(3T)^6*B(5T)", "--to-first-order"], MAX_PRODUCT_POWER),
             (["reduce", "product", "B(97T)^6*B(89T)^6", "--to-first-order"], MAX_PRODUCT_MEASURE),
             (["reduce", "product", "B(1/13T)^6*B(1/19T)^6"], MAX_PRODUCT_MEASURE),
+            (["--order", "200", "verify", "f-derivative", "--n", "1..60"], cli.MAX_F_DERIVATIVE_WORK),
+            (["--order", "200", "verify", "f-derivative", "--n", "14"], cli.MAX_F_DERIVATIVE_WORK),
+            (["bern", "poly", "0..1000", "--at", "12345678901234567890/98765432109876543211"], cli.MAX_POLY_RANGE_WORK),
+            (["bern", "poly", "0..200", "--at", "12345678901234567890/98765432109876543211"], cli.MAX_POLY_RANGE_WORK),
         ],
     )
     def test_refused_past_cap(self, capsys, argv, cap):
@@ -150,6 +155,20 @@ class TestSizeCaps:
     def test_largest_order(self, capsys):
         code, out, _ = run(capsys, "--order", str(cli.MAX_SERIES_ORDER), "verify", "f-derivative", "--n", "3")
         assert code == 0 and out.endswith("[ok]\n")
+
+    def test_largest_f_derivative_at_the_default_order(self, capsys):
+        top = cli.MAX_VERIFY_INDEX
+        assert top * (identities.F_DERIVATIVE_ORDER + top) ** 2 <= cli.MAX_F_DERIVATIVE_WORK
+        code, out, _ = run(capsys, "verify", "f-derivative", "--n", str(top))
+        assert code == 0 and out.endswith("[ok]\n")
+
+    def test_largest_poly_range_at_a_20_digit_point(self, capsys):
+        point = "12345678901234567890/98765432109876543211"
+        count = cli.MAX_POLY_RANGE_WORK // 20
+        code, out, _ = run(capsys, "bern", "poly", f"0..{count - 1}", "--at", point)
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == count
+        assert Fraction(lines[-1]) == bernoulli_poly_value(1, count - 1, Fraction(point))
 
     def test_rational_refused_past_digit_cap(self, capsys):
         digits = cli.MAX_RATIONAL_DIGITS
@@ -396,3 +415,16 @@ class TestSelftestCommand:
         code, out, _ = run(capsys, "selftest")
         assert code == 1
         assert "[FAIL]" in out
+        # the criteria that read B_4 through the coefficient reader and the integer sums
+        failed = {line.split()[2] for line in out.splitlines()[:-1] if line.startswith("[FAIL]")}
+        assert {
+            "bernoulli-baseline",
+            "euler",
+            "recurrence",
+            "multiplication",
+            "order-lowering",
+            "multinomial-identities",
+            "agoh-dilcher",
+            "rademacher",
+            "miki",
+        } <= failed

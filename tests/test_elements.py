@@ -7,11 +7,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bernring import identities
+from bernring import elements, identities
 from bernring.elements import Atom, BElement, atom, b_element, from_scalar, t_element
-from bernring.series import bernoulli_poly_value, bernoulli_series, factorial
+from bernring.series import TruncatedSeries, bernoulli_poly_value, bernoulli_series, exp_series, factorial
 from bernring.selftest import COEFFS, SCALES, SHIFTS, _known_zero, random_element
-from conftest import exp_poly_by_nested_dicts, fold_expand, small_rationals, window
+from conftest import coeff_by_expansion, exp_poly_by_nested_dicts, fold_expand, small_rationals, window
+
+# scales and shifts with numerator and denominator of up to 20 digits
+HUGE_SCALE = Fraction(12345678901234567890, 98765432109876543211)
+HUGE_SHIFT = Fraction(-98765432109876543210, 1234567890123456789)
+huge_scales = st.builds(Fraction, st.integers(1, 10**20 - 1), st.integers(1, 10**20 - 1))
+huge_shifts = st.builds(Fraction, st.integers(-(10**20) + 1, 10**20 - 1), st.integers(1, 10**20 - 1))
+
+
+@st.composite
+def coefficient_elements(draw):
+    """Elements of up to four atoms with m in -4..4, n in 0..4, and small or 20-digit scales and shifts."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(0, 4))
+        b = draw(st.one_of(st.sampled_from(SCALES), huge_scales)) if n else Fraction(1)
+        a = draw(st.one_of(st.just(Fraction(0)), small_rationals, huge_shifts))
+        terms[Atom(b, n, draw(st.integers(-4, 4)), a)] = draw(small_rationals.filter(bool))
+    return BElement(terms)
 
 
 def cleared_rows(x: BElement) -> tuple[dict, str]:
@@ -91,6 +109,48 @@ class TestExpand:
             ser = atom(0, 1, 1, a).expand(10)
             for i in range(11):
                 assert ser.coeff(i) * factorial(i) == bernoulli_poly_value(1, i, a)
+
+
+class TestCoeff:
+    """The closed-form coefficient reader against the T^i coefficient of the expansion it replaced."""
+
+    @given(coefficient_elements(), st.integers(-6, 24))
+    @settings(max_examples=150, deadline=None)
+    def test_random_elements_match_expansion(self, x, i):
+        assert x.coeff(i) == coeff_by_expansion(x, i)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_grid_matches_expansion(self, n):
+        scales = (Fraction(1), Fraction(7, 3), HUGE_SCALE) if n else (Fraction(1),)
+        for b in scales:
+            for a in (Fraction(0), Fraction(-5, 2), HUGE_SHIFT):
+                x = BElement({Atom(b, n, -3, a): Fraction(2, 3), Atom(b, n, 2, a): Fraction(-5)})
+                for i in (-4, -3, 0, 1, 2, 17, 64):
+                    assert x.coeff(i) == coeff_by_expansion(x, i), (b, a, i)
+
+    @pytest.mark.parametrize(
+        "n, b, a, ms",
+        [
+            (0, 1, 0, (-2, 0, 1)),
+            (0, 1, HUGE_SHIFT, (-2, 0, 1)),
+            (1, 1, 0, (-2, 0, 1)),
+            (2, Fraction(7, 3), Fraction(-5, 2), (-2, 0, 1)),
+            (5, HUGE_SCALE, 0, (-2, 0, 1)),
+            (1, HUGE_SCALE, HUGE_SHIFT, (0,)),  # the expansion takes about 3 s an atom here
+        ],
+    )
+    def test_index_256(self, n, b, a, ms):
+        x = BElement({Atom(Fraction(b), n, m, Fraction(a)): Fraction(3, 7) for m in ms})
+        assert x.coeff(256) == coeff_by_expansion(x, 256)
+
+    def test_values(self):
+        assert b_element().coeff(4) == Fraction(-1, 720)
+        assert atom(0, 1, 1, 1).coeff(1) == Fraction(1, 2)  # B e^T = B + T
+        assert atom(0, 0, 1, 3).coeff(2) == Fraction(9, 2)
+        assert atom(-1, 2, 2).coeff(-1) == 1 and atom(-1, 2, 2).coeff(-2) == 0
+        assert BElement.zero().coeff(3) == 0
+        rel = atom(0, 1, 1, 1) - b_element() - t_element()
+        assert all(rel.coeff(i) == 0 for i in range(-2, 40))
 
 
 class TestExpPoly:
@@ -194,6 +254,23 @@ class TestOneWindowExpand:
         x = atom(-3, 2, 2, Fraction(1, 2)) - atom(-1, 0, 1, 1).scale(Fraction(5, 3)) + atom(-2, 1, 3)
         for bound in (-1, 0, 7):
             assert window(x.expand(bound)) == window(fold_expand(x, bound))
+
+    def test_exponential_atoms_match_product_with_one(self):
+        # an n = 0 atom is e^{aT} shifted; it was once the product of TruncatedSeries.one with e^{aT}
+        for a in (Fraction(0), Fraction(1), Fraction(-5, 2), HUGE_SHIFT):
+            for m in (-3, 0, 4):
+                for bound in (m, 7, 40):
+                    work = bound - m
+                    once = (TruncatedSeries.one(work) * exp_series(a, work)).shift(m)
+                    assert window(elements._atom_series(Atom(Fraction(1), 0, m, a), bound)) == window(once)
+
+    def test_atom_past_the_bound_is_zero_to_the_bound(self):
+        # T^m B(bT)^n e^{aT} with m > bound: once an error for n = 0, and exact to less than the bound for n >= 1
+        for x in (t_element(5), atom(5, 0, 1, Fraction(3, 2)), atom(2, 1, 1, 1), atom(4, 3, Fraction(2, 3), -1)):
+            for bound in (-2, 0, 1):
+                got = x.expand(bound)
+                assert got.is_known_zero() and got.bound == bound
+        assert window((atom(2, 1, 1, 1) + b_element()).expand(0)) == window(bernoulli_series(0))
 
     def test_known_zeros(self):
         rng = random.Random(17)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bernring import identities, series
 from bernring.cli import MAX_VERIFY_INDEX
-from bernring.elements import atom, b_element
+from bernring.elements import atom, b_element, t_element
 from bernring.identities import (
     BernSymbol,
     beta_integral,
@@ -35,15 +35,29 @@ from bernring.identities import (
 )
 from bernring.polys import Poly, factorial
 from bernring.reduction import product_reduce, reduce_to_first_order
-from bernring.series import TruncatedSeries, bernoulli_number, bernoulli_series, exp_series, harmonic
+from bernring.series import (
+    InsufficientBoundError,
+    TruncatedSeries,
+    bernoulli_number,
+    bernoulli_series,
+    exp_series,
+    harmonic,
+)
 from bernring.weyl import derivative_of_element
 from conftest import (
     agoh_dilcher_by_hand,
+    euler_by_fractions,
     euler_polynomial_by_hand,
+    lowering_by_fractions,
+    miki_by_fractions,
+    multiplication_by_fractions,
     poly_cauchy,
     product_23_by_hand,
     product_23_even_by_hand,
     product_235_by_hand,
+    product_lhs_by_coefficients,
+    rademacher_by_fractions,
+    recurrence_by_fractions,
 )
 
 F = Fraction
@@ -171,18 +185,114 @@ class TestProductFamiliesAgainstHandFormulas:
         assert (report.lhs_value, report.rhs_value) == euler_polynomial_by_hand(n, a, b)
 
     def test_tampered_table_gives_unverified_reports(self, monkeypatch):
-        bernoulli_number(4)  # make sure the table is populated before tampering
+        shifted = atom(1, 1, 3, F(1, 2))  # its T^7 coefficient holds B_6(1/6), which holds B_4
+        before = shifted.coeff(7)  # also makes sure the table is populated before tampering
         monkeypatch.setitem(series._BERNOULLI_TABLE, 4, F(999))
+        assert b_element().coeff(4) == F(999, 24) and shifted.coeff(7) != before
         reports = [
             verify_23(4),
             verify_23_even(2),
             verify_235(4),
             verify_agoh_dilcher_example(2),
             verify_euler_polynomial(4, 0, 0),
+            verify_euler(3),
+            verify_recurrence(5),
+            verify_multiplication(4, 2, F(1, 3)),
+            verify_lowering(1, 4, F(1, 3)),
+            verify_rademacher(4),
+            verify_miki(4),
         ]
         for report in reports:
             assert not report.verified, report.name
             assert report.lhs_value != report.rhs_value
+
+
+# points with denominators up to 9, and with numerator and denominator of up to 20 digits
+POINTS = (F(0), F(1), F(-1), F(1, 2), F(7, 3), F(-5, 6), F(-4, 9), F(12345678901234567890, 98765432109876543211))
+points = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=9),
+    st.builds(F, st.integers(-(10**20) + 1, 10**20 - 1), st.integers(1, 10**20 - 1)),
+)
+
+
+class TestIntegerSumsAgainstFractionRoutes:
+    """Each family sums integer numerators into one Fraction; the Fraction sums it replaced agree."""
+
+    @pytest.mark.parametrize(
+        "family, oracle, first",
+        [
+            (verify_euler, euler_by_fractions, 2),
+            (verify_recurrence, recurrence_by_fractions, 0),
+            (verify_rademacher, rademacher_by_fractions, 3),
+            (verify_miki, miki_by_fractions, 4),
+        ],
+        ids=["euler", "recurrence", "rademacher", "miki"],
+    )
+    def test_every_allowed_index(self, family, oracle, first):
+        for n in range(first, MAX_VERIFY_INDEX + 1):
+            report = family(n)
+            assert report.verified
+            assert (report.lhs_value, report.rhs_value) == oracle(n)
+
+    def test_multiplication_grid(self):
+        for m in range(0, 31):
+            for n in range(1, 7):
+                for a in POINTS:
+                    report = verify_multiplication(m, n, a)
+                    assert report.verified
+                    assert (report.lhs_value, report.rhs_value) == multiplication_by_fractions(m, n, a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(0, 40), n=st.integers(1, 8), a=points)
+    def test_multiplication_random_points(self, m, n, a):
+        report = verify_multiplication(m, n, a)
+        assert report.verified
+        assert (report.lhs_value, report.rhs_value) == multiplication_by_fractions(m, n, a)
+
+    def test_lowering_grid(self):
+        for n in range(1, 9):
+            for i in range(1, 31):
+                for a in POINTS:
+                    report = verify_lowering(n, i, a)
+                    assert report.verified
+                    assert (report.lhs_value, report.rhs_value) == lowering_by_fractions(n, i, a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 8), i=st.integers(1, 40), a=points)
+    def test_lowering_random_points(self, n, i, a):
+        report = verify_lowering(n, i, a)
+        assert report.verified
+        assert (report.lhs_value, report.rhs_value) == lowering_by_fractions(n, i, a)
+
+    @pytest.mark.parametrize(
+        "factors, first",
+        [
+            ((identities._B2, identities._B3), 0),
+            ((identities._B2, identities._B3, identities._B5), 0),
+            ((identities._B_PRIME, identities._B_PRIME), 0),
+            ((atom(0, 1, 1, F(-2, 3)), atom(0, 1, 1, F(5, 7))), 1),
+        ],
+        ids=["23", "235", "agoh-dilcher", "euler-polynomial"],
+    )
+    def test_product_left_side_every_allowed_n(self, factors, first):
+        for n in range(first, MAX_VERIFY_INDEX + 1):
+            assert identities._product_sides(factors, n)[0] == product_lhs_by_coefficients(factors, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(0, 30), a=points, b=points)
+    def test_product_left_side_random_points(self, n, a, b):
+        factors = (atom(0, 1, 1, a), atom(0, 1, 1, b))
+        assert identities._product_sides(factors, n)[0] == product_lhs_by_coefficients(factors, n)
+
+    def test_product_left_side_past_the_bound(self):
+        # a factor with a pole leaves the product of T^n-exact expansions exact only to T^(n-1)
+        factors = (atom(-1, 1, 1), atom(0, 1, 2))
+        for n in (0, 3):
+            for route in (identities._product_sides, product_lhs_by_coefficients):
+                with pytest.raises(InsufficientBoundError):
+                    route(factors, n)
+        zero_first = (t_element(5), atom(0, 1, 2))  # no stored term pairs up to T^3
+        assert identities._product_sides(zero_first, 3)[0] == product_lhs_by_coefficients(zero_first, 3) == 0
 
 
 class TestParameterizedRelation:

@@ -286,6 +286,8 @@ class TestBernoulliTable:
         monkeypatch.setitem(series._ROWS[1], 4, Fraction(999))
         assert bernoulli_series(8).coeff(4) == Fraction(999, 24)
         assert atom(0, 1, 1).expand(8).coeff(4) == Fraction(999, 24)
+        assert atom(0, 1, 1).coeff(4) == Fraction(999, 24)
+        assert atom(0, 1, 2, Fraction(1, 3)).coeff(6) == atom(0, 1, 2, Fraction(1, 3)).expand(6).coeff(6)
         assert bernoulli_poly_value(1, 4, 0) == 999
         assert bernoulli_poly_value(1, 4, Fraction(1, 3)) == fraction_poly_value(1, 4, Fraction(1, 3))
         assert bernoulli_number_order(2, 4) != norlund_by_products(2, 8).coeff(4) * factorial(4)
