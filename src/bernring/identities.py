@@ -154,25 +154,26 @@ def _lhs_terms_for_product(atoms: Sequence[tuple[Atom, Fraction]], m: int):
         yield term_coeff, tuple(factors)
 
 
-def _rhs_terms_for_combination(dc: DCombination, m: int):
-    """Symbolic coefficient of T^m (times m!) of a first-order combination."""
+def _rhs_weights(dc: DCombination, m: int) -> tuple[int, dict[BernSymbol, int]]:
+    """Symbolic coefficient of T^m (times m!) of a first-order combination, as integer weights of
+    Bernoulli symbols over one denominator.
+
+    The term c T^d d^k of the operator on T^g B(bT)^n e^{aT} gives c m!/(m-g-d)! b^(m-g-d+k)
+    B^(n)_(m-g-d+k)(a/b); each (m-g-d)! divides top!, top the largest m - g.
+    """
+    top = max(0, m - min((gen.m for gen in dc.entries), default=0))
+    den = math.lcm(*(op.den for op in dc.entries.values())) * math.factorial(top)
+    weights: dict[BernSymbol, int] = {}
     for gen, op in dc.entries.items():
-        eff = m - gen.m
-        for k, f in op.parts.items():
-            for d, fd in enumerate(f.coeffs):
-                if fd == 0:
-                    continue
-                idx = eff - d + k
-                if idx < 0 or eff - d < 0:
-                    continue
-                coeff = factorial(m) * fd / factorial(eff - d)
-                sym = BernSymbol(
-                    order=gen.n,
-                    index=idx,
-                    argument=gen.a / gen.b if gen.n else gen.a,
-                    scale=gen.b,
-                )
-                yield coeff, (sym,)
+        eff, unit = m - gen.m, den // op.den
+        argument = gen.a / gen.b if gen.n else gen.a
+        for k, row in op.rows.items():
+            for d, v in enumerate(row[: max(eff + 1, 0)]):
+                if v:
+                    sym = BernSymbol(order=gen.n, index=eff - d + k, argument=argument, scale=gen.b)
+                    w = unit * v * math.factorial(m) // math.factorial(eff - d)
+                    weights[sym] = weights.get(sym, 0) + w
+    return den, weights
 
 
 def coefficient_identity(
@@ -194,7 +195,8 @@ def coefficient_identity(
     for chosen in itertools.product(*(f.atoms() for f in factors)):
         raw_lhs.extend(_lhs_terms_for_product(chosen, m))
     lhs_terms = _combine_terms(raw_lhs)
-    rhs_terms = _combine_terms(_rhs_terms_for_combination(rhs, m))
+    den, weights = _rhs_weights(rhs, m)
+    rhs_terms = _combine_terms((Fraction(w, den), (sym,)) for sym, w in weights.items())
     ident = CoefficientIdentity(lhs=lhs_terms, rhs=rhs_terms, order=m, provenance=provenance)
     if ident.lhs_value() != ident.rhs_value():
         raise ValueError("internal error: emitted identity does not evaluate equal")
@@ -217,8 +219,9 @@ def _product_sides(factors: tuple[BElement, ...], n: int) -> tuple[Fraction, Fra
     The left side convolves the factors' expansions, each distinct factor
     expanded once; the T^n coefficient of the last convolution is one dot
     product of the two windows' integer numerators.  The right side reads the
-    coefficient off the product's first-order combination, each distinct
-    Bernoulli value evaluated once.
+    coefficient off the product's first-order combination as integer weights
+    over one denominator, each distinct Bernoulli value evaluated once, and
+    sums them into one Fraction.
     """
     expansions = {f: f.expand(n) for f in set(factors)}
     *head, last = (expansions[f] for f in factors)
@@ -228,10 +231,9 @@ def _product_sides(factors: tuple[BElement, ...], n: int) -> tuple[Fraction, Fra
     size = max(n - partial.low - last.low + 1, 0)  # terms partial_i * last_(n-i) with both stored
     dot = sum(map(operator.mul, partial.nums[:size], last.nums[size - 1 :: -1])) if size else 0
     lhs = Fraction(math.factorial(n) * dot, partial.den * last.den)
-    weights: dict[BernSymbol, Fraction] = {}
-    for coeff, (sym,) in _rhs_terms_for_combination(_product_combination(factors), n):
-        weights[sym] = weights.get(sym, 0) + coeff
-    return lhs, sum((c * sym.value() for sym, c in weights.items()), Fraction(0))
+    den, weights = _rhs_weights(_product_combination(factors), n)
+    values = {sym: sym.value() for sym, w in weights.items() if w}
+    return lhs, fraction_sum((weights[sym] * v.numerator, den * v.denominator) for sym, v in values.items())
 
 
 #: the factors whose products the product families read their identities off
@@ -522,9 +524,14 @@ def verify_stirling_gf(n: int, k: int) -> IdentityReport:
     if k < 1:
         raise ValueError("k must be at least 1")
     lhs = Fraction(stirling(n, k)) / factorial(n)
-    gf = negative_power_expand(k).mul_monomial(k).scale(1 / factorial(k))
-    rhs = gf.coeff(n)
-    return _report("stirling-gf", [("n", n), ("k", k)], lhs, rhs)
+    return _report("stirling-gf", [("n", n), ("k", k)], lhs, _stirling_generating_element(k).coeff(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _stirling_generating_element(k: int) -> BElement:
+    """(T^k/k!) B^-k, built once per k: it reads no Bernoulli table, so the cache stays right
+    when a test patches an entry of it."""
+    return negative_power_expand(k).mul_monomial(k).scale(1 / factorial(k))
 
 
 #: the series order to which ``verify_f_derivative`` compares by default

@@ -8,8 +8,10 @@ Bernoulli-type series:
 * ``h_f(k, ell, n)`` splits 1/((X^ell-1)^k (X^n-1)) for ell | n into a pole of
   order k+1 at the divisor scale plus a simple term at scale n.
 
-Both are computed once at the coprime level (extended Euclid / an inductive
-coefficient recurrence) and lifted by the substitution X -> X^ell.  The general
+Both are computed once at the coprime level, in integers over one denominator,
+and lifted by the substitution X -> X^ell: ``g_pair`` with the Bezout cofactor
+of the two cyclotomic sums in closed form, ``h_f`` by an inductive coefficient
+recurrence, and each by exact division by monic polynomials.  The general
 multi-factor decomposition, :func:`lemma_decompose`, is read off the rewrite of
 :func:`bernring.reduction.product_reduce`: with X = e^U, 1/(X^k-1) = B(kU)/(kU),
 so the product of the factors is one pending row of that rewrite, and each row
@@ -25,7 +27,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .polys import Poly, binomial, cyclotomic_sum, gcd_ext
+from .polys import Poly
+
+
+def _lifted(nums: tuple[int, ...], den: int, ell: int) -> Poly:
+    """The polynomial of the integers ``nums`` over ``den``, with X -> X^ell."""
+    return Poly([Fraction(v, den) for v in nums]).compose_power(ell)
 
 
 @dataclass(frozen=True)
@@ -34,14 +41,24 @@ class GPair:
 
     Identity: 1/((X^n-1)(X^m-1)) =
         ell^2/(m n (X^ell-1)^2) + g_nm/(X^n-1) + g_mn/(X^m-1),
-    with deg g_mn < m - ell and deg g_nm < n - ell.
+    with deg g_mn < m - ell and deg g_nm < n - ell.  ``mn_nums`` and ``nm_nums`` are the
+    numerators of g_mn and g_nm in X^ell, over ``den``.
     """
 
     m: int
     n: int
     ell: int
-    g_mn: Poly
-    g_nm: Poly
+    den: int
+    mn_nums: tuple[int, ...]
+    nm_nums: tuple[int, ...]
+
+    @property
+    def g_mn(self) -> Poly:
+        return _lifted(self.mn_nums, self.den, self.ell)
+
+    @property
+    def g_nm(self) -> Poly:
+        return _lifted(self.nm_nums, self.den, self.ell)
 
 
 @dataclass(frozen=True)
@@ -50,14 +67,43 @@ class HFPair:
 
     Identity: 1/((X^ell-1)^k (X^n-1)) =
         h/(X^ell-1)^(k+1) + f/(X^n-1),
-    with deg h < k*ell and deg f < n - ell.
+    with deg h < k*ell and deg f < n - ell.  ``h_nums`` and ``f_nums`` are the numerators of
+    h and f in X^ell, over ``den``.
     """
 
     k: int
     ell: int
     n: int
-    h: Poly
-    f: Poly
+    den: int
+    h_nums: tuple[int, ...]
+    f_nums: tuple[int, ...]
+
+    @property
+    def h(self) -> Poly:
+        return _lifted(self.h_nums, self.den, self.ell)
+
+    @property
+    def f(self) -> Poly:
+        return _lifted(self.f_nums, self.den, self.ell)
+
+
+def _times_phi(p: list[int], n: int) -> list[int]:
+    """p times 1 + X + ... + X^(n-1): each coefficient a sum over a window of p."""
+    return [sum(p[max(0, e - n + 1) : e + 1]) for e in range(len(p) + n - 1)]
+
+
+def _quotient(p: list[int], q: list[int]) -> list[int]:
+    """p / q for a monic integer polynomial q that divides p, by long division."""
+    rem, dq = list(p), len(q) - 1
+    quot = [0] * max(len(rem) - dq, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        if c := rem[i + dq]:
+            quot[i] = c
+            for j, b in enumerate(q):
+                rem[i + j] -= c * b
+    if any(rem):
+        raise ValueError("inexact polynomial division")
+    return quot
 
 
 @lru_cache(maxsize=None)
@@ -69,16 +115,24 @@ def g_pair(m: int, n: int) -> GPair:
         raise ValueError("g_pair requires distinct scales")
     ell = math.gcd(m, n)
     mh, nh = m // ell, n // ell
-    phi_m = cyclotomic_sum(mh)
-    phi_n = cyclotomic_sum(nh)
-    # Pin the double-pole term 1/(mh*nh*(X-1)); the rest splits over the
-    # coprime cofactors phi_m, phi_n by Bezout.
-    numerator = Poly.one() - phi_m * phi_n / Fraction(mh * nh)
-    lhs = numerator.exact_div(Poly([-1, 1]))
-    _, _, v = gcd_ext(phi_m, phi_n)
-    g_mn_hat = (lhs * v) % phi_m
-    g_nm_hat = (lhs - g_mn_hat * phi_n).exact_div(phi_m)
-    return GPair(m=m, n=n, ell=ell, g_mn=g_mn_hat.compose_power(ell), g_nm=g_nm_hat.compose_power(ell))
+    # Over the denominator mh nh: pin the double-pole term 1/(mh nh (X-1)); the rest,
+    # lhs = (mh nh - phi_m phi_n)/(X-1), splits over the coprime cofactors phi_k = (X^k-1)/(X-1).
+    numerator = [-c for c in _times_phi([1] * mh, nh)]
+    numerator[0] += mh * nh
+    lhs = _quotient(numerator, [-1, 1])
+    # The Bezout cofactor in closed form: with u = nh^-1 mod mh, v = sum_{j<u} X^(nh j) has
+    # phi_n v = (X^(nh u) - 1)/(X-1) = 1 mod phi_m, as X^(nh u) = X mod X^mh - 1.  So g_mn is
+    # lhs v mod phi_m: lhs folded mod X^mh - 1, summed over the u rotations by nh j, and the top
+    # coefficient times phi_m subtracted once.
+    folded = [sum(lhs[i::mh]) for i in range(mh)]
+    rem = [0] * mh
+    for j in range(pow(nh, -1, mh)):
+        s = nh * j % mh
+        rem = [a + b for a, b in zip(rem, folded[mh - s :] + folded[: mh - s])]
+    top = rem.pop()
+    mn_nums = [c - top for c in rem]
+    nm_nums = _quotient([a - b for a, b in zip(lhs, _times_phi(mn_nums, nh))], [1] * mh)
+    return GPair(m=m, n=n, ell=ell, den=mh * nh, mn_nums=tuple(mn_nums), nm_nums=tuple(nm_nums))
 
 
 @lru_cache(maxsize=None)
@@ -91,18 +145,19 @@ def h_f(k: int, ell: int, n: int) -> HFPair:
     if ell == n:
         raise ValueError("decomposition needs a proper divisor (ell < n)")
     nh = n // ell
-    # h in the basis (X-1)^j: a_0 = 1/nh, then each next coefficient kills the
-    # next (X-1)-adic coefficient of h * (1 + X + ... + X^(nh-1)) - 1.
-    a = [Fraction(1, nh)]
+    den = nh**k
+    # h in the basis (X-1)^j, over nh^k: a_0 = nh^(k-1), then each next coefficient kills the next
+    # (X-1)-adic coefficient of h * (1 + X + ... + X^(nh-1)) - nh^k.
+    a = [nh ** (k - 1)]
     for i in range(2, k + 1):
-        acc = Fraction(0)
-        for j in range(i - 1):
-            acc += a[j] * binomial(nh, i - j)
-        a.append(-acc / nh)
-    x_minus_one = Poly([-1, 1])
-    h_hat = sum((x_minus_one**j * aj for j, aj in enumerate(a)), Poly.zero())
-    f_hat = (Poly.one() - cyclotomic_sum(nh) * h_hat).exact_div(x_minus_one**k)
-    return HFPair(k=k, ell=ell, n=n, h=h_hat.compose_power(ell), f=f_hat.compose_power(ell))
+        a.append(-sum(aj * math.comb(nh, i - j) for j, aj in enumerate(a)) // nh)
+    h_nums = [sum(aj * math.comb(j, e) * (-1) ** (j + e) for j, aj in enumerate(a)) for e in range(k)]
+    # f = (nh^k - phi_n h)/(X-1)^k, by k synthetic divisions
+    f_nums = [-c for c in _times_phi(h_nums, nh)]
+    f_nums[0] += den
+    for _ in range(k):
+        f_nums = _quotient(f_nums, [-1, 1])
+    return HFPair(k=k, ell=ell, n=n, den=den, h_nums=tuple(h_nums), f_nums=tuple(f_nums))
 
 
 def lemma_decompose(factors: list[tuple[int, int]]) -> list[tuple[Poly, int, int]]:

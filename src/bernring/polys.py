@@ -183,12 +183,6 @@ class Poly:
                 rem[i + j] -= q * b
         return Poly(quot), Poly(rem)
 
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
-
     def exact_div(self, other: "Poly") -> "Poly":
         """Division that must leave no remainder."""
         q, r = divmod(self, other)
@@ -267,13 +261,6 @@ def gcd_ext(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
         v0, v1 = v1, v0 - quot * v1
     lead = r0.leading
     return r0 / lead, u0 / lead, v0 / lead
-
-
-def cyclotomic_sum(n: int) -> Poly:
-    """1 + X + ... + X^(n-1), the quotient (X^n - 1)/(X - 1)."""
-    if n < 1:
-        raise ValueError("cyclotomic_sum requires n >= 1")
-    return Poly([1] * n)
 
 
 def x_power_minus_one(n: int) -> Poly:

@@ -27,7 +27,6 @@ from typing import Iterator, Mapping
 from .elements import Atom, BElement, b_element, render_atom
 from .partfrac import g_pair, h_f
 from .polys import TEXT, Poly, Style
-from .series import common_numerators
 from .weyl import WeylOp, derivative_of_element
 
 
@@ -89,13 +88,14 @@ def _chain_row(n: int) -> list[list[int]]:
 def _lowered(atoms: list[tuple[Atom, Fraction]], b: Fraction, a: Fraction, pole: int) -> WeylOp:
     """T^-pole times the sum of c T^m chain(n) at (b, a) over the atoms, as Phi_{b,a} of the sum of
     c b^(pole-m) T^(m-pole) chain(n) at (1, 0), taken in integers over one denominator."""
-    den, weights = common_numerators([c / b ** (at.m - pole) / math.factorial(max(at.n - 1, 0)) for at, c in atoms])
-    frame: dict[tuple[int, int], int] = {}
-    for w, (at, _) in zip(weights, atoms):
+    (bn, bd), (an, ad) = b.as_integer_ratio(), a.as_integer_ratio()
+    dens = [c.denominator * bn ** (at.m - pole) * math.factorial(max(at.n - 1, 0)) for at, c in atoms]
+    frame, den = {}, math.lcm(*dens)
+    for d, (at, c) in zip(dens, atoms):
+        w = c.numerator * bd ** (at.m - pole) * (den // d)
         for k, cs in enumerate(_chain_row(at.n)):
             for e, v in enumerate(cs, at.m - pole):
                 frame[k, e] = frame.get((k, e), 0) + w * v
-    (bn, bd), (an, ad) = b.as_integer_ratio(), a.as_integer_ratio()
     top_k, top_e = max(k for k, _ in frame), max(e for _, e in frame)
     parts: dict[int, list[int]] = {}  # times bn^top_k bd^top_e ad^top_k
     for (k, e), c in frame.items():
@@ -103,8 +103,7 @@ def _lowered(atoms: list[tuple[Atom, Fraction]], b: Fraction, a: Fraction, pole:
         for i in range(0 if an else k, k + 1):  # (d - a)^k = sum_i C(k, i) (-a)^(k-i) d^i
             w = math.comb(k, i) * (-an) ** (k - i) * ad ** (top_k - k + i)
             parts.setdefault(i, [0] * (top_e + 1))[e] += c * w
-    scale = den * bn**top_k * bd**top_e * ad**top_k
-    return WeylOp({i: Poly([Fraction(v, scale) for v in row]) for i, row in parts.items()})
+    return WeylOp(parts, den * bn**top_k * bd**top_e * ad**top_k)
 
 
 class DCombination:
@@ -149,10 +148,8 @@ class DCombination:
         groups: dict[tuple[Fraction, int, Fraction], dict[tuple[int, int], Fraction]] = {}
         for gen, op in self.entries.items():
             (bn, bd), (an, ad), top = gen.b.as_integer_ratio(), gen.a.as_integer_ratio(), op.order()
-            den = math.lcm(*(c.denominator for p in op.parts.values() for c in p.coeffs))
             shifted: dict[int, list[int]] = {}  # r -> the T-coefficients of d^r in op(T, d + a), times den ad^top
-            for k, p in op.parts.items():
-                coeffs = [c.numerator * (den // c.denominator) for c in p.coeffs]
+            for k, coeffs in op.rows.items():
                 for r in range(k + 1) if gen.n else (0,):
                     if w := math.comb(k, r) * an ** (k - r) * ad ** (top - k + r):
                         q = shifted.setdefault(r, [])
@@ -165,7 +162,7 @@ class DCombination:
                     f *= bn**i * bd ** (top + 1 - i)
                     for d, c in enumerate(q, gen.m + i - r):
                         acc[j, d] = acc.get((j, d), 0) + f * c
-            scale, group = den * ad**top * bd ** (top + 1), groups.setdefault((gen.b, gen.n, gen.a), {})
+            scale, group = op.den * ad**top * bd ** (top + 1), groups.setdefault((gen.b, gen.n, gen.a), {})
             for key, c in acc.items():
                 if c:
                     group[key] = group[key] + Fraction(c, scale) if key in group else Fraction(c, scale)
@@ -294,15 +291,14 @@ def _identity_terms(ps: int, pn: int, k: int) -> list[tuple[int, list[tuple[int,
     numerator of X^d)]): ps^k f and (pn/ps) h of ``h_f`` if ps | pn, else ps g_nm and pn g_mn of ``g_pair``."""
     if pn % ps == 0:
         pair = h_f(k, ps, pn)
-        polys = [(pair.f, ps**k), (pair.h, pn // ps)]
+        polys = [(pair.f_nums, ps**k), (pair.h_nums, pn // ps)]
     else:
-        gp = g_pair(ps, pn)
-        polys = [(gp.g_nm, ps), (gp.g_mn, pn)]
+        pair = g_pair(ps, pn)
+        polys = [(pair.nm_nums, ps), (pair.mn_nums, pn)]
     out = []
-    for poly, factor in polys:
-        den, nums = common_numerators(poly.coeffs)
-        g = math.gcd(den, factor)
-        out.append((den // g, [(d, v * (factor // g)) for d, v in enumerate(nums) if v]))
+    for nums, factor in polys:
+        g = math.gcd(pair.den, factor * math.gcd(*nums))
+        out.append((pair.den // g, [(d * pair.ell, v * factor // g) for d, v in enumerate(nums) if v]))
     return out
 
 

@@ -1,12 +1,14 @@
 """Normal-form operators in the Weyl algebra Q<T, d/dT> and their actions.
 
 An operator is kept as sum f_k(T) * d^k with the polynomial parts on the left,
-so equality of operators is structural equality of the normal form.  Products
-are normalized with the commutation rule d * f(T) = f'(T) + f(T) * d.
+as integer rows over one denominator, so equality of operators is structural
+equality of the normal form.  Products are normalized with the commutation rule
+d * f(T) = f'(T) + f(T) * d.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping
 
@@ -16,24 +18,50 @@ from .series import TruncatedSeries
 
 
 class WeylOp:
-    """Element of the Weyl algebra in normal form {derivative order: Poly in T}."""
+    """Element of the Weyl algebra in normal form: sum over k of f_k(T) d^k.
 
-    __slots__ = ("parts",)
+    The polynomial parts are stored as integer rows ``rows`` {k: coefficients of f_k(T) in T}
+    over one positive denominator ``den``.  A row is never empty and has no trailing zero, and
+    no factor is common to ``den`` and every numerator, so equal operators store equal rows;
+    ``parts`` hands the parts out as ``Poly``s.
+    """
 
-    def __init__(self, parts: Mapping[int, Poly] | None = None):
-        cleaned: dict[int, Poly] = {}
-        if parts:
-            for k, f in parts.items():
-                if k < 0:
-                    raise ValueError("derivative order must be nonnegative")
-                if not isinstance(f, Poly):
-                    f = Poly.const(f)
-                if not f.is_zero():
-                    cleaned[k] = f
-        object.__setattr__(self, "parts", cleaned)
+    __slots__ = ("rows", "den", "_parts")
+
+    def __init__(self, parts: Mapping[int, Poly] | None = None, den: int | None = None):
+        """The operator of the ``Poly``s ``parts`` or, given ``den``, of the integer rows ``parts`` over ``den``."""
+        parts = parts or {}
+        if den is None:
+            polys = {k: f if isinstance(f, Poly) else Poly.const(f) for k, f in parts.items()}
+            den = math.lcm(*(c.denominator for f in polys.values() for c in f.coeffs))
+            parts = {k: [c.numerator * (den // c.denominator) for c in f.coeffs] for k, f in polys.items()}
+        rows: dict[int, tuple[int, ...]] = {}
+        for k, row in parts.items():
+            if k < 0:
+                raise ValueError("derivative order must be nonnegative")
+            end = len(row)
+            while end and not row[end - 1]:
+                end -= 1
+            if end:
+                rows[k] = tuple(row[:end])
+        g = math.gcd(den, *(math.gcd(*row) for row in rows.values()))
+        if den < 0:
+            g = -g
+        if g != 1:
+            rows = {k: tuple(v // g for v in row) for k, row in rows.items()}
+        for name, value in zip(self.__slots__, (rows, den // g, None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("WeylOp is immutable")
+
+    @property
+    def parts(self) -> dict[int, Poly]:
+        """The parts {derivative order: Poly in T}, built on first use and kept."""
+        if self._parts is None:
+            parts = {k: Poly([Fraction(v, self.den) for v in row]) for k, row in self.rows.items()}
+            object.__setattr__(self, "_parts", parts)
+        return self._parts
 
     # -- constructors --------------------------------------------------------
 
@@ -56,10 +84,10 @@ class WeylOp:
     # -- algebra -------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.parts
+        return not self.rows
 
     def order(self) -> int:
-        return max(self.parts) if self.parts else -1
+        return max(self.rows) if self.rows else -1
 
     def coeff(self, k: int) -> Poly:
         return self.parts.get(k, Poly.zero())
@@ -67,10 +95,10 @@ class WeylOp:
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeylOp):
             return NotImplemented
-        return self.parts == other.parts
+        return self.den == other.den and self.rows == other.rows
 
     def __hash__(self):
-        return hash(frozenset(self.parts.items()))
+        return hash((self.den, frozenset(self.rows.items())))
 
     def __add__(self, other: "WeylOp") -> "WeylOp":
         out = dict(self.parts)
@@ -108,12 +136,9 @@ class WeylOp:
         """Factor self = T^k * rest if possible, else None."""
         if k == 0:
             return self
-        out = {}
-        for order, f in self.parts.items():
-            if f.trailing_valuation() < k and not f.is_zero():
-                return None
-            out[order] = Poly(f.coeffs[k:])
-        return WeylOp(out)
+        if any(any(row[:k]) for row in self.rows.values()):
+            return None
+        return WeylOp({order: row[k:] for order, row in self.rows.items()}, self.den)
 
     # -- actions -------------------------------------------------------------
 

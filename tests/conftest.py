@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bernring import elements, series
 from bernring.elements import Atom, BElement
-from bernring.polys import Poly, cyclotomic_sum, gcd_ext
+from bernring.polys import Poly, binomial, gcd_ext
 from bernring.partfrac import g_pair, h_f
 from bernring.reduction import DCombination, ReductionError, _measure, lowering_op
 from bernring.selftest import run_all
@@ -343,6 +343,16 @@ def fold_semantic_element(combo) -> BElement:
     return acc
 
 
+def left_divide_t_power_by_polys(op: WeylOp, k: int) -> WeylOp | None:
+    """op = T^k * rest read off the Poly parts: rest, or None if some part has a lower T-power."""
+    out = {}
+    for order, f in op.parts.items():
+        if f.trailing_valuation() < k:
+            return None
+        out[order] = Poly(f.coeffs[k:])
+    return WeylOp(out)
+
+
 def lowering_chain_by_products(n: int, b: Fraction, a: Fraction) -> WeylOp:
     """L(n-1) * ... * L(1), multiplied from the left end, with nothing reused."""
     chain = WeylOp.identity()
@@ -449,7 +459,41 @@ def h_via_bezout(k: int, n: int) -> Poly:
     g, u, _ = gcd_ext(cyclotomic_sum(n), modulus)
     if g != Poly.one():
         raise ValueError("cofactors unexpectedly not coprime")
-    return u % modulus
+    return divmod(u, modulus)[1]
+
+
+# -- the Fraction routes of the partial-fraction data, kept as oracles --------
+
+
+def cyclotomic_sum(n: int) -> Poly:
+    """1 + X + ... + X^(n-1), the quotient (X^n - 1)/(X - 1)."""
+    if n < 1:
+        raise ValueError("cyclotomic_sum requires n >= 1")
+    return Poly([1] * n)
+
+
+def g_pair_by_euclid(m: int, n: int) -> tuple[Poly, Poly]:
+    """(g_mn, g_nm) of ``g_pair`` in Fraction polynomials, the Bezout cofactor by extended Euclid."""
+    ell = math.gcd(m, n)
+    mh, nh = m // ell, n // ell
+    phi_m, phi_n = cyclotomic_sum(mh), cyclotomic_sum(nh)
+    lhs = (Poly.one() - phi_m * phi_n / Fraction(mh * nh)).exact_div(Poly([-1, 1]))
+    _, _, v = gcd_ext(phi_m, phi_n)
+    g_mn = divmod(lhs * v, phi_m)[1]
+    g_nm = (lhs - g_mn * phi_n).exact_div(phi_m)
+    return g_mn.compose_power(ell), g_nm.compose_power(ell)
+
+
+def h_f_by_recurrence(k: int, ell: int, n: int) -> tuple[Poly, Poly]:
+    """(h, f) of ``h_f`` in Fraction polynomials: h in the basis (X-1)^j, f by exact division."""
+    nh = n // ell
+    a = [Fraction(1, nh)]
+    for i in range(2, k + 1):
+        a.append(-sum((a[j] * binomial(nh, i - j) for j in range(i - 1)), Fraction(0)) / nh)
+    x_minus_one = Poly([-1, 1])
+    h = sum((x_minus_one**j * aj for j, aj in enumerate(a)), Poly.zero())
+    f = (Poly.one() - cyclotomic_sum(nh) * h).exact_div(x_minus_one**k)
+    return h.compose_power(ell), f.compose_power(ell)
 
 
 # -- the hand-derived product identities, kept as oracles ----------------------

@@ -2,12 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bernring.partfrac import g_pair, h_f, lemma_decompose
 from bernring.polys import Poly, x_power_minus_one
-from conftest import h_via_bezout
+from conftest import g_pair_by_euclid, h_f_by_recurrence, h_via_bezout
 
 
 def as_poly(*coeffs):
@@ -96,6 +96,48 @@ class TestHF:
         for n in range(2, 13):
             for k in range(1, 5):
                 assert h_f(k, 1, n).h == h_via_bezout(k, n)
+
+
+def _proper_divisors(n):
+    return [d for d in range(1, n) if n % d == 0]
+
+
+class TestAgainstFractionRoute:
+    """The integer routes of ``g_pair`` and ``h_f`` against extended Euclid and division in Fractions."""
+
+    def test_every_pair_up_to_24(self):
+        for m in range(1, 25):
+            for n in range(1, 25):
+                if m != n:
+                    pair = g_pair(m, n)
+                    assert (pair.g_mn, pair.g_nm) == g_pair_by_euclid(m, n)
+
+    def test_every_divisor_pair_up_to_24(self):
+        for n in range(2, 25):
+            for ell in _proper_divisors(n):
+                for k in range(1, 7):
+                    pair = h_f(k, ell, n)
+                    assert (pair.h, pair.f) == h_f_by_recurrence(k, ell, n)
+
+    @given(st.integers(1, 60), st.integers(1, 60))
+    @settings(max_examples=40, deadline=None)
+    def test_random_pairs_up_to_60(self, m, n):
+        assume(m != n)
+        pair = g_pair(m, n)
+        assert (pair.g_mn, pair.g_nm) == g_pair_by_euclid(m, n)
+
+    @given(st.integers(2, 60), st.integers(1, 8), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_divisor_pairs_up_to_60(self, n, k, data):
+        ell = data.draw(st.sampled_from(_proper_divisors(n)))
+        pair = h_f(k, ell, n)
+        assert (pair.h, pair.f) == h_f_by_recurrence(k, ell, n)
+
+    def test_numerators_lift_to_the_polynomials(self):
+        pair = g_pair(4, 6)
+        assert (pair.ell, pair.den, pair.mn_nums) == (2, 6, (-3,))
+        assert pair.g_mn == Poly.const(Fraction(-1, 2))
+        assert h_f(2, 2, 10).h == Poly([Fraction(3, 5), 0, Fraction(-2, 5)])
 
 
 def _recombination_holds(factors, terms):

@@ -303,6 +303,26 @@ oracle_elements = st.dictionaries(oracle_atoms, small_rationals.filter(bool), mi
 oracle_ops = st.dictionaries(st.integers(0, 3), polys, max_size=3).map(WeylOp)
 
 
+generators = st.builds(
+    lambda n, b, m, a: Atom(b=b if n else F(1), n=n, m=m, a=a),
+    st.integers(0, 1),
+    small_rationals.filter(lambda b: b > 0),
+    st.integers(-3, 2),
+    small_rationals,
+)
+combinations = st.dictionaries(generators, oracle_ops, max_size=3).map(DCombination)
+
+
+@given(combinations)
+@settings(max_examples=40, deadline=None)
+def test_semantic_element_sums_the_actions(combo):
+    """The closed form, read off the integer rows, against op(generator) summed over the generators."""
+    want = BElement.zero()
+    for gen, op in combo.entries.items():
+        want = want + op.apply_element(BElement({Atom(b=gen.b, n=gen.n, m=0, a=gen.a): F(1)})).mul_monomial(gen.m)
+    assert combo.semantic_element().terms == want.terms
+
+
 def assert_routes_agree(x: BElement, y: BElement) -> None:
     """Every fast path of the reduce path gives the same terms as its slow route."""
     product = product_reduce(x, y)

@@ -1,12 +1,16 @@
+import math
 import random
 from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernring.elements import Atom, atom, b_element, t_element
 from bernring.polys import Poly
 from bernring.series import TruncatedSeries, bernoulli_series
 from bernring.selftest import check_weyl_representation, random_series, random_weyl_op
 from bernring.weyl import WeylOp, derivative_of_atom, derivative_of_element
-from conftest import fold_apply_series, window
+from conftest import fold_apply_series, left_divide_t_power_by_polys, polys, window
 
 D = WeylOp.d()
 T_OP = WeylOp.t_power(1)
@@ -33,6 +37,41 @@ class TestAlgebra:
     def test_render(self):
         op = WeylOp({0: Poly([1, -1]), 1: Poly.monomial(1, -1)})
         assert op.render() == "1 - T - T*d"
+
+
+weyl_parts = st.dictionaries(st.integers(0, 4), polys, max_size=4)
+
+
+class TestIntegerRows:
+    """An operator is integer rows over one denominator, in one canonical form however it is built."""
+
+    @given(weyl_parts, st.integers(1, 12), st.sampled_from((1, -1)), st.integers(0, 2))
+    @settings(max_examples=80, deadline=None)
+    def test_rows_and_polys_build_one_operator(self, parts, multiple, sign, pad):
+        op = WeylOp(parts)
+        den = sign * multiple * math.lcm(*(c.denominator for f in parts.values() for c in f.coeffs))
+        rows = {k: [int(c * den) for c in f.coeffs] + [0] * pad for k, f in parts.items()}
+        twin = WeylOp(rows, den)
+        assert twin == op and hash(twin) == hash(op)
+        assert twin.parts == op.parts == {k: f for k, f in parts.items() if f}
+        for built in (op, twin):
+            assert built.den > 0
+            assert math.gcd(built.den, *(v for row in built.rows.values() for v in row)) == 1
+            assert all(row and row[-1] for row in built.rows.values())
+
+    def test_zero_and_sign(self):
+        assert WeylOp({0: [0, 0], 2: []}, -6) == WeylOp.zero()
+        assert (WeylOp.zero().rows, WeylOp.zero().den) == ({}, 1)
+        op = WeylOp({1: [2, 0, -4, 0]}, -6)
+        assert (op.rows, op.den) == ({1: (-1, 0, 2)}, 3)
+        assert op == WeylOp({1: Poly([Fraction(-1, 3), 0, Fraction(2, 3)])})
+
+    @given(weyl_parts, st.integers(0, 3))
+    @settings(max_examples=50, deadline=None)
+    def test_left_divide_t_power_matches_polys(self, parts, j):
+        op = WeylOp.t_power(j) * WeylOp(parts)
+        for k in range(j + 3):
+            assert op.left_divide_t_power(k) == left_divide_t_power_by_polys(op, k)
 
 
 class TestSeriesAction:
