@@ -406,18 +406,18 @@ def verify_miki(n: int) -> IdentityReport:
 # -- series-shaped identities ----------------------------------------------------
 
 
-def _witness_values(lhs_items, rhs_items) -> tuple[Fraction, Fraction, bool]:
-    """Collapse two coefficient lists to a fingerprint pair.
+def _witness_values(lhs_items, rhs_items) -> tuple[Fraction, Fraction]:
+    """Collapse two coefficient lists to a fingerprint pair, equal exactly when the lists are.
 
     Equal lists produce their common sum twice; differing lists produce their
     first differing coefficients, which differ.
     """
     if lhs_items == rhs_items:
         total = sum(lhs_items, Fraction(0))
-        return total, total, True
+        return total, total
     for left, right in zip(lhs_items, rhs_items):
         if left != right:
-            return left, right, False
+            return left, right
     raise AssertionError("lists compared unequal but no differing entry found")
 
 
@@ -457,11 +457,7 @@ def verify_miki_s_relation(order: int) -> IdentityReport:
             break
     else:
         lhs_list = rhs_list = [base.coeff(i) for i in range(order + 1)]
-    lv, rv, ok = _witness_values(lhs_list, rhs_list)
-    return IdentityReport(
-        name="miki-s-relation", params=(("N", Fraction(order)),),
-        lhs_value=lv, rhs_value=rv, verified=ok,
-    )
+    return _report("miki-s-relation", [("N", order)], *_witness_values(lhs_list, rhs_list))
 
 
 def beta_integral(i: int, j: int) -> Fraction:
@@ -549,11 +545,7 @@ def verify_f_derivative(n: int, order: int = F_DERIVATIVE_ORDER) -> IdentityRepo
     lo = min(direct.low, via_f.low, -n)
     lhs_list = [direct.coeff(i) for i in range(lo, order + 1)]
     rhs_list = [via_f.coeff(i) for i in range(lo, order + 1)]
-    lv, rv, ok = _witness_values(lhs_list, rhs_list)
-    return IdentityReport(
-        name="f-derivative", params=(("n", Fraction(n)),),
-        lhs_value=lv, rhs_value=rv, verified=ok,
-    )
+    return _report("f-derivative", [("n", n)], *_witness_values(lhs_list, rhs_list))
 
 
 def rademacher_operator(n: int) -> WeylOp:

@@ -24,15 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .polys import Poly
-
-
-def _lifted(nums: tuple[int, ...], den: int, ell: int) -> Poly:
-    """The polynomial of the integers ``nums`` over ``den``, with X -> X^ell."""
-    return Poly([Fraction(v, den) for v in nums]).compose_power(ell)
 
 
 @dataclass(frozen=True)
@@ -41,24 +35,14 @@ class GPair:
 
     Identity: 1/((X^n-1)(X^m-1)) =
         ell^2/(m n (X^ell-1)^2) + g_nm/(X^n-1) + g_mn/(X^m-1),
-    with deg g_mn < m - ell and deg g_nm < n - ell.  ``mn_nums`` and ``nm_nums`` are the
-    numerators of g_mn and g_nm in X^ell, over ``den``.
+    with deg g_mn < m - ell and deg g_nm < n - ell.
     """
 
     m: int
     n: int
     ell: int
-    den: int
-    mn_nums: tuple[int, ...]
-    nm_nums: tuple[int, ...]
-
-    @property
-    def g_mn(self) -> Poly:
-        return _lifted(self.mn_nums, self.den, self.ell)
-
-    @property
-    def g_nm(self) -> Poly:
-        return _lifted(self.nm_nums, self.den, self.ell)
+    g_mn: Poly
+    g_nm: Poly
 
 
 @dataclass(frozen=True)
@@ -67,24 +51,14 @@ class HFPair:
 
     Identity: 1/((X^ell-1)^k (X^n-1)) =
         h/(X^ell-1)^(k+1) + f/(X^n-1),
-    with deg h < k*ell and deg f < n - ell.  ``h_nums`` and ``f_nums`` are the numerators of
-    h and f in X^ell, over ``den``.
+    with deg h < k*ell and deg f < n - ell.
     """
 
     k: int
     ell: int
     n: int
-    den: int
-    h_nums: tuple[int, ...]
-    f_nums: tuple[int, ...]
-
-    @property
-    def h(self) -> Poly:
-        return _lifted(self.h_nums, self.den, self.ell)
-
-    @property
-    def f(self) -> Poly:
-        return _lifted(self.f_nums, self.den, self.ell)
+    h: Poly
+    f: Poly
 
 
 def _times_phi(p: list[int], n: int) -> list[int]:
@@ -132,7 +106,8 @@ def g_pair(m: int, n: int) -> GPair:
     top = rem.pop()
     mn_nums = [c - top for c in rem]
     nm_nums = _quotient([a - b for a, b in zip(lhs, _times_phi(mn_nums, nh))], [1] * mh)
-    return GPair(m=m, n=n, ell=ell, den=mh * nh, mn_nums=tuple(mn_nums), nm_nums=tuple(nm_nums))
+    g_mn, g_nm = (Poly(nums, mh * nh).compose_power(ell) for nums in (mn_nums, nm_nums))
+    return GPair(m=m, n=n, ell=ell, g_mn=g_mn, g_nm=g_nm)
 
 
 @lru_cache(maxsize=None)
@@ -157,7 +132,8 @@ def h_f(k: int, ell: int, n: int) -> HFPair:
     f_nums[0] += den
     for _ in range(k):
         f_nums = _quotient(f_nums, [-1, 1])
-    return HFPair(k=k, ell=ell, n=n, den=den, h_nums=tuple(h_nums), f_nums=tuple(f_nums))
+    h, f = (Poly(nums, den).compose_power(ell) for nums in (h_nums, f_nums))
+    return HFPair(k=k, ell=ell, n=n, h=h, f=f)
 
 
 def lemma_decompose(factors: list[tuple[int, int]]) -> list[tuple[Poly, int, int]]:
@@ -186,5 +162,5 @@ def lemma_decompose(factors: list[tuple[int, int]]) -> list[tuple[Poly, int, int
     for _, finished, (num, den, lo) in _drain(buckets):
         ((m, l),) = finished.items()
         if any(num):
-            terms.append((Poly([0] * lo + [Fraction(m**l * v, den) for v in num]), m, l))
+            terms.append((Poly([0] * lo + [m**l * v for v in num], den), m, l))
     return sorted(terms, key=lambda term: term[1:])

@@ -2,8 +2,9 @@
 
 ``Rational`` is an alias for :class:`fractions.Fraction`: arbitrary precision,
 always stored gcd-reduced with a positive denominator, so equality is
-structural.  ``Poly`` is a dense univariate polynomial over ``Rational`` with
-an abstract indeterminate (used for X, T and s in different contexts).
+structural.  ``Poly`` is a dense univariate polynomial over ``Rational``, stored as
+integer numerators over one denominator, with an abstract indeterminate (used
+for X, T and s in different contexts).
 ``Style`` and the helpers after it spell values as plain text or LaTeX.
 
 Everything here is immutable and safe to share between threads.
@@ -13,6 +14,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -40,23 +43,50 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-class Poly:
-    """Dense univariate polynomial with Fraction coefficients.
+def common_numerators(values: list[Fraction]) -> tuple[int, list[int]]:
+    """(d, [d * x for x in values]) for the least common denominator d."""
+    d = math.lcm(*(x.denominator for x in values))
+    return d, [x.numerator * (d // x.denominator) for x in values]
 
-    Coefficients are indexed by exponent; the highest stored coefficient is
-    nonzero (the zero polynomial stores an empty tuple).
+
+class Poly:
+    """Dense univariate polynomial with exact rational coefficients.
+
+    The coefficients, indexed by exponent, are stored as integer numerators ``nums`` over one
+    positive denominator ``den``, with no trailing zero (the zero polynomial stores none, over 1)
+    and no factor common to ``den`` and every numerator, so equal polynomials store equal
+    numerators; ``coeffs`` hands them out as Fractions.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den", "_coeffs")
 
-    def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __init__(self, coeffs: Iterable = (), den: int | None = None):
+        """The polynomial of the rationals ``coeffs`` or, given ``den``, of the integers ``coeffs`` over ``den``."""
+        if den is None:
+            den, coeffs = common_numerators([_as_fraction(c) for c in coeffs])
+        elif not den:
+            raise ZeroDivisionError("polynomial over a zero denominator")
+        end = len(coeffs)
+        while end and not coeffs[end - 1]:
+            end -= 1
+        nums = tuple(coeffs[:end])
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums, den = tuple(n // g for n in nums), den // g
+        for name, value in zip(self.__slots__, (nums, den, None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, built on first use and kept."""
+        if self._coeffs is None:
+            object.__setattr__(self, "_coeffs", tuple(Fraction(n, self.den) for n in self.nums))
+        return self._coeffs
 
     @staticmethod
     def zero() -> "Poly":
@@ -83,52 +113,52 @@ class Poly:
     @property
     def degree(self) -> int | float:
         """Degree, with -inf as the marker for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
+        return len(self.nums) - 1 if self.nums else NEG_INFINITY
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def coeff(self, exponent: int) -> Fraction:
-        if 0 <= exponent < len(self.coeffs):
+        if 0 <= exponent < len(self.nums):
             return self.coeffs[exponent]
         return Fraction(0)
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(("Poly", self.coeffs))
+        return hash(("Poly", self.den, self.nums))
 
     def __add__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        den = math.lcm(self.den, other.den)
+        a = [v * (den // self.den) for v in self.nums]
+        b = [v * (den // other.den) for v in other.nums]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        a[: len(b)] = map(add, a, b)
+        return Poly(a, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return Poly([-v for v in self.nums], self.den)
 
     def __sub__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -142,18 +172,17 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
+            return Poly([v * other.numerator for v in self.nums], self.den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
+        if not self.nums or not other.nums:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        b, size = other.nums, len(other.nums)
+        out = [0] * (len(self.nums) + size - 1)
+        for i, a in enumerate(self.nums):
+            if a:
+                out[i : i + size] = map(add, out[i : i + size], map(mul, b, repeat(a)))
+        return Poly(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -161,7 +190,7 @@ class Poly:
         scalar = _as_fraction(scalar)
         if scalar == 0:
             raise ZeroDivisionError("division of polynomial by zero scalar")
-        return Poly([c / scalar for c in self.coeffs])
+        return Poly([v * scalar.denominator for v in self.nums], self.den * scalar.numerator)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Euclidean division: self = other * quot + rem, deg rem < deg other."""
@@ -206,12 +235,11 @@ class Poly:
         """Substitute X -> X^ell."""
         if ell < 1:
             raise ValueError("compose_power requires ell >= 1")
-        if ell == 1 or not self.coeffs:
+        if ell == 1 or not self.nums:
             return self
-        out = [Fraction(0)] * ((len(self.coeffs) - 1) * ell + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * ell] = c
-        return Poly(out)
+        out = [0] * ((len(self.nums) - 1) * ell + 1)
+        out[::ell] = self.nums
+        return Poly(out, self.den)
 
     def __call__(self, x: Fraction | int) -> Fraction:
         """Horner evaluation at an exact rational point."""
@@ -222,26 +250,11 @@ class Poly:
         return acc
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Poly([i * v for i, v in enumerate(self.nums)][1:], self.den)
 
     def integral(self) -> "Poly":
         """Antiderivative with zero constant term."""
         return Poly([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by X^k (k >= 0)."""
-        if k < 0:
-            raise ValueError("negative shift")
-        if not self.coeffs:
-            return self
-        return Poly((Fraction(0),) * k + self.coeffs)
-
-    def trailing_valuation(self) -> int:
-        """Lowest exponent with a nonzero coefficient (0 for the zero poly)."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return 0
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)})"

@@ -291,14 +291,14 @@ def _identity_terms(ps: int, pn: int, k: int) -> list[tuple[int, list[tuple[int,
     numerator of X^d)]): ps^k f and (pn/ps) h of ``h_f`` if ps | pn, else ps g_nm and pn g_mn of ``g_pair``."""
     if pn % ps == 0:
         pair = h_f(k, ps, pn)
-        polys = [(pair.f_nums, ps**k), (pair.h_nums, pn // ps)]
+        polys = [(pair.f, ps**k), (pair.h, pn // ps)]
     else:
         pair = g_pair(ps, pn)
-        polys = [(pair.nm_nums, ps), (pair.mn_nums, pn)]
+        polys = [(pair.g_nm, ps), (pair.g_mn, pn)]
     out = []
-    for nums, factor in polys:
-        g = math.gcd(pair.den, factor * math.gcd(*nums))
-        out.append((pair.den // g, [(d * pair.ell, v * factor // g) for d, v in enumerate(nums) if v]))
+    for poly, factor in polys:
+        g = math.gcd(poly.den, factor)
+        out.append((poly.den // g, [(d, v * factor // g) for d, v in enumerate(poly.nums) if v]))
     return out
 
 

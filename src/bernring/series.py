@@ -17,24 +17,10 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .polys import Poly, factorial
+from .polys import Poly, _as_fraction, common_numerators, factorial
 
 class InsufficientBoundError(Exception):
     """A coefficient past the guaranteed order bound was requested."""
-
-
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"series coefficient must be rational, got {type(value).__name__}")
-
-
-def common_numerators(values: list[Fraction]) -> tuple[int, list[int]]:
-    """(d, [d * x for x in values]) for the least common denominator d."""
-    d = math.lcm(*(x.denominator for x in values))
-    return d, [x.numerator * (d // x.denominator) for x in values]
 
 
 def fraction_sum(parts: Iterable[tuple[int, int]]) -> Fraction:
@@ -60,7 +46,7 @@ class TruncatedSeries:
     def __init__(self, low: int, coeffs: Sequence, bound: int, den: int | None = None):
         """The series of the rationals ``coeffs`` or, given ``den``, of the integers ``coeffs`` over ``den``."""
         if den is None:
-            den, coeffs = common_numerators([_coerce(c) for c in coeffs])
+            den, coeffs = common_numerators([_as_fraction(c) for c in coeffs])
         if coeffs and low + len(coeffs) - 1 != bound:
             raise ValueError("coefficient window does not match bound")
         start = 0
@@ -99,7 +85,7 @@ class TruncatedSeries:
     def monomial(exponent: int, coeff, bound: int) -> "TruncatedSeries":
         if exponent > bound:
             raise ValueError("monomial exponent beyond requested bound")
-        coeff = _coerce(coeff)
+        coeff = _as_fraction(coeff)
         return TruncatedSeries(exponent, [coeff.numerator] + [0] * (bound - exponent), bound, coeff.denominator)
 
     @staticmethod
@@ -167,7 +153,7 @@ class TruncatedSeries:
 
     def scale(self, c) -> "TruncatedSeries":
         """Multiply by a rational scalar (exact, bound kept)."""
-        c = _coerce(c)
+        c = _as_fraction(c)
         if not c:
             return TruncatedSeries.zero(self.bound)
         return TruncatedSeries(self.low, [n * c.numerator for n in self.nums], self.bound, self.den * c.denominator)
@@ -219,7 +205,7 @@ class TruncatedSeries:
 
     def scale_arg(self, b) -> "TruncatedSeries":
         """Substitute T -> b*T: with b = p/q, n_i / d picks up b^low p^(i-low) q^(bound-i) / q^(bound-low)."""
-        b = _coerce(b)
+        b = _as_fraction(b)
         if not b:
             raise ValueError("argument scale must be nonzero")
         if not self.nums:
@@ -414,8 +400,8 @@ def bernoulli_poly_value(n: int, i: int, x: Fraction | int) -> Fraction:
 
 def bernoulli_polynomial(i: int) -> Poly:
     """The classical Bernoulli polynomial B_i(X) as an exact Poly."""
-    row = _row(1, i + 1)
-    return Poly([math.comb(i, k) * row[k] for k in range(i, -1, -1)])
+    den, nums = _row(1, i + 1).numerators()
+    return Poly([math.comb(i, k) * nums[k] for k in range(i, -1, -1)], den)
 
 
 def harmonic(n: int) -> Fraction:

@@ -26,15 +26,15 @@ class WeylOp:
     ``parts`` hands the parts out as ``Poly``s.
     """
 
-    __slots__ = ("rows", "den", "_parts")
+    __slots__ = ("rows", "den")
 
     def __init__(self, parts: Mapping[int, Poly] | None = None, den: int | None = None):
         """The operator of the ``Poly``s ``parts`` or, given ``den``, of the integer rows ``parts`` over ``den``."""
         parts = parts or {}
         if den is None:
             polys = {k: f if isinstance(f, Poly) else Poly.const(f) for k, f in parts.items()}
-            den = math.lcm(*(c.denominator for f in polys.values() for c in f.coeffs))
-            parts = {k: [c.numerator * (den // c.denominator) for c in f.coeffs] for k, f in polys.items()}
+            den = math.lcm(*(f.den for f in polys.values()))
+            parts = {k: [v * (den // f.den) for v in f.nums] for k, f in polys.items()}
         rows: dict[int, tuple[int, ...]] = {}
         for k, row in parts.items():
             if k < 0:
@@ -49,7 +49,7 @@ class WeylOp:
             g = -g
         if g != 1:
             rows = {k: tuple(v // g for v in row) for k, row in rows.items()}
-        for name, value in zip(self.__slots__, (rows, den // g, None)):
+        for name, value in zip(self.__slots__, (rows, den // g)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -57,11 +57,8 @@ class WeylOp:
 
     @property
     def parts(self) -> dict[int, Poly]:
-        """The parts {derivative order: Poly in T}, built on first use and kept."""
-        if self._parts is None:
-            parts = {k: Poly([Fraction(v, self.den) for v in row]) for k, row in self.rows.items()}
-            object.__setattr__(self, "_parts", parts)
-        return self._parts
+        """The parts {derivative order: Poly in T}, a view built on each read."""
+        return {k: Poly(row, self.den) for k, row in self.rows.items()}
 
     # -- constructors --------------------------------------------------------
 
@@ -90,7 +87,7 @@ class WeylOp:
         return max(self.rows) if self.rows else -1
 
     def coeff(self, k: int) -> Poly:
-        return self.parts.get(k, Poly.zero())
+        return Poly(self.rows.get(k, ()), self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeylOp):
@@ -120,8 +117,9 @@ class WeylOp:
         if not isinstance(other, WeylOp):
             return NotImplemented
         out: dict[int, Poly] = {}
+        other_parts = other.parts
         for i, f in self.parts.items():
-            for j, g in other.parts.items():
+            for j, g in other_parts.items():
                 deriv = g
                 for r in range(i + 1):
                     if deriv.is_zero():
@@ -147,14 +145,14 @@ class WeylOp:
         max_order = self.order()
         if max_order < 0:
             return TruncatedSeries.zero(x.bound)
-        parts = []
+        parts, terms = self.parts, []
         deriv = x
         for k in range(max_order + 1):
-            if (f := self.parts.get(k)) is not None:
-                parts += [(deriv, d, c) for d, c in enumerate(f.coeffs) if c]
+            if (f := parts.get(k)) is not None:
+                terms += [(deriv, d, c) for d, c in enumerate(f.coeffs) if c]
             if k < max_order:
                 deriv = deriv.derivative()
-        return TruncatedSeries.combination(parts)
+        return TruncatedSeries.combination(terms)
 
     def apply_element(self, x: BElement) -> BElement:
         """Action on symbolic elements; stays inside the generated subspace."""
@@ -162,9 +160,9 @@ class WeylOp:
         if max_order < 0:
             return BElement.zero()
         out: dict[Atom, Fraction] = {}
-        deriv = x
+        parts, deriv = self.parts, x
         for k in range(max_order + 1):
-            f = self.parts.get(k)
+            f = parts.get(k)
             if f is not None:
                 for at, v in deriv.terms.items():
                     for d, c in enumerate(f.coeffs):

@@ -23,7 +23,8 @@ from bernring.weyl import WeylOp, derivative_of_atom
 
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
-polys = st.builds(Poly, st.lists(small_rationals, max_size=13))
+coefficient_lists = st.lists(small_rationals, max_size=13)
+polys = st.builds(Poly, coefficient_lists)
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
 
 
@@ -64,6 +65,91 @@ def random_rational(rng, num=9, den=5) -> Fraction:
 
 def random_poly(rng, max_degree=12) -> Poly:
     return Poly([random_rational(rng) for _ in range(rng.randint(0, max_degree + 1))])
+
+
+# -- the Fraction-list routes of Poly arithmetic, kept as oracles ---------------
+#
+# Each takes and returns coefficient lists of Fractions, indexed by exponent, with
+# no trailing zero: the dense Fraction arithmetic Poly did before it stored integers.
+
+
+def fraction_trim(cs) -> list[Fraction]:
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def fraction_poly_add(a: list, b: list) -> list[Fraction]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = [Fraction(c) for c in a]
+    for i, c in enumerate(b):
+        out[i] += c
+    return fraction_trim(out)
+
+
+def fraction_poly_scale(a: list, c: Fraction) -> list[Fraction]:
+    return fraction_trim([x * c for x in a])
+
+
+def fraction_poly_mul(a: list, b: list) -> list[Fraction]:
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return fraction_trim(out)
+
+
+def fraction_poly_pow(a: list, n: int) -> list[Fraction]:
+    out = [Fraction(1)]
+    for _ in range(n):
+        out = fraction_poly_mul(out, a)
+    return out
+
+
+def fraction_poly_compose_power(a: list, ell: int) -> list[Fraction]:
+    out = [Fraction(0)] * ((len(a) - 1) * ell + 1) if a else []
+    for i, c in enumerate(a):
+        out[i * ell] = Fraction(c)
+    return fraction_trim(out)
+
+
+def fraction_poly_derivative(a: list) -> list[Fraction]:
+    return fraction_trim([i * c for i, c in enumerate(a)][1:])
+
+
+def fraction_poly_integral(a: list) -> list[Fraction]:
+    return fraction_trim([Fraction(0)] + [Fraction(c) / (i + 1) for i, c in enumerate(a)])
+
+
+def fraction_poly_eval(a: list, x: Fraction) -> Fraction:
+    return sum((Fraction(c) * x**i for i, c in enumerate(a)), Fraction(0))
+
+
+def fraction_poly_divmod(a: list, b: list) -> tuple[list[Fraction], list[Fraction]]:
+    rem, dq = [Fraction(c) for c in a], len(b) - 1
+    quot = [Fraction(0)] * max(len(rem) - dq, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        q = rem[i + dq] / b[-1]
+        quot[i] = q
+        for j, c in enumerate(b):
+            rem[i + j] -= q * c
+    return fraction_trim(quot), fraction_trim(rem)
+
+
+def fraction_poly_gcd_ext(a: list, b: list) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
+    """(g, u, v), g monic, u a + v b = g, by the extended Euclid of ``gcd_ext`` on Fraction lists."""
+    r0, r1, u0, u1, v0, v1 = fraction_trim(a), fraction_trim(b), [Fraction(1)], [], [], [Fraction(1)]
+    while r1:
+        quot, rem = fraction_poly_divmod(r0, r1)
+        r0, r1 = r1, rem
+        u0, u1 = u1, fraction_poly_add(u0, fraction_poly_scale(fraction_poly_mul(quot, u1), Fraction(-1)))
+        v0, v1 = v1, fraction_poly_add(v0, fraction_poly_scale(fraction_poly_mul(quot, v1), Fraction(-1)))
+    lead = 1 / r0[-1]
+    return tuple(fraction_poly_scale(p, lead) for p in (r0, u0, v0))
 
 
 def poly_cauchy(x: list[Poly], y: list[Poly]) -> list[Poly]:
@@ -310,9 +396,17 @@ def fold_expand(x: BElement, bound: int) -> TruncatedSeries:
     return acc
 
 
+def trailing_valuation(p: Poly) -> int:
+    """Lowest exponent with a nonzero coefficient (0 for the zero poly)."""
+    for i, c in enumerate(p.coeffs):
+        if c != 0:
+            return i
+    return 0
+
+
 def fold_mul_poly_in_t(x: TruncatedSeries, p: Poly) -> TruncatedSeries:
     """x times a nonzero polynomial in T, one shifted and scaled copy at a time."""
-    val = p.trailing_valuation()
+    val = trailing_valuation(p)
     acc = TruncatedSeries.zero(x.bound + val)
     for d in range(val, p.degree + 1):
         if p.coeff(d) != 0:
@@ -347,7 +441,7 @@ def left_divide_t_power_by_polys(op: WeylOp, k: int) -> WeylOp | None:
     """op = T^k * rest read off the Poly parts: rest, or None if some part has a lower T-power."""
     out = {}
     for order, f in op.parts.items():
-        if f.trailing_valuation() < k:
+        if trailing_valuation(f) < k:
             return None
         out[order] = Poly(f.coeffs[k:])
     return WeylOp(out)

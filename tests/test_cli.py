@@ -85,6 +85,12 @@ class TestSizeCaps:
             (["--order", "200", "verify", "f-derivative", "--n", "14"], cli.MAX_F_DERIVATIVE_WORK),
             (["bern", "poly", "0..1000", "--at", "12345678901234567890/98765432109876543211"], cli.MAX_POLY_RANGE_WORK),
             (["bern", "poly", "0..200", "--at", "12345678901234567890/98765432109876543211"], cli.MAX_POLY_RANGE_WORK),
+            (["pf", "g", str(cli.MAX_PF_SCALE + 1), str(cli.MAX_PF_SCALE)], cli.MAX_PF_SCALE),
+            (["pf", "g", "3", str(cli.MAX_PF_SCALE + 1)], cli.MAX_PF_SCALE),
+            (["pf", "g", "12800", "12799"], cli.MAX_PF_SCALE),
+            (["pf", "hf", "1", "1", str(cli.MAX_PF_SCALE + 1)], cli.MAX_PF_SCALE),
+            (["pf", "hf", str(cli.MAX_PF_POWER + 1), "1", "2"], cli.MAX_PF_POWER),
+            (["pf", "hf", "400", "1", "800"], cli.MAX_PF_POWER),
         ],
     )
     def test_refused_past_cap(self, capsys, argv, cap):
@@ -96,6 +102,20 @@ class TestSizeCaps:
         scale = (MAX_PRODUCT_MEASURE - 6) // 6  # B(T)^6 B(pT)^6 starts at measure 6 + 6p
         code, out, _ = run(capsys, "reduce", "product", f"B(T)^6*B({scale}T)^6", "--to-first-order")
         assert code == 0 and out.startswith("[")
+
+    def test_largest_pf_g(self, capsys):
+        top = cli.MAX_PF_SCALE  # n = m - 1 takes the most rotations in g_pair
+        code, out, _ = run(capsys, "--format", "json", "pf", "g", str(top), str(top - 1))
+        data = json.loads(out)
+        assert code == 0 and (data["m"], data["n"], data["ell"]) == (top, top - 1, 1)
+        assert (len(data["g_mn"]), len(data["g_nm"])) == (top - 1, top - 2)
+
+    def test_largest_pf_hf(self, capsys):
+        k, n = cli.MAX_PF_POWER, cli.MAX_PF_SCALE
+        code, out, _ = run(capsys, "--format", "json", "pf", "hf", str(k), "1", str(n))
+        data = json.loads(out)
+        assert code == 0 and (data["k"], data["ell"], data["n"]) == (k, 1, n)
+        assert (len(data["h"]), len(data["f"])) == (k, n - 1)
 
     def test_largest_stirling(self, capsys):
         top = cli.MAX_STIRLING_N
@@ -281,15 +301,22 @@ class TestReduce:
 TRIPLE = "B(2T)*B(3T)*B(5T)"
 HALF = "B(1/2T)^2*e^{-3/2T}"
 
-#: exact output of each command in each style; the text and LaTeX spellings of one value
+#: exact output of each command in each style (text, LaTeX, JSON); the text and LaTeX spellings of one value
 GOLDENS = {
     ("bern", "num", "0..4"): (
         ["1", "-1/2", "1/6", "0", "-1/30"],
         ["1", r"-\frac{1}{2}", r"\frac{1}{6}", "0", r"-\frac{1}{30}"],
+        ['["1", "-1/2", "1/6", "0", "-1/30"]'],
     ),
     ("bern", "poly", "0..3"): (
         ["1", "-1/2 + X", "1/6 - X + X^2", "1/2*X - 3/2*X^2 + X^3"],
         ["1", r"-\frac{1}{2} + X", r"\frac{1}{6} - X + X^{2}", r"\frac{1}{2}X - \frac{3}{2}X^{2} + X^{3}"],
+        ['[["1"], ["-1/2", "1"], ["1/6", "-1", "1"], ["0", "1/2", "-3/2", "1"]]'],
+    ),
+    ("pf", "g", "4", "6"): (
+        ["g_{4,6} = -1/2", "g_{6,4} = -1/3 + 1/3*X^2"],
+        [r"g_{4,6} = -\frac{1}{2}", r"g_{6,4} = -\frac{1}{3} + \frac{1}{3}X^{2}"],
+        ['{"m": 4, "n": 6, "ell": 2, "g_mn": ["-1/2"], "g_nm": ["-1/3", "0", "1/3"]}'],
     ),
     ("pf", "hf", "2", "1", "5"): (
         ["h^{(2)}_{1,5} = 3/5 - 2/5*X", "f^{(2)}_{1,5} = 2/5 + 3/5*X + 3/5*X^2 + 2/5*X^3"],
@@ -297,6 +324,7 @@ GOLDENS = {
             r"h^{(2)}_{1,5} = \frac{3}{5} - \frac{2}{5}X",
             r"f^{(2)}_{1,5} = \frac{2}{5} + \frac{3}{5}X + \frac{3}{5}X^{2} + \frac{2}{5}X^{3}",
         ],
+        ['{"k": 2, "ell": 1, "n": 5, "h": ["3/5", "-2/5"], "f": ["2/5", "3/5", "3/5", "2/5"]}'],
     ),
     ("reduce", "product", TRIPLE, "--to-first-order"): (
         [
@@ -331,22 +359,61 @@ GOLDENS = {
                 ]
             )
         ],
+        [
+            (
+                '{"element": {"text": "-13/6*T*B^2 + 2/3*T*B^2*e^{T} + 3*B^3 - 2*B^3*e^{T} '
+                '+ 15/4*T^2*B(2T) + 10/9*T^2*B(3T) - 20/9*T^2*B(3T)*e^{T} + 10/9*T^2*B(3T)*e^{2T} '
+                '+ 14/5*T^2*B(5T) - 4/5*T^2*B(5T)*e^{T} + 2/5*T^2*B(5T)*e^{2T} + 2/5*T^2*B(5T)*e^{3T} '
+                '- 4/5*T^2*B(5T)*e^{4T}", "atoms": [{"coeff": "-13/6", "m": 1, "n": 2, "b": "1", '
+                '"a": "0"}, {"coeff": "2/3", "m": 1, "n": 2, "b": "1", "a": "1"}, {"coeff": "3", "m": 0, '
+                '"n": 3, "b": "1", "a": "0"}, {"coeff": "-2", "m": 0, "n": 3, "b": "1", "a": "1"}, '
+                '{"coeff": "15/4", "m": 2, "n": 1, "b": "2", "a": "0"}, {"coeff": "10/9", "m": 2, "n": 1, '
+                '"b": "3", "a": "0"}, {"coeff": "-20/9", "m": 2, "n": 1, "b": "3", "a": "1"}, '
+                '{"coeff": "10/9", "m": 2, "n": 1, "b": "3", "a": "2"}, {"coeff": "14/5", "m": 2, "n": 1, '
+                '"b": "5", "a": "0"}, {"coeff": "-4/5", "m": 2, "n": 1, "b": "5", "a": "1"}, '
+                '{"coeff": "2/5", "m": 2, "n": 1, "b": "5", "a": "2"}, {"coeff": "2/5", "m": 2, "n": 1, '
+                '"b": "5", "a": "3"}, {"coeff": "-4/5", "m": 2, "n": 1, "b": "5", "a": "4"}]}, '
+                '"first_order": [{"m": 0, "n": 1, "b": "1", "a": "0", "operator": [{"order": 0, '
+                '"coeffs": ["3", "-20/3", "31/6"]}, {"order": 1, "coeffs": ["0", "-3", "20/3"]}, '
+                '{"order": 2, "coeffs": ["0", "0", "3/2"]}]}, {"m": 0, "n": 1, "b": "1", "a": "1", '
+                '"operator": [{"order": 0, "coeffs": ["-2", "5/3"]}, {"order": 1, "coeffs": ["0", "2", '
+                '"-5/3"]}, {"order": 2, "coeffs": ["0", "0", "-1"]}]}, {"m": 0, "n": 1, "b": "2", '
+                '"a": "0", "operator": [{"order": 0, "coeffs": ["0", "0", "15/4"]}]}, {"m": 0, "n": 1, '
+                '"b": "3", "a": "0", "operator": [{"order": 0, "coeffs": ["0", "0", "10/9"]}]}, {"m": 0, '
+                '"n": 1, "b": "3", "a": "1", "operator": [{"order": 0, "coeffs": ["0", "0", "-20/9"]}]}, '
+                '{"m": 0, "n": 1, "b": "3", "a": "2", "operator": [{"order": 0, "coeffs": ["0", "0", '
+                '"10/9"]}]}, {"m": 0, "n": 1, "b": "5", "a": "0", "operator": [{"order": 0, '
+                '"coeffs": ["0", "0", "14/5"]}]}, {"m": 0, "n": 1, "b": "5", "a": "1", '
+                '"operator": [{"order": 0, "coeffs": ["0", "0", "-4/5"]}]}, {"m": 0, "n": 1, "b": "5", '
+                '"a": "2", "operator": [{"order": 0, "coeffs": ["0", "0", "2/5"]}]}, {"m": 0, "n": 1, '
+                '"b": "5", "a": "3", "operator": [{"order": 0, "coeffs": ["0", "0", "2/5"]}]}, {"m": 0, '
+                '"n": 1, "b": "5", "a": "4", "operator": [{"order": 0, "coeffs": ["0", "0", "-4/5"]}]}]}'
+            )
+        ],
     ),
     ("reduce", "product", HALF, "--to-first-order"): (
         ["[1 - 2*T - T*d] (B(1/2T)*e^{-3/2T})"],
         [r"\left(1 - 2T - T\frac{d}{dT}\right)\!\left(B(\frac{1}{2}T)e^{-\frac{3}{2}T}\right)"],
+        [
+            (
+                '{"element": {"text": "B(1/2T)^2*e^{-3/2T}", "atoms": [{"coeff": "1", "m": 0, "n": 2, '
+                '"b": "1/2", "a": "-3/2"}]}, "first_order": [{"m": 0, "n": 1, "b": "1/2", "a": "-3/2", '
+                '"operator": [{"order": 0, "coeffs": ["1", "-2"]}, {"order": 1, "coeffs": ["0", '
+                '"-1"]}]}]}'
+            )
+        ],
     ),
 }
 
 
 class TestGoldens:
     @pytest.mark.parametrize("argv", list(GOLDENS), ids=" ".join)
-    @pytest.mark.parametrize("style", ["text", "latex"])
+    @pytest.mark.parametrize("style", ["text", "latex", "json"])
     def test_exact_output(self, capsys, argv, style):
         code, out, err = run(capsys, "--format", style, *argv)
-        text_lines, latex_lines = GOLDENS[argv]
+        lines = GOLDENS[argv][["text", "latex", "json"].index(style)]
         assert code == 0 and err == ""
-        assert out == "".join(line + "\n" for line in (text_lines if style == "text" else latex_lines))
+        assert out == "".join(line + "\n" for line in lines)
 
 
 class TestVerify:

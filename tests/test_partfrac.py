@@ -135,9 +135,12 @@ class TestAgainstFractionRoute:
 
     def test_numerators_lift_to_the_polynomials(self):
         pair = g_pair(4, 6)
-        assert (pair.ell, pair.den, pair.mn_nums) == (2, 6, (-3,))
+        assert (pair.ell, pair.g_mn.den, pair.g_mn.nums) == (2, 2, (-1,))
+        assert (pair.g_nm.den, pair.g_nm.nums) == (3, (-1, 0, 1))
         assert pair.g_mn == Poly.const(Fraction(-1, 2))
-        assert h_f(2, 2, 10).h == Poly([Fraction(3, 5), 0, Fraction(-2, 5)])
+        h = h_f(2, 2, 10).h
+        assert (h.den, h.nums) == (5, (3, 0, -2))
+        assert h == Poly([Fraction(3, 5), 0, Fraction(-2, 5)])
 
 
 def _recombination_holds(factors, terms):

@@ -4,9 +4,30 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernring.polys import Poly, binomial, gcd_ext, x_power_minus_one
-from conftest import cyclotomic_sum, nonzero_polys, polys, random_poly, small_rationals
+from conftest import (
+    coefficient_lists,
+    cyclotomic_sum,
+    fraction_poly_add,
+    fraction_poly_compose_power,
+    fraction_poly_derivative,
+    fraction_poly_divmod,
+    fraction_poly_gcd_ext,
+    fraction_poly_integral,
+    fraction_poly_mul,
+    fraction_poly_pow,
+    fraction_poly_scale,
+    fraction_poly_eval,
+    fraction_trim,
+    nonzero_polys,
+    polys,
+    random_poly,
+    random_rational,
+    small_rationals,
+    trailing_valuation,
+)
 
 X = Poly.X()
 
@@ -119,5 +140,111 @@ class TestHelpers:
         assert cyclotomic_sum(3) * (X - 1) == x_power_minus_one(3)
 
     def test_trailing_valuation(self):
-        assert Poly([0, 0, 5, 1]).trailing_valuation() == 2
-        assert Poly.zero().trailing_valuation() == 0
+        assert trailing_valuation(Poly([0, 0, 5, 1])) == 2
+        assert trailing_valuation(Poly.zero()) == 0
+
+
+nonzero_lists = coefficient_lists.filter(lambda cs: any(cs))
+
+
+def _fixed_grid() -> list[list[Fraction]]:
+    """Coefficient lists for the fixed-grid checks: edge cases, then seeded random lists."""
+    rng = random.Random(20240)
+    grid = [[], [0], [0, 0, 0], [1], [Fraction(-7, 3)], [0, 0, Fraction(5, 2)], [1, 2, 3, 0, 0]]
+    grid += [[Fraction(10**30 + 1, 7), Fraction(-1, 10**12 + 39), 3]]
+    grid += [[random_rational(rng, num=40, den=12) for _ in range(rng.randint(1, 9))] for _ in range(30)]
+    return grid
+
+
+GRID = _fixed_grid()
+SCALARS = [0, 1, -1, 3, Fraction(-5, 6), Fraction(10**20, 3)]
+
+
+def _lists_agree(a, b):
+    """The Poly routes on the coefficient lists a and b match the Fraction-list oracles."""
+    p, q = Poly(a), Poly(b)
+    assert list(p.coeffs) == fraction_trim(a)
+    assert list((p + q).coeffs) == fraction_poly_add(a, b)
+    assert list((p - q).coeffs) == fraction_poly_add(a, fraction_poly_scale(b, Fraction(-1)))
+    assert list((-p).coeffs) == fraction_poly_scale(a, Fraction(-1))
+    assert list((p * q).coeffs) == fraction_poly_mul(a, b)
+    for c in SCALARS:
+        assert list((p * c).coeffs) == list((c * p).coeffs) == fraction_poly_scale(a, Fraction(c))
+        assert list((p + c).coeffs) == list((c + p).coeffs) == fraction_poly_add(a, [c])
+        assert list((p - c).coeffs) == fraction_poly_add(a, [-c])
+        assert list((c - p).coeffs) == fraction_poly_add([c], fraction_poly_scale(a, Fraction(-1)))
+        if c:
+            assert list((p / c).coeffs) == fraction_poly_scale(a, 1 / Fraction(c))
+    for n in range(4):
+        assert list((p**n).coeffs) == fraction_poly_pow(a, n)
+    for ell in (1, 2, 3, 5):
+        assert list(p.compose_power(ell).coeffs) == fraction_poly_compose_power(fraction_trim(a), ell)
+    assert list(p.derivative().coeffs) == fraction_poly_derivative(a)
+    assert list(p.integral().coeffs) == fraction_poly_integral(a)
+    for x in (0, 1, Fraction(-2, 3), Fraction(7, 5)):
+        assert p(x) == fraction_poly_eval(a, Fraction(x))
+    if any(b):
+        quot, rem = divmod(p, q)
+        assert (list(quot.coeffs), list(rem.coeffs)) == fraction_poly_divmod(a, fraction_trim(b))
+    if any(a) or any(b):
+        assert tuple(list(x.coeffs) for x in gcd_ext(p, q)) == fraction_poly_gcd_ext(a, b)
+
+
+class TestAgainstFractionLists:
+    """Every Poly route against the dense Fraction arithmetic it replaced."""
+
+    @given(coefficient_lists, coefficient_lists)
+    @settings(max_examples=150, deadline=None)
+    def test_random_lists(self, a, b):
+        _lists_agree(a, b)
+
+    @pytest.mark.parametrize("index", range(len(GRID)))
+    def test_fixed_grid(self, index):
+        for b in GRID[index % 3 :: 3]:
+            _lists_agree(GRID[index], b)
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            Poly([1, 2]) / 0
+        with pytest.raises(ZeroDivisionError):
+            Poly([1, 2], 0)
+
+
+def _is_canonical(p: Poly) -> bool:
+    return p.den > 0 and math.gcd(p.den, *p.nums) == 1 and (not p.nums or p.nums[-1] != 0)
+
+
+class TestCanonicalForm:
+    """A Poly built from rationals and one built from integers over any denominator are one value."""
+
+    @given(
+        coefficient_lists,
+        st.integers(min_value=1, max_value=10**6),
+        st.sampled_from([1, -1]),
+        st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_integers_over_any_denominator(self, cs, multiple, sign, zeros):
+        rational = Poly(cs)
+        den = sign * multiple * math.lcm(*(c.denominator for c in cs))
+        integral = Poly([int(c * den) for c in cs] + [0] * zeros, den)
+        assert integral == rational and hash(integral) == hash(rational)
+        assert (integral.nums, integral.den) == (rational.nums, rational.den)
+        assert _is_canonical(rational) and _is_canonical(integral)
+        assert integral.coeffs == tuple(fraction_trim(cs))
+
+    @given(nonzero_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_results_are_canonical(self, cs):
+        p = Poly(cs)
+        for result in (p + p, p - p, p * p, p * Fraction(-3, 4), p / 6, p.compose_power(2), p.derivative()):
+            assert _is_canonical(result)
+
+    def test_examples(self):
+        p = Poly([Fraction(1, 2), Fraction(-3, 4)])
+        assert (p.nums, p.den) == ((2, -3), 4)
+        assert Poly([6, -9, 0, 0], -12) == -p
+        zero = Poly([0, 0], 7)
+        assert (zero.nums, zero.den) == ((), 1)
+        assert Poly([2, 4], 2) == Poly([1, 2]) == Poly([-3, -6], -3)
+        assert Poly([3], 6) == Fraction(1, 2) and Poly([4], 2) == 2
