@@ -144,10 +144,10 @@ MAX_STIRLING_N = 500
 MAX_VERIFY_INDEX = 60
 MAX_VERIFY_CASES = 1000
 #: the largest scale of ``pf g`` and ``pf hf`` and the largest power K of ``pf hf``.  ``g_pair(m, n)``
-#: works in (m/l)(m/l + n/l) steps for l = gcd(m, n), and ``h_f(k, l, n)`` in about k^2 (k + n/l)
-#: steps on integers of about k log(n/l) bits; each prints about m + n or k l + n coefficients.
-#: ``pf g 2000 1999`` takes about 0.8 s and ``pf hf 200 1 2000`` about 0.9 s, but ``pf g 10000 9999``
-#: 21 s and ``pf hf 1000 1 2`` 6.8 s
+#: is linear, so the scales bound its output of about m + n coefficients; ``h_f(k, l, n)`` takes about
+#: k (k + n/l) steps on integers of about k log(n/l) bits.  The slowest accepted input found,
+#: ``pf hf 200 1000 2000``, takes about 0.75 s, most of it rendering the 200,000 coefficients of the
+#: lifted h; ``pf hf 200 1 2000`` takes about 0.6 s and ``pf g 2000 1999`` about 0.2 s
 MAX_PF_SCALE = 2000
 MAX_PF_POWER = 200
 

@@ -9,9 +9,9 @@ Bernoulli-type series:
   order k+1 at the divisor scale plus a simple term at scale n.
 
 Both are computed once at the coprime level, in integers over one denominator,
-and lifted by the substitution X -> X^ell: ``g_pair`` with the Bezout cofactor
-of the two cyclotomic sums in closed form, ``h_f`` by an inductive coefficient
-recurrence, and each by exact division by monic polynomials.  The general
+and lifted by the substitution X -> X^ell: ``g_pair`` in closed form from its
+values at the roots of unity, ``h_f`` by an inductive coefficient recurrence in
+the basis (X-1)^j and running sums for the divisions by X - 1.  The general
 multi-factor decomposition, :func:`lemma_decompose`, is read off the rewrite of
 :func:`bernring.reduction.product_reduce`: with X = e^U, 1/(X^k-1) = B(kU)/(kU),
 so the product of the factors is one pending row of that rewrite, and each row
@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .polys import Poly
 
@@ -66,48 +67,29 @@ def _times_phi(p: list[int], n: int) -> list[int]:
     return [sum(p[max(0, e - n + 1) : e + 1]) for e in range(len(p) + n - 1)]
 
 
-def _quotient(p: list[int], q: list[int]) -> list[int]:
-    """p / q for a monic integer polynomial q that divides p, by long division."""
-    rem, dq = list(p), len(q) - 1
-    quot = [0] * max(len(rem) - dq, 0)
-    for i in range(len(quot) - 1, -1, -1):
-        if c := rem[i + dq]:
-            quot[i] = c
-            for j, b in enumerate(q):
-                rem[i + j] -= c * b
-    if any(rem):
-        raise ValueError("inexact polynomial division")
-    return quot
-
-
 @lru_cache(maxsize=None)
 def g_pair(m: int, n: int) -> GPair:
-    """The simple-pole numerators for the two-factor decomposition."""
+    """The simple-pole numerators for the two-factor decomposition.
+
+    At the coprime level mh = m/ell, nh = n/ell, clearing denominators gives
+    1 = phi_mh phi_nh/(mh nh) + g_nm (X^mh - 1) + g_mn (X^nh - 1), phi_k = (X^k-1)/(X-1), so
+    g_mn(z) = 1/(z^nh - 1) at each root z != 1 of X^mh - 1.  For any such root w,
+    sum_{i<mh} i w^i = mh/(w - 1); with w = z^nh and i = u j mod mh, u = nh^-1 mod mh, the
+    polynomial sum_j (u j mod mh) X^j / mh takes those values, and subtracting its top
+    coefficient times phi_mh leaves degree < mh - 1, where the mh - 1 values fix g_mn.
+    """
     if m < 1 or n < 1:
         raise ValueError("scales must be positive")
     if m == n:
         raise ValueError("g_pair requires distinct scales")
     ell = math.gcd(m, n)
     mh, nh = m // ell, n // ell
-    # Over the denominator mh nh: pin the double-pole term 1/(mh nh (X-1)); the rest,
-    # lhs = (mh nh - phi_m phi_n)/(X-1), splits over the coprime cofactors phi_k = (X^k-1)/(X-1).
-    numerator = [-c for c in _times_phi([1] * mh, nh)]
-    numerator[0] += mh * nh
-    lhs = _quotient(numerator, [-1, 1])
-    # The Bezout cofactor in closed form: with u = nh^-1 mod mh, v = sum_{j<u} X^(nh j) has
-    # phi_n v = (X^(nh u) - 1)/(X-1) = 1 mod phi_m, as X^(nh u) = X mod X^mh - 1.  So g_mn is
-    # lhs v mod phi_m: lhs folded mod X^mh - 1, summed over the u rotations by nh j, and the top
-    # coefficient times phi_m subtracted once.
-    folded = [sum(lhs[i::mh]) for i in range(mh)]
-    rem = [0] * mh
-    for j in range(pow(nh, -1, mh)):
-        s = nh * j % mh
-        rem = [a + b for a, b in zip(rem, folded[mh - s :] + folded[: mh - s])]
-    top = rem.pop()
-    mn_nums = [c - top for c in rem]
-    nm_nums = _quotient([a - b for a, b in zip(lhs, _times_phi(mn_nums, nh))], [1] * mh)
-    g_mn, g_nm = (Poly(nums, mh * nh).compose_power(ell) for nums in (mn_nums, nm_nums))
-    return GPair(m=m, n=n, ell=ell, g_mn=g_mn, g_nm=g_nm)
+
+    def g(a: int, b: int) -> Poly:
+        u = pow(b, -1, a)
+        return Poly([u * j % a - a + u for j in range(a - 1)], a).compose_power(ell)
+
+    return GPair(m=m, n=n, ell=ell, g_mn=g(mh, nh), g_nm=g(nh, mh))
 
 
 @lru_cache(maxsize=None)
@@ -123,15 +105,22 @@ def h_f(k: int, ell: int, n: int) -> HFPair:
     den = nh**k
     # h in the basis (X-1)^j, over nh^k: a_0 = nh^(k-1), then each next coefficient kills the next
     # (X-1)-adic coefficient of h * (1 + X + ... + X^(nh-1)) - nh^k.
+    binom = [math.comb(nh, i) for i in range(k + 1)]
     a = [nh ** (k - 1)]
     for i in range(2, k + 1):
-        a.append(-sum(aj * math.comb(nh, i - j) for j, aj in enumerate(a)) // nh)
-    h_nums = [sum(aj * math.comb(j, e) * (-1) ** (j + e) for j, aj in enumerate(a)) for e in range(k)]
-    # f = (nh^k - phi_n h)/(X-1)^k, by k synthetic divisions
+        a.append(-sum(aj * binom[i - j] for j, aj in enumerate(a)) // nh)
+    # back to the basis X^e by Horner's rule in X - 1
+    h_nums: list[int] = []
+    for aj in reversed(a):
+        h_nums = [x - y for x, y in zip([aj] + h_nums, h_nums + [0])]
+    # f = (nh^k - phi_n h)/(X-1)^k by k divisions: p = (X-1) q gives q_i = -(p_0 + ... + p_i)
     f_nums = [-c for c in _times_phi(h_nums, nh)]
     f_nums[0] += den
     for _ in range(k):
-        f_nums = _quotient(f_nums, [-1, 1])
+        *sums, rem = accumulate(f_nums)
+        if rem:
+            raise ValueError("inexact division by X - 1")
+        f_nums = [-c for c in sums]
     h, f = (Poly(nums, den).compose_power(ell) for nums in (h_nums, f_nums))
     return HFPair(k=k, ell=ell, n=n, h=h, f=f)
 

@@ -88,11 +88,6 @@ class TruncatedSeries:
         coeff = _as_fraction(coeff)
         return TruncatedSeries(exponent, [coeff.numerator] + [0] * (bound - exponent), bound, coeff.denominator)
 
-    @staticmethod
-    def from_coeffs(coeffs: Sequence, bound: int, low: int = 0) -> "TruncatedSeries":
-        """Series with the given window low .. low+len(coeffs)-1 == bound."""
-        return TruncatedSeries(low, coeffs, bound)
-
     # -- basic queries -----------------------------------------------------
 
     def is_known_zero(self) -> bool:

@@ -578,6 +578,49 @@ def g_pair_by_euclid(m: int, n: int) -> tuple[Poly, Poly]:
     return g_mn.compose_power(ell), g_nm.compose_power(ell)
 
 
+def _times_phi(p: list[int], n: int) -> list[int]:
+    """p times 1 + X + ... + X^(n-1): each coefficient a sum over a window of p."""
+    return [sum(p[max(0, e - n + 1) : e + 1]) for e in range(len(p) + n - 1)]
+
+
+def _quotient(p: list[int], q: list[int]) -> list[int]:
+    """p / q for a monic integer polynomial q that divides p, by long division."""
+    rem, dq = list(p), len(q) - 1
+    quot = [0] * max(len(rem) - dq, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        if c := rem[i + dq]:
+            quot[i] = c
+            for j, b in enumerate(q):
+                rem[i + j] -= c * b
+    if any(rem):
+        raise ValueError("inexact polynomial division")
+    return quot
+
+
+def g_pair_by_bezout(m: int, n: int) -> tuple[Poly, Poly]:
+    """(g_mn, g_nm) of ``g_pair`` in integers, the Bezout cofactor in closed form.
+
+    Over mh nh, lhs = (mh nh - phi_mh phi_nh)/(X-1) splits as g_nm phi_mh + g_mn phi_nh.  With
+    u = nh^-1 mod mh, v = sum_{j<u} X^(nh j) has phi_nh v = 1 mod phi_mh, so g_mn = lhs v mod
+    phi_mh: lhs folded mod X^mh - 1, summed over u rotations, less its top coefficient times
+    phi_mh.  Then g_nm = (lhs - g_mn phi_nh)/phi_mh by long division.
+    """
+    ell = math.gcd(m, n)
+    mh, nh = m // ell, n // ell
+    numerator = [-c for c in _times_phi([1] * mh, nh)]
+    numerator[0] += mh * nh
+    lhs = _quotient(numerator, [-1, 1])
+    folded = [sum(lhs[i::mh]) for i in range(mh)]
+    rem = [0] * mh
+    for j in range(pow(nh, -1, mh)):
+        s = nh * j % mh
+        rem = [a + b for a, b in zip(rem, folded[mh - s :] + folded[: mh - s])]
+    top = rem.pop()
+    mn_nums = [c - top for c in rem]
+    nm_nums = _quotient([a - b for a, b in zip(lhs, _times_phi(mn_nums, nh))], [1] * mh)
+    return tuple(Poly(nums, mh * nh).compose_power(ell) for nums in (mn_nums, nm_nums))
+
+
 def h_f_by_recurrence(k: int, ell: int, n: int) -> tuple[Poly, Poly]:
     """(h, f) of ``h_f`` in Fraction polynomials: h in the basis (X-1)^j, f by exact division."""
     nh = n // ell

@@ -323,7 +323,7 @@ class TestParameterizedRelation:
         def tampered(bound):
             coeffs = list(series.bernoulli_series(bound).coeffs)
             coeffs[4] += 1
-            return TruncatedSeries.from_coeffs(coeffs, bound)
+            return TruncatedSeries(0, coeffs, bound)
 
         monkeypatch.setattr(identities, "bernoulli_series", tampered)
         report = verify_miki_s_relation(8)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bernring.partfrac import g_pair, h_f, lemma_decompose
 from bernring.polys import Poly, x_power_minus_one
-from conftest import g_pair_by_euclid, h_f_by_recurrence, h_via_bezout
+from conftest import g_pair_by_bezout, g_pair_by_euclid, h_f_by_recurrence, h_via_bezout
 
 
 def as_poly(*coeffs):
@@ -133,6 +133,13 @@ class TestAgainstFractionRoute:
         pair = h_f(k, ell, n)
         assert (pair.h, pair.f) == h_f_by_recurrence(k, ell, n)
 
+    @pytest.mark.parametrize("k", [12, 40])
+    @pytest.mark.parametrize("n", [2, 6, 12])
+    def test_large_powers(self, k, n):
+        for ell in _proper_divisors(n):
+            pair = h_f(k, ell, n)
+            assert (pair.h, pair.f) == h_f_by_recurrence(k, ell, n)
+
     def test_numerators_lift_to_the_polynomials(self):
         pair = g_pair(4, 6)
         assert (pair.ell, pair.g_mn.den, pair.g_mn.nums) == (2, 2, (-1,))
@@ -141,6 +148,45 @@ class TestAgainstFractionRoute:
         h = h_f(2, 2, 10).h
         assert (h.den, h.nums) == (5, (3, 0, -2))
         assert h == Poly([Fraction(3, 5), 0, Fraction(-2, 5)])
+
+
+BEZOUT_GRID = [
+    (mh * ell, nh * ell)
+    for ell in (1, 2, 3, 7)
+    for mh, nh in ((1, 2), (2, 1), (2, 3), (3, 2), (5, 3), (7, 5), (13, 8), (29, 4), (31, 30), (97, 96), (101, 3))
+] + [(300, 299), (299, 300), (256, 243), (289, 120), (300, 7), (150, 101)]
+
+
+class TestAgainstBezoutRoute:
+    """``g_pair`` in closed form against the integer Bezout route with rotations and long division."""
+
+    @given(st.integers(1, 300), st.integers(1, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_random_pairs_up_to_300(self, m, n):
+        assume(m != n)
+        pair = g_pair(m, n)
+        assert (pair.g_mn, pair.g_nm) == g_pair_by_bezout(m, n)
+
+    @pytest.mark.parametrize("m, n", BEZOUT_GRID)
+    def test_fixed_grid(self, m, n):
+        pair = g_pair(m, n)
+        assert (pair.g_mn, pair.g_nm) == g_pair_by_bezout(m, n)
+
+
+class TestAtTheScaleCap:
+    """Pairs at ``cli.MAX_PF_SCALE``: degree bounds, and the identity evaluated exactly at two points."""
+
+    @pytest.mark.parametrize("m, n", [(2000, 1999), (1999, 1000), (2000, 3), (1536, 1024)])
+    def test_identity_and_bounds(self, m, n):
+        pair = g_pair(m, n)
+        ell = math.gcd(m, n)
+        assert pair.ell == ell
+        assert pair.g_mn.degree < m - ell
+        assert pair.g_nm.degree < n - ell
+        for x in (Fraction(2), Fraction(3, 2)):
+            lhs = 1 / ((x**n - 1) * (x**m - 1))
+            rhs = Fraction(ell * ell, m * n) / (x**ell - 1) ** 2 + pair.g_nm(x) / (x**n - 1) + pair.g_mn(x) / (x**m - 1)
+            assert lhs == rhs
 
 
 def _recombination_holds(factors, terms):

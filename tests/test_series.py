@@ -80,12 +80,12 @@ class TestCoreOps:
         assert (t_inv * t).same_up_to(TruncatedSeries.one(4), 4)
 
     def test_mul_bound_rule(self):
-        x = TruncatedSeries.from_coeffs([1, 1], 3, low=2)
-        y = TruncatedSeries.from_coeffs([1, 2, 3], 2, low=0)
+        x = TruncatedSeries(2, [1, 1], 3)
+        y = TruncatedSeries(0, [1, 2, 3], 2)
         assert (x * y).bound == min(3 + 0, 2 + 2)
 
     def test_inverse(self):
-        geom = TruncatedSeries.from_coeffs([1, -1] + [0] * 7, 8, low=0)
+        geom = TruncatedSeries(0, [1, -1] + [0] * 7, 8)
         inv = geom.inverse()
         # 1/(1-T) = 1 + T + T^2 + ...
         assert all(inv.coeff(i) == 1 for i in range(inv.bound + 1))
@@ -136,7 +136,7 @@ class TestCoreOps:
 
     def test_polynomial_coefficient_rejected(self):
         with pytest.raises(TypeError):
-            TruncatedSeries.from_coeffs([Poly.X()], 0)
+            TruncatedSeries(0, [Poly.X()], 0)
         with pytest.raises(TypeError):
             bernoulli_series(4).scale(Poly.X())
 
@@ -204,7 +204,7 @@ class TestProperties:
             while coeffs[0] == 0:
                 coeffs[0] = random_rational(rng)
             low = rng.randint(-3, 3)
-            x = TruncatedSeries.from_coeffs(coeffs, low + 11, low=low)
+            x = TruncatedSeries(low, coeffs, low + 11)
             prod = x * x.inverse()
             assert prod.coeff(0) == 1
             assert all(prod.coeff(i) == 0 for i in range(prod.low, prod.bound + 1) if i != 0)

@@ -108,7 +108,7 @@ class TestOneWindowApplySeries:
             assert window(op.apply_series(x)) == window(fold_apply_series(op, x))
 
     def test_least_bound_and_known_zeros(self):
-        x = TruncatedSeries.from_coeffs([3, 0, 1, 2], 1, low=-2)
+        x = TruncatedSeries(-2, [3, 0, 1, 2], 1)
         for op in [
             WeylOp({0: Poly([0, 0, 0, 1]), 3: Poly.one()}),  # T^3 keeps bound 4, d^3 drops it to -2
             WeylOp({1: Poly([0, 1]), 0: Poly([2])}),  # T d + 2 on T^-2 cancels it
