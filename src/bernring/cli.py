@@ -146,8 +146,8 @@ MAX_VERIFY_CASES = 1000
 #: the largest scale of ``pf g`` and ``pf hf`` and the largest power K of ``pf hf``.  ``g_pair(m, n)``
 #: is linear, so the scales bound its output of about m + n coefficients; ``h_f(k, l, n)`` takes about
 #: k (k + n/l) steps on integers of about k log(n/l) bits.  The slowest accepted input found,
-#: ``pf hf 200 1000 2000``, takes about 0.75 s, most of it rendering the 200,000 coefficients of the
-#: lifted h; ``pf hf 200 1 2000`` takes about 0.6 s and ``pf g 2000 1999`` about 0.2 s
+#: ``pf hf 200 1 2000``, takes about 0.65 s; ``pf hf 200 1000 2000``, whose lifted h has degree
+#: 199,000 and 200 nonzero coefficients, takes about 0.15 s and ``pf g 2000 1999`` about 0.15 s
 MAX_PF_SCALE = 2000
 MAX_PF_POWER = 200
 

@@ -1,22 +1,26 @@
 """Symbolic linear combinations of the generators T^m * B(bT)^n * e^{aT}.
 
-A :class:`BElement` is a finite Q-linear combination of :class:`Atom` terms.
-Atoms are kept with a positive argument scale b; constructing one with b < 0
-rewrites it through B(-T) = B(T) + T, so every stored atom is in the regime
-the product-reduction algorithms expect.
+A :class:`BElement` is a finite Q-linear combination of :class:`Atom` terms,
+stored as integer numerators over one positive denominator with no factor
+common to all of them, so ``==`` and ``hash`` compare the stored form and the
+arithmetic runs on integers; ``terms`` is the Fraction view.  Atoms are kept
+with a positive argument scale b; constructing one with b < 0 rewrites it
+through B(-T) = B(T) + T, so every stored atom is in the regime the
+product-reduction algorithms expect.
 
-Equality of elements is semantic, not structural: distinct atom combinations
-can denote the same Laurent series (e.g. B*e^T and B + T).  The exact zero
-test multiplies by enough factors of (e^{bT} - 1) to clear every B; what is
-left is again an element, of atoms T^m e^{aT}, and it vanishes iff it has no
-terms, because distinct T^m e^{aT} are linearly independent over Q.
+Whether two elements denote the same Laurent series is a semantic question:
+distinct atom combinations can (e.g. B*e^T and B + T), and ``equals`` decides
+it.  The exact zero test multiplies by enough factors of (e^{bT} - 1) to clear
+every B; what is left is again an element, of atoms T^m e^{aT}, and it
+vanishes iff it has no terms, because distinct T^m e^{aT} are linearly
+independent over Q.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import total_ordering
-from math import factorial
 from typing import Iterator, Mapping
 
 from .polys import TEXT, Style, binomial, join_signed, scaled
@@ -91,28 +95,48 @@ class Atom(Frozen):
         return self.key() < other.key() if other.__class__ is Atom else NotImplemented
 
 
-def _make_atom(m: int, n: int, b, a) -> Atom:
-    return Atom(b=Fraction(b), n=n, m=m, a=Fraction(a))
+#: the scale of every atom with n = 0, and the shift of a constant
+_ONE, _ZERO = Fraction(1), Fraction(0)
 
 
 class BElement:
-    """Finite Q-linear combination of atoms; the empty combination is zero."""
+    """Finite Q-linear combination of atoms; the empty combination is zero.
 
-    __slots__ = ("terms", "_hash")
+    The coefficients are stored as integer numerators ``nums`` {atom: numerator} over one positive
+    denominator ``den``, with no zero entry (zero stores none, over 1) and no factor common to
+    ``den`` and every numerator, so equal combinations store equal numerators; ``terms`` hands
+    the coefficients out as Fractions.
+    """
 
-    def __init__(self, terms: Mapping[Atom, Fraction] | None = None):
-        cleaned: dict[Atom, Fraction] = {}
-        if terms:
-            for at, c in terms.items():
-                if c.__class__ is not Fraction:
-                    c = Fraction(c)
-                if c:
-                    cleaned[at] = c
-        object.__setattr__(self, "terms", cleaned)
-        object.__setattr__(self, "_hash", None)
+    __slots__ = ("nums", "den", "_terms", "_hash")
+
+    def __init__(self, terms: Mapping[Atom, Fraction] | None = None, den: int | None = None):
+        """The element of the rationals ``terms`` or, given ``den``, of the integers ``terms`` over ``den``."""
+        terms = terms or {}
+        if den is None:
+            terms = {at: c if c.__class__ is Fraction else Fraction(c) for at, c in terms.items()}
+            den = math.lcm(*(c.denominator for c in terms.values()))
+            terms = {at: c.numerator * (den // c.denominator) for at, c in terms.items()}
+        elif not den:
+            raise ZeroDivisionError("element over a zero denominator")
+        nums = {at: v for at, v in terms.items() if v}
+        g = math.gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums, den = {at: v // g for at, v in nums.items()}, den // g
+        for name, value in zip(self.__slots__, (nums, den, None, None)):
+            _set(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("BElement is immutable")
+
+    @property
+    def terms(self) -> dict[Atom, Fraction]:
+        """The coefficients {atom: Fraction}, built on first use and kept."""
+        if self._terms is None:
+            _set(self, "_terms", {at: Fraction(v, self.den) for at, v in self.nums.items()})
+        return self._terms
 
     # -- vector-space structure ---------------------------------------------
 
@@ -121,44 +145,40 @@ class BElement:
         return BElement()
 
     def is_structurally_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __add__(self, other: "BElement") -> "BElement":
-        out = dict(self.terms)
-        for at, c in other.terms.items():
-            out[at] = out[at] + c if at in out else c
-        return BElement(out)
+        den = math.lcm(self.den, other.den)
+        out, f = {at: v * (den // self.den) for at, v in self.nums.items()}, den // other.den
+        for at, v in other.nums.items():
+            out[at] = out.get(at, 0) + v * f
+        return BElement(out, den)
 
     def __neg__(self) -> "BElement":
-        return BElement({at: -c for at, c in self.terms.items()})
+        return BElement({at: -v for at, v in self.nums.items()}, self.den)
 
     def __sub__(self, other: "BElement") -> "BElement":
         return self + (-other)
 
     def scale(self, c) -> "BElement":
         c = Fraction(c)
-        return BElement({at: c * v for at, v in self.terms.items()})
+        return BElement({at: c.numerator * v for at, v in self.nums.items()}, self.den * c.denominator)
 
     def __eq__(self, other) -> bool:
         """Structural equality (same atoms, same coefficients); use equals() for semantic."""
         if not isinstance(other, BElement):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
         if self._hash is None:  # computed once: the element is immutable
-            object.__setattr__(self, "_hash", hash(frozenset(self.terms.items())))
+            _set(self, "_hash", hash((self.den, frozenset(self.nums.items()))))
         return self._hash
 
     def mul_monomial(self, k: int, a_shift=0) -> "BElement":
         """Multiply by T^k * e^{a_shift * T}: a pure shift of every atom."""
         a_shift = Fraction(a_shift)
-        return BElement(
-            {
-                Atom(b=at.b, n=at.n, m=at.m + k, a=at.a + a_shift): c
-                for at, c in self.terms.items()
-            }
-        )
+        return BElement({Atom(at.b, at.n, at.m + k, at.a + a_shift): v for at, v in self.nums.items()}, self.den)
 
     def atoms(self) -> Iterator[tuple[Atom, Fraction]]:
         return iter(sorted(self.terms.items(), key=lambda item: item[0].key()))
@@ -167,7 +187,8 @@ class BElement:
 
     def expand(self, bound: int) -> TruncatedSeries:
         """The Laurent series of this element, exact to the given bound."""
-        return TruncatedSeries.combination([(_atom_series(at, bound), 0, c) for at, c in self.terms.items()], bound)
+        ser = TruncatedSeries.combination([(_atom_series(at, bound), 0, v) for at, v in self.nums.items()], bound)
+        return ser if self.den == 1 else TruncatedSeries(ser.low, ser.nums, ser.bound, ser.den * self.den)
 
     def coeff(self, i: int) -> Fraction:
         """The exact T^i coefficient, read in closed form with no series built.
@@ -178,16 +199,16 @@ class BElement:
         H / (d q^j) the Horner value of :func:`poly_value_numerator`.
         """
         parts = []
-        for at, c in self.terms.items():
+        for at, v in self.nums.items():
             j = i - at.m
             if j < 0:
                 continue
-            a, b = at.a, at.b
+            (an, ad), (bn, bd) = at.a.as_integer_ratio(), at.b.as_integer_ratio()
             if at.n:
-                h, d = poly_value_numerator(at.n, j, a.numerator * b.denominator, a.denominator * b.numerator)
+                h, d = poly_value_numerator(at.n, j, an * bd, ad * bn)
             else:
-                h, d = a.numerator**j, 1
-            parts.append((c.numerator * h, c.denominator * d * (a.denominator * b.denominator) ** j * factorial(j)))
+                h, d = an**j, 1
+            parts.append((v * h, self.den * d * (ad * bd) ** j * math.factorial(j)))
         return fraction_sum(parts)
 
     def to_exp_poly(self) -> tuple["BElement", str]:
@@ -195,38 +216,41 @@ class BElement:
 
         D = prod over distinct scales b of (e^{bT}-1)^{M_b}, M_b the largest B-power at that
         scale, is a unit multiple of a monomial in the Laurent field, and distinct T^m e^{aT}
-        are linearly independent over Q; so x == 0 iff x*D has no terms.
+        are linearly independent over Q; so x == 0 iff x*D has no terms.  The shifts are summed
+        as integers over the lcm A of their denominators and the scales', the coefficients over
+        den times the lcm of the b.den^n.
         """
         max_power: dict[Fraction, int] = {}
-        for at in self.terms:
+        for at in self.nums:
             if at.n >= 1:
                 max_power[at.b] = max(max_power.get(at.b, 0), at.n)
-        cleared: dict[tuple[Fraction, int], Fraction] = {}
-        for at, c in self.terms.items():
+        shift_den = math.lcm(*(at.a.denominator for at in self.nums), *(b.denominator for b in max_power))
+        coeff_den = math.lcm(*(at.b.denominator**at.n for at in self.nums))
+        cleared: dict[tuple[int, int], int] = {}  # (A a, m) -> coefficient of T^m e^{aT}
+        for at, v in self.nums.items():
             # B(bT)^n * (e^{bT}-1)^n = (bT)^n; leftover factors expand binomially
-            base: dict[Fraction, Fraction] = {at.a: c * at.b**at.n}
+            (bn, bd), (an, ad) = at.b.as_integer_ratio(), at.a.as_integer_ratio()
+            base = {an * (shift_den // ad): v * bn**at.n * (coeff_den // bd**at.n)}
             for scale, mult in max_power.items():
                 k = mult - at.n if scale == at.b else mult  # n = 0 gives mult either way
                 if k == 0:
                     continue
-                grown: dict[Fraction, Fraction] = {}
+                step, grown = scale.numerator * (shift_den // scale.denominator), {}
                 for r in range(k + 1):
-                    w = binomial(k, r) * (-1) ** (k - r)
-                    for shift, coeff in base.items():
-                        key = shift + r * scale
-                        grown[key] = grown.get(key, Fraction(0)) + w * coeff
+                    w = math.comb(k, r) * (-1) ** (k - r)
+                    for shift, c in base.items():
+                        grown[shift + r * step] = grown.get(shift + r * step, 0) + w * c
                 base = grown
-            for shift, coeff in base.items():
+            for shift, c in base.items():
                 key = (shift, at.m + at.n)
-                cleared[key] = cleared.get(key, Fraction(0)) + coeff
-        desc = " * ".join(
-            f"(e^{{{scale}T}}-1)^{mult}" for scale, mult in sorted(max_power.items())
-        )
-        return BElement({Atom(Fraction(1), 0, m, a): c for (a, m), c in cleared.items()}), (desc or "1")
+                cleared[key] = cleared.get(key, 0) + c
+        terms = {Atom(_ONE, 0, m, Fraction(shift, shift_den)): c for (shift, m), c in cleared.items() if c}
+        desc = " * ".join(f"(e^{{{scale}T}}-1)^{mult}" for scale, mult in sorted(max_power.items()))
+        return BElement(terms, self.den * coeff_den), (desc or "1")
 
     def is_zero(self) -> bool:
         """Exact zero test (sound and complete on the whole space)."""
-        return not self.terms or self.to_exp_poly()[0].is_structurally_zero()
+        return not self.nums or self.to_exp_poly()[0].is_structurally_zero()
 
     def equals(self, other: "BElement") -> bool:
         """Semantic equality: the two elements denote the same Laurent series."""
@@ -270,15 +294,15 @@ def atom(m: int, n: int, b, a=0) -> BElement:
     if b == 0:
         raise ValueError("argument scale b must be nonzero")
     if n == 0:
-        return BElement({_make_atom(m, 0, 1, a): Fraction(1)})
+        return BElement({Atom(_ONE, 0, m, a): 1}, 1)
     if b > 0:
-        return BElement({_make_atom(m, n, b, a): Fraction(1)})
+        return BElement({Atom(b, n, m, a): 1}, 1)
     mag = -b  # the atoms of the binomial expansion have distinct B-powers j
-    return BElement({_make_atom(m + n - j, j, mag if j else 1, a): binomial(n, j) * mag ** (n - j) for j in range(n + 1)})
+    return BElement({Atom(mag if j else _ONE, j, m + n - j, a): binomial(n, j) * mag ** (n - j) for j in range(n + 1)})
 
 
 def from_scalar(c) -> BElement:
-    return BElement({_make_atom(0, 0, 1, 0): Fraction(c)})
+    return BElement({Atom(_ONE, 0, 0, _ZERO): Fraction(c)})
 
 
 def b_element() -> BElement:

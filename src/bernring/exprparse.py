@@ -123,24 +123,46 @@ class _Parser:
         return value
 
     def term(self) -> BElement:
-        value = self.unary()
-        while self.peek()[1] == "*":
+        """A product of factors.  A monomial factor c T^k e^{aT} only scales and shifts the atoms of
+        the others, so the monomials are multiplied together and into the rest once, at the end; each
+        factor is still checked against the caps as it comes, as the product so far has the atoms of
+        the rest, shifted, or, while there is no rest, no B-factor."""
+        rest = monomial = None
+        factor = self.unary()
+        while True:
+            if len(factor.nums) == 1 and next(iter(factor.nums)).n == 0:
+                monomial = factor if monomial is None else product_reduce(monomial, factor)
+            else:
+                rest = factor if rest is None else product_reduce(rest, factor)
+            if self.peek()[1] != "*":
+                break
             self.advance()
-            value = self.product(value, self.unary())
-        return value
+            factor = self.unary()
+            self.check_caps(BElement() if rest is None else rest, factor)
+        if monomial is None:
+            return rest
+        if rest is None:
+            return monomial
+        ((at, v),) = monomial.nums.items()
+        return rest.mul_monomial(at.m, at.a).scale(Fraction(v, monomial.den))
 
     def product(self, x: BElement, y: BElement) -> BElement:
-        total = sum(max((at.n for at in z.terms), default=0) for z in (x, y))
+        self.check_caps(x, y)
+        return product_reduce(x, y)
+
+    def check_caps(self, x: BElement, y: BElement) -> None:
+        """Refuse the product x*y if it is past ``MAX_PRODUCT_POWER`` or ``MAX_PRODUCT_MEASURE``."""
+        total = sum(max((at.n for at in z.nums), default=0) for z in (x, y))
         if total > MAX_PRODUCT_POWER:
             self.fail(f"B-power {total} of a product is past the cap of {MAX_PRODUCT_POWER}")
-        measure = max(
-            (int(math.lcm(p.b.denominator, q.b.denominator) * (p.b * p.n + q.b * q.n))
-             for p in x.terms for q in y.terms if p.n and q.n and p.b != q.b),
+        xs, ys = ({(*at.b.as_integer_ratio(), at.n) for at in z.nums if at.n} for z in (x, y))
+        measure = max(  # q (b1 n1 + b2 n2) for b1 = p1 / d1, b2 = p2 / d2 and q = lcm(d1, d2)
+            (math.lcm(d1, d2) * (p1 * n1 * d2 + p2 * n2 * d1) // (d1 * d2)
+             for p1, d1, n1 in xs for p2, d2, n2 in ys if (p1, d1) != (p2, d2)),
             default=0,
         )
         if measure > MAX_PRODUCT_MEASURE:
             self.fail(f"rewrite measure {measure} of a product is past the cap of {MAX_PRODUCT_MEASURE}")
-        return product_reduce(x, y)
 
     def unary(self) -> BElement:
         if self.peek()[1] == "-":
@@ -236,7 +258,7 @@ def _element_power(base: BElement, exponent: int, parser: _Parser) -> BElement:
         for _ in range(exponent):
             result = parser.product(result, base)
         return result
-    if len(base.terms) != 1:
+    if len(base.nums) != 1:
         parser.fail("negative powers are only defined for a single generator term")
     ((at, coeff),) = base.terms.items()
     return _element_power(invert_term(at, coeff), -exponent, parser)

@@ -338,5 +338,5 @@ def join_signed(chunks: Sequence[str]) -> str:
 def format_poly(p: Poly, var: str = "X", style: Style = TEXT) -> str:
     """Render ascending by exponent, e.g. ``-1/2 + 1/3*X^2``."""
     return join_signed(
-        [scaled(c, style.power(var, i) if i else "1", style) for i, c in enumerate(p.coeffs) if c]
+        [scaled(Fraction(v, p.den), style.power(var, i) if i else "1", style) for i, v in enumerate(p.nums) if v]
     )

@@ -85,25 +85,37 @@ def _chain_row(n: int) -> list[list[int]]:
     return _CHAIN_ROWS[n]
 
 
-def _lowered(atoms: list[tuple[Atom, Fraction]], b: Fraction, a: Fraction, pole: int) -> WeylOp:
-    """T^-pole times the sum of c T^m chain(n) at (b, a) over the atoms, as Phi_{b,a} of the sum of
-    c b^(pole-m) T^(m-pole) chain(n) at (1, 0), taken in integers over one denominator."""
+def _lowered(atoms: list[tuple[Atom, int]], den: int, b: Fraction, a: Fraction, pole: int) -> WeylOp:
+    """T^-pole times the sum of (v / den) T^m chain(n) at (b, a) over the atoms, as Phi_{b,a} of the
+    sum of (v / den) b^(pole-m) T^(m-pole) chain(n) at (1, 0), taken in integers over one denominator."""
+    if all(at.n <= 1 for at, _ in atoms):  # chain(n) is 1 and Phi(T^e) = b^e T^e cancels b^(pole-m)
+        row = [0] * (max(at.m for at, _ in atoms) - pole + 1)
+        for at, v in atoms:
+            row[at.m - pole] += v
+        return WeylOp({0: row}, den)
     (bn, bd), (an, ad) = b.as_integer_ratio(), a.as_integer_ratio()
-    dens = [c.denominator * bn ** (at.m - pole) * math.factorial(max(at.n - 1, 0)) for at, c in atoms]
-    frame, den = {}, math.lcm(*dens)
-    for d, (at, c) in zip(dens, atoms):
-        w = c.numerator * bd ** (at.m - pole) * (den // d)
+    dens = [bn ** (at.m - pole) * math.factorial(max(at.n - 1, 0)) for at, _ in atoms]
+    common = math.lcm(*dens)
+    frame: dict[tuple[int, int], int] = {}  # (k, e) -> coefficient of T^e d^k, times common
+    for d, (at, v) in zip(dens, atoms):
+        w = v * bd ** (at.m - pole) * (common // d)
         for k, cs in enumerate(_chain_row(at.n)):
-            for e, v in enumerate(cs, at.m - pole):
-                frame[k, e] = frame.get((k, e), 0) + w * v
+            for e, c in enumerate(cs, at.m - pole):
+                if c:
+                    frame[k, e] = frame.get((k, e), 0) + w * c
     top_k, top_e = max(k for k, _ in frame), max(e for _, e in frame)
+    # (d - a)^k = sum_i C(k, i) (-a)^(k-i) d^i, as [(i, weight)] for each k
+    weights = [[(i, math.comb(k, i) * (-an) ** (k - i) * ad ** (top_k - k + i)) for i in range(0 if an else k, k + 1)]
+               for k in range(top_k + 1)]
     parts: dict[int, list[int]] = {}  # times bn^top_k bd^top_e ad^top_k
     for (k, e), c in frame.items():
-        c *= bn ** (e - k + top_k) * bd ** (top_e - e + k)
-        for i in range(0 if an else k, k + 1):  # (d - a)^k = sum_i C(k, i) (-a)^(k-i) d^i
-            w = math.comb(k, i) * (-an) ** (k - i) * ad ** (top_k - k + i)
-            parts.setdefault(i, [0] * (top_e + 1))[e] += c * w
-    return WeylOp(parts, den * bn**top_k * bd**top_e * ad**top_k)
+        if c:
+            c *= bn ** (e - k + top_k) * bd ** (top_e - e + k)
+            for i, w in weights[k]:
+                if (part := parts.get(i)) is None:
+                    part = parts[i] = [0] * (top_e + 1)
+                part[e] += c * w
+    return WeylOp(parts, common * den * bn**top_k * bd**top_e * ad**top_k)
 
 
 class DCombination:
@@ -143,30 +155,42 @@ class DCombination:
         """The element sum T^m op(B^n(bT)e^{aT}) over the generators, in closed form.
 
         op(B(bT)e^{aT}) = e^{aT} op(T, d + a)[B(bT)], d^r B(bT) = T^-r f_r(bT, B(bT)), and for n = 0
-        only the d^0 part of op(T, d + a) acts, on 1.  Each generator is summed in integers.
+        only the d^0 part of op(T, d + a) acts, on 1.  Each generator is summed in integers, and the
+        generators over the lcm of their denominators.
         """
-        groups: dict[tuple[Fraction, int, Fraction], dict[tuple[int, int], Fraction]] = {}
+        pieces = []  # (generator, {B-power: coefficients of T^lo, T^(lo+1), ...}, lo, denominator)
         for gen, op in self.entries.items():
-            (bn, bd), (an, ad), top = gen.b.as_integer_ratio(), gen.a.as_integer_ratio(), op.order()
+            if (top := op.order()) == 0:  # T^m f(T) B^n(bT) e^{aT}
+                pieces.append((gen, {gen.n: op.rows[0]}, gen.m, op.den))
+                continue
+            (bn, bd), (an, ad) = gen.b.as_integer_ratio(), gen.a.as_integer_ratio()
+            width = max(map(len, op.rows.values()))
             shifted: dict[int, list[int]] = {}  # r -> the T-coefficients of d^r in op(T, d + a), times den ad^top
             for k, coeffs in op.rows.items():
                 for r in range(k + 1) if gen.n else (0,):
                     if w := math.comb(k, r) * an ** (k - r) * ad ** (top - k + r):
-                        q = shifted.setdefault(r, [])
-                        q.extend([0] * (len(coeffs) - len(q)))
-                        for d, c in enumerate(coeffs):
-                            q[d] += w * c
-            acc: dict[tuple[int, int], int] = {}  # (B-power, T-power) -> coefficient, times den ad^top bd^(top+1)
+                        if (q := shifted.get(r)) is None:
+                            q = shifted[r] = [0] * width
+                        q[: len(coeffs)] = map(add, q, map(mul, coeffs, repeat(w)))
+            powers = [bn**i * bd ** (top + 1 - i) for i in range(top + 1)]
+            acc: dict[int, list[int]] = {}  # B-power -> T-coefficients from T^(m - top), times den ad^top bd^(top+1)
             for r, q in shifted.items():
                 for (i, j), f in _derivative_row(r).items() if gen.n else (((0, 0), 1),):
-                    f *= bn**i * bd ** (top + 1 - i)
-                    for d, c in enumerate(q, gen.m + i - r):
-                        acc[j, d] = acc.get((j, d), 0) + f * c
-            scale, group = op.den * ad**top * bd ** (top + 1), groups.setdefault((gen.b, gen.n, gen.a), {})
-            for key, c in acc.items():
-                if c:
-                    group[key] = group[key] + Fraction(c, scale) if key in group else Fraction(c, scale)
-        return BElement({Atom(b, j, m, a): c for (b, _, a), group in groups.items() for (j, m), c in group.items()})
+                    if (row := acc.get(j)) is None:
+                        row = acc[j] = [0] * (width + top)
+                    f *= powers[i]
+                    start = i - r + top
+                    row[start : start + width] = map(add, row[start : start + width], map(mul, q, repeat(f)))
+            pieces.append((gen, acc, gen.m - top, op.den * ad**top * bd ** (top + 1)))
+        den, nums = math.lcm(*(scale for *_, scale in pieces)), {}
+        for gen, acc, lo, scale in pieces:
+            f = den // scale
+            for j, row in acc.items():
+                for m, c in enumerate(row, lo):
+                    if c:
+                        key = Atom(gen.b, j, m, gen.a)
+                        nums[key] = nums.get(key, 0) + c * f
+        return BElement(nums, den)
 
     def equals(self, other: "DCombination") -> bool:
         return self.semantic_element().equals(other.semantic_element())
@@ -197,13 +221,13 @@ def reduce_to_first_order(x: BElement) -> DCombination:
     negative T-powers are summed times T^-pole, the lowest, and divided again: if every operator
     coefficient is divisible the pole disappears, otherwise it stays on the generator.
     """
-    groups: dict[tuple[int, Fraction, Fraction], list[tuple[Atom, Fraction]]] = {}
-    for at, c in x.terms.items():
-        groups.setdefault((1 if at.n else 0, at.b, at.a), []).append((at, c))
+    groups: dict[tuple[int, Fraction, Fraction], list[tuple[Atom, int]]] = {}
+    for at, v in x.nums.items():
+        groups.setdefault((1 if at.n else 0, at.b, at.a), []).append((at, v))
     entries: dict[Atom, WeylOp] = {}
     for (gen_n, b, a), atoms in groups.items():
         pole = min(0, *(at.m for at, _ in atoms))
-        total = _lowered(atoms, b, a, pole)
+        total = _lowered(atoms, x.den, b, a, pole)
         if (divided := total.left_divide_t_power(-pole)) is not None:
             total, pole = divided, 0
         entries[Atom(b=b, n=gen_n, m=pole, a=a)] = total
@@ -220,31 +244,52 @@ def product_reduce(x: BElement, y: BElement) -> BElement:
     prod_p B(pU)^factors[p] in U = T/q and X = e^U, q the common denominator of its scales and
     0 <= f < 1/q.  The terms of all pairs with one (q, f) and one (r, factors) are one row: a
     Laurent polynomial in X, kept as (integer numerators, one denominator, lowest power of X).
+    Coefficients are products of numerators, over x.den y.den and the lcm of the rows' denominators,
+    and each pair of shifts is added once.
     """
-    out: dict[Atom, Fraction] = {}
-    pending: dict[tuple[int, Fraction], list[dict]] = {}
-    for at1, c1 in x.terms.items():
-        for at2, c2 in y.terms.items():
-            m, a, c = at1.m + at2.m, at1.a + at2.a, c1 * c2
-            if at1.n == 0 or at2.n == 0 or at1.b == at2.b:  # an atom with n = 0 has b = 1
-                key = Atom(b=at1.b if at1.n else at2.b, n=at1.n + at2.n, m=m, a=a)
-                out[key] = out[key] + c if key in out else c
-                continue
-            q = math.lcm(at1.b.denominator, at2.b.denominator)
-            sigma, c = math.floor(a * q), c * Fraction(q) ** m
-            buckets = pending.setdefault((q, a - Fraction(sigma, q)), [])
-            _push(buckets, m, {int(at1.b * q): at1.n, int(at2.b * q): at2.n}, ([c.numerator], c.denominator, sigma))
-    for (q, f), buckets in pending.items():
-        fn, fd = f.as_integer_ratio()
-        for r, factors, (num, den, lo) in _drain(buckets):
-            ((p, n),) = factors.items() or [(q, 0)]  # no factor left: the unit atom, b = 1
-            b = Fraction(p, q)
-            top, bottom = (1, den * q**r) if r >= 0 else (q**-r, den)  # each entry times q^-r / den
-            for sigma, v in enumerate(num, lo):
-                if v:  # at e^{(f + sigma/q)T}
-                    key, c = Atom(b, n, r, Fraction(fn * q + sigma * fd, fd * q)), Fraction(v * top, bottom)
-                    out[key] = out[key] + c if key in out else c
-    return BElement(out)
+    out: dict[Atom, int] = {}  # numerators over x.den y.den
+    pending: dict[tuple[int, int, int], list[dict]] = {}  # by q and f as a reduced integer pair
+    ys = _by_shift(y)
+    for a1, xs in _by_shift(x).items():
+        for a2, zs in ys.items():
+            a = a1 + a2
+            an, ad = a.as_integer_ratio()
+            for at1, v1, b1 in xs:
+                for at2, v2, b2 in zs:
+                    m, c = at1.m + at2.m, v1 * v2
+                    if at1.n == 0 or at2.n == 0 or b1 == b2:  # an atom with n = 0 has b = 1
+                        key = Atom(at1.b if at1.n else at2.b, at1.n + at2.n, m, a)
+                        out[key] = out.get(key, 0) + c
+                        continue
+                    q = math.lcm(b1[1], b2[1])
+                    sigma = an * q // ad
+                    fn, fd = an * q - sigma * ad, ad * q
+                    g = math.gcd(fn, fd)
+                    buckets = pending.setdefault((q, fn // g, fd // g), [])
+                    row = ([c * q**m], 1, sigma) if m >= 0 else ([c], q**-m, sigma)
+                    _push(buckets, m, {b1[0] * (q // b1[1]): at1.n, b2[0] * (q // b2[1]): at2.n}, row)
+    drained = [(key, *step) for key, buckets in pending.items() for step in _drain(buckets)]
+    # entry v of a row stands for v q^-r / den: over bottom, times q^-r if r < 0
+    bottoms = [den * q**r if r >= 0 else den for (q, _, _), r, _, (_, den, _) in drained]
+    scale = math.lcm(*bottoms)
+    if scale != 1:
+        out = {at: v * scale for at, v in out.items()}
+    for ((q, fn, fd), r, factors, (num, _, lo)), bottom in zip(drained, bottoms):
+        ((p, n),) = factors.items() or [(q, 0)]  # no factor left: the unit atom, b = 1
+        b, w = Fraction(p, q), (scale // bottom) * (q**-r if r < 0 else 1)
+        for sigma, v in enumerate(num, lo):
+            if v:  # at e^{(f + sigma/q)T}
+                key = Atom(b, n, r, Fraction(fn * q + sigma * fd, fd * q))
+                out[key] = out.get(key, 0) + v * w
+    return BElement(out, x.den * y.den * scale)
+
+
+def _by_shift(x: BElement) -> dict[Fraction, list[tuple[Atom, int, tuple[int, int]]]]:
+    """The atoms of x as (atom, numerator, scale as an integer pair), grouped by their shift a."""
+    groups: dict[Fraction, list] = {}
+    for at, v in x.nums.items():
+        groups.setdefault(at.a, []).append((at, v, at.b.as_integer_ratio()))
+    return groups
 
 
 def _measure(factors: dict[int, int]) -> int:
@@ -347,8 +392,8 @@ def invert_term(at: Atom, coeff: Fraction) -> BElement:
     terms = {}
     for j in range(n + 1):  # C(n, j) (-1)^(n-j) num/den at e^{(jb - a)T}, num/den = 1/(coeff b^n)
         key = Atom(Fraction(1), 0, -at.m - n, Fraction(j * bn * ad - an * bd, bd * ad))
-        terms[key] = Fraction((-1) ** (n - j) * math.comb(n, j) * num, den)
-    return BElement(terms)
+        terms[key] = (-1) ** (n - j) * math.comb(n, j) * num
+    return BElement(terms, den)
 
 
 def negative_power_expand(k: int) -> BElement:
@@ -386,7 +431,7 @@ def f_n_closed(n: int) -> BElement:
     """f_n(T, B), the element with T^-n f_n(T, B) = d^n B, read off the Stirling closed form."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return BElement({Atom(b=Fraction(1), n=j, m=i, a=Fraction(0)): c for (i, j), c in _derivative_row(n).items()})
+    return BElement({Atom(b=Fraction(1), n=j, m=i, a=Fraction(0)): c for (i, j), c in _derivative_row(n).items()}, 1)
 
 
 def f_n_inductive(n: int) -> BElement:

@@ -267,7 +267,7 @@ def check_derivative_polynomials():
     for n in range(13):
         if f_n_closed(n) != f_n_inductive(n):
             return False, f"closed and inductive f_{n} differ"
-        if any(c.denominator != 1 for c in f_n_closed(n).terms.values()):
+        if f_n_closed(n).den != 1:
             return False, f"f_{n} has a non-integer coefficient"
     ok, detail = _all_verified(grid_reports(verify_f_derivative))
     return ok, "f_n forms agree and are integral (n <= 12); " + detail

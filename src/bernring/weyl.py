@@ -9,7 +9,6 @@ d * f(T) = f'(T) + f(T) * d.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Mapping
 
 from .elements import Atom, BElement
@@ -157,21 +156,22 @@ class WeylOp:
     def apply_element(self, x: BElement) -> BElement:
         """Action on symbolic elements; stays inside the generated subspace."""
         max_order = self.order()
-        if max_order < 0:
-            return BElement.zero()
-        out: dict[Atom, Fraction] = {}
-        parts, deriv = self.parts, x
+        derivs, deriv = [], x  # (row of d^k, the k-th derivative of x)
         for k in range(max_order + 1):
-            f = parts.get(k)
-            if f is not None:
-                for at, v in deriv.terms.items():
-                    for d, c in enumerate(f.coeffs):
-                        if c:
-                            key = Atom(b=at.b, n=at.n, m=at.m + d, a=at.a)
-                            out[key] = out.get(key, Fraction(0)) + c * v
+            if (row := self.rows.get(k)) is not None:
+                derivs.append((row, deriv))
             if k < max_order:
                 deriv = derivative_of_element(deriv)
-        return BElement(out)
+        den = math.lcm(*(deriv.den for _, deriv in derivs))
+        out: dict[Atom, int] = {}  # numerators over self.den den
+        for row, deriv in derivs:
+            for at, v in deriv.nums.items():
+                v *= den // deriv.den
+                for d, c in enumerate(row):
+                    if c:
+                        key = Atom(b=at.b, n=at.n, m=at.m + d, a=at.a)
+                        out[key] = out.get(key, 0) + c * v
+        return BElement(out, self.den * den)
 
     # -- rendering -----------------------------------------------------------
 
@@ -201,18 +201,20 @@ def derivative_of_atom(at: Atom) -> BElement:
     the n/T, -nb and -(n/T) B^(n+1) terms) together with the product rule for
     the T^m prefactor.
     """
-    return derivative_of_element(BElement({at: Fraction(1)}))
+    return derivative_of_element(BElement({at: 1}, 1))
 
 
 def derivative_of_element(x: BElement) -> BElement:
-    terms: dict[Atom, Fraction] = {}
-    for at, c in x.terms.items():
-        # (m, n, coefficient) of each term; an atom with n = 0 already has b = 1
-        parts = [(at.m - 1, at.n, at.m), (at.m, at.n, at.a)]
+    terms: dict[Atom, int] = {}  # numerators over x.den den, den the lcm of the a.den b.den
+    den = math.lcm(*(at.a.denominator * at.b.denominator for at in x.nums))
+    for at, v in x.nums.items():
+        (an, ad), (bn, bd) = at.a.as_integer_ratio(), at.b.as_integer_ratio()
+        # (m, n, coefficient times den) of each term; an atom with n = 0 already has b = 1
+        parts = [(at.m - 1, at.n, at.m * den), (at.m, at.n, an * (den // ad))]
         if at.n >= 1:
-            parts += [(at.m - 1, at.n, at.n), (at.m, at.n, -at.n * at.b), (at.m - 1, at.n + 1, -at.n)]
+            parts += [(at.m - 1, at.n, at.n * den), (at.m, at.n, -at.n * bn * (den // bd)), (at.m - 1, at.n + 1, -at.n * den)]
         for m, n, coeff in parts:
             if coeff:
                 key = Atom(b=at.b, n=n, m=m, a=at.a)
-                terms[key] = terms.get(key, Fraction(0)) + c * coeff
-    return BElement(terms)
+                terms[key] = terms.get(key, 0) + v * coeff
+    return BElement(terms, x.den * den)

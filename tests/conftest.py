@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from bernring import elements, series
+from bernring import elements, exprparse, series
 from bernring.elements import Atom, BElement
 from bernring.polys import Poly, binomial, gcd_ext
 from bernring.partfrac import g_pair, h_f
-from bernring.reduction import DCombination, ReductionError, _measure, lowering_op
+from bernring.reduction import DCombination, ReductionError, _derivative_row, _drain, _measure, _push, lowering_op
 from bernring.selftest import run_all
 from bernring.series import (
     TruncatedSeries,
@@ -757,3 +757,134 @@ def miki_by_fractions(n: int) -> tuple[Fraction, Fraction]:
     harmonic = sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
     rhs = Fraction(2, n) * harmonic * b(n) + sum((math.comb(n, k) * t for k, t in enumerate(terms, 2)), Fraction(0))
     return sum(terms, Fraction(0)), rhs
+
+
+# -- the Fraction routes of the element kernel, kept as oracles ---------------------------------
+# Each returns the coefficients as a Fraction dict {atom: c} with no zero entry, as BElement stored
+# them before it held integer numerators over one denominator.
+
+
+def fraction_terms_sum(x: BElement, y: BElement, sign: int = 1) -> dict[Atom, Fraction]:
+    """x + sign * y, one Fraction sum per shared atom."""
+    out = dict(x.terms)
+    for at, c in y.terms.items():
+        out[at] = out[at] + sign * c if at in out else sign * c
+    return {at: c for at, c in out.items() if c}
+
+
+def fraction_terms_scale(x: BElement, c) -> dict[Atom, Fraction]:
+    c = Fraction(c)
+    return {at: c * v for at, v in x.terms.items() if c}
+
+
+def fraction_terms_mul_monomial(x: BElement, k: int, a_shift) -> dict[Atom, Fraction]:
+    return {Atom(b=at.b, n=at.n, m=at.m + k, a=at.a + Fraction(a_shift)): c for at, c in x.terms.items()}
+
+
+def derivative_by_fractions(x: BElement) -> dict[Atom, Fraction]:
+    """d/dT of x, one Fraction product per term of the first-order derivative formula."""
+    terms: dict[Atom, Fraction] = {}
+    for at, c in x.terms.items():
+        parts = [(at.m - 1, at.n, at.m), (at.m, at.n, at.a)]
+        if at.n >= 1:
+            parts += [(at.m - 1, at.n, at.n), (at.m, at.n, -at.n * at.b), (at.m - 1, at.n + 1, -at.n)]
+        for m, n, coeff in parts:
+            if coeff:
+                key = Atom(b=at.b, n=n, m=m, a=at.a)
+                terms[key] = terms.get(key, Fraction(0)) + c * coeff
+    return {at: c for at, c in terms.items() if c}
+
+
+def to_exp_poly_by_fractions(x: BElement) -> tuple[dict[Atom, Fraction], str]:
+    """x*D with D = prod over scales b of (e^{bT}-1)^{M_b}, one Fraction per shift and T-power."""
+    max_power: dict[Fraction, int] = {}
+    for at in x.terms:
+        if at.n >= 1:
+            max_power[at.b] = max(max_power.get(at.b, 0), at.n)
+    cleared: dict[tuple[Fraction, int], Fraction] = {}
+    for at, c in x.terms.items():
+        base: dict[Fraction, Fraction] = {at.a: c * at.b**at.n}
+        for scale, mult in max_power.items():
+            k = mult - at.n if scale == at.b else mult
+            if k == 0:
+                continue
+            grown: dict[Fraction, Fraction] = {}
+            for r in range(k + 1):
+                w = binomial(k, r) * (-1) ** (k - r)
+                for shift, coeff in base.items():
+                    key = shift + r * scale
+                    grown[key] = grown.get(key, Fraction(0)) + w * coeff
+            base = grown
+        for shift, coeff in base.items():
+            key = (shift, at.m + at.n)
+            cleared[key] = cleared.get(key, Fraction(0)) + coeff
+    desc = " * ".join(f"(e^{{{scale}T}}-1)^{mult}" for scale, mult in sorted(max_power.items()))
+    return {Atom(Fraction(1), 0, m, a): c for (a, m), c in cleared.items() if c}, (desc or "1")
+
+
+def product_reduce_by_fraction_pairs(x: BElement, y: BElement) -> dict[Atom, Fraction]:
+    """x * y with a Fraction product, shift and coefficient per pair of atoms; the rows of each
+    (q, f) bucket are rewritten as ``product_reduce`` rewrites them."""
+    out: dict[Atom, Fraction] = {}
+    pending: dict[tuple[int, Fraction], list[dict]] = {}
+    for at1, c1 in x.terms.items():
+        for at2, c2 in y.terms.items():
+            m, a, c = at1.m + at2.m, at1.a + at2.a, c1 * c2
+            if at1.n == 0 or at2.n == 0 or at1.b == at2.b:
+                key = Atom(b=at1.b if at1.n else at2.b, n=at1.n + at2.n, m=m, a=a)
+                out[key] = out[key] + c if key in out else c
+                continue
+            q = math.lcm(at1.b.denominator, at2.b.denominator)
+            sigma, c = math.floor(a * q), c * Fraction(q) ** m
+            buckets = pending.setdefault((q, a - Fraction(sigma, q)), [])
+            _push(buckets, m, {int(at1.b * q): at1.n, int(at2.b * q): at2.n}, ([c.numerator], c.denominator, sigma))
+    for (q, f), buckets in pending.items():
+        for r, factors, (num, den, lo) in _drain(buckets):
+            ((p, n),) = factors.items() or [(q, 0)]
+            for sigma, v in enumerate(num, lo):
+                if v:
+                    key, c = Atom(Fraction(p, q), n, r, f + Fraction(sigma, q)), Fraction(v, den) * Fraction(1, q) ** r
+                    out[key] = out[key] + c if key in out else c
+    return {at: c for at, c in out.items() if c}
+
+
+def semantic_element_by_fractions(combo: DCombination) -> dict[Atom, Fraction]:
+    """The closed form of ``semantic_element`` with one Fraction sum per (B-power, T-power) of each
+    generator, added into a Fraction dict one generator at a time."""
+    out: dict[Atom, Fraction] = {}
+    for gen, op in combo.entries.items():
+        (bn, bd), (an, ad), top = gen.b.as_integer_ratio(), gen.a.as_integer_ratio(), op.order()
+        shifted: dict[int, list[int]] = {}
+        for k, coeffs in op.rows.items():
+            for r in range(k + 1) if gen.n else (0,):
+                if w := math.comb(k, r) * an ** (k - r) * ad ** (top - k + r):
+                    q = shifted.setdefault(r, [])
+                    q.extend([0] * (len(coeffs) - len(q)))
+                    for d, c in enumerate(coeffs):
+                        q[d] += w * c
+        acc: dict[tuple[int, int], int] = {}
+        for r, q in shifted.items():
+            for (i, j), f in _derivative_row(r).items() if gen.n else (((0, 0), 1),):
+                f *= bn**i * bd ** (top + 1 - i)
+                for d, c in enumerate(q, gen.m + i - r):
+                    acc[j, d] = acc.get((j, d), 0) + f * c
+        scale = op.den * ad**top * bd ** (top + 1)
+        for (j, m), c in acc.items():
+            key = Atom(gen.b, j, m, gen.a)
+            out[key] = out.get(key, Fraction(0)) + Fraction(c, scale)
+    return {at: c for at, c in out.items() if c}
+
+
+class LeftFoldParser(exprparse._Parser):
+    """The parser with a term's factors multiplied in one at a time from the left, monomials too."""
+
+    def term(self) -> BElement:
+        value = self.unary()
+        while self.peek()[1] == "*":
+            self.advance()
+            value = self.product(value, self.unary())
+        return value
+
+
+def parse_by_left_fold(text: str) -> BElement:
+    return LeftFoldParser(text).parse()

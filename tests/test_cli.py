@@ -91,6 +91,8 @@ class TestSizeCaps:
             (["pf", "hf", "1", "1", str(cli.MAX_PF_SCALE + 1)], cli.MAX_PF_SCALE),
             (["pf", "hf", str(cli.MAX_PF_POWER + 1), "1", "2"], cli.MAX_PF_POWER),
             (["pf", "hf", "400", "1", "800"], cli.MAX_PF_POWER),
+            (["reduce", "product", "d[B^6*B^6]*2"], MAX_PRODUCT_POWER),
+            (["reduce", "product", "d[d[B^6*B^6]]*T"], MAX_PRODUCT_POWER),
         ],
     )
     def test_refused_past_cap(self, capsys, argv, cap):

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -11,7 +12,17 @@ from bernring import elements, identities
 from bernring.elements import Atom, BElement, atom, b_element, from_scalar, t_element
 from bernring.series import TruncatedSeries, bernoulli_poly_value, bernoulli_series, exp_series, factorial
 from bernring.selftest import COEFFS, SCALES, SHIFTS, _known_zero, random_element
-from conftest import coeff_by_expansion, exp_poly_by_nested_dicts, fold_expand, small_rationals, window
+from conftest import (
+    coeff_by_expansion,
+    exp_poly_by_nested_dicts,
+    fold_expand,
+    fraction_terms_mul_monomial,
+    fraction_terms_scale,
+    fraction_terms_sum,
+    small_rationals,
+    to_exp_poly_by_fractions,
+    window,
+)
 
 # scales and shifts with numerator and denominator of up to 20 digits
 HUGE_SCALE = Fraction(12345678901234567890, 98765432109876543211)
@@ -40,6 +51,90 @@ def cleared_rows(x: BElement) -> tuple[dict, str]:
         assert at.n == 0 and at.b == 1
         rows.setdefault(at.a, {})[at.m] = c
     return rows, desc
+
+
+def assert_stored_as(x: BElement, terms: dict) -> None:
+    """x holds exactly the Fraction coefficients ``terms``, as canonical integer numerators."""
+    assert x.terms == terms and x == BElement(terms) and hash(x) == hash(BElement(terms))
+    assert x.den > 0 and all(v for v in x.nums.values())
+    assert math.gcd(x.den, *x.nums.values()) == 1
+
+
+#: elements with huge and small scales, negative T-powers, shifts and a multiplication-theorem zero
+FIXED_ELEMENTS = [
+    BElement.zero(),
+    from_scalar(Fraction(-3, 4)),
+    atom(-2, 3, Fraction(3, 2), Fraction(-1, 3)).scale(Fraction(5, 6)) + atom(1, 0, 1, 2).scale(7),
+    atom(0, 2, HUGE_SCALE, HUGE_SHIFT) - atom(2, 1, 2, Fraction(1, 2)).scale(Fraction(1, 10**12)),
+    sum((atom(0, 1, 3, i) for i in range(3)), b_element().scale(-3)),
+    atom(0, 1, -2, 1) + atom(-1, 4, Fraction(5, 3)),
+]
+
+
+class TestAgainstFractionRoutes:
+    """The integer element kernel against the Fraction-dict arithmetic it replaced, compared structurally."""
+
+    @given(coefficient_elements(), coefficient_elements(), small_rationals, st.integers(-3, 3), small_rationals)
+    @settings(max_examples=80, deadline=None)
+    def test_arithmetic(self, x, y, c, k, shift):
+        assert_stored_as(x + y, fraction_terms_sum(x, y))
+        assert_stored_as(x - y, fraction_terms_sum(x, y, -1))
+        assert_stored_as(-x, fraction_terms_scale(x, -1))
+        assert_stored_as(x.scale(c), fraction_terms_scale(x, c))
+        assert_stored_as(x.mul_monomial(k, shift), fraction_terms_mul_monomial(x, k, shift))
+
+    @pytest.mark.parametrize("x", FIXED_ELEMENTS)
+    @pytest.mark.parametrize("y", FIXED_ELEMENTS)
+    def test_arithmetic_fixed_grid(self, x, y):
+        assert_stored_as(x + y, fraction_terms_sum(x, y))
+        assert_stored_as(x - y, fraction_terms_sum(x, y, -1))
+        assert_stored_as(x.scale(Fraction(-7, 9)), fraction_terms_scale(x, Fraction(-7, 9)))
+        assert_stored_as(x.mul_monomial(-3, HUGE_SHIFT), fraction_terms_mul_monomial(x, -3, HUGE_SHIFT))
+        assert (x - y).is_zero() == (not to_exp_poly_by_fractions(x - y)[0]) == x.equals(y)
+
+    @given(coefficient_elements())
+    @settings(max_examples=80, deadline=None)
+    def test_to_exp_poly(self, x):
+        terms, desc = to_exp_poly_by_fractions(x)
+        got, got_desc = x.to_exp_poly()
+        assert got_desc == desc
+        assert_stored_as(got, terms)
+        assert x.is_zero() == (not terms)
+
+    @pytest.mark.parametrize("x", FIXED_ELEMENTS)
+    def test_to_exp_poly_fixed_grid(self, x):
+        terms, desc = to_exp_poly_by_fractions(x)
+        assert x.to_exp_poly() == (BElement(terms), desc)
+
+    def test_known_zeros(self):
+        rng = random.Random(16)
+        for _ in range(60):
+            x = _known_zero(rng)
+            terms, desc = to_exp_poly_by_fractions(x)
+            assert not terms and x.to_exp_poly() == (BElement.zero(), desc) and x.is_zero()
+            y = x + random_element(rng)
+            assert y.is_zero() == (not to_exp_poly_by_fractions(y)[0])
+
+
+class TestCanonicalNumerators:
+    @given(coefficient_elements(), st.integers(-50, 50).filter(bool))
+    @settings(max_examples=60, deadline=None)
+    def test_equal_whatever_the_common_factor(self, x, g):
+        y = BElement({at: v * g for at, v in x.nums.items()}, x.den * g)
+        assert y == x and hash(y) == hash(x) and (y.nums, y.den) == (x.nums, x.den)
+
+    def test_zero_and_integer_inputs(self):
+        assert (BElement().nums, BElement().den) == ({}, 1)
+        at = Atom(Fraction(2), 1, 0, Fraction(0))
+        assert BElement({at: 0}, 5) == BElement.zero() and BElement({at: 0}).den == 1
+        assert BElement({at: 6}, -4) == BElement({at: Fraction(-3, 2)}) == BElement({at: -3}, 2)
+        assert BElement({at: 3}).terms == {at: Fraction(3)}
+        with pytest.raises(ZeroDivisionError):
+            BElement({at: 1}, 0)
+
+    def test_terms_view_is_kept(self):
+        x = atom(1, 2, 3, Fraction(1, 2)).scale(Fraction(2, 3))
+        assert x.terms is x.terms and x.terms == {Atom(Fraction(3), 2, 1, Fraction(1, 2)): Fraction(2, 3)}
 
 
 class TestAtomNormalization:

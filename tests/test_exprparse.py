@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernring.elements import atom, b_element, from_scalar, t_element
 from bernring.exprparse import ExprError, parse_element
 from bernring.reduction import negative_power_expand, product_reduce
 from bernring.selftest import random_element
+from conftest import parse_by_left_fold
 
 F = Fraction
 
@@ -99,3 +102,60 @@ class TestRoundTrip:
             product_reduce(atom(0, 1, 2, 0), atom(0, 1, 3, 0)), atom(0, 1, 5, 0)
         )
         assert parse_element(el.render()).equals(el)
+
+
+# -- a term's monomial factors, folded in once, against the left fold --------------------------
+
+MONOMIALS = ["3", "-1/2", "T", "T^2", "T^-1", "e^{1/2T}", "e^{-T}", "(2*T*e^{3/2T})", "-T^3"]
+OTHERS = ["B(2T)", "B(3T)^2", "B(3/2T)", "(B + T)", "d[B(5T)]", "B(2T)^-1", "0"]
+
+
+def parsed_or_refused(parse, text: str):
+    """The parsed element and its rendering, or the message and column of the refusal."""
+    try:
+        value = parse(text)
+    except ExprError as exc:
+        return str(exc), exc.pos
+    return value, value.render()
+
+
+def assert_folds_agree(text: str) -> None:
+    assert parsed_or_refused(parse_element, text) == parsed_or_refused(parse_by_left_fold, text), text
+
+
+class TestMonomialFold:
+    @pytest.mark.parametrize("monomial", MONOMIALS)
+    @pytest.mark.parametrize("position", range(4))
+    def test_monomial_at_every_position(self, monomial, position):
+        factors = ["B(2T)", "B(3T)^2", "B(5/3T)"]
+        factors.insert(position, monomial)
+        assert_folds_agree("*".join(factors))
+
+    @pytest.mark.parametrize("monomials", [MONOMIALS[:1], MONOMIALS[:4], MONOMIALS])
+    def test_monomials_alone_and_around_one_factor(self, monomials):
+        assert_folds_agree("*".join(monomials))
+        for position in range(len(monomials) + 1):
+            assert_folds_agree("*".join([*monomials[:position], "B(7/4T)^2", *monomials[position:]]))
+
+    @given(st.lists(st.sampled_from(MONOMIALS + OTHERS + ["B(7T)^6", "d[B^6*B^6]"]), min_size=1, max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_random_products(self, factors):
+        assert_folds_agree("*".join(factors))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "d[B^6*B^6]*2",
+            "2*d[B^6*B^6]",
+            "d[d[B^6*B^6]]*T",
+            "T*e^{T}*d[B^6*B^6]*3",
+            "0*d[B^6*B^6]",
+            "B^6*T*B^6*e^{T}*B",
+            "B(97T)^6*2*B(89T)^6",
+            "T*B(97T)^6*e^{1/2T}*B(89T)^6",
+        ],
+    )
+    def test_caps_checked_on_every_factor(self, text):
+        message, _ = parsed_or_refused(parse_element, text)
+        assert "past the cap of" in message
+        assert_folds_agree(text)

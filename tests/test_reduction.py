@@ -1,4 +1,7 @@
+import cProfile
+import fractions
 import itertools
+import pstats
 import random
 from fractions import Fraction
 
@@ -34,6 +37,7 @@ from bernring.selftest import (
 )
 from bernring.weyl import WeylOp, derivative_of_element
 from conftest import (
+    derivative_by_fractions,
     f_n_by_recursion,
     fold_apply_element,
     fold_derivative_of_element,
@@ -42,8 +46,10 @@ from conftest import (
     lowering_chain,
     lowering_chain_by_products,
     polys,
+    product_reduce_by_fraction_pairs,
     product_reduce_by_states,
     reduce_to_first_order_by_chains,
+    semantic_element_by_fractions,
     small_rationals,
 )
 
@@ -321,16 +327,20 @@ def test_semantic_element_sums_the_actions(combo):
     for gen, op in combo.entries.items():
         want = want + op.apply_element(BElement({Atom(b=gen.b, n=gen.n, m=0, a=gen.a): F(1)})).mul_monomial(gen.m)
     assert combo.semantic_element().terms == want.terms
+    assert combo.semantic_element() == BElement(semantic_element_by_fractions(combo))
 
 
 def assert_routes_agree(x: BElement, y: BElement) -> None:
     """Every fast path of the reduce path gives the same terms as its slow route."""
     product = product_reduce(x, y)
     assert product.terms == product_reduce_by_states(x, y).terms == fold_product_reduce(x, y).terms
+    assert product == BElement(product_reduce_by_fraction_pairs(x, y))
     assert derivative_of_element(product) == fold_derivative_of_element(product)
+    assert derivative_of_element(product) == BElement(derivative_by_fractions(product))
     combo = reduce_to_first_order(product)
     assert combo == reduce_to_first_order_by_chains(product)
     assert combo.semantic_element().terms == fold_semantic_element(combo).terms
+    assert combo.semantic_element() == BElement(semantic_element_by_fractions(combo))
     for op in combo.entries.values():
         assert op.apply_element(y) == fold_apply_element(op, y)
 
@@ -361,7 +371,9 @@ class TestFastPathsAgainstOracles:
     def test_rows_at_the_measure_cap(self, expr):
         # the unmerged tree walk is far too slow here; the per-state route is the oracle
         left, right = (parse_element(side) for side in expr.split("*"))
-        assert product_reduce(left, right).terms == product_reduce_by_states(left, right).terms
+        product = product_reduce(left, right)
+        assert product.terms == product_reduce_by_states(left, right).terms
+        assert product == BElement(product_reduce_by_fraction_pairs(left, right))
 
     @pytest.mark.parametrize("b1, b2", itertools.combinations([F(3, 2), F(5, 3), F(5, 2)], 2))
     @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 2), (2, 1), (2, 2)])
@@ -406,6 +418,40 @@ class TestFastPathsAgainstOracles:
             assert got == want
 
 
+# -- the integer atom-pair loop against the Fraction pair loop it replaced ----------------------
+
+WIDE_SHIFTS = (F(0), F(1), F(-1, 2), F(3, 2), F(-7, 5), F(1, 3), F(123456789, 1000003))
+wide_elements = st.dictionaries(
+    st.builds(single_atom, st.integers(-4, 4), st.integers(0, 3), st.sampled_from(ORACLE_SCALES + (F(7), F(7, 4))), st.sampled_from(WIDE_SHIFTS)),
+    small_rationals.filter(bool),
+    min_size=1,
+    max_size=5,
+).map(BElement)
+
+
+class TestIntegerPairLoop:
+    @given(wide_elements, wide_elements)
+    @settings(max_examples=60, deadline=None)
+    def test_random_elements(self, x, y):
+        assert product_reduce(x, y) == BElement(product_reduce_by_fraction_pairs(x, y))
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            ("B(2T)^3*T^-2", "B(3T)^2*e^{-7/5T}"),
+            ("B(3/2T)^2 - 2*T*B(5/3T)*e^{1/3T}", "B(7/4T)*e^{3/2T} + 1/2*T^-1"),
+            ("B(2T)*B(3T)*e^{1/2T}", "B(5T)*B(7T) - 3"),
+            ("e^{-1/2T}*T^3", "B(5/2T)^3 + B(5/2T)*e^{1/2T}"),
+            ("B(7T)*e^{123456789/1000003T}", "B(1/3T)^2*T"),
+            ("0", "B(2T)"),
+        ],
+    )
+    def test_fixed_grid(self, left, right):
+        x, y = parse_element(left), parse_element(right)
+        assert product_reduce(x, y) == BElement(product_reduce_by_fraction_pairs(x, y))
+        assert product_reduce(y, x) == product_reduce(x, y)
+
+
 # -- the lowering table and closed-form derivatives against the Weyl-product routes ----------
 
 TABLE_SCALES = (F(1), F(2), F(3), F(1, 2), F(3, 2), F(5, 2))
@@ -425,6 +471,7 @@ def assert_first_order_agrees(x: BElement) -> None:
     combo = reduce_to_first_order(x)
     assert combo == reduce_to_first_order_by_chains(x)
     assert combo.semantic_element().terms == fold_semantic_element(combo).terms
+    assert combo.semantic_element() == BElement(semantic_element_by_fractions(combo))
 
 
 class TestLoweringTableAgainstChains:
@@ -477,3 +524,26 @@ class TestMeasureGuard:
             product_reduce(atom(0, 1, 2), atom(0, 1, 3))
         with pytest.raises(ReductionError, match="failed to decrease"):
             lemma_decompose([(2, 1), (3, 1)])
+
+
+# -- the reduce path builds Fractions only at its boundary ---------------------------------------
+
+#: the anchor parsed, reduced to first order and checked with ``equals``; the ceiling is the count
+#: once the element kernel held integer numerators (74; 270 while it held Fractions)
+COUNT_ANCHOR, FRACTION_CEILING = "B(2T)^2*B(3T)^2*3*T^2*e^{1/2T}", 74
+
+
+def test_fraction_constructions_on_the_reduce_path():
+    def op():
+        x = parse_element(COUNT_ANCHOR)
+        return reduce_to_first_order(x).semantic_element().equals(x)
+
+    assert op()  # fills the lowering and partial-fraction tables, so the count below repeats exactly
+    profile = cProfile.Profile()
+    profile.runcall(op)
+    made = sum(
+        calls
+        for (path, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
+        if path == fractions.__file__ and name in ("__new__", "_from_coprime_ints")
+    )
+    assert 0 < made <= FRACTION_CEILING, f"{made} Fractions made on the reduce path"
