@@ -103,9 +103,14 @@ def _element_json(el: BElement) -> dict:
     return {"text": el.render(), "atoms": [_atom_json(at, c) for at, c in el.atoms()]}
 
 
+def _coeffs_json(nums: Sequence[int], den: int) -> list[str]:
+    """``str`` of each Fraction v/den, read off the integer numerators with no Fraction built (a zero
+    entry has g = den and prints as "0")."""
+    return [str(v // g) if (g := math.gcd(v, den)) == den else f"{v // g}/{den // g}" for v in nums]
+
+
 def _weyl_json(op: WeylOp) -> list[dict]:
-    parts = op.parts
-    return [{"order": k, "coeffs": [str(c) for c in parts[k].coeffs]} for k in sorted(parts)]
+    return [{"order": k, "coeffs": _coeffs_json(op.rows[k], op.den)} for k in sorted(op.rows)]
 
 
 def _combination_json(dc: DCombination) -> list[dict]:
@@ -178,7 +183,7 @@ def _cmd_bern(args, out: list[str]) -> int:
     else:
         polys = [bernoulli_polynomial(i) for i in indices][::-1]
         if args.format == "json":
-            out.append(json.dumps([[str(c) for c in p.coeffs] for p in polys]))
+            out.append(json.dumps([_coeffs_json(p.nums, p.den) for p in polys]))
         else:
             out.extend(format_poly(p, style=_style(args)) for p in polys)
         return 0
@@ -224,7 +229,7 @@ def _cmd_pf(args, out: list[str]) -> int:
         ]
         meta = {"k": pair.k, "ell": pair.ell, "n": pair.n}
     if args.format == "json":
-        out.append(json.dumps(dict(meta, **{key: [str(c) for c in poly.coeffs] for key, _, poly in items})))
+        out.append(json.dumps(dict(meta, **{key: _coeffs_json(poly.nums, poly.den) for key, _, poly in items})))
     else:
         out.extend(f"{name} = {format_poly(p, style=_style(args))}" for _, name, p in items)
     return 0

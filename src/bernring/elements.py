@@ -19,11 +19,12 @@ independent over Q.
 from __future__ import annotations
 
 import math
+import operator
+from collections import namedtuple
 from fractions import Fraction
-from functools import total_ordering
 from typing import Iterator, Mapping
 
-from .polys import TEXT, Style, binomial, join_signed, scaled
+from .polys import TEXT, Style, join_signed, scaled
 from .series import (
     TruncatedSeries,
     bernoulli_power_series,
@@ -34,7 +35,7 @@ from .series import (
 )
 
 
-_set = object.__setattr__
+_set, _new = object.__setattr__, tuple.__new__
 
 
 class Frozen:
@@ -66,37 +67,51 @@ class Frozen:
         return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__[:-1])})"
 
 
-@total_ordering
-class Atom(Frozen):
-    """One generator T^m * B(bT)^n * e^{aT}.
+def _by_key(compare):
+    """The comparison ``compare`` of two atoms' keys."""
+    return lambda self, other: compare(self.key(), other.key()) if other.__class__ is Atom else NotImplemented
+
+
+class Atom(namedtuple("_AtomFields", "bn bd n m an ad")):
+    """One generator T^m * B(bT)^n * e^{aT}, stored as the integers of b = bn/bd and a = an/ad in lowest
+    terms with bd, ad > 0, so ``==`` and ``hash`` are the six integers' and build no Fraction; ``b`` and
+    ``a`` are Fraction views, built on each read.  The library builds atoms of reduced pairs straight
+    from the integers, ``_new(Atom, (bn, bd, n, m, an, ad))``.
 
     Ordering (b, n, m, a) is the deterministic rendering order.
     """
 
-    __slots__ = ("b", "n", "m", "a", "_hash")
+    __slots__ = ()
 
-    def __init__(self, b: Fraction, n: int, m: int, a: Fraction):
+    def __new__(cls, b: Fraction, n: int, m: int, a: Fraction):
         if n < 0:
             raise ValueError("B-power must be nonnegative")
-        if b.numerator <= 0:  # a denominator is positive
+        (bn, bd), (an, ad) = b.as_integer_ratio(), a.as_integer_ratio()
+        if bn <= 0:  # a denominator is positive
             raise ValueError("stored atoms must have positive argument scale")
-        if n == 0 and b != 1:
+        if n == 0 and bn != bd:
             raise ValueError("scale is meaningless for n = 0 atoms; use b = 1")
-        _set(self, "b", b)
-        _set(self, "n", n)
-        _set(self, "m", m)
-        _set(self, "a", a)
-        _set(self, "_hash", hash((b.numerator, b.denominator, n, m, a.numerator, a.denominator)))
+        return _new(cls, (bn, bd, n, m, an, ad))
+
+    b = property(lambda self: Fraction(self.bn, self.bd))
+    a = property(lambda self: Fraction(self.an, self.ad))
 
     def key(self) -> tuple:
         return (self.b, self.n, self.m, self.a)
 
-    def __lt__(self, other) -> bool:
-        return self.key() < other.key() if other.__class__ is Atom else NotImplemented
+    __lt__, __le__, __gt__, __ge__ = map(_by_key, (operator.lt, operator.le, operator.gt, operator.ge))
+
+    def __reduce__(self):
+        return Atom, self.key()
+
+    def __repr__(self) -> str:
+        return f"Atom(b={self.b!r}, n={self.n!r}, m={self.m!r}, a={self.a!r})"
 
 
-#: the scale of every atom with n = 0, and the shift of a constant
-_ONE, _ZERO = Fraction(1), Fraction(0)
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den, den > 0, as an integer pair in lowest terms."""
+    g = math.gcd(num, den)
+    return (num // g, den // g) if g != 1 else (num, den)
 
 
 class BElement:
@@ -175,10 +190,12 @@ class BElement:
             _set(self, "_hash", hash((self.den, frozenset(self.nums.items()))))
         return self._hash
 
-    def mul_monomial(self, k: int, a_shift=0) -> "BElement":
-        """Multiply by T^k * e^{a_shift * T}: a pure shift of every atom."""
-        a_shift = Fraction(a_shift)
-        return BElement({Atom(at.b, at.n, at.m + k, at.a + a_shift): v for at, v in self.nums.items()}, self.den)
+    def mul_monomial(self, k: int, a_shift=0, shift_den: int = 1) -> "BElement":
+        """Multiply by T^k * e^{(a_shift / shift_den) T}, a_shift an int or a Fraction: a pure shift of every atom."""
+        sn, sd = a_shift.as_integer_ratio()
+        sd *= shift_den
+        return BElement({_new(Atom, (bn, bd, n, m + k, *_reduced(an * sd + sn * ad, ad * sd))): v
+                         for (bn, bd, n, m, an, ad), v in self.nums.items()}, self.den)
 
     def atoms(self) -> Iterator[tuple[Atom, Fraction]]:
         return iter(sorted(self.terms.items(), key=lambda item: item[0].key()))
@@ -203,9 +220,9 @@ class BElement:
             j = i - at.m
             if j < 0:
                 continue
-            (an, ad), (bn, bd) = at.a.as_integer_ratio(), at.b.as_integer_ratio()
-            if at.n:
-                h, d = poly_value_numerator(at.n, j, an * bd, ad * bn)
+            bn, bd, n, _, an, ad = at
+            if n:
+                h, d = poly_value_numerator(n, j, an * bd, ad * bn)
             else:
                 h, d = an**j, 1
             parts.append((v * h, self.den * d * (ad * bd) ** j * math.factorial(j)))
@@ -220,32 +237,32 @@ class BElement:
         as integers over the lcm A of their denominators and the scales', the coefficients over
         den times the lcm of the b.den^n.
         """
-        max_power: dict[Fraction, int] = {}
+        max_power: dict[tuple[int, int], int] = {}  # by the scale as an integer pair
         for at in self.nums:
             if at.n >= 1:
-                max_power[at.b] = max(max_power.get(at.b, 0), at.n)
-        shift_den = math.lcm(*(at.a.denominator for at in self.nums), *(b.denominator for b in max_power))
-        coeff_den = math.lcm(*(at.b.denominator**at.n for at in self.nums))
+                max_power[at.bn, at.bd] = max(max_power.get((at.bn, at.bd), 0), at.n)
+        shift_den = math.lcm(*(at.ad for at in self.nums), *(bd for _, bd in max_power))
+        coeff_den = math.lcm(*(at.bd**at.n for at in self.nums))
         cleared: dict[tuple[int, int], int] = {}  # (A a, m) -> coefficient of T^m e^{aT}
-        for at, v in self.nums.items():
+        for (bn, bd, n, m, an, ad), v in self.nums.items():
             # B(bT)^n * (e^{bT}-1)^n = (bT)^n; leftover factors expand binomially
-            (bn, bd), (an, ad) = at.b.as_integer_ratio(), at.a.as_integer_ratio()
-            base = {an * (shift_den // ad): v * bn**at.n * (coeff_den // bd**at.n)}
-            for scale, mult in max_power.items():
-                k = mult - at.n if scale == at.b else mult  # n = 0 gives mult either way
+            base = {an * (shift_den // ad): v * bn**n * (coeff_den // bd**n)}
+            for (sn, sd), mult in max_power.items():
+                k = mult - n if (sn, sd) == (bn, bd) else mult  # n = 0 gives mult either way
                 if k == 0:
                     continue
-                step, grown = scale.numerator * (shift_den // scale.denominator), {}
+                step, grown = sn * (shift_den // sd), {}
                 for r in range(k + 1):
                     w = math.comb(k, r) * (-1) ** (k - r)
                     for shift, c in base.items():
                         grown[shift + r * step] = grown.get(shift + r * step, 0) + w * c
                 base = grown
             for shift, c in base.items():
-                key = (shift, at.m + at.n)
+                key = (shift, m + n)
                 cleared[key] = cleared.get(key, 0) + c
-        terms = {Atom(_ONE, 0, m, Fraction(shift, shift_den)): c for (shift, m), c in cleared.items() if c}
-        desc = " * ".join(f"(e^{{{scale}T}}-1)^{mult}" for scale, mult in sorted(max_power.items()))
+        terms = {_new(Atom, (1, 1, 0, m, *_reduced(shift, shift_den))): c for (shift, m), c in cleared.items() if c}
+        scales = sorted((Fraction(*scale), mult) for scale, mult in max_power.items())
+        desc = " * ".join(f"(e^{{{scale}T}}-1)^{mult}" for scale, mult in scales)
         return BElement(terms, self.den * coeff_den), (desc or "1")
 
     def is_zero(self) -> bool:
@@ -290,19 +307,19 @@ def atom(m: int, n: int, b, a=0) -> BElement:
     For b < 0 the identity B(-T) = B(T) + T turns B(bT)^n into the binomial
     expansion of (B(|b|T) + |b|T)^n, so the result may have several atoms.
     """
-    b, a = Fraction(b), Fraction(a)
-    if b == 0:
+    (bn, bd), (an, ad) = ((x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio() for x in (b, a))
+    if bn == 0:
         raise ValueError("argument scale b must be nonzero")
-    if n == 0:
-        return BElement({Atom(_ONE, 0, m, a): 1}, 1)
-    if b > 0:
-        return BElement({Atom(b, n, m, a): 1}, 1)
-    mag = -b  # the atoms of the binomial expansion have distinct B-powers j
-    return BElement({Atom(mag if j else _ONE, j, m + n - j, a): binomial(n, j) * mag ** (n - j) for j in range(n + 1)})
+    if n == 0 or bn > 0:
+        return BElement({_new(Atom, (bn, bd, n, m, an, ad) if n else (1, 1, 0, m, an, ad)): 1}, 1)
+    bn = -bn  # the atoms of the binomial expansion have distinct B-powers j, over the common bd^n
+    return BElement({_new(Atom, (bn, bd, j, m + n - j, an, ad) if j else (1, 1, 0, m + n, an, ad)):
+                     math.comb(n, j) * bn ** (n - j) * bd**j for j in range(n + 1)}, bd**n)
 
 
 def from_scalar(c) -> BElement:
-    return BElement({Atom(_ONE, 0, 0, _ZERO): Fraction(c)})
+    num, den = (c if isinstance(c, (int, Fraction)) else Fraction(c)).as_integer_ratio()
+    return BElement({_new(Atom, (1, 1, 0, 0, 0, 1)): num}, den)
 
 
 def b_element() -> BElement:
@@ -316,26 +333,27 @@ def t_element(power: int = 1) -> BElement:
 
 # -- series cache ------------------------------------------------------------
 
-_SERIES_CACHE: dict[tuple[Fraction, int], TruncatedSeries] = {}
+_SERIES_CACHE: dict[tuple[int, int, int], TruncatedSeries] = {}
 
 
-def _cached_series(c: Fraction, n: int, bound: int) -> TruncatedSeries:
-    """B(cT)^n for n >= 1 and e^{cT} for n = 0, kept grown by grown_size and cut to the bound."""
-    cached = _SERIES_CACHE.get((c, n))
+def _cached_series(cn: int, cd: int, n: int, bound: int) -> TruncatedSeries:
+    """B(cT)^n for n >= 1 and e^{cT} for n = 0, c = cn/cd, kept grown by grown_size and cut to the bound."""
+    cached = _SERIES_CACHE.get((cn, cd, n))
     if cached is None or cached.bound < bound:
-        work = grown_size(cached.bound if cached is not None else 0, bound)
+        work, c = grown_size(cached.bound if cached is not None else 0, bound), Fraction(cn, cd)
         cached = bernoulli_power_series(n, work).scale_arg(c) if n else exp_series(c, work)
-        _SERIES_CACHE[(c, n)] = cached
+        _SERIES_CACHE[cn, cd, n] = cached
     return cached.truncate(bound)
 
 
 def _atom_series(at: Atom, bound: int) -> TruncatedSeries:
-    work = bound - at.m
+    bn, bd, n, m, an, ad = at
+    work = bound - m
     if work < 0:  # T^m times a power series has no term up to the bound
         return TruncatedSeries.zero(bound)
-    if at.n == 0:
-        return _cached_series(at.a, 0, work).shift(at.m)
-    ser = _cached_series(at.b, at.n, work)
-    if at.a != 0:
-        ser = ser * _cached_series(at.a, 0, work)
-    return ser.shift(at.m)
+    if n == 0:
+        return _cached_series(an, ad, 0, work).shift(m)
+    ser = _cached_series(bn, bd, n, work)
+    if an:
+        ser = ser * _cached_series(an, ad, 0, work)
+    return ser.shift(m)

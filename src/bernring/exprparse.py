@@ -144,7 +144,7 @@ class _Parser:
         if rest is None:
             return monomial
         ((at, v),) = monomial.nums.items()
-        return rest.mul_monomial(at.m, at.a).scale(Fraction(v, monomial.den))
+        return rest.mul_monomial(at.m, at.an, at.ad).scale(Fraction(v, monomial.den))
 
     def product(self, x: BElement, y: BElement) -> BElement:
         self.check_caps(x, y)
@@ -155,7 +155,7 @@ class _Parser:
         total = sum(max((at.n for at in z.nums), default=0) for z in (x, y))
         if total > MAX_PRODUCT_POWER:
             self.fail(f"B-power {total} of a product is past the cap of {MAX_PRODUCT_POWER}")
-        xs, ys = ({(*at.b.as_integer_ratio(), at.n) for at in z.nums if at.n} for z in (x, y))
+        xs, ys = ({(at.bn, at.bd, at.n) for at in z.nums if at.n} for z in (x, y))
         measure = max(  # q (b1 n1 + b2 n2) for b1 = p1 / d1, b2 = p2 / d2 and q = lcm(d1, d2)
             (math.lcm(d1, d2) * (p1 * n1 * d2 + p2 * n2 * d1) // (d1 * d2)
              for p1, d1, n1 in xs for p2, d2, n2 in ys if (p1, d1) != (p2, d2)),

@@ -154,6 +154,12 @@ def _lhs_terms_for_product(atoms: Sequence[tuple[Atom, Fraction]], m: int):
         yield term_coeff, tuple(factors)
 
 
+@functools.lru_cache(maxsize=None)
+def _symbol_frame(gen: Atom) -> tuple[Fraction, Fraction]:
+    """The argument a/b (a when n = 0) and the scale b of the Bernoulli symbols of a generator."""
+    return Fraction(gen.an * gen.bd, gen.ad * gen.bn) if gen.n else Fraction(gen.an, gen.ad), Fraction(gen.bn, gen.bd)
+
+
 def _rhs_weights(dc: DCombination, m: int) -> tuple[int, dict[BernSymbol, int]]:
     """Symbolic coefficient of T^m (times m!) of a first-order combination, as integer weights of
     Bernoulli symbols over one denominator.
@@ -166,11 +172,11 @@ def _rhs_weights(dc: DCombination, m: int) -> tuple[int, dict[BernSymbol, int]]:
     weights: dict[BernSymbol, int] = {}
     for gen, op in dc.entries.items():
         eff, unit = m - gen.m, den // op.den
-        argument = gen.a / gen.b if gen.n else gen.a
+        argument, scale = _symbol_frame(gen)
         for k, row in op.rows.items():
             for d, v in enumerate(row[: max(eff + 1, 0)]):
                 if v:
-                    sym = BernSymbol(order=gen.n, index=eff - d + k, argument=argument, scale=gen.b)
+                    sym = BernSymbol(order=gen.n, index=eff - d + k, argument=argument, scale=scale)
                     w = unit * v * math.factorial(m) // math.factorial(eff - d)
                     weights[sym] = weights.get(sym, 0) + w
     return den, weights

@@ -24,7 +24,7 @@ from itertools import repeat
 from operator import add, mul
 from typing import Iterator, Mapping
 
-from .elements import Atom, BElement, b_element, render_atom
+from .elements import Atom, BElement, _new, _reduced, b_element, render_atom
 from .partfrac import g_pair, h_f
 from .polys import TEXT, Poly, Style
 from .weyl import WeylOp, derivative_of_element
@@ -85,15 +85,14 @@ def _chain_row(n: int) -> list[list[int]]:
     return _CHAIN_ROWS[n]
 
 
-def _lowered(atoms: list[tuple[Atom, int]], den: int, b: Fraction, a: Fraction, pole: int) -> WeylOp:
-    """T^-pole times the sum of (v / den) T^m chain(n) at (b, a) over the atoms, as Phi_{b,a} of the
-    sum of (v / den) b^(pole-m) T^(m-pole) chain(n) at (1, 0), taken in integers over one denominator."""
+def _lowered(atoms: list[tuple[Atom, int]], den: int, bn: int, bd: int, an: int, ad: int, pole: int) -> WeylOp:
+    """T^-pole times the sum of (v / den) T^m chain(n) at (b, a) = (bn/bd, an/ad) over the atoms, as Phi_{b,a}
+    of the sum of (v / den) b^(pole-m) T^(m-pole) chain(n) at (1, 0), taken in integers over one denominator."""
     if all(at.n <= 1 for at, _ in atoms):  # chain(n) is 1 and Phi(T^e) = b^e T^e cancels b^(pole-m)
         row = [0] * (max(at.m for at, _ in atoms) - pole + 1)
         for at, v in atoms:
             row[at.m - pole] += v
         return WeylOp({0: row}, den)
-    (bn, bd), (an, ad) = b.as_integer_ratio(), a.as_integer_ratio()
     dens = [bn ** (at.m - pole) * math.factorial(max(at.n - 1, 0)) for at, _ in atoms]
     common = math.lcm(*dens)
     frame: dict[tuple[int, int], int] = {}  # (k, e) -> coefficient of T^e d^k, times common
@@ -163,7 +162,7 @@ class DCombination:
             if (top := op.order()) == 0:  # T^m f(T) B^n(bT) e^{aT}
                 pieces.append((gen, {gen.n: op.rows[0]}, gen.m, op.den))
                 continue
-            (bn, bd), (an, ad) = gen.b.as_integer_ratio(), gen.a.as_integer_ratio()
+            bn, bd, _, _, an, ad = gen
             width = max(map(len, op.rows.values()))
             shifted: dict[int, list[int]] = {}  # r -> the T-coefficients of d^r in op(T, d + a), times den ad^top
             for k, coeffs in op.rows.items():
@@ -183,12 +182,12 @@ class DCombination:
                     row[start : start + width] = map(add, row[start : start + width], map(mul, q, repeat(f)))
             pieces.append((gen, acc, gen.m - top, op.den * ad**top * bd ** (top + 1)))
         den, nums = math.lcm(*(scale for *_, scale in pieces)), {}
-        for gen, acc, lo, scale in pieces:
+        for (bn, bd, _, _, an, ad), acc, lo, scale in pieces:
             f = den // scale
             for j, row in acc.items():
                 for m, c in enumerate(row, lo):
                     if c:
-                        key = Atom(gen.b, j, m, gen.a)
+                        key = _new(Atom, (bn, bd, j, m, an, ad))
                         nums[key] = nums.get(key, 0) + c * f
         return BElement(nums, den)
 
@@ -221,16 +220,16 @@ def reduce_to_first_order(x: BElement) -> DCombination:
     negative T-powers are summed times T^-pole, the lowest, and divided again: if every operator
     coefficient is divisible the pole disappears, otherwise it stays on the generator.
     """
-    groups: dict[tuple[int, Fraction, Fraction], list[tuple[Atom, int]]] = {}
+    groups: dict[tuple[int, int, int, int, int], list[tuple[Atom, int]]] = {}  # by the generator (bn, bd, n, an, ad)
     for at, v in x.nums.items():
-        groups.setdefault((1 if at.n else 0, at.b, at.a), []).append((at, v))
+        groups.setdefault((at.bn, at.bd, 1 if at.n else 0, at.an, at.ad), []).append((at, v))
     entries: dict[Atom, WeylOp] = {}
-    for (gen_n, b, a), atoms in groups.items():
+    for (bn, bd, gen_n, an, ad), atoms in groups.items():
         pole = min(0, *(at.m for at, _ in atoms))
-        total = _lowered(atoms, x.den, b, a, pole)
+        total = _lowered(atoms, x.den, bn, bd, an, ad, pole)
         if (divided := total.left_divide_t_power(-pole)) is not None:
             total, pole = divided, 0
-        entries[Atom(b=b, n=gen_n, m=pole, a=a)] = total
+        entries[_new(Atom, (bn, bd, gen_n, pole, an, ad))] = total
     return DCombination(entries)
 
 
@@ -250,24 +249,21 @@ def product_reduce(x: BElement, y: BElement) -> BElement:
     out: dict[Atom, int] = {}  # numerators over x.den y.den
     pending: dict[tuple[int, int, int], list[dict]] = {}  # by q and f as a reduced integer pair
     ys = _by_shift(y)
-    for a1, xs in _by_shift(x).items():
-        for a2, zs in ys.items():
-            a = a1 + a2
-            an, ad = a.as_integer_ratio()
-            for at1, v1, b1 in xs:
-                for at2, v2, b2 in zs:
-                    m, c = at1.m + at2.m, v1 * v2
-                    if at1.n == 0 or at2.n == 0 or b1 == b2:  # an atom with n = 0 has b = 1
-                        key = Atom(at1.b if at1.n else at2.b, at1.n + at2.n, m, a)
+    for (an1, ad1), xs in _by_shift(x).items():
+        for (an2, ad2), zs in ys.items():
+            an, ad = _reduced(an1 * ad2 + an2 * ad1, ad1 * ad2)
+            for bn1, bd1, n1, m1, v1 in xs:
+                for bn2, bd2, n2, m2, v2 in zs:
+                    m, c = m1 + m2, v1 * v2
+                    if not n1 or not n2 or (bn1 == bn2 and bd1 == bd2):  # an atom with n = 0 has b = 1
+                        key = _new(Atom, (bn1, bd1, n1 + n2, m, an, ad) if n1 else (bn2, bd2, n2, m, an, ad))
                         out[key] = out.get(key, 0) + c
                         continue
-                    q = math.lcm(b1[1], b2[1])
+                    q = math.lcm(bd1, bd2)
                     sigma = an * q // ad
-                    fn, fd = an * q - sigma * ad, ad * q
-                    g = math.gcd(fn, fd)
-                    buckets = pending.setdefault((q, fn // g, fd // g), [])
+                    buckets = pending.setdefault((q, *_reduced(an * q - sigma * ad, ad * q)), [])
                     row = ([c * q**m], 1, sigma) if m >= 0 else ([c], q**-m, sigma)
-                    _push(buckets, m, {b1[0] * (q // b1[1]): at1.n, b2[0] * (q // b2[1]): at2.n}, row)
+                    _push(buckets, m, {bn1 * (q // bd1): n1, bn2 * (q // bd2): n2}, row)
     drained = [(key, *step) for key, buckets in pending.items() for step in _drain(buckets)]
     # entry v of a row stands for v q^-r / den: over bottom, times q^-r if r < 0
     bottoms = [den * q**r if r >= 0 else den for (q, _, _), r, _, (_, den, _) in drained]
@@ -276,19 +272,19 @@ def product_reduce(x: BElement, y: BElement) -> BElement:
         out = {at: v * scale for at, v in out.items()}
     for ((q, fn, fd), r, factors, (num, _, lo)), bottom in zip(drained, bottoms):
         ((p, n),) = factors.items() or [(q, 0)]  # no factor left: the unit atom, b = 1
-        b, w = Fraction(p, q), (scale // bottom) * (q**-r if r < 0 else 1)
+        (bn, bd), w = _reduced(p, q), (scale // bottom) * (q**-r if r < 0 else 1)
         for sigma, v in enumerate(num, lo):
             if v:  # at e^{(f + sigma/q)T}
-                key = Atom(b, n, r, Fraction(fn * q + sigma * fd, fd * q))
+                key = _new(Atom, (bn, bd, n, r, *_reduced(fn * q + sigma * fd, fd * q)))
                 out[key] = out.get(key, 0) + v * w
     return BElement(out, x.den * y.den * scale)
 
 
-def _by_shift(x: BElement) -> dict[Fraction, list[tuple[Atom, int, tuple[int, int]]]]:
-    """The atoms of x as (atom, numerator, scale as an integer pair), grouped by their shift a."""
-    groups: dict[Fraction, list] = {}
-    for at, v in x.nums.items():
-        groups.setdefault(at.a, []).append((at, v, at.b.as_integer_ratio()))
+def _by_shift(x: BElement) -> dict[tuple[int, int], list[tuple[int, int, int, int, int]]]:
+    """The atoms of x as (bn, bd, n, m, numerator), grouped by their shift a as an integer pair."""
+    groups: dict[tuple[int, int], list] = {}
+    for (bn, bd, n, m, an, ad), v in x.nums.items():
+        groups.setdefault((an, ad), []).append((bn, bd, n, m, v))
     return groups
 
 
@@ -387,11 +383,11 @@ def _rewrite_step(r: int, factors: dict[int, int], row: tuple) -> list[tuple]:
 
 def invert_term(at: Atom, coeff: Fraction) -> BElement:
     """(coeff T^m B(bT)^n e^{aT})^-1 = T^-(m+n) e^{-aT} (e^{bT} - 1)^n / (coeff b^n), expanded into n = 0 atoms."""
-    (bn, bd), (an, ad), n = at.b.as_integer_ratio(), at.a.as_integer_ratio(), at.n
+    bn, bd, n, m, an, ad = at
     num, den = bd**n * coeff.denominator, bn**n * coeff.numerator
     terms = {}
     for j in range(n + 1):  # C(n, j) (-1)^(n-j) num/den at e^{(jb - a)T}, num/den = 1/(coeff b^n)
-        key = Atom(Fraction(1), 0, -at.m - n, Fraction(j * bn * ad - an * bd, bd * ad))
+        key = _new(Atom, (1, 1, 0, -m - n, *_reduced(j * bn * ad - an * bd, bd * ad)))
         terms[key] = (-1) ** (n - j) * math.comb(n, j) * num
     return BElement(terms, den)
 
@@ -400,7 +396,7 @@ def negative_power_expand(k: int) -> BElement:
     """B^-k = (T^-1 (e^T - 1))^k, expanded into n = 0 atoms."""
     if k < 1:
         raise ValueError("negative power must be at least 1")
-    return invert_term(Atom(b=Fraction(1), n=k, m=0, a=Fraction(0)), Fraction(1))
+    return invert_term(Atom(1, k, 0, 0), Fraction(1))
 
 
 # -- derivative polynomials ----------------------------------------------------
@@ -431,7 +427,7 @@ def f_n_closed(n: int) -> BElement:
     """f_n(T, B), the element with T^-n f_n(T, B) = d^n B, read off the Stirling closed form."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return BElement({Atom(b=Fraction(1), n=j, m=i, a=Fraction(0)): c for (i, j), c in _derivative_row(n).items()}, 1)
+    return BElement({Atom(1, j, i, 0): c for (i, j), c in _derivative_row(n).items()}, 1)
 
 
 def f_n_inductive(n: int) -> BElement:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from .elements import Atom, BElement
+from .elements import Atom, BElement, _new
 from .polys import TEXT, Poly, Style, binomial, format_poly, join_signed, scaled
 from .series import TruncatedSeries
 
@@ -165,11 +165,11 @@ class WeylOp:
         den = math.lcm(*(deriv.den for _, deriv in derivs))
         out: dict[Atom, int] = {}  # numerators over self.den den
         for row, deriv in derivs:
-            for at, v in deriv.nums.items():
+            for (bn, bd, n, m, an, ad), v in deriv.nums.items():
                 v *= den // deriv.den
                 for d, c in enumerate(row):
                     if c:
-                        key = Atom(b=at.b, n=at.n, m=at.m + d, a=at.a)
+                        key = _new(Atom, (bn, bd, n, m + d, an, ad))
                         out[key] = out.get(key, 0) + c * v
         return BElement(out, self.den * den)
 
@@ -206,15 +206,14 @@ def derivative_of_atom(at: Atom) -> BElement:
 
 def derivative_of_element(x: BElement) -> BElement:
     terms: dict[Atom, int] = {}  # numerators over x.den den, den the lcm of the a.den b.den
-    den = math.lcm(*(at.a.denominator * at.b.denominator for at in x.nums))
-    for at, v in x.nums.items():
-        (an, ad), (bn, bd) = at.a.as_integer_ratio(), at.b.as_integer_ratio()
+    den = math.lcm(*(at.ad * at.bd for at in x.nums))
+    for (bn, bd, n, m, an, ad), v in x.nums.items():
         # (m, n, coefficient times den) of each term; an atom with n = 0 already has b = 1
-        parts = [(at.m - 1, at.n, at.m * den), (at.m, at.n, an * (den // ad))]
-        if at.n >= 1:
-            parts += [(at.m - 1, at.n, at.n * den), (at.m, at.n, -at.n * bn * (den // bd)), (at.m - 1, at.n + 1, -at.n * den)]
-        for m, n, coeff in parts:
+        parts = [(m - 1, n, m * den), (m, n, an * (den // ad))]
+        if n >= 1:
+            parts += [(m - 1, n, n * den), (m, n, -n * bn * (den // bd)), (m - 1, n + 1, -n * den)]
+        for pm, pn, coeff in parts:
             if coeff:
-                key = Atom(b=at.b, n=n, m=m, a=at.a)
+                key = _new(Atom, (bn, bd, pn, pm, an, ad))
                 terms[key] = terms.get(key, 0) + v * coeff
     return BElement(terms, x.den * den)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from bernring import elements, exprparse, series
-from bernring.elements import Atom, BElement
+from bernring.elements import Atom, BElement, Frozen
 from bernring.polys import Poly, binomial, gcd_ext
 from bernring.partfrac import g_pair, h_f
 from bernring.reduction import DCombination, ReductionError, _derivative_row, _drain, _measure, _push, lowering_op
@@ -888,3 +888,31 @@ class LeftFoldParser(exprparse._Parser):
 
 def parse_by_left_fold(text: str) -> BElement:
     return LeftFoldParser(text).parse()
+
+
+# -- the Atom that held its scale and shift as Fractions, kept as the oracle of the integer Atom ------
+
+
+@functools.total_ordering
+class FractionAtom(Frozen):
+    """One generator T^m * B(bT)^n * e^{aT} with b and a stored as Fractions, hashed from their
+    integers and compared field by field; ordering (b, n, m, a)."""
+
+    __slots__ = ("b", "n", "m", "a", "_hash")
+
+    def __init__(self, b: Fraction, n: int, m: int, a: Fraction):
+        if n < 0:
+            raise ValueError("B-power must be nonnegative")
+        if b.numerator <= 0:  # a denominator is positive
+            raise ValueError("stored atoms must have positive argument scale")
+        if n == 0 and b != 1:
+            raise ValueError("scale is meaningless for n = 0 atoms; use b = 1")
+        for name, value in zip(self.__slots__, (b, n, m, a)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash", hash((b.numerator, b.denominator, n, m, a.numerator, a.denominator)))
+
+    def key(self) -> tuple:
+        return (self.b, self.n, self.m, self.a)
+
+    def __lt__(self, other) -> bool:
+        return self.key() < other.key() if other.__class__ is FractionAtom else NotImplemented

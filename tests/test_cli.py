@@ -1,6 +1,8 @@
+import hashlib
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -416,6 +418,14 @@ class TestGoldens:
         lines = GOLDENS[argv][["text", "latex", "json"].index(style)]
         assert code == 0 and err == ""
         assert out == "".join(line + "\n" for line in lines)
+
+    def test_lifted_partial_fraction_json(self, capsys):
+        """``pf hf 200 1000 2000`` as JSON, a lifted h of degree 199,000, pinned by the sha256 in
+        ``tests/pf_hf_json.sha256``; record a new one with
+        ``python -m bernring --format json pf hf 200 1000 2000 | sha256sum``."""
+        code, out, err = run(capsys, "--format", "json", "pf", "hf", "200", "1000", "2000")
+        recorded = (Path(__file__).parent / "pf_hf_json.sha256").read_text().strip()
+        assert code == 0 and err == "" and hashlib.sha256(out.encode()).hexdigest() == recorded
 
 
 class TestVerify:

@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 
 from bernring import elements, identities
 from bernring.elements import Atom, BElement, atom, b_element, from_scalar, t_element
+from bernring.reduction import invert_term, product_reduce, reduce_to_first_order
 from bernring.series import TruncatedSeries, bernoulli_poly_value, bernoulli_series, exp_series, factorial
 from bernring.selftest import COEFFS, SCALES, SHIFTS, _known_zero, random_element
+from bernring.weyl import derivative_of_element
 from conftest import (
+    FractionAtom,
     coeff_by_expansion,
     exp_poly_by_nested_dicts,
     fold_expand,
@@ -448,6 +451,99 @@ class TestAtomContract:
         assert repr(at) == "Atom(b=Fraction(3, 2), n=2, m=-1, a=Fraction(1, 3))"
         for twin in (copy.copy(at), copy.deepcopy(at), pickle.loads(pickle.dumps(at))):
             assert twin == at and hash(twin) == hash(at)
+
+
+@st.composite
+def atom_fields(draw):
+    """(b, n, m, a) of an atom: n = 0 with b = 1, or small or 20-digit scales; shifts zero, small,
+    negative or of 20 digits."""
+    n = draw(st.integers(0, 4))
+    b = draw(st.one_of(st.sampled_from(SCALES), huge_scales)) if n else Fraction(1)
+    return b, n, draw(st.integers(-4, 4)), draw(st.one_of(st.just(Fraction(0)), small_rationals, huge_shifts))
+
+
+#: atoms of the integer Atom's edge cases: n = 0, negative and 20-digit shifts, 20-digit scales
+FIXED_ATOM_FIELDS = [
+    (Fraction(1), 0, 0, Fraction(0)),
+    (Fraction(1), 0, -3, Fraction(-7, 2)),
+    (Fraction(1), 1, 0, Fraction(0)),
+    (Fraction(1), 1, 0, Fraction(-1)),
+    (Fraction(3, 2), 2, -1, Fraction(1, 3)),
+    (Fraction(3, 2), 2, -1, Fraction(-1, 3)),
+    (Fraction(2), 2, -1, Fraction(1, 3)),
+    (HUGE_SCALE, 3, 2, HUGE_SHIFT),
+    (HUGE_SCALE, 3, 2, -HUGE_SHIFT),
+    (Fraction(1), 0, 5, HUGE_SHIFT),
+]
+
+
+def assert_agree(x: tuple, y: tuple) -> None:
+    """The integer atoms and the Fraction oracles of the fields x and y agree on ==, hash, order,
+    key, repr and copies."""
+    (at, ot), (at2, ot2) = ((Atom(*f), FractionAtom(*f)) for f in (x, y))
+    assert (at == at2) == (ot == ot2) and (at != at2) == (ot != ot2)
+    assert hash(at) == hash(ot) and hash(at2) == hash(ot2)
+    for compare in ("__lt__", "__le__", "__gt__", "__ge__"):
+        assert getattr(at, compare)(at2) == getattr(ot, compare)(ot2)
+    assert at.key() == ot.key() and repr(at) == repr(ot).replace("FractionAtom", "Atom", 1)
+    assert (at.b, at.n, at.m, at.a) == (ot.b, ot.n, ot.m, ot.a)
+    assert (at.bn, at.bd, at.an, at.ad) == (ot.b.numerator, ot.b.denominator, ot.a.numerator, ot.a.denominator)
+    for twin in (copy.copy(at), copy.deepcopy(at), pickle.loads(pickle.dumps(at))):
+        assert twin == at and hash(twin) == hash(at) and twin.key() == ot.key() and type(twin) is Atom
+
+
+def assert_built_reduced(x: BElement) -> None:
+    """Every atom of x, built from integers, is the atom the public constructor builds from its views."""
+    for at in x.nums:
+        assert tuple(at) == tuple(Atom(at.b, at.n, at.m, at.a)) and at.bd > 0 and at.ad > 0
+
+
+class TestAgainstFractionAtom:
+    """The atom of six integers against the Atom that held Fractions, which it replaced."""
+
+    @given(atom_fields(), atom_fields())
+    @settings(max_examples=200, deadline=None)
+    def test_contract(self, x, y):
+        assert_agree(x, x)
+        assert_agree(x, y)
+        b, n, m, a = x  # an equal atom, from Fractions of multiples of each pair
+        twin = (Fraction(b.numerator * 3, b.denominator * 3), n, m, Fraction(a.numerator * 5, a.denominator * 5))
+        assert_agree(x, twin)
+        assert {Atom(*x): 1}[Atom(*twin)] == 1
+
+    @pytest.mark.parametrize("x", FIXED_ATOM_FIELDS)
+    def test_contract_fixed_grid(self, x):
+        for y in FIXED_ATOM_FIELDS:
+            assert_agree(x, y)
+
+    @given(st.lists(atom_fields(), min_size=2, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_sorted_order(self, fields):
+        want = [ot.key() for ot in sorted(FractionAtom(*f) for f in fields)]
+        assert [at.key() for at in sorted(Atom(*f) for f in fields)] == want
+
+    def test_fixed_grid_order(self):
+        atoms = sorted(Atom(*f) for f in FIXED_ATOM_FIELDS)
+        assert [at.key() for at in atoms] == [ot.key() for ot in sorted(FractionAtom(*f) for f in FIXED_ATOM_FIELDS)]
+
+    @given(coefficient_elements(), st.integers(-3, 3), huge_shifts, st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_library_builds_reduced_atoms(self, x, k, shift, seed):
+        rng = random.Random(seed)  # small scales for the products, whose rewriting grows with the scales
+        y, z = random_element(rng), random_element(rng).mul_monomial(0, shift)
+        for built in (
+            x.mul_monomial(k, shift),
+            x.mul_monomial(k, shift.numerator, shift.denominator * 6),
+            derivative_of_element(x),
+            x.to_exp_poly()[0],
+            atom(k, 3, Fraction(-3, 2), shift),
+            product_reduce(y, z),
+            reduce_to_first_order(y).semantic_element(),
+            BElement(dict.fromkeys(reduce_to_first_order(z).entries, 1)),
+            *(invert_term(at, c) for at, c in x.terms.items()),
+        ):
+            assert_built_reduced(built)
+        assert x.mul_monomial(k, shift.numerator, shift.denominator * 6) == x.mul_monomial(k, shift / 6)
 
 
 class TestRendering:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from bernring import reduction
 from bernring.elements import Atom, BElement, atom, b_element, from_scalar
 from bernring.exprparse import parse_element
+from bernring.identities import verify_agoh_dilcher_example, verify_lowering
 from bernring.partfrac import lemma_decompose
 from bernring.polys import Poly
 from bernring.reduction import (
@@ -526,19 +527,25 @@ class TestMeasureGuard:
             lemma_decompose([(2, 1), (3, 1)])
 
 
-# -- the reduce path builds Fractions only at its boundary ---------------------------------------
+# -- the reduce and grid paths build Fractions only at their boundary -----------------------------
 
 #: the anchor parsed, reduced to first order and checked with ``equals``; the ceiling is the count
-#: once the element kernel held integer numerators (74; 270 while it held Fractions)
-COUNT_ANCHOR, FRACTION_CEILING = "B(2T)^2*B(3T)^2*3*T^2*e^{1/2T}", 74
+#: once atoms held their scale and shift as integers (9; 74 while they held Fractions, 270 while
+#: the element kernel held Fractions)
+COUNT_ANCHOR, FRACTION_CEILING = "B(2T)^2*B(3T)^2*3*T^2*e^{1/2T}", 9
+
+#: one warm ``verify_lowering`` and one warm ``verify_agoh_dilcher_example``: the Fractions of their
+#: reports and Bernoulli values, none for an atom read (16; 17 while atoms held Fractions)
+GRID_FRACTION_CEILING = 16
 
 
-def test_fraction_constructions_on_the_reduce_path():
-    def op():
-        x = parse_element(COUNT_ANCHOR)
-        return reduce_to_first_order(x).semantic_element().equals(x)
-
-    assert op()  # fills the lowering and partial-fraction tables, so the count below repeats exactly
+def fractions_made(op, monkeypatch) -> tuple[int, int]:
+    """The Fractions built by a warm run of ``op``, and the reads of an atom's ``b`` or ``a`` view in it."""
+    assert op()  # fills the tables and caches it reads, so the counts below repeat exactly
+    reads = []
+    for name in ("b", "a"):
+        view = getattr(Atom, name)
+        monkeypatch.setattr(Atom, name, property(lambda at, view=view: reads.append(at) or view.fget(at)))
     profile = cProfile.Profile()
     profile.runcall(op)
     made = sum(
@@ -546,4 +553,23 @@ def test_fraction_constructions_on_the_reduce_path():
         for (path, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
         if path == fractions.__file__ and name in ("__new__", "_from_coprime_ints")
     )
+    return made, len(reads)
+
+
+def test_fraction_constructions_on_the_reduce_path(monkeypatch):
+    def op():
+        x = parse_element(COUNT_ANCHOR)
+        return reduce_to_first_order(x).semantic_element().equals(x)
+
+    made, reads = fractions_made(op, monkeypatch)
     assert 0 < made <= FRACTION_CEILING, f"{made} Fractions made on the reduce path"
+    assert reads == 0, f"{reads} Fraction views of atoms read on the reduce path"
+
+
+def test_fraction_constructions_on_the_grid_path(monkeypatch):
+    def op():
+        return verify_lowering(3, 7, F(1, 3)).verified and verify_agoh_dilcher_example(9).verified
+
+    made, reads = fractions_made(op, monkeypatch)
+    assert 0 < made <= GRID_FRACTION_CEILING, f"{made} Fractions made on the grid path"
+    assert reads == 0, f"{reads} Fraction views of atoms read on the grid path"
