@@ -39,10 +39,19 @@ _set, _new = object.__setattr__, tuple.__new__
 
 
 class Frozen:
-    """Base of small immutable records.  ``__slots__`` names the fields and then ``_hash``, which
-    the record sets once, from integers it is known by; equality compares the fields."""
+    """Base of small immutable records that behave as frozen dataclasses do.  ``__slots__`` names the
+    fields, which the record's ``__init__`` sets once (``_set``); ``==`` holds only between records of
+    one class with equal fields, ``hash`` is the hash of the fields' tuple, and ``repr``, ``copy`` and
+    ``pickle`` go through the fields.  A record may end ``__slots__`` with ``_hash``, which is not a
+    field: it is set once, from integers the record is known by, and ``hash`` returns it."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        if cls.__slots__[-1] == "_hash":
+            cls._fields, cls.__hash__ = cls.__slots__[:-1], _stored_hash
+        else:
+            cls._fields = cls.__slots__
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -50,21 +59,25 @@ class Frozen:
     __delattr__ = __setattr__
 
     def key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__[:-1])
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._hash == other._hash and self.key() == other.key()
+        return self.key() == other.key()
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.key())
 
     def __reduce__(self):
         return type(self), self.key()
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__[:-1])})"
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+
+def _stored_hash(self) -> int:
+    return self._hash
 
 
 def _by_key(compare):

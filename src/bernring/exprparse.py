@@ -41,9 +41,11 @@ MAX_PRODUCT_POWER = 12
 
 #: the largest measure q (b1 n1 + b2 n2), q the lcm of the scales' denominators, that a pair of
 #: atoms B(b1 T)^n1, B(b2 T)^n2 of distinct scales starts its rewriting from in one product.  Of
-#: the inputs tried, the slowest accepted, ``B(2/3T)^6*B(7/4T)^6`` (174), takes 0.5 s with
-#: ``--to-first-order``; past the cap, ``B(97T)^6*B(89T)^6`` (1,116) takes 3.7 s (in-process
-#: medians of four runs, Python 3.11 on a shared 2-core x86_64 host)
+#: the inputs tried, the slowest accepted, ``B(2/3T)^6*B(7/4T)^6`` (174), takes 0.1-0.2 s to parse
+#: and lower to first order, 0.45-0.75 s as a cold ``reduce product ... --to-first-order`` command;
+#: past the cap, ``B(97T)^6*B(89T)^6`` (1,116) takes 1.3-2.2 s to multiply and lower (single runs
+#: in fresh interpreters, start-up counted for the command only, five sets of four; Python 3.11 on
+#: a shared 2-core x86_64 host whose speed varied by up to half between sets)
 MAX_PRODUCT_MEASURE = 180
 
 

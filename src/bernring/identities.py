@@ -19,11 +19,10 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .elements import Atom, BElement, Frozen, atom, b_element
+from .elements import Atom, BElement, Frozen, _set, atom, b_element
 from .polys import LATEX, Poly, binomial, factorial
 from .reduction import (
     DCombination,
@@ -61,7 +60,7 @@ class BernSymbol(Frozen):
     def __init__(self, order: int, index: int, argument: Fraction, scale: Fraction):
         ints = (order, index, argument.numerator, argument.denominator, scale.numerator, scale.denominator)
         for name, value in zip(BernSymbol.__slots__, (order, index, argument, scale, hash(ints))):
-            object.__setattr__(self, name, value)
+            _set(self, name, value)
 
     def value(self) -> Fraction:
         if not self.argument:
@@ -77,10 +76,12 @@ class BernSymbol(Frozen):
     sort_key = Frozen.key
 
 
-@dataclass(frozen=True)
-class IdentityTerm:
-    coeff: Fraction
-    factors: tuple[BernSymbol, ...]
+class IdentityTerm(Frozen):
+    __slots__ = ("coeff", "factors")
+
+    def __init__(self, coeff: Fraction, factors: tuple[BernSymbol, ...]):
+        _set(self, "coeff", coeff)
+        _set(self, "factors", factors)
 
     def value(self) -> Fraction:
         v = self.coeff
@@ -89,14 +90,16 @@ class IdentityTerm:
         return v
 
 
-@dataclass(frozen=True)
-class CoefficientIdentity:
+class CoefficientIdentity(Frozen):
     """An exact identity between two sums of Bernoulli-symbol products."""
 
-    lhs: tuple[IdentityTerm, ...]
-    rhs: tuple[IdentityTerm, ...]
-    order: int
-    provenance: str
+    __slots__ = ("lhs", "rhs", "order", "provenance")
+
+    def __init__(self, lhs: tuple[IdentityTerm, ...], rhs: tuple[IdentityTerm, ...], order: int, provenance: str):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "order", order)
+        _set(self, "provenance", provenance)
 
     def lhs_value(self) -> Fraction:
         return sum((t.value() for t in self.lhs), Fraction(0))
@@ -250,16 +253,26 @@ _B_PRIME = derivative_of_element(b_element())
 # -- verification reports -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Frozen):
     """Exact verification record for one identity instance."""
 
-    name: str
-    params: tuple[tuple[str, Fraction], ...]
-    lhs_value: Fraction
-    rhs_value: Fraction
-    verified: bool
-    degenerate: bool = False
+    __slots__ = ("name", "params", "lhs_value", "rhs_value", "verified", "degenerate")
+
+    def __init__(
+        self,
+        name: str,
+        params: tuple[tuple[str, Fraction], ...],
+        lhs_value: Fraction,
+        rhs_value: Fraction,
+        verified: bool,
+        degenerate: bool = False,
+    ):
+        _set(self, "name", name)
+        _set(self, "params", params)
+        _set(self, "lhs_value", lhs_value)
+        _set(self, "rhs_value", rhs_value)
+        _set(self, "verified", verified)
+        _set(self, "degenerate", degenerate)
 
     @property
     def latex(self) -> str:

@@ -23,15 +23,14 @@ canonical form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
+from .elements import Frozen, _set
 from .polys import Poly
 
 
-@dataclass(frozen=True)
-class GPair:
+class GPair(Frozen):
     """Decomposition data for 1/((X^n-1)(X^m-1)), m != n.
 
     Identity: 1/((X^n-1)(X^m-1)) =
@@ -39,15 +38,17 @@ class GPair:
     with deg g_mn < m - ell and deg g_nm < n - ell.
     """
 
-    m: int
-    n: int
-    ell: int
-    g_mn: Poly
-    g_nm: Poly
+    __slots__ = ("m", "n", "ell", "g_mn", "g_nm")
+
+    def __init__(self, m: int, n: int, ell: int, g_mn: Poly, g_nm: Poly):
+        _set(self, "m", m)
+        _set(self, "n", n)
+        _set(self, "ell", ell)
+        _set(self, "g_mn", g_mn)
+        _set(self, "g_nm", g_nm)
 
 
-@dataclass(frozen=True)
-class HFPair:
+class HFPair(Frozen):
     """Decomposition data for 1/((X^ell-1)^k (X^n-1)), ell a proper divisor of n.
 
     Identity: 1/((X^ell-1)^k (X^n-1)) =
@@ -55,11 +56,14 @@ class HFPair:
     with deg h < k*ell and deg f < n - ell.
     """
 
-    k: int
-    ell: int
-    n: int
-    h: Poly
-    f: Poly
+    __slots__ = ("k", "ell", "n", "h", "f")
+
+    def __init__(self, k: int, ell: int, n: int, h: Poly, f: Poly):
+        _set(self, "k", k)
+        _set(self, "ell", ell)
+        _set(self, "n", n)
+        _set(self, "h", h)
+        _set(self, "f", f)
 
 
 def _times_phi(p: list[int], n: int) -> list[int]:

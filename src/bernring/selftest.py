@@ -11,11 +11,10 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, TextIO
 
-from .elements import Atom, BElement, atom, b_element, from_scalar
+from .elements import Atom, BElement, Frozen, _set, atom, b_element, from_scalar
 from .identities import (
     IdentityReport,
     beta_integral,
@@ -62,14 +61,16 @@ from .series import (
 from .weyl import WeylOp, derivative_of_element
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    index: int
-    name: str
-    limit: float
-    ok: bool
-    seconds: float
-    detail: str
+class CriterionResult(Frozen):
+    __slots__ = ("index", "name", "limit", "ok", "seconds", "detail")
+
+    def __init__(self, index: int, name: str, limit: float, ok: bool, seconds: float, detail: str):
+        _set(self, "index", index)
+        _set(self, "name", name)
+        _set(self, "limit", limit)
+        _set(self, "ok", ok)
+        _set(self, "seconds", seconds)
+        _set(self, "detail", detail)
 
     @property
     def passed(self) -> bool:

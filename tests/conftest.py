@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from bernring import elements, exprparse, series
 from bernring.elements import Atom, BElement, Frozen
-from bernring.polys import Poly, binomial, gcd_ext
+from bernring.identities import BernSymbol
+from bernring.polys import LATEX, Poly, binomial, gcd_ext
 from bernring.partfrac import g_pair, h_f
 from bernring.reduction import DCombination, ReductionError, _derivative_row, _drain, _measure, _push, lowering_op
 from bernring.selftest import run_all
@@ -916,3 +918,121 @@ class FractionAtom(Frozen):
 
     def __lt__(self, other) -> bool:
         return self.key() < other.key() if other.__class__ is FractionAtom else NotImplemented
+
+
+# -- the frozen dataclasses the package's records replaced, kept as their oracles --------------
+
+
+@dataclass(frozen=True)
+class GPair:
+    """Decomposition data for 1/((X^n-1)(X^m-1)), m != n.
+
+    Identity: 1/((X^n-1)(X^m-1)) =
+        ell^2/(m n (X^ell-1)^2) + g_nm/(X^n-1) + g_mn/(X^m-1),
+    with deg g_mn < m - ell and deg g_nm < n - ell.
+    """
+
+    m: int
+    n: int
+    ell: int
+    g_mn: Poly
+    g_nm: Poly
+
+
+@dataclass(frozen=True)
+class HFPair:
+    """Decomposition data for 1/((X^ell-1)^k (X^n-1)), ell a proper divisor of n.
+
+    Identity: 1/((X^ell-1)^k (X^n-1)) =
+        h/(X^ell-1)^(k+1) + f/(X^n-1),
+    with deg h < k*ell and deg f < n - ell.
+    """
+
+    k: int
+    ell: int
+    n: int
+    h: Poly
+    f: Poly
+
+
+@dataclass(frozen=True)
+class IdentityTerm:
+    coeff: Fraction
+    factors: tuple[BernSymbol, ...]
+
+    def value(self) -> Fraction:
+        v = self.coeff
+        for s in self.factors:
+            v *= s.value()
+        return v
+
+
+@dataclass(frozen=True)
+class CoefficientIdentity:
+    """An exact identity between two sums of Bernoulli-symbol products."""
+
+    lhs: tuple[IdentityTerm, ...]
+    rhs: tuple[IdentityTerm, ...]
+    order: int
+    provenance: str
+
+    def lhs_value(self) -> Fraction:
+        return sum((t.value() for t in self.lhs), Fraction(0))
+
+    def rhs_value(self) -> Fraction:
+        return sum((t.value() for t in self.rhs), Fraction(0))
+
+
+@dataclass(frozen=True)
+class IdentityReport:
+    """Exact verification record for one identity instance."""
+
+    name: str
+    params: tuple[tuple[str, Fraction], ...]
+    lhs_value: Fraction
+    rhs_value: Fraction
+    verified: bool
+    degenerate: bool = False
+
+    @property
+    def latex(self) -> str:
+        args = ", ".join(f"{k}={v}" for k, v in self.params)
+        rel = "=" if self.verified else "\\neq"
+        return (
+            f"\\mathrm{{{self.name}}}({args}):\\ "
+            f"{LATEX.rational(self.lhs_value)} {rel} {LATEX.rational(self.rhs_value)}"
+        )
+
+    def to_json_dict(self) -> dict:
+        out = {
+            "name": self.name,
+            "params": [{"name": k, "value": str(v)} for k, v in self.params],
+            "lhs": str(self.lhs_value),
+            "rhs": str(self.rhs_value),
+            "verified": self.verified,
+            "latex": self.latex,
+        }
+        if self.degenerate:
+            out["degenerate"] = True
+        return out
+
+
+@dataclass(frozen=True)
+class CriterionResult:
+    index: int
+    name: str
+    limit: float
+    ok: bool
+    seconds: float
+    detail: str
+
+    @property
+    def passed(self) -> bool:
+        return self.ok and self.seconds < self.limit
+
+    def line(self) -> str:
+        status = "PASS" if self.passed else "FAIL"
+        return (
+            f"[{status}] {self.index:2d} {self.name:<28s}"
+            f" {self.seconds:7.2f}s (limit {self.limit:g}s)  {self.detail}"
+        )
