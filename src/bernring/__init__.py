@@ -27,7 +27,7 @@ from .identities import (
     coefficient_identity,
 )
 from .partfrac import GPair, HFPair, g_pair, h_f, lemma_decompose
-from .polys import Poly, Rational, binomial, gcd_ext
+from .polys import Poly, Rational, binomial
 from .reduction import (
     DCombination,
     agoh_dilcher_reduce,

@@ -24,7 +24,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .polys import TEXT, Style, join_signed, scaled
+from .polys import TEXT, Frozen, Style, join_signed, lowest_terms, scaled
 from .series import (
     TruncatedSeries,
     bernoulli_power_series,
@@ -35,49 +35,7 @@ from .series import (
 )
 
 
-_set, _new = object.__setattr__, tuple.__new__
-
-
-class Frozen:
-    """Base of small immutable records that behave as frozen dataclasses do.  ``__slots__`` names the
-    fields, which the record's ``__init__`` sets once (``_set``); ``==`` holds only between records of
-    one class with equal fields, ``hash`` is the hash of the fields' tuple, and ``repr``, ``copy`` and
-    ``pickle`` go through the fields.  A record may end ``__slots__`` with ``_hash``, which is not a
-    field: it is set once, from integers the record is known by, and ``hash`` returns it."""
-
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        if cls.__slots__[-1] == "_hash":
-            cls._fields, cls.__hash__ = cls.__slots__[:-1], _stored_hash
-        else:
-            cls._fields = cls.__slots__
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __hash__(self) -> int:
-        return hash(self.key())
-
-    def __reduce__(self):
-        return type(self), self.key()
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
-
-
-def _stored_hash(self) -> int:
-    return self._hash
+_new = tuple.__new__
 
 
 def _by_key(compare):
@@ -127,7 +85,7 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
     return (num // g, den // g) if g != 1 else (num, den)
 
 
-class BElement:
+class BElement(Frozen):
     """Finite Q-linear combination of atoms; the empty combination is zero.
 
     The coefficients are stored as integer numerators ``nums`` {atom: numerator} over one positive
@@ -145,25 +103,16 @@ class BElement:
             terms = {at: c if c.__class__ is Fraction else Fraction(c) for at, c in terms.items()}
             den = math.lcm(*(c.denominator for c in terms.values()))
             terms = {at: c.numerator * (den // c.denominator) for at, c in terms.items()}
-        elif not den:
-            raise ZeroDivisionError("element over a zero denominator")
         nums = {at: v for at, v in terms.items() if v}
-        g = math.gcd(den, *nums.values())
-        if den < 0:
-            g = -g
-        if g != 1:
+        if (g := lowest_terms(den, nums.values())) != 1:
             nums, den = {at: v // g for at, v in nums.items()}, den // g
-        for name, value in zip(self.__slots__, (nums, den, None, None)):
-            _set(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BElement is immutable")
+        self._init(nums, den, None, None)
 
     @property
     def terms(self) -> dict[Atom, Fraction]:
         """The coefficients {atom: Fraction}, built on first use and kept."""
         if self._terms is None:
-            _set(self, "_terms", {at: Fraction(v, self.den) for at, v in self.nums.items()})
+            return self._keep("_terms", {at: Fraction(v, self.den) for at, v in self.nums.items()})
         return self._terms
 
     # -- vector-space structure ---------------------------------------------
@@ -200,7 +149,7 @@ class BElement:
 
     def __hash__(self):
         if self._hash is None:  # computed once: the element is immutable
-            _set(self, "_hash", hash((self.den, frozenset(self.nums.items()))))
+            return self._keep("_hash", hash((self.den, frozenset(self.nums.items()))))
         return self._hash
 
     def mul_monomial(self, k: int, a_shift=0, shift_den: int = 1) -> "BElement":

@@ -22,11 +22,12 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .elements import Atom, BElement, Frozen, _set, atom, b_element
-from .polys import LATEX, Poly, binomial, factorial
+from .elements import Atom, BElement, atom, b_element
+from .polys import LATEX, Frozen, Poly, binomial, factorial
 from .reduction import (
     DCombination,
     derivative_power_element,
+    lowering_op,
     negative_power_expand,
     product_reduce,
     reduce_to_first_order,
@@ -59,8 +60,7 @@ class BernSymbol(Frozen):
 
     def __init__(self, order: int, index: int, argument: Fraction, scale: Fraction):
         ints = (order, index, argument.numerator, argument.denominator, scale.numerator, scale.denominator)
-        for name, value in zip(BernSymbol.__slots__, (order, index, argument, scale, hash(ints))):
-            _set(self, name, value)
+        self._init(order, index, argument, scale, hash(ints))
 
     def value(self) -> Fraction:
         if not self.argument:
@@ -80,8 +80,7 @@ class IdentityTerm(Frozen):
     __slots__ = ("coeff", "factors")
 
     def __init__(self, coeff: Fraction, factors: tuple[BernSymbol, ...]):
-        _set(self, "coeff", coeff)
-        _set(self, "factors", factors)
+        self._init(coeff, factors)
 
     def value(self) -> Fraction:
         v = self.coeff
@@ -96,10 +95,7 @@ class CoefficientIdentity(Frozen):
     __slots__ = ("lhs", "rhs", "order", "provenance")
 
     def __init__(self, lhs: tuple[IdentityTerm, ...], rhs: tuple[IdentityTerm, ...], order: int, provenance: str):
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "order", order)
-        _set(self, "provenance", provenance)
+        self._init(lhs, rhs, order, provenance)
 
     def lhs_value(self) -> Fraction:
         return sum((t.value() for t in self.lhs), Fraction(0))
@@ -267,12 +263,7 @@ class IdentityReport(Frozen):
         verified: bool,
         degenerate: bool = False,
     ):
-        _set(self, "name", name)
-        _set(self, "params", params)
-        _set(self, "lhs_value", lhs_value)
-        _set(self, "rhs_value", rhs_value)
-        _set(self, "verified", verified)
-        _set(self, "degenerate", degenerate)
+        self._init(name, params, lhs_value, rhs_value, verified, degenerate)
 
     @property
     def latex(self) -> str:
@@ -496,13 +487,18 @@ def beta_integral_by_quadrature(i: int, j: int) -> Fraction:
 
 
 def harmonic_integral(n: int) -> Fraction:
-    """integral of (1 - s^n - (1-s)^n)/(s(1-s)) over [0, 1], equal to 2 H_{n-1}."""
+    """integral of (1 - s^n - (1-s)^n)/(s(1-s)) over [0, 1], equal to 2 H_{n-1}.
+
+    The integer numerator has no constant term, so dividing it by s drops that term, and
+    dividing by 1 - s takes running sums: p = (1 - s) q gives q_i = p_0 + ... + p_i.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     s = Poly.X()
-    numerator = Poly.one() - s**n - (Poly.one() - s) ** n
-    integrand = numerator.exact_div(s * (Poly.one() - s)) if not numerator.is_zero() else Poly.zero()
-    return integrand.integral()(1)
+    *quotient, rem = itertools.accumulate((Poly.one() - s**n - (Poly.one() - s) ** n).nums[1:] or (0,))
+    if rem:
+        raise ValueError("inexact division by 1 - s")
+    return Poly(quotient).integral()(1)
 
 
 def kaneko_operator(k: int) -> WeylOp:
@@ -577,8 +573,7 @@ def rademacher_operator(n: int) -> WeylOp:
             0: Poly.monomial(2, Fraction(-1, 6)),
         }
     )
-    lowering = WeylOp({0: Poly([1, -1]), 1: Poly.monomial(1, -1)})
-    return squared - lowering.scale(2 * n - 1)
+    return squared - lowering_op(1, 1, 0).scale(2 * n - 1)
 
 
 # -- registry ---------------------------------------------------------------------

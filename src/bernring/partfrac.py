@@ -26,8 +26,7 @@ import math
 from functools import lru_cache
 from itertools import accumulate
 
-from .elements import Frozen, _set
-from .polys import Poly
+from .polys import Frozen, Poly
 
 
 class GPair(Frozen):
@@ -41,11 +40,7 @@ class GPair(Frozen):
     __slots__ = ("m", "n", "ell", "g_mn", "g_nm")
 
     def __init__(self, m: int, n: int, ell: int, g_mn: Poly, g_nm: Poly):
-        _set(self, "m", m)
-        _set(self, "n", n)
-        _set(self, "ell", ell)
-        _set(self, "g_mn", g_mn)
-        _set(self, "g_nm", g_nm)
+        self._init(m, n, ell, g_mn, g_nm)
 
 
 class HFPair(Frozen):
@@ -59,11 +54,7 @@ class HFPair(Frozen):
     __slots__ = ("k", "ell", "n", "h", "f")
 
     def __init__(self, k: int, ell: int, n: int, h: Poly, f: Poly):
-        _set(self, "k", k)
-        _set(self, "ell", ell)
-        _set(self, "n", n)
-        _set(self, "h", h)
-        _set(self, "f", f)
+        self._init(k, ell, n, h, f)
 
 
 def _times_phi(p: list[int], n: int) -> list[int]:

@@ -7,7 +7,9 @@ integer numerators over one denominator, with an abstract indeterminate (used
 for X, T and s in different contexts).
 ``Style`` and the helpers after it spell values as plain text or LaTeX.
 
-Everything here is immutable and safe to share between threads.
+Everything here is immutable and safe to share between threads.  ``Frozen`` is the base of every
+value and record of the package, and ``lowest_terms`` the one rule by which each value keeps its
+integer numerators over one positive denominator.
 """
 
 from __future__ import annotations
@@ -43,13 +45,77 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+_set = object.__setattr__
+
+
+class Frozen:
+    """Base of the package's immutable values and records.  ``__slots__`` lists the fields in the order
+    the constructor takes them, then any caches, named with ``_``; ``__init__`` sets the slots once with
+    ``_init``, and a cache is filled on first read with ``_keep``.  Unless a class defines its own,
+    ``==`` holds between objects of one class with equal fields, ``hash`` is the hash of the fields'
+    tuple (or a last slot ``_hash``, set once), and ``repr`` shows the fields; ``copy`` and ``pickle``
+    rebuild an object through its constructor from its fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        if cls.__slots__[-1:] == ("_hash",) and "__hash__" not in cls.__dict__:
+            cls.__hash__ = _stored_hash
+
+    def _init(self, *values) -> None:
+        """Set the slots, in order, to ``values``: the fields, then any cache slots."""
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def _keep(self, name: str, value):
+        """Fill the cache slot ``name`` with ``value`` and return it."""
+        _set(self, name, value)
+        return value
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.key() == other.key()
+
+    def __hash__(self) -> int:
+        return hash(self.key())
+
+    def __reduce__(self):
+        return type(self), self.key()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+
+def _stored_hash(self) -> int:
+    return self._hash
+
+
+def lowest_terms(den: int, nums: Iterable[int]) -> int:
+    """The gcd of ``den`` and the integers ``nums``, with the sign of ``den``: dividing by it leaves a
+    positive denominator with no factor common to every numerator.  A zero ``den`` is refused."""
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    g = math.gcd(den, *nums)
+    return -g if den < 0 else g
+
+
 def common_numerators(values: list[Fraction]) -> tuple[int, list[int]]:
     """(d, [d * x for x in values]) for the least common denominator d."""
     d = math.lcm(*(x.denominator for x in values))
     return d, [x.numerator * (d // x.denominator) for x in values]
 
 
-class Poly:
+class Poly(Frozen):
     """Dense univariate polynomial with exact rational coefficients.
 
     The coefficients, indexed by exponent, are stored as integer numerators ``nums`` over one
@@ -64,28 +130,19 @@ class Poly:
         """The polynomial of the rationals ``coeffs`` or, given ``den``, of the integers ``coeffs`` over ``den``."""
         if den is None:
             den, coeffs = common_numerators([_as_fraction(c) for c in coeffs])
-        elif not den:
-            raise ZeroDivisionError("polynomial over a zero denominator")
         end = len(coeffs)
         while end and not coeffs[end - 1]:
             end -= 1
         nums = tuple(coeffs[:end])
-        g = math.gcd(den, *nums)
-        if den < 0:
-            g = -g
-        if g != 1:
+        if (g := lowest_terms(den, nums)) != 1:
             nums, den = tuple(n // g for n in nums), den // g
-        for name, value in zip(self.__slots__, (nums, den, None)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+        self._init(nums, den, None)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions, built on first use and kept."""
         if self._coeffs is None:
-            object.__setattr__(self, "_coeffs", tuple(Fraction(n, self.den) for n in self.nums))
+            return self._keep("_coeffs", tuple(Fraction(n, self.den) for n in self.nums))
         return self._coeffs
 
     @staticmethod
@@ -211,13 +268,6 @@ class Poly:
             for j, b in enumerate(other.coeffs):
                 rem[i + j] -= q * b
         return Poly(quot), Poly(rem)
-
-    def exact_div(self, other: "Poly") -> "Poly":
-        """Division that must leave no remainder."""
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError("inexact polynomial division")
-        return q
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:

@@ -26,7 +26,7 @@ from typing import Iterator, Mapping
 
 from .elements import Atom, BElement, _new, _reduced, b_element, render_atom
 from .partfrac import g_pair, h_f
-from .polys import TEXT, Poly, Style
+from .polys import TEXT, Frozen, Poly, Style
 from .weyl import WeylOp, derivative_of_element
 
 
@@ -117,7 +117,7 @@ def _lowered(atoms: list[tuple[Atom, int]], den: int, bn: int, bd: int, an: int,
     return WeylOp(parts, common * den * bn**top_k * bd**top_e * ad**top_k)
 
 
-class DCombination:
+class DCombination(Frozen):
     """D-linear combination over first-order generators.
 
     Keys are atoms with n in {0, 1}; the value of an entry (gen -> op) is
@@ -127,6 +127,7 @@ class DCombination:
     """
 
     __slots__ = ("entries",)
+    __hash__ = None  # the entries are a dict
 
     def __init__(self, entries: Mapping[Atom, WeylOp] | None = None):
         cleaned: dict[Atom, WeylOp] = {}
@@ -136,15 +137,7 @@ class DCombination:
                     raise ValueError("generators must have B-power 0 or 1")
                 if not op.is_zero():
                     cleaned[gen] = op
-        object.__setattr__(self, "entries", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DCombination is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DCombination):
-            return NotImplemented
-        return self.entries == other.entries
+        self._init(cleaned)
 
     def op_for(self, n: int, b, a, m: int = 0) -> WeylOp:
         gen = Atom(b=Fraction(b) if n else Fraction(1), n=n, m=m, a=Fraction(a))

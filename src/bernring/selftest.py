@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 from typing import Callable, TextIO
 
-from .elements import Atom, BElement, Frozen, _set, atom, b_element, from_scalar
+from .elements import Atom, BElement, atom, b_element, from_scalar
 from .identities import (
     IdentityReport,
     beta_integral,
@@ -37,7 +37,7 @@ from .identities import (
     verify_stirling_gf,
 )
 from .partfrac import GPair, HFPair, g_pair, h_f
-from .polys import Poly, factorial, x_power_minus_one
+from .polys import Frozen, Poly, factorial, x_power_minus_one
 from .reduction import (
     DCombination,
     agoh_dilcher_reduce,
@@ -65,12 +65,7 @@ class CriterionResult(Frozen):
     __slots__ = ("index", "name", "limit", "ok", "seconds", "detail")
 
     def __init__(self, index: int, name: str, limit: float, ok: bool, seconds: float, detail: str):
-        _set(self, "index", index)
-        _set(self, "name", name)
-        _set(self, "limit", limit)
-        _set(self, "ok", ok)
-        _set(self, "seconds", seconds)
-        _set(self, "detail", detail)
+        self._init(index, name, limit, ok, seconds, detail)
 
     @property
     def passed(self) -> bool:

@@ -17,7 +17,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .polys import Poly, _as_fraction, common_numerators, factorial
+from .polys import Frozen, Poly, _as_fraction, common_numerators, factorial, lowest_terms
 
 class InsufficientBoundError(Exception):
     """A coefficient past the guaranteed order bound was requested."""
@@ -30,7 +30,7 @@ def fraction_sum(parts: Iterable[tuple[int, int]]) -> Fraction:
     return Fraction(sum(n * (den // d) for n, d in parts), den)
 
 
-class TruncatedSeries:
+class TruncatedSeries(Frozen):
     """Laurent series with exact coefficients for exponents <= ``bound``.
 
     ``low`` is the exponent of the first stored coefficient and equals the
@@ -41,7 +41,8 @@ class TruncatedSeries:
     ``coeffs`` hands them out as Fractions.
     """
 
-    __slots__ = ("low", "nums", "den", "bound", "_coeffs")
+    __slots__ = ("low", "nums", "bound", "den", "_coeffs")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # a series is equal only to itself
 
     def __init__(self, low: int, coeffs: Sequence, bound: int, den: int | None = None):
         """The series of the rationals ``coeffs`` or, given ``den``, of the integers ``coeffs`` over ``den``."""
@@ -53,22 +54,17 @@ class TruncatedSeries:
         while start < len(coeffs) and not coeffs[start]:
             start += 1
         nums, low = tuple(coeffs[start:]), low + start
-        if not nums:
-            low, den = bound + 1, 1
-        g = math.gcd(den, *nums)  # one gcd per result keeps the numerators small
-        if g > 1:
+        if not nums:  # lowest terms leave it over 1
+            low = bound + 1
+        if (g := lowest_terms(den, nums)) != 1:  # one gcd per result keeps the numerators small
             nums, den = tuple(n // g for n in nums), den // g
-        for name, value in zip(self.__slots__, (low, nums, den, bound, None)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
+        self._init(low, nums, bound, den, None)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The stored coefficients as Fractions, built on first use and kept."""
         if self._coeffs is None:
-            object.__setattr__(self, "_coeffs", tuple(Fraction(n, self.den) for n in self.nums))
+            return self._keep("_coeffs", tuple(Fraction(n, self.den) for n in self.nums))
         return self._coeffs
 
     # -- constructors ------------------------------------------------------

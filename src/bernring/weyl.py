@@ -12,11 +12,11 @@ import math
 from typing import Mapping
 
 from .elements import Atom, BElement, _new
-from .polys import TEXT, Poly, Style, binomial, format_poly, join_signed, scaled
+from .polys import TEXT, Frozen, Poly, Style, binomial, format_poly, join_signed, lowest_terms, scaled
 from .series import TruncatedSeries
 
 
-class WeylOp:
+class WeylOp(Frozen):
     """Element of the Weyl algebra in normal form: sum over k of f_k(T) d^k.
 
     The polynomial parts are stored as integer rows ``rows`` {k: coefficients of f_k(T) in T}
@@ -43,16 +43,9 @@ class WeylOp:
                 end -= 1
             if end:
                 rows[k] = tuple(row[:end])
-        g = math.gcd(den, *(math.gcd(*row) for row in rows.values()))
-        if den < 0:
-            g = -g
-        if g != 1:
-            rows = {k: tuple(v // g for v in row) for k, row in rows.items()}
-        for name, value in zip(self.__slots__, (rows, den // g)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeylOp is immutable")
+        if (g := lowest_terms(den, (math.gcd(*row) for row in rows.values()))) != 1:
+            rows, den = {k: tuple(v // g for v in row) for k, row in rows.items()}, den // g
+        self._init(rows, den)
 
     @property
     def parts(self) -> dict[int, Poly]:

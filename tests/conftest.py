@@ -549,6 +549,14 @@ def exp_poly_by_nested_dicts(x: BElement) -> tuple[dict[Fraction, dict[int, Frac
     return {shift: row for shift, row in pruned.items() if row}, (desc or "1")
 
 
+def exact_div(p: Poly, q: Poly) -> Poly:
+    """p / q by Euclidean division, which must leave no remainder."""
+    quot, rem = divmod(p, q)
+    if not rem.is_zero():
+        raise ValueError("inexact polynomial division")
+    return quot
+
+
 def h_via_bezout(k: int, n: int) -> Poly:
     """Independent route to h^(k)_{1,n}: invert 1+X+...+X^(n-1) modulo (X-1)^k."""
     modulus = Poly([-1, 1]) ** k
@@ -573,10 +581,10 @@ def g_pair_by_euclid(m: int, n: int) -> tuple[Poly, Poly]:
     ell = math.gcd(m, n)
     mh, nh = m // ell, n // ell
     phi_m, phi_n = cyclotomic_sum(mh), cyclotomic_sum(nh)
-    lhs = (Poly.one() - phi_m * phi_n / Fraction(mh * nh)).exact_div(Poly([-1, 1]))
+    lhs = exact_div(Poly.one() - phi_m * phi_n / Fraction(mh * nh), Poly([-1, 1]))
     _, _, v = gcd_ext(phi_m, phi_n)
     g_mn = divmod(lhs * v, phi_m)[1]
-    g_nm = (lhs - g_mn * phi_n).exact_div(phi_m)
+    g_nm = exact_div(lhs - g_mn * phi_n, phi_m)
     return g_mn.compose_power(ell), g_nm.compose_power(ell)
 
 
@@ -631,7 +639,7 @@ def h_f_by_recurrence(k: int, ell: int, n: int) -> tuple[Poly, Poly]:
         a.append(-sum((a[j] * binomial(nh, i - j) for j in range(i - 1)), Fraction(0)) / nh)
     x_minus_one = Poly([-1, 1])
     h = sum((x_minus_one**j * aj for j, aj in enumerate(a)), Poly.zero())
-    f = (Poly.one() - cyclotomic_sum(nh) * h).exact_div(x_minus_one**k)
+    f = exact_div(Poly.one() - cyclotomic_sum(nh) * h, x_minus_one**k)
     return h.compose_power(ell), f.compose_power(ell)
 
 
@@ -909,9 +917,7 @@ class FractionAtom(Frozen):
             raise ValueError("stored atoms must have positive argument scale")
         if n == 0 and b != 1:
             raise ValueError("scale is meaningless for n = 0 atoms; use b = 1")
-        for name, value in zip(self.__slots__, (b, n, m, a)):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_hash", hash((b.numerator, b.denominator, n, m, a.numerator, a.denominator)))
+        self._init(b, n, m, a, hash((b.numerator, b.denominator, n, m, a.numerator, a.denominator)))
 
     def key(self) -> tuple:
         return (self.b, self.n, self.m, self.a)

@@ -43,7 +43,7 @@ from bernring.series import (
     exp_series,
     harmonic,
 )
-from bernring.weyl import derivative_of_element
+from bernring.weyl import WeylOp, derivative_of_element
 from conftest import (
     agoh_dilcher_by_hand,
     euler_by_fractions,
@@ -393,6 +393,21 @@ class TestRademacherOperator:
             lhs = squared - atom(0, 2, 1, 0).scale(2 * n - 1)
             rhs = rademacher_operator(n).apply_element(b_element())
             assert lhs.equals(rhs)
+
+    def test_same_operator_as_with_l1_written_out(self):
+        """Built on ``lowering_op(1, 1, 0)``, the operator stores what L(1) = 1 - T - T d written out gave."""
+        squared = WeylOp(
+            {
+                3: Poly.monomial(3, Fraction(-1, 6)),
+                2: Poly.monomial(2, Fraction(-1, 2)),
+                1: Poly.monomial(3, Fraction(1, 6)) - Poly.monomial(2),
+                0: Poly.monomial(2, Fraction(-1, 6)),
+            }
+        )
+        lowering = WeylOp({0: Poly([1, -1]), 1: Poly.monomial(1, -1)})
+        for n in range(12):
+            by_hand, op = squared - lowering.scale(2 * n - 1), rademacher_operator(n)
+            assert (op.rows, op.den, hash(op)) == (by_hand.rows, by_hand.den, hash(by_hand))
 
 
 class TestCoefficientIdentity:
