@@ -10,10 +10,11 @@ product-reduction algorithms expect.
 
 Whether two elements denote the same Laurent series is a semantic question:
 distinct atom combinations can (e.g. B*e^T and B + T), and ``equals`` decides
-it.  The exact zero test multiplies by enough factors of (e^{bT} - 1) to clear
-every B; what is left is again an element, of atoms T^m e^{aT}, and it
-vanishes iff it has no terms, because distinct T^m e^{aT} are linearly
-independent over Q.
+it.  As the stored form is canonical, equal stored forms settle it at once;
+only distinct ones are subtracted and put to the zero test.  The exact zero
+test multiplies by enough factors of (e^{bT} - 1) to clear every B; what is
+left is again an element, of atoms T^m e^{aT}, and it vanishes iff it has no
+terms, because distinct T^m e^{aT} are linearly independent over Q.
 """
 
 from __future__ import annotations
@@ -232,8 +233,9 @@ class BElement(Frozen):
         return not self.nums or self.to_exp_poly()[0].is_structurally_zero()
 
     def equals(self, other: "BElement") -> bool:
-        """Semantic equality: the two elements denote the same Laurent series."""
-        return (self - other).is_zero()
+        """Semantic equality: the two elements denote the same Laurent series.  Equal stored forms need
+        no subtraction; distinct ones can still be equal (B*e^T and B + T) and take the zero test."""
+        return self == other or (self - other).is_zero()
 
     # -- rendering -----------------------------------------------------------
 

@@ -11,15 +11,18 @@ Supported constructs (whitespace-insensitive)::
 
 ``scalar`` is an optionally signed rational (defaulting to 1), so ``B(2T)``,
 ``B(-3/2T)``, ``e^{T}`` and ``e^{-1/2T}`` all parse.  ``d[...]`` takes the
-derivative of the enclosed element.  Exponents are integers of absolute value
-at most ``MAX_EXPONENT``, optionally braced or parenthesized; a negative
-exponent is accepted on a single-atom base (it inverts T-powers, exponentials
-and B-factors exactly).  A product whose operands' largest B-powers add up to
-more than ``MAX_PRODUCT_POWER``, or with a pair of atoms of distinct scales whose rewrite
-measure is past ``MAX_PRODUCT_MEASURE``, is refused before it is reduced.
+derivative of the enclosed element, nested at most ``MAX_DERIVATIVE_DEPTH``
+deep.  Exponents are integers of absolute value at most ``MAX_EXPONENT``,
+optionally braced or parenthesized; a negative exponent is accepted on a
+single-atom base (it inverts T-powers, exponentials and B-factors exactly).  A
+product whose operands' largest B-powers add up to more than
+``MAX_PRODUCT_POWER``, or with a pair of atoms of distinct scales whose rewrite
+measure is past ``MAX_PRODUCT_MEASURE``, is refused before it is reduced; a
+power counts as the product of its factors one at a time.
 
 Multiplication of elements is the exact ring product (fully reduced), so every
-parsed expression is again a plain element.
+parsed expression is again a plain element.  A power of one atom is read in
+closed form and monomial factors are multiplied directly, not by ``product_reduce``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import math
 import re
 from fractions import Fraction
 
-from .elements import BElement, atom, from_scalar
+from .elements import Atom, BElement, _new, _reduced, atom, from_scalar
 from .reduction import invert_term, product_reduce
 from .weyl import derivative_of_element
 
@@ -48,6 +51,14 @@ MAX_PRODUCT_POWER = 12
 #: a shared 2-core x86_64 host whose speed varied by up to half between sets)
 MAX_PRODUCT_MEASURE = 180
 
+#: the deepest nesting of ``d[...]``.  Each derivative raises the B-power by one and widens the
+#: T-powers, and no product cap sees a derivative alone.  Of the inputs tried, the slowest accepted,
+#: six ``d[`` around ``B(2/3T)^6*B(7/4T)^6``, takes 1.3 s as a cold ``reduce product ...
+#: --to-first-order`` command (2.0 s with ``--format json``); before the cap, 8 deep took 2.1 s, 12
+#: deep 4.4 s and 24 deep 22 s (best of three or single runs in fresh interpreters; Python 3.11 on a
+#: shared 2-core x86_64 host)
+MAX_DERIVATIVE_DEPTH = 6
+
 
 class ExprError(ValueError):
     """Parse or evaluation error, with the offending position for diagnostics."""
@@ -64,22 +75,22 @@ class ExprError(ValueError):
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([BTed])|([-+*^(){}\[\]]))")
 
+_KINDS = (None, "number", "name", "symbol")
+
 
 def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ExprError(f"unexpected character {text[pos:].lstrip()[0]!r}", text, len(text) - len(stripped))
-        kind = "number" if match.group(1) else "name" if match.group(2) else "symbol"
-        value = match.group(1) or match.group(2) or match.group(3)
-        start = match.end() - len(value)
-        tokens.append((kind, value, start))
+    """The tokens (kind, value, start) of ``text``, in one pass of matches that each start where the
+    last ended; at the first character no token starts with, the scan stops and it is refused."""
+    tokens, pos = [], 0
+    for match in _TOKEN_RE.finditer(text):
+        if match.start() != pos:
+            break
+        group = match.lastindex
+        tokens.append((_KINDS[group], match[group], match.start(group)))
         pos = match.end()
+    stripped = text[pos:].lstrip()
+    if stripped:
+        raise ExprError(f"unexpected character {stripped[0]!r}", text, len(text) - len(stripped))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -89,6 +100,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0  # of the d[...] the cursor is in
 
     def peek(self):
         return self.tokens[self.index]
@@ -128,36 +140,37 @@ class _Parser:
         """A product of factors.  A monomial factor c T^k e^{aT} only scales and shifts the atoms of
         the others, so the monomials are multiplied together and into the rest once, at the end; each
         factor is still checked against the caps as it comes, as the product so far has the atoms of
-        the rest, shifted, or, while there is no rest, no B-factor."""
+        the rest, shifted, or, while there is no rest, no B-factor.  Each operand's ``_scales`` is read once."""
         rest = monomial = None
+        rest_caps, factor_caps = set(), None  # _scales of the rest (empty while there is none; None until read)
         factor = self.unary()
         while True:
             if len(factor.nums) == 1 and next(iter(factor.nums)).n == 0:
-                monomial = factor if monomial is None else product_reduce(monomial, factor)
+                monomial = factor if monomial is None else _times_monomial(monomial, factor)
+            elif rest is None:
+                rest, rest_caps = factor, factor_caps
             else:
-                rest = factor if rest is None else product_reduce(rest, factor)
+                rest, rest_caps = product_reduce(rest, factor), None
             if self.peek()[1] != "*":
                 break
             self.advance()
             factor = self.unary()
-            self.check_caps(BElement() if rest is None else rest, factor)
+            if rest_caps is None:
+                rest_caps = _scales(rest)
+            factor_caps = _scales(factor)
+            self.check_caps(rest_caps, factor_caps)
         if monomial is None:
             return rest
         if rest is None:
             return monomial
-        ((at, v),) = monomial.nums.items()
-        return rest.mul_monomial(at.m, at.an, at.ad).scale(Fraction(v, monomial.den))
+        return _times_monomial(rest, monomial)
 
-    def product(self, x: BElement, y: BElement) -> BElement:
-        self.check_caps(x, y)
-        return product_reduce(x, y)
-
-    def check_caps(self, x: BElement, y: BElement) -> None:
-        """Refuse the product x*y if it is past ``MAX_PRODUCT_POWER`` or ``MAX_PRODUCT_MEASURE``."""
-        total = sum(max((at.n for at in z.nums), default=0) for z in (x, y))
+    def check_caps(self, xs: set[tuple[int, int, int]], ys: set[tuple[int, int, int]]) -> None:
+        """Refuse the product of two operands, given by their ``_scales``, if it is past
+        ``MAX_PRODUCT_POWER`` or ``MAX_PRODUCT_MEASURE``."""
+        total = sum(max((n for _, _, n in z), default=0) for z in (xs, ys))
         if total > MAX_PRODUCT_POWER:
             self.fail(f"B-power {total} of a product is past the cap of {MAX_PRODUCT_POWER}")
-        xs, ys = ({(at.bn, at.bd, at.n) for at in z.nums if at.n} for z in (x, y))
         measure = max(  # q (b1 n1 + b2 n2) for b1 = p1 / d1, b2 = p2 / d2 and q = lcm(d1, d2)
             (math.lcm(d1, d2) * (p1 * n1 * d2 + p2 * n2 * d1) // (d1 * d2)
              for p1, d1, n1 in xs for p2, d2, n2 in ys if (p1, d1) != (p2, d2)),
@@ -246,24 +259,51 @@ class _Parser:
             self.expect(")")
             return inner
         if val == "d":
+            if self.depth == MAX_DERIVATIVE_DEPTH:
+                self.fail(f"derivative depth {self.depth + 1} is past the cap of {MAX_DERIVATIVE_DEPTH}")
             self.advance()
             self.expect("[")
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.expect("]")
             return derivative_of_element(inner)
         raise ExprError(f"expected a value, found {val!r}" if val else "unexpected end of input", self.text, pos)
 
 
 def _element_power(base: BElement, exponent: int, parser: _Parser) -> BElement:
-    if exponent >= 0:
-        result = from_scalar(1)
-        for _ in range(exponent):
-            result = parser.product(result, base)
-        return result
+    if exponent < 0:
+        if len(base.nums) != 1:
+            parser.fail("negative powers are only defined for a single generator term")
+        ((at, coeff),) = base.terms.items()
+        base, exponent = invert_term(at, coeff), -exponent
     if len(base.nums) != 1:
-        parser.fail("negative powers are only defined for a single generator term")
-    ((at, coeff),) = base.terms.items()
-    return _element_power(invert_term(at, coeff), -exponent, parser)
+        result, caps = from_scalar(1), _scales(base)
+        for _ in range(exponent):
+            parser.check_caps(_scales(result), caps)
+            result = product_reduce(result, base)
+        return result
+    # (c T^m B(bT)^n e^{aT})^k = c^k T^(km) B(bT)^(kn) e^{kaT}, refused where the products one factor
+    # at a time would be: at the first step past the cap, B(bT)^(n floor(cap / n)) times B(bT)^n
+    ((bn, bd, n, m, an, ad), v), = base.nums.items()
+    k = exponent
+    if n * k > MAX_PRODUCT_POWER:
+        parser.check_caps({(bn, bd, MAX_PRODUCT_POWER // n * n)}, {(bn, bd, n)})
+    if not n * k:  # an atom with n = 0 has b = 1
+        bn = bd = 1
+    return BElement({_new(Atom, (bn, bd, n * k, m * k, *_reduced(an * k, ad))): v**k}, base.den**k)
+
+
+def _times_monomial(x: BElement, y: BElement) -> BElement:
+    """x*y for y a monomial c T^k e^{sT}, one atom of B-power 0: every atom of x scaled and shifted, in one pass."""
+    ((_, _, _, k, sn, sd), c), = y.nums.items()
+    return BElement({_new(Atom, (bn, bd, n, m + k, *_reduced(an * sd + sn * ad, ad * sd))): v * c
+                     for (bn, bd, n, m, an, ad), v in x.nums.items()}, x.den * y.den)
+
+
+def _scales(x: BElement) -> set[tuple[int, int, int]]:
+    """The cap summary of x: the scale and B-power (bn, bd, n) of each of its atoms with n >= 1."""
+    return {(bn, bd, n) for bn, bd, n, _, _, _ in x.nums if n}
 
 
 def parse_element(text: str) -> BElement:

@@ -35,6 +35,7 @@ class WeylOp(Frozen):
             den = math.lcm(*(f.den for f in polys.values()))
             parts = {k: [v * (den // f.den) for v in f.nums] for k, f in polys.items()}
         rows: dict[int, tuple[int, ...]] = {}
+        common = 0  # the gcd of every entry, taken as the rows are trimmed
         for k, row in parts.items():
             if k < 0:
                 raise ValueError("derivative order must be nonnegative")
@@ -42,9 +43,12 @@ class WeylOp(Frozen):
             while end and not row[end - 1]:
                 end -= 1
             if end:
-                rows[k] = tuple(row[:end])
-        if (g := lowest_terms(den, (math.gcd(*row) for row in rows.values()))) != 1:
-            rows, den = {k: tuple(v // g for v in row) for k, row in rows.items()}, den // g
+                rows[k] = row = tuple(row[:end])
+                common = math.gcd(common, *row)
+        if (g := lowest_terms(den, (common,))) != 1:
+            den //= g
+            for k, row in rows.items():
+                rows[k] = tuple([v // g for v in row])
         self._init(rows, den)
 
     @property

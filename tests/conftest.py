@@ -8,11 +8,21 @@ import pytest
 from hypothesis import strategies as st
 
 from bernring import elements, exprparse, series
-from bernring.elements import Atom, BElement, Frozen
+from bernring.elements import Atom, BElement, Frozen, from_scalar
 from bernring.identities import BernSymbol
-from bernring.polys import LATEX, Poly, binomial, gcd_ext
+from bernring.polys import LATEX, Poly, binomial, gcd_ext, lowest_terms
 from bernring.partfrac import g_pair, h_f
-from bernring.reduction import DCombination, ReductionError, _derivative_row, _drain, _measure, _push, lowering_op
+from bernring.reduction import (
+    DCombination,
+    ReductionError,
+    _derivative_row,
+    _drain,
+    _measure,
+    _push,
+    invert_term,
+    lowering_op,
+    product_reduce,
+)
 from bernring.selftest import run_all
 from bernring.series import (
     TruncatedSeries,
@@ -437,6 +447,20 @@ def fold_semantic_element(combo) -> BElement:
         base = BElement({Atom(b=gen.b, n=gen.n, m=0, a=gen.a): Fraction(1)})
         acc = acc + fold_apply_element(op, base).mul_monomial(gen.m)
     return acc
+
+
+def weyl_rows_by_passes(parts: dict[int, list[int]], den: int) -> tuple[dict[int, tuple[int, ...]], int]:
+    """The stored rows and denominator of integer rows over ``den``, by a pass that trims every row,
+    one gcd over the rows' gcds, and a pass that divides."""
+    rows = {}
+    for k, row in parts.items():
+        end = len(row)
+        while end and not row[end - 1]:
+            end -= 1
+        if end:
+            rows[k] = tuple(row[:end])
+    g = lowest_terms(den, (math.gcd(*row) for row in rows.values()))
+    return {k: tuple(v // g for v in row) for k, row in rows.items()}, den // g
 
 
 def left_divide_t_power_by_polys(op: WeylOp, k: int) -> WeylOp | None:
@@ -885,8 +909,67 @@ def semantic_element_by_fractions(combo: DCombination) -> dict[Atom, Fraction]:
     return {at: c for at, c in out.items() if c}
 
 
+def tokenize_by_matches(text: str) -> list[tuple]:
+    """The tokens of ``text`` by one anchored match at each position, as the tokenizer read them before
+    it took one pass of ``finditer``."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = exprparse._TOKEN_RE.match(text, pos)
+        if match is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            message = f"unexpected character {text[pos:].lstrip()[0]!r}"
+            raise exprparse.ExprError(message, text, len(text) - len(stripped))
+        kind = "number" if match.group(1) else "name" if match.group(2) else "symbol"
+        value = match.group(1) or match.group(2) or match.group(3)
+        start = match.end() - len(value)
+        tokens.append((kind, value, start))
+        pos = match.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+def caps_by_rescan(parser: exprparse._Parser, x: BElement, y: BElement) -> None:
+    """The caps of the product x*y, read from every atom of both operands at each product."""
+    total = sum(max((at.n for at in z.nums), default=0) for z in (x, y))
+    if total > exprparse.MAX_PRODUCT_POWER:
+        parser.fail(f"B-power {total} of a product is past the cap of {exprparse.MAX_PRODUCT_POWER}")
+    xs, ys = ({(at.bn, at.bd, at.n) for at in z.nums if at.n} for z in (x, y))
+    measure = max(
+        (math.lcm(d1, d2) * (p1 * n1 * d2 + p2 * n2 * d1) // (d1 * d2)
+         for p1, d1, n1 in xs for p2, d2, n2 in ys if (p1, d1) != (p2, d2)),
+        default=0,
+    )
+    if measure > exprparse.MAX_PRODUCT_MEASURE:
+        parser.fail(f"rewrite measure {measure} of a product is past the cap of {exprparse.MAX_PRODUCT_MEASURE}")
+
+
+def power_by_products(base: BElement, exponent: int, parser: "LeftFoldParser") -> BElement:
+    """base^exponent by one checked product per factor, from 1; a negative power of one atom inverts it first."""
+    if exponent >= 0:
+        result = from_scalar(1)
+        for _ in range(exponent):
+            result = parser.product(result, base)
+        return result
+    if len(base.nums) != 1:
+        parser.fail("negative powers are only defined for a single generator term")
+    ((at, coeff),) = base.terms.items()
+    return power_by_products(invert_term(at, coeff), -exponent, parser)
+
+
+def equals_by_subtraction(x: BElement, y: BElement) -> bool:
+    return (x - y).is_zero()
+
+
 class LeftFoldParser(exprparse._Parser):
-    """The parser with a term's factors multiplied in one at a time from the left, monomials too."""
+    """The parser by its step-by-step routes: tokens by one match at a time, a term's factors multiplied
+    in one at a time from the left, monomials too, every power by repeated products, and the caps of
+    each product read from every atom of both operands."""
+
+    def __init__(self, text: str):
+        self.text, self.tokens, self.index, self.depth = text, tokenize_by_matches(text), 0, 0
 
     def term(self) -> BElement:
         value = self.unary()
@@ -894,6 +977,17 @@ class LeftFoldParser(exprparse._Parser):
             self.advance()
             value = self.product(value, self.unary())
         return value
+
+    def product(self, x: BElement, y: BElement) -> BElement:
+        caps_by_rescan(self, x, y)
+        return product_reduce(x, y)
+
+    def power(self) -> BElement:
+        base = self.primary()
+        if self.peek()[1] != "^":
+            return base
+        self.advance()
+        return power_by_products(base, self.exponent(), self)
 
 
 def parse_by_left_fold(text: str) -> BElement:

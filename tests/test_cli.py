@@ -8,7 +8,7 @@ import pytest
 
 from bernring import cli, identities, selftest
 from bernring.elements import Atom, BElement, atom
-from bernring.exprparse import MAX_EXPONENT, MAX_PRODUCT_MEASURE, MAX_PRODUCT_POWER, parse_element
+from bernring.exprparse import MAX_DERIVATIVE_DEPTH, MAX_EXPONENT, MAX_PRODUCT_MEASURE, MAX_PRODUCT_POWER, parse_element
 from bernring.reduction import product_reduce
 from bernring.series import (
     _BERNOULLI_TABLE,
@@ -25,6 +25,10 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def nested_d(depth: int, inner: str) -> str:
+    return "d[" * depth + inner + "]" * depth
 
 
 class TestBern:
@@ -95,6 +99,9 @@ class TestSizeCaps:
             (["pf", "hf", "400", "1", "800"], cli.MAX_PF_POWER),
             (["reduce", "product", "d[B^6*B^6]*2"], MAX_PRODUCT_POWER),
             (["reduce", "product", "d[d[B^6*B^6]]*T"], MAX_PRODUCT_POWER),
+            (["reduce", "product", nested_d(MAX_DERIVATIVE_DEPTH + 1, "B(2T)^6*B(3T)"), "--to-first-order"],
+             MAX_DERIVATIVE_DEPTH),
+            (["reduce", "product", nested_d(100, "B(2T)^6*B(3T)")], MAX_DERIVATIVE_DEPTH),
         ],
     )
     def test_refused_past_cap(self, capsys, argv, cap):
@@ -106,6 +113,11 @@ class TestSizeCaps:
         scale = (MAX_PRODUCT_MEASURE - 6) // 6  # B(T)^6 B(pT)^6 starts at measure 6 + 6p
         code, out, _ = run(capsys, "reduce", "product", f"B(T)^6*B({scale}T)^6", "--to-first-order")
         assert code == 0 and out.startswith("[")
+
+    def test_deepest_derivative(self, capsys):
+        text = nested_d(MAX_DERIVATIVE_DEPTH, "B(2T)^6*B(3T)")
+        code, out, _ = run(capsys, "--format", "json", "reduce", "product", text, "--to-first-order")
+        assert code == 0 and json.loads(out)["first_order"]
 
     def test_largest_pf_g(self, capsys):
         top = cli.MAX_PF_SCALE  # n = m - 1 takes the most rotations in g_pair

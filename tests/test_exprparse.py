@@ -5,11 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bernring.elements import atom, b_element, from_scalar, t_element
-from bernring.exprparse import ExprError, parse_element
+from bernring.elements import BElement, atom, b_element, from_scalar, t_element
+from bernring.exprparse import (
+    MAX_DERIVATIVE_DEPTH,
+    MAX_EXPONENT,
+    MAX_PRODUCT_POWER,
+    ExprError,
+    _tokenize,
+    parse_element,
+)
 from bernring.reduction import negative_power_expand, product_reduce
 from bernring.selftest import random_element
-from conftest import parse_by_left_fold
+from bernring.weyl import derivative_of_element
+from conftest import equals_by_subtraction, parse_by_left_fold, tokenize_by_matches
 
 F = Fraction
 
@@ -159,3 +167,115 @@ class TestMonomialFold:
         message, _ = parsed_or_refused(parse_element, text)
         assert "past the cap of" in message
         assert_folds_agree(text)
+
+
+# -- one-atom powers in closed form, one-pass tokens and the depth cap, against the step-by-step routes --
+
+ONE_ATOM_BASES = [
+    "3", "-1/2", "0", "T", "(T^-2)", "e^{-1/2T}", "e^{3/2T}", "(2*T*e^{-3/2T})", "(-3*T^-2*e^{-T})",
+    "B", "B(2T)", "B(3/2T)", "(B^5)", "(B^6)", "(B(5T)^2)", "(-5/3*T^2*B(7/4T)^3*e^{-1/2T})",
+    "(B(2T)*B(2T))", "(B^6*B)", "d[T^2]", "d[e^{-2T}]",
+]
+MULTI_ATOM_BASES = ["(B + T)", "d[B]", "B(-1T)", "(B(2T)*B(3T))"]
+
+
+class TestAtomPower:
+    @pytest.mark.parametrize("base", ONE_ATOM_BASES + MULTI_ATOM_BASES)
+    def test_every_exponent(self, base):
+        for k in range(-MAX_EXPONENT, MAX_EXPONENT + 1):
+            assert_folds_agree(f"{base}^{k}")
+            assert_folds_agree(f"{base}^{{{k}}}*B(3T)")
+
+    @pytest.mark.parametrize(
+        "text, total",
+        [("(B^5)^3", 15), ("(B^6)^3", 18), ("(B^6*B)^2", 14), ("(B(3T)^4)^4", 16), ("(d[T*B^6]^2)", 14)],
+    )
+    def test_refused_at_the_first_step_past_the_cap(self, text, total):
+        message, _ = parsed_or_refused(parse_element, text)
+        assert message == f"B-power {total} of a product is past the cap of {MAX_PRODUCT_POWER}"
+        assert_folds_agree(text)
+
+    @given(
+        st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool),
+        st.integers(-3, 3),
+        st.integers(0, 6),
+        st.fractions(min_value=F(1, 4), max_value=7, max_denominator=5),
+        st.fractions(min_value=-3, max_value=3, max_denominator=6),
+        st.integers(0, MAX_EXPONENT),
+        st.sampled_from(["{}", "d[{}]", "d[{}]^2", "d[d[{}]]", "T*{}*e^{{1/2T}}", "B(5/2T)*{}"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_atoms(self, c, m, n, b, a, k, frame):
+        base = atom(m, n, b, a).scale(c).render()
+        for exponent in (k, -k) if n == 0 else (k,):
+            assert_folds_agree(frame.format(f"({base})^{exponent}"))
+
+
+TOKEN_ALPHABET = list("0123456789/BTed-+*^(){}[] \t\n") + ["\u00a0", "\u2003", "\u0663", "\u00b2", "x", "$", "."]
+
+
+def tokens_or_refusal(tokenize, text: str):
+    try:
+        return tokenize(text)
+    except ExprError as exc:
+        return str(exc), exc.pos
+
+
+class TestTokenizer:
+    @pytest.mark.parametrize(
+        "text",
+        ["", "   ", "B(2T)*B(3T)", " 3 / 4", "3/4/5", "12/", "B $", "B  \t$ T", "e^{-1/2T}  ", "x",
+         "\u00a0B\u2003", "B\u00b2", "\u0663/2"],
+    )
+    def test_fixed_cases(self, text):
+        assert tokens_or_refusal(_tokenize, text) == tokens_or_refusal(tokenize_by_matches, text)
+
+    @given(st.text(alphabet=st.sampled_from(TOKEN_ALPHABET), max_size=30))
+    @settings(max_examples=400, deadline=None)
+    def test_random_strings(self, text):
+        assert tokens_or_refusal(_tokenize, text) == tokens_or_refusal(tokenize_by_matches, text)
+
+
+class TestEquals:
+    @given(st.integers(0, 10**6), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_against_the_difference(self, seed, same):
+        rng = random.Random(seed)
+        x = random_element(rng)
+        y = BElement(dict(x.nums), x.den) if same else random_element(rng)
+        assert x.equals(y) == equals_by_subtraction(x, y)
+        assert x.equals(y) or not same
+
+    def test_equal_stored_forms_take_no_zero_test(self, monkeypatch):
+        x = parse_element("B(2T)^2*B(3T)*e^{1/2T}")
+        monkeypatch.setattr(BElement, "is_zero", lambda self: pytest.fail("zero test run"))
+        assert x.equals(parse_element("B(2T)^2*B(3T)*e^{1/2T}"))
+
+    def test_distinct_stored_forms_of_one_series(self):
+        x, y = parse_element("B*e^{T}"), parse_element("B + T")
+        assert x != y and x.equals(y) and equals_by_subtraction(x, y)
+
+
+class TestDerivativeDepth:
+    def test_deepest_nesting_is_accepted(self):
+        text = "d[" * MAX_DERIVATIVE_DEPTH + "B(2T)^2*B(3T)" + "]" * MAX_DERIVATIVE_DEPTH
+        want = parse_element("B(2T)^2*B(3T)")
+        for _ in range(MAX_DERIVATIVE_DEPTH):
+            want = derivative_of_element(want)
+        assert parse_element(text) == want
+        assert_folds_agree(text)
+
+    @pytest.mark.parametrize("prefix", ["", "T*", "B + 2*(", "d[T] - "])
+    def test_refused_at_the_first_d_past_the_cap(self, prefix):
+        depth = MAX_DERIVATIVE_DEPTH + 1
+        text = prefix + "d[" * depth + "B" + "]" * depth + ")" * prefix.count("(")
+        with pytest.raises(ExprError) as err:
+            parse_element(text)
+        assert str(err.value) == f"derivative depth {depth} is past the cap of {MAX_DERIVATIVE_DEPTH}"
+        assert err.value.pos == len(prefix) + 2 * MAX_DERIVATIVE_DEPTH
+        assert_folds_agree(text)
+
+    def test_depth_counts_nesting_not_occurrences(self):
+        deepest = "d[" * MAX_DERIVATIVE_DEPTH + "T^6*T^2" + "]" * MAX_DERIVATIVE_DEPTH
+        assert parse_element(" + ".join([deepest] * 3)) == parse_element(deepest).scale(3)
+        assert_folds_agree(f"d[d[B(2T)]*d[T^2]]*{deepest}")

@@ -573,3 +573,17 @@ def test_fraction_constructions_on_the_grid_path(monkeypatch):
     made, reads = fractions_made(op, monkeypatch)
     assert 0 < made <= GRID_FRACTION_CEILING, f"{made} Fractions made on the grid path"
     assert reads == 0, f"{reads} Fraction views of atoms read on the grid path"
+
+
+@pytest.mark.parametrize("text, calls", [(COUNT_ANCHOR, 1), ("B(5T)^3", 0), ("(B + T)^3", 3)])
+def test_product_reduce_calls_of_a_parse(text, calls):
+    """A power of one atom is read in closed form and monomials are multiplied directly, so the anchor
+    makes its one product of distinct scales (9 calls while each power was a loop of products)."""
+    profile = cProfile.Profile()
+    profile.runcall(parse_element, text)
+    made = sum(
+        count
+        for (path, _, name), (_, count, *_) in pstats.Stats(profile).stats.items()
+        if path == reduction.__file__ and name == "product_reduce"
+    )
+    assert made == calls

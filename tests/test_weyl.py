@@ -10,7 +10,7 @@ from bernring.polys import Poly
 from bernring.series import TruncatedSeries, bernoulli_series
 from bernring.selftest import check_weyl_representation, random_series, random_weyl_op
 from bernring.weyl import WeylOp, derivative_of_atom, derivative_of_element
-from conftest import fold_apply_series, left_divide_t_power_by_polys, polys, window
+from conftest import fold_apply_series, left_divide_t_power_by_polys, polys, weyl_rows_by_passes, window
 
 D = WeylOp.d()
 T_OP = WeylOp.t_power(1)
@@ -58,6 +58,16 @@ class TestIntegerRows:
             assert built.den > 0
             assert math.gcd(built.den, *(v for row in built.rows.values() for v in row)) == 1
             assert all(row and row[-1] for row in built.rows.values())
+
+    @given(
+        st.dictionaries(st.integers(0, 4), st.lists(st.integers(-40, 40).map(lambda v: 6 * v), max_size=6), max_size=4),
+        st.integers(-60, 60).filter(bool),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_integer_rows_against_passes(self, parts, den):
+        op = WeylOp(parts, den)
+        assert (op.rows, op.den) == weyl_rows_by_passes(parts, den)
+        assert WeylOp({k: tuple(row) for k, row in parts.items()}, den) == op
 
     def test_zero_and_sign(self):
         assert WeylOp({0: [0, 0], 2: []}, -6) == WeylOp.zero()
