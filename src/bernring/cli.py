@@ -49,6 +49,13 @@ class UsageError(ValueError):
     pass
 
 
+def _check_cap(value: int, cap: int, what: str, where: str = "") -> None:
+    """Refuse a ``value`` past ``cap`` with "<what> past the cap of <cap> for <where>", ``what`` naming the
+    value and ending in its verb; the refusals of every command are worded here."""
+    if value > cap:
+        raise UsageError(f"{what} past the cap of {cap}" + (f" for {where}" if where else ""))
+
+
 def _parse_rational(text: str) -> Fraction:
     try:
         parts = [int(part) for part in text.split("/", 1)]
@@ -76,8 +83,7 @@ def _parse_index_range(text: str, cap: int, where: str) -> list[int]:
         except ValueError as exc:
             raise UsageError(f"malformed integer {text!r}") from exc
     for value in (hi, lo):
-        if abs(value) > cap:
-            raise UsageError(f"index {value} is past the cap of {cap} for {where}")
+        _check_cap(abs(value), cap, f"index {value} is", where)
     return list(range(lo, hi + 1))
 
 
@@ -165,8 +171,7 @@ def _cmd_bern(args, out: list[str]) -> int:
     # largest index first, so the table grows once; the values are put back in order below
     indices = _parse_index_range(args.index, INDEX_CAPS[args.kind], f"bern {args.kind}")[::-1]
     order = int(args.order_n) if args.kind == "num-order" else 1
-    if order > MAX_ORDER:
-        raise UsageError(f"order {order} is past the cap of {MAX_ORDER} for bern {args.kind}")
+    _check_cap(order, MAX_ORDER, f"order {order} is", f"bern {args.kind}")
     if args.kind == "num":
         values = [bernoulli_number(i) for i in indices]
     elif args.kind == "num-order":
@@ -174,11 +179,8 @@ def _cmd_bern(args, out: list[str]) -> int:
     elif args.at is not None:
         point = _parse_rational(args.at)
         work = len(indices) * len(str(max(abs(point.numerator), point.denominator)))
-        if work > MAX_POLY_RANGE_WORK:
-            raise UsageError(
-                f"{len(indices)} values at the point {point} ({work} values x digits) are past the cap of "
-                f"{MAX_POLY_RANGE_WORK} for bern poly --at"
-            )
+        what = f"{len(indices)} values at the point {point} ({work} values x digits) are"
+        _check_cap(work, MAX_POLY_RANGE_WORK, what, "bern poly --at")
         values = [bernoulli_poly_value(1, i, point) for i in indices]
     else:
         polys = [bernoulli_polynomial(i) for i in indices][::-1]
@@ -197,8 +199,7 @@ def _cmd_bern(args, out: list[str]) -> int:
 
 def _cmd_stirling(args, out: list[str]) -> int:
     n = int(args.n)
-    if n > MAX_STIRLING_N:
-        raise UsageError(f"N {n} is past the cap of {MAX_STIRLING_N} for stirling")
+    _check_cap(n, MAX_STIRLING_N, f"N {n} is", "stirling")
     value = stirling(n, int(args.k))
     if args.format == "json":
         out.append(json.dumps({"n": int(args.n), "k": int(args.k), "value": str(value)}))
@@ -210,10 +211,9 @@ def _cmd_stirling(args, out: list[str]) -> int:
 def _cmd_pf(args, out: list[str]) -> int:
     scales = [int(args.m), int(args.n)] if args.kind == "g" else [int(args.l), int(args.n)]
     for value in scales:
-        if value > MAX_PF_SCALE:
-            raise UsageError(f"scale {value} is past the cap of {MAX_PF_SCALE} for pf {args.kind}")
-    if args.kind == "hf" and int(args.k) > MAX_PF_POWER:
-        raise UsageError(f"power {args.k} is past the cap of {MAX_PF_POWER} for pf hf")
+        _check_cap(value, MAX_PF_SCALE, f"scale {value} is", f"pf {args.kind}")
+    if args.kind == "hf":
+        _check_cap(int(args.k), MAX_PF_POWER, f"power {args.k} is", "pf hf")
     if args.kind == "g":
         pair = g_pair(*scales)
         items = [
@@ -261,28 +261,24 @@ def _cmd_verify(args, out: list[str]) -> int:
     fn, param_names = IDENTITY_REGISTRY[name]
     grids: list[list[Fraction]] = []
     for pname in param_names:
-        raw = getattr(args, pname if pname != "N" else "cap_n", None)
+        raw = getattr(args, pname, None)
         if raw is None:
             raise UsageError(f"identity {name!r} needs --{pname}")
         grids.append(_parse_param_values(raw, f"verify --{pname}"))
     size = math.prod(len(grid) for grid in grids)
-    if size > MAX_VERIFY_CASES:
-        raise UsageError(f"a grid of {size} cases is past the cap of {MAX_VERIFY_CASES} for verify")
+    _check_cap(size, MAX_VERIFY_CASES, f"a grid of {size} cases is", "verify")
     if name == "f-derivative":
         order = F_DERIVATIVE_ORDER if args.order is None else args.order
         n = max(abs(v) for v in grids[0])
-        if n * (order + n) ** 2 > MAX_F_DERIVATIVE_WORK:
-            raise UsageError(
-                f"n = {n} at order {order} (n (order + n)^2 = {n * (order + n) ** 2}) is past the cap of "
-                f"{MAX_F_DERIVATIVE_WORK} for verify f-derivative"
-            )
+        work = n * (order + n) ** 2
+        what = f"n = {n} at order {order} (n (order + n)^2 = {work}) is"
+        _check_cap(work, MAX_F_DERIVATIVE_WORK, what, "verify f-derivative")
     cases = list(itertools.product(*grids))
 
     def _as_int(pname: str, v: Fraction) -> int:
         if v.denominator != 1:
             raise UsageError(f"parameter --{pname} must be an integer, got {v}")
-        if abs(v) > MAX_VERIFY_INDEX:
-            raise UsageError(f"index {v} is past the cap of {MAX_VERIFY_INDEX} for verify --{pname}")
+        _check_cap(abs(v), MAX_VERIFY_INDEX, f"index {v} is", f"verify --{pname}")
         return int(v)
 
     def run(case: tuple[Fraction, ...]) -> IdentityReport:
@@ -307,6 +303,12 @@ def _cmd_verify(args, out: list[str]) -> int:
     return 0 if all(r.verified for r in reports) else 1
 
 
+def _cmd_selftest(args, out: list[str]) -> int:
+    from .selftest import selftest_main  # the suite's checks load only for this command
+
+    return selftest_main(out, json_output=args.json or args.format == "json")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bernring",
@@ -318,6 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     bern = sub.add_parser("bern", help="Bernoulli numbers and polynomials")
+    bern.set_defaults(handler=_cmd_bern)
     bern_sub = bern.add_subparsers(dest="kind", required=True)
     p = bern_sub.add_parser("num")
     p.add_argument("index", help="index or range A..B")
@@ -329,10 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", default=None, help="evaluate at an exact rational")
 
     p = sub.add_parser("stirling", help="Stirling numbers of the second kind")
+    p.set_defaults(handler=_cmd_stirling)
     p.add_argument("n")
     p.add_argument("k")
 
     pf = sub.add_parser("pf", help="partial-fraction decomposition polynomials")
+    pf.set_defaults(handler=_cmd_pf)
     pf_sub = pf.add_subparsers(dest="kind", required=True)
     p = pf_sub.add_parser("g")
     p.add_argument("m")
@@ -343,12 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n")
 
     reduce_p = sub.add_parser("reduce", help="reduce element expressions")
+    reduce_p.set_defaults(handler=_cmd_reduce)
     reduce_sub = reduce_p.add_subparsers(dest="kind", required=True)
     p = reduce_sub.add_parser("product")
     p.add_argument("expr")
     p.add_argument("--to-first-order", action="store_true")
 
     p = sub.add_parser("verify", help="verify a named identity over a parameter grid")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("name")
     p.add_argument("--m")
     p.add_argument("--n")
@@ -356,9 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i")
     p.add_argument("--a")
     p.add_argument("--b")
-    p.add_argument("--N", dest="cap_n")
+    p.add_argument("--N")
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
+    p.set_defaults(handler=_cmd_selftest)
     p.add_argument("--json", action="store_true")
 
     return parser
@@ -378,29 +386,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _run(args) -> int:
+    """Run the subcommand's handler, which appends its output lines to ``out``, and write them once."""
     out: list[str] = []
-    if args.command == "selftest":
-        from .selftest import selftest_main
-
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                return selftest_main(json_output=args.json or args.format == "json", stream=fh)
-        return selftest_main(json_output=args.json or args.format == "json")
     try:
-        if args.order is not None and args.order > MAX_SERIES_ORDER:
-            raise UsageError(f"--order {args.order} is past the cap of {MAX_SERIES_ORDER}")
-        if args.command == "bern":
-            code = _cmd_bern(args, out)
-        elif args.command == "stirling":
-            code = _cmd_stirling(args, out)
-        elif args.command == "pf":
-            code = _cmd_pf(args, out)
-        elif args.command == "reduce":
-            code = _cmd_reduce(args, out)
-        elif args.command == "verify":
-            code = _cmd_verify(args, out)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise UsageError(f"unknown command {args.command!r}")
+        if args.order is not None:
+            _check_cap(args.order, MAX_SERIES_ORDER, f"--order {args.order} is")
+        code = args.handler(args, out)
     except ExprError as exc:
         print(exc.diagnostic(), file=sys.stderr)
         return 2

@@ -25,7 +25,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .polys import TEXT, Frozen, Style, join_signed, lowest_terms, scaled
+from .polys import TEXT, Frozen, Style, _as_fraction, _ratio, join_signed, lowest_terms, scaled
 from .series import (
     TruncatedSeries,
     bernoulli_power_series,
@@ -58,7 +58,7 @@ class Atom(namedtuple("_AtomFields", "bn bd n m an ad")):
     def __new__(cls, b: Fraction, n: int, m: int, a: Fraction):
         if n < 0:
             raise ValueError("B-power must be nonnegative")
-        (bn, bd), (an, ad) = b.as_integer_ratio(), a.as_integer_ratio()
+        (bn, bd), (an, ad) = _ratio(b), _ratio(a)
         if bn <= 0:  # a denominator is positive
             raise ValueError("stored atoms must have positive argument scale")
         if n == 0 and bn != bd:
@@ -101,7 +101,7 @@ class BElement(Frozen):
         """The element of the rationals ``terms`` or, given ``den``, of the integers ``terms`` over ``den``."""
         terms = terms or {}
         if den is None:
-            terms = {at: c if c.__class__ is Fraction else Fraction(c) for at, c in terms.items()}
+            terms = {at: _as_fraction(c) for at, c in terms.items()}
             den = math.lcm(*(c.denominator for c in terms.values()))
             terms = {at: c.numerator * (den // c.denominator) for at, c in terms.items()}
         nums = {at: v for at, v in terms.items() if v}
@@ -139,8 +139,8 @@ class BElement(Frozen):
         return self + (-other)
 
     def scale(self, c) -> "BElement":
-        c = Fraction(c)
-        return BElement({at: c.numerator * v for at, v in self.nums.items()}, self.den * c.denominator)
+        num, den = _ratio(c)
+        return BElement({at: num * v for at, v in self.nums.items()}, self.den * den)
 
     def __eq__(self, other) -> bool:
         """Structural equality (same atoms, same coefficients); use equals() for semantic."""
@@ -155,7 +155,7 @@ class BElement(Frozen):
 
     def mul_monomial(self, k: int, a_shift=0, shift_den: int = 1) -> "BElement":
         """Multiply by T^k * e^{(a_shift / shift_den) T}, a_shift an int or a Fraction: a pure shift of every atom."""
-        sn, sd = a_shift.as_integer_ratio()
+        sn, sd = _ratio(a_shift)
         sd *= shift_den
         return BElement({_new(Atom, (bn, bd, n, m + k, *_reduced(an * sd + sn * ad, ad * sd))): v
                          for (bn, bd, n, m, an, ad), v in self.nums.items()}, self.den)
@@ -271,7 +271,7 @@ def atom(m: int, n: int, b, a=0) -> BElement:
     For b < 0 the identity B(-T) = B(T) + T turns B(bT)^n into the binomial
     expansion of (B(|b|T) + |b|T)^n, so the result may have several atoms.
     """
-    (bn, bd), (an, ad) = ((x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio() for x in (b, a))
+    (bn, bd), (an, ad) = _ratio(b), _ratio(a)
     if bn == 0:
         raise ValueError("argument scale b must be nonzero")
     if n == 0 or bn > 0:
@@ -282,7 +282,7 @@ def atom(m: int, n: int, b, a=0) -> BElement:
 
 
 def from_scalar(c) -> BElement:
-    num, den = (c if isinstance(c, (int, Fraction)) else Fraction(c)).as_integer_ratio()
+    num, den = _ratio(c)
     return BElement({_new(Atom, (1, 1, 0, 0, 0, 1)): num}, den)
 
 

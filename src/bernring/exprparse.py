@@ -4,7 +4,7 @@ Supported constructs (whitespace-insensitive)::
 
     expr    := term (('+' | '-') term)*
     term    := unary ('*' unary)*
-    unary   := '-' unary | power
+    unary   := '-'* power
     power   := primary ('^' exponent)?
     primary := RATIONAL | 'T' | 'B' ['(' scalar 'T' ')']
              | 'e' '^' '{' scalar 'T' '}' | '(' expr ')' | 'd' '[' expr ']'
@@ -12,6 +12,7 @@ Supported constructs (whitespace-insensitive)::
 ``scalar`` is an optionally signed rational (defaulting to 1), so ``B(2T)``,
 ``B(-3/2T)``, ``e^{T}`` and ``e^{-1/2T}`` all parse.  ``d[...]`` takes the
 derivative of the enclosed element, nested at most ``MAX_DERIVATIVE_DEPTH``
+deep, and ``(...)`` and ``d[...]`` together nest at most ``MAX_NESTING_DEPTH``
 deep.  Exponents are integers of absolute value at most ``MAX_EXPONENT``,
 optionally braced or parenthesized; a negative exponent is accepted on a
 single-atom base (it inverts T-powers, exponentials and B-factors exactly).  A
@@ -59,6 +60,12 @@ MAX_PRODUCT_MEASURE = 180
 #: shared 2-core x86_64 host)
 MAX_DERIVATIVE_DEPTH = 6
 
+#: the deepest nesting of ``(...)`` and ``d[...]`` together.  The parser descends five Python frames
+#: per level, so at Python's default recursion limit of 1,000 a cold ``reduce product`` command
+#: parsed 195 levels and 197 ended in a ``RecursionError``; the cap keeps every accepted input, and
+#: a parse called from a deeper stack, clear of that limit
+MAX_NESTING_DEPTH = 100
+
 
 class ExprError(ValueError):
     """Parse or evaluation error, with the offending position for diagnostics."""
@@ -101,6 +108,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.index = 0
         self.depth = 0  # of the d[...] the cursor is in
+        self.nesting = 0  # of the (...) and d[...] the cursor is in
 
     def peek(self):
         return self.tokens[self.index]
@@ -180,10 +188,13 @@ class _Parser:
             self.fail(f"rewrite measure {measure} of a product is past the cap of {MAX_PRODUCT_MEASURE}")
 
     def unary(self) -> BElement:
-        if self.peek()[1] == "-":
+        """A power after a run of minuses, read in a loop so that no run is too long to parse."""
+        negate = False
+        while self.peek()[1] == "-":
             self.advance()
-            return -self.unary()
-        return self.power()
+            negate = not negate
+        value = self.power()
+        return -value if negate else value
 
     def power(self) -> BElement:
         base = self.primary()
@@ -253,21 +264,22 @@ class _Parser:
             self.expect("T")
             self.expect("}")
             return atom(0, 0, 1, shift)
-        if val == "(":
-            self.advance()
-            inner = self.expr()
-            self.expect(")")
-            return inner
-        if val == "d":
-            if self.depth == MAX_DERIVATIVE_DEPTH:
+        if val == "(" or val == "d":
+            derivative = val == "d"
+            if derivative and self.depth == MAX_DERIVATIVE_DEPTH:
                 self.fail(f"derivative depth {self.depth + 1} is past the cap of {MAX_DERIVATIVE_DEPTH}")
+            if self.nesting == MAX_NESTING_DEPTH:
+                self.fail(f"nesting depth {self.nesting + 1} is past the cap of {MAX_NESTING_DEPTH}")
             self.advance()
-            self.expect("[")
-            self.depth += 1
+            if derivative:
+                self.expect("[")
+            self.depth += derivative
+            self.nesting += 1
             inner = self.expr()
-            self.depth -= 1
-            self.expect("]")
-            return derivative_of_element(inner)
+            self.depth -= derivative
+            self.nesting -= 1
+            self.expect("]" if derivative else ")")
+            return derivative_of_element(inner) if derivative else inner
         raise ExprError(f"expected a value, found {val!r}" if val else "unexpected end of input", self.text, pos)
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .elements import Atom, BElement, atom, b_element
-from .polys import LATEX, Frozen, Poly, binomial, factorial
+from .polys import LATEX, Frozen, Poly, _as_fraction, binomial, factorial
 from .reduction import (
     DCombination,
     derivative_power_element,
@@ -323,7 +323,7 @@ def verify_multiplication(m: int, n: int, a) -> IdentityReport:
     """sum_{i<n} B_m(a + i/n) = n^(1-m) B_m(n a)."""
     if n < 1:
         raise ValueError("multiplication theorem requires n >= 1")
-    a = Fraction(a)
+    a = _as_fraction(a)
     # with a = p/q, the points a + i/n = (p n + i q)/(q n) and n^(1-m) B_m(p n/q) = n H / (d q^m n^m)
     # are all over d (q n)^m, so both sides sum Horner numerators
     p, q = a.numerator, a.denominator
@@ -337,7 +337,7 @@ def verify_lowering(n: int, i: int, a) -> IdentityReport:
     """B^(n+1)_i(a) = (1 - i/n) B^(n)_i(a) + (a - n)(i/n) B^(n)_{i-1}(a)."""
     if n < 1 or i < 1:
         raise ValueError("order lowering requires n >= 1 and i >= 1")
-    a = Fraction(a)
+    a = _as_fraction(a)
     lhs = bernoulli_poly_value(n + 1, i, a)
     # with a = p/q both terms are over n d q^i: ((n - i) H_i + i (p - n q) H_(i-1)) / (n d q^i)
     p, q = a.numerator, a.denominator
@@ -350,7 +350,7 @@ def verify_euler_polynomial(n: int, a, b) -> IdentityReport:
     """sum C(n,i) B_i(a) B_{n-i}(b) = (1-n) B_n(a+b) + n(a+b-1) B_{n-1}(a+b)."""
     if n < 1:
         raise ValueError("polynomial form requires n >= 1")
-    a, b = Fraction(a), Fraction(b)
+    a, b = _as_fraction(a), _as_fraction(b)
     sides = _product_sides((atom(0, 1, 1, a), atom(0, 1, 1, b)), n)
     return _report("euler-polynomial", [("n", n), ("a", a), ("b", b)], *sides)
 

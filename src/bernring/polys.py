@@ -37,12 +37,16 @@ def factorial(n: int) -> Fraction:
     return Fraction(math.factorial(n))
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def _ratio(value) -> tuple[int, int]:
+    """The numerator and positive denominator of an exact rational, an int or a Fraction, with no
+    Fraction built: the one rule by which every entry point takes a scalar, so a float is refused."""
+    if isinstance(value, (int, Fraction)):
+        return value.as_integer_ratio()
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _as_fraction(value) -> Fraction:
+    return value if isinstance(value, Fraction) else Fraction(_ratio(value)[0])
 
 
 _set = object.__setattr__

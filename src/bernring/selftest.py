@@ -12,7 +12,7 @@ import json
 import random
 import time
 from fractions import Fraction
-from typing import Callable, TextIO
+from typing import Callable
 
 from .elements import Atom, BElement, atom, b_element, from_scalar
 from .identities import (
@@ -50,6 +50,7 @@ from .reduction import (
     stirling,
 )
 from .series import (
+    TruncatedSeries,
     bernoulli_number,
     bernoulli_power_series,
     bernoulli_poly_value,
@@ -121,9 +122,18 @@ def _all_verified(reports) -> tuple[bool, str]:
 # -- criterion checks ----------------------------------------------------------
 
 
-def _grid_check(*families) -> Callable[[], tuple[bool, str]]:
-    """The check that every grid case of the given families verifies."""
-    return lambda: _all_verified(grid_reports(*families))
+def _grid_check(*families, then: Callable[[], tuple[bool, str]] | None = None) -> Callable[[], tuple[bool, str]]:
+    """The check that every grid case of the given families verifies and, once they do, that ``then``
+    holds; the detail of a passing ``then`` follows the grid's, and a failing one's stands alone."""
+
+    def check() -> tuple[bool, str]:
+        ok, detail = _all_verified(grid_reports(*families))
+        if not ok or then is None:
+            return ok, detail
+        ok, more = then()
+        return ok, f"{detail}; {more}" if ok else more
+
+    return check
 
 
 def check_bernoulli_baseline():
@@ -137,9 +147,6 @@ def check_bernoulli_baseline():
 
 
 def check_lowering():
-    ok, detail = _all_verified(grid_reports(verify_lowering))
-    if not ok:
-        return ok, detail
     # cross-check every value against the direct series product B^n e^{aT}
     for n in range(1, 10):
         power = bernoulli_power_series(n, 30)
@@ -148,7 +155,7 @@ def check_lowering():
             for i in range(31):
                 if ser.coeff(i) * factorial(i) != bernoulli_poly_value(n, i, a):
                     return False, f"series cross-check failed at n={n}, i={i}, a={a}"
-    return True, detail + "; series cross-check to order 30"
+    return True, "series cross-check to order 30"
 
 
 def _g_recombines(pair: GPair) -> bool:
@@ -270,9 +277,6 @@ def check_derivative_polynomials():
 
 
 def check_agoh_dilcher():
-    ok, detail = _all_verified(grid_reports(verify_agoh_dilcher_example))
-    if not ok:
-        return ok, detail
     golden = WeylOp(
         {
             3: Poly.monomial(1, Fraction(-1, 6)),
@@ -286,13 +290,10 @@ def check_agoh_dilcher():
         return False, "derivative-square reduction has unexpected generators"
     if combo.op_for(1, 1, 0) != golden:
         return False, "derivative-square operator differs from the printed one"
-    return True, detail + "; printed operator matched structurally"
+    return True, "printed operator matched structurally"
 
 
 def check_rademacher():
-    ok, detail = _all_verified(grid_reports(verify_rademacher))
-    if not ok:
-        return ok, detail
     b_prime = derivative_of_element(b_element())
     squared = product_reduce(b_prime, b_prime).mul_monomial(2)
     for n in range(4, 11):
@@ -300,13 +301,10 @@ def check_rademacher():
         rhs = rademacher_operator(n).apply_element(b_element())
         if not lhs.equals(rhs):
             return False, f"combined relation failed semantically at n={n}"
-    return True, detail + "; combined operator relation for n=4..10"
+    return True, "combined operator relation for n=4..10"
 
 
 def check_miki():
-    ok, detail = _all_verified(grid_reports(verify_miki))
-    if not ok:
-        return ok, detail
     if not all(r.verified for r in grid_reports(verify_miki_s_relation)):
         return False, "parameterized product relation failed at order 20"
     for i in range(1, 11):
@@ -316,7 +314,7 @@ def check_miki():
     for n in range(1, 11):
         if harmonic_integral(n) != 2 * harmonic(n - 1):
             return False, f"harmonic companion mismatch at n={n}"
-    return True, detail + "; s-relation to order 20, Beta and harmonic companions"
+    return True, "s-relation to order 20, Beta and harmonic companions"
 
 
 def _set_partitions_count(n: int, k: int) -> int:
@@ -338,12 +336,9 @@ def _set_partitions_count(n: int, k: int) -> int:
 
 
 def check_stirling_gf():
-    ok, detail = _all_verified(grid_reports(verify_stirling_gf))
-    if not ok:
-        return ok, detail
     if stirling(4, 2) != 7 or _set_partitions_count(4, 2) != 7:
         return False, "S(4,2) does not match the set-partition enumeration"
-    return True, detail + "; S(4,2)=7 by enumeration"
+    return True, "S(4,2)=7 by enumeration"
 
 
 # -- randomized property suites --------------------------------------------------
@@ -370,9 +365,7 @@ def random_weyl_op(rng: random.Random, max_order: int = 4, max_degree: int = 4) 
     return WeylOp(parts)
 
 
-def random_series(rng: random.Random, bound: int = 32):
-    from .series import TruncatedSeries
-
+def random_series(rng: random.Random, bound: int = 32) -> TruncatedSeries:
     low = rng.randint(-2, 2)
     coeffs = [rng.choice(COEFFS + [Fraction(0)]) for _ in range(bound - low + 1)]
     return TruncatedSeries(low, coeffs, bound)
@@ -479,17 +472,17 @@ CRITERIA: list[tuple[int, str, float, Callable[[], tuple[bool, str]]]] = [
     (2, "euler", 1.0, _grid_check(verify_euler)),
     (3, "recurrence", 1.0, _grid_check(verify_recurrence)),
     (4, "multiplication", 5.0, _grid_check(verify_multiplication)),
-    (5, "order-lowering", 10.0, check_lowering),
+    (5, "order-lowering", 10.0, _grid_check(verify_lowering, then=check_lowering)),
     (6, "partial-fractions", 2.0, check_partial_fractions),
     (7, "product-goldens", 2.0, check_product_goldens),
     (8, "triple-product", 5.0, check_triple_product),
     (9, "multinomial-identities", 5.0, _grid_check(verify_235, verify_23, verify_23_even)),
     (10, "derivative-polynomials", 5.0, check_derivative_polynomials),
-    (11, "agoh-dilcher", 5.0, check_agoh_dilcher),
-    (12, "rademacher", 10.0, check_rademacher),
-    (13, "miki", 10.0, check_miki),
+    (11, "agoh-dilcher", 5.0, _grid_check(verify_agoh_dilcher_example, then=check_agoh_dilcher)),
+    (12, "rademacher", 10.0, _grid_check(verify_rademacher, then=check_rademacher)),
+    (13, "miki", 10.0, _grid_check(verify_miki, then=check_miki)),
     (14, "kaneko", 5.0, _grid_check(verify_kaneko)),
-    (15, "stirling-gf", 2.0, check_stirling_gf),
+    (15, "stirling-gf", 2.0, _grid_check(verify_stirling_gf, then=check_stirling_gf)),
     (16, "property-suites", 60.0, check_property_suites),
 ]
 
@@ -510,10 +503,8 @@ def run_all() -> list[CriterionResult]:
     return [run_criterion(*entry) for entry in CRITERIA]
 
 
-def selftest_main(json_output: bool = False, stream: TextIO | None = None) -> int:
-    import sys
-
-    stream = stream or sys.stdout
+def selftest_main(out: list[str], json_output: bool = False) -> int:
+    """Run the suite and append its report to ``out``, one JSON document or one line per criterion and a total."""
     results = run_all()
     total = sum(r.seconds for r in results)
     all_passed = all(r.passed for r in results) and total < TOTAL_LIMIT
@@ -534,13 +525,12 @@ def selftest_main(json_output: bool = False, stream: TextIO | None = None) -> in
             "total_limit": TOTAL_LIMIT,
             "passed": all_passed,
         }
-        stream.write(json.dumps(payload, indent=2) + "\n")
+        out.append(json.dumps(payload, indent=2))
     else:
-        for r in results:
-            stream.write(r.line() + "\n")
+        out.extend(r.line() for r in results)
         status = "PASS" if all_passed else "FAIL"
-        stream.write(
+        out.append(
             f"[{status}] total {total:.2f}s (limit {TOTAL_LIMIT:g}s), "
-            f"{sum(r.passed for r in results)}/{len(results)} criteria passed\n"
+            f"{sum(r.passed for r in results)}/{len(results)} criteria passed"
         )
     return 0 if all_passed else 1

@@ -17,7 +17,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .polys import Frozen, Poly, _as_fraction, common_numerators, factorial, lowest_terms
+from .polys import Frozen, Poly, _as_fraction, _ratio, common_numerators, factorial, lowest_terms
 
 class InsufficientBoundError(Exception):
     """A coefficient past the guaranteed order bound was requested."""
@@ -229,8 +229,7 @@ class TruncatedSeries(Frozen):
 
 def exp_series(a: Fraction | int, bound: int) -> TruncatedSeries:
     """e^{aT} = sum a^i T^i / i!, exact to the bound, as p^i q^(bound-i) bound!/i! over q^bound bound!."""
-    a = Fraction(a)
-    p, q = a.numerator, a.denominator
+    p, q = _ratio(a)
     out, t = [], q**bound * math.factorial(bound)
     den = t
     for i in range(bound + 1):
@@ -245,7 +244,8 @@ def exp_minus_one_over_t(bound: int) -> TruncatedSeries:
 
 
 def grown_size(current: int, wanted: int) -> int:
-    """The one growth rule of every table and cache: at least double, at least 32."""
+    """The growth rule of the Bernoulli rows and of ``elements._SERIES_CACHE``: at least double, at least
+    32.  The Stirling, chain and derivative tables of ``reduction`` grow one row at a time instead."""
     return max(wanted, 2 * current, 32)
 
 

@@ -969,7 +969,7 @@ class LeftFoldParser(exprparse._Parser):
     each product read from every atom of both operands."""
 
     def __init__(self, text: str):
-        self.text, self.tokens, self.index, self.depth = text, tokenize_by_matches(text), 0, 0
+        self.text, self.tokens, self.index, self.depth, self.nesting = text, tokenize_by_matches(text), 0, 0, 0
 
     def term(self) -> BElement:
         value = self.unary()

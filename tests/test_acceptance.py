@@ -6,7 +6,8 @@ pass/fail lines with timings; the same checks back ``bernring selftest``.
 
 import pytest
 
-from bernring.selftest import CRITERIA, TOTAL_LIMIT
+from bernring.identities import verify_kaneko
+from bernring.selftest import CRITERIA, GRID, TOTAL_LIMIT, _grid_check
 
 
 @pytest.fixture(scope="module")
@@ -33,3 +34,10 @@ def test_criterion_17_full_selftest_budget(results):
           f"{total:7.2f}s (limit {TOTAL_LIMIT:g}s)")
     assert total < TOTAL_LIMIT
     assert all(r.passed for r in results.values())
+
+
+def test_grid_check_runs_its_second_check_after_the_grid():
+    grid = f"{len(GRID[verify_kaneko])} instances verified"
+    assert _grid_check(verify_kaneko)() == (True, grid)
+    assert _grid_check(verify_kaneko, then=lambda: (True, "then held"))() == (True, f"{grid}; then held")
+    assert _grid_check(verify_kaneko, then=lambda: (False, "then failed"))() == (False, "then failed")

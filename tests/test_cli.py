@@ -8,7 +8,14 @@ import pytest
 
 from bernring import cli, identities, selftest
 from bernring.elements import Atom, BElement, atom
-from bernring.exprparse import MAX_DERIVATIVE_DEPTH, MAX_EXPONENT, MAX_PRODUCT_MEASURE, MAX_PRODUCT_POWER, parse_element
+from bernring.exprparse import (
+    MAX_DERIVATIVE_DEPTH,
+    MAX_EXPONENT,
+    MAX_NESTING_DEPTH,
+    MAX_PRODUCT_MEASURE,
+    MAX_PRODUCT_POWER,
+    parse_element,
+)
 from bernring.reduction import product_reduce
 from bernring.series import (
     _BERNOULLI_TABLE,
@@ -102,6 +109,8 @@ class TestSizeCaps:
             (["reduce", "product", nested_d(MAX_DERIVATIVE_DEPTH + 1, "B(2T)^6*B(3T)"), "--to-first-order"],
              MAX_DERIVATIVE_DEPTH),
             (["reduce", "product", nested_d(100, "B(2T)^6*B(3T)")], MAX_DERIVATIVE_DEPTH),
+            (["reduce", "product", "(" * 200 + "B" + ")" * 200], MAX_NESTING_DEPTH),
+            (["reduce", "product", "(" * 200 + "B" + ")" * 200, "--to-first-order"], MAX_NESTING_DEPTH),
         ],
     )
     def test_refused_past_cap(self, capsys, argv, cap):
@@ -182,6 +191,36 @@ class TestSizeCaps:
         code, out, err = run(capsys, "--order", str(top + 1), "verify", "f-derivative", "--n", "12")
         assert code == 2 and out == ""
         assert f"past the cap of {top}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bern", "num", "3"],
+            ["stirling", "3", "2"],
+            ["pf", "g", "2", "3"],
+            ["reduce", "product", "B"],
+            ["verify", "euler", "--m", "2"],
+            ["selftest"],
+            ["selftest", "--json"],
+        ],
+    )
+    def test_order_refused_past_cap_by_every_command(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(selftest, "run_all", lambda: pytest.fail("the suite ran past a refused --order"))
+        code, out, err = run(capsys, "--order", "999", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: --order 999 is past the cap of {cli.MAX_SERIES_ORDER}\n"
+
+    def test_nesting_refused_at_its_column(self, capsys):
+        depth = MAX_NESTING_DEPTH + 1
+        code, out, err = run(capsys, "reduce", "product", "(" * depth + "B" + ")" * depth)
+        assert code == 2 and out == ""
+        assert err.splitlines()[0] == (
+            f"error: nesting depth {depth} is past the cap of {MAX_NESTING_DEPTH} at column {depth}"
+        )
+
+    def test_deepest_parentheses(self, capsys):
+        code, out, _ = run(capsys, "reduce", "product", "(" * MAX_NESTING_DEPTH + "B" + ")" * MAX_NESTING_DEPTH)
+        assert code == 0 and out == "B\n"
 
     def test_negative_order_refused(self, capsys):
         code, out, err = run(capsys, "--order", "-5", "verify", "f-derivative", "--n", "12")
@@ -280,6 +319,12 @@ class TestReduce:
         _, out, _ = run(capsys, "reduce", "product", "B(2T)*B(5T)")
         reparsed = parse_element(out.strip())
         assert reparsed.equals(product_reduce(atom(0, 1, 2, 0), atom(0, 1, 5, 0)))
+
+    def test_long_run_of_unary_minus(self, capsys):
+        code, out, _ = run(capsys, "reduce", "product", "0+" + "-" * 1000 + "B", "--to-first-order")
+        assert code == 0 and out == run(capsys, "reduce", "product", "B", "--to-first-order")[1]
+        code, out, err = run(capsys, "reduce", "product", "0+" + "-" * 1000)
+        assert code == 2 and out == "" and "unexpected end of input at column 1003" in err
 
     def test_parse_error_diagnostics(self, capsys):
         code, _, err = run(capsys, "reduce", "product", "B(2T")
@@ -481,6 +526,11 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "euler")
         assert code == 2
 
+    def test_capital_n_parameter(self, capsys):
+        code, out, _ = run(capsys, "verify", "miki-s-relation", "--N", "3..4")
+        assert code == 0
+        assert out == "miki-s-relation(N=3): 7/12 = 7/12 [ok]\nmiki-s-relation(N=4): 419/720 = 419/720 [ok]\n"
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "reports.json"
         code = cli.main(["--format", "json", "--out", str(target), "verify", "euler", "--m", "2..3"])
@@ -499,6 +549,14 @@ class TestSelftestCommand:
         assert code == 0 and data["passed"] is True
         assert len(data["criteria"]) == 16
         assert data["total_seconds"] < data["total_limit"]
+
+    @pytest.mark.parametrize("argv", [["selftest"], ["selftest", "--json"], ["--format", "json", "selftest"]])
+    def test_out_file_holds_what_stdout_would(self, capsys, monkeypatch, selftest_results, tmp_path, argv):
+        monkeypatch.setattr(selftest, "run_all", lambda: selftest_results)
+        code, out, _ = run(capsys, *argv)
+        target = tmp_path / "selftest.out"
+        assert run(capsys, "--out", str(target), *argv) == (code, "", "")
+        assert code == 0 and target.read_text(encoding="utf-8") == out
 
     def test_tampered_table_fails(self, capsys, monkeypatch):
         bernoulli_number(4)  # make sure the table is populated before tampering

@@ -1,6 +1,9 @@
 import copy
+import cProfile
+import fractions
 import math
 import pickle
+import pstats
 import random
 from fractions import Fraction
 
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 from bernring import elements, identities
 from bernring.elements import Atom, BElement, atom, b_element, from_scalar, t_element
+from bernring.polys import Poly
 from bernring.reduction import invert_term, product_reduce, reduce_to_first_order
 from bernring.series import TruncatedSeries, bernoulli_poly_value, bernoulli_series, exp_series, factorial
 from bernring.selftest import COEFFS, SCALES, SHIFTS, _known_zero, random_element
@@ -553,3 +557,57 @@ class TestRendering:
 
     def test_zero_renders(self):
         assert BElement.zero().render() == "0"
+
+
+_ONE_B = Atom(b=Fraction(1), n=1, m=0, a=Fraction(0))
+
+#: every entry point that takes a scalar, with the scalar in the last place
+SCALAR_ENTRY_POINTS = {
+    "scale": lambda c: b_element().scale(c),
+    "atom-scale": lambda c: atom(0, 1, c),
+    "atom-shift": lambda c: atom(1, 2, 3, c),
+    "from_scalar": from_scalar,
+    "mul_monomial": lambda c: b_element().mul_monomial(1, c),
+    "Atom": lambda c: Atom(b=c, n=1, m=0, a=Fraction(0)),
+    "BElement": lambda c: BElement({_ONE_B: c}),
+    "exp_series": lambda c: exp_series(c, 6).coeffs,
+    "verify_multiplication": lambda c: identities.verify_multiplication(4, 3, c).to_json_dict(),
+    "verify_lowering": lambda c: identities.verify_lowering(2, 5, c).to_json_dict(),
+    "verify_euler_polynomial": lambda c: identities.verify_euler_polynomial(3, 1, c).to_json_dict(),
+    "Poly": lambda c: Poly([c]),
+    "TruncatedSeries.monomial": lambda c: TruncatedSeries.monomial(0, c, 2).coeffs,
+}
+
+
+class TestExactScalars:
+    """Every entry point takes a scalar as ``Poly`` does: an int or a Fraction, and nothing inexact."""
+
+    @pytest.mark.parametrize("value", [0.1, 2.0, "1/2"])
+    @pytest.mark.parametrize("name", sorted(SCALAR_ENTRY_POINTS))
+    def test_inexact_scalar_refused(self, name, value):
+        with pytest.raises(TypeError, match=f"expected an exact rational, got {type(value).__name__}"):
+            SCALAR_ENTRY_POINTS[name](value)
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_ENTRY_POINTS))
+    def test_int_and_fraction_agree(self, name):
+        make = SCALAR_ENTRY_POINTS[name]
+        assert make(2) == make(Fraction(2))
+        assert make(Fraction(7, 3)) == make(Fraction(14, 6))
+
+    @pytest.mark.parametrize("op", [
+        lambda: b_element().scale(-3),
+        lambda: atom(1, 2, 3, -2),
+        lambda: atom(0, 2, -3, 1),
+        lambda: from_scalar(-4),
+        lambda: b_element().mul_monomial(1, 2),
+        lambda: exp_series(2, 6),
+    ])
+    def test_int_scalar_builds_no_fraction(self, op):
+        profile = cProfile.Profile()
+        profile.runcall(op)
+        made = sum(
+            calls
+            for (path, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
+            if path == fractions.__file__ and name in ("__new__", "_from_coprime_ints")
+        )
+        assert made == 0

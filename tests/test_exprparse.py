@@ -9,6 +9,7 @@ from bernring.elements import BElement, atom, b_element, from_scalar, t_element
 from bernring.exprparse import (
     MAX_DERIVATIVE_DEPTH,
     MAX_EXPONENT,
+    MAX_NESTING_DEPTH,
     MAX_PRODUCT_POWER,
     ExprError,
     _tokenize,
@@ -279,3 +280,41 @@ class TestDerivativeDepth:
         deepest = "d[" * MAX_DERIVATIVE_DEPTH + "T^6*T^2" + "]" * MAX_DERIVATIVE_DEPTH
         assert parse_element(" + ".join([deepest] * 3)) == parse_element(deepest).scale(3)
         assert_folds_agree(f"d[d[B(2T)]*d[T^2]]*{deepest}")
+
+
+class TestNestingDepth:
+    def test_deepest_parentheses_are_accepted(self):
+        text = "(" * MAX_NESTING_DEPTH + "B(2T)*T" + ")" * MAX_NESTING_DEPTH
+        assert parse_element(text) == parse_element("B(2T)*T")
+
+    def test_deepest_mixed_nesting_is_accepted(self):
+        parens = MAX_NESTING_DEPTH - MAX_DERIVATIVE_DEPTH
+        text = "(" * parens + "d[" * MAX_DERIVATIVE_DEPTH + "B" + "]" * MAX_DERIVATIVE_DEPTH + ")" * parens
+        want = b_element()
+        for _ in range(MAX_DERIVATIVE_DEPTH):
+            want = derivative_of_element(want)
+        assert parse_element(text) == want
+
+    @pytest.mark.parametrize("prefix, opener", [("", "("), ("T*", "("), ("B - ", "("), ("", "d[")])
+    def test_refused_at_the_first_bracket_past_the_cap(self, prefix, opener):
+        depth = MAX_NESTING_DEPTH + 1
+        inner = "(" * (depth - 1) + opener + "B" + ("]" if opener == "d[" else ")") + ")" * (depth - 1)
+        with pytest.raises(ExprError) as err:
+            parse_element(prefix + inner)
+        assert str(err.value) == f"nesting depth {depth} is past the cap of {MAX_NESTING_DEPTH}"
+        assert err.value.pos == len(prefix) + MAX_NESTING_DEPTH
+        assert f"at column {len(prefix) + MAX_NESTING_DEPTH + 1}" in err.value.diagnostic()
+
+    def test_200_parentheses_are_refused(self):
+        with pytest.raises(ExprError, match=f"past the cap of {MAX_NESTING_DEPTH}"):
+            parse_element("(" * 200 + "B" + ")" * 200)
+
+    @pytest.mark.parametrize("count", [1, 2, 999, 1000])
+    def test_long_runs_of_unary_minus(self, count):
+        want = b_element() if count % 2 == 0 else -b_element()
+        assert parse_element("0+" + "-" * count + "B") == want
+        assert parse_element("-" * count + "B^2") == parse_element("B^2").scale((-1) ** count)
+
+    def test_run_of_unary_minus_with_no_operand(self):
+        with pytest.raises(ExprError, match="unexpected end of input"):
+            parse_element("0+" + "-" * 1000)
