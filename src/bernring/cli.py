@@ -9,8 +9,11 @@ Subcommands::
     pf g M N                  partial-fraction g-polynomials
     pf hf K L N               partial-fraction h/f pair
     reduce product EXPR       exact product reduction of an element expression
-    verify NAME --<param> ... identity verification over parameter grids
+    verify NAME --PARAM ...   identity verification over parameter grids
     selftest [--json]         the full acceptance suite
+
+``verify NAME`` takes exactly the parameters of identity NAME in ``IDENTITY_REGISTRY``, each
+required; ``verify NAME --help`` lists them.  ``--order`` is read only by ``verify f-derivative``.
 
 INDEX arguments accept either a single integer or an inclusive range ``A..B``,
 up to the command's cap in ``INDEX_CAPS``; ``bern poly --at`` also caps the
@@ -20,8 +23,10 @@ up to ``MAX_VERIFY_INDEX`` and at most ``MAX_VERIFY_CASES`` cases, and
 ``f-derivative`` caps its n jointly with ``--order`` (``MAX_F_DERIVATIVE_WORK``);
 ``reduce`` takes exponents up to ``exprparse.MAX_EXPONENT``; ``pf`` takes scales M, N
 up to ``MAX_PF_SCALE`` and ``pf hf`` a power K up to ``MAX_PF_POWER``.
-Rational arguments are ``p/q`` strings; list-valued flags take comma-separated
-values.  Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Rational arguments, like the numbers of a ``reduce`` expression, are ``p/q`` strings of at most
+``MAX_RATIONAL_DIGITS`` digits a part; list-valued flags take comma-separated values, a negative
+one written ``--a=-1/2``.  A refused argument is quoted to 40 characters at most, an expression
+whole.  Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
 All rationals are emitted as exact ``p/q`` strings, never floats.
 """
 
@@ -36,7 +41,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .elements import Atom, BElement
-from .exprparse import ExprError, parse_element
+from .exprparse import MAX_RATIONAL_DIGITS, ExprError, parse_element
 from .identities import F_DERIVATIVE_ORDER, IDENTITY_REGISTRY, IdentityReport
 from .partfrac import g_pair, h_f
 from .polys import LATEX, TEXT, Style, format_poly
@@ -56,14 +61,19 @@ def _check_cap(value: int, cap: int, what: str, where: str = "") -> None:
         raise UsageError(f"{what} past the cap of {cap}" + (f" for {where}" if where else ""))
 
 
+def _brief(text: str, show=str) -> str:
+    """``show(text)``, or past 40 characters ``show`` of its first 40 and its length: refusals stay short."""
+    return show(text) if len(text) <= 40 else f"{show(text[:40])}... ({len(text)} characters)"
+
+
 def _parse_rational(text: str) -> Fraction:
     try:
         parts = [int(part) for part in text.split("/", 1)]
         value = Fraction(*parts)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"malformed rational {text!r}") from exc
+        raise UsageError(f"malformed rational {_brief(text, repr)}") from exc
     if any(abs(part) >= 10**MAX_RATIONAL_DIGITS for part in parts):
-        raise UsageError(f"rational {text!r} is past the cap of {MAX_RATIONAL_DIGITS} digits")
+        raise UsageError(f"rational {_brief(text, repr)} is past the cap of {MAX_RATIONAL_DIGITS} digits")
     return value
 
 
@@ -74,16 +84,16 @@ def _parse_index_range(text: str, cap: int, where: str) -> list[int]:
         try:
             lo, hi = int(lo_text), int(hi_text)
         except ValueError as exc:
-            raise UsageError(f"malformed range {text!r}") from exc
+            raise UsageError(f"malformed range {_brief(text, repr)}") from exc
         if hi < lo:
-            raise UsageError(f"empty range {text!r}")
+            raise UsageError(f"empty range {_brief(text, repr)}")
     else:
         try:
             lo = hi = int(text)
         except ValueError as exc:
-            raise UsageError(f"malformed integer {text!r}") from exc
+            raise UsageError(f"malformed integer {_brief(text, repr)}") from exc
     for value in (hi, lo):
-        _check_cap(abs(value), cap, f"index {value} is", where)
+        _check_cap(abs(value), cap, f"index {_brief(str(value))} is", where)
     return list(range(lo, hi + 1))
 
 
@@ -133,11 +143,8 @@ def _combination_json(dc: DCombination) -> list[dict]:
 #: ``num-order``; B_2000 takes about 0.9 s and B^(20)_300 about 0.8 s on one core
 INDEX_CAPS = {"num": 2000, "num-order": 300, "poly": 1000}
 MAX_ORDER = 20
-#: the largest ``--order`` (``verify f-derivative`` caps it jointly with n below), and the most
-#: digits in a rational argument's numerator or denominator, which bounds every answer
-#: (``bern poly 1000`` at a 20-digit/20-digit point prints about 42,000 characters in 0.35 s)
+#: the largest ``--order`` (``verify f-derivative`` caps it jointly with n below)
 MAX_SERIES_ORDER = 200
-MAX_RATIONAL_DIGITS = 20
 #: ``verify f-derivative`` at n reads n + 1 Nörlund rows to about ``--order`` + n entries, so
 #: n (order + n)^2 past this cap is refused: ``--n 0..60`` at the default order 30 (486,000) takes
 #: about 1.6 s and ``--order 200 --n 12`` (539,000) about 1.8 s, but ``--order 200 --n 1..60`` 40 s
@@ -171,7 +178,7 @@ def _cmd_bern(args, out: list[str]) -> int:
     # largest index first, so the table grows once; the values are put back in order below
     indices = _parse_index_range(args.index, INDEX_CAPS[args.kind], f"bern {args.kind}")[::-1]
     order = int(args.order_n) if args.kind == "num-order" else 1
-    _check_cap(order, MAX_ORDER, f"order {order} is", f"bern {args.kind}")
+    _check_cap(order, MAX_ORDER, f"order {_brief(str(order))} is", f"bern {args.kind}")
     if args.kind == "num":
         values = [bernoulli_number(i) for i in indices]
     elif args.kind == "num-order":
@@ -199,7 +206,7 @@ def _cmd_bern(args, out: list[str]) -> int:
 
 def _cmd_stirling(args, out: list[str]) -> int:
     n = int(args.n)
-    _check_cap(n, MAX_STIRLING_N, f"N {n} is", "stirling")
+    _check_cap(n, MAX_STIRLING_N, f"N {_brief(str(n))} is", "stirling")
     value = stirling(n, int(args.k))
     if args.format == "json":
         out.append(json.dumps({"n": int(args.n), "k": int(args.k), "value": str(value)}))
@@ -211,9 +218,9 @@ def _cmd_stirling(args, out: list[str]) -> int:
 def _cmd_pf(args, out: list[str]) -> int:
     scales = [int(args.m), int(args.n)] if args.kind == "g" else [int(args.l), int(args.n)]
     for value in scales:
-        _check_cap(value, MAX_PF_SCALE, f"scale {value} is", f"pf {args.kind}")
+        _check_cap(value, MAX_PF_SCALE, f"scale {_brief(str(value))} is", f"pf {args.kind}")
     if args.kind == "hf":
-        _check_cap(int(args.k), MAX_PF_POWER, f"power {args.k} is", "pf hf")
+        _check_cap(int(args.k), MAX_PF_POWER, f"power {_brief(args.k)} is", "pf hf")
     if args.kind == "g":
         pair = g_pair(*scales)
         items = [
@@ -255,16 +262,8 @@ def _cmd_reduce(args, out: list[str]) -> int:
 
 def _cmd_verify(args, out: list[str]) -> int:
     name = args.name
-    if name not in IDENTITY_REGISTRY:
-        known = ", ".join(sorted(IDENTITY_REGISTRY))
-        raise UsageError(f"unknown identity {name!r}; known: {known}")
     fn, param_names = IDENTITY_REGISTRY[name]
-    grids: list[list[Fraction]] = []
-    for pname in param_names:
-        raw = getattr(args, pname, None)
-        if raw is None:
-            raise UsageError(f"identity {name!r} needs --{pname}")
-        grids.append(_parse_param_values(raw, f"verify --{pname}"))
+    grids = [_parse_param_values(getattr(args, pname), f"verify --{pname}") for pname in param_names]
     size = math.prod(len(grid) for grid in grids)
     _check_cap(size, MAX_VERIFY_CASES, f"a grid of {size} cases is", "verify")
     if name == "f-derivative":
@@ -273,7 +272,6 @@ def _cmd_verify(args, out: list[str]) -> int:
         work = n * (order + n) ** 2
         what = f"n = {n} at order {order} (n (order + n)^2 = {work}) is"
         _check_cap(work, MAX_F_DERIVATIVE_WORK, what, "verify f-derivative")
-    cases = list(itertools.product(*grids))
 
     def _as_int(pname: str, v: Fraction) -> int:
         if v.denominator != 1:
@@ -286,11 +284,11 @@ def _cmd_verify(args, out: list[str]) -> int:
             _as_int(pname, v) if pname in ("m", "n", "i", "k", "N") else v
             for pname, v in zip(param_names, case)
         ]
-        if name == "f-derivative" and args.order is not None:
+        if args.order is not None:  # only f-derivative gets past _run with an --order
             return fn(*call_args, order=args.order)
         return fn(*call_args)
 
-    reports = [run(case) for case in cases]
+    reports = [run(case) for case in itertools.product(*grids)]
     for report in reports:
         if args.format == "json":
             out.append(json.dumps(report.to_json_dict()))
@@ -354,16 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p.add_argument("--to-first-order", action="store_true")
 
-    p = sub.add_parser("verify", help="verify a named identity over a parameter grid")
-    p.set_defaults(handler=_cmd_verify)
-    p.add_argument("name")
-    p.add_argument("--m")
-    p.add_argument("--n")
-    p.add_argument("--k")
-    p.add_argument("--i")
-    p.add_argument("--a")
-    p.add_argument("--b")
-    p.add_argument("--N")
+    verify = sub.add_parser("verify", help="verify a named identity over a parameter grid")
+    verify.set_defaults(handler=_cmd_verify)
+    verify_sub = verify.add_subparsers(dest="name", required=True, metavar="NAME")
+    for name, (fn, param_names) in IDENTITY_REGISTRY.items():
+        p = verify_sub.add_parser(name, help=(fn.__doc__ or "").strip().partition("\n")[0])  # none under -OO
+        for pname in param_names:
+            p.add_argument(f"--{pname}", required=True)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.set_defaults(handler=_cmd_selftest)
@@ -373,13 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    # exact answers may pass Python's 4,300-digit int-to-str limit (3.10.7+); the caps bound their size
+    # exact answers may pass Python's 4,300-digit int-to-str limit (3.10.7+); the caps bound their size,
+    # and an integer argument past it is read whole so that its refusal names the cap
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        return _run(args)
+        return _run(build_parser().parse_args(argv))
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
@@ -390,7 +385,9 @@ def _run(args) -> int:
     out: list[str] = []
     try:
         if args.order is not None:
-            _check_cap(args.order, MAX_SERIES_ORDER, f"--order {args.order} is")
+            _check_cap(args.order, MAX_SERIES_ORDER, f"--order {_brief(str(args.order))} is")
+            if getattr(args, "name", None) != "f-derivative":
+                raise UsageError("--order is read only by verify f-derivative")
         code = args.handler(args, out)
     except ExprError as exc:
         print(exc.diagnostic(), file=sys.stderr)

@@ -67,12 +67,6 @@ class BernSymbol(Frozen):
             return self.scale**self.index * bernoulli_number_order(self.order, self.index)
         return self.scale**self.index * bernoulli_poly_value(self.order, self.index, self.argument)
 
-    def render(self) -> str:
-        sup = f"^({self.order})" if self.order != 1 else ""
-        arg = f"({self.argument})" if self.argument != 0 else ""
-        pre = f"{self.scale}^{self.index}*" if self.scale != 1 else ""
-        return f"{pre}B{sup}_{self.index}{arg}"
-
     sort_key = Frozen.key
 
 

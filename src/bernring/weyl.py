@@ -82,9 +82,6 @@ class WeylOp(Frozen):
     def order(self) -> int:
         return max(self.rows) if self.rows else -1
 
-    def coeff(self, k: int) -> Poly:
-        return Poly(self.rows.get(k, ()), self.den)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeylOp):
             return NotImplemented

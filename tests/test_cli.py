@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from bernring import cli, identities, selftest
+from bernring import cli, exprparse, identities, selftest
 from bernring.elements import Atom, BElement, atom
 from bernring.exprparse import (
     MAX_DERIVATIVE_DEPTH,
@@ -32,6 +32,15 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_refused(capsys, *argv):
+    """The stdout and stderr of an argv that the argument parser refuses, with its exit status 2."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    return captured.out, captured.err
 
 
 def nested_d(depth: int, inner: str) -> str:
@@ -222,6 +231,26 @@ class TestSizeCaps:
         code, out, _ = run(capsys, "reduce", "product", "(" * MAX_NESTING_DEPTH + "B" + ")" * MAX_NESTING_DEPTH)
         assert code == 0 and out == "B\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bern", "num", "4"],
+            ["bern", "poly", "2", "--at", "1/2"],
+            ["stirling", "4", "2"],
+            ["pf", "hf", "2", "1", "5"],
+            ["reduce", "product", "B", "--to-first-order"],
+            ["verify", "euler", "--m", "2"],
+            ["verify", "lowering", "--n", "2", "--i", "3", "--a", "0"],
+            ["selftest"],
+        ],
+    )
+    @pytest.mark.parametrize("order", ["50", "-5", str(cli.MAX_SERIES_ORDER)])
+    def test_order_refused_by_every_other_command(self, capsys, monkeypatch, argv, order):
+        monkeypatch.setattr(selftest, "run_all", lambda: pytest.fail("the suite ran past a refused --order"))
+        code, out, err = run(capsys, "--order", order, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: --order is read only by verify f-derivative\n"
+
     def test_negative_order_refused(self, capsys):
         code, out, err = run(capsys, "--order", "-5", "verify", "f-derivative", "--n", "12")
         assert code == 2 and out == ""
@@ -251,6 +280,50 @@ class TestSizeCaps:
             code, out, err = run(capsys, "bern", "poly", "3", "--at", point)
             assert code == 2 and out == ""
             assert f"past the cap of {digits} digits" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bern", "num", "{D}"],
+            ["bern", "num", "1..{D}"],
+            ["bern", "num-order", "{D}", "2"],
+            ["bern", "poly", "3", "--at", "{D}/3"],
+            ["bern", "poly", "3", "--at", "{D}x"],
+            ["bern", "num", "1..{D}x"],
+            ["bern", "num", "{D}x"],
+            ["bern", "num", "{D}..1"],
+            ["stirling", "{D}", "2"],
+            ["pf", "g", "{D}", "3"],
+            ["pf", "hf", "1", "1", "{D}"],
+            ["pf", "hf", "{D}", "1", "2"],
+            ["verify", "recurrence", "--n", "{D}"],
+            ["verify", "multiplication", "--m", "2", "--n", "2", "--a", "1/{D}"],
+            ["--order", "{D}", "verify", "f-derivative", "--n", "2"],
+        ],
+    )
+    def test_refusal_quotes_a_long_input_in_brief(self, capsys, argv):
+        digits = "7" * 131_000
+        code, out, err = run(capsys, *(arg.replace("{D}", digits) for arg in argv))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+        assert "7" * 36 in err and "7" * 41 not in err and " characters)" in err  # 40 of the input quoted
+
+    def test_refusal_quotes_40_characters_whole(self, capsys):
+        cap = cli.INDEX_CAPS["num"]
+        for text, shown in [("7" * 40, "7" * 40), ("7" * 41, "7" * 40 + "... (41 characters)")]:
+            err = f"error: index {shown} is past the cap of {cap} for bern num\n"
+            assert run(capsys, "bern", "num", text) == (2, "", err)
+        for text, shown in [("x" * 40, repr("x" * 40)), ("x" * 41, repr("x" * 40) + "... (41 characters)")]:
+            assert run(capsys, "bern", "poly", "2", "--at", text) == (2, "", f"error: malformed rational {shown}\n")
+
+    def test_one_rational_digit_cap(self):
+        assert cli.MAX_RATIONAL_DIGITS is exprparse.MAX_RATIONAL_DIGITS
+
+    def test_expression_literal_refused_past_digit_cap(self, capsys):
+        for digits in (21, 100_000):
+            code, out, err = run(capsys, "reduce", "product", "(B+" + "7" * digits + ")^6", "--to-first-order")
+            assert code == 2 and out == ""
+            assert err.splitlines()[0] == f"error: {digits}-digit number is past the cap of 20 digits at column 4"
 
     def test_largest_rational(self, capsys):
         point = Fraction(10**cli.MAX_RATIONAL_DIGITS - 1, 10**cli.MAX_RATIONAL_DIGITS - 3)
@@ -519,12 +592,57 @@ class TestVerify:
         assert code == 2 and "error" in err
 
     def test_unknown_identity(self, capsys):
-        code, _, err = run(capsys, "verify", "nonsense", "--m", "2")
-        assert code == 2 and "unknown identity" in err
+        out, err = run_refused(capsys, "verify", "nonsense", "--m", "2")
+        assert out == "" and "invalid choice: 'nonsense'" in err
 
     def test_missing_parameter(self, capsys):
-        code, _, err = run(capsys, "verify", "euler")
-        assert code == 2
+        out, err = run_refused(capsys, "verify", "euler")
+        assert out == "" and "the following arguments are required: --m" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "kaneko", "--k", "1..3", "--i", "99"],
+            ["verify", "nonsense"],
+            ["verify", "--m", "2", "euler"],
+            ["verify"],
+        ],
+    )
+    def test_refused_by_the_parser(self, capsys, argv):
+        out, _ = run_refused(capsys, *argv)
+        assert out == ""
+
+    @pytest.mark.parametrize("name", list(identities.IDENTITY_REGISTRY))
+    def test_subcommand_takes_exactly_the_registry_parameters(self, capsys, name):
+        params = identities.IDENTITY_REGISTRY[name][1]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", name, "--help"])
+        usage = capsys.readouterr().out.splitlines()[0]
+        assert exc.value.code == 0
+        assert usage == f"usage: bernring verify {name} [-h] " + " ".join(f"--{p} {p.upper()}" for p in params)
+        given = [f"--{p}=2" for p in params]
+        for stray in {p for _, names in identities.IDENTITY_REGISTRY.values() for p in names} - set(params):
+            _, err = run_refused(capsys, "verify", name, *given, f"--{stray}", "1")
+            assert err.endswith(f"error: unrecognized arguments: --{stray} 1\n")
+        for missing in params:
+            _, err = run_refused(capsys, "verify", name, *(g for g in given if not g.startswith(f"--{missing}=")))
+            assert err.endswith(f"error: the following arguments are required: --{missing}\n")
+
+    def test_identity_without_a_docstring(self, capsys, monkeypatch):
+        monkeypatch.setattr(identities.verify_euler, "__doc__", None)  # as under python -OO
+        assert run(capsys, "verify", "euler", "--m", "2") == (0, "euler(m=2): 1/6 = 1/6 [ok]\n", "")
+
+    def test_help_lists_every_identity(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        assert all(f"    {name}" in out for name in identities.IDENTITY_REGISTRY)
+
+    def test_negative_rational_parameter(self, capsys):
+        code, out, _ = run(capsys, "verify", "multiplication", "--m", "3", "--n", "2", "--a=-1/2")
+        assert code == 0 and out.startswith("multiplication(m=3, n=2, a=-1/2): ") and out.endswith("[ok]\n")
+        run_refused(capsys, "verify", "multiplication", "--m", "3", "--n", "2", "--a", "-1/2")
 
     def test_capital_n_parameter(self, capsys):
         code, out, _ = run(capsys, "verify", "miki-s-relation", "--N", "3..4")

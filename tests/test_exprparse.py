@@ -11,6 +11,7 @@ from bernring.exprparse import (
     MAX_EXPONENT,
     MAX_NESTING_DEPTH,
     MAX_PRODUCT_POWER,
+    MAX_RATIONAL_DIGITS,
     ExprError,
     _tokenize,
     parse_element,
@@ -318,3 +319,26 @@ class TestNestingDepth:
     def test_run_of_unary_minus_with_no_operand(self):
         with pytest.raises(ExprError, match="unexpected end of input"):
             parse_element("0+" + "-" * 1000)
+
+
+class TestNumberDigits:
+    @pytest.mark.parametrize(
+        "template, column",
+        [("(B+{})^2", 3), ("B(-{}/7T)", 3), ("e^{{1/{}T}}*B", 3), ("T - 3/{}", 4)],
+    )
+    def test_refused_past_the_cap_at_the_literal(self, template, column):
+        top = "9" * MAX_RATIONAL_DIGITS
+        accepted = template.format(top)
+        assert parse_element(accepted) == parse_by_left_fold(accepted)
+        assert parse_element(template.format("000" + top)) == parse_element(accepted)
+        text = template.format(top + "9")
+        with pytest.raises(ExprError) as err:
+            parse_element(text)
+        cap = MAX_RATIONAL_DIGITS
+        assert str(err.value) == f"{cap + 1}-digit number is past the cap of {cap} digits"
+        assert err.value.pos == column
+        assert_folds_agree(text)
+
+    def test_long_literal_refused_without_reading_it(self):
+        with pytest.raises(ExprError, match="^131000-digit number is past the cap"):
+            parse_element("(e^{" + "7" * 131_000 + "T}+B)^6*B(2T)")  # past int()'s 4,300-digit limit

@@ -510,6 +510,22 @@ class TestCrossRoute:
             assert ident.lhs_value() == direct
             assert ident.lhs_value() == verify_23(n).lhs_value
 
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            (atom(0, 1, 1, F(1, 2)), atom(0, 1, 2, F(1, 3))),  # B(T)e^{T/2} B(2T)e^{T/3}
+            (atom(1, 0, 1, 2), atom(0, 1, 1, F(1, 2))),  # T e^{2T} B(T)e^{T/2}
+        ],
+    )
+    def test_products_with_exponentials_both_routes(self, factors):
+        combo = identities._product_combination(factors)
+        for n in range(9):
+            ident = coefficient_identity(factors, combo, n)
+            assert (ident.lhs_value(), ident.rhs_value()) == identities._product_sides(factors, n)
+            # the exponentials' shifts add up to one symbol B^(0)_i(a) = a^i in every left term
+            assert all(sum(s.order == 0 for s in term.factors) == 1 for term in ident.lhs)
+        assert ident.lhs
+
     def test_euler_identity_both_routes(self):
         square = atom(0, 2, 1, 0)
         combo = reduce_to_first_order(square)
