@@ -261,13 +261,13 @@ def _cmd_reduce(args, out: list[str]) -> int:
 
 
 def _cmd_verify(args, out: list[str]) -> int:
-    name = args.name
-    fn, param_names = IDENTITY_REGISTRY[name]
+    fn, param_names = IDENTITY_REGISTRY[args.name]
     grids = [_parse_param_values(getattr(args, pname), f"verify --{pname}") for pname in param_names]
     size = math.prod(len(grid) for grid in grids)
     _check_cap(size, MAX_VERIFY_CASES, f"a grid of {size} cases is", "verify")
-    if name == "f-derivative":
-        order = F_DERIVATIVE_ORDER if args.order is None else args.order
+    options = {}
+    if args.reads_order:  # --order, capped jointly with n
+        options["order"] = order = F_DERIVATIVE_ORDER if args.order is None else args.order
         n = max(abs(v) for v in grids[0])
         work = n * (order + n) ** 2
         what = f"n = {n} at order {order} (n (order + n)^2 = {work}) is"
@@ -284,9 +284,7 @@ def _cmd_verify(args, out: list[str]) -> int:
             _as_int(pname, v) if pname in ("m", "n", "i", "k", "N") else v
             for pname, v in zip(param_names, case)
         ]
-        if args.order is not None:  # only f-derivative gets past _run with an --order
-            return fn(*call_args, order=args.order)
-        return fn(*call_args)
+        return fn(*call_args, **options)
 
     reports = [run(case) for case in itertools.product(*grids)]
     for report in reports:
@@ -359,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = verify_sub.add_parser(name, help=(fn.__doc__ or "").strip().partition("\n")[0])  # none under -OO
         for pname in param_names:
             p.add_argument(f"--{pname}", required=True)
+        p.set_defaults(reads_order=name == "f-derivative")
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.set_defaults(handler=_cmd_selftest)
@@ -386,7 +385,7 @@ def _run(args) -> int:
     try:
         if args.order is not None:
             _check_cap(args.order, MAX_SERIES_ORDER, f"--order {_brief(str(args.order))} is")
-            if getattr(args, "name", None) != "f-derivative":
+            if not getattr(args, "reads_order", False):
                 raise UsageError("--order is read only by verify f-derivative")
         code = args.handler(args, out)
     except ExprError as exc:

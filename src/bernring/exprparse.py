@@ -234,13 +234,13 @@ class _Parser:
         """The ``p`` or ``p/q`` literal at the cursor; a zero denominator, or a part past ``MAX_RATIONAL_DIGITS``
         digits (counted, so that no integer is read from a long one), is refused at the literal."""
         _, val, pos = self.advance()
-        num, _, den = val.partition("/")
-        digits = max(len(num.lstrip("0")), len(den.lstrip("0")))
+        num, slash, den = (part.lstrip("0") for part in val.partition("/"))  # int() reads no leading zero
+        digits = max(len(num), len(den))
         if digits > MAX_RATIONAL_DIGITS:
             raise ExprError(f"{digits}-digit number is past the cap of {MAX_RATIONAL_DIGITS} digits", self.text, pos)
-        if den and int(den) == 0:
+        if slash and not den:
             raise ExprError(f"zero denominator in {val!r}", self.text, pos)
-        return Fraction(int(num), int(den or 1))
+        return Fraction(int(num or "0"), int(den or "1"))
 
     def scalar(self, default=Fraction(1)) -> Fraction:
         sign = 1

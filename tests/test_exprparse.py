@@ -342,3 +342,12 @@ class TestNumberDigits:
     def test_long_literal_refused_without_reading_it(self):
         with pytest.raises(ExprError, match="^131000-digit number is past the cap"):
             parse_element("(e^{" + "7" * 131_000 + "T}+B)^6*B(2T)")  # past int()'s 4,300-digit limit
+
+    @pytest.mark.parametrize("padded, plain", [("B+{}7", "B+7"), ("B+1/{}7", "B+1/7"), ("B+{}0", "B")])
+    def test_zero_padded_literal_read_without_its_zeros(self, padded, plain):
+        assert parse_element(padded.format("0" * 5000)) == parse_element(plain)  # past int()'s 4,300-digit limit
+
+    def test_zero_padded_zero_denominator_refused(self):
+        with pytest.raises(ExprError, match="^zero denominator in ") as err:
+            parse_element("B+1/" + "0" * 5000)
+        assert err.value.pos == 2
