@@ -77,6 +77,13 @@ def _parse_rational(text: str) -> Fraction:
     return value
 
 
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise UsageError(f"malformed integer {_brief(text, repr)}") from exc
+
+
 def _parse_index_range(text: str, cap: int, where: str) -> list[int]:
     """The integers of ``A..B`` or ``N``; one past ``cap`` in absolute value is refused before the list is built."""
     if ".." in text:
@@ -88,10 +95,7 @@ def _parse_index_range(text: str, cap: int, where: str) -> list[int]:
         if hi < lo:
             raise UsageError(f"empty range {_brief(text, repr)}")
     else:
-        try:
-            lo = hi = int(text)
-        except ValueError as exc:
-            raise UsageError(f"malformed integer {_brief(text, repr)}") from exc
+        lo = hi = _parse_int(text)
     for value in (hi, lo):
         _check_cap(abs(value), cap, f"index {_brief(str(value))} is", where)
     return list(range(lo, hi + 1))
@@ -177,7 +181,7 @@ def _style(args) -> Style:
 def _cmd_bern(args, out: list[str]) -> int:
     # largest index first, so the table grows once; the values are put back in order below
     indices = _parse_index_range(args.index, INDEX_CAPS[args.kind], f"bern {args.kind}")[::-1]
-    order = int(args.order_n) if args.kind == "num-order" else 1
+    order = _parse_int(args.order_n) if args.kind == "num-order" else 1
     _check_cap(order, MAX_ORDER, f"order {_brief(str(order))} is", f"bern {args.kind}")
     if args.kind == "num":
         values = [bernoulli_number(i) for i in indices]
@@ -205,22 +209,24 @@ def _cmd_bern(args, out: list[str]) -> int:
 
 
 def _cmd_stirling(args, out: list[str]) -> int:
-    n = int(args.n)
+    n = _parse_int(args.n)
     _check_cap(n, MAX_STIRLING_N, f"N {_brief(str(n))} is", "stirling")
-    value = stirling(n, int(args.k))
+    k = _parse_int(args.k)
+    value = stirling(n, k)
     if args.format == "json":
-        out.append(json.dumps({"n": int(args.n), "k": int(args.k), "value": str(value)}))
+        out.append(json.dumps({"n": n, "k": k, "value": str(value)}))
     else:
         out.append(str(value))
     return 0
 
 
 def _cmd_pf(args, out: list[str]) -> int:
-    scales = [int(args.m), int(args.n)] if args.kind == "g" else [int(args.l), int(args.n)]
+    scales = [_parse_int(args.m if args.kind == "g" else args.l), _parse_int(args.n)]
     for value in scales:
         _check_cap(value, MAX_PF_SCALE, f"scale {_brief(str(value))} is", f"pf {args.kind}")
     if args.kind == "hf":
-        _check_cap(int(args.k), MAX_PF_POWER, f"power {_brief(args.k)} is", "pf hf")
+        k = _parse_int(args.k)
+        _check_cap(k, MAX_PF_POWER, f"power {_brief(args.k)} is", "pf hf")
     if args.kind == "g":
         pair = g_pair(*scales)
         items = [
@@ -229,7 +235,7 @@ def _cmd_pf(args, out: list[str]) -> int:
         ]
         meta = {"m": pair.m, "n": pair.n, "ell": pair.ell}
     else:
-        pair = h_f(int(args.k), *scales)
+        pair = h_f(k, *scales)
         items = [
             ("h", f"h^{{({pair.k})}}_{{{pair.ell},{pair.n}}}", pair.h),
             ("f", f"f^{{({pair.k})}}_{{{pair.ell},{pair.n}}}", pair.f),

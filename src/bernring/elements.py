@@ -153,10 +153,9 @@ class BElement(Frozen):
             return self._keep("_hash", hash((self.den, frozenset(self.nums.items()))))
         return self._hash
 
-    def mul_monomial(self, k: int, a_shift=0, shift_den: int = 1) -> "BElement":
-        """Multiply by T^k * e^{(a_shift / shift_den) T}, a_shift an int or a Fraction: a pure shift of every atom."""
+    def mul_monomial(self, k: int, a_shift=0) -> "BElement":
+        """Multiply by T^k * e^{a_shift T}, a_shift an int or a Fraction: a pure shift of every atom."""
         sn, sd = _ratio(a_shift)
-        sd *= shift_den
         return BElement({_new(Atom, (bn, bd, n, m + k, *_reduced(an * sd + sn * ad, ad * sd))): v
                          for (bn, bd, n, m, an, ad), v in self.nums.items()}, self.den)
 

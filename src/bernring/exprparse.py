@@ -223,12 +223,15 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind != "number" or "/" in val:
             raise ExprError("expected an integer exponent", self.text, pos)
-        if int(val) > MAX_EXPONENT:
-            raise ExprError(f"exponent {sign * int(val)} is past the cap of {MAX_EXPONENT}", self.text, pos)
+        digits = val.lstrip("0")  # counted, as in number(), so that no integer is read from a long one
+        if len(digits) > 40:
+            raise ExprError(f"{len(digits)}-digit exponent is past the cap of {MAX_EXPONENT}", self.text, pos)
+        if (value := int(digits or "0")) > MAX_EXPONENT:
+            raise ExprError(f"exponent {sign * value} is past the cap of {MAX_EXPONENT}", self.text, pos)
         self.advance()
         if closing:
             self.expect(closing)
-        return sign * int(val)
+        return sign * value
 
     def number(self) -> Fraction:
         """The ``p`` or ``p/q`` literal at the cursor; a zero denominator, or a part past ``MAX_RATIONAL_DIGITS``

@@ -37,7 +37,6 @@ from .series import (
     InsufficientBoundError,
     TruncatedSeries,
     bernoulli_number,
-    bernoulli_number_order,
     bernoulli_poly_value,
     bernoulli_series,
     default_bound,
@@ -62,10 +61,14 @@ class BernSymbol(Frozen):
         ints = (order, index, argument.numerator, argument.denominator, scale.numerator, scale.denominator)
         self._init(order, index, argument, scale, hash(ints))
 
+    def pair(self) -> tuple[int, int]:
+        """The value as integers (n, d), d > 0, read off the table's numerators with no Fraction built."""
+        (sn, sd), (p, q), i = self.scale.as_integer_ratio(), self.argument.as_integer_ratio(), self.index
+        h, d = poly_value_numerator(self.order, i, p, q)
+        return sn**i * h, (sd * q) ** i * d
+
     def value(self) -> Fraction:
-        if not self.argument:
-            return self.scale**self.index * bernoulli_number_order(self.order, self.index)
-        return self.scale**self.index * bernoulli_poly_value(self.order, self.index, self.argument)
+        return Fraction(*self.pair())
 
     sort_key = Frozen.key
 
@@ -219,8 +222,8 @@ def _product_sides(factors: tuple[BElement, ...], n: int) -> tuple[Fraction, Fra
     expanded once; the T^n coefficient of the last convolution is one dot
     product of the two windows' integer numerators.  The right side reads the
     coefficient off the product's first-order combination as integer weights
-    over one denominator, each distinct Bernoulli value evaluated once, and
-    sums them into one Fraction.
+    over one denominator, each distinct Bernoulli value evaluated once as an
+    integer pair, and sums them into one Fraction.
     """
     expansions = {f: f.expand(n) for f in set(factors)}
     *head, last = (expansions[f] for f in factors)
@@ -231,8 +234,8 @@ def _product_sides(factors: tuple[BElement, ...], n: int) -> tuple[Fraction, Fra
     dot = sum(map(operator.mul, partial.nums[:size], last.nums[size - 1 :: -1])) if size else 0
     lhs = Fraction(math.factorial(n) * dot, partial.den * last.den)
     den, weights = _rhs_weights(_product_combination(factors), n)
-    values = {sym: sym.value() for sym, w in weights.items() if w}
-    return lhs, fraction_sum((weights[sym] * v.numerator, den * v.denominator) for sym, v in values.items())
+    pairs = ((w, sym.pair()) for sym, w in weights.items() if w)
+    return lhs, fraction_sum((w * v, den * d) for w, (v, d) in pairs)
 
 
 #: the factors whose products the product families read their identities off

@@ -7,7 +7,9 @@ always visible: reading a coefficient past the bound raises
 :class:`InsufficientBoundError` instead of returning a silent zero.
 
 The module also hosts the generating series B = T/(e^T - 1), e^{aT}, and the
-Bernoulli numbers/polynomials of any order derived from them.
+Bernoulli numbers/polynomials of any order, all read from one table of Nörlund
+values B^(n)_i: row n is stored once, as integer numerators over one
+denominator, and is replaced whole when it grows.
 """
 
 from __future__ import annotations
@@ -244,94 +246,77 @@ def exp_minus_one_over_t(bound: int) -> TruncatedSeries:
 
 
 def grown_size(current: int, wanted: int) -> int:
-    """The growth rule of the Bernoulli rows and of ``elements._SERIES_CACHE``: at least double, at least
-    32.  The Stirling, chain and derivative tables of ``reduction`` grow one row at a time instead."""
+    """The growth rule of the Bernoulli rows (a row of ``current`` entries is replaced by one of this
+    many) and of ``elements._SERIES_CACHE``: at least double, at least 32.  The Stirling, chain and
+    derivative tables of ``reduction`` grow one row at a time instead."""
     return max(wanted, 2 * current, 32)
 
 
-class _Row(list):
-    """A table row B^(n)_0, B^(n)_1, ... that keeps its entries over one common denominator.
-
-    ``get`` lets a test patch an entry as in a mapping; a patch drops the kept
-    numerators, and they are rebuilt on the next read.
-    """
-
-    common: tuple[int, list[int]] | None = None
-
-    def get(self, i, default=None):
-        return self[i] if 0 <= i < len(self) else default
-
-    def __setitem__(self, i, value):
-        super().__setitem__(i, value)
-        self.common = None
-
-    def numerators(self) -> tuple[int, list[int]]:
-        """:func:`common_numerators` of the row, rebuilt only after it grew or was patched."""
-        if self.common is None or len(self.common[1]) != len(self):
-            self.common = common_numerators(self)
-        return self.common
+#: the rows of every order read so far, row n as (d, [N_0, N_1, ...]) with B^(n)_i = N_i / d in lowest
+#: terms; a row that grows is replaced whole.  Tests may tamper with row 1, the B_i, to exercise selftest
+_ROWS: dict[int, tuple[int, list[int]]] = {1: (1, [])}
 
 
-#: the rows of every order read so far; row 1, the Bernoulli numbers B_i, is
-#: the table tests may tamper with to exercise selftest
-_ROWS: dict[int, _Row] = {1: _Row()}
-_BERNOULLI_TABLE = _ROWS[1]
-
-
-def _bernoulli_numbers(size: int) -> list[Fraction]:
-    """B_0..B_{size-1} from the tangent numbers T_m (Brent and Harvey's integer recurrence).
-
-    B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)); B_1 = -1/2 and the other odd B_j vanish.
+def _bernoulli_numbers(start: int, size: int) -> tuple[int, list[int]]:
+    """B_start..B_{size-1} over one denominator, from the tangent numbers T_m (Brent and Harvey's integer
+    recurrence): B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)); B_1 = -1/2 and the other odd B_j vanish.
     """
     k = (size - 1) // 2
     t = [0] + [math.factorial(m - 1) for m in range(1, k + 1)]
     for j in range(2, k + 1):
         for m in range(j, k + 1):
             t[m] = (m - j) * t[m - 1] + (m - j + 2) * t[m]
-    out = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (size - 2)
-    for m in range(1, k + 1):
-        out[2 * m] = Fraction((-1) ** (m - 1) * 2 * m * t[m], 4**m * (4**m - 1))
-    return out[:size]
+    pairs = [(1, 1), (-1, 2)] + [(0, 1)] * (size - 2)
+    for m in range(max(1, start // 2), k + 1):
+        num, den = (-1) ** (m - 1) * 2 * m * t[m], 4**m * (4**m - 1)
+        g = math.gcd(num, den)
+        pairs[2 * m] = (num // g, den // g)
+    pairs = pairs[start:size]
+    d = math.lcm(*(e for _, e in pairs))
+    return d, [num * (d // e) for num, e in pairs]
 
 
 def _fill(n: int, size: int) -> None:
-    """Extend the short row n to ``size`` entries; rows 1 and n - 1 already reach ``size``."""
-    row = _ROWS[n]
-    if n <= 1:
-        new = _bernoulli_numbers(size) if n else [Fraction(int(not i)) for i in range(size)]
-        row.extend(new[len(row) :])
-        return
-    # B^(n)_i = sum_j C(i,j) B^(n-1)_{i-j} B_j, where only B_0, B_1 and the even B_j
-    # are nonzero, summed over integer numerators on common denominators
-    (d, prev), (e, b) = _ROWS[n - 1].numerators(), _ROWS[1].numerators()
-    for i in range(len(row), size):
-        acc, c = prev[i] * b[0] + (i * prev[i - 1] * b[1] if i else 0), 1
-        for j in range(2, i + 1, 2):
-            c = c * (i - j + 2) * (i - j + 1) // ((j - 1) * j)  # C(i, j) from C(i, j - 2)
-            acc += c * prev[i - j] * b[j]
-        row.append(Fraction(acc, d * e))
+    """Replace the short row n by one of ``size`` entries, its old entries kept; rows 1 and n - 1 reach ``size``."""
+    d, old = _ROWS[n]
+    if n == 0:
+        e, new = 1, [int(not i) for i in range(len(old), size)]
+    elif n == 1:
+        e, new = _bernoulli_numbers(len(old), size)
+    else:
+        # B^(n)_i = sum_j C(i,j) B^(n-1)_{i-j} B_j, where only B_0, B_1 and the even B_j
+        # are nonzero, summed over the integer numerators of the two rows
+        (dp, prev), (db, b) = _ROWS[n - 1], _ROWS[1]
+        e, new = dp * db, []
+        for i in range(len(old), size):
+            acc, c = prev[i] * b[0] + (i * prev[i - 1] * b[1] if i else 0), 1
+            for j in range(2, i + 1, 2):
+                c = c * (i - j + 2) * (i - j + 1) // ((j - 1) * j)  # C(i, j) from C(i, j - 2)
+                acc += c * prev[i - j] * b[j]
+            new.append(acc)
+    den = math.lcm(d, e)
+    nums = [x * (den // d) for x in old] + [x * (den // e) for x in new]
+    g = lowest_terms(den, nums)
+    _ROWS[n] = (den // g, [x // g for x in nums] if g != 1 else nums)
 
 
-def _row(n: int, wanted: int) -> _Row:
-    """Row n with at least ``wanted`` entries; a short row grows to :func:`grown_size`.
-
-    The rows below that it pulls grow to exactly that size, so growth never
-    cascades, and entries already in a row never change.
-    """
+def norlund_numerators(n: int, size: int) -> tuple[int, list[int]]:
+    """Row n of the table, (d, [N_0, N_1, ...]) with B^(n)_k = N_k / d, with at least ``size`` entries; a
+    caller never changes the list.  A short row grows to :func:`grown_size`, and the rows below that it
+    pulls grow to exactly that size, so growth never cascades."""
     if n < 0:
         raise ValueError("order must be nonnegative")
-    row = _ROWS.setdefault(n, _Row())
-    if len(row) < wanted:
-        size = grown_size(len(row), wanted)
+    if len(_ROWS.setdefault(n, (1, []))[1]) < size:
+        size = grown_size(len(_ROWS[n][1]), size)
         for m in range(1, n + 1) if n else (0,):
-            if len(_ROWS.setdefault(m, _Row())) < size:
+            if len(_ROWS.setdefault(m, (1, []))[1]) < size:
                 _fill(m, size)
-    return row
+    return _ROWS[n]
 
 
 def _series_of_row(n: int, bound: int) -> TruncatedSeries:
     """sum_k B^(n)_k T^k / k! as N_k bound!/k! over d bound!, N_k / d the row's entries."""
-    d, nums = _row(n, bound + 1).numerators()
+    d, nums = norlund_numerators(n, bound + 1)
     out, f = [], 1
     for k in range(bound, -1, -1):
         out.append(nums[k] * f)
@@ -348,7 +333,8 @@ def bernoulli_number(i: int) -> Fraction:
     """The classical Bernoulli number B_i (order one)."""
     if i < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    return _row(1, i + 1)[i]
+    d, nums = norlund_numerators(1, i + 1)
+    return Fraction(nums[i], d)
 
 
 def bernoulli_power_series(n: int, bound: int) -> TruncatedSeries:
@@ -360,12 +346,8 @@ def bernoulli_number_order(n: int, i: int) -> Fraction:
     """B^(n)_i = i! * [T^i] B^n."""
     if i < 0:
         raise ValueError("index must be nonnegative")
-    return _row(n, i + 1)[i]
-
-
-def norlund_numerators(n: int, size: int) -> tuple[int, list[int]]:
-    """(d, [N_0, N_1, ...]) with B^(n)_k = N_k / d: row n over one denominator, at least ``size`` entries."""
-    return _row(n, size).numerators()
+    d, nums = norlund_numerators(n, i + 1)
+    return Fraction(nums[i], d)
 
 
 def poly_value_numerator(n: int, i: int, p: int, q: int) -> tuple[int, int]:
@@ -373,7 +355,9 @@ def poly_value_numerator(n: int, i: int, p: int, q: int) -> tuple[int, int]:
 
     With row n's entries N_k / d, H = sum_k C(i,k) N_k p^(i-k) q^k, summed by Horner's rule in p.
     """
-    d, nums = _row(n, i + 1).numerators()
+    d, nums = norlund_numerators(n, i + 1)
+    if not p:  # only the term k = i
+        return nums[i] * q**i, d
     acc, c, qk = 0, 1, 1  # c = C(i, k), qk = q^k
     for k in range(i + 1):
         acc = acc * p + c * nums[k] * qk
@@ -391,7 +375,7 @@ def bernoulli_poly_value(n: int, i: int, x: Fraction | int) -> Fraction:
 
 def bernoulli_polynomial(i: int) -> Poly:
     """The classical Bernoulli polynomial B_i(X) as an exact Poly."""
-    den, nums = _row(1, i + 1).numerators()
+    den, nums = norlund_numerators(1, i + 1)
     return Poly([math.comb(i, k) * nums[k] for k in range(i, -1, -1)], den)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bernring import elements, exprparse, series
 from bernring.elements import Atom, BElement, Frozen, from_scalar
 from bernring.identities import BernSymbol
-from bernring.polys import LATEX, Poly, binomial, gcd_ext, lowest_terms
+from bernring.polys import LATEX, Poly, binomial, common_numerators, gcd_ext, lowest_terms
 from bernring.partfrac import g_pair, h_f
 from bernring.reduction import (
     DCombination,
@@ -44,14 +44,22 @@ nonzero_polys = polys.filter(lambda p: not p.is_zero())
 def derived_tables_per_test(monkeypatch):
     """Give each test its own Nörlund rows and element series cache.
 
-    Row 1 of the Bernoulli table is shared: it is computed from tangent
-    numbers alone, and a test that patches one of its entries undoes that
-    itself.  The rows of order >= 2 and the element expansion cache are built
-    from row 1 and never rebuilt, so entries made while a test had a B_i
-    patched would otherwise outlive the patch.
+    Each test starts from the shared row 1 of the Bernoulli table, which is
+    computed from tangent numbers alone; a row that grows or is patched is
+    replaced in the test's own table.  The rows of order >= 2 and the element
+    expansion cache are built from row 1 and never rebuilt, so entries made
+    while a test had a B_i patched would otherwise outlive the patch.
     """
     monkeypatch.setattr(series, "_ROWS", {1: series._ROWS[1]})
     monkeypatch.setattr(elements, "_SERIES_CACHE", {})
+
+
+def tamper_bernoulli(monkeypatch, i: int, value: Fraction) -> None:
+    """Patch B_i to ``value`` in the test's own row 1, as a row that grows later keeps it."""
+    d, nums = series.norlund_numerators(1, i + 1)
+    values = [Fraction(n, d) for n in nums]
+    values[i] = value
+    monkeypatch.setitem(series._ROWS, 1, common_numerators(values))
 
 
 @pytest.fixture(scope="session")

@@ -18,14 +18,12 @@ from bernring.exprparse import (
 )
 from bernring.reduction import product_reduce
 from bernring.series import (
-    _BERNOULLI_TABLE,
-    bernoulli_number,
     bernoulli_number_order,
     bernoulli_poly_value,
     bernoulli_polynomial,
     bernoulli_power_series,
 )
-from conftest import staudt_clausen_denominator
+from conftest import staudt_clausen_denominator, tamper_bernoulli
 
 
 def run(capsys, *argv):
@@ -307,6 +305,29 @@ class TestSizeCaps:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
         assert "7" * 36 in err and "7" * 41 not in err and " characters)" in err  # 40 of the input quoted
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stirling", "{X}", "2"],
+            ["stirling", "5", "{X}"],
+            ["pf", "g", "{X}", "3"],
+            ["pf", "g", "3", "{X}"],
+            ["pf", "hf", "{X}", "1", "2"],
+            ["pf", "hf", "1", "{X}", "2"],
+            ["pf", "hf", "1", "1", "{X}"],
+            ["bern", "num-order", "{X}", "2"],
+        ],
+    )
+    def test_malformed_integer_refused_in_brief(self, capsys, argv):
+        code, out, err = run(capsys, *(arg.replace("{X}", "x" * 1000) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed integer {'x' * 40!r}... (1000 characters)\n" and len(err) < 200
+
+    def test_long_exponent_refused_in_brief(self, capsys):
+        code, out, err = run(capsys, "reduce", "product", "B^" + "7" * 5000)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == "error: 5000-digit exponent is past the cap of 6 at column 3"
 
     def test_refusal_quotes_40_characters_whole(self, capsys):
         cap = cli.INDEX_CAPS["num"]
@@ -678,8 +699,7 @@ class TestSelftestCommand:
         assert code == 0 and target.read_text(encoding="utf-8") == out
 
     def test_tampered_table_fails(self, capsys, monkeypatch):
-        bernoulli_number(4)  # make sure the table is populated before tampering
-        monkeypatch.setitem(_BERNOULLI_TABLE, 4, Fraction(999))
+        tamper_bernoulli(monkeypatch, 4, Fraction(999))
         code, out, _ = run(capsys, "selftest")
         assert code == 1
         assert "[FAIL]" in out

@@ -321,6 +321,24 @@ class TestNestingDepth:
             parse_element("0+" + "-" * 1000)
 
 
+class TestExponentDigits:
+    def test_long_exponent_refused_without_reading_it(self):
+        with pytest.raises(ExprError) as err:
+            parse_element("B^" + "7" * 5000)  # past int()'s 4,300-digit limit
+        assert str(err.value) == f"5000-digit exponent is past the cap of {MAX_EXPONENT}"
+        assert err.value.pos == 2
+
+    @pytest.mark.parametrize("text, shown", [("9" * 40, "9" * 40), ("-" + "0" * 10 + "9" * 30, "-" + "9" * 30)])
+    def test_exponent_of_40_characters_named_whole(self, text, shown):
+        with pytest.raises(ExprError) as err:
+            parse_element("B^" + text)
+        assert str(err.value) == f"exponent {shown} is past the cap of {MAX_EXPONENT}"
+
+    @pytest.mark.parametrize("zeros", [4, 5000])
+    def test_zero_padded_exponent_read_without_its_zeros(self, zeros):
+        assert parse_element("B^" + "0" * zeros + "2") == parse_element("B^2")
+
+
 class TestNumberDigits:
     @pytest.mark.parametrize(
         "template, column",

@@ -39,6 +39,7 @@ from bernring.series import (
     InsufficientBoundError,
     TruncatedSeries,
     bernoulli_number,
+    bernoulli_poly_value,
     bernoulli_series,
     exp_series,
     harmonic,
@@ -58,6 +59,8 @@ from conftest import (
     product_lhs_by_coefficients,
     rademacher_by_fractions,
     recurrence_by_fractions,
+    small_rationals,
+    tamper_bernoulli,
 )
 
 F = Fraction
@@ -186,8 +189,8 @@ class TestProductFamiliesAgainstHandFormulas:
 
     def test_tampered_table_gives_unverified_reports(self, monkeypatch):
         shifted = atom(1, 1, 3, F(1, 2))  # its T^7 coefficient holds B_6(1/6), which holds B_4
-        before = shifted.coeff(7)  # also makes sure the table is populated before tampering
-        monkeypatch.setitem(series._BERNOULLI_TABLE, 4, F(999))
+        before = shifted.coeff(7)
+        tamper_bernoulli(monkeypatch, 4, F(999))
         assert b_element().coeff(4) == F(999, 24) and shifted.coeff(7) != before
         reports = [
             verify_23(4),
@@ -461,6 +464,12 @@ class TestCoefficientIdentity:
     def test_symbol_evaluation(self):
         sym = BernSymbol(order=1, index=2, argument=F(0), scale=F(3))
         assert sym.value() == 9 * bernoulli_number(2)
+
+    @given(st.integers(0, 6), st.integers(0, 30), small_rationals, small_rationals.filter(bool))
+    @settings(max_examples=80, deadline=None)
+    def test_symbol_pair_matches_poly_value(self, n, i, x, b):
+        num, den = BernSymbol(order=n, index=i, argument=x, scale=b).pair()
+        assert den > 0 and F(num, den) == b**i * bernoulli_poly_value(n, i, x)
 
     def test_symbol_is_a_hashed_record(self):
         sym = BernSymbol(order=1, index=2, argument=F(-2, 6), scale=F(3))

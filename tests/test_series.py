@@ -21,6 +21,7 @@ from bernring.series import (
     exp_minus_one_over_t,
     exp_series,
     grown_size,
+    norlund_numerators,
 )
 from conftest import (
     bernoulli_by_inversion,
@@ -32,6 +33,7 @@ from conftest import (
     random_rational,
     small_rationals,
     staudt_clausen_denominator,
+    tamper_bernoulli,
     window,
 )
 
@@ -252,19 +254,44 @@ class TestBernoulliTable:
         power = norlund_by_products(n, 30).truncate(i) if n else TruncatedSeries.one(i)
         assert bernoulli_poly_value(n, i, x) == (power * exp_series(x, i)).coeff(i) * factorial(i)
 
+    def test_stored_rows_are_the_oracle_in_lowest_terms(self, monkeypatch):
+        top = 120
+        monkeypatch.setattr(series, "_ROWS", {1: (1, [])})
+        norlund_numerators(12, top + 1)  # every row up to 12 grows to exactly top + 1 entries
+        for n in range(1, 13):
+            oracle = norlund_by_products(n, top)
+            assert series._ROWS[n] == common_numerators([oracle.coeff(i) * factorial(i) for i in range(top + 1)])
+
+    @given(st.integers(0, 5), st.lists(st.integers(1, 90), min_size=1, max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_growth_in_steps_is_one_build(self, n, sizes):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series, "_ROWS", {1: (1, [])})
+            for size in sizes:
+                kept = [(row, list(row[1])) for row in series._ROWS.values()]
+                norlund_numerators(n, size)
+                assert all(row[1] == nums for row, nums in kept)  # no tuple read earlier changed
+            rows = dict(series._ROWS)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series, "_ROWS", {1: (1, [])})
+            for m, (_, nums) in rows.items():
+                norlund_numerators(m, len(nums))
+                assert series._ROWS[m] == rows[m]
+
     def test_lower_rows_grow_to_exactly_the_target(self, monkeypatch):
-        monkeypatch.setattr(series, "_ROWS", {1: series._Row()})
+        monkeypatch.setattr(series, "_ROWS", {1: (1, [])})
         bernoulli_number_order(13, 64)
-        assert {n: len(row) for n, row in series._ROWS.items()} == {n: 65 for n in range(1, 14)}
+        assert {n: len(nums) for n, (_, nums) in series._ROWS.items()} == {n: 65 for n in range(1, 14)}
 
     def test_extension_keeps_the_row_and_its_prefix(self):
         bernoulli_number_order(3, 40)
         row = series._ROWS[3]
-        before = list(row)
+        d, before = row[0], list(row[1])
+        values = [bernoulli_number_order(3, i) for i in range(len(before))]
         bernoulli_number_order(3, len(before))
-        assert series._ROWS[3] is row
-        assert len(row) == grown_size(len(before), len(before) + 1)
-        assert all(new is old for new, old in zip(row, before))
+        assert len(series._ROWS[3][1]) == grown_size(len(before), len(before) + 1)
+        assert [bernoulli_number_order(3, i) for i in range(len(before))] == values
+        assert row == (d, before)  # the old tuple and its list are untouched
 
     def test_series_reads_the_table_without_inversion(self, monkeypatch):
         calls = []
@@ -281,9 +308,9 @@ class TestBernoulliTable:
         assert all(b.coeff(i) * factorial(i) == bernoulli_number(i) for i in range(257))
 
     def test_tampered_number_reaches_every_route(self, monkeypatch):
-        monkeypatch.setattr(series, "_ROWS", {1: series._Row()})
-        bernoulli_series(8)  # the row's integer numerators are kept from here on
-        monkeypatch.setitem(series._ROWS[1], 4, Fraction(999))
+        monkeypatch.setattr(series, "_ROWS", {1: (1, [])})
+        bernoulli_series(8)  # the series read before the patch are not kept
+        tamper_bernoulli(monkeypatch, 4, Fraction(999))
         assert bernoulli_series(8).coeff(4) == Fraction(999, 24)
         assert atom(0, 1, 1).expand(8).coeff(4) == Fraction(999, 24)
         assert atom(0, 1, 1).coeff(4) == Fraction(999, 24)
