@@ -13,7 +13,9 @@ Subcommands::
     selftest [--json]         the full acceptance suite
 
 ``verify NAME`` takes exactly the parameters of identity NAME in ``IDENTITY_REGISTRY``, each
-required; ``verify NAME --help`` lists them.  ``--order`` is read only by ``verify f-derivative``.
+required; ``verify NAME --help`` lists them.  A parameter is an integer unless ``RATIONAL_PARAMS``
+names it; every value is read and checked before any case runs, and each report renders its own
+line.  ``--order`` is read only by ``verify f-derivative``.
 
 INDEX arguments accept either a single integer or an inclusive range ``A..B``,
 up to the command's cap in ``INDEX_CAPS``; ``bern poly --at`` also caps the
@@ -26,7 +28,8 @@ up to ``MAX_PF_SCALE`` and ``pf hf`` a power K up to ``MAX_PF_POWER``.
 Rational arguments, like the numbers of a ``reduce`` expression, are ``p/q`` strings of at most
 ``MAX_RATIONAL_DIGITS`` digits a part; list-valued flags take comma-separated values, a negative
 one written ``--a=-1/2``.  A refused argument is quoted to 40 characters at most, an expression
-whole.  Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+whole.  An ``--out`` path that cannot be written is refused with its reason.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
 All rationals are emitted as exact ``p/q`` strings, never floats.
 """
 
@@ -42,7 +45,7 @@ from typing import Sequence
 
 from .elements import Atom, BElement
 from .exprparse import MAX_RATIONAL_DIGITS, ExprError, parse_element
-from .identities import F_DERIVATIVE_ORDER, IDENTITY_REGISTRY, IdentityReport
+from .identities import F_DERIVATIVE_ORDER, IDENTITY_REGISTRY, RATIONAL_PARAMS
 from .partfrac import g_pair, h_f
 from .polys import LATEX, TEXT, Style, format_poly
 from .reduction import DCombination, reduce_to_first_order, stirling
@@ -101,15 +104,24 @@ def _parse_index_range(text: str, cap: int, where: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _parse_param_values(text: str, where: str) -> list[Fraction]:
-    values: list[Fraction] = []
+def _parse_param_values(pname: str, text: str) -> list[int] | list[Fraction]:
+    """The comma-separated values of ``verify --<pname>``: rationals for a parameter in ``RATIONAL_PARAMS``,
+    integers up to ``MAX_VERIFY_INDEX`` in absolute value for any other, each refused before any case runs."""
+    where = f"verify --{pname}"
+    values: list[int | Fraction] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if ".." in chunk:
-            values.extend(Fraction(i) for i in _parse_index_range(chunk, MAX_VERIFY_INDEX, where))
+            values.extend(_parse_index_range(chunk, MAX_VERIFY_INDEX, where))
         else:
             values.append(_parse_rational(chunk))
-    return values
+    if pname in RATIONAL_PARAMS:
+        return [Fraction(v) for v in values]
+    for v in values:
+        if v.denominator != 1:
+            raise UsageError(f"parameter --{pname} must be an integer, got {v}")
+        _check_cap(abs(v), MAX_VERIFY_INDEX, f"index {v} is", where)
+    return [int(v) for v in values]
 
 
 # -- JSON rendering ---------------------------------------------------------------
@@ -268,7 +280,7 @@ def _cmd_reduce(args, out: list[str]) -> int:
 
 def _cmd_verify(args, out: list[str]) -> int:
     fn, param_names = IDENTITY_REGISTRY[args.name]
-    grids = [_parse_param_values(getattr(args, pname), f"verify --{pname}") for pname in param_names]
+    grids = [_parse_param_values(pname, getattr(args, pname)) for pname in param_names]
     size = math.prod(len(grid) for grid in grids)
     _check_cap(size, MAX_VERIFY_CASES, f"a grid of {size} cases is", "verify")
     options = {}
@@ -278,30 +290,8 @@ def _cmd_verify(args, out: list[str]) -> int:
         work = n * (order + n) ** 2
         what = f"n = {n} at order {order} (n (order + n)^2 = {work}) is"
         _check_cap(work, MAX_F_DERIVATIVE_WORK, what, "verify f-derivative")
-
-    def _as_int(pname: str, v: Fraction) -> int:
-        if v.denominator != 1:
-            raise UsageError(f"parameter --{pname} must be an integer, got {v}")
-        _check_cap(abs(v), MAX_VERIFY_INDEX, f"index {v} is", f"verify --{pname}")
-        return int(v)
-
-    def run(case: tuple[Fraction, ...]) -> IdentityReport:
-        call_args = [
-            _as_int(pname, v) if pname in ("m", "n", "i", "k", "N") else v
-            for pname, v in zip(param_names, case)
-        ]
-        return fn(*call_args, **options)
-
-    reports = [run(case) for case in itertools.product(*grids)]
-    for report in reports:
-        if args.format == "json":
-            out.append(json.dumps(report.to_json_dict()))
-        elif args.format == "latex":
-            out.append(report.latex)
-        else:
-            params = ", ".join(f"{k}={v}" for k, v in report.params)
-            status = "ok" if report.verified else "FAILED"
-            out.append(f"{report.name}({params}): {report.lhs_value} = {report.rhs_value} [{status}]")
+    reports = [fn(*case, **options) for case in itertools.product(*grids)]
+    out.extend(json.dumps(r.to_json_dict()) if args.format == "json" else r.render(_style(args)) for r in reports)
     return 0 if all(r.verified for r in reports) else 1
 
 
@@ -402,8 +392,12 @@ def _run(args) -> int:
         return 2
     text = "\n".join(out) + ("\n" if out else "")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --out {_brief(args.out, repr)}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

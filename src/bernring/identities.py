@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .elements import Atom, BElement, atom, b_element
-from .polys import LATEX, Frozen, Poly, _as_fraction, binomial, factorial
+from .polys import LATEX, TEXT, Frozen, Poly, Style, _as_fraction, binomial, factorial
 from .reduction import (
     DCombination,
     derivative_power_element,
@@ -39,7 +39,6 @@ from .series import (
     bernoulli_number,
     bernoulli_poly_value,
     bernoulli_series,
-    default_bound,
     exp_series,
     fraction_sum,
     harmonic,
@@ -262,14 +261,15 @@ class IdentityReport(Frozen):
     ):
         self._init(name, params, lhs_value, rhs_value, verified, degenerate)
 
-    @property
-    def latex(self) -> str:
+    def render(self, style: Style = TEXT) -> str:
+        """``name(k=v, ...): lhs = rhs [ok]``, ``[FAILED]`` when not verified; in LaTeX the name set
+        upright and ``\\neq`` for a failure."""
         args = ", ".join(f"{k}={v}" for k, v in self.params)
-        rel = "=" if self.verified else "\\neq"
-        return (
-            f"\\mathrm{{{self.name}}}({args}):\\ "
-            f"{LATEX.rational(self.lhs_value)} {rel} {LATEX.rational(self.rhs_value)}"
-        )
+        lhs, rhs = style.rational(self.lhs_value), style.rational(self.rhs_value)
+        if style.latex:
+            rel = "=" if self.verified else "\\neq"
+            return f"\\mathrm{{{self.name}}}({args}):\\ {lhs} {rel} {rhs}"
+        return f"{self.name}({args}): {lhs} = {rhs} [{'ok' if self.verified else 'FAILED'}]"
 
     def to_json_dict(self) -> dict:
         out = {
@@ -278,7 +278,7 @@ class IdentityReport(Frozen):
             "lhs": str(self.lhs_value),
             "rhs": str(self.rhs_value),
             "verified": self.verified,
-            "latex": self.latex,
+            "latex": self.render(LATEX),
         }
         if self.degenerate:
             out["degenerate"] = True
@@ -516,7 +516,8 @@ def verify_kaneko(k: int) -> IdentityReport:
         (binomial(k + 1, j) * (k + j + 1) * bernoulli_number(k + j) for j in range(k + 2)),
         Fraction(0),
     )
-    bound = default_bound(k + 1)
+    # the operator lowers the bound of B's series by k, and the T^(k+1) coefficient needs bound - k >= k + 1
+    bound = 2 * k + 1
     acted = kaneko_operator(k).apply_series(bernoulli_series(bound))
     coeff = (exp_series(1, bound) * acted).coeff(k + 1)
     operator_route = factorial(k + 1) * coeff
@@ -575,7 +576,8 @@ def rademacher_operator(n: int) -> WeylOp:
 
 # -- registry ---------------------------------------------------------------------
 
-#: identity name -> (callable, parameter names); used by the CLI front end.
+#: identity name -> (callable, parameter names), the grid of ``bernring verify NAME``; each parameter is
+#: an integer unless named in ``RATIONAL_PARAMS``
 IDENTITY_REGISTRY = {
     "euler": (verify_euler, ("m",)),
     "recurrence": (verify_recurrence, ("n",)),
@@ -593,3 +595,4 @@ IDENTITY_REGISTRY = {
     "stirling-gf": (verify_stirling_gf, ("n", "k")),
     "f-derivative": (verify_f_derivative, ("n",)),
 }
+RATIONAL_PARAMS = frozenset({"a", "b"})

@@ -336,9 +336,11 @@ def _set_partitions_count(n: int, k: int) -> int:
 
 
 def check_stirling_gf():
-    if stirling(4, 2) != 7 or _set_partitions_count(4, 2) != 7:
-        return False, "S(4,2) does not match the set-partition enumeration"
-    return True, "S(4,2)=7 by enumeration"
+    for n in range(8):
+        for k in range(n + 1):
+            if stirling(n, k) != _set_partitions_count(n, k):
+                return False, f"S({n},{k}) does not match the set-partition enumeration"
+    return True, "S(n,k) for 0 <= k <= n <= 7 by enumeration"
 
 
 # -- randomized property suites --------------------------------------------------

@@ -383,7 +383,3 @@ def harmonic(n: int) -> Fraction:
     """H_n = 1 + 1/2 + ... + 1/n."""
     return sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
 
-
-def default_bound(max_order: int) -> int:
-    """Working series bound for verifying identities up to a given order."""
-    return 2 * max_order + 8

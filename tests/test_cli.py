@@ -1,5 +1,8 @@
+import errno
 import hashlib
+import inspect
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -456,6 +459,8 @@ class TestReduce:
 
 TRIPLE = "B(2T)*B(3T)*B(5T)"
 HALF = "B(1/2T)^2*e^{-3/2T}"
+#: the value of both sides of ``verify f-derivative --n 2``, the fingerprint of its two series to T^30
+F_N, F_D = "48742614561624300794710705563006530891", "322910873949567029052082854297600000000"
 
 #: exact output of each command in each style (text, LaTeX, JSON); the text and LaTeX spellings of one value
 GOLDENS = {
@@ -557,6 +562,50 @@ GOLDENS = {
                 '"operator": [{"order": 0, "coeffs": ["1", "-2"]}, {"order": 1, "coeffs": ["0", '
                 '"-1"]}]}]}'
             )
+        ],
+    ),
+    ("verify", "euler", "--m", "2..3"): (
+        ["euler(m=2): 1/6 = 1/6 [ok]", "euler(m=3): -1/6 = -1/6 [ok]"],
+        [r"\mathrm{euler}(m=2):\ \frac{1}{6} = \frac{1}{6}", r"\mathrm{euler}(m=3):\ -\frac{1}{6} = -\frac{1}{6}"],
+        [
+            '{"name": "euler", "params": [{"name": "m", "value": "2"}], "lhs": "1/6", "rhs": "1/6", "verified": true, '
+            r'"latex": "\\mathrm{euler}(m=2):\\ \\frac{1}{6} = \\frac{1}{6}"}',
+            '{"name": "euler", "params": [{"name": "m", "value": "3"}], "lhs": "-1/6", "rhs": "-1/6", "verified": true, '
+            r'"latex": "\\mathrm{euler}(m=3):\\ -\\frac{1}{6} = -\\frac{1}{6}"}',
+        ],
+    ),
+    ("verify", "multiplication", "--m", "2", "--n", "2", "--a", "1/2"): (
+        ["multiplication(m=2, n=2, a=1/2): 1/12 = 1/12 [ok]"],
+        [r"\mathrm{multiplication}(m=2, n=2, a=1/2):\ \frac{1}{12} = \frac{1}{12}"],
+        [
+            '{"name": "multiplication", "params": [{"name": "m", "value": "2"}, {"name": "n", "value": "2"}, '
+            '{"name": "a", "value": "1/2"}], "lhs": "1/12", "rhs": "1/12", "verified": true, '
+            r'"latex": "\\mathrm{multiplication}(m=2, n=2, a=1/2):\\ \\frac{1}{12} = \\frac{1}{12}"}'
+        ],
+    ),
+    ("verify", "miki", "--n", "5"): (
+        ["miki(n=5): 0 = 0 [ok]"],
+        [r"\mathrm{miki}(n=5):\ 0 = 0"],
+        [
+            '{"name": "miki", "params": [{"name": "n", "value": "5"}], "lhs": "0", "rhs": "0", "verified": true, '
+            r'"latex": "\\mathrm{miki}(n=5):\\ 0 = 0", "degenerate": true}'
+        ],
+    ),
+    ("verify", "kaneko", "--k", "2"): (
+        ["kaneko(k=2): 0 = 0 [ok]"],
+        [r"\mathrm{kaneko}(k=2):\ 0 = 0"],
+        [
+            '{"name": "kaneko", "params": [{"name": "k", "value": "2"}], "lhs": "0", "rhs": "0", "verified": true, '
+            r'"latex": "\\mathrm{kaneko}(k=2):\\ 0 = 0"}'
+        ],
+    ),
+    ("verify", "f-derivative", "--n", "2"): (
+        [f"f-derivative(n=2): {F_N}/{F_D} = {F_N}/{F_D} [ok]"],
+        [rf"\mathrm{{f-derivative}}(n=2):\ \frac{{{F_N}}}{{{F_D}}} = \frac{{{F_N}}}{{{F_D}}}"],
+        [
+            f'{{"name": "f-derivative", "params": [{{"name": "n", "value": "2"}}], "lhs": "{F_N}/{F_D}", '
+            f'"rhs": "{F_N}/{F_D}", "verified": true, '
+            rf'"latex": "\\mathrm{{f-derivative}}(n=2):\\ \\frac{{{F_N}}}{{{F_D}}} = \\frac{{{F_N}}}{{{F_D}}}"}}'
         ],
     ),
 }
@@ -678,6 +727,54 @@ class TestVerify:
         assert code == 0
         lines = target.read_text().splitlines()
         assert len(lines) == 2 and json.loads(lines[0])["verified"]
+
+    @pytest.mark.parametrize(
+        "value, err",
+        [("5/2", "parameter --m must be an integer, got 5/2"), ("61", "index 61 is past the cap of 60 for verify --m")],
+    )
+    def test_bad_value_is_refused_before_any_case_runs(self, capsys, monkeypatch, value, err):
+        fn, params = identities.IDENTITY_REGISTRY["euler"]
+        calls = []
+
+        def counted(*args, **options):
+            calls.append(args)
+            return fn(*args, **options)
+
+        monkeypatch.setitem(identities.IDENTITY_REGISTRY, "euler", (counted, params))
+        assert run(capsys, "verify", "euler", "--m", "2..30")[0] == 0 and len(calls) == 29
+        calls.clear()
+        assert run(capsys, "verify", "euler", "--m", f"2..30,{value}") == (2, "", f"error: {err}\n")
+        assert calls == []
+
+    @pytest.mark.parametrize("name", list(identities.IDENTITY_REGISTRY))
+    def test_every_parameter_has_a_kind(self, capsys, name):
+        """A parameter is rational exactly when the identity leaves it unannotated, and an integer
+        parameter refuses 1/2 with no identity call, whatever its position in the grid."""
+        fn, params = identities.IDENTITY_REGISTRY[name]
+        annotations = [p.annotation for p in inspect.signature(fn).parameters.values()]
+        assert identities.RATIONAL_PARAMS <= {p for _, names in identities.IDENTITY_REGISTRY.values() for p in names}
+        for pname, annotation in zip(params, annotations):
+            assert (pname in identities.RATIONAL_PARAMS) == (annotation is inspect.Parameter.empty)
+            given = [f"--{p}={'1/2' if p == pname else 2}" for p in params]
+            if pname in identities.RATIONAL_PARAMS:
+                assert cli._parse_param_values(pname, "1/2,0..1") == [Fraction(1, 2), Fraction(0), Fraction(1)]
+            else:
+                err = f"error: parameter --{pname} must be an integer, got 1/2\n"
+                assert run(capsys, "verify", name, *given) == (2, "", err)
+
+
+class TestOutFile:
+    @pytest.mark.parametrize("path, code", [("", errno.EISDIR), ("missing/x.txt", errno.ENOENT)])
+    def test_unwritable_path_is_refused(self, capsys, tmp_path, path, code):
+        target = tmp_path / path  # the directory itself, or a path under a missing directory
+        err = f"error: cannot write --out {cli._brief(str(target), repr)}: {os.strerror(code)}\n"
+        assert run(capsys, "--out", str(target), "bern", "num", "4") == (2, "", err)
+
+    def test_refused_command_leaves_the_file_untouched(self, capsys, tmp_path):
+        target = tmp_path / "kept.txt"
+        target.write_text("kept\n")
+        code, out, err = run(capsys, "--out", str(target), "verify", "euler", "--m", "2..30,5/2")
+        assert (code, out) == (2, "") and err.startswith("error: ") and target.read_text() == "kept\n"
 
 
 class TestSelftestCommand:

@@ -11,6 +11,7 @@ from bernring.cli import MAX_VERIFY_INDEX
 from bernring.elements import atom, b_element, t_element
 from bernring.identities import (
     BernSymbol,
+    IdentityReport,
     beta_integral,
     beta_integral_by_quadrature,
     coefficient_identity,
@@ -33,7 +34,7 @@ from bernring.identities import (
     verify_recurrence,
     verify_stirling_gf,
 )
-from bernring.polys import Poly, factorial
+from bernring.polys import LATEX, TEXT, Poly, binomial, factorial
 from bernring.reduction import product_reduce, reduce_to_first_order
 from bernring.series import (
     InsufficientBoundError,
@@ -368,6 +369,22 @@ class TestKaneko:
     def test_range(self):
         assert all(verify_kaneko(k).verified for k in range(1, 16))
 
+    def test_exact_bound(self):
+        """The operator route read at bound 2k + 1 gives the report of the earlier bound 2k + 10, and
+        bound 2k is too short for the T^(k+1) coefficient."""
+
+        def operator_route(k: int, bound: int) -> Fraction:
+            acted = kaneko_operator(k).apply_series(bernoulli_series(bound))
+            return factorial(k + 1) * (exp_series(1, bound) * acted).coeff(k + 1)
+
+        for k in range(1, 31):
+            terms = (binomial(k + 1, j) * (k + j + 1) * bernoulli_number(k + j) for j in range(k + 2))
+            direct = sum(terms, Fraction(0))
+            via = operator_route(k, 2 * k + 10)
+            assert verify_kaneko(k) == IdentityReport("kaneko", (("k", Fraction(k)),), direct, via, direct == via == 0)
+            with pytest.raises(InsufficientBoundError):
+                operator_route(k, 2 * k)
+
 
 class TestStirlingAndDerivatives:
     def test_stirling_gf(self):
@@ -498,7 +515,13 @@ class TestReportInterface:
 
     def test_latex_golden(self):
         rep = verify_euler(2)
-        assert rep.latex == "\\mathrm{euler}(m=2):\\ \\frac{1}{6} = \\frac{1}{6}"
+        assert rep.render(LATEX) == "\\mathrm{euler}(m=2):\\ \\frac{1}{6} = \\frac{1}{6}"
+        assert rep.render(TEXT) == rep.render() == "euler(m=2): 1/6 = 1/6 [ok]"
+
+    def test_render_failed(self):
+        rep = IdentityReport("euler", (("m", Fraction(2)),), Fraction(1, 6), Fraction(-1, 2), False)
+        assert rep.render(TEXT) == "euler(m=2): 1/6 = -1/2 [FAILED]"
+        assert rep.render(LATEX) == "\\mathrm{euler}(m=2):\\ \\frac{1}{6} \\neq -\\frac{1}{2}"
 
 
 class TestCrossRoute:
