@@ -12,10 +12,9 @@ Subcommands::
     verify NAME --PARAM ...   identity verification over parameter grids
     selftest [--json]         the full acceptance suite
 
-``verify NAME`` takes exactly the parameters of identity NAME in ``IDENTITY_REGISTRY``, each
-required; ``verify NAME --help`` lists them.  A parameter is an integer unless ``RATIONAL_PARAMS``
-names it; every value is read and checked before any case runs, and each report renders its own
-line.  ``--order`` is read only by ``verify f-derivative``.
+``verify NAME`` takes exactly the positional parameters of ``IDENTITY_REGISTRY[NAME]``, each required, and
+``--order`` if that function takes it as a keyword-only option; ``verify NAME --help`` lists them.  Every
+value is checked against the kind and least value the function declares before any case runs.
 
 INDEX arguments accept either a single integer or an inclusive range ``A..B``,
 up to the command's cap in ``INDEX_CAPS``; ``bern poly --at`` also caps the
@@ -28,7 +27,8 @@ up to ``MAX_PF_SCALE`` and ``pf hf`` a power K up to ``MAX_PF_POWER``.
 Rational arguments, like the numbers of a ``reduce`` expression, are ``p/q`` strings of at most
 ``MAX_RATIONAL_DIGITS`` digits a part; list-valued flags take comma-separated values, a negative
 one written ``--a=-1/2``.  A refused argument is quoted to 40 characters at most, an expression
-whole.  An ``--out`` path that cannot be written is refused with its reason.
+whole.  An ``--out`` path that cannot be written is refused with its reason, before any work if it is a
+directory or under a missing one.
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
 All rationals are emitted as exact ``p/q`` strings, never floats.
 """
@@ -36,16 +36,18 @@ All rationals are emitted as exact ``p/q`` strings, never floats.
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Sequence
 
 from .elements import Atom, BElement
 from .exprparse import MAX_RATIONAL_DIGITS, ExprError, parse_element
-from .identities import F_DERIVATIVE_ORDER, IDENTITY_REGISTRY, RATIONAL_PARAMS
+from .identities import IDENTITY_REGISTRY
 from .partfrac import g_pair, h_f
 from .polys import LATEX, TEXT, Style, format_poly
 from .reduction import DCombination, reduce_to_first_order, stirling
@@ -104,9 +106,9 @@ def _parse_index_range(text: str, cap: int, where: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _parse_param_values(pname: str, text: str) -> list[int] | list[Fraction]:
-    """The comma-separated values of ``verify --<pname>``: rationals for a parameter in ``RATIONAL_PARAMS``,
-    integers up to ``MAX_VERIFY_INDEX`` in absolute value for any other, each refused before any case runs."""
+def _parse_param_values(pname: str, least: int | None, text: str) -> list[int] | list[Fraction]:
+    """The comma-separated values of ``verify --<pname>``: rationals when ``least`` is None, else integers
+    from ``least`` up to ``MAX_VERIFY_INDEX``, each refused before any case runs."""
     where = f"verify --{pname}"
     values: list[int | Fraction] = []
     for chunk in text.split(","):
@@ -115,11 +117,13 @@ def _parse_param_values(pname: str, text: str) -> list[int] | list[Fraction]:
             values.extend(_parse_index_range(chunk, MAX_VERIFY_INDEX, where))
         else:
             values.append(_parse_rational(chunk))
-    if pname in RATIONAL_PARAMS:
+    if least is None:
         return [Fraction(v) for v in values]
     for v in values:
         if v.denominator != 1:
             raise UsageError(f"parameter --{pname} must be an integer, got {v}")
+        if v < least:
+            raise UsageError(f"parameter --{pname} must be at least {least}, got {v}")
         _check_cap(abs(v), MAX_VERIFY_INDEX, f"index {v} is", where)
     return [int(v) for v in values]
 
@@ -279,17 +283,17 @@ def _cmd_reduce(args, out: list[str]) -> int:
 
 
 def _cmd_verify(args, out: list[str]) -> int:
-    fn, param_names = IDENTITY_REGISTRY[args.name]
-    grids = [_parse_param_values(pname, getattr(args, pname)) for pname in param_names]
+    fn = IDENTITY_REGISTRY[args.name]
+    grids = [_parse_param_values(pname, least, getattr(args, pname)) for pname, least in fn.params.items()]
     size = math.prod(len(grid) for grid in grids)
     _check_cap(size, MAX_VERIFY_CASES, f"a grid of {size} cases is", "verify")
     options = {}
     if args.reads_order:  # --order, capped jointly with n
-        options["order"] = order = F_DERIVATIVE_ORDER if args.order is None else args.order
+        options["order"] = order = fn.options["order"] if args.order is None else args.order
         n = max(abs(v) for v in grids[0])
         work = n * (order + n) ** 2
         what = f"n = {n} at order {order} (n (order + n)^2 = {work}) is"
-        _check_cap(work, MAX_F_DERIVATIVE_WORK, what, "verify f-derivative")
+        _check_cap(work, MAX_F_DERIVATIVE_WORK, what, f"verify {args.name}")
     reports = [fn(*case, **options) for case in itertools.product(*grids)]
     out.extend(json.dumps(r.to_json_dict()) if args.format == "json" else r.render(_style(args)) for r in reports)
     return 0 if all(r.verified for r in reports) else 1
@@ -349,11 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="verify a named identity over a parameter grid")
     verify.set_defaults(handler=_cmd_verify)
     verify_sub = verify.add_subparsers(dest="name", required=True, metavar="NAME")
-    for name, (fn, param_names) in IDENTITY_REGISTRY.items():
+    for name, fn in IDENTITY_REGISTRY.items():
         p = verify_sub.add_parser(name, help=(fn.__doc__ or "").strip().partition("\n")[0])  # none under -OO
-        for pname in param_names:
+        for pname in fn.params:
             p.add_argument(f"--{pname}", required=True)
-        p.set_defaults(reads_order=name == "f-derivative")
+        p.set_defaults(reads_order="order" in fn.options)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.set_defaults(handler=_cmd_selftest)
@@ -382,7 +386,12 @@ def _run(args) -> int:
         if args.order is not None:
             _check_cap(args.order, MAX_SERIES_ORDER, f"--order {_brief(str(args.order))} is")
             if not getattr(args, "reads_order", False):
-                raise UsageError("--order is read only by verify f-derivative")
+                readers = (f"verify {name}" for name, fn in IDENTITY_REGISTRY.items() if "order" in fn.options)
+                raise UsageError(f"--order is read only by {' and '.join(readers)}")
+        if args.out and (os.path.isdir(args.out) or not os.path.exists(os.path.dirname(args.out) or ".")):
+            # refused before the work, creating and truncating nothing; other failures are refused at the write
+            reason = os.strerror(errno.EISDIR if os.path.isdir(args.out) else errno.ENOENT)
+            raise UsageError(f"cannot write --out {_brief(args.out, repr)}: {reason}")
         code = args.handler(args, out)
     except ExprError as exc:
         print(exc.diagnostic(), file=sys.stderr)

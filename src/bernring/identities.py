@@ -4,7 +4,8 @@ Each ``verify_*`` function checks one named identity at given parameters with
 exact rational arithmetic and returns an :class:`IdentityReport`; a report is
 ``verified`` iff both sides are equal as rationals (or coefficient-wise for the
 series-shaped identities, whose report values collapse to a fingerprint pair
-that provably differs when verification fails).
+that provably differs when verification fails).  Its definition, registered by
+:func:`_identity`, is the family's only declaration.
 
 ``coefficient_identity`` is the derivation half: it equates the coefficient of
 a chosen power of T on an element (or a formal product of elements) against a
@@ -20,7 +21,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .elements import Atom, BElement, atom, b_element
 from .polys import LATEX, TEXT, Frozen, Poly, Style, _as_fraction, binomial, factorial
@@ -285,129 +286,147 @@ class IdentityReport(Frozen):
         return out
 
 
-def _report(name, params, lhs, rhs, degenerate=False) -> IdentityReport:
-    return IdentityReport(
-        name=name,
-        params=tuple((k, Fraction(v)) for k, v in params),
-        lhs_value=lhs,
-        rhs_value=rhs,
-        verified=(lhs == rhs),
-        degenerate=degenerate,
-    )
+#: family name -> its ``verify_*`` function, in declaration order: the grid of ``bernring verify NAME``
+IDENTITY_REGISTRY: dict[str, Callable[..., IdentityReport]] = {}
 
 
-def verify_euler(m: int) -> IdentityReport:
+def _identity(name: str, **least: int):
+    """Register a ``verify_*`` body in ``IDENTITY_REGISTRY`` as the identity family ``name``.
+
+    The body's positional parameters are the family's: one annotated ``int`` is an integer that must be at
+    least ``least[param]`` (0 when none is given), and one left unannotated is a rational, passed to the
+    body as a Fraction.  The body returns (lhs, rhs) or (lhs, rhs, degenerate).  The registered function
+    refuses an integer below its least value with ValueError and returns the IdentityReport, ``verified``
+    iff lhs == rhs.  Its ``params`` map each parameter to its least value (None for a rational) and its
+    ``options`` each keyword-only option of the body to its default.
+    """
+
+    def register(body):
+        names = body.__code__.co_varnames[: body.__code__.co_argcount]
+        params = {p: least.pop(p, 0) if body.__annotations__.get(p) in ("int", int) else None for p in names}
+        if least:
+            raise TypeError(f"{name} has no integer parameter {', '.join(least)}")
+
+        @functools.wraps(body)
+        def verify(*args, **options):
+            if len(args) != len(params):
+                raise TypeError(f"{body.__name__} takes {len(params)} positional arguments, got {len(args)}")
+            values, named = [], []
+            for (pname, low), v in zip(params.items(), args):
+                if low is None:
+                    v = _as_fraction(v)
+                    named.append((pname, v))
+                elif v < low:
+                    raise ValueError(f"{name} requires {pname} >= {low}")
+                else:
+                    named.append((pname, Fraction(v)))
+                values.append(v)
+            lhs, rhs, *degenerate = body(*values, **options)
+            return IdentityReport(name, tuple(named), lhs, rhs, lhs == rhs, *degenerate)
+
+        verify.params, verify.options = params, body.__kwdefaults__ or {}
+        IDENTITY_REGISTRY[name] = verify
+        return verify
+
+    return register
+
+
+@_identity("euler", m=2)
+def verify_euler(m: int):
     """sum_{i=1}^{m-1} C(2m,2i) B_2i B_{2m-2i} = -(2m+1) B_2m for m >= 2."""
-    if m < 2:
-        raise ValueError("Euler identity requires m >= 2")
     d, b = norlund_numerators(1, 2 * m + 1)
     lhs = fraction_sum((math.comb(2 * m, 2 * i) * b[2 * i] * b[2 * m - 2 * i], d * d) for i in range(1, m))
-    rhs = -(2 * m + 1) * bernoulli_number(2 * m)
-    return _report("euler", [("m", m)], lhs, rhs)
+    return lhs, -(2 * m + 1) * bernoulli_number(2 * m)
 
 
-def verify_recurrence(n: int) -> IdentityReport:
+@_identity("recurrence")
+def verify_recurrence(n: int):
     """sum C(n,i) B_i = (-1)^n B_n; equal to B_n itself once n >= 2."""
     d, b = norlund_numerators(1, n + 1)
     total = Fraction(sum(math.comb(n, i) * b[i] for i in range(n + 1)), d)
     # from n = 2 on the sum must be B_n as well; where it is not, the report holds B_n
     plain = n >= 2 and total != bernoulli_number(n)
-    rhs = bernoulli_number(n) if plain else Fraction((-1) ** n) * bernoulli_number(n)
-    return _report("recurrence", [("n", n)], total, rhs)
+    return total, bernoulli_number(n) if plain else Fraction((-1) ** n) * bernoulli_number(n)
 
 
-def verify_multiplication(m: int, n: int, a) -> IdentityReport:
+@_identity("multiplication", n=1)
+def verify_multiplication(m: int, n: int, a):
     """sum_{i<n} B_m(a + i/n) = n^(1-m) B_m(n a)."""
-    if n < 1:
-        raise ValueError("multiplication theorem requires n >= 1")
-    a = _as_fraction(a)
     # with a = p/q, the points a + i/n = (p n + i q)/(q n) and n^(1-m) B_m(p n/q) = n H / (d q^m n^m)
     # are all over d (q n)^m, so both sides sum Horner numerators
     p, q = a.numerator, a.denominator
     den = norlund_numerators(1, m + 1)[0] * (q * n) ** m
     lhs = Fraction(sum(poly_value_numerator(1, m, p * n + i * q, q * n)[0] for i in range(n)), den)
-    rhs = Fraction(n * poly_value_numerator(1, m, p * n, q)[0], den)
-    return _report("multiplication", [("m", m), ("n", n), ("a", a)], lhs, rhs)
+    return lhs, Fraction(n * poly_value_numerator(1, m, p * n, q)[0], den)
 
 
-def verify_lowering(n: int, i: int, a) -> IdentityReport:
+@_identity("lowering", n=1, i=1)
+def verify_lowering(n: int, i: int, a):
     """B^(n+1)_i(a) = (1 - i/n) B^(n)_i(a) + (a - n)(i/n) B^(n)_{i-1}(a)."""
-    if n < 1 or i < 1:
-        raise ValueError("order lowering requires n >= 1 and i >= 1")
-    a = _as_fraction(a)
     lhs = bernoulli_poly_value(n + 1, i, a)
     # with a = p/q both terms are over n d q^i: ((n - i) H_i + i (p - n q) H_(i-1)) / (n d q^i)
     p, q = a.numerator, a.denominator
     (h, d), (h_low, _) = poly_value_numerator(n, i, p, q), poly_value_numerator(n, i - 1, p, q)
-    rhs = Fraction((n - i) * h + i * (p - n * q) * h_low, n * d * q**i)
-    return _report("lowering", [("n", n), ("i", i), ("a", a)], lhs, rhs)
+    return lhs, Fraction((n - i) * h + i * (p - n * q) * h_low, n * d * q**i)
 
 
-def verify_euler_polynomial(n: int, a, b) -> IdentityReport:
+@_identity("euler-polynomial", n=1)
+def verify_euler_polynomial(n: int, a, b):
     """sum C(n,i) B_i(a) B_{n-i}(b) = (1-n) B_n(a+b) + n(a+b-1) B_{n-1}(a+b)."""
-    if n < 1:
-        raise ValueError("polynomial form requires n >= 1")
-    a, b = _as_fraction(a), _as_fraction(b)
-    sides = _product_sides((atom(0, 1, 1, a), atom(0, 1, 1, b)), n)
-    return _report("euler-polynomial", [("n", n), ("a", a), ("b", b)], *sides)
+    return _product_sides((atom(0, 1, 1, a), atom(0, 1, 1, b)), n)
 
 
-def verify_agoh_dilcher_example(n: int) -> IdentityReport:
+@_identity("agoh-dilcher")
+def verify_agoh_dilcher_example(n: int):
     """sum C(n,i) B_{1+i} B_{1+n-i} = (n-1)/6 B_n - B_{n+1} - (n+3)/6 B_{n+2}."""
-    return _report("agoh-dilcher", [("n", n)], *_product_sides((_B_PRIME, _B_PRIME), n))
+    return _product_sides((_B_PRIME, _B_PRIME), n)
 
 
-def verify_rademacher(n: int) -> IdentityReport:
+@_identity("rademacher", n=3)
+def verify_rademacher(n: int):
     """The weighted convolution of B_{2i}/2i equaling -(2n+1)(n-3)/(6n) B_2n.
 
     n = 3 is the degenerate instance: the sum is empty and the right side
     carries the factor n - 3 = 0.
     """
-    if n < 3:
-        raise ValueError("identity stated for n >= 4 (n = 3 degenerates to 0 = 0)")
     d, b = norlund_numerators(1, 2 * n + 1)
     f = math.factorial
     lhs = fraction_sum(
         (f(2 * n - 2) // (f(2 * i - 2) * f(2 * n - 2 * i - 2)) * b[2 * i] * b[2 * n - 2 * i], d * d * 4 * i * (n - i))
         for i in range(2, n - 1)
     )
-    rhs = -Fraction((2 * n + 1) * (n - 3), 6 * n) * bernoulli_number(2 * n)
-    return _report("rademacher", [("n", n)], lhs, rhs, degenerate=(n == 3))
+    return lhs, -Fraction((2 * n + 1) * (n - 3), 6 * n) * bernoulli_number(2 * n), n == 3
 
 
-def verify_23(n: int) -> IdentityReport:
+@_identity("product-23", n=1)
+def verify_23(n: int):
     """sum 3^i 2^(n-i) C(n,i) B_i B_{n-i} against the scaled-argument right side."""
-    if n < 1:
-        raise ValueError("requires n >= 1")
-    return _report("product-23", [("n", n)], *_product_sides((_B2, _B3), n))
+    return _product_sides((_B2, _B3), n)
 
 
-def verify_23_even(n: int) -> IdentityReport:
+@_identity("product-23-even", n=2)
+def verify_23_even(n: int):
     """The even-index restriction of the 2,3-product identity (n >= 2)."""
-    if n < 2:
-        raise ValueError("even form stated for n >= 2")
     # the product identity at 2n: its odd-index terms carry B_{2n-1} = 0
-    return _report("product-23-even", [("n", n)], *_product_sides((_B2, _B3), 2 * n))
+    return _product_sides((_B2, _B3), 2 * n)
 
 
-def verify_235(n: int) -> IdentityReport:
+@_identity("product-235", n=2)
+def verify_235(n: int):
     """The multinomial identity from the 2*3*5 product reduction (n >= 2)."""
-    if n < 2:
-        raise ValueError("requires n >= 2")
-    return _report("product-235", [("n", n)], *_product_sides((_B2, _B3, _B5), n))
+    return _product_sides((_B2, _B3, _B5), n)
 
 
-def verify_miki(n: int) -> IdentityReport:
+@_identity("miki", n=4)
+def verify_miki(n: int):
     """Miki's identity for n >= 4 (odd n degenerates to 0 = 0)."""
-    if n < 4:
-        raise ValueError("Miki's identity requires n >= 4")
     d, b = norlund_numerators(1, n + 1)
     terms = [(b[i] * b[n - i], d * d * i * (n - i)) for i in range(2, n - 1)]
     lhs = fraction_sum(terms)
     rhs = Fraction(2, n) * harmonic(n) * bernoulli_number(n) + fraction_sum(
         (math.comb(n, i) * t, den) for i, (t, den) in enumerate(terms, 2)
     )
-    return _report("miki", [("n", n)], lhs, rhs, degenerate=(n % 2 == 1))
+    return lhs, rhs, n % 2 == 1
 
 
 # -- series-shaped identities ----------------------------------------------------
@@ -428,43 +447,42 @@ def _witness_values(lhs_items, rhs_items) -> tuple[Fraction, Fraction]:
     raise AssertionError("lists compared unequal but no differing entry found")
 
 
-def verify_miki_s_relation(order: int) -> IdentityReport:
+@_identity("miki-s-relation", N=1)
+def verify_miki_s_relation(N: int):
     """The parameterized product relation, decided exactly at rational points.
 
     B(sT) B((1-s)T) = (1-s)(B(sT) + sT/2) B + s(B((1-s)T) + (1-s)T/2) B,
     as an identity of series in T whose coefficients are polynomials in s,
-    checked for the coefficients of T^0 .. T^order.
+    checked for the coefficients of T^0 .. T^N.
 
     Proof that the finite check decides it: on each side the T^i coefficient
     has degree at most i+1 in s, and both sides are unchanged by s -> 1-s.
     So their difference is a polynomial of degree at most (i+1)//2 in
-    u = s(1-s).  The points s = 2, 3, ..., (order+1)//2 + 2 have distinct u,
-    and there are (order+1)//2 + 1 of them, so exact equality of every T^i,
-    i <= order, at all of them makes each difference the zero polynomial.
+    u = s(1-s).  The points s = 2, 3, ..., (N+1)//2 + 2 have distinct u,
+    and there are (N+1)//2 + 1 of them, so exact equality of every T^i,
+    i <= N, at all of them makes each difference the zero polynomial.
 
     The right side is evaluated as ((1-s)B(sT) + sB((1-s)T) + s(1-s)T) B, one
     product per point.  The verified fingerprint is the value at s = 1, where
-    both sides are B: the sum of [T^i]B for i <= order.  On failure the report
+    both sides are B: the sum of [T^i]B for i <= N.  On failure the report
     holds the two sides of the first differing coefficient at the first point
     that separates them.
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    base = bernoulli_series(order)
-    for point in range(2, (order + 1) // 2 + 3):
+    base = bernoulli_series(N)
+    for point in range(2, (N + 1) // 2 + 3):
         s = Fraction(point)
         b_s = base.scale_arg(s)
         b_1ms = base.scale_arg(1 - s)
         lhs = b_s * b_1ms
-        t_term = TruncatedSeries.monomial(1, s * (1 - s), order)
+        t_term = TruncatedSeries.monomial(1, s * (1 - s), N)
         rhs = (b_s.scale(1 - s) + b_1ms.scale(s) + t_term) * base
-        lhs_list = [lhs.coeff(i) for i in range(order + 1)]
-        rhs_list = [rhs.coeff(i) for i in range(order + 1)]
+        lhs_list = [lhs.coeff(i) for i in range(N + 1)]
+        rhs_list = [rhs.coeff(i) for i in range(N + 1)]
         if lhs_list != rhs_list:
             break
     else:
-        lhs_list = rhs_list = [base.coeff(i) for i in range(order + 1)]
-    return _report("miki-s-relation", [("N", order)], *_witness_values(lhs_list, rhs_list))
+        lhs_list = rhs_list = [base.coeff(i) for i in range(N + 1)]
+    return _witness_values(lhs_list, rhs_list)
 
 
 def beta_integral(i: int, j: int) -> Fraction:
@@ -503,15 +521,15 @@ def kaneko_operator(k: int) -> WeylOp:
     return WeylOp({k: Poly.const(k + 1), k + 1: Poly.monomial(1)})
 
 
-def verify_kaneko(k: int) -> IdentityReport:
+@_identity("kaneko", k=1)
+def verify_kaneko(k: int):
     """Both routes to the vanishing sum sum C(k+1,j) (k+j+1) B_{k+j} = 0.
 
     The direct route evaluates the sum; the operator route reads the
     coefficient of T^(k+1) in e^T applied after the Kaneko operator on B.
-    Verification requires both to be zero (they are equal by construction).
+    Verification requires both to be zero; they are equal by construction, for any
+    table, so the report holds the direct sum against 0.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
     direct = sum(
         (binomial(k + 1, j) * (k + j + 1) * bernoulli_number(k + j) for j in range(k + 2)),
         Fraction(0),
@@ -520,20 +538,15 @@ def verify_kaneko(k: int) -> IdentityReport:
     bound = 2 * k + 1
     acted = kaneko_operator(k).apply_series(bernoulli_series(bound))
     coeff = (exp_series(1, bound) * acted).coeff(k + 1)
-    operator_route = factorial(k + 1) * coeff
-    return IdentityReport(
-        name="kaneko", params=(("k", Fraction(k)),),
-        lhs_value=direct, rhs_value=operator_route,
-        verified=(direct == 0 and operator_route == 0),
-    )
+    if factorial(k + 1) * coeff != direct:
+        raise RuntimeError(f"internal error: the two Kaneko routes differ at k = {k}")
+    return direct, Fraction(0)
 
 
-def verify_stirling_gf(n: int, k: int) -> IdentityReport:
+@_identity("stirling-gf", k=1)
+def verify_stirling_gf(n: int, k: int):
     """S(n,k)/n! equals the T^n coefficient of (T^k/k!) B^-k."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    lhs = Fraction(stirling(n, k)) / factorial(n)
-    return _report("stirling-gf", [("n", n), ("k", k)], lhs, _stirling_generating_element(k).coeff(n))
+    return Fraction(stirling(n, k)) / factorial(n), _stirling_generating_element(k).coeff(n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -543,11 +556,8 @@ def _stirling_generating_element(k: int) -> BElement:
     return negative_power_expand(k).mul_monomial(k).scale(1 / factorial(k))
 
 
-#: the series order to which ``verify_f_derivative`` compares by default
-F_DERIVATIVE_ORDER = 30
-
-
-def verify_f_derivative(n: int, order: int = F_DERIVATIVE_ORDER) -> IdentityReport:
+@_identity("f-derivative")
+def verify_f_derivative(n: int, *, order: int = 30):
     """d^n B/dT^n = T^-n f_n(T, B), compared as series to the given order."""
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
@@ -558,7 +568,7 @@ def verify_f_derivative(n: int, order: int = F_DERIVATIVE_ORDER) -> IdentityRepo
     lo = min(direct.low, via_f.low, -n)
     lhs_list = [direct.coeff(i) for i in range(lo, order + 1)]
     rhs_list = [via_f.coeff(i) for i in range(lo, order + 1)]
-    return _report("f-derivative", [("n", n)], *_witness_values(lhs_list, rhs_list))
+    return _witness_values(lhs_list, rhs_list)
 
 
 def rademacher_operator(n: int) -> WeylOp:
@@ -572,27 +582,3 @@ def rademacher_operator(n: int) -> WeylOp:
         }
     )
     return squared - lowering_op(1, 1, 0).scale(2 * n - 1)
-
-
-# -- registry ---------------------------------------------------------------------
-
-#: identity name -> (callable, parameter names), the grid of ``bernring verify NAME``; each parameter is
-#: an integer unless named in ``RATIONAL_PARAMS``
-IDENTITY_REGISTRY = {
-    "euler": (verify_euler, ("m",)),
-    "recurrence": (verify_recurrence, ("n",)),
-    "multiplication": (verify_multiplication, ("m", "n", "a")),
-    "lowering": (verify_lowering, ("n", "i", "a")),
-    "euler-polynomial": (verify_euler_polynomial, ("n", "a", "b")),
-    "agoh-dilcher": (verify_agoh_dilcher_example, ("n",)),
-    "rademacher": (verify_rademacher, ("n",)),
-    "product-23": (verify_23, ("n",)),
-    "product-23-even": (verify_23_even, ("n",)),
-    "product-235": (verify_235, ("n",)),
-    "miki": (verify_miki, ("n",)),
-    "miki-s-relation": (verify_miki_s_relation, ("N",)),
-    "kaneko": (verify_kaneko, ("k",)),
-    "stirling-gf": (verify_stirling_gf, ("n", "k")),
-    "f-derivative": (verify_f_derivative, ("n",)),
-}
-RATIONAL_PARAMS = frozenset({"a", "b"})

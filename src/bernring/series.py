@@ -355,6 +355,8 @@ def poly_value_numerator(n: int, i: int, p: int, q: int) -> tuple[int, int]:
 
     With row n's entries N_k / d, H = sum_k C(i,k) N_k p^(i-k) q^k, summed by Horner's rule in p.
     """
+    if i < 0:
+        raise ValueError("Bernoulli index must be nonnegative")
     d, nums = norlund_numerators(n, i + 1)
     if not p:  # only the term k = i
         return nums[i] * q**i, d
@@ -375,6 +377,8 @@ def bernoulli_poly_value(n: int, i: int, x: Fraction | int) -> Fraction:
 
 def bernoulli_polynomial(i: int) -> Poly:
     """The classical Bernoulli polynomial B_i(X) as an exact Poly."""
+    if i < 0:
+        raise ValueError("Bernoulli index must be nonnegative")
     den, nums = norlund_numerators(1, i + 1)
     return Poly([math.comb(i, k) * nums[k] for k in range(i, -1, -1)], den)
 

@@ -1,4 +1,5 @@
 import errno
+import functools
 import hashlib
 import inspect
 import json
@@ -44,6 +45,20 @@ def run_refused(capsys, *argv):
     return captured.out, captured.err
 
 
+def count_calls(monkeypatch, name: str) -> list[tuple]:
+    """Replace identity ``name`` in the registry by a wrapper that records each call's arguments."""
+    fn = identities.IDENTITY_REGISTRY[name]
+    calls = []
+
+    @functools.wraps(fn)  # the wrapper carries the function's ``params`` and ``options``
+    def counted(*args, **options):
+        calls.append(args)
+        return fn(*args, **options)
+
+    monkeypatch.setitem(identities.IDENTITY_REGISTRY, name, counted)
+    return calls
+
+
 def nested_d(depth: int, inner: str) -> str:
     return "d[" * depth + inner + "]" * depth
 
@@ -80,6 +95,18 @@ class TestBern:
     def test_malformed_argument(self, capsys):
         code, _, err = run(capsys, "bern", "poly", "2", "--at", "nope")
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bern", "poly", "--", "-3..0"],
+            ["--format", "json", "bern", "poly", "-2"],
+            ["bern", "poly", "-1", "--at", "1/2"],
+            ["bern", "num", "--", "-3..0"],
+        ],
+    )
+    def test_negative_index_refused(self, capsys, argv):
+        assert run(capsys, *argv) == (2, "", "error: Bernoulli index must be nonnegative\n")
 
 
 class TestSizeCaps:
@@ -263,7 +290,7 @@ class TestSizeCaps:
 
     def test_largest_f_derivative_at_the_default_order(self, capsys):
         top = cli.MAX_VERIFY_INDEX
-        assert top * (identities.F_DERIVATIVE_ORDER + top) ** 2 <= cli.MAX_F_DERIVATIVE_WORK
+        assert top * (identities.verify_f_derivative.options["order"] + top) ** 2 <= cli.MAX_F_DERIVATIVE_WORK
         code, out, _ = run(capsys, "verify", "f-derivative", "--n", str(top))
         assert code == 0 and out.endswith("[ok]\n")
 
@@ -685,14 +712,14 @@ class TestVerify:
 
     @pytest.mark.parametrize("name", list(identities.IDENTITY_REGISTRY))
     def test_subcommand_takes_exactly_the_registry_parameters(self, capsys, name):
-        params = identities.IDENTITY_REGISTRY[name][1]
+        params = list(identities.IDENTITY_REGISTRY[name].params)
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", name, "--help"])
         usage = capsys.readouterr().out.splitlines()[0]
         assert exc.value.code == 0
         assert usage == f"usage: bernring verify {name} [-h] " + " ".join(f"--{p} {p.upper()}" for p in params)
         given = [f"--{p}=2" for p in params]
-        for stray in {p for _, names in identities.IDENTITY_REGISTRY.values() for p in names} - set(params):
+        for stray in {p for fn in identities.IDENTITY_REGISTRY.values() for p in fn.params} - set(params):
             _, err = run_refused(capsys, "verify", name, *given, f"--{stray}", "1")
             assert err.endswith(f"error: unrecognized arguments: --{stray} 1\n")
         for missing in params:
@@ -730,37 +757,67 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "value, err",
-        [("5/2", "parameter --m must be an integer, got 5/2"), ("61", "index 61 is past the cap of 60 for verify --m")],
+        [
+            ("5/2", "parameter --m must be an integer, got 5/2"),
+            ("61", "index 61 is past the cap of 60 for verify --m"),
+            ("1", "parameter --m must be at least 2, got 1"),
+        ],
     )
     def test_bad_value_is_refused_before_any_case_runs(self, capsys, monkeypatch, value, err):
-        fn, params = identities.IDENTITY_REGISTRY["euler"]
-        calls = []
-
-        def counted(*args, **options):
-            calls.append(args)
-            return fn(*args, **options)
-
-        monkeypatch.setitem(identities.IDENTITY_REGISTRY, "euler", (counted, params))
+        calls = count_calls(monkeypatch, "euler")
         assert run(capsys, "verify", "euler", "--m", "2..30")[0] == 0 and len(calls) == 29
         calls.clear()
         assert run(capsys, "verify", "euler", "--m", f"2..30,{value}") == (2, "", f"error: {err}\n")
         assert calls == []
 
     @pytest.mark.parametrize("name", list(identities.IDENTITY_REGISTRY))
-    def test_every_parameter_has_a_kind(self, capsys, name):
-        """A parameter is rational exactly when the identity leaves it unannotated, and an integer
-        parameter refuses 1/2 with no identity call, whatever its position in the grid."""
-        fn, params = identities.IDENTITY_REGISTRY[name]
-        annotations = [p.annotation for p in inspect.signature(fn).parameters.values()]
-        assert identities.RATIONAL_PARAMS <= {p for _, names in identities.IDENTITY_REGISTRY.values() for p in names}
-        for pname, annotation in zip(params, annotations):
-            assert (pname in identities.RATIONAL_PARAMS) == (annotation is inspect.Parameter.empty)
-            given = [f"--{p}={'1/2' if p == pname else 2}" for p in params]
-            if pname in identities.RATIONAL_PARAMS:
-                assert cli._parse_param_values(pname, "1/2,0..1") == [Fraction(1, 2), Fraction(0), Fraction(1)]
+    def test_every_parameter_has_a_kind(self, capsys, monkeypatch, name):
+        """The positional parameters of the identity's definition are its ``params``, a parameter is
+        rational exactly when that definition leaves it unannotated, and an integer parameter refuses 1/2
+        with no identity call, whatever its position in the grid."""
+        fn = identities.IDENTITY_REGISTRY[name]
+        declared = inspect.signature(fn).parameters.values()  # the definition's, through ``__wrapped__``
+        annotations = {p.name: p.annotation for p in declared if p.kind is p.POSITIONAL_OR_KEYWORD}
+        assert list(fn.params) == list(annotations)
+        calls = count_calls(monkeypatch, name)
+        for pname, least in fn.params.items():
+            assert (least is None) == (annotations[pname] is inspect.Parameter.empty)
+            if least is None:
+                assert cli._parse_param_values(pname, None, "1/2,0..1") == [Fraction(1, 2), Fraction(0), Fraction(1)]
             else:
+                given = [f"--{p}={'1/2' if p == pname else 2}" for p in fn.params]
                 err = f"error: parameter --{pname} must be an integer, got 1/2\n"
                 assert run(capsys, "verify", name, *given) == (2, "", err)
+        assert calls == []
+
+    @pytest.mark.parametrize("name", list(identities.IDENTITY_REGISTRY))
+    def test_value_below_the_least_is_refused_before_any_case_runs(self, capsys, monkeypatch, name):
+        """Each integer parameter one below its least value exits 2 with no identity call; at the least
+        values (1/2 for a rational) the identity runs once and holds."""
+        params = identities.IDENTITY_REGISTRY[name].params
+        smallest = {p: "1/2" if least is None else least for p, least in params.items()}
+        calls = count_calls(monkeypatch, name)
+        assert run(capsys, "verify", name, *(f"--{p}={v}" for p, v in smallest.items()))[0] == 0
+        assert len(calls) == 1
+        calls.clear()
+        for pname, least in params.items():
+            if least is not None:
+                given = [f"--{p}={least - 1 if p == pname else v}" for p, v in smallest.items()]
+                err = f"error: parameter --{pname} must be at least {least}, got {least - 1}\n"
+                assert run(capsys, "verify", name, *given) == (2, "", err)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "argv", [["verify", "agoh-dilcher", "--n=-3"], ["verify", "multiplication", "--m=-1", "--n", "2", "--a", "0"]]
+    )
+    def test_negative_integer_parameter_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: parameter --") and err.count("\n") == 1
+
+    def test_order_is_read_by_the_keyword_only_option(self):
+        readers = {name for name, fn in identities.IDENTITY_REGISTRY.items() if fn.options}
+        assert readers == {"f-derivative"}
+        assert identities.IDENTITY_REGISTRY["f-derivative"].options == {"order": 30}
 
 
 class TestOutFile:
@@ -768,6 +825,21 @@ class TestOutFile:
     def test_unwritable_path_is_refused(self, capsys, tmp_path, path, code):
         target = tmp_path / path  # the directory itself, or a path under a missing directory
         err = f"error: cannot write --out {cli._brief(str(target), repr)}: {os.strerror(code)}\n"
+        assert run(capsys, "--out", str(target), "bern", "num", "4") == (2, "", err)
+
+    @pytest.mark.parametrize("path, code", [("", errno.EISDIR), ("missing/x.txt", errno.ENOENT)])
+    def test_unwritable_path_is_refused_before_the_command_runs(self, capsys, monkeypatch, tmp_path, path, code):
+        monkeypatch.setattr(cli, "_cmd_bern", lambda args, out: pytest.fail("the command ran past a refused --out"))
+        target = tmp_path / path
+        err = f"error: cannot write --out {cli._brief(str(target), repr)}: {os.strerror(code)}\n"
+        assert run(capsys, "--out", str(target), "bern", "num", "2000") == (2, "", err)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_at_the_write_is_refused(self, capsys, tmp_path):
+        # a parent that is a file passes the check before the work; the open fails and is refused
+        (tmp_path / "f").write_text("")
+        target = tmp_path / "f" / "x.txt"
+        err = f"error: cannot write --out {cli._brief(str(target), repr)}: {os.strerror(errno.ENOTDIR)}\n"
         assert run(capsys, "--out", str(target), "bern", "num", "4") == (2, "", err)
 
     def test_refused_command_leaves_the_file_untouched(self, capsys, tmp_path):

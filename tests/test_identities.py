@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 from fractions import Fraction
@@ -386,6 +387,20 @@ class TestKaneko:
                 operator_route(k, 2 * k)
 
 
+    def test_differing_routes_are_an_internal_error(self, monkeypatch):
+        # the operator plus the identity adds (k+1)! [T^(k+1)] e^T B = B_(k+1)(1), 1/6 at k = 1
+        real = kaneko_operator
+        monkeypatch.setattr(identities, "kaneko_operator", lambda k: real(k) + WeylOp({0: Poly.one()}))
+        with pytest.raises(RuntimeError, match="routes differ"):
+            verify_kaneko(1)
+
+    def test_tampered_table_fails_without_an_error(self, monkeypatch):
+        # both routes read the same table, so a wrong B_4 moves both and the report holds a nonzero sum
+        tamper_bernoulli(monkeypatch, 4, F(999))
+        report = verify_kaneko(2)
+        assert not report.verified and report.lhs_value != 0 and report.rhs_value == 0
+
+
 class TestStirlingAndDerivatives:
     def test_stirling_gf(self):
         assert verify_stirling_gf(1, 2).verified  # n < k gives 0 = 0
@@ -574,3 +589,59 @@ class TestCrossRoute:
             )
             assert ident.lhs_value() == direct_lhs
             assert ident.lhs_value() == ident.rhs_value()
+
+
+class TestRegistry:
+    def test_every_verify_function_is_registered_in_declaration_order(self):
+        functions = [fn for attr, fn in vars(identities).items() if attr.startswith("verify_")]
+        assert list(identities.IDENTITY_REGISTRY.values()) == functions
+
+    @pytest.mark.parametrize("name", list(identities.IDENTITY_REGISTRY))
+    def test_report_carries_the_registry_name_and_parameters(self, name):
+        """Drift guard: the report names the family as the registry does and carries exactly the
+        positional parameters of its definition, in order, each at the value it was given."""
+        fn = identities.IDENTITY_REGISTRY[name]
+        declared = inspect.signature(fn).parameters.values()
+        positional = [p.name for p in declared if p.kind is p.POSITIONAL_OR_KEYWORD]
+        args = [F(1, 2) if least is None else least for least in fn.params.values()]
+        report = fn(*args)
+        assert report.name == name and report.verified
+        assert [k for k, _ in report.params] == positional == list(fn.params)
+        assert [v for _, v in report.params] == args
+        assert all(v.__class__ is Fraction for _, v in report.params)
+
+    @pytest.mark.parametrize("name", list(identities.IDENTITY_REGISTRY))
+    def test_integer_below_its_least_value_is_refused(self, name):
+        fn = identities.IDENTITY_REGISTRY[name]
+        smallest = {p: F(1, 2) if least is None else least for p, least in fn.params.items()}
+        for pname, least in fn.params.items():
+            if least is not None:
+                args = [least - 1 if p == pname else v for p, v in smallest.items()]
+                with pytest.raises(ValueError, match=f"^{name} requires {pname} >= {least}$"):
+                    fn(*args)
+
+    def test_rational_parameter_is_passed_as_a_fraction(self):
+        assert verify_multiplication(3, 2, 1) == verify_multiplication(3, 2, F(1))
+        assert verify_lowering(2, 3, -1).params == (("n", F(2)), ("i", F(3)), ("a", F(-1)))
+
+    def test_arguments_are_positional(self):
+        with pytest.raises(TypeError, match="takes 1 positional arguments, got 0"):
+            verify_euler(m=2)
+        with pytest.raises(TypeError, match="takes 3 positional arguments, got 2"):
+            verify_lowering(1, 1)
+
+    def test_declaration(self, monkeypatch):
+        """A family is declared by its definition alone; a least value must name an integer parameter."""
+
+        def verify_nothing(n: int, a, *, bound: int = 3):  # an annotation here is the class int itself
+            return F(n), a + bound
+
+        monkeypatch.setattr(identities, "IDENTITY_REGISTRY", {})
+        for least in ({"a": 1}, {"m": 1}):
+            with pytest.raises(TypeError, match="has no integer parameter"):
+                identities._identity("nothing", **least)(verify_nothing)
+        assert identities.IDENTITY_REGISTRY == {}
+        fn = identities._identity("nothing", n=2)(verify_nothing)
+        assert identities.IDENTITY_REGISTRY == {"nothing": fn} and fn.__name__ == "verify_nothing"
+        assert (fn.params, fn.options) == ({"n": 2, "a": None}, {"bound": 3})
+        assert fn(3, 0, bound=3) == IdentityReport("nothing", (("n", F(3)), ("a", F(0))), F(3), F(3), True)

@@ -176,6 +176,20 @@ class TestBernoulliValues:
             ser = bernoulli_power_series(n, i) * exp_series(x, i)
             assert bernoulli_poly_value(n, i, x) == ser.coeff(i) * factorial(i)
 
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda: bernoulli_polynomial(-1),
+            lambda: bernoulli_poly_value(1, -1, 0),
+            lambda: bernoulli_poly_value(2, -3, Fraction(1, 2)),
+            lambda: series.poly_value_numerator(1, -1, 1, 2),
+        ],
+    )
+    def test_negative_index_refused(self, read):
+        # a negative index once read entries off the end of the row, or none
+        with pytest.raises(ValueError, match="Bernoulli index must be nonnegative"):
+            read()
+
     def test_bernoulli_polynomial_golden(self):
         assert bernoulli_polynomial(0) == Poly.one()
         assert bernoulli_polynomial(1) == Poly([Fraction(-1, 2), 1])
