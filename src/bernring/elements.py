@@ -12,9 +12,9 @@ Whether two elements denote the same Laurent series is a semantic question:
 distinct atom combinations can (e.g. B*e^T and B + T), and ``equals`` decides
 it.  As the stored form is canonical, equal stored forms settle it at once;
 only distinct ones are subtracted and put to the zero test.  The exact zero
-test multiplies by enough factors of (e^{bT} - 1) to clear every B; what is
-left is again an element, of atoms T^m e^{aT}, and it vanishes iff it has no
-terms, because distinct T^m e^{aT} are linearly independent over Q.
+test multiplies by enough factors of (e^{bT} - 1) to clear every B, in
+integers; what is left is a sum of terms T^m e^{aT}, and it vanishes iff every
+coefficient is 0, because distinct T^m e^{aT} are linearly independent over Q.
 """
 
 from __future__ import annotations
@@ -86,6 +86,17 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
     return (num // g, den // g) if g != 1 else (num, den)
 
 
+def _times_exp_minus_one(row: Mapping[int, int], step: int, k: int) -> dict[int, int]:
+    """The terms {A a: c} of sum c e^{aT}, times (e^{bT}-1)^k for step = A b: each term
+    shifted by r steps and weighted C(k, r) (-1)^(k-r), r = 0..k.  Entries can cancel to 0."""
+    out: dict[int, int] = {}
+    for r in range(k + 1):
+        w = math.comb(k, r) * (-1) ** (k - r)
+        for shift, c in row.items():
+            out[shift + r * step] = out.get(shift + r * step, 0) + w * c
+    return out
+
+
 class BElement(Frozen):
     """Finite Q-linear combination of atoms; the empty combination is zero.
 
@@ -121,9 +132,6 @@ class BElement(Frozen):
     @staticmethod
     def zero() -> "BElement":
         return BElement()
-
-    def is_structurally_zero(self) -> bool:
-        return not self.nums
 
     def __add__(self, other: "BElement") -> "BElement":
         den = math.lcm(self.den, other.den)
@@ -190,46 +198,36 @@ class BElement(Frozen):
             parts.append((v * h, self.den * d * (ad * bd) ** j * math.factorial(j)))
         return fraction_sum(parts)
 
-    def to_exp_poly(self) -> tuple["BElement", str]:
-        """Clear all B-factors: x*D as an element of atoms T^m e^{aT}, and a description of D.
-
-        D = prod over distinct scales b of (e^{bT}-1)^{M_b}, M_b the largest B-power at that
-        scale, is a unit multiple of a monomial in the Laurent field, and distinct T^m e^{aT}
-        are linearly independent over Q; so x == 0 iff x*D has no terms.  The shifts are summed
-        as integers over the lcm A of their denominators and the scales', the coefficients over
-        den times the lcm of the b.den^n.
-        """
+    def _cleared(self) -> tuple[dict[tuple[int, int], int], int, int]:
+        """x*D in integers: the map (A a, m) -> c with x*D = sum (c / d) T^m e^{aT}, and A and d.  D = prod
+        over the scales b of (e^{bT}-1)^{M_b}, M_b the largest B-power at b, is a unit times a monomial in the
+        Laurent field and the T^m e^{aT} are linearly independent over Q, so x == 0 iff every c is 0.  A is the
+        lcm of the shifts' and scales' denominators, d = den times the lcm of the b.den^n."""
         max_power: dict[tuple[int, int], int] = {}  # by the scale as an integer pair
         for at in self.nums:
             if at.n >= 1:
                 max_power[at.bn, at.bd] = max(max_power.get((at.bn, at.bd), 0), at.n)
         shift_den = math.lcm(*(at.ad for at in self.nums), *(bd for _, bd in max_power))
         coeff_den = math.lcm(*(at.bd**at.n for at in self.nums))
-        cleared: dict[tuple[int, int], int] = {}  # (A a, m) -> coefficient of T^m e^{aT}
+        cleared: dict[tuple[int, int], int] = {}
         for (bn, bd, n, m, an, ad), v in self.nums.items():
-            # B(bT)^n * (e^{bT}-1)^n = (bT)^n; leftover factors expand binomially
-            base = {an * (shift_den // ad): v * bn**n * (coeff_den // bd**n)}
-            for (sn, sd), mult in max_power.items():
-                k = mult - n if (sn, sd) == (bn, bd) else mult  # n = 0 gives mult either way
-                if k == 0:
-                    continue
-                step, grown = sn * (shift_den // sd), {}
-                for r in range(k + 1):
-                    w = math.comb(k, r) * (-1) ** (k - r)
-                    for shift, c in base.items():
-                        grown[shift + r * step] = grown.get(shift + r * step, 0) + w * c
-                base = grown
-            for shift, c in base.items():
-                key = (shift, m + n)
-                cleared[key] = cleared.get(key, 0) + c
-        terms = {_new(Atom, (1, 1, 0, m, *_reduced(shift, shift_den))): c for (shift, m), c in cleared.items() if c}
-        scales = sorted((Fraction(*scale), mult) for scale, mult in max_power.items())
-        desc = " * ".join(f"(e^{{{scale}T}}-1)^{mult}" for scale, mult in scales)
-        return BElement(terms, self.den * coeff_den), (desc or "1")
+            # B(bT)^n * (e^{bT}-1)^n = (bT)^n; the leftover factors are expanded
+            row = {an * (shift_den // ad): v * bn**n * (coeff_den // bd**n)}
+            for (sn, sd), mult in max_power.items():  # n = 0 leaves mult factors at every scale
+                row = _times_exp_minus_one(row, sn * (shift_den // sd), mult - n if (sn, sd) == (bn, bd) else mult)
+            for shift, c in row.items():
+                cleared[shift, m + n] = cleared.get((shift, m + n), 0) + c
+        return cleared, shift_den, self.den * coeff_den
+
+    def to_exp_poly(self) -> "BElement":
+        """x*D as an element of atoms T^m e^{aT}, D the product of :meth:`_cleared`."""
+        cleared, shift_den, den = self._cleared()
+        return BElement({_new(Atom, (1, 1, 0, m, *_reduced(shift, shift_den))): c
+                         for (shift, m), c in cleared.items() if c}, den)
 
     def is_zero(self) -> bool:
         """Exact zero test (sound and complete on the whole space)."""
-        return not self.nums or self.to_exp_poly()[0].is_structurally_zero()
+        return not any(self._cleared()[0].values())
 
     def equals(self, other: "BElement") -> bool:
         """Semantic equality: the two elements denote the same Laurent series.  Equal stored forms need

@@ -20,7 +20,8 @@ single-atom base (it inverts T-powers, exponentials and B-factors exactly).  A
 product whose operands' largest B-powers add up to more than
 ``MAX_PRODUCT_POWER``, or with a pair of atoms of distinct scales whose rewrite
 measure is past ``MAX_PRODUCT_MEASURE``, is refused before it is reduced; a
-power counts as the product of its factors one at a time.
+power counts as the product of its factors one at a time.  So is a product past
+``MAX_PRODUCT_PAIRS`` atom pairs, counted over all products of the parse.
 
 Multiplication of elements is the exact ring product (fully reduced), so every
 parsed expression is again a plain element.  A power of one atom is read in
@@ -58,6 +59,13 @@ MAX_PRODUCT_POWER = 12
 #: in fresh interpreters, start-up counted for the command only, five sets of four; Python 3.11 on
 #: a shared 2-core x86_64 host whose speed varied by up to half between sets)
 MAX_PRODUCT_MEASURE = 180
+
+#: the most atom pairs that the products of one parse multiply, all products counted.  ``(B(2T)*(e^{T}+...
+#: +e^{NT}))*(B(3T)*(e^{1/7T}+...+e^{N/7T}))`` makes N^2 + 2N: N = 800 took 35.7 s before the cap; N = 140
+#: (19,880), the slowest of these accepted, takes 0.5-0.85 s as a cold ``reduce product`` (single runs;
+#: Python 3.11 on a shared 2-core x86_64 host).  A pair is not weighed by its rewrite: each shift a in
+#: ``B(2/3T)^6*(...+e^{aT}+...)*B(7/4T)^6`` is one pair at the measure cap, about 36 ms in-process
+MAX_PRODUCT_PAIRS = 20_000
 
 #: the deepest nesting of ``d[...]``.  Each derivative raises the B-power by one and widens the
 #: T-powers, and no product cap sees a derivative alone.  Of the inputs tried, the slowest accepted,
@@ -116,6 +124,7 @@ class _Parser:
         self.index = 0
         self.depth = 0  # of the d[...] the cursor is in
         self.nesting = 0  # of the (...) and d[...] the cursor is in
+        self.pairs = 0  # of atoms, multiplied by product_reduce so far in this parse
 
     def peek(self):
         return self.tokens[self.index]
@@ -165,7 +174,7 @@ class _Parser:
             elif rest is None:
                 rest, rest_caps = factor, factor_caps
             else:
-                rest, rest_caps = product_reduce(rest, factor), None
+                rest, rest_caps = self.product(rest, factor), None
             if self.peek()[1] != "*":
                 break
             self.advance()
@@ -193,6 +202,13 @@ class _Parser:
         )
         if measure > MAX_PRODUCT_MEASURE:
             self.fail(f"rewrite measure {measure} of a product is past the cap of {MAX_PRODUCT_MEASURE}")
+
+    def product(self, x: BElement, y: BElement) -> BElement:
+        """x*y, refused if it takes the atom pairs multiplied in this parse past ``MAX_PRODUCT_PAIRS``."""
+        self.pairs += len(x.nums) * len(y.nums)
+        if self.pairs > MAX_PRODUCT_PAIRS:
+            self.fail(f"atom-pair count {self.pairs} of the products is past the cap of {MAX_PRODUCT_PAIRS}")
+        return product_reduce(x, y)
 
     def unary(self) -> BElement:
         """A power after a run of minuses, read in a loop so that no run is too long to parse."""
@@ -300,14 +316,15 @@ class _Parser:
 def _element_power(base: BElement, exponent: int, parser: _Parser) -> BElement:
     if exponent < 0:
         if len(base.nums) != 1:
-            parser.fail("negative powers are only defined for a single generator term")
+            parser.fail("negative powers are only defined for a single generator term" if base.nums
+                        else "zero has no negative power")
         ((at, coeff),) = base.terms.items()
         base, exponent = invert_term(at, coeff), -exponent
     if len(base.nums) != 1:
         result, caps = from_scalar(1), _scales(base)
         for _ in range(exponent):
             parser.check_caps(_scales(result), caps)
-            result = product_reduce(result, base)
+            result = parser.product(result, base)
         return result
     # (c T^m B(bT)^n e^{aT})^k = c^k T^(km) B(bT)^(kn) e^{kaT}, refused where the products one factor
     # at a time would be: at the first step past the cap, B(bT)^(n floor(cap / n)) times B(bT)^n

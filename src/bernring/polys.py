@@ -184,12 +184,6 @@ class Poly(Frozen):
             return self.coeffs[exponent]
         return Fraction(0)
 
-    @property
-    def leading(self) -> Fraction:
-        if not self.nums:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __bool__(self) -> bool:
         return bool(self.nums)
 
@@ -326,7 +320,7 @@ def gcd_ext(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
         r0, r1 = r1, rem
         u0, u1 = u1, u0 - quot * u1
         v0, v1 = v1, v0 - quot * v1
-    lead = r0.leading
+    lead = r0.coeffs[-1]
     return r0 / lead, u0 / lead, v0 / lead
 
 

@@ -24,7 +24,7 @@ from itertools import repeat
 from operator import add, mul
 from typing import Iterator, Mapping
 
-from .elements import Atom, BElement, _new, _reduced, b_element, render_atom
+from .elements import Atom, BElement, _new, _reduced, _times_exp_minus_one, b_element, render_atom
 from .partfrac import g_pair, h_f
 from .polys import TEXT, Frozen, Poly, Style
 from .weyl import WeylOp, derivative_of_element
@@ -377,12 +377,9 @@ def _rewrite_step(r: int, factors: dict[int, int], row: tuple) -> list[tuple]:
 def invert_term(at: Atom, coeff: Fraction) -> BElement:
     """(coeff T^m B(bT)^n e^{aT})^-1 = T^-(m+n) e^{-aT} (e^{bT} - 1)^n / (coeff b^n), expanded into n = 0 atoms."""
     bn, bd, n, m, an, ad = at
-    num, den = bd**n * coeff.denominator, bn**n * coeff.numerator
-    terms = {}
-    for j in range(n + 1):  # C(n, j) (-1)^(n-j) num/den at e^{(jb - a)T}, num/den = 1/(coeff b^n)
-        key = _new(Atom, (1, 1, 0, -m - n, *_reduced(j * bn * ad - an * bd, bd * ad)))
-        terms[key] = (-1) ** (n - j) * math.comb(n, j) * num
-    return BElement(terms, den)
+    row = _times_exp_minus_one({-an * bd: bd**n * coeff.denominator}, bn * ad, n)  # shifts over bd ad
+    return BElement({_new(Atom, (1, 1, 0, -m - n, *_reduced(shift, bd * ad))): c for shift, c in row.items()},
+                    bn**n * coeff.numerator)
 
 
 def negative_power_expand(k: int) -> BElement:

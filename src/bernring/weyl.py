@@ -63,16 +63,8 @@ class WeylOp(Frozen):
         return WeylOp()
 
     @staticmethod
-    def identity() -> "WeylOp":
-        return WeylOp({0: Poly.one()})
-
-    @staticmethod
     def d(order: int = 1) -> "WeylOp":
         return WeylOp({order: Poly.one()})
-
-    @staticmethod
-    def t_power(k: int) -> "WeylOp":
-        return WeylOp({0: Poly.monomial(k)})
 
     # -- algebra -------------------------------------------------------------
 

@@ -483,7 +483,7 @@ def left_divide_t_power_by_polys(op: WeylOp, k: int) -> WeylOp | None:
 
 def lowering_chain_by_products(n: int, b: Fraction, a: Fraction) -> WeylOp:
     """L(n-1) * ... * L(1), multiplied from the left end, with nothing reused."""
-    chain = WeylOp.identity()
+    chain = WeylOp.d(0)
     for j in range(n - 1, 0, -1):
         chain = chain * lowering_op(j, b, a)
     return chain
@@ -494,7 +494,7 @@ def lowering_chain(n: int, b: Fraction, a: Fraction, chains: dict[tuple, WeylOp]
     start = n
     while start > 1 and (start, b, a) not in chains:
         start -= 1
-    chain = chains.get((start, b, a), WeylOp.identity())
+    chain = chains.get((start, b, a), WeylOp.d(0))
     for j in range(start, n):
         chain = lowering_op(j, b, a) * chain
         chains[(j + 1, b, a)] = chain
@@ -506,7 +506,7 @@ def reduce_to_first_order_by_chains(x: BElement) -> DCombination:
     buckets: dict[tuple[int, Fraction, Fraction], dict[int, WeylOp]] = {}
     chains: dict[tuple, WeylOp] = {}
     for at, c in x.terms.items():
-        chain = lowering_chain(at.n, at.b, at.a, chains) if at.n >= 1 else WeylOp.identity()
+        chain = lowering_chain(at.n, at.b, at.a, chains) if at.n >= 1 else WeylOp.d(0)
         gen_n = 1 if at.n >= 1 else 0
         slot = buckets.setdefault((gen_n, at.b if gen_n else Fraction(1), at.a), {})
         if at.m >= 0:
@@ -525,7 +525,7 @@ def reduce_to_first_order_by_chains(x: BElement) -> DCombination:
         else:
             total = WeylOp.zero()
             for m, op in slots.items():
-                total = total + WeylOp.t_power(m - m_min) * op
+                total = total + WeylOp({0: Poly.monomial(m - m_min)}) * op
             divided = total.left_divide_t_power(-m_min)
             total, gen_m = (divided, 0) if divided is not None else (total, m_min)
         if not total.is_zero():
@@ -549,7 +549,7 @@ def f_n_by_recursion(n: int) -> dict[tuple[int, int], Fraction]:
     return f
 
 
-def exp_poly_by_nested_dicts(x: BElement) -> tuple[dict[Fraction, dict[int, Fraction]], str]:
+def exp_poly_by_nested_dicts(x: BElement) -> dict[Fraction, dict[int, Fraction]]:
     """x*D as {a: {m: coefficient of T^m e^{aT}}}, with D = prod over scales b of (e^{bT}-1)^{M_b},
     cleared one atom and one scale at a time; rows and entries that vanish are pruned."""
     max_power: dict[Fraction, int] = {}
@@ -577,8 +577,7 @@ def exp_poly_by_nested_dicts(x: BElement) -> tuple[dict[Fraction, dict[int, Frac
             row = epoly.setdefault(shift, {})
             row[tpow] = row.get(tpow, Fraction(0)) + coeff
     pruned = {shift: {e: c for e, c in row.items() if c} for shift, row in epoly.items()}
-    desc = " * ".join(f"(e^{{{scale}T}}-1)^{mult}" for scale, mult in sorted(max_power.items()))
-    return {shift: row for shift, row in pruned.items() if row}, (desc or "1")
+    return {shift: row for shift, row in pruned.items() if row}
 
 
 def exact_div(p: Poly, q: Poly) -> Poly:
@@ -837,7 +836,7 @@ def derivative_by_fractions(x: BElement) -> dict[Atom, Fraction]:
     return {at: c for at, c in terms.items() if c}
 
 
-def to_exp_poly_by_fractions(x: BElement) -> tuple[dict[Atom, Fraction], str]:
+def to_exp_poly_by_fractions(x: BElement) -> dict[Atom, Fraction]:
     """x*D with D = prod over scales b of (e^{bT}-1)^{M_b}, one Fraction per shift and T-power."""
     max_power: dict[Fraction, int] = {}
     for at in x.terms:
@@ -860,8 +859,18 @@ def to_exp_poly_by_fractions(x: BElement) -> tuple[dict[Atom, Fraction], str]:
         for shift, coeff in base.items():
             key = (shift, at.m + at.n)
             cleared[key] = cleared.get(key, Fraction(0)) + coeff
-    desc = " * ".join(f"(e^{{{scale}T}}-1)^{mult}" for scale, mult in sorted(max_power.items()))
-    return {Atom(Fraction(1), 0, m, a): c for (a, m), c in cleared.items() if c}, (desc or "1")
+    return {Atom(Fraction(1), 0, m, a): c for (a, m), c in cleared.items() if c}
+
+
+def invert_term_by_binomials(at: Atom, coeff: Fraction) -> BElement:
+    """(coeff T^m B(bT)^n e^{aT})^-1 by its own binomial loop over (e^{bT} - 1)^n, one atom per j."""
+    bn, bd, n, m, an, ad = at
+    num, den = bd**n * coeff.denominator, bn**n * coeff.numerator
+    terms = {}
+    for j in range(n + 1):  # C(n, j) (-1)^(n-j) num/den at e^{(jb - a)T}, num/den = 1/(coeff b^n)
+        key = Atom(Fraction(1), 0, -m - n, Fraction(j * bn * ad - an * bd, bd * ad))
+        terms[key] = (-1) ** (n - j) * math.comb(n, j) * num
+    return BElement(terms, den)
 
 
 def product_reduce_by_fraction_pairs(x: BElement, y: BElement) -> dict[Atom, Fraction]:
@@ -917,6 +926,12 @@ def semantic_element_by_fractions(combo: DCombination) -> dict[Atom, Fraction]:
     return {at: c for at, c in out.items() if c}
 
 
+def product_of_sums(n: int) -> str:
+    """(B(2T)*(e^{T}+...+e^{nT}))*(B(3T)*(e^{1/7T}+...+e^{n/7T})), whose products multiply n^2 + 2n atom pairs."""
+    first, second = ("+".join(f"e^{{{k}{d}T}}" for k in range(1, n + 1)) for d in ("", "/7"))
+    return f"(B(2T)*({first}))*(B(3T)*({second}))"
+
+
 def tokenize_by_matches(text: str) -> list[tuple]:
     """The tokens of ``text`` by one anchored match at each position, as the tokenizer read them before
     it took one pass of ``finditer``."""
@@ -961,6 +976,8 @@ def power_by_products(base: BElement, exponent: int, parser: "LeftFoldParser") -
         for _ in range(exponent):
             result = parser.product(result, base)
         return result
+    if not base.nums:
+        parser.fail("zero has no negative power")
     if len(base.nums) != 1:
         parser.fail("negative powers are only defined for a single generator term")
     ((at, coeff),) = base.terms.items()

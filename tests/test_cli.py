@@ -17,6 +17,7 @@ from bernring.exprparse import (
     MAX_EXPONENT,
     MAX_NESTING_DEPTH,
     MAX_PRODUCT_MEASURE,
+    MAX_PRODUCT_PAIRS,
     MAX_PRODUCT_POWER,
     parse_element,
 )
@@ -27,7 +28,7 @@ from bernring.series import (
     bernoulli_polynomial,
     bernoulli_power_series,
 )
-from conftest import staudt_clausen_denominator, tamper_bernoulli
+from conftest import product_of_sums, staudt_clausen_denominator, tamper_bernoulli
 
 
 def run(capsys, *argv):
@@ -148,6 +149,9 @@ class TestSizeCaps:
             (["reduce", "product", nested_d(100, "B(2T)^6*B(3T)")], MAX_DERIVATIVE_DEPTH),
             (["reduce", "product", "(" * 200 + "B" + ")" * 200], MAX_NESTING_DEPTH),
             (["reduce", "product", "(" * 200 + "B" + ")" * 200, "--to-first-order"], MAX_NESTING_DEPTH),
+            (["reduce", "product", product_of_sums(800)], MAX_PRODUCT_PAIRS),
+            (["reduce", "product", product_of_sums(141), "--to-first-order"], MAX_PRODUCT_PAIRS),
+            (["reduce", "product", " + ".join([product_of_sums(80)] * 4)], MAX_PRODUCT_PAIRS),
         ],
     )
     def test_refused_past_cap(self, capsys, argv, cap):
@@ -159,6 +163,12 @@ class TestSizeCaps:
         scale = (MAX_PRODUCT_MEASURE - 6) // 6  # B(T)^6 B(pT)^6 starts at measure 6 + 6p
         code, out, _ = run(capsys, "reduce", "product", f"B(T)^6*B({scale}T)^6", "--to-first-order")
         assert code == 0 and out.startswith("[")
+
+    def test_product_at_the_pair_cap(self, capsys):
+        n = 140  # the largest n with n^2 + 2n at most the cap
+        assert n * n + 2 * n <= MAX_PRODUCT_PAIRS < (n + 1) ** 2 + 2 * (n + 1)
+        code, out, _ = run(capsys, "reduce", "product", product_of_sums(n))
+        assert code == 0 and out.count("*e^{") > 2 * n
 
     def test_deepest_derivative(self, capsys):
         text = nested_d(MAX_DERIVATIVE_DEPTH, "B(2T)^6*B(3T)")
@@ -460,6 +470,11 @@ class TestReduce:
         code, out, err = run(capsys, "reduce", "product", expr, "--to-first-order")
         assert code == 2 and out == ""
         assert f"zero denominator in {expr[column - 1:column + 2]!r} at column {column}" in err
+
+    @pytest.mark.parametrize("expr", ["0^-1", "(B-B)^-1", "B*(T-T)^{-2}"])
+    def test_negative_power_of_zero_refused(self, capsys, expr):
+        code, out, err = run(capsys, "reduce", "product", expr)
+        assert code == 2 and out == "" and "zero has no negative power" in err
 
     def test_latex_emission(self, capsys):
         _, out, _ = run(capsys, "--format", "latex", "reduce", "product", "B(2T)*B(3T)")

@@ -5,21 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bernring import exprparse
 from bernring.elements import BElement, atom, b_element, from_scalar, t_element
 from bernring.exprparse import (
     MAX_DERIVATIVE_DEPTH,
     MAX_EXPONENT,
     MAX_NESTING_DEPTH,
+    MAX_PRODUCT_PAIRS,
     MAX_PRODUCT_POWER,
     MAX_RATIONAL_DIGITS,
     ExprError,
+    _Parser,
     _tokenize,
     parse_element,
 )
 from bernring.reduction import negative_power_expand, product_reduce
 from bernring.selftest import random_element
 from bernring.weyl import derivative_of_element
-from conftest import equals_by_subtraction, parse_by_left_fold, tokenize_by_matches
+from conftest import equals_by_subtraction, parse_by_left_fold, product_of_sums, tokenize_by_matches
 
 F = Fraction
 
@@ -369,3 +372,51 @@ class TestNumberDigits:
         with pytest.raises(ExprError, match="^zero denominator in ") as err:
             parse_element("B+1/" + "0" * 5000)
         assert err.value.pos == 2
+
+
+class TestPairCap:
+    @pytest.mark.parametrize(
+        "text, pairs",
+        [
+            ("B(2T)*B(3T)", 1),
+            ("B(5T)^3*T*e^{T}", 0),  # a power of one atom and monomial factors multiply no pair
+            ("(B + T)^3", 2 + 4 + 6),
+            ("B(2T)*B(3T) + B(2T)*B(5T)", 2),
+            ("d[B(2T)*B(3T)]*B", 1 + len(parse_element("d[B(2T)*B(3T)]").nums)),
+            (product_of_sums(10), 120),
+            ("(B(2T)+B(3T)+B(5T)+B(7T)+B(11T)+B(13T))^6", 7050),
+        ],
+    )
+    def test_pairs_counted_over_the_whole_parse(self, text, pairs):
+        parser = _Parser(text)
+        parser.parse()
+        assert parser.pairs == pairs
+
+    @pytest.mark.parametrize(
+        "text, last",
+        [
+            (product_of_sums(141), 141 * 141),
+            (product_of_sums(800), 800 * 800),
+            (" + ".join([product_of_sums(80)] * 4), 80 * 80),  # the last product of the fourth sum
+            ("(B(2T)*(" + "+".join(f"e^{{{k}T}}" for k in range(1, 151)) + "))^2", 150 * 150),  # the square
+        ],
+    )
+    def test_refused_at_the_product_past_the_cap(self, monkeypatch, text, last):
+        """The product that takes the count past the cap, of ``last`` pairs, is refused before it is reduced."""
+        seen, reduce = [], exprparse.product_reduce
+        monkeypatch.setattr(exprparse, "product_reduce", lambda x, y: seen.append(len(x.nums) * len(y.nums)) or reduce(x, y))
+        with pytest.raises(ExprError) as err:
+            parse_element(text)
+        pairs = sum(seen) + last
+        assert sum(seen) <= MAX_PRODUCT_PAIRS < pairs
+        assert str(err.value) == f"atom-pair count {pairs} of the products is past the cap of {MAX_PRODUCT_PAIRS}"
+
+
+class TestNegativePowerOfZero:
+    @pytest.mark.parametrize("text, pos", [("0^-1", 4), ("(B-B)^-1", 8), ("B*(T-T)^{-2}*B(2T)", 12), ("(0*B)^-6", 8)])
+    def test_refused_after_the_exponent(self, text, pos):
+        assert parsed_or_refused(parse_element, text) == ("zero has no negative power", pos)
+        assert_folds_agree(text)
+
+    def test_zero_to_a_nonnegative_power(self):
+        assert parse_element("0^0") == from_scalar(1) and parse_element("(B-B)^3") == BElement.zero()

@@ -121,7 +121,7 @@ class TestRingAxioms:
             return
         g, u, v = gcd_ext(p, q)
         assert u * p + v * q == g
-        assert g.is_zero() or g.leading == 1
+        assert g.is_zero() or g.coeffs[-1] == 1
         if not p.is_zero():
             assert divmod(p, g)[1].is_zero()
         if not q.is_zero():

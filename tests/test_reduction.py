@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bernring import reduction
+from bernring import elements, reduction
 from bernring.elements import Atom, BElement, atom, b_element, from_scalar
 from bernring.exprparse import parse_element
 from bernring.identities import verify_agoh_dilcher_example, verify_lowering
@@ -44,6 +44,7 @@ from conftest import (
     fold_derivative_of_element,
     fold_product_reduce,
     fold_semantic_element,
+    invert_term_by_binomials,
     lowering_chain,
     lowering_chain_by_products,
     polys,
@@ -130,7 +131,7 @@ class TestReduceToFirstOrder:
         el = atom(-1, 1, 1, 0)
         combo = reduce_to_first_order(el)
         gen = Atom(b=F(1), n=1, m=-1, a=F(0))
-        assert combo.entries == {gen: WeylOp.identity()}
+        assert combo.entries == {gen: WeylOp.d(0)}
         assert combo.semantic_element().equals(el)
 
 
@@ -190,6 +191,32 @@ class TestNegativePowers:
             ser = gf.expand(12)
             for n in range(13):
                 assert ser.coeff(n) == Fraction(stirling(n, k)) / factorial(n)
+
+
+class TestInvertTermAgainstBinomials:
+    """``invert_term`` through the (e^{bT} - 1)^n expansion it shares with the zero test, against
+    its own binomial loop."""
+
+    @given(
+        st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9),
+        st.integers(0, 12),
+        st.integers(-3, 3),
+        small_rationals,
+        small_rationals.filter(bool),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_terms(self, b, n, m, a, c):
+        at = Atom(b=b if n else F(1), n=n, m=m, a=a)
+        assert invert_term(at, c) == invert_term_by_binomials(at, c)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_fixed_grid(self, n):
+        huge = F(12345678901234567890, 98765432109876543211)
+        for b in (F(1), F(2), F(7, 3), huge) if n else (F(1),):
+            for a in (F(0), F(1, 3), F(-5, 2), -huge):
+                for c in (F(1), F(-3, 4), huge):
+                    at = Atom(b=b, n=n, m=2, a=a)
+                    assert invert_term(at, c) == invert_term_by_binomials(at, c), (b, a, c)
 
 
 class TestStirling:
@@ -573,6 +600,22 @@ def test_fraction_constructions_on_the_grid_path(monkeypatch):
     made, reads = fractions_made(op, monkeypatch)
     assert 0 < made <= GRID_FRACTION_CEILING, f"{made} Fractions made on the grid path"
     assert reads == 0, f"{reads} Fraction views of atoms read on the grid path"
+
+
+def test_zero_test_builds_no_fraction_and_no_atom(monkeypatch):
+    """A warm ``is_zero`` reads the integer clearing map only (one Fraction a scale, and an atom a
+    term, while it built the element of ``to_exp_poly`` and the description of D)."""
+    known_zero, nonzero = parse_element("B*e^{T} - B - T"), parse_element("B(2T)^2*e^{1/2T} - 3*B(3/2T) + T")
+
+    def op():
+        return known_zero.is_zero() and not nonzero.is_zero()
+
+    made, reads = fractions_made(op, monkeypatch)
+    assert made == 0, f"{made} Fractions made by the zero test"
+    assert reads == 0, f"{reads} Fraction views of atoms read by the zero test"
+    built = []
+    monkeypatch.setattr(elements, "_new", lambda cls, fields: built.append(fields) or tuple.__new__(cls, fields))
+    assert op() and not built, f"{len(built)} atoms built by the zero test"
 
 
 @pytest.mark.parametrize("text, calls", [(COUNT_ANCHOR, 1), ("B(5T)^3", 0), ("(B + T)^3", 3)])

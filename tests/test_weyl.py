@@ -13,7 +13,7 @@ from bernring.weyl import WeylOp, derivative_of_atom, derivative_of_element
 from conftest import fold_apply_series, left_divide_t_power_by_polys, polys, weyl_rows_by_passes, window
 
 D = WeylOp.d()
-T_OP = WeylOp.t_power(1)
+T_OP = WeylOp({0: Poly.monomial(1)})
 
 
 class TestAlgebra:
@@ -25,14 +25,14 @@ class TestAlgebra:
 
     def test_commutation(self):
         assert D * T_OP == WeylOp({0: Poly.one(), 1: Poly.monomial(1)})
-        assert D * T_OP - T_OP * D == WeylOp.identity()
+        assert D * T_OP - T_OP * D == WeylOp.d(0)
 
     def test_composition(self):
         td = T_OP * D
         assert td * td == WeylOp({1: Poly.monomial(1), 2: Poly.monomial(2)})
         p = WeylOp({0: Poly([1, -2]), 3: Poly([0, 0, Fraction(1, 2)])})
-        assert p * WeylOp.identity() == p
-        assert WeylOp.identity() * p == p
+        assert p * WeylOp.d(0) == p
+        assert WeylOp.d(0) * p == p
 
     def test_render(self):
         op = WeylOp({0: Poly([1, -1]), 1: Poly.monomial(1, -1)})
@@ -79,7 +79,7 @@ class TestIntegerRows:
     @given(weyl_parts, st.integers(0, 3))
     @settings(max_examples=50, deadline=None)
     def test_left_divide_t_power_matches_polys(self, parts, j):
-        op = WeylOp.t_power(j) * WeylOp(parts)
+        op = WeylOp({0: Poly.monomial(j)}) * WeylOp(parts)
         for k in range(j + 3):
             assert op.left_divide_t_power(k) == left_divide_t_power_by_polys(op, k)
 
@@ -98,7 +98,7 @@ class TestSeriesAction:
 
     def test_identity_action(self):
         x = bernoulli_series(9)
-        assert WeylOp.identity().apply_series(x).same_up_to(x, 9)
+        assert WeylOp.d(0).apply_series(x).same_up_to(x, 9)
 
     def test_representation_property(self):
         ok, detail = check_weyl_representation()
@@ -158,7 +158,7 @@ class TestElementAction:
         assert op.apply_element(b_element()).equals(atom(0, 2, 1, 0))
 
     def test_apply_zero_and_t(self):
-        assert WeylOp.zero().apply_element(b_element()).is_structurally_zero()
+        assert not WeylOp.zero().apply_element(b_element()).nums
         assert T_OP.apply_element(b_element()) == atom(1, 1, 1, 0)
 
     def test_action_compatibility_random(self):
