@@ -25,7 +25,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .polys import TEXT, Frozen, Style, _as_fraction, _ratio, join_signed, lowest_terms, scaled
+from .polys import TEXT, Frozen, Style, _as_fraction, _ratio, join_signed, lowest_terms, scaled, subtract
 from .series import (
     TruncatedSeries,
     bernoulli_power_series,
@@ -143,18 +143,11 @@ class BElement(Frozen):
     def __neg__(self) -> "BElement":
         return BElement({at: -v for at, v in self.nums.items()}, self.den)
 
-    def __sub__(self, other: "BElement") -> "BElement":
-        return self + (-other)
+    __sub__ = subtract
 
     def scale(self, c) -> "BElement":
         num, den = _ratio(c)
         return BElement({at: num * v for at, v in self.nums.items()}, self.den * den)
-
-    def __eq__(self, other) -> bool:
-        """Structural equality (same atoms, same coefficients); use equals() for semantic."""
-        if not isinstance(other, BElement):
-            return NotImplemented
-        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
         if self._hash is None:  # computed once: the element is immutable
@@ -163,9 +156,7 @@ class BElement(Frozen):
 
     def mul_monomial(self, k: int, a_shift=0) -> "BElement":
         """Multiply by T^k * e^{a_shift T}, a_shift an int or a Fraction: a pure shift of every atom."""
-        sn, sd = _ratio(a_shift)
-        return BElement({_new(Atom, (bn, bd, n, m + k, *_reduced(an * sd + sn * ad, ad * sd))): v
-                         for (bn, bd, n, m, an, ad), v in self.nums.items()}, self.den)
+        return times_monomial(self, atom(k, 0, 1, a_shift))
 
     def atoms(self) -> Iterator[tuple[Atom, Fraction]]:
         return iter(sorted(self.terms.items(), key=lambda item: item[0].key()))
@@ -219,12 +210,6 @@ class BElement(Frozen):
                 cleared[shift, m + n] = cleared.get((shift, m + n), 0) + c
         return cleared, shift_den, self.den * coeff_den
 
-    def to_exp_poly(self) -> "BElement":
-        """x*D as an element of atoms T^m e^{aT}, D the product of :meth:`_cleared`."""
-        cleared, shift_den, den = self._cleared()
-        return BElement({_new(Atom, (1, 1, 0, m, *_reduced(shift, shift_den))): c
-                         for (shift, m), c in cleared.items() if c}, den)
-
     def is_zero(self) -> bool:
         """Exact zero test (sound and complete on the whole space)."""
         return not any(self._cleared()[0].values())
@@ -276,6 +261,13 @@ def atom(m: int, n: int, b, a=0) -> BElement:
     bn = -bn  # the atoms of the binomial expansion have distinct B-powers j, over the common bd^n
     return BElement({_new(Atom, (bn, bd, j, m + n - j, an, ad) if j else (1, 1, 0, m + n, an, ad)):
                      math.comb(n, j) * bn ** (n - j) * bd**j for j in range(n + 1)}, bd**n)
+
+
+def times_monomial(x: BElement, y: BElement) -> BElement:
+    """x*y for y a monomial c T^k e^{sT}, one atom of B-power 0: every atom of x scaled and shifted, in one pass."""
+    ((_, _, _, k, sn, sd), c), = y.nums.items()
+    return BElement({_new(Atom, (bn, bd, n, m + k, *_reduced(an * sd + sn * ad, ad * sd))): v * c
+                     for (bn, bd, n, m, an, ad), v in x.nums.items()}, x.den * y.den)
 
 
 def from_scalar(c) -> BElement:

@@ -20,8 +20,8 @@ single-atom base (it inverts T-powers, exponentials and B-factors exactly).  A
 product whose operands' largest B-powers add up to more than
 ``MAX_PRODUCT_POWER``, or with a pair of atoms of distinct scales whose rewrite
 measure is past ``MAX_PRODUCT_MEASURE``, is refused before it is reduced; a
-power counts as the product of its factors one at a time.  So is a product past
-``MAX_PRODUCT_PAIRS`` atom pairs, counted over all products of the parse.
+power counts as the product of its factors one at a time.  So is a product past ``MAX_PRODUCT_PAIRS``
+atom pairs or ``MAX_REWRITE_WORK`` rewrite work, each counted over all products of the parse.
 
 Multiplication of elements is the exact ring product (fully reduced), so every
 parsed expression is again a plain element.  A power of one atom is read in
@@ -34,7 +34,7 @@ import math
 import re
 from fractions import Fraction
 
-from .elements import Atom, BElement, _new, _reduced, atom, from_scalar
+from .elements import Atom, BElement, _new, _reduced, atom, from_scalar, times_monomial
 from .reduction import invert_term, product_reduce
 from .weyl import derivative_of_element
 
@@ -63,9 +63,15 @@ MAX_PRODUCT_MEASURE = 180
 #: the most atom pairs that the products of one parse multiply, all products counted.  ``(B(2T)*(e^{T}+...
 #: +e^{NT}))*(B(3T)*(e^{1/7T}+...+e^{N/7T}))`` makes N^2 + 2N: N = 800 took 35.7 s before the cap; N = 140
 #: (19,880), the slowest of these accepted, takes 0.5-0.85 s as a cold ``reduce product`` (single runs;
-#: Python 3.11 on a shared 2-core x86_64 host).  A pair is not weighed by its rewrite: each shift a in
-#: ``B(2/3T)^6*(...+e^{aT}+...)*B(7/4T)^6`` is one pair at the measure cap, about 36 ms in-process
+#: Python 3.11 on a shared 2-core x86_64 host).  A pair counts one here; ``MAX_REWRITE_WORK`` weighs its rewrite
 MAX_PRODUCT_PAIRS = 20_000
+
+#: the most rewrite work of the products of one parse, measure^2 for each row ``product_reduce`` rewrites
+#: (``_rows``): a row takes 0.03 s at measure 144, 0.04-0.07 s at 174 and 0.27-0.29 s at 600.  Each shift of
+#: ``B(2/3T)^6*(e^{1/13T}+...+e^{1/(12+N)T})*B(7/4T)^6`` is a row at 174: N = 16 (484,416) takes 0.63-0.65 s,
+#: N = 17 is refused (the pair cap let 10,000 through), and ``(B(2T)+B(3T)+...+B(13T))^6`` (324,310) takes
+#: 0.09-0.13 s (in-process, best and worst of three; Python 3.11 on a shared 2-core x86_64 host)
+MAX_REWRITE_WORK = 500_000
 
 #: the deepest nesting of ``d[...]``.  Each derivative raises the B-power by one and widens the
 #: T-powers, and no product cap sees a derivative alone.  Of the inputs tried, the slowest accepted,
@@ -125,6 +131,7 @@ class _Parser:
         self.depth = 0  # of the d[...] the cursor is in
         self.nesting = 0  # of the (...) and d[...] the cursor is in
         self.pairs = 0  # of atoms, multiplied by product_reduce so far in this parse
+        self.work = 0  # of those products, measure^2 a row (_rows)
 
     def peek(self):
         return self.tokens[self.index]
@@ -166,15 +173,15 @@ class _Parser:
         factor is still checked against the caps as it comes, as the product so far has the atoms of
         the rest, shifted, or, while there is no rest, no B-factor.  Each operand's ``_scales`` is read once."""
         rest = monomial = None
-        rest_caps, factor_caps = set(), None  # _scales of the rest (empty while there is none; None until read)
+        rest_caps, factor_caps = {}, None  # _scales of the rest (empty while there is none; None until read)
         factor = self.unary()
         while True:
             if len(factor.nums) == 1 and next(iter(factor.nums)).n == 0:
-                monomial = factor if monomial is None else _times_monomial(monomial, factor)
+                monomial = factor if monomial is None else times_monomial(monomial, factor)
             elif rest is None:
                 rest, rest_caps = factor, factor_caps
             else:
-                rest, rest_caps = self.product(rest, factor), None
+                rest, rest_caps = self.product(rest, factor, rest_caps, factor_caps), None
             if self.peek()[1] != "*":
                 break
             self.advance()
@@ -187,27 +194,27 @@ class _Parser:
             return rest
         if rest is None:
             return monomial
-        return _times_monomial(rest, monomial)
+        return times_monomial(rest, monomial)
 
-    def check_caps(self, xs: set[tuple[int, int, int]], ys: set[tuple[int, int, int]]) -> None:
+    def check_caps(self, xs: dict, ys: dict) -> None:
         """Refuse the product of two operands, given by their ``_scales``, if it is past
         ``MAX_PRODUCT_POWER`` or ``MAX_PRODUCT_MEASURE``."""
         total = sum(max((n for _, _, n in z), default=0) for z in (xs, ys))
         if total > MAX_PRODUCT_POWER:
             self.fail(f"B-power {total} of a product is past the cap of {MAX_PRODUCT_POWER}")
-        measure = max(  # q (b1 n1 + b2 n2) for b1 = p1 / d1, b2 = p2 / d2 and q = lcm(d1, d2)
-            (math.lcm(d1, d2) * (p1 * n1 * d2 + p2 * n2 * d1) // (d1 * d2)
-             for p1, d1, n1 in xs for p2, d2, n2 in ys if (p1, d1) != (p2, d2)),
-            default=0,
-        )
+        measure = max((_measure(s, t) for s in xs for t in ys if s[:2] != t[:2]), default=0)
         if measure > MAX_PRODUCT_MEASURE:
             self.fail(f"rewrite measure {measure} of a product is past the cap of {MAX_PRODUCT_MEASURE}")
 
-    def product(self, x: BElement, y: BElement) -> BElement:
-        """x*y, refused if it takes the atom pairs multiplied in this parse past ``MAX_PRODUCT_PAIRS``."""
+    def product(self, x: BElement, y: BElement, xs: dict, ys: dict) -> BElement:
+        """x*y, of ``_scales`` xs and ys, refused past ``MAX_PRODUCT_PAIRS``, then ``MAX_REWRITE_WORK``."""
         self.pairs += len(x.nums) * len(y.nums)
         if self.pairs > MAX_PRODUCT_PAIRS:
             self.fail(f"atom-pair count {self.pairs} of the products is past the cap of {MAX_PRODUCT_PAIRS}")
+        self.work += sum(_rows(sa, ta, math.lcm(s[1], t[1])) * _measure(s, t) ** 2
+                         for s, sa in xs.items() for t, ta in ys.items() if s[:2] != t[:2])
+        if self.work > MAX_REWRITE_WORK:
+            self.fail(f"rewrite work {self.work} of the products is past the cap of {MAX_REWRITE_WORK}")
         return product_reduce(x, y)
 
     def unary(self) -> BElement:
@@ -323,30 +330,39 @@ def _element_power(base: BElement, exponent: int, parser: _Parser) -> BElement:
     if len(base.nums) != 1:
         result, caps = from_scalar(1), _scales(base)
         for _ in range(exponent):
-            parser.check_caps(_scales(result), caps)
-            result = parser.product(result, base)
+            parser.check_caps(summary := _scales(result), caps)
+            result = parser.product(result, base, summary, caps)
         return result
     # (c T^m B(bT)^n e^{aT})^k = c^k T^(km) B(bT)^(kn) e^{kaT}, refused where the products one factor
     # at a time would be: at the first step past the cap, B(bT)^(n floor(cap / n)) times B(bT)^n
     ((bn, bd, n, m, an, ad), v), = base.nums.items()
     k = exponent
     if n * k > MAX_PRODUCT_POWER:
-        parser.check_caps({(bn, bd, MAX_PRODUCT_POWER // n * n)}, {(bn, bd, n)})
+        parser.check_caps({(bn, bd, MAX_PRODUCT_POWER // n * n): []}, {(bn, bd, n): []})
     if not n * k:  # an atom with n = 0 has b = 1
         bn = bd = 1
     return BElement({_new(Atom, (bn, bd, n * k, m * k, *_reduced(an * k, ad))): v**k}, base.den**k)
 
 
-def _times_monomial(x: BElement, y: BElement) -> BElement:
-    """x*y for y a monomial c T^k e^{sT}, one atom of B-power 0: every atom of x scaled and shifted, in one pass."""
-    ((_, _, _, k, sn, sd), c), = y.nums.items()
-    return BElement({_new(Atom, (bn, bd, n, m + k, *_reduced(an * sd + sn * ad, ad * sd))): v * c
-                     for (bn, bd, n, m, an, ad), v in x.nums.items()}, x.den * y.den)
+def _scales(x: BElement) -> dict:
+    """The cap summary of x: the (m, an, ad) of its atoms with n >= 1, by scale and B-power (bn, bd, n)."""
+    summary: dict = {}
+    for bn, bd, n, m, an, ad in x.nums:
+        if n:
+            summary.setdefault((bn, bd, n), []).append((m, an, ad))
+    return summary
 
 
-def _scales(x: BElement) -> set[tuple[int, int, int]]:
-    """The cap summary of x: the scale and B-power (bn, bd, n) of each of its atoms with n >= 1."""
-    return {(bn, bd, n) for bn, bd, n, _, _, _ in x.nums if n}
+def _measure(x: tuple, y: tuple) -> int:
+    """q (b1 n1 + b2 n2) of B(b1 T)^n1 and B(b2 T)^n2 given as (p1, d1, n1) and (p2, d2, n2), q = lcm(d1, d2)."""
+    (p1, d1, n1), (p2, d2, n2) = x, y
+    return math.lcm(d1, d2) * (p1 * n1 * d2 + p2 * n2 * d1) // (d1 * d2)
+
+
+def _rows(xa: list, ya: list, q: int) -> int:
+    """At most how many rows of ``product_reduce``, one T-power m1 + m2 and one shift a1 + a2 mod 1/q each, the pairs
+    of atoms (m, an, ad) of xa and ya fall on, q the lcm of their two scales' denominators."""
+    return math.prod(len({(m, _reduced(an * q % ad, ad)) for m, an, ad in atoms}) for atoms in (xa, ya))
 
 
 def parse_element(text: str) -> BElement:

@@ -119,6 +119,19 @@ def common_numerators(values: list[Fraction]) -> tuple[int, list[int]]:
     return d, [x.numerator * (d // x.denominator) for x in values]
 
 
+@property
+def fraction_view(self) -> tuple[Fraction, ...]:
+    """``coeffs`` of ``Poly`` and ``TruncatedSeries``: ``nums`` over ``den`` as Fractions, kept in ``_coeffs``."""
+    if self._coeffs is None:
+        return self._keep("_coeffs", tuple(Fraction(n, self.den) for n in self.nums))
+    return self._coeffs
+
+
+def subtract(self, other):
+    """``self + (-other)``: the ``-`` of ``Poly``, ``BElement`` and ``WeylOp``."""
+    return self + (-other)
+
+
 class Poly(Frozen):
     """Dense univariate polynomial with exact rational coefficients.
 
@@ -142,12 +155,7 @@ class Poly(Frozen):
             nums, den = tuple(n // g for n in nums), den // g
         self._init(nums, den, None)
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as Fractions, built on first use and kept."""
-        if self._coeffs is None:
-            return self._keep("_coeffs", tuple(Fraction(n, self.den) for n in self.nums))
-        return self._coeffs
+    coeffs = fraction_view
 
     @staticmethod
     def zero() -> "Poly":
@@ -187,12 +195,8 @@ class Poly(Frozen):
     def __bool__(self) -> bool:
         return bool(self.nums)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.den == other.den and self.nums == other.nums
+    def __eq__(self, other) -> bool:  # Frozen's, with a scalar read as a constant
+        return Frozen.__eq__(self, Poly.const(other) if isinstance(other, (int, Fraction)) else other)
 
     def __hash__(self) -> int:
         return hash(("Poly", self.den, self.nums))
@@ -215,12 +219,7 @@ class Poly(Frozen):
     def __neg__(self) -> "Poly":
         return Poly([-v for v in self.nums], self.den)
 
-    def __sub__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
+    __sub__ = subtract
 
     def __rsub__(self, other) -> "Poly":
         return (-self) + other

@@ -19,7 +19,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .polys import Frozen, Poly, _as_fraction, _ratio, common_numerators, factorial, lowest_terms
+from .polys import Frozen, Poly, _as_fraction, _ratio, common_numerators, factorial, fraction_view, lowest_terms
 
 class InsufficientBoundError(Exception):
     """A coefficient past the guaranteed order bound was requested."""
@@ -62,12 +62,7 @@ class TruncatedSeries(Frozen):
             nums, den = tuple(n // g for n in nums), den // g
         self._init(low, nums, bound, den, None)
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The stored coefficients as Fractions, built on first use and kept."""
-        if self._coeffs is None:
-            return self._keep("_coeffs", tuple(Fraction(n, self.den) for n in self.nums))
-        return self._coeffs
+    coeffs = fraction_view
 
     # -- constructors ------------------------------------------------------
 

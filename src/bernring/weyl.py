@@ -12,7 +12,7 @@ import math
 from typing import Mapping
 
 from .elements import Atom, BElement, _new
-from .polys import TEXT, Frozen, Poly, Style, binomial, format_poly, join_signed, lowest_terms, scaled
+from .polys import TEXT, Frozen, Poly, Style, binomial, format_poly, join_signed, lowest_terms, scaled, subtract
 from .series import TruncatedSeries
 
 
@@ -56,28 +56,17 @@ class WeylOp(Frozen):
         """The parts {derivative order: Poly in T}, a view built on each read."""
         return {k: Poly(row, self.den) for k, row in self.rows.items()}
 
-    # -- constructors --------------------------------------------------------
+    # -- algebra -------------------------------------------------------------
 
     @staticmethod
     def zero() -> "WeylOp":
         return WeylOp()
-
-    @staticmethod
-    def d(order: int = 1) -> "WeylOp":
-        return WeylOp({order: Poly.one()})
-
-    # -- algebra -------------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.rows
 
     def order(self) -> int:
         return max(self.rows) if self.rows else -1
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeylOp):
-            return NotImplemented
-        return self.den == other.den and self.rows == other.rows
 
     def __hash__(self):
         return hash((self.den, frozenset(self.rows.items())))
@@ -91,8 +80,7 @@ class WeylOp(Frozen):
     def __neg__(self) -> "WeylOp":
         return WeylOp({k: -f for k, f in self.parts.items()})
 
-    def __sub__(self, other: "WeylOp") -> "WeylOp":
-        return self + (-other)
+    __sub__ = subtract
 
     def scale(self, c) -> "WeylOp":
         return WeylOp({k: f * c for k, f in self.parts.items()})
@@ -181,16 +169,13 @@ class WeylOp(Frozen):
 
 
 def derivative_of_atom(at: Atom) -> BElement:
-    """d/dT of one generator, as an element.
-
-    Uses the first-order derivative formula for B(bT)^n e^{aT} (which produces
-    the n/T, -nb and -(n/T) B^(n+1) terms) together with the product rule for
-    the T^m prefactor.
-    """
+    """d/dT of one generator, as an element."""
     return derivative_of_element(BElement({at: 1}, 1))
 
 
 def derivative_of_element(x: BElement) -> BElement:
+    """d/dT by the first-order formula for B(bT)^n e^{aT}, which gives the n/T, -nb and -(n/T) B^(n+1)
+    terms, and the product rule for the T^m factor."""
     terms: dict[Atom, int] = {}  # numerators over x.den den, den the lcm of the a.den b.den
     den = math.lcm(*(at.ad * at.bd for at in x.nums))
     for (bn, bd, n, m, an, ad), v in x.nums.items():

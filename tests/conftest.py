@@ -483,7 +483,7 @@ def left_divide_t_power_by_polys(op: WeylOp, k: int) -> WeylOp | None:
 
 def lowering_chain_by_products(n: int, b: Fraction, a: Fraction) -> WeylOp:
     """L(n-1) * ... * L(1), multiplied from the left end, with nothing reused."""
-    chain = WeylOp.d(0)
+    chain = WeylOp({0: Poly.one()})
     for j in range(n - 1, 0, -1):
         chain = chain * lowering_op(j, b, a)
     return chain
@@ -494,7 +494,7 @@ def lowering_chain(n: int, b: Fraction, a: Fraction, chains: dict[tuple, WeylOp]
     start = n
     while start > 1 and (start, b, a) not in chains:
         start -= 1
-    chain = chains.get((start, b, a), WeylOp.d(0))
+    chain = chains.get((start, b, a), WeylOp({0: Poly.one()}))
     for j in range(start, n):
         chain = lowering_op(j, b, a) * chain
         chains[(j + 1, b, a)] = chain
@@ -506,7 +506,7 @@ def reduce_to_first_order_by_chains(x: BElement) -> DCombination:
     buckets: dict[tuple[int, Fraction, Fraction], dict[int, WeylOp]] = {}
     chains: dict[tuple, WeylOp] = {}
     for at, c in x.terms.items():
-        chain = lowering_chain(at.n, at.b, at.a, chains) if at.n >= 1 else WeylOp.d(0)
+        chain = lowering_chain(at.n, at.b, at.a, chains) if at.n >= 1 else WeylOp({0: Poly.one()})
         gen_n = 1 if at.n >= 1 else 0
         slot = buckets.setdefault((gen_n, at.b if gen_n else Fraction(1), at.a), {})
         if at.m >= 0:
@@ -836,6 +836,13 @@ def derivative_by_fractions(x: BElement) -> dict[Atom, Fraction]:
     return {at: c for at, c in terms.items() if c}
 
 
+def exp_poly(x: BElement) -> BElement:
+    """x*D as an element of atoms T^m e^{aT}, built from the integer map of ``x._cleared()``."""
+    cleared, shift_den, den = x._cleared()
+    terms = {Atom(Fraction(1), 0, m, Fraction(shift, shift_den)): c for (shift, m), c in cleared.items() if c}
+    return BElement(terms, den)
+
+
 def to_exp_poly_by_fractions(x: BElement) -> dict[Atom, Fraction]:
     """x*D with D = prod over scales b of (e^{bT}-1)^{M_b}, one Fraction per shift and T-power."""
     max_power: dict[Fraction, int] = {}
@@ -930,6 +937,11 @@ def product_of_sums(n: int) -> str:
     """(B(2T)*(e^{T}+...+e^{nT}))*(B(3T)*(e^{1/7T}+...+e^{n/7T})), whose products multiply n^2 + 2n atom pairs."""
     first, second = ("+".join(f"e^{{{k}{d}T}}" for k in range(1, n + 1)) for d in ("", "/7"))
     return f"(B(2T)*({first}))*(B(3T)*({second}))"
+
+
+def product_per_shift(n: int) -> str:
+    """B(2/3T)^6*(e^{1/13T}+...+e^{1/(12+n)T})*B(7/4T)^6, whose last product rewrites n rows of measure 174."""
+    return "B(2/3T)^6*(" + "+".join(f"e^{{1/{k}T}}" for k in range(13, 13 + n)) + ")*B(7/4T)^6"
 
 
 def tokenize_by_matches(text: str) -> list[tuple]:

@@ -19,6 +19,7 @@ from bernring.exprparse import (
     MAX_PRODUCT_MEASURE,
     MAX_PRODUCT_PAIRS,
     MAX_PRODUCT_POWER,
+    MAX_REWRITE_WORK,
     parse_element,
 )
 from bernring.reduction import product_reduce
@@ -28,7 +29,7 @@ from bernring.series import (
     bernoulli_polynomial,
     bernoulli_power_series,
 )
-from conftest import product_of_sums, staudt_clausen_denominator, tamper_bernoulli
+from conftest import product_of_sums, product_per_shift, staudt_clausen_denominator, tamper_bernoulli
 
 
 def run(capsys, *argv):
@@ -152,6 +153,7 @@ class TestSizeCaps:
             (["reduce", "product", product_of_sums(800)], MAX_PRODUCT_PAIRS),
             (["reduce", "product", product_of_sums(141), "--to-first-order"], MAX_PRODUCT_PAIRS),
             (["reduce", "product", " + ".join([product_of_sums(80)] * 4)], MAX_PRODUCT_PAIRS),
+            (["reduce", "product", product_per_shift(40), "--to-first-order"], MAX_REWRITE_WORK),
         ],
     )
     def test_refused_past_cap(self, capsys, argv, cap):

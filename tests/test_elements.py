@@ -21,6 +21,7 @@ from bernring.weyl import derivative_of_element
 from conftest import (
     FractionAtom,
     coeff_by_expansion,
+    exp_poly,
     exp_poly_by_nested_dicts,
     fold_expand,
     fraction_terms_mul_monomial,
@@ -51,9 +52,9 @@ def coefficient_elements(draw):
 
 
 def cleared_rows(x: BElement) -> dict:
-    """``to_exp_poly`` of x as {a: {m: coefficient of T^m e^{aT}}}, checking that every atom has n = 0."""
+    """``exp_poly`` of x as {a: {m: coefficient of T^m e^{aT}}}, checking that every atom has n = 0."""
     rows: dict = {}
-    for at, c in x.to_exp_poly().terms.items():
+    for at, c in exp_poly(x).terms.items():
         assert at.n == 0 and at.b == 1
         rows.setdefault(at.a, {})[at.m] = c
     return rows
@@ -102,20 +103,20 @@ class TestAgainstFractionRoutes:
     @settings(max_examples=80, deadline=None)
     def test_to_exp_poly(self, x):
         terms = to_exp_poly_by_fractions(x)
-        assert_stored_as(x.to_exp_poly(), terms)
+        assert_stored_as(exp_poly(x), terms)
         assert x.is_zero() == (not terms)
 
     @pytest.mark.parametrize("x", FIXED_ELEMENTS)
     def test_to_exp_poly_fixed_grid(self, x):
         terms = to_exp_poly_by_fractions(x)
-        assert x.to_exp_poly() == BElement(terms)
+        assert exp_poly(x) == BElement(terms)
         assert x.is_zero() == (not terms)
 
     def test_known_zeros(self):
         rng = random.Random(16)
         for _ in range(60):
             x = _known_zero(rng)
-            assert not to_exp_poly_by_fractions(x) and x.to_exp_poly() == BElement.zero() and x.is_zero()
+            assert not to_exp_poly_by_fractions(x) and exp_poly(x) == BElement.zero() and x.is_zero()
             y = x + random_element(rng)
             assert y.is_zero() == (not to_exp_poly_by_fractions(y))
 
@@ -254,15 +255,15 @@ class TestCoeff:
 
 class TestExpPoly:
     def test_defining_identity(self):
-        assert b_element().to_exp_poly() == t_element()
+        assert exp_poly(b_element()) == t_element()
 
     def test_relation_clears_to_zero(self):
         rel = atom(0, 1, 1, 1) - b_element() - t_element()
-        assert not rel.to_exp_poly().nums
+        assert not exp_poly(rel).nums
 
     def test_inverse_b_as_exponentials(self):
         el = atom(-1, 0, 1, 1) - atom(-1, 0, 1, 0)
-        assert el.to_exp_poly() == el
+        assert exp_poly(el) == el
 
     @given(
         st.lists(
@@ -530,7 +531,6 @@ class TestAgainstFractionAtom:
         for built in (
             x.mul_monomial(k, shift),
             derivative_of_element(x),
-            x.to_exp_poly(),
             atom(k, 3, Fraction(-3, 2), shift),
             product_reduce(y, z),
             reduce_to_first_order(y).semantic_element(),

@@ -14,6 +14,7 @@ from bernring.exprparse import (
     MAX_PRODUCT_PAIRS,
     MAX_PRODUCT_POWER,
     MAX_RATIONAL_DIGITS,
+    MAX_REWRITE_WORK,
     ExprError,
     _Parser,
     _tokenize,
@@ -22,7 +23,13 @@ from bernring.exprparse import (
 from bernring.reduction import negative_power_expand, product_reduce
 from bernring.selftest import random_element
 from bernring.weyl import derivative_of_element
-from conftest import equals_by_subtraction, parse_by_left_fold, product_of_sums, tokenize_by_matches
+from conftest import (
+    equals_by_subtraction,
+    parse_by_left_fold,
+    product_of_sums,
+    product_per_shift,
+    tokenize_by_matches,
+)
 
 F = Fraction
 
@@ -410,6 +417,47 @@ class TestPairCap:
         pairs = sum(seen) + last
         assert sum(seen) <= MAX_PRODUCT_PAIRS < pairs
         assert str(err.value) == f"atom-pair count {pairs} of the products is past the cap of {MAX_PRODUCT_PAIRS}"
+
+
+class TestRewriteWorkCap:
+    @pytest.mark.parametrize(
+        "text, work",
+        [
+            ("B(2T)*B(3T)", 5**2),
+            ("B(5T)^3*T*e^{T}", 0),
+            ("(B + T)^3", 0),  # one scale
+            ("B(2T)*B(3T) + B(2T)*B(5T)", 5**2 + 7**2),
+            (product_of_sums(10), 7 * 5**2),  # the shifts k/7 fall on seven rows of one T-power
+            ("B(2/3T)^6*(T+T^2+T^3)*B(7/4T)^6", 3 * 174**2),  # a row a T-power
+            ("B(2/3T)^6*(e^{T}+e^{2T}+e^{3T})*B(7/4T)^6", 174**2),  # one row: the shifts are 0 mod 1/12
+            (product_per_shift(16), 16 * 174**2),  # a row a shift
+            ("(B(2T)+B(3T)+B(5T)+B(7T)+B(11T)+B(13T))^6", 324_310),
+        ],
+    )
+    def test_work_counted_over_the_whole_parse(self, text, work):
+        parser = _Parser(text)
+        parser.parse()
+        assert parser.work == work <= MAX_REWRITE_WORK
+
+    @pytest.mark.parametrize("shifts", [17, 40])
+    def test_refused_before_the_product_is_reduced(self, monkeypatch, shifts):
+        seen, reduce = [], exprparse.product_reduce
+        monkeypatch.setattr(exprparse, "product_reduce", lambda x, y: seen.append(len(x.nums) * len(y.nums)) or reduce(x, y))
+        with pytest.raises(ExprError) as err:
+            parse_element(product_per_shift(shifts))
+        assert seen == [shifts]  # the product by the sum of exponentials ran, the one by B(7/4T)^6 did not
+        work = shifts * 174**2
+        assert (16 + 1) * 174**2 > MAX_REWRITE_WORK >= 16 * 174**2
+        assert str(err.value) == f"rewrite work {work} of the products is past the cap of {MAX_REWRITE_WORK}"
+
+    def test_pair_cap_checked_first(self):
+        """A product past both caps, 150 rows of measure 174 from 150^2 atom pairs, is refused by its pairs."""
+        first = "+".join(f"e^{{1/{k}T}}" for k in range(13, 163))
+        second = "+".join(f"e^{{{k}T}}" for k in range(1, 151))
+        with pytest.raises(ExprError) as err:
+            parse_element(f"(B(2/3T)^6*({first}))*(B(7/4T)^6*({second}))")
+        assert str(err.value) == f"atom-pair count {150 + 150 + 150**2} of the products is past the cap of {MAX_PRODUCT_PAIRS}"
+        assert 150 * 174**2 > MAX_REWRITE_WORK
 
 
 class TestNegativePowerOfZero:

@@ -125,6 +125,18 @@ def test_frozen_is_the_one_class_that_defines_setattr():
     assert owners == [("polys.py", "Frozen")]
 
 
+def test_equality_is_bound_by_frozen_poly_and_series_only():
+    """Every other value compares its fields through ``Frozen.__eq__``: ``Poly`` also equals scalars, and a
+    series equals only itself."""
+    owners = sorted(
+        (module.name, node.name)
+        for module in SOURCES
+        for node in ast.walk(ast.parse(module.read_text()))
+        if isinstance(node, ast.ClassDef) and "__eq__" in class_bindings(node)
+    )
+    assert owners == [("polys.py", "Frozen"), ("polys.py", "Poly"), ("series.py", "TruncatedSeries")]
+
+
 def modules_loaded_by(statement: str) -> set[str]:
     """The modules a fresh interpreter adds to ``sys.modules`` while it runs ``statement``."""
     code = f"import sys\nbefore = set(sys.modules)\n{statement}\nprint(*sorted(set(sys.modules) - before))"
