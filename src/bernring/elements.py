@@ -23,7 +23,7 @@ import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .polys import TEXT, Frozen, Style, _as_fraction, _ratio, join_signed, lowest_terms, scaled, subtract
 from .series import (
@@ -86,15 +86,19 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
     return (num // g, den // g) if g != 1 else (num, den)
 
 
-def _times_exp_minus_one(row: Mapping[int, int], step: int, k: int) -> dict[int, int]:
-    """The terms {A a: c} of sum c e^{aT}, times (e^{bT}-1)^k for step = A b: each term
-    shifted by r steps and weighted C(k, r) (-1)^(k-r), r = 0..k.  Entries can cancel to 0."""
+def _shift_product(row: Mapping[int, int], terms: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """A sparse row {power of X: integer} times the polynomial sum v X^d of the integer terms (d, v), one term at
+    a time, so it costs the product of the two term counts, not the span of the powers.  Entries can cancel to 0."""
     out: dict[int, int] = {}
-    for r in range(k + 1):
-        w = math.comb(k, r) * (-1) ** (k - r)
+    for d, v in terms:
         for shift, c in row.items():
-            out[shift + r * step] = out.get(shift + r * step, 0) + w * c
+            out[shift + d] = out.get(shift + d, 0) + v * c
     return out
+
+
+def _times_exp_minus_one(row: Mapping[int, int], step: int, k: int) -> dict[int, int]:
+    """The terms {A a: c} of sum c e^{aT} times (e^{bT}-1)^k = sum C(k, r) (-1)^(k-r) X^(r step), step = A b."""
+    return _shift_product(row, [(r * step, math.comb(k, r) * (-1) ** (k - r)) for r in range(k + 1)])
 
 
 class BElement(Frozen):

@@ -17,7 +17,8 @@ deep, and ``(...)`` and ``d[...]`` together nest at most ``MAX_NESTING_DEPTH``
 deep.  Exponents are integers of absolute value at most ``MAX_EXPONENT``,
 optionally braced or parenthesized; a negative exponent is accepted on a
 single-atom base (it inverts T-powers, exponentials and B-factors exactly).  A
-product whose operands' largest B-powers add up to more than
+power of one atom whose T-power or coefficient size is past ``MAX_POWER_SIZE``
+is refused before it is formed.  A product whose operands' largest B-powers add up to more than
 ``MAX_PRODUCT_POWER``, or with a pair of atoms of distinct scales whose rewrite
 measure is past ``MAX_PRODUCT_MEASURE``, is refused before it is reduced; a
 power counts as the product of its factors one at a time.  So is a product past ``MAX_PRODUCT_PAIRS``
@@ -72,6 +73,14 @@ MAX_PRODUCT_PAIRS = 20_000
 #: N = 17 is refused (the pair cap let 10,000 through), and ``(B(2T)+B(3T)+...+B(13T))^6`` (324,310) takes
 #: 0.09-0.13 s (in-process, best and worst of three; Python 3.11 on a shared 2-core x86_64 host)
 MAX_REWRITE_WORK = 500_000
+
+#: the largest |T-power| k |m|, and coefficient size k (bits of the numerator or denominator of c), of a power
+#: (c T^m ...)^k of one atom, read in closed form: nested ``(...)^6`` multiply them by 6 a level.  Before the cap,
+#: seven levels of ``T`` (279,936) times ``B^6`` took 3.5 s as a cold ``reduce product ... --to-first-order``
+#: command and of ``2`` (279,942) 0.27 s; eight levels, 20 s and 4.4 s; nine levels of ``2`` ran past 60 s, and
+#: twelve of ``T`` times ``B`` asked ``_lowered`` for a list of 2.2 billion entries.  Six levels (46,656 and
+#: 46,662) take 0.55 s and 0.12 s (single runs; Python 3.11 on a shared 2-core x86_64 host)
+MAX_POWER_SIZE = 100_000
 
 #: the deepest nesting of ``d[...]``.  Each derivative raises the B-power by one and widens the
 #: T-powers, and no product cap sees a derivative alone.  Of the inputs tried, the slowest accepted,
@@ -339,6 +348,10 @@ def _element_power(base: BElement, exponent: int, parser: _Parser) -> BElement:
     k = exponent
     if n * k > MAX_PRODUCT_POWER:
         parser.check_caps({(bn, bd, MAX_PRODUCT_POWER // n * n): []}, {(bn, bd, n): []})
+    if abs(m * k) > MAX_POWER_SIZE:
+        parser.fail(f"T-power {m * k} of a power is past the cap of {MAX_POWER_SIZE}")
+    if (size := k * max(abs(v).bit_length(), base.den.bit_length())) > MAX_POWER_SIZE:
+        parser.fail(f"coefficient size {size} bits of a power is past the cap of {MAX_POWER_SIZE}")
     if not n * k:  # an atom with n = 0 has b = 1
         bn = bd = 1
     return BElement({_new(Atom, (bn, bd, n * k, m * k, *_reduced(an * k, ad))): v**k}, base.den**k)

@@ -141,10 +141,10 @@ def lemma_decompose(factors: list[tuple[int, int]]) -> list[tuple[Poly, int, int
             raise ValueError("factors must have positive scale and multiplicity")
         merged[k] = merged.get(k, 0) + n
     buckets: list[dict] = []
-    _push(buckets, -sum(merged.values()), merged, ([1], math.prod(k**n for k, n in merged.items()), 0))
+    _push(buckets, -sum(merged.values()), merged, ({0: 1}, math.prod(k**n for k, n in merged.items())))
     terms = []
-    for _, finished, (num, den, lo) in _drain(buckets):
+    for _, finished, (num, den) in _drain(buckets):
         ((m, l),) = finished.items()
-        if any(num):
-            terms.append((Poly([0] * lo + [m**l * v for v in num], den), m, l))
+        if any(num.values()):
+            terms.append((Poly([m**l * num.get(d, 0) for d in range(max(num) + 1)], den), m, l))
     return sorted(terms, key=lambda term: term[1:])

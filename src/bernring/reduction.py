@@ -24,7 +24,7 @@ from itertools import repeat
 from operator import add, mul
 from typing import Iterator, Mapping
 
-from .elements import Atom, BElement, _new, _reduced, _times_exp_minus_one, b_element, render_atom
+from .elements import Atom, BElement, _new, _reduced, _shift_product, _times_exp_minus_one, b_element, render_atom
 from .partfrac import g_pair, h_f
 from .polys import TEXT, Frozen, Poly, Style
 from .weyl import WeylOp, derivative_of_element
@@ -235,9 +235,9 @@ def product_reduce(x: BElement, y: BElement) -> BElement:
     A pair of atoms with distinct scales becomes a pending term c * U^r * X^sigma * e^{fT} *
     prod_p B(pU)^factors[p] in U = T/q and X = e^U, q the common denominator of its scales and
     0 <= f < 1/q.  The terms of all pairs with one (q, f) and one (r, factors) are one row: a
-    Laurent polynomial in X, kept as (integer numerators, one denominator, lowest power of X).
-    Coefficients are products of numerators, over x.den y.den and the lcm of the rows' denominators,
-    and each pair of shifts is added once.
+    Laurent polynomial in X, kept sparse as ({power of X: integer numerator}, one denominator), so
+    shifts far apart cost no more than near ones.  Coefficients are products of numerators, over
+    x.den y.den and the lcm of the rows' denominators, and each pair of shifts is added once.
     """
     out: dict[Atom, int] = {}  # numerators over x.den y.den
     pending: dict[tuple[int, int, int], list[dict]] = {}  # by q and f as a reduced integer pair
@@ -255,18 +255,18 @@ def product_reduce(x: BElement, y: BElement) -> BElement:
                     q = math.lcm(bd1, bd2)
                     sigma = an * q // ad
                     buckets = pending.setdefault((q, *_reduced(an * q - sigma * ad, ad * q)), [])
-                    row = ([c * q**m], 1, sigma) if m >= 0 else ([c], q**-m, sigma)
+                    row = ({sigma: c * q**m}, 1) if m >= 0 else ({sigma: c}, q**-m)
                     _push(buckets, m, {bn1 * (q // bd1): n1, bn2 * (q // bd2): n2}, row)
     drained = [(key, *step) for key, buckets in pending.items() for step in _drain(buckets)]
     # entry v of a row stands for v q^-r / den: over bottom, times q^-r if r < 0
-    bottoms = [den * q**r if r >= 0 else den for (q, _, _), r, _, (_, den, _) in drained]
+    bottoms = [den * q**r if r >= 0 else den for (q, _, _), r, _, (_, den) in drained]
     scale = math.lcm(*bottoms)
     if scale != 1:
         out = {at: v * scale for at, v in out.items()}
-    for ((q, fn, fd), r, factors, (num, _, lo)), bottom in zip(drained, bottoms):
+    for ((q, fn, fd), r, factors, (num, _)), bottom in zip(drained, bottoms):
         ((p, n),) = factors.items() or [(q, 0)]  # no factor left: the unit atom, b = 1
         (bn, bd), w = _reduced(p, q), (scale // bottom) * (q**-r if r < 0 else 1)
-        for sigma, v in enumerate(num, lo):
+        for sigma, v in num.items():
             if v:  # at e^{(f + sigma/q)T}
                 key = _new(Atom, (bn, bd, n, r, *_reduced(fn * q + sigma * fd, fd * q)))
                 out[key] = out.get(key, 0) + v * w
@@ -293,15 +293,15 @@ def _push(buckets: list[dict], r: int, factors: dict[int, int], row: tuple) -> N
 
 
 def _merged(x: tuple, y: tuple) -> tuple:
-    """The sum of two rows, over the lcm of their denominators and on one window, divided by the gcd."""
-    (xs, xd, xlo), (ys, yd, ylo) = x, y
-    den, lo = math.lcm(xd, yd), min(xlo, ylo)
-    total = [0] * (max(xlo + len(xs), ylo + len(ys)) - lo)
-    for vs, d, start in ((xs, xd, xlo - lo), (ys, yd, ylo - lo)):
-        end = start + len(vs)
-        total[start:end] = map(add, total[start:end], map(mul, vs, repeat(den // d)))
-    g = math.gcd(den, *total)
-    return [v // g for v in total], den // g, lo
+    """The sum of two rows ({power of X: numerator}, den), over the lcm of their denominators and divided
+    by the gcd; entries that cancel are dropped."""
+    (xs, xd), (ys, yd) = x, y
+    den = math.lcm(xd, yd)
+    total, f = {d: v * (den // xd) for d, v in xs.items()}, den // yd
+    for d, v in ys.items():
+        total[d] = total.get(d, 0) + v * f
+    g = math.gcd(den, *total.values())
+    return {d: v // g for d, v in total.items() if v}, den // g
 
 
 def _drain(buckets: list[dict]) -> Iterator[tuple]:
@@ -336,23 +336,12 @@ def _identity_terms(ps: int, pn: int, k: int) -> list[tuple[int, list[tuple[int,
     return out
 
 
-def _times(row: tuple, poly: tuple[int, list[tuple[int, int]]]) -> tuple:
-    """A row times a polynomial in X given as integer terms: one integer convolution."""
-    (num, den, lo), (pden, terms) = row, poly
-    first, size = terms[0][0], len(num)
-    out = [0] * (size + terms[-1][0] - first)
-    for d, v in terms:
-        d -= first
-        out[d : d + size] = map(add, out[d : d + size], map(mul, num, repeat(v)))
-    return out, den * pden, lo + first
-
-
 def _rewrite_step(r: int, factors: dict[int, int], row: tuple) -> list[tuple]:
     """Eliminate one pair of distinct scales from a pending row; returns the child rows.
 
     Scales live in units of U = T/q; a row holds the power of U (r), the multiset of remaining
-    B-factors {scale: power} and a polynomial in X = e^U, which each partial-fraction identity
-    multiplies by a fixed polynomial.  A child is ``(r, factors, row)``.
+    B-factors {scale: power} and a sparse polynomial in X = e^U, which each partial-fraction identity
+    multiplies by a fixed polynomial through ``_shift_product``.  A child is ``(r, factors, row)``.
     """
     scales = sorted(factors)
     pair = next(((s, big) for s in scales for big in scales if s != big and big % s == 0), None)
@@ -371,7 +360,8 @@ def _rewrite_step(r: int, factors: dict[int, int], row: tuple) -> list[tuple]:
         ell = math.gcd(ps, pn)
         children = [(r, {**rest, ell: rest.get(ell, 0) + 2}, row)]
         pieces = [(r + 1, with_pn, first), (r + 1, {**rest, ps: rest.get(ps, 0) + 1}, second)]
-    return children + [(s, fs, _times(row, poly)) for s, fs, poly in pieces if poly[1]]
+    num, den = row
+    return children + [(s, fs, (_shift_product(num, terms), den * pden)) for s, fs, (pden, terms) in pieces if terms]
 
 
 def invert_term(at: Atom, coeff: Fraction) -> BElement:

@@ -895,11 +895,11 @@ def product_reduce_by_fraction_pairs(x: BElement, y: BElement) -> dict[Atom, Fra
             q = math.lcm(at1.b.denominator, at2.b.denominator)
             sigma, c = math.floor(a * q), c * Fraction(q) ** m
             buckets = pending.setdefault((q, a - Fraction(sigma, q)), [])
-            _push(buckets, m, {int(at1.b * q): at1.n, int(at2.b * q): at2.n}, ([c.numerator], c.denominator, sigma))
+            _push(buckets, m, {int(at1.b * q): at1.n, int(at2.b * q): at2.n}, ({sigma: c.numerator}, c.denominator))
     for (q, f), buckets in pending.items():
-        for r, factors, (num, den, lo) in _drain(buckets):
+        for r, factors, (num, den) in _drain(buckets):
             ((p, n),) = factors.items() or [(q, 0)]
-            for sigma, v in enumerate(num, lo):
+            for sigma, v in num.items():
                 if v:
                     key, c = Atom(Fraction(p, q), n, r, f + Fraction(sigma, q)), Fraction(v, den) * Fraction(1, q) ** r
                     out[key] = out[key] + c if key in out else c
@@ -942,6 +942,11 @@ def product_of_sums(n: int) -> str:
 def product_per_shift(n: int) -> str:
     """B(2/3T)^6*(e^{1/13T}+...+e^{1/(12+n)T})*B(7/4T)^6, whose last product rewrites n rows of measure 174."""
     return "B(2/3T)^6*(" + "+".join(f"e^{{1/{k}T}}" for k in range(13, 13 + n)) + ")*B(7/4T)^6"
+
+
+def nested_power(base: str, levels: int) -> str:
+    """``base`` raised to the 6th power ``levels`` times over, ``((base)^6)^6...``: 6^levels in all."""
+    return "(" * levels + base + ")^6" * levels
 
 
 def tokenize_by_matches(text: str) -> list[tuple]:

@@ -16,6 +16,7 @@ from bernring.exprparse import (
     MAX_DERIVATIVE_DEPTH,
     MAX_EXPONENT,
     MAX_NESTING_DEPTH,
+    MAX_POWER_SIZE,
     MAX_PRODUCT_MEASURE,
     MAX_PRODUCT_PAIRS,
     MAX_PRODUCT_POWER,
@@ -29,7 +30,7 @@ from bernring.series import (
     bernoulli_polynomial,
     bernoulli_power_series,
 )
-from conftest import product_of_sums, product_per_shift, staudt_clausen_denominator, tamper_bernoulli
+from conftest import nested_power, product_of_sums, product_per_shift, staudt_clausen_denominator, tamper_bernoulli
 
 
 def run(capsys, *argv):
@@ -154,12 +155,34 @@ class TestSizeCaps:
             (["reduce", "product", product_of_sums(141), "--to-first-order"], MAX_PRODUCT_PAIRS),
             (["reduce", "product", " + ".join([product_of_sums(80)] * 4)], MAX_PRODUCT_PAIRS),
             (["reduce", "product", product_per_shift(40), "--to-first-order"], MAX_REWRITE_WORK),
+            (["reduce", "product", nested_power("2", 9)], MAX_POWER_SIZE),
+            (["reduce", "product", nested_power("T", 12) + "*B", "--to-first-order"], MAX_POWER_SIZE),
         ],
     )
     def test_refused_past_cap(self, capsys, argv, cap):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert f"past the cap of {cap}" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (nested_power("2", 9), f"coefficient size 279942 bits of a power is past the cap of {MAX_POWER_SIZE}"),
+            (nested_power("T", 12) + "*B", f"T-power 279936 of a power is past the cap of {MAX_POWER_SIZE}"),
+        ],
+    )
+    def test_nested_power_refused_at_its_column(self, capsys, text, message):
+        code, out, err = run(capsys, "reduce", "product", text, "--to-first-order")
+        column = text.index(")") + len(")^6") * 7 + 1  # after the seventh level
+        assert code == 2 and out == ""
+        assert err.splitlines()[0] == f"error: {message} at column {column}"
+
+    def test_largest_power_nesting(self, capsys):
+        code, out, _ = run(capsys, "reduce", "product", nested_power("T", 6) + "*B^6", "--to-first-order")
+        assert code == 0 and out.startswith("[") and "T^46656" in out
+        code, out, _ = run(capsys, "reduce", "product", nested_power("2", 6))
+        digits = out.rstrip("\n")  # 2^46656, past the 4,300 digits this process converts
+        assert code == 0 and len(digits) == 14045 and int(digits[-9:]) == pow(2, 6**6, 10**9)
 
     def test_product_at_the_measure_cap(self, capsys):
         scale = (MAX_PRODUCT_MEASURE - 6) // 6  # B(T)^6 B(pT)^6 starts at measure 6 + 6p

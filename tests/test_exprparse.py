@@ -11,6 +11,7 @@ from bernring.exprparse import (
     MAX_DERIVATIVE_DEPTH,
     MAX_EXPONENT,
     MAX_NESTING_DEPTH,
+    MAX_POWER_SIZE,
     MAX_PRODUCT_PAIRS,
     MAX_PRODUCT_POWER,
     MAX_RATIONAL_DIGITS,
@@ -25,6 +26,7 @@ from bernring.selftest import random_element
 from bernring.weyl import derivative_of_element
 from conftest import (
     equals_by_subtraction,
+    nested_power,
     parse_by_left_fold,
     product_of_sums,
     product_per_shift,
@@ -206,6 +208,25 @@ class TestAtomPower:
         message, _ = parsed_or_refused(parse_element, text)
         assert message == f"B-power {total} of a product is past the cap of {MAX_PRODUCT_POWER}"
         assert_folds_agree(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # seven levels raise 2^(6^6), of 6^6 + 1 bits, and T^(6^6) to the 6th
+            (nested_power("2", 9), f"coefficient size 279942 bits of a power is past the cap of {MAX_POWER_SIZE}"),
+            (nested_power("T", 12) + "*B", f"T-power 279936 of a power is past the cap of {MAX_POWER_SIZE}"),
+            (nested_power("T^-1", 7), f"T-power -279936 of a power is past the cap of {MAX_POWER_SIZE}"),
+            (nested_power("1/3", 7), f"coefficient size 443694 bits of a power is past the cap of {MAX_POWER_SIZE}"),
+        ],
+    )
+    def test_nested_power_refused_at_the_first_level_past_the_cap(self, text, message):
+        assert parsed_or_refused(parse_element, text) == (message, text.index(")") + len(")^6") * 7)
+
+    def test_largest_accepted_nesting(self):
+        for text, want in [(nested_power("2", 6), from_scalar(2 ** 6**6)),
+                           (nested_power("T", 6) + "*B", atom(6**6, 1, 1)),
+                           (nested_power("1/3", 6), from_scalar(F(1, 3 ** 6**6)))]:
+            assert parse_element(text) == want == parse_by_left_fold(text)
 
     @given(
         st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool),

@@ -448,7 +448,7 @@ class TestFastPathsAgainstOracles:
 
 # -- the integer atom-pair loop against the Fraction pair loop it replaced ----------------------
 
-WIDE_SHIFTS = (F(0), F(1), F(-1, 2), F(3, 2), F(-7, 5), F(1, 3), F(123456789, 1000003))
+WIDE_SHIFTS = (F(0), F(1), F(-1, 2), F(3, 2), F(-7, 5), F(1, 3), F(123456789, 1000003), F(10**19))
 wide_elements = st.dictionaries(
     st.builds(single_atom, st.integers(-4, 4), st.integers(0, 3), st.sampled_from(ORACLE_SCALES + (F(7), F(7, 4))), st.sampled_from(WIDE_SHIFTS)),
     small_rationals.filter(bool),
@@ -472,11 +472,13 @@ class TestIntegerPairLoop:
             ("e^{-1/2T}*T^3", "B(5/2T)^3 + B(5/2T)*e^{1/2T}"),
             ("B(7T)*e^{123456789/1000003T}", "B(1/3T)^2*T"),
             ("0", "B(2T)"),
+            ("B(2T)*(e^{T}+e^{10000000000000000000T})", "B(3T)"),  # shifts 10^19 apart in one row
         ],
     )
     def test_fixed_grid(self, left, right):
         x, y = parse_element(left), parse_element(right)
         assert product_reduce(x, y) == BElement(product_reduce_by_fraction_pairs(x, y))
+        assert product_reduce(x, y).terms == product_reduce_by_states(x, y).terms
         assert product_reduce(y, x) == product_reduce(x, y)
 
 
