@@ -162,14 +162,14 @@ def _combination_json(dc: DCombination) -> list[dict]:
 
 
 #: the largest index each ``bern`` command accepts, and the largest order of
-#: ``num-order``; B_2000 takes about 0.9 s and B^(20)_300 about 0.8 s on one core
+#: ``num-order``; cold, B_2000 takes about 0.7 s and B^(20)_300 about 0.1 s on one core
 INDEX_CAPS = {"num": 2000, "num-order": 300, "poly": 1000}
 MAX_ORDER = 20
 #: the largest ``--order`` (``verify f-derivative`` caps it jointly with n below)
 MAX_SERIES_ORDER = 200
-#: ``verify f-derivative`` at n reads n + 1 Nörlund rows to about ``--order`` + n entries, so
-#: n (order + n)^2 past this cap is refused: ``--n 0..60`` at the default order 30 (486,000) takes
-#: about 1.6 s and ``--order 200 --n 12`` (539,000) about 1.8 s, but ``--order 200 --n 1..60`` 40 s
+#: ``verify f-derivative`` at n expands f_n, whose atoms reach order n + 1, to about ``--order`` + n terms,
+#: so n (order + n)^2 past this cap is refused: cold, ``--n 0..60`` at the default order 30 (486,000) takes
+#: about 0.6 s and ``--order 200 --n 12`` (539,000) about 0.2 s, but ``--order 200 --n 1..60`` about 10 s
 MAX_F_DERIVATIVE_WORK = 600_000
 #: the count of a ``bern poly`` range times the digits of ``--at``: ``0..1000 --at 1/3`` (1,001)
 #: prints 1.3 MB in about 3 s and a 3-digit point (3,003) 3.4 MB in about 7 s; ``0..1000`` at a

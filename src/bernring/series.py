@@ -9,7 +9,8 @@ always visible: reading a coefficient past the bound raises
 The module also hosts the generating series B = T/(e^T - 1), e^{aT}, and the
 Bernoulli numbers/polynomials of any order, all read from one table of Nörlund
 values B^(n)_i: row n is stored once, as integer numerators over one
-denominator, and is replaced whole when it grows.
+denominator, and is replaced whole when it grows.  Row 1 comes from the tangent
+numbers, and each row n >= 2 from row n - 1 alone, by the order-lowering identity.
 """
 
 from __future__ import annotations
@@ -272,23 +273,17 @@ def _bernoulli_numbers(start: int, size: int) -> tuple[int, list[int]]:
 
 
 def _fill(n: int, size: int) -> None:
-    """Replace the short row n by one of ``size`` entries, its old entries kept; rows 1 and n - 1 reach ``size``."""
+    """Replace the short row n by one of ``size`` entries, its old entries kept; row n - 1 reaches ``size``."""
     d, old = _ROWS[n]
     if n == 0:
         e, new = 1, [int(not i) for i in range(len(old), size)]
     elif n == 1:
         e, new = _bernoulli_numbers(len(old), size)
     else:
-        # B^(n)_i = sum_j C(i,j) B^(n-1)_{i-j} B_j, where only B_0, B_1 and the even B_j
-        # are nonzero, summed over the integer numerators of the two rows
-        (dp, prev), (db, b) = _ROWS[n - 1], _ROWS[1]
-        e, new = dp * db, []
-        for i in range(len(old), size):
-            acc, c = prev[i] * b[0] + (i * prev[i - 1] * b[1] if i else 0), 1
-            for j in range(2, i + 1, 2):
-                c = c * (i - j + 2) * (i - j + 1) // ((j - 1) * j)  # C(i, j) from C(i, j - 2)
-                acc += c * prev[i - j] * b[j]
-            new.append(acc)
+        # the lowering identity at x = 0, B^(m+1)_i = (1 - i/m) B^(m)_i - i B^(m)_{i-1} with m = n - 1,
+        # over the integer numerators of row m (at i = 0 the second term is 0 whatever it reads)
+        m, (dp, prev) = n - 1, _ROWS[n - 1]
+        e, new = m * dp, [(m - i) * prev[i] - m * i * prev[i - 1] for i in range(len(old), size)]
     den = math.lcm(d, e)
     nums = [x * (den // d) for x in old] + [x * (den // e) for x in new]
     g = lowest_terms(den, nums)
@@ -297,8 +292,8 @@ def _fill(n: int, size: int) -> None:
 
 def norlund_numerators(n: int, size: int) -> tuple[int, list[int]]:
     """Row n of the table, (d, [N_0, N_1, ...]) with B^(n)_k = N_k / d, with at least ``size`` entries; a
-    caller never changes the list.  A short row grows to :func:`grown_size`, and the rows below that it
-    pulls grow to exactly that size, so growth never cascades."""
+    caller never changes the list.  A short row grows to :func:`grown_size`, and the rows 1 to n - 1 it is
+    built from, one from the next, grow to exactly that size, so growth never cascades."""
     if n < 0:
         raise ValueError("order must be nonnegative")
     if len(_ROWS.setdefault(n, (1, []))[1]) < size:

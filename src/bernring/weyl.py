@@ -9,6 +9,7 @@ d * f(T) = f'(T) + f(T) * d.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Mapping
 
 from .elements import Atom, BElement, _new
@@ -118,11 +119,10 @@ class WeylOp(Frozen):
         max_order = self.order()
         if max_order < 0:
             return TruncatedSeries.zero(x.bound)
-        parts, terms = self.parts, []
-        deriv = x
+        terms, deriv = [], x
         for k in range(max_order + 1):
-            if (f := parts.get(k)) is not None:
-                terms += [(deriv, d, c) for d, c in enumerate(f.coeffs) if c]
+            if (row := self.rows.get(k)) is not None:
+                terms += [(deriv, d, Fraction(v, self.den)) for d, v in enumerate(row) if v]
             if k < max_order:
                 deriv = deriv.derivative()
         return TruncatedSeries.combination(terms)
@@ -151,17 +151,15 @@ class WeylOp(Frozen):
 
     def render(self, style: Style = TEXT) -> str:
         chunks = []
-        for k, f in sorted(self.parts.items()):
-            if k == 0:
-                chunks.append(format_poly(f, "T", style))
-                continue
-            terms = [(j, c) for j, c in enumerate(f.coeffs) if c]
-            if len(terms) > 1:
-                chunks.append(style.bracket(format_poly(f, "T", style)) + style.times + style.d(k))
-            else:  # c*T^j*d^k, with a unit c dropped like in any other term
-                (j, c), = terms
+        for k, row in sorted(self.rows.items()):
+            terms = [(j, v) for j, v in enumerate(row) if v]
+            if k and len(terms) == 1:  # c*T^j*d^k, with a unit c dropped like in any other term
+                (j, v), = terms
                 t_part = style.power("T", j) + style.times if j else ""
-                chunks.append(scaled(c, t_part + style.d(k), style))
+                chunks.append(scaled(Fraction(v, self.den), t_part + style.d(k), style))
+            else:
+                body = format_poly(Poly(row, self.den), "T", style)
+                chunks.append(style.bracket(body) + style.times + style.d(k) if k else body)
         return join_signed(chunks)
 
     def __repr__(self) -> str:

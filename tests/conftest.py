@@ -46,9 +46,10 @@ def derived_tables_per_test(monkeypatch):
 
     Each test starts from the shared row 1 of the Bernoulli table, which is
     computed from tangent numbers alone; a row that grows or is patched is
-    replaced in the test's own table.  The rows of order >= 2 and the element
-    expansion cache are built from row 1 and never rebuilt, so entries made
-    while a test had a B_i patched would otherwise outlive the patch.
+    replaced in the test's own table.  The rows of order >= 2, each built from
+    the row below it and so from row 1, and the element expansion cache are
+    never rebuilt, so entries made while a test had a B_i patched would
+    otherwise outlive the patch.
     """
     monkeypatch.setattr(series, "_ROWS", {1: series._ROWS[1]})
     monkeypatch.setattr(elements, "_SERIES_CACHE", {})

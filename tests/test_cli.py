@@ -695,6 +695,14 @@ class TestGoldens:
         recorded = (Path(__file__).parent / "pf_hf_json.sha256").read_text().strip()
         assert code == 0 and err == "" and hashlib.sha256(out.encode()).hexdigest() == recorded
 
+    def test_largest_norlund_read_json(self, capsys):
+        """``bern num-order 20 0..300`` as JSON, row 20 built from every row below it, pinned by the sha256
+        in ``tests/norlund_json.sha256``; record a new one with
+        ``python -m bernring --format json bern num-order 20 0..300 | sha256sum``."""
+        code, out, err = run(capsys, "--format", "json", "bern", "num-order", "20", "0..300")
+        recorded = (Path(__file__).parent / "norlund_json.sha256").read_text().strip()
+        assert code == 0 and err == "" and hashlib.sha256(out.encode()).hexdigest() == recorded
+
 
 class TestVerify:
     def test_euler_range(self, capsys):

@@ -276,6 +276,18 @@ class TestBernoulliTable:
             oracle = norlund_by_products(n, top)
             assert series._ROWS[n] == common_numerators([oracle.coeff(i) * factorial(i) for i in range(top + 1)])
 
+    @given(st.integers(1, 10**6), st.lists(st.integers(-(10**6), 10**6), min_size=32, max_size=40), st.integers(2, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_are_the_lowering_image_of_the_row_below(self, d, row, n):
+        """Whatever row 1 holds, row m + 1 is B^(m+1)_i = (1 - i/m) B^(m)_i - i B^(m)_{i-1} of row m."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series, "_ROWS", {1: (d, row)})
+            norlund_numerators(n, len(row))
+            for m in range(1, n):
+                b = [Fraction(v, series._ROWS[m][0]) for v in series._ROWS[m][1]]
+                image = [(1 - Fraction(i, m)) * b[i] - i * (b[i - 1] if i else 0) for i in range(len(row))]
+                assert series._ROWS[m + 1] == common_numerators(image)
+
     @given(st.integers(0, 5), st.lists(st.integers(1, 90), min_size=1, max_size=5))
     @settings(max_examples=40, deadline=None)
     def test_growth_in_steps_is_one_build(self, n, sizes):

@@ -2,11 +2,12 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernring.elements import Atom, atom, b_element, t_element
-from bernring.polys import Poly
+from bernring.polys import LATEX, Poly
 from bernring.series import TruncatedSeries, bernoulli_series
 from bernring.selftest import check_weyl_representation, random_series, random_weyl_op
 from bernring.weyl import WeylOp, derivative_of_atom, derivative_of_element
@@ -38,6 +39,18 @@ class TestAlgebra:
     def test_render(self):
         op = WeylOp({0: Poly([1, -1]), 1: Poly.monomial(1, -1)})
         assert op.render() == "1 - T - T*d"
+
+    def test_render_and_action_read_the_integer_rows(self, monkeypatch):
+        op = WeylOp({0: [0, 0, 3, -7], 2: [0, 0, 0, -7], 3: [0, 2, 7]}, 14)
+        x = bernoulli_series(12)
+        expected = window(fold_apply_series(op, x))
+        monkeypatch.setattr(Poly, "coeffs", property(lambda self: pytest.fail("read a Fraction per coefficient")))
+        assert op.render() == "3/14*T^2 - 1/2*T^3 - 1/2*T^3*d^2 + (1/7*T + 1/2*T^2)*d^3"
+        assert op.render(LATEX) == (
+            r"\frac{3}{14}T^{2} - \frac{1}{2}T^{3} - \frac{1}{2}T^{3}\frac{d^{2}}{dT^{2}}"
+            r" + \left(\frac{1}{7}T + \frac{1}{2}T^{2}\right)\frac{d^{3}}{dT^{3}}"
+        )
+        assert window(op.apply_series(x)) == expected
 
 
 weyl_parts = st.dictionaries(st.integers(0, 4), polys, max_size=4)
