@@ -23,6 +23,7 @@ is refused before it is formed.  A product whose operands' largest B-powers add 
 measure is past ``MAX_PRODUCT_MEASURE``, is refused before it is reduced; a
 power counts as the product of its factors one at a time.  So is a product past ``MAX_PRODUCT_PAIRS``
 atom pairs or ``MAX_REWRITE_WORK`` rewrite work, each counted over all products of the parse.
+A parsed element whose T-power weight is past ``MAX_T_POWER_WEIGHT`` is refused.
 
 Multiplication of elements is the exact ring product (fully reduced), so every
 parsed expression is again a plain element.  A power of one atom is read in
@@ -81,6 +82,11 @@ MAX_REWRITE_WORK = 500_000
 #: twelve of ``T`` times ``B`` asked ``_lowered`` for a list of 2.2 billion entries.  Six levels (46,656 and
 #: 46,662) take 0.55 s and 0.12 s (single runs; Python 3.11 on a shared 2-core x86_64 host)
 MAX_POWER_SIZE = 100_000
+
+#: the largest sum of |T-power| over the atoms of a parsed element, as first-order operators hold rows from T^0:
+#: ``B(2/3T)^6*B(7/4T)^6`` times 216, 280 and 1,296 ``T^6`` (3,086,480, 3,995,792 and 18,431,120) takes 1.3, 2.0 and
+#: 6.3 s as a cold ``reduce product ... --to-first-order`` (single runs; Python 3.11 on a shared 2-core x86_64 host)
+MAX_T_POWER_WEIGHT = 4_000_000
 
 #: the deepest nesting of ``d[...]``.  Each derivative raises the B-power by one and widens the
 #: T-powers, and no product cap sees a derivative alone.  Of the inputs tried, the slowest accepted,
@@ -166,6 +172,8 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind != "end":
             raise ExprError(f"unexpected trailing input {val!r}", self.text, pos)
+        if (weight := sum(abs(at.m) for at in value.nums)) > MAX_T_POWER_WEIGHT:
+            self.fail(f"T-power weight {weight} of the element is past the cap of {MAX_T_POWER_WEIGHT}")
         return value
 
     def expr(self) -> BElement:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import compress, count, repeat
 from operator import add, mul
 from typing import Iterator, Mapping
 
@@ -85,36 +85,41 @@ def _chain_row(n: int) -> list[list[int]]:
     return _CHAIN_ROWS[n]
 
 
-def _lowered(atoms: list[tuple[Atom, int]], den: int, bn: int, bd: int, an: int, ad: int, pole: int) -> WeylOp:
-    """T^-pole times the sum of (v / den) T^m chain(n) at (b, a) = (bn/bd, an/ad) over the atoms, as Phi_{b,a}
-    of the sum of (v / den) b^(pole-m) T^(m-pole) chain(n) at (1, 0), taken in integers over one denominator."""
-    if all(at.n <= 1 for at, _ in atoms):  # chain(n) is 1 and Phi(T^e) = b^e T^e cancels b^(pole-m)
+def _lowered(atoms: list[tuple[Atom, int]], den: int, bn: int, bd: int, pole: int) -> WeylOp:
+    """T^-pole times the sum of (v / den) T^m chain(n) at (bn/bd, a) over the atoms, as op(T, d + a) = Phi_{b,0} of the
+    same at (1, 0): each c T^e d^k of chain(n) becomes c b^(e-k) T^e d^k, in integers over one denominator."""
+    if all(at.n <= 1 for at, _ in atoms):  # chain(n) is 1
         row = [0] * (max(at.m for at, _ in atoms) - pole + 1)
         for at, v in atoms:
             row[at.m - pole] += v
         return WeylOp({0: row}, den)
-    dens = [bn ** (at.m - pole) * math.factorial(max(at.n - 1, 0)) for at, _ in atoms]
-    common = math.lcm(*dens)
-    frame: dict[tuple[int, int], int] = {}  # (k, e) -> coefficient of T^e d^k, times common
-    for d, (at, v) in zip(dens, atoms):
-        w = v * bd ** (at.m - pole) * (common // d)
-        for k, cs in enumerate(_chain_row(at.n)):
-            for e, c in enumerate(cs, at.m - pole):
+    top = max(at.n for at, _ in atoms) - 1  # the largest k, and the largest e, of any chain(n)
+    common, width = math.factorial(top), max(at.m for at, _ in atoms) - pole + top + 1
+    powers = [bn**i * bd ** (2 * top - i) for i in range(2 * top + 1)]  # b^(e-k) (bn bd)^top, at e - k + top
+    parts = [[0] * width for _ in range(top + 1)]  # times top! (bn bd)^top, (n-1)! dividing top!
+    for at, v in atoms:
+        w = v * (common // math.factorial(max(at.n - 1, 0)))
+        for k, (cs, part) in enumerate(zip(_chain_row(at.n), parts)):
+            for e, c in enumerate(cs):
                 if c:
-                    frame[k, e] = frame.get((k, e), 0) + w * c
-    top_k, top_e = max(k for k, _ in frame), max(e for _, e in frame)
-    # (d - a)^k = sum_i C(k, i) (-a)^(k-i) d^i, as [(i, weight)] for each k
-    weights = [[(i, math.comb(k, i) * (-an) ** (k - i) * ad ** (top_k - k + i)) for i in range(0 if an else k, k + 1)]
-               for k in range(top_k + 1)]
-    parts: dict[int, list[int]] = {}  # times bn^top_k bd^top_e ad^top_k
-    for (k, e), c in frame.items():
-        if c:
-            c *= bn ** (e - k + top_k) * bd ** (top_e - e + k)
-            for i, w in weights[k]:
-                if (part := parts.get(i)) is None:
-                    part = parts[i] = [0] * (top_e + 1)
-                part[e] += c * w
-    return WeylOp(parts, common * den * bn**top_k * bd**top_e * ad**top_k)
+                    part[at.m - pole + e] += w * c * powers[e - k + top]
+    return WeylOp(dict(enumerate(parts)), common * den * (bn * bd) ** top)
+
+
+def _shifted(op: WeylOp, an: int, ad: int) -> WeylOp:
+    """op(T, d + a), a = an/ad: row r is the sum over k >= r of C(k, r) a^(k-r) row k, from the lowest T-power."""
+    top, low = op.order(), min(next(compress(count(), row)) for row in op.rows.values())
+    out = [[0] * (max(map(len, op.rows.values())) - low) for _ in range(top + 1)]
+    for k, row in op.rows.items():
+        for r, q in enumerate(out[: k + 1]):
+            w = math.comb(k, r) * an ** (k - r) * ad ** (top - k + r)
+            q[: len(row) - low] = map(add, q, map(mul, row[low:], repeat(w)))
+    return WeylOp({r: [0] * low + q for r, q in enumerate(out)}, op.den * ad**top)
+
+
+def _reframed(ops: Mapping[Atom, WeylOp], sign: int) -> dict[Atom, WeylOp]:
+    """Each operator with d -> d + sign a, a its generator's shift; one of order 0, or at a = 0, is unchanged."""
+    return {gen: _shifted(op, sign * gen.an, gen.ad) if gen.an and op.order() > 0 else op for gen, op in ops.items()}
 
 
 class DCombination(Frozen):
@@ -124,20 +129,34 @@ class DCombination(Frozen):
     T^gen.m * op(B^gen.n(gen.b T) e^{gen.a T}).  Generators carry m = 0
     whenever the T-powers can be absorbed into the operator; a negative m
     survives only when the combination genuinely needs a T-pole in front.
+    ``shifted`` stores op(T, d + a), as op(B^n(bT)e^{aT}) = e^{aT} op(T, d + a)[B^n(bT)];
+    ``entries``, the map gen -> op, is built from it on first read and kept.
     """
 
-    __slots__ = ("entries",)
-    __hash__ = None  # the entries are a dict
+    __slots__ = ("shifted", "_entries")
+    __hash__ = None  # the operators are held in a dict
 
     def __init__(self, entries: Mapping[Atom, WeylOp] | None = None):
-        cleaned: dict[Atom, WeylOp] = {}
-        if entries:
-            for gen, op in entries.items():
-                if gen.n not in (0, 1):
-                    raise ValueError("generators must have B-power 0 or 1")
-                if not op.is_zero():
-                    cleaned[gen] = op
-        self._init(cleaned)
+        if any(gen.n not in (0, 1) for gen in entries or ()):
+            raise ValueError("generators must have B-power 0 or 1")
+        cleaned = {gen: op for gen, op in (entries or {}).items() if not op.is_zero()}
+        self._init(_reframed(cleaned, 1), cleaned)
+
+    @classmethod
+    def _of_shifted(cls, shifted: dict[Atom, WeylOp]) -> "DCombination":
+        """The combination of the nonzero operators ``shifted``, each already op(T, d + a)."""
+        (self := object.__new__(cls))._init(shifted, None)
+        return self
+
+    def __reduce__(self):
+        return DCombination._of_shifted, (self.shifted,)
+
+    @property
+    def entries(self) -> dict[Atom, WeylOp]:
+        """{generator: op} with op acting on B^n(bT) e^{aT}, built on first read and kept."""
+        if self._entries is None:
+            return self._keep("_entries", _reframed(self.shifted, -1))
+        return self._entries
 
     def op_for(self, n: int, b, a, m: int = 0) -> WeylOp:
         gen = Atom(b=Fraction(b) if n else Fraction(1), n=n, m=m, a=Fraction(a))
@@ -146,34 +165,27 @@ class DCombination(Frozen):
     def semantic_element(self) -> BElement:
         """The element sum T^m op(B^n(bT)e^{aT}) over the generators, in closed form.
 
-        op(B(bT)e^{aT}) = e^{aT} op(T, d + a)[B(bT)], d^r B(bT) = T^-r f_r(bT, B(bT)), and for n = 0
-        only the d^0 part of op(T, d + a) acts, on 1.  Each generator is summed in integers, and the
-        generators over the lcm of their denominators.
+        The generator is T^m e^{aT} op(T, d + a)[B^n(bT)], read off the stored rows g_r: d^r B(bT) =
+        T^-r f_r(bT, B(bT)), and for n = 0 only g_0 acts, on 1.  Each generator is summed in integers
+        from the lowest T-power of its rows, and the generators over the lcm of their denominators.
         """
         pieces = []  # (generator, {B-power: coefficients of T^lo, T^(lo+1), ...}, lo, denominator)
-        for gen, op in self.entries.items():
-            if (top := op.order()) == 0:  # T^m f(T) B^n(bT) e^{aT}
-                pieces.append((gen, {gen.n: op.rows[0]}, gen.m, op.den))
+        for gen, op in self.shifted.items():
+            if (top := op.order()) == 0 or not gen.n:  # T^m f_0(T) B^n(bT) e^{aT}
+                if 0 in op.rows:
+                    pieces.append((gen, {gen.n: op.rows[0]}, gen.m, op.den))
                 continue
-            bn, bd, _, _, an, ad = gen
-            width = max(map(len, op.rows.values()))
-            shifted: dict[int, list[int]] = {}  # r -> the T-coefficients of d^r in op(T, d + a), times den ad^top
-            for k, coeffs in op.rows.items():
-                for r in range(k + 1) if gen.n else (0,):
-                    if w := math.comb(k, r) * an ** (k - r) * ad ** (top - k + r):
-                        if (q := shifted.get(r)) is None:
-                            q = shifted[r] = [0] * width
-                        q[: len(coeffs)] = map(add, q, map(mul, coeffs, repeat(w)))
-            powers = [bn**i * bd ** (top + 1 - i) for i in range(top + 1)]
-            acc: dict[int, list[int]] = {}  # B-power -> T-coefficients from T^(m - top), times den ad^top bd^(top+1)
-            for r, q in shifted.items():
-                for (i, j), f in _derivative_row(r).items() if gen.n else (((0, 0), 1),):
-                    if (row := acc.get(j)) is None:
-                        row = acc[j] = [0] * (width + top)
-                    f *= powers[i]
+            low = min(next(compress(count(), row)) for row in op.rows.values())
+            powers = [gen.bn**i * gen.bd ** (top + 1 - i) for i in range(top + 1)]
+            acc: dict[int, list[int]] = {}  # B-power -> T-coefficients from T^(m + low - top), times den bd^(top+1)
+            for r, row in op.rows.items():
+                q = row[low:]
+                for (i, j), f in _derivative_row(r).items():
+                    if (acc_row := acc.get(j)) is None:
+                        acc_row = acc[j] = [0] * (max(map(len, op.rows.values())) - low + top)
                     start = i - r + top
-                    row[start : start + width] = map(add, row[start : start + width], map(mul, q, repeat(f)))
-            pieces.append((gen, acc, gen.m - top, op.den * ad**top * bd ** (top + 1)))
+                    acc_row[start : start + len(q)] = map(add, acc_row[start:], map(mul, q, repeat(f * powers[i])))
+            pieces.append((gen, acc, gen.m + low - top, op.den * gen.bd ** (top + 1)))
         den, nums = math.lcm(*(scale for *_, scale in pieces)), {}
         for (bn, bd, _, _, an, ad), acc, lo, scale in pieces:
             f = den // scale
@@ -200,7 +212,7 @@ class DCombination(Frozen):
         return "\n".join(f"[{op}] ({gen})" for op, gen in pairs)
 
     def __repr__(self) -> str:
-        return f"<DCombination of {len(self.entries)} generators>"
+        return f"<DCombination of {len(self.shifted)} generators>"
 
 
 def reduce_to_first_order(x: BElement) -> DCombination:
@@ -209,21 +221,21 @@ def reduce_to_first_order(x: BElement) -> DCombination:
     Each B^n(bT)e^{aT} is chain(n) at (b, a) applied to B(bT)e^{aT}.  The automorphism Phi_{b,a}:
     T -> bT, d -> (d - a)/b of the Weyl algebra takes c T^e d^k to c b^(e-k) T^e (d - a)^k and L(j),
     so chain(n), at (1, 0) to the same at (b, a).  As T^m Phi(X) = Phi(b^-m T^m X), the atoms of one
-    generator are summed against the lowering table at (1, 0) and Phi is applied once.  Atoms with
-    negative T-powers are summed times T^-pole, the lowest, and divided again: if every operator
-    coefficient is divisible the pole disappears, otherwise it stays on the generator.
+    generator are summed against the lowering table at (1, 0) and Phi is applied once, in the stored
+    frame d -> d + a.  Atoms with negative T-powers are summed times T^-pole, the lowest, and divided
+    again: if every coefficient is divisible (in either frame) the pole disappears, else it stays.
     """
     groups: dict[tuple[int, int, int, int, int], list[tuple[Atom, int]]] = {}  # by the generator (bn, bd, n, an, ad)
     for at, v in x.nums.items():
         groups.setdefault((at.bn, at.bd, 1 if at.n else 0, at.an, at.ad), []).append((at, v))
-    entries: dict[Atom, WeylOp] = {}
+    shifted: dict[Atom, WeylOp] = {}
     for (bn, bd, gen_n, an, ad), atoms in groups.items():
         pole = min(0, *(at.m for at, _ in atoms))
-        total = _lowered(atoms, x.den, bn, bd, an, ad, pole)
+        total = _lowered(atoms, x.den, bn, bd, pole)
         if (divided := total.left_divide_t_power(-pole)) is not None:
             total, pole = divided, 0
-        entries[_new(Atom, (bn, bd, gen_n, pole, an, ad))] = total
-    return DCombination(entries)
+        shifted[_new(Atom, (bn, bd, gen_n, pole, an, ad))] = total
+    return DCombination._of_shifted(shifted)
 
 
 # -- products -----------------------------------------------------------------

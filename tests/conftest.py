@@ -934,6 +934,51 @@ def semantic_element_by_fractions(combo: DCombination) -> dict[Atom, Fraction]:
     return {at: c for at, c in out.items() if c}
 
 
+def semantic_element_by_shifting(combo: DCombination) -> BElement:
+    """The element of a combination by the route that took each operator at (b, a) from ``entries``:
+    op(B(bT)e^{aT}) = e^{aT} op(T, d + a)[B(bT)], with (d + a)^k expanded by binomials in integers for
+    every generator, then d^r B(bT) = T^-r f_r(bT, B(bT)); for n = 0 only the d^0 part acts, on 1."""
+    pieces = []  # (generator, {B-power: coefficients of T^lo, T^(lo+1), ...}, lo, denominator)
+    for gen, op in combo.entries.items():
+        if (top := op.order()) == 0:
+            pieces.append((gen, {gen.n: op.rows[0]}, gen.m, op.den))
+            continue
+        bn, bd, _, _, an, ad = gen
+        width = max(map(len, op.rows.values()))
+        shifted: dict[int, list[int]] = {}  # r -> the T-coefficients of d^r in op(T, d + a), times den ad^top
+        for k, coeffs in op.rows.items():
+            for r in range(k + 1) if gen.n else (0,):
+                if w := math.comb(k, r) * an ** (k - r) * ad ** (top - k + r):
+                    q = shifted.setdefault(r, [0] * width)
+                    for d, c in enumerate(coeffs):
+                        q[d] += c * w
+        powers = [bn**i * bd ** (top + 1 - i) for i in range(top + 1)]
+        acc: dict[int, list[int]] = {}  # B-power -> T-coefficients from T^(m - top), times den ad^top bd^(top+1)
+        for r, q in shifted.items():
+            for (i, j), f in _derivative_row(r).items() if gen.n else (((0, 0), 1),):
+                row = acc.setdefault(j, [0] * (width + top))
+                for d, c in enumerate(q, i - r + top):
+                    row[d] += c * f * powers[i]
+        pieces.append((gen, acc, gen.m - top, op.den * ad**top * bd ** (top + 1)))
+    den, nums = math.lcm(*(scale for *_, scale in pieces)), {}
+    for (bn, bd, _, _, an, ad), acc, lo, scale in pieces:
+        for j, row in acc.items():
+            for m, c in enumerate(row, lo):
+                if c:
+                    key = elements._new(Atom, (bn, bd, j, m, an, ad))
+                    nums[key] = nums.get(key, 0) + c * (den // scale)
+    return BElement(nums, den)
+
+
+def semantic_element_by_actions(combo: DCombination) -> BElement:
+    """The element of a combination as the sum over its generators of T^m op(B^n(bT) e^{aT}), each op applied
+    by ``WeylOp.apply_element``."""
+    acc = BElement.zero()
+    for (bn, bd, n, m, an, ad), op in combo.entries.items():
+        acc = acc + op.apply_element(BElement({elements._new(Atom, (bn, bd, n, 0, an, ad)): 1}, 1)).mul_monomial(m)
+    return acc
+
+
 def product_of_sums(n: int) -> str:
     """(B(2T)*(e^{T}+...+e^{nT}))*(B(3T)*(e^{1/7T}+...+e^{n/7T})), whose products multiply n^2 + 2n atom pairs."""
     first, second = ("+".join(f"e^{{{k}{d}T}}" for k in range(1, n + 1)) for d in ("", "/7"))
@@ -943,6 +988,11 @@ def product_of_sums(n: int) -> str:
 def product_per_shift(n: int) -> str:
     """B(2/3T)^6*(e^{1/13T}+...+e^{1/(12+n)T})*B(7/4T)^6, whose last product rewrites n rows of measure 174."""
     return "B(2/3T)^6*(" + "+".join(f"e^{{1/{k}T}}" for k in range(13, 13 + n)) + ")*B(7/4T)^6"
+
+
+def t_power_chain(factors: int) -> str:
+    """``factors`` factors ``T^6`` times B(2/3T)^6*B(7/4T)^6, a product of 2,368 atoms at T-power 6 factors."""
+    return "T^6*" * factors + "B(2/3T)^6*B(7/4T)^6"
 
 
 def nested_power(base: str, levels: int) -> str:

@@ -21,6 +21,7 @@ from bernring.exprparse import (
     MAX_PRODUCT_PAIRS,
     MAX_PRODUCT_POWER,
     MAX_REWRITE_WORK,
+    MAX_T_POWER_WEIGHT,
     parse_element,
 )
 from bernring.reduction import product_reduce
@@ -30,7 +31,14 @@ from bernring.series import (
     bernoulli_polynomial,
     bernoulli_power_series,
 )
-from conftest import nested_power, product_of_sums, product_per_shift, staudt_clausen_denominator, tamper_bernoulli
+from conftest import (
+    nested_power,
+    product_of_sums,
+    product_per_shift,
+    staudt_clausen_denominator,
+    t_power_chain,
+    tamper_bernoulli,
+)
 
 
 def run(capsys, *argv):
@@ -157,6 +165,7 @@ class TestSizeCaps:
             (["reduce", "product", product_per_shift(40), "--to-first-order"], MAX_REWRITE_WORK),
             (["reduce", "product", nested_power("2", 9)], MAX_POWER_SIZE),
             (["reduce", "product", nested_power("T", 12) + "*B", "--to-first-order"], MAX_POWER_SIZE),
+            (["reduce", "product", t_power_chain(1296), "--to-first-order"], MAX_T_POWER_WEIGHT),
         ],
     )
     def test_refused_past_cap(self, capsys, argv, cap):
@@ -183,6 +192,10 @@ class TestSizeCaps:
         code, out, _ = run(capsys, "reduce", "product", nested_power("2", 6))
         digits = out.rstrip("\n")  # 2^46656, past the 4,300 digits this process converts
         assert code == 0 and len(digits) == 14045 and int(digits[-9:]) == pow(2, 6**6, 10**9)
+
+    def test_t_power_chain_under_the_weight_cap(self, capsys):
+        code, out, _ = run(capsys, "reduce", "product", t_power_chain(216), "--to-first-order")
+        assert code == 0 and out.startswith("[") and "T^1302" in out
 
     def test_product_at_the_measure_cap(self, capsys):
         scale = (MAX_PRODUCT_MEASURE - 6) // 6  # B(T)^6 B(pT)^6 starts at measure 6 + 6p

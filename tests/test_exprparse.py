@@ -16,6 +16,7 @@ from bernring.exprparse import (
     MAX_PRODUCT_POWER,
     MAX_RATIONAL_DIGITS,
     MAX_REWRITE_WORK,
+    MAX_T_POWER_WEIGHT,
     ExprError,
     _Parser,
     _tokenize,
@@ -30,6 +31,7 @@ from conftest import (
     parse_by_left_fold,
     product_of_sums,
     product_per_shift,
+    t_power_chain,
     tokenize_by_matches,
 )
 
@@ -479,6 +481,38 @@ class TestRewriteWorkCap:
             parse_element(f"(B(2/3T)^6*({first}))*(B(7/4T)^6*({second}))")
         assert str(err.value) == f"atom-pair count {150 + 150 + 150**2} of the products is past the cap of {MAX_PRODUCT_PAIRS}"
         assert 150 * 174**2 > MAX_REWRITE_WORK
+
+
+class TestTPowerWeightCap:
+    def test_weight_is_the_sum_of_the_t_powers(self):
+        x = parse_element(t_power_chain(216))
+        assert sum(abs(at.m) for at in x.nums) == 3_086_480 <= MAX_T_POWER_WEIGHT
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            t_power_chain(1296),
+            nested_power("T", 5) + "*B(2/3T)^6*B(7/4T)^6",
+            "(" + "T^6*" * 300 + "B(2/3T)^6)*B(7/4T)^6",  # the T-power reaches the product through an operand
+            nested_power("T^-1", 5) + "*B(2/3T)^6*B(7/4T)^6",
+        ],
+        ids=["chain", "nested", "operand", "negative"],
+    )
+    def test_refused_once_parsed(self, text):
+        weight = sum(abs(at.m) for at in _Parser(text).expr().nums)  # the element, before the final check
+        assert weight > MAX_T_POWER_WEIGHT
+        message = f"T-power weight {weight} of the element is past the cap of {MAX_T_POWER_WEIGHT}"
+        assert parsed_or_refused(parse_element, text) == (message, len(text))
+        assert_folds_agree(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [nested_power("T", 6) + "*B^6", nested_power("T", 6) + "*B^6 + B(2/3T)^6*B(7/4T)^6", "d[d[d[d[d[d[B(2/3T)^6*B(7/4T)^6]]]]]]"],
+        ids=["power", "sum", "derivative"],
+    )
+    def test_largest_accepted_inputs(self, text):
+        x = parse_element(text)
+        assert sum(abs(at.m) for at in x.nums) <= MAX_T_POWER_WEIGHT
 
 
 class TestNegativePowerOfZero:

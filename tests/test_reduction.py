@@ -32,6 +32,7 @@ from bernring.reduction import (
 from bernring.series import bernoulli_series, factorial
 from bernring.selftest import (
     check_reduction_soundness,
+    random_element,
     _golden_23,
     _golden_sq5,
     _golden_triple_combination,
@@ -51,7 +52,9 @@ from conftest import (
     product_reduce_by_fraction_pairs,
     product_reduce_by_states,
     reduce_to_first_order_by_chains,
+    semantic_element_by_actions,
     semantic_element_by_fractions,
+    semantic_element_by_shifting,
     small_rationals,
 )
 
@@ -356,6 +359,52 @@ def test_semantic_element_sums_the_actions(combo):
         want = want + op.apply_element(BElement({Atom(b=gen.b, n=gen.n, m=0, a=gen.a): F(1)})).mul_monomial(gen.m)
     assert combo.semantic_element().terms == want.terms
     assert combo.semantic_element() == BElement(semantic_element_by_fractions(combo))
+    assert_frames_agree(combo)
+
+
+def assert_frames_agree(combo: DCombination) -> None:
+    """The element read off the stored shifted frame, against (d + a)^k expanded over ``entries`` and against
+    each operator applied to its generator; the view at (b, a) rebuilds the combination."""
+    got = combo.semantic_element()
+    assert got == semantic_element_by_shifting(combo)
+    assert got.terms == semantic_element_by_actions(combo).terms
+    assert DCombination(combo.entries) == combo
+
+
+#: the fixed grid of the shifted frame: these products, each alone and times a T-power, a coefficient or a shift
+FRAME_BASES = [*(f"B(2T)^{k}*B(3T)^{k}" for k in range(1, 5)), "B(2T)*B(3T)*B(5T)*B(7T)*B(11T)"]
+FRAME_FACTORS = ["1", "T^3", "T^-2", "-7/3", "e^{1/2T}", "e^{-1/2T}", "e^{3/2T}", "e^{-3/2T}", "5/2*T^2*e^{-3/2T}"]
+
+
+class TestShiftedFrame:
+    @pytest.mark.parametrize("factor", FRAME_FACTORS)
+    @pytest.mark.parametrize("base", FRAME_BASES)
+    def test_fixed_grid(self, base, factor):
+        x = parse_element(f"{base}*{factor}")
+        combo = reduce_to_first_order(x)
+        assert_frames_agree(combo)
+        assert combo.semantic_element().equals(x)
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_random_elements(self, rng):
+        x = random_element(rng, max_atoms=4, max_n=4)
+        combo = reduce_to_first_order(x)
+        assert_frames_agree(combo)
+        assert combo == reduce_to_first_order_by_chains(x)
+
+    def test_shift_helper_stays_off_the_reduce_path(self, monkeypatch):
+        """Parse, lowering, ``semantic_element`` and ``equals`` read the stored frame only; the view at (b, a)
+        is built on the first ``render``, one shift for each generator of order at least 1 at a nonzero shift."""
+        calls, shifted = [], reduction._shifted
+        monkeypatch.setattr(reduction, "_shifted", lambda op, an, ad: calls.append(op) or shifted(op, an, ad))
+        x = parse_element(COUNT_ANCHOR)
+        combo = reduce_to_first_order(x)
+        assert combo.semantic_element().equals(x) and calls == []
+        text = combo.render()
+        want = sum(1 for gen, op in combo.shifted.items() if op.order() >= 1 and gen.an)
+        assert len(calls) == want > 0
+        assert combo.render() == text and len(calls) == want
 
 
 def assert_routes_agree(x: BElement, y: BElement) -> None:

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernring.elements import Atom, BElement, atom, b_element
+from bernring.exprparse import parse_element
 from bernring.partfrac import g_pair, h_f
 from bernring.polys import Frozen, Poly
 from bernring.reduction import DCombination, reduce_to_first_order
@@ -128,6 +129,22 @@ def test_drawn_combinations(rng: random.Random):
     value = reduce_to_first_order(x)
     assert_round_trips(value)
     assert_frozen(value)
+    assert_combination_rebuilds(value)
+
+
+def assert_combination_rebuilds(value: DCombination) -> None:
+    """A combination stores its operators shifted; copies, and the public constructor on the view
+    ``entries``, give equal combinations with equal views."""
+    for how, trip in ROUND_TRIPS.items():
+        twin = trip(value)
+        assert twin == value and twin.entries == value.entries, how
+    rebuilt = DCombination(value.entries)
+    assert rebuilt == value and rebuilt.shifted == value.shifted and rebuilt.entries == value.entries
+
+
+@pytest.mark.parametrize("x", ["B(2T)^3*e^{1/2T}", "B(3/2T)^2*T^-3*e^{-7/5T} + e^{2T}*T", "B(2T)*B(3T)*e^{-1/3T}"])
+def test_combinations_rebuild(x):
+    assert_combination_rebuilds(reduce_to_first_order(parse_element(x)))
 
 
 def test_every_value_class_is_frozen_with_public_fields():
@@ -136,7 +153,7 @@ def test_every_value_class_is_frozen_with_public_fields():
         TruncatedSeries: ("low", "nums", "bound", "den"),
         BElement: ("nums", "den"),
         WeylOp: ("rows", "den"),
-        DCombination: ("entries",),
+        DCombination: ("shifted",),
     }
     for cls, fields in expected.items():
         assert issubclass(cls, Frozen) and cls._fields == fields
