@@ -168,8 +168,9 @@ class BElement(Frozen):
     # -- semantics -----------------------------------------------------------
 
     def expand(self, bound: int) -> TruncatedSeries:
-        """The Laurent series of this element, exact to the given bound."""
-        ser = TruncatedSeries.combination([(_atom_series(at, bound), 0, v) for at, v in self.nums.items()], bound)
+        """The Laurent series of this element, exact to the given bound.  A cached series enters the sum uncut,
+        its atom's T-power the offset, so only the two operands of a product are cut to the bound."""
+        ser = TruncatedSeries.combination([(*_atom_part(at, bound), v) for at, v in self.nums.items()], bound)
         return ser if self.den == 1 else TruncatedSeries(ser.low, ser.nums, ser.bound, ser.den * self.den)
 
     def coeff(self, i: int) -> Fraction:
@@ -294,23 +295,21 @@ _SERIES_CACHE: dict[tuple[int, int, int], TruncatedSeries] = {}
 
 
 def _cached_series(cn: int, cd: int, n: int, bound: int) -> TruncatedSeries:
-    """B(cT)^n for n >= 1 and e^{cT} for n = 0, c = cn/cd, kept grown by grown_size and cut to the bound."""
+    """B(cT)^n for n >= 1 and e^{cT} for n = 0, c = cn/cd, exact to at least the bound: kept grown by grown_size."""
     cached = _SERIES_CACHE.get((cn, cd, n))
     if cached is None or cached.bound < bound:
         work, c = grown_size(cached.bound if cached is not None else 0, bound), Fraction(cn, cd)
         cached = bernoulli_power_series(n, work).scale_arg(c) if n else exp_series(c, work)
         _SERIES_CACHE[cn, cd, n] = cached
-    return cached.truncate(bound)
+    return cached
 
 
-def _atom_series(at: Atom, bound: int) -> TruncatedSeries:
+def _atom_part(at: Atom, bound: int) -> tuple[TruncatedSeries, int]:
+    """(x, d) with T^d x the series of the atom, exact to at least the bound."""
     bn, bd, n, m, an, ad = at
     work = bound - m
     if work < 0:  # T^m times a power series has no term up to the bound
-        return TruncatedSeries.zero(bound)
-    if n == 0:
-        return _cached_series(an, ad, 0, work).shift(m)
-    ser = _cached_series(bn, bd, n, work)
-    if an:
-        ser = ser * _cached_series(an, ad, 0, work)
-    return ser.shift(m)
+        return TruncatedSeries.zero(bound), 0
+    if n and an:
+        return _cached_series(bn, bd, n, work).truncate(work) * _cached_series(an, ad, 0, work).truncate(work), m
+    return _cached_series(bn, bd, n, work) if n else _cached_series(an, ad, 0, work), m

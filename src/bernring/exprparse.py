@@ -23,7 +23,8 @@ is refused before it is formed.  A product whose operands' largest B-powers add 
 measure is past ``MAX_PRODUCT_MEASURE``, is refused before it is reduced; a
 power counts as the product of its factors one at a time.  So is a product past ``MAX_PRODUCT_PAIRS``
 atom pairs or ``MAX_REWRITE_WORK`` rewrite work, each counted over all products of the parse.
-A parsed element whose T-power weight is past ``MAX_T_POWER_WEIGHT`` is refused.
+A parsed element whose T-power weight is past ``MAX_T_POWER_WEIGHT``, or whose numerators have more
+bits in all than ``MAX_COEFFICIENT_BITS``, is refused.
 
 Multiplication of elements is the exact ring product (fully reduced), so every
 parsed expression is again a plain element.  A power of one atom is read in
@@ -87,6 +88,12 @@ MAX_POWER_SIZE = 100_000
 #: ``B(2/3T)^6*B(7/4T)^6`` times 216, 280 and 1,296 ``T^6`` (3,086,480, 3,995,792 and 18,431,120) takes 1.3, 2.0 and
 #: 6.3 s as a cold ``reduce product ... --to-first-order`` (single runs; Python 3.11 on a shared 2-core x86_64 host)
 MAX_T_POWER_WEIGHT = 4_000_000
+
+#: the most bits of the parsed element's numerators in all: ``*`` chains of monomials put a coefficient in every atom
+#: past the power caps.  ``(((((2)^6)^6)^6)^6)^6*B(2/3T)^6*B(7/4T)^6`` (18,634,969) takes 2.0 s as a cold ``reduce
+#: product ... --to-first-order`` (3.0 s as JSON), one more level (110,702,809) 44 s, and three ``((((2)^6)^6)^6)^6``
+#: before the product (9,428,185) 0.9 s (1.6 s) (single runs; Python 3.11 on a shared 2-core x86_64 host)
+MAX_COEFFICIENT_BITS = 10_000_000
 
 #: the deepest nesting of ``d[...]``.  Each derivative raises the B-power by one and widens the
 #: T-powers, and no product cap sees a derivative alone.  Of the inputs tried, the slowest accepted,
@@ -174,6 +181,8 @@ class _Parser:
             raise ExprError(f"unexpected trailing input {val!r}", self.text, pos)
         if (weight := sum(abs(at.m) for at in value.nums)) > MAX_T_POWER_WEIGHT:
             self.fail(f"T-power weight {weight} of the element is past the cap of {MAX_T_POWER_WEIGHT}")
+        if (bits := sum(map(int.bit_length, value.nums.values()))) > MAX_COEFFICIENT_BITS:
+            self.fail(f"coefficient size {bits} bits of the element is past the cap of {MAX_COEFFICIENT_BITS}")
         return value
 
     def expr(self) -> BElement:

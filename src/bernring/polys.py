@@ -54,8 +54,9 @@ _set = object.__setattr__
 
 class Frozen:
     """Base of the package's immutable values and records.  ``__slots__`` lists the fields in the order
-    the constructor takes them, then any caches, named with ``_``; ``__init__`` sets the slots once with
-    ``_init``, and a cache is filled on first read with ``_keep``.  Unless a class defines its own,
+    the constructor takes them, then any caches, named with ``_`` (a class whose fields are views over
+    private slots names them in ``_fields``); ``__init__`` sets the slots once with ``_init``, and a cache
+    is filled on first read with ``_keep``.  Unless a class defines its own,
     ``==`` holds between objects of one class with equal fields, ``hash`` is the hash of the fields'
     tuple (or a last slot ``_hash``, set once), and ``repr`` shows the fields; ``copy`` and ``pickle``
     rebuild an object through its constructor from its fields."""
@@ -63,7 +64,7 @@ class Frozen:
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._fields = cls.__dict__.get("_fields") or tuple(name for name in cls.__slots__ if not name.startswith("_"))
         if cls.__slots__[-1:] == ("_hash",) and "__hash__" not in cls.__dict__:
             cls.__hash__ = _stored_hash
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count, repeat
 from operator import add, mul
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .elements import Atom, BElement, _new, _reduced, _shift_product, _times_exp_minus_one, b_element, render_atom
 from .partfrac import g_pair, h_f
@@ -85,14 +85,15 @@ def _chain_row(n: int) -> list[list[int]]:
     return _CHAIN_ROWS[n]
 
 
-def _lowered(atoms: list[tuple[Atom, int]], den: int, bn: int, bd: int, pole: int) -> WeylOp:
+def _lowered(atoms: list[tuple[Atom, int]], den: int, bn: int, bd: int, pole: int) -> tuple[dict[int, list[int]], int]:
     """T^-pole times the sum of (v / den) T^m chain(n) at (bn/bd, a) over the atoms, as op(T, d + a) = Phi_{b,0} of the
-    same at (1, 0): each c T^e d^k of chain(n) becomes c b^(e-k) T^e d^k, in integers over one denominator."""
+    same at (1, 0): each c T^e d^k of chain(n) becomes c b^(e-k) T^e d^k.  Returned as the integer rows {k: coefficients
+    of T^0, T^1, ... in front of d^k} over one denominator, neither trimmed nor reduced."""
     if all(at.n <= 1 for at, _ in atoms):  # chain(n) is 1
         row = [0] * (max(at.m for at, _ in atoms) - pole + 1)
         for at, v in atoms:
             row[at.m - pole] += v
-        return WeylOp({0: row}, den)
+        return {0: row}, den
     top = max(at.n for at, _ in atoms) - 1  # the largest k, and the largest e, of any chain(n)
     common, width = math.factorial(top), max(at.m for at, _ in atoms) - pole + top + 1
     powers = [bn**i * bd ** (2 * top - i) for i in range(2 * top + 1)]  # b^(e-k) (bn bd)^top, at e - k + top
@@ -103,23 +104,25 @@ def _lowered(atoms: list[tuple[Atom, int]], den: int, bn: int, bd: int, pole: in
             for e, c in enumerate(cs):
                 if c:
                     part[at.m - pole + e] += w * c * powers[e - k + top]
-    return WeylOp(dict(enumerate(parts)), common * den * (bn * bd) ** top)
+    return dict(enumerate(parts)), common * den * (bn * bd) ** top
 
 
-def _shifted(op: WeylOp, an: int, ad: int) -> WeylOp:
-    """op(T, d + a), a = an/ad: row r is the sum over k >= r of C(k, r) a^(k-r) row k, from the lowest T-power."""
-    top, low = op.order(), min(next(compress(count(), row)) for row in op.rows.values())
-    out = [[0] * (max(map(len, op.rows.values())) - low) for _ in range(top + 1)]
-    for k, row in op.rows.items():
+def _shifted(op: tuple[Mapping[int, Sequence[int]], int], an: int, ad: int) -> WeylOp:
+    """op(T, d + a), a = an/ad, for op as integer rows over a denominator, its top row nonzero: row r is the sum
+    over k >= r of C(k, r) a^(k-r) row k, from the lowest T-power."""
+    rows, den = op
+    top, low = max(rows), min(next(compress(count(), row), len(row)) for row in rows.values())
+    out = [[0] * (max(map(len, rows.values())) - low) for _ in range(top + 1)]
+    for k, row in rows.items():
         for r, q in enumerate(out[: k + 1]):
             w = math.comb(k, r) * an ** (k - r) * ad ** (top - k + r)
             q[: len(row) - low] = map(add, q, map(mul, row[low:], repeat(w)))
-    return WeylOp({r: [0] * low + q for r, q in enumerate(out)}, op.den * ad**top)
+    return WeylOp({r: [0] * low + q for r, q in enumerate(out)}, den * ad**top)
 
 
-def _reframed(ops: Mapping[Atom, WeylOp], sign: int) -> dict[Atom, WeylOp]:
-    """Each operator with d -> d + sign a, a its generator's shift; one of order 0, or at a = 0, is unchanged."""
-    return {gen: _shifted(op, sign * gen.an, gen.ad) if gen.an and op.order() > 0 else op for gen, op in ops.items()}
+def _reframed(ops: Mapping[Atom, tuple], sign: int) -> dict[Atom, WeylOp]:
+    """Each operator with d -> d + sign a, a its generator's shift; one of order 0, or at a = 0, is only reduced."""
+    return {gen: _shifted(op, sign * gen.an, gen.ad) if gen.an and max(op[0]) else WeylOp(*op) for gen, op in ops.items()}
 
 
 class DCombination(Frozen):
@@ -129,33 +132,44 @@ class DCombination(Frozen):
     T^gen.m * op(B^gen.n(gen.b T) e^{gen.a T}).  Generators carry m = 0
     whenever the T-powers can be absorbed into the operator; a negative m
     survives only when the combination genuinely needs a T-pole in front.
-    ``shifted`` stores op(T, d + a), as op(B^n(bT)e^{aT}) = e^{aT} op(T, d + a)[B^n(bT)];
-    ``entries``, the map gen -> op, is built from it on first read and kept.
+    Each operator is stored as op(T, d + a), as op(B^n(bT)e^{aT}) = e^{aT} op(T, d + a)[B^n(bT)], in
+    the integer rows that the lowering leaves; ``shifted``, the map gen -> op(T, d + a) of canonical
+    operators, and ``entries``, the map gen -> op, are views built on first read and kept.
     """
 
-    __slots__ = ("shifted", "_entries")
+    __slots__ = ("_rows", "_shifted", "_entries")
+    _fields = ("shifted",)  # a view: ``==``, copy and pickle read the canonical operators
     __hash__ = None  # the operators are held in a dict
 
     def __init__(self, entries: Mapping[Atom, WeylOp] | None = None):
         if any(gen.n not in (0, 1) for gen in entries or ()):
             raise ValueError("generators must have B-power 0 or 1")
         cleaned = {gen: op for gen, op in (entries or {}).items() if not op.is_zero()}
-        self._init(_reframed(cleaned, 1), cleaned)
+        shifted = _reframed({gen: (op.rows, op.den) for gen, op in cleaned.items()}, 1)
+        self._init({gen: (op.rows, op.den) for gen, op in shifted.items()}, shifted, cleaned)
 
     @classmethod
-    def _of_shifted(cls, shifted: dict[Atom, WeylOp]) -> "DCombination":
-        """The combination of the nonzero operators ``shifted``, each already op(T, d + a)."""
-        (self := object.__new__(cls))._init(shifted, None)
+    def _of_rows(cls, rows: dict[Atom, tuple]) -> "DCombination":
+        """The combination of the nonzero operators op(T, d + a), each as (rows {k: coefficients of T^0, T^1, ...
+        in front of d^k}, denominator), its top row nonzero."""
+        (self := object.__new__(cls))._init(rows, None, None)
         return self
 
     def __reduce__(self):
-        return DCombination._of_shifted, (self.shifted,)
+        return DCombination._of_rows, ({gen: (op.rows, op.den) for gen, op in self.shifted.items()},)
+
+    @property
+    def shifted(self) -> dict[Atom, WeylOp]:
+        """{generator: op(T, d + a)} in canonical form, built on first read and kept."""
+        if self._shifted is None:
+            return self._keep("_shifted", {gen: WeylOp(*op) for gen, op in self._rows.items()})
+        return self._shifted
 
     @property
     def entries(self) -> dict[Atom, WeylOp]:
         """{generator: op} with op acting on B^n(bT) e^{aT}, built on first read and kept."""
         if self._entries is None:
-            return self._keep("_entries", _reframed(self.shifted, -1))
+            return self._keep("_entries", _reframed(self._rows, -1))
         return self._entries
 
     def op_for(self, n: int, b, a, m: int = 0) -> WeylOp:
@@ -170,22 +184,23 @@ class DCombination(Frozen):
         from the lowest T-power of its rows, and the generators over the lcm of their denominators.
         """
         pieces = []  # (generator, {B-power: coefficients of T^lo, T^(lo+1), ...}, lo, denominator)
-        for gen, op in self.shifted.items():
-            if (top := op.order()) == 0 or not gen.n:  # T^m f_0(T) B^n(bT) e^{aT}
-                if 0 in op.rows:
-                    pieces.append((gen, {gen.n: op.rows[0]}, gen.m, op.den))
+        for gen, (rows, den) in self._rows.items():
+            if (top := max(rows)) == 0 or not gen.n:  # T^m f_0(T) B^n(bT) e^{aT}
+                if 0 in rows:
+                    pieces.append((gen, {gen.n: rows[0]}, gen.m, den))
                 continue
-            low = min(next(compress(count(), row)) for row in op.rows.values())
+            low = min(next(compress(count(), row), len(row)) for row in rows.values())
+            width = max(map(len, rows.values())) - low + top
             powers = [gen.bn**i * gen.bd ** (top + 1 - i) for i in range(top + 1)]
             acc: dict[int, list[int]] = {}  # B-power -> T-coefficients from T^(m + low - top), times den bd^(top+1)
-            for r, row in op.rows.items():
+            for r, row in rows.items():
                 q = row[low:]
                 for (i, j), f in _derivative_row(r).items():
                     if (acc_row := acc.get(j)) is None:
-                        acc_row = acc[j] = [0] * (max(map(len, op.rows.values())) - low + top)
+                        acc_row = acc[j] = [0] * width
                     start = i - r + top
                     acc_row[start : start + len(q)] = map(add, acc_row[start:], map(mul, q, repeat(f * powers[i])))
-            pieces.append((gen, acc, gen.m + low - top, op.den * gen.bd ** (top + 1)))
+            pieces.append((gen, acc, gen.m + low - top, den * gen.bd ** (top + 1)))
         den, nums = math.lcm(*(scale for *_, scale in pieces)), {}
         for (bn, bd, _, _, an, ad), acc, lo, scale in pieces:
             f = den // scale
@@ -212,7 +227,7 @@ class DCombination(Frozen):
         return "\n".join(f"[{op}] ({gen})" for op, gen in pairs)
 
     def __repr__(self) -> str:
-        return f"<DCombination of {len(self.shifted)} generators>"
+        return f"<DCombination of {len(self._rows)} generators>"
 
 
 def reduce_to_first_order(x: BElement) -> DCombination:
@@ -228,14 +243,18 @@ def reduce_to_first_order(x: BElement) -> DCombination:
     groups: dict[tuple[int, int, int, int, int], list[tuple[Atom, int]]] = {}  # by the generator (bn, bd, n, an, ad)
     for at, v in x.nums.items():
         groups.setdefault((at.bn, at.bd, 1 if at.n else 0, at.an, at.ad), []).append((at, v))
-    shifted: dict[Atom, WeylOp] = {}
+    shifted: dict[Atom, tuple] = {}
     for (bn, bd, gen_n, an, ad), atoms in groups.items():
-        pole = min(0, *(at.m for at, _ in atoms))
-        total = _lowered(atoms, x.den, bn, bd, pole)
-        if (divided := total.left_divide_t_power(-pole)) is not None:
-            total, pole = divided, 0
-        shifted[_new(Atom, (bn, bd, gen_n, pole, an, ad))] = total
-    return DCombination._of_shifted(shifted)
+        if len(atoms) == 1 and atoms[0][0].n <= 1:  # v T^m B^n(bT)e^{aT}: the row v T^m, or v behind T^m if m < 0
+            ((at, v),) = atoms
+            pole, op = min(at.m, 0), ({0: [0] * max(at.m, 0) + [v]}, x.den)
+        else:
+            pole = min(0, *(at.m for at, _ in atoms))
+            rows, den = op = _lowered(atoms, x.den, bn, bd, pole)
+            if pole and not any(any(row[:-pole]) for row in rows.values()):
+                op, pole = ({k: row[-pole:] for k, row in rows.items()}, den), 0
+        shifted[_new(Atom, (bn, bd, gen_n, pole, an, ad))] = op
+    return DCombination._of_rows(shifted)
 
 
 # -- products -----------------------------------------------------------------

@@ -104,14 +104,6 @@ class WeylOp(Frozen):
                     deriv = deriv.derivative()
         return WeylOp(out)
 
-    def left_divide_t_power(self, k: int) -> "WeylOp | None":
-        """Factor self = T^k * rest if possible, else None."""
-        if k == 0:
-            return self
-        if any(any(row[:k]) for row in self.rows.values()):
-            return None
-        return WeylOp({order: row[k:] for order, row in self.rows.items()}, self.den)
-
     # -- actions -------------------------------------------------------------
 
     def apply_series(self, x: TruncatedSeries) -> TruncatedSeries:

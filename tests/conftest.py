@@ -409,11 +409,17 @@ def window(ser: TruncatedSeries) -> tuple:
     return ser.low, ser.bound, ser.coeffs
 
 
+def atom_series(at: Atom, bound: int) -> TruncatedSeries:
+    """The series of one atom, exact to the bound: ``elements._atom_part`` shifted by its offset and cut."""
+    ser, m = elements._atom_part(at, bound)
+    return ser.shift(m).truncate(bound)
+
+
 def fold_expand(x: BElement, bound: int) -> TruncatedSeries:
     """x's series as a running sum of scaled atom series."""
     acc = TruncatedSeries.zero(bound)
     for at, c in x.terms.items():
-        acc = acc + elements._atom_series(at, bound).scale(c)
+        acc = acc + atom_series(at, bound).scale(c)
     return acc
 
 
@@ -472,6 +478,16 @@ def weyl_rows_by_passes(parts: dict[int, list[int]], den: int) -> tuple[dict[int
     return {k: tuple(v // g for v in row) for k, row in rows.items()}, den // g
 
 
+def left_divide_t_power(op: WeylOp, k: int) -> WeylOp | None:
+    """op = T^k * rest read off the integer rows: rest, or None if some row has a lower T-power (the
+    route the library took before it divided the T-pole out of the lowering's rows)."""
+    if k == 0:
+        return op
+    if any(any(row[:k]) for row in op.rows.values()):
+        return None
+    return WeylOp({order: row[k:] for order, row in op.rows.items()}, op.den)
+
+
 def left_divide_t_power_by_polys(op: WeylOp, k: int) -> WeylOp | None:
     """op = T^k * rest read off the Poly parts: rest, or None if some part has a lower T-power."""
     out = {}
@@ -527,7 +543,7 @@ def reduce_to_first_order_by_chains(x: BElement) -> DCombination:
             total = WeylOp.zero()
             for m, op in slots.items():
                 total = total + WeylOp({0: Poly.monomial(m - m_min)}) * op
-            divided = total.left_divide_t_power(-m_min)
+            divided = left_divide_t_power(total, -m_min)
             total, gen_m = (divided, 0) if divided is not None else (total, m_min)
         if not total.is_zero():
             entries[Atom(b=b, n=gen_n, m=gen_m, a=a)] = total

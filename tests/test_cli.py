@@ -13,6 +13,7 @@ import pytest
 from bernring import cli, identities, selftest
 from bernring.elements import Atom, BElement, atom
 from bernring.exprparse import (
+    MAX_COEFFICIENT_BITS,
     MAX_DERIVATIVE_DEPTH,
     MAX_EXPONENT,
     MAX_NESTING_DEPTH,
@@ -166,6 +167,9 @@ class TestSizeCaps:
             (["reduce", "product", nested_power("2", 9)], MAX_POWER_SIZE),
             (["reduce", "product", nested_power("T", 12) + "*B", "--to-first-order"], MAX_POWER_SIZE),
             (["reduce", "product", t_power_chain(1296), "--to-first-order"], MAX_T_POWER_WEIGHT),
+            (["reduce", "product", nested_power("2", 6) + "*B(2/3T)^6*B(7/4T)^6"], MAX_COEFFICIENT_BITS),
+            (["reduce", "product", nested_power("2", 5) + "*B(2/3T)^6*B(7/4T)^6", "--to-first-order"],
+             MAX_COEFFICIENT_BITS),
         ],
     )
     def test_refused_past_cap(self, capsys, argv, cap):

@@ -20,6 +20,7 @@ from bernring.selftest import COEFFS, SCALES, SHIFTS, _known_zero, random_elemen
 from bernring.weyl import derivative_of_element
 from conftest import (
     FractionAtom,
+    atom_series,
     coeff_by_expansion,
     exp_poly,
     exp_poly_by_nested_dicts,
@@ -357,7 +358,7 @@ class TestOneWindowExpand:
                 for bound in (m, 7, 40):
                     work = bound - m
                     once = (TruncatedSeries.one(work) * exp_series(a, work)).shift(m)
-                    assert window(elements._atom_series(Atom(Fraction(1), 0, m, a), bound)) == window(once)
+                    assert window(atom_series(Atom(Fraction(1), 0, m, a), bound)) == window(once)
 
     def test_atom_past_the_bound_is_zero_to_the_bound(self):
         # T^m B(bT)^n e^{aT} with m > bound: once an error for n = 0, and exact to less than the bound for n >= 1

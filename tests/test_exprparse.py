@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bernring import exprparse
 from bernring.elements import BElement, atom, b_element, from_scalar, t_element
 from bernring.exprparse import (
+    MAX_COEFFICIENT_BITS,
     MAX_DERIVATIVE_DEPTH,
     MAX_EXPONENT,
     MAX_NESTING_DEPTH,
@@ -513,6 +514,46 @@ class TestTPowerWeightCap:
     def test_largest_accepted_inputs(self, text):
         x = parse_element(text)
         assert sum(abs(at.m) for at in x.nums) <= MAX_T_POWER_WEIGHT
+
+
+#: the slowest product at the measure cap, and a coefficient of 2^1296 bits written as nested powers
+MEASURE_CAP_PRODUCT, BIG_TWO = "B(2/3T)^6*B(7/4T)^6", nested_power("2", 4)
+
+
+def coefficient_bits(x: BElement) -> int:
+    return sum(abs(v).bit_length() for v in x.nums.values())
+
+
+class TestCoefficientBitsCap:
+    @pytest.mark.parametrize(
+        "text, bits",
+        [
+            (nested_power("2", 6) + "*" + MEASURE_CAP_PRODUCT, 110_702_809),
+            (nested_power("2", 5) + "*" + MEASURE_CAP_PRODUCT, 18_634_969),
+            (f"{BIG_TWO}*" * 4 + MEASURE_CAP_PRODUCT, 12_497_113),
+            (f"{BIG_TWO}*{BIG_TWO}*{MEASURE_CAP_PRODUCT} + {BIG_TWO}*{BIG_TWO}*{MEASURE_CAP_PRODUCT}*e^{{1/97T}}", 12_718_514),
+        ],
+        ids=["nested-6", "nested-5", "chain", "sum"],
+    )
+    def test_refused_once_parsed(self, text, bits):
+        assert coefficient_bits(_Parser(text).expr()) == bits > MAX_COEFFICIENT_BITS  # before the final check
+        message = f"coefficient size {bits} bits of the element is past the cap of {MAX_COEFFICIENT_BITS}"
+        assert parsed_or_refused(parse_element, text) == (message, len(text))
+
+    def test_left_fold_refuses_the_same(self):
+        assert_folds_agree(f"{BIG_TWO}*" * 4 + MEASURE_CAP_PRODUCT)
+
+    @pytest.mark.parametrize(
+        "text, bits",
+        [
+            ("d[d[d[d[d[d[" + MEASURE_CAP_PRODUCT + "]]]]]]", 4_734_368),
+            (f"{BIG_TWO}*" * 3 + MEASURE_CAP_PRODUCT, 9_428_185),
+            (nested_power("2", 6), 46_657),
+        ],
+        ids=["derivative", "chain", "power"],
+    )
+    def test_largest_accepted_inputs(self, text, bits):
+        assert coefficient_bits(parse_element(text)) == bits <= MAX_COEFFICIENT_BITS
 
 
 class TestNegativePowerOfZero:

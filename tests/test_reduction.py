@@ -406,6 +406,38 @@ class TestShiftedFrame:
         assert len(calls) == want > 0
         assert combo.render() == text and len(calls) == want
 
+    def test_reduce_path_builds_no_operator(self, monkeypatch):
+        """Parse, lowering, ``semantic_element`` and ``equals`` read the lowering's integer rows; the first
+        ``render`` builds one canonical operator a generator, and a second one none."""
+        built, init = [], WeylOp.__init__
+        monkeypatch.setattr(WeylOp, "__init__", lambda op, *args: built.append(op) or init(op, *args))
+        x = parse_element(COUNT_ANCHOR)
+        combo = reduce_to_first_order(x)
+        assert combo.semantic_element().equals(x) and combo.equals(reduce_to_first_order(x)) and built == []
+        text = combo.render()
+        assert len(built) == len(combo.entries) == 9
+        assert combo.render() == text and len(built) == 9
+
+    @pytest.mark.parametrize(
+        "text, poles",
+        [
+            ("T^-2*B(2T)*e^{1/2T} + T^-1*B(3/2T)^2", [-2, -1]),
+            ("T^-3*B(2T)^3*e^{-1/3T} + T^-1*B(2T)*e^{-1/3T}", [-3]),
+            ("T^-2*B(3T)^2 - 2*T^-1*B(5/2T)^3*e^{T} + T^-3", [-2, -1, -3]),
+            ("T^-1*B(3T)^3*e^{1/2T}", [-1]),
+            ("T^-1*B^2 - T^-1*B", [0]),  # (B^2 - B) / T = (-1 - d) B: the pole divides out
+            ("T^-2*B(2T)^3*e^{1/2T} - T^-2*B(2T)^2*e^{1/2T} + 3*T^-2*B(2T)*e^{1/2T}", [-2]),
+        ],
+    )
+    def test_poles_against_the_chain_route(self, text, poles):
+        """The T-pole divided out of the raw rows, or kept, as the Weyl-product route decides on canonical operators."""
+        x = parse_element(text)
+        combo = reduce_to_first_order(x)
+        assert sorted(gen.m for gen in combo.shifted) == sorted(poles)
+        assert combo == reduce_to_first_order_by_chains(x)
+        assert combo.semantic_element() == x
+        assert combo.semantic_element().terms == fold_semantic_element(combo).terms
+
 
 def assert_routes_agree(x: BElement, y: BElement) -> None:
     """Every fast path of the reduce path gives the same terms as its slow route."""

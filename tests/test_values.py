@@ -147,6 +147,24 @@ def test_combinations_rebuild(x):
     assert_combination_rebuilds(reduce_to_first_order(parse_element(x)))
 
 
+@given(drawn, st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_combinations_equal_exactly_when_their_elements_do(rng: random.Random, same: bool):
+    """A combination's ``==`` reads its canonical operators, which determine the element's stored form: half
+    the pairs are one element, its numerators copied, and the rest two draws."""
+    x = random_element(rng, max_atoms=3, max_n=3)
+    y = BElement(dict(x.nums), x.den) if same else random_element(rng, max_atoms=3, max_n=3)
+    assert (reduce_to_first_order(x) == reduce_to_first_order(y)) == (x == y)
+    assert (reduce_to_first_order(x) != reduce_to_first_order(y)) == (x != y)
+
+
+@pytest.mark.parametrize("left, right", [("B", "T"), ("B*e^{T}", "B + T")])
+def test_combinations_of_distinct_generators_differ(left, right):
+    """B*e^{T} and B + T denote one series but are written over different generators."""
+    x, y = reduce_to_first_order(parse_element(left)), reduce_to_first_order(parse_element(right))
+    assert x != y and not x == y and x.equals(y) == (left != "B")
+
+
 def test_every_value_class_is_frozen_with_public_fields():
     expected = {
         Poly: ("nums", "den"),
