@@ -258,7 +258,11 @@ def atom(m: int, n: int, b, a=0) -> BElement:
     For b < 0 the identity B(-T) = B(T) + T turns B(bT)^n into the binomial
     expansion of (B(|b|T) + |b|T)^n, so the result may have several atoms.
     """
-    (bn, bd), (an, ad) = _ratio(b), _ratio(a)
+    return _atom(m, n, *_ratio(b), *_ratio(a))
+
+
+def _atom(m: int, n: int, bn: int, bd: int, an: int, ad: int) -> BElement:
+    """``atom`` at b = bn/bd and a = an/ad, given as integer pairs in lowest terms with bd, ad > 0."""
     if bn == 0:
         raise ValueError("argument scale b must be nonzero")
     if n == 0 or bn > 0:

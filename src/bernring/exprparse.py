@@ -35,9 +35,8 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 
-from .elements import Atom, BElement, _new, _reduced, atom, from_scalar, times_monomial
+from .elements import Atom, BElement, _atom, _new, _reduced, atom, from_scalar, times_monomial
 from .reduction import invert_term, product_reduce
 from .weyl import derivative_of_element
 
@@ -282,9 +281,9 @@ class _Parser:
             self.expect(closing)
         return sign * value
 
-    def number(self) -> Fraction:
-        """The ``p`` or ``p/q`` literal at the cursor; a zero denominator, or a part past ``MAX_RATIONAL_DIGITS``
-        digits (counted, so that no integer is read from a long one), is refused at the literal."""
+    def number(self) -> tuple[int, int]:
+        """The ``p`` or ``p/q`` literal at the cursor as an integer pair in lowest terms; a zero denominator, or a part
+        past ``MAX_RATIONAL_DIGITS`` digits (counted, so that no integer is read from a long one), is refused there."""
         _, val, pos = self.advance()
         num, slash, den = (part.lstrip("0") for part in val.partition("/"))  # int() reads no leading zero
         digits = max(len(num), len(den))
@@ -292,19 +291,22 @@ class _Parser:
             raise ExprError(f"{digits}-digit number is past the cap of {MAX_RATIONAL_DIGITS} digits", self.text, pos)
         if slash and not den:
             raise ExprError(f"zero denominator in {val!r}", self.text, pos)
-        return Fraction(int(num or "0"), int(den or "1"))
+        return _reduced(int(num or "0"), int(den or "1"))
 
-    def scalar(self, default=Fraction(1)) -> Fraction:
+    def scalar(self) -> tuple[int, int]:
+        """An optionally signed literal, 1 if there is none, as an integer pair in lowest terms."""
         sign = 1
         if self.peek()[1] == "-":
             self.advance()
             sign = -1
-        return sign * (self.number() if self.peek()[0] == "number" else default)
+        num, den = self.number() if self.peek()[0] == "number" else (1, 1)
+        return sign * num, den
 
     def primary(self) -> BElement:
         kind, val, pos = self.peek()
         if kind == "number":
-            return from_scalar(self.number())
+            num, den = self.number()
+            return BElement({_new(Atom, (1, 1, 0, 0, 0, 1)): num}, den)
         if val == "T":
             self.advance()
             return atom(1, 0, 1)
@@ -315,9 +317,9 @@ class _Parser:
                 scale = self.scalar()
                 self.expect("T")
                 self.expect(")")
-                if scale == 0:
+                if not scale[0]:
                     raise ExprError("argument scale must be nonzero", self.text, pos)
-                return atom(0, 1, scale)
+                return _atom(0, 1, *scale, 0, 1)
             return atom(0, 1, 1)
         if val == "e":
             self.advance()
@@ -326,7 +328,7 @@ class _Parser:
             shift = self.scalar()
             self.expect("T")
             self.expect("}")
-            return atom(0, 0, 1, shift)
+            return _atom(0, 0, 1, 1, *shift)
         if val == "(" or val == "d":
             derivative = val == "d"
             if derivative and self.depth == MAX_DERIVATIVE_DEPTH:

@@ -85,26 +85,31 @@ def _chain_row(n: int) -> list[list[int]]:
     return _CHAIN_ROWS[n]
 
 
+#: the most lowering tables kept, one for each (n, top, bn, bd): a ``reduce`` benchmark stream reads 72.  Of the
+#: inputs tried, d^6 of ``(B(2T)+...+B(13T))^6*B(1/2T)^6`` reads the most, 456, yet misses each once; 256 held 0.9 MB
+@lru_cache(maxsize=256)
+def _chain_table(n: int, top: int, bn: int, bd: int) -> tuple[tuple[int, int, int], ...]:
+    """The nonzero c T^e d^k of chain(n), as (k, e, c b^(e-k) (bn bd)^top top!/(n-1)!) in integers, n - 1 <= top."""
+    return tuple((k, e, math.factorial(top) // math.factorial(n - 1) * c * bn ** (e - k + top) * bd ** (top - e + k))
+                 for k, cs in enumerate(_chain_row(n)) for e, c in enumerate(cs) if c)
+
+
 def _lowered(atoms: list[tuple[Atom, int]], den: int, bn: int, bd: int, pole: int) -> tuple[dict[int, list[int]], int]:
     """T^-pole times the sum of (v / den) T^m chain(n) at (bn/bd, a) over the atoms, as op(T, d + a) = Phi_{b,0} of the
-    same at (1, 0): each c T^e d^k of chain(n) becomes c b^(e-k) T^e d^k.  Returned as the integer rows {k: coefficients
-    of T^0, T^1, ... in front of d^k} over one denominator, neither trimmed nor reduced."""
+    same at (1, 0): each c T^e d^k of chain(n) becomes c b^(e-k) T^e d^k, read off ``_chain_table``.  Returned as
+    the integer rows {k: coefficients of T^0, T^1, ... in front of d^k} over one denominator, untrimmed, unreduced."""
     if all(at.n <= 1 for at, _ in atoms):  # chain(n) is 1
         row = [0] * (max(at.m for at, _ in atoms) - pole + 1)
         for at, v in atoms:
             row[at.m - pole] += v
         return {0: row}, den
     top = max(at.n for at, _ in atoms) - 1  # the largest k, and the largest e, of any chain(n)
-    common, width = math.factorial(top), max(at.m for at, _ in atoms) - pole + top + 1
-    powers = [bn**i * bd ** (2 * top - i) for i in range(2 * top + 1)]  # b^(e-k) (bn bd)^top, at e - k + top
-    parts = [[0] * width for _ in range(top + 1)]  # times top! (bn bd)^top, (n-1)! dividing top!
+    width = max(at.m for at, _ in atoms) - pole + top + 1
+    parts = [[0] * width for _ in range(top + 1)]
     for at, v in atoms:
-        w = v * (common // math.factorial(max(at.n - 1, 0)))
-        for k, (cs, part) in enumerate(zip(_chain_row(at.n), parts)):
-            for e, c in enumerate(cs):
-                if c:
-                    part[at.m - pole + e] += w * c * powers[e - k + top]
-    return dict(enumerate(parts)), common * den * (bn * bd) ** top
+        for k, e, c in _chain_table(at.n, top, bn, bd):
+            parts[k][at.m - pole + e] += v * c
+    return dict(enumerate(parts)), math.factorial(top) * den * (bn * bd) ** top
 
 
 def _shifted(op: tuple[Mapping[int, Sequence[int]], int], an: int, ad: int) -> WeylOp:
@@ -180,35 +185,30 @@ class DCombination(Frozen):
         """The element sum T^m op(B^n(bT)e^{aT}) over the generators, in closed form.
 
         The generator is T^m e^{aT} op(T, d + a)[B^n(bT)], read off the stored rows g_r: d^r B(bT) =
-        T^-r f_r(bT, B(bT)), and for n = 0 only g_0 acts, on 1.  Each generator is summed in integers
-        from the lowest T-power of its rows, and the generators over the lcm of their denominators.
+        T^-r f_r(bT, B(bT)), and for n = 0 only g_0 acts, on 1.  Each generator is summed in integers, one update
+        a nonzero entry of g_r and term of ``_derivative_table``, and the generators over the lcm of their denominators.
         """
-        pieces = []  # (generator, {B-power: coefficients of T^lo, T^(lo+1), ...}, lo, denominator)
+        pieces = []  # (generator, [(B-power, coefficients of T^lo, T^(lo+1), ...)], lo, denominator)
         for gen, (rows, den) in self._rows.items():
             if (top := max(rows)) == 0 or not gen.n:  # T^m f_0(T) B^n(bT) e^{aT}
                 if 0 in rows:
-                    pieces.append((gen, {gen.n: rows[0]}, gen.m, den))
+                    pieces.append((gen, [(gen.n, rows[0])], gen.m, den))
                 continue
-            low = min(next(compress(count(), row), len(row)) for row in rows.values())
-            width = max(map(len, rows.values())) - low + top
-            powers = [gen.bn**i * gen.bd ** (top + 1 - i) for i in range(top + 1)]
-            acc: dict[int, list[int]] = {}  # B-power -> T-coefficients from T^(m + low - top), times den bd^(top+1)
+            table, width = _derivative_table(top, gen.bn, gen.bd), max(map(len, rows.values())) + top
+            acc = [[0] * width for _ in range(top + 2)]  # by B-power, from T^(m - top), times den bd^(top+1)
             for r, row in rows.items():
-                q = row[low:]
-                for (i, j), f in _derivative_row(r).items():
-                    if (acc_row := acc.get(j)) is None:
-                        acc_row = acc[j] = [0] * width
-                    start = i - r + top
-                    acc_row[start : start + len(q)] = map(add, acc_row[start:], map(mul, q, repeat(f * powers[i])))
-            pieces.append((gen, acc, gen.m + low - top, den * gen.bd ** (top + 1)))
+                terms = table[r]
+                for e, c in compress(enumerate(row), row):
+                    for j, start, w in terms:
+                        acc[j][start + e] += c * w
+            pieces.append((gen, enumerate(acc), gen.m - top, den * gen.bd ** (top + 1)))
         den, nums = math.lcm(*(scale for *_, scale in pieces)), {}
         for (bn, bd, _, _, an, ad), acc, lo, scale in pieces:
             f = den // scale
-            for j, row in acc.items():
-                for m, c in enumerate(row, lo):
-                    if c:
-                        key = _new(Atom, (bn, bd, j, m, an, ad))
-                        nums[key] = nums.get(key, 0) + c * f
+            for j, row in acc:
+                for m, c in compress(enumerate(row, lo), row):
+                    key = _new(Atom, (bn, bd, j, m, an, ad))
+                    nums[key] = nums.get(key, 0) + c * f
         return BElement(nums, den)
 
     def equals(self, other: "DCombination") -> bool:
@@ -432,6 +432,15 @@ def _derivative_row(n: int) -> dict[tuple[int, int], int]:
                 row[k - j, j] = -w * k * lower[j]
         _DERIVATIVE_ROWS.append(row)
     return _DERIVATIVE_ROWS[n]
+
+
+#: the most derivative tables kept, one for each (top, bn, bd): a ``reduce`` benchmark stream reads 30.  Of the
+#: inputs tried, d^6 of ``(B(2T)+...+B(13T))^6*B(1/2T)^6`` reads the most, 48, which held 0.55 MB
+@lru_cache(maxsize=64)
+def _derivative_table(top: int, bn: int, bd: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """For r = 0..top, the terms c T^i B^j of f_r as (j, i - r + top, c b^i bd^(top+1)) in integers."""
+    return tuple(tuple((j, i - r + top, c * bn**i * bd ** (top + 1 - i)) for (i, j), c in _derivative_row(r).items())
+                 for r in range(top + 1))
 
 
 def f_n_closed(n: int) -> BElement:

@@ -3,11 +3,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count, repeat
+from operator import add, mul
 
 import pytest
 from hypothesis import strategies as st
 
-from bernring import elements, exprparse, series
+from bernring import elements, exprparse, reduction, series
 from bernring.elements import Atom, BElement, Frozen, from_scalar
 from bernring.identities import BernSymbol
 from bernring.polys import LATEX, Poly, binomial, common_numerators, gcd_ext, lowest_terms
@@ -15,6 +17,7 @@ from bernring.partfrac import g_pair, h_f
 from bernring.reduction import (
     DCombination,
     ReductionError,
+    _chain_row,
     _derivative_row,
     _drain,
     _measure,
@@ -993,6 +996,66 @@ def semantic_element_by_actions(combo: DCombination) -> BElement:
     for (bn, bd, n, m, an, ad), op in combo.entries.items():
         acc = acc + op.apply_element(BElement({elements._new(Atom, (bn, bd, n, 0, an, ad)): 1}, 1)).mul_monomial(m)
     return acc
+
+
+def lowered_by_powers(atoms: list, den: int, bn: int, bd: int, pole: int) -> tuple[dict[int, list[int]], int]:
+    """``reduction._lowered`` by the loop the lowering tables replaced: every entry of every ``_chain_row`` read
+    again for each atom, its b^(e-k) (bn bd)^top looked up in a list of b-powers built for each call."""
+    if all(at.n <= 1 for at, _ in atoms):
+        row = [0] * (max(at.m for at, _ in atoms) - pole + 1)
+        for at, v in atoms:
+            row[at.m - pole] += v
+        return {0: row}, den
+    top = max(at.n for at, _ in atoms) - 1
+    common, width = math.factorial(top), max(at.m for at, _ in atoms) - pole + top + 1
+    powers = [bn**i * bd ** (2 * top - i) for i in range(2 * top + 1)]  # b^(e-k) (bn bd)^top, at e - k + top
+    parts = [[0] * width for _ in range(top + 1)]
+    for at, v in atoms:
+        w = v * (common // math.factorial(max(at.n - 1, 0)))
+        for k, (cs, part) in enumerate(zip(_chain_row(at.n), parts)):
+            for e, c in enumerate(cs):
+                if c:
+                    part[at.m - pole + e] += w * c * powers[e - k + top]
+    return dict(enumerate(parts)), common * den * (bn * bd) ** top
+
+
+def first_order_rows_by_powers(x: BElement) -> dict:
+    """The raw rows {generator: (rows, denominator)} of ``reduce_to_first_order(x)``, lowered by ``lowered_by_powers``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reduction, "_lowered", lowered_by_powers)
+        return reduction.reduce_to_first_order(x)._rows
+
+
+def semantic_element_by_slices(combo: DCombination) -> BElement:
+    """``DCombination.semantic_element`` by the loop the derivative tables replaced: each generator summed from the
+    lowest T-power of its rows, one slice of products for each (row, term of f_r), its b-power read off a list built
+    for each generator, and every accumulated entry scanned for zeros."""
+    pieces = []
+    for gen, (rows, den) in combo._rows.items():
+        if (top := max(rows)) == 0 or not gen.n:
+            if 0 in rows:
+                pieces.append((gen, {gen.n: rows[0]}, gen.m, den))
+            continue
+        low = min(next(compress(count(), row), len(row)) for row in rows.values())
+        width = max(map(len, rows.values())) - low + top
+        powers = [gen.bn**i * gen.bd ** (top + 1 - i) for i in range(top + 1)]
+        acc: dict[int, list[int]] = {}  # B-power -> T-coefficients from T^(m + low - top), times den bd^(top+1)
+        for r, row in rows.items():
+            q = row[low:]
+            for (i, j), f in _derivative_row(r).items():
+                if (acc_row := acc.get(j)) is None:
+                    acc_row = acc[j] = [0] * width
+                start = i - r + top
+                acc_row[start : start + len(q)] = map(add, acc_row[start:], map(mul, q, repeat(f * powers[i])))
+        pieces.append((gen, acc, gen.m + low - top, den * gen.bd ** (top + 1)))
+    den, nums = math.lcm(*(scale for *_, scale in pieces)), {}
+    for (bn, bd, _, _, an, ad), acc, lo, scale in pieces:
+        for j, row in acc.items():
+            for m, c in enumerate(row, lo):
+                if c:
+                    key = elements._new(Atom, (bn, bd, j, m, an, ad))
+                    nums[key] = nums.get(key, 0) + c * (den // scale)
+    return BElement(nums, den)
 
 
 def product_of_sums(n: int) -> str:

@@ -57,6 +57,16 @@ class TestPrimaries:
         assert parse_element("e^{T}") == atom(0, 0, 1, 1)
         assert parse_element("e^{-1/2T}") == atom(0, 0, 1, F(-1, 2))
 
+    @given(st.integers(-30, 30), st.integers(1, 30), st.integers(1, 12))
+    def test_literals_read_in_lowest_terms(self, p, q, g):
+        """A literal pg/qg, read as an integer pair, builds the atoms of p/q: as a number, a shift and a scale,
+        a negative scale expanded by B(-T) = B(T) + T."""
+        text, c = f"{p * g}/{q * g}", F(p, q)
+        assert parse_element(text) == from_scalar(c)
+        assert parse_element(f"e^{{{text}T}}") == atom(0, 0, 1, c)
+        if p:
+            assert parse_element(f"B({text}T)") == atom(0, 1, c)
+
 
 class TestOperators:
     def test_precedence(self):

@@ -41,6 +41,7 @@ from bernring.weyl import WeylOp, derivative_of_element
 from conftest import (
     derivative_by_fractions,
     f_n_by_recursion,
+    first_order_rows_by_powers,
     fold_apply_element,
     fold_derivative_of_element,
     fold_product_reduce,
@@ -55,6 +56,7 @@ from conftest import (
     semantic_element_by_actions,
     semantic_element_by_fractions,
     semantic_element_by_shifting,
+    semantic_element_by_slices,
     small_rationals,
 )
 
@@ -363,10 +365,11 @@ def test_semantic_element_sums_the_actions(combo):
 
 
 def assert_frames_agree(combo: DCombination) -> None:
-    """The element read off the stored shifted frame, against (d + a)^k expanded over ``entries`` and against
-    each operator applied to its generator; the view at (b, a) rebuilds the combination."""
+    """The element read off the stored shifted frame, against (d + a)^k expanded over ``entries``, against the
+    slice loop over the same rows and against each operator applied to its generator; the view at (b, a) rebuilds
+    the combination."""
     got = combo.semantic_element()
-    assert got == semantic_element_by_shifting(combo)
+    assert got == semantic_element_by_shifting(combo) == semantic_element_by_slices(combo)
     assert got.terms == semantic_element_by_actions(combo).terms
     assert DCombination(combo.entries) == combo
 
@@ -511,12 +514,17 @@ class TestFastPathsAgainstOracles:
         assert op.apply_element(x) == fold_apply_element(op, x)
 
     def test_lowering_chains_reused_in_any_order(self, monkeypatch):
+        """The rows grow on demand, to the largest order read so far, from a fresh table and no lowering table
+        built from the old one."""
         monkeypatch.setattr(reduction, "_CHAIN_ROWS", [[[1]], [[1]]])
-        chains = {}
+        reduction._chain_table.cache_clear()
+        chains, rows = {}, 2
         for n, b, a in [(5, F(2), F(1, 2)), (3, F(2), F(1, 2)), (8, F(2), F(1, 2)), (4, F(3, 2), F(0)), (1, F(1), F(0))]:
             table = reduce_to_first_order(atom(0, n, b, a)).op_for(1, b, a)
             assert table == lowering_chain(n, b, a, chains) == lowering_chain_by_products(n, b, a)
-        assert len(reduction._CHAIN_ROWS) == 9
+            rows = max(rows, n + 1)
+            assert len(reduction._CHAIN_ROWS) == rows
+        assert rows == 9
 
     def test_table_rows_are_integer_chains_over_factorials(self):
         for n in range(1, 10):
@@ -628,6 +636,68 @@ class TestLoweringTableAgainstChains:
                 iterated = derivative_of_element(iterated)
 
 
+# -- the per-scale lowering and derivative tables against the loops they replaced ---------------------
+
+SCALE_TABLE_SCALES = (F(1), F(2), F(3, 2), F(5, 3), F(7, 4))
+scale_table_elements = st.dictionaries(
+    st.builds(single_atom, st.integers(-4, 4), st.integers(0, 12), st.sampled_from(SCALE_TABLE_SCALES), st.sampled_from(TABLE_SHIFTS)),
+    small_rationals.filter(bool),
+    min_size=1,
+    max_size=5,
+).map(BElement)
+
+#: the fixed grid of the scale tables: these products, each alone and times a T-pole, a coefficient and a shift
+SCALE_TABLE_BASES = [
+    *(f"B(2T)^{k}*B(3T)^{k}" for k in range(1, 7)), "B(2T)*B(3T)*B(5T)*B(7T)*B(11T)", "B(2/3T)^6*B(7/4T)^6",
+]
+
+
+def assert_scale_tables_agree(x: BElement) -> BElement:
+    """The lowering's raw rows, untrimmed, and their denominators against the loop over b-powers, and the element
+    read back against the slice loop; returns that element."""
+    combo = reduce_to_first_order(x)
+    assert combo._rows == first_order_rows_by_powers(x)
+    got = combo.semantic_element()
+    assert got == semantic_element_by_slices(combo)
+    return got
+
+
+class TestScaleTablesAgainstLoops:
+    @given(scale_table_elements)
+    @settings(max_examples=80, deadline=None)
+    def test_random_elements(self, x):
+        assert assert_scale_tables_agree(x).equals(x)
+
+    @pytest.mark.parametrize("factor", ["1", "5/2*T^-3*e^{-7/4T}"])
+    @pytest.mark.parametrize("base", SCALE_TABLE_BASES)
+    def test_fixed_grid(self, base, factor):
+        x = parse_element(f"{base}*{factor}")
+        assert assert_scale_tables_agree(x) == x
+
+    def test_caches_stay_bounded_past_their_size(self):
+        """More scales than either cache keeps, read twice: each cache fills to its size and no further, the
+        second read rebuilds the evicted tables, and its answers still equal the loops'."""
+        caches = (reduction._chain_table, reduction._derivative_table)
+        scales = range(1, 2 + max(cache.cache_info().maxsize for cache in caches))
+        x = BElement({single_atom(0, 2, F(p)): 1 for p in scales} | {single_atom(1, 3, F(p, 7)): -3 for p in scales}, 1)
+        for _ in range(2):
+            misses = [cache.cache_info().misses for cache in caches]
+            assert assert_scale_tables_agree(x) == x
+            infos = [cache.cache_info() for cache in caches]
+            assert all(info.currsize == info.maxsize for info in infos)
+        assert all(info.misses > before for info, before in zip(infos, misses))
+
+    def test_second_anchor_run_misses_neither_cache(self):
+        caches = (reduction._chain_table, reduction._derivative_table)
+        reduce_to_first_order(parse_element(COUNT_ANCHOR)).semantic_element()
+        before = [cache.cache_info() for cache in caches]
+        x = parse_element(COUNT_ANCHOR)
+        assert reduce_to_first_order(x).semantic_element() == x
+        after = [cache.cache_info() for cache in caches]
+        assert [info.misses for info in after] == [info.misses for info in before]
+        assert all(new.hits > old.hits for new, old in zip(after, before))
+
+
 class TestMeasureGuard:
     def test_rewrite_that_keeps_the_measure_is_refused(self, monkeypatch):
         monkeypatch.setattr(reduction, "_rewrite_step", lambda r, factors, row: [(r, dict(factors), row)])
@@ -639,10 +709,9 @@ class TestMeasureGuard:
 
 # -- the reduce and grid paths build Fractions only at their boundary -----------------------------
 
-#: the anchor parsed, reduced to first order and checked with ``equals``; the ceiling is the count
-#: once atoms held their scale and shift as integers (9; 74 while they held Fractions, 270 while
-#: the element kernel held Fractions)
-COUNT_ANCHOR, FRACTION_CEILING = "B(2T)^2*B(3T)^2*3*T^2*e^{1/2T}", 9
+#: the anchor parsed, reduced to first order and checked with ``equals``, which make no Fraction (9 while
+#: the parser read literals as Fractions, 74 while atoms held Fractions, 270 while the element kernel did)
+COUNT_ANCHOR = "B(2T)^2*B(3T)^2*3*T^2*e^{1/2T}"
 
 #: one warm ``verify_lowering`` and one warm ``verify_agoh_dilcher_example``: the Fractions of their
 #: reports and Bernoulli values, none for an atom read (16; 17 while atoms held Fractions)
@@ -672,7 +741,7 @@ def test_fraction_constructions_on_the_reduce_path(monkeypatch):
         return reduce_to_first_order(x).semantic_element().equals(x)
 
     made, reads = fractions_made(op, monkeypatch)
-    assert 0 < made <= FRACTION_CEILING, f"{made} Fractions made on the reduce path"
+    assert made == 0, f"{made} Fractions made on the reduce path"
     assert reads == 0, f"{reads} Fraction views of atoms read on the reduce path"
 
 
