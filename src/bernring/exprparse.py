@@ -27,8 +27,8 @@ A parsed element whose T-power weight is past ``MAX_T_POWER_WEIGHT``, or whose n
 bits in all than ``MAX_COEFFICIENT_BITS``, is refused.
 
 Multiplication of elements is the exact ring product (fully reduced), so every
-parsed expression is again a plain element.  A power of one atom is read in
-closed form and monomial factors are multiplied directly, not by ``product_reduce``.
+parsed expression is again a plain element.  A power of one atom is read in closed form, and the
+monomial factors c T^k e^{aT} of a term ride in the last factor of its last product into ``product_reduce``.
 """
 
 from __future__ import annotations
@@ -193,33 +193,35 @@ class _Parser:
         return value
 
     def term(self) -> BElement:
-        """A product of factors.  A monomial factor c T^k e^{aT} only scales and shifts the atoms of
-        the others, so the monomials are multiplied together and into the rest once, at the end; each
-        factor is still checked against the caps as it comes, as the product so far has the atoms of
-        the rest, shifted, or, while there is no rest, no B-factor.  Each operand's ``_scales`` is read once."""
-        rest = monomial = None
-        rest_caps, factor_caps = {}, None  # _scales of the rest (empty while there is none; None until read)
+        """A product of factors, one pass over the atoms of each product: a B-factor is held back until the next
+        arrives or the term ends, then multiplied in by ``product_reduce`` with the term's monomials c T^k e^{aT} so far
+        folded into it.  Caps and counts are taken as each factor comes; a monomial shifts every atom alike, so it
+        moves none of them; one after a product skips ``check_caps``, as no product's B-power passes its operands'."""
+        rest = last = monomial = caps = None  # the term so far is rest * last * monomial, rest None while last is alone
         factor = self.unary()
         while True:
             if len(factor.nums) == 1 and next(iter(factor.nums)).n == 0:
-                monomial = factor if monomial is None else times_monomial(monomial, factor)
-            elif rest is None:
-                rest, rest_caps = factor, factor_caps
+                if rest is None and last is not None and caps is None:  # once, as no monomial moves the B-power
+                    self.check_caps(caps := _scales(last), {})
+                monomial = times_monomial(monomial, factor) if monomial else factor
+            elif last is None:
+                if monomial:  # after a '*'
+                    self.check_caps({}, caps := _scales(factor))
+                last = factor
             else:
-                rest, rest_caps = self.product(rest, factor, rest_caps, factor_caps), None
+                if rest is not None:
+                    last, monomial = product_reduce(rest, times_monomial(last, monomial) if monomial else last), None
+                self.check_caps(rest_caps := _scales(last), caps := _scales(factor))
+                self.count(last, factor, rest_caps, caps)
+                rest, last = last, factor
             if self.peek()[1] != "*":
                 break
             self.advance()
             factor = self.unary()
-            if rest_caps is None:
-                rest_caps = _scales(rest)
-            factor_caps = _scales(factor)
-            self.check_caps(rest_caps, factor_caps)
-        if monomial is None:
-            return rest
-        if rest is None:
+        if last is None:
             return monomial
-        return times_monomial(rest, monomial)
+        last = times_monomial(last, monomial) if monomial else last
+        return last if rest is None else product_reduce(rest, last)
 
     def check_caps(self, xs: dict, ys: dict) -> None:
         """Refuse the product of two operands, given by their ``_scales``, if it is past
@@ -231,8 +233,8 @@ class _Parser:
         if measure > MAX_PRODUCT_MEASURE:
             self.fail(f"rewrite measure {measure} of a product is past the cap of {MAX_PRODUCT_MEASURE}")
 
-    def product(self, x: BElement, y: BElement, xs: dict, ys: dict) -> BElement:
-        """x*y, of ``_scales`` xs and ys, refused past ``MAX_PRODUCT_PAIRS``, then ``MAX_REWRITE_WORK``."""
+    def count(self, x: BElement, y: BElement, xs: dict, ys: dict) -> None:
+        """Count x*y, of ``_scales`` xs and ys, refused past ``MAX_PRODUCT_PAIRS``, then ``MAX_REWRITE_WORK``."""
         self.pairs += len(x.nums) * len(y.nums)
         if self.pairs > MAX_PRODUCT_PAIRS:
             self.fail(f"atom-pair count {self.pairs} of the products is past the cap of {MAX_PRODUCT_PAIRS}")
@@ -240,7 +242,6 @@ class _Parser:
                          for s, sa in xs.items() for t, ta in ys.items() if s[:2] != t[:2])
         if self.work > MAX_REWRITE_WORK:
             self.fail(f"rewrite work {self.work} of the products is past the cap of {MAX_REWRITE_WORK}")
-        return product_reduce(x, y)
 
     def unary(self) -> BElement:
         """A power after a run of minuses, read in a loop so that no run is too long to parse."""
@@ -359,7 +360,8 @@ def _element_power(base: BElement, exponent: int, parser: _Parser) -> BElement:
         result, caps = from_scalar(1), _scales(base)
         for _ in range(exponent):
             parser.check_caps(summary := _scales(result), caps)
-            result = parser.product(result, base, summary, caps)
+            parser.count(result, base, summary, caps)
+            result = product_reduce(result, base)
         return result
     # (c T^m B(bT)^n e^{aT})^k = c^k T^(km) B(bT)^(kn) e^{kaT}, refused where the products one factor
     # at a time would be: at the first step past the cap, B(bT)^(n floor(cap / n)) times B(bT)^n

@@ -267,21 +267,22 @@ def product_reduce(x: BElement, y: BElement) -> BElement:
     prod_p B(pU)^factors[p] in U = T/q and X = e^U, q the common denominator of its scales and
     0 <= f < 1/q.  The terms of all pairs with one (q, f) and one (r, factors) are one row: a
     Laurent polynomial in X, kept sparse as ({power of X: integer numerator}, one denominator), so
-    shifts far apart cost no more than near ones.  Coefficients are products of numerators, over
-    x.den y.den and the lcm of the rows' denominators, and each pair of shifts is added once.
+    shifts far apart cost no more than near ones.  Rows hold products of numerators over each operand's content,
+    the gcd of its numerators, which is multiplied back once a drained row, in the weight of its atoms; each pair
+    of shifts is added once, and each row is rewritten by the cached plan of its factors (``_plan``).
     """
     out: dict[Atom, int] = {}  # numerators over x.den y.den
     pending: dict[tuple[int, int, int], list[dict]] = {}  # by q and f as a reduced integer pair
-    ys = _by_shift(y)
-    for (an1, ad1), xs in _by_shift(x).items():
-        for (an2, ad2), zs in ys.items():
+    (x_by_shift, gx), (y_by_shift, gy) = _by_shift(x), _by_shift(y)
+    for (an1, ad1), xs in x_by_shift.items():
+        for (an2, ad2), zs in y_by_shift.items():
             an, ad = _reduced(an1 * ad2 + an2 * ad1, ad1 * ad2)
             for bn1, bd1, n1, m1, v1 in xs:
                 for bn2, bd2, n2, m2, v2 in zs:
                     m, c = m1 + m2, v1 * v2
                     if not n1 or not n2 or (bn1 == bn2 and bd1 == bd2):  # an atom with n = 0 has b = 1
                         key = _new(Atom, (bn1, bd1, n1 + n2, m, an, ad) if n1 else (bn2, bd2, n2, m, an, ad))
-                        out[key] = out.get(key, 0) + c
+                        out[key] = out.get(key, 0) + c * gx * gy
                         continue
                     q = math.lcm(bd1, bd2)
                     sigma = an * q // ad
@@ -289,14 +290,14 @@ def product_reduce(x: BElement, y: BElement) -> BElement:
                     row = ({sigma: c * q**m}, 1) if m >= 0 else ({sigma: c}, q**-m)
                     _push(buckets, m, {bn1 * (q // bd1): n1, bn2 * (q // bd2): n2}, row)
     drained = [(key, *step) for key, buckets in pending.items() for step in _drain(buckets)]
-    # entry v of a row stands for v q^-r / den: over bottom, times q^-r if r < 0
+    # entry v of a row stands for v q^-r gx gy / den: over bottom, times q^-r if r < 0
     bottoms = [den * q**r if r >= 0 else den for (q, _, _), r, _, (_, den) in drained]
     scale = math.lcm(*bottoms)
     if scale != 1:
         out = {at: v * scale for at, v in out.items()}
     for ((q, fn, fd), r, factors, (num, _)), bottom in zip(drained, bottoms):
         ((p, n),) = factors.items() or [(q, 0)]  # no factor left: the unit atom, b = 1
-        (bn, bd), w = _reduced(p, q), (scale // bottom) * (q**-r if r < 0 else 1)
+        (bn, bd), w = _reduced(p, q), (scale // bottom) * (q**-r if r < 0 else 1) * gx * gy
         for sigma, v in num.items():
             if v:  # at e^{(f + sigma/q)T}
                 key = _new(Atom, (bn, bd, n, r, *_reduced(fn * q + sigma * fd, fd * q)))
@@ -304,12 +305,13 @@ def product_reduce(x: BElement, y: BElement) -> BElement:
     return BElement(out, x.den * y.den * scale)
 
 
-def _by_shift(x: BElement) -> dict[tuple[int, int], list[tuple[int, int, int, int, int]]]:
-    """The atoms of x as (bn, bd, n, m, numerator), grouped by their shift a as an integer pair."""
+def _by_shift(x: BElement) -> tuple[dict[tuple[int, int], list[tuple[int, int, int, int, int]]], int]:
+    """The atoms of x as (bn, bd, n, m, numerator / g) by their shift a as an integer pair, and g, their content."""
     groups: dict[tuple[int, int], list] = {}
+    g = math.gcd(*x.nums.values())
     for (bn, bd, n, m, an, ad), v in x.nums.items():
-        groups.setdefault((an, ad), []).append((bn, bd, n, m, v))
-    return groups
+        groups.setdefault((an, ad), []).append((bn, bd, n, m, v // g))
+    return groups, g
 
 
 def _measure(factors: dict[int, int]) -> int:
@@ -317,10 +319,10 @@ def _measure(factors: dict[int, int]) -> int:
 
 
 def _push(buckets: list[dict], r: int, factors: dict[int, int], row: tuple) -> None:
-    measure, key = _measure(factors), (r, frozenset(factors.items()))
+    measure, key = _measure(factors), (r, tuple(sorted(factors.items())))
     buckets.extend({} for _ in range(measure + 1 - len(buckets)))
     held = buckets[measure].get(key)
-    buckets[measure][key] = (factors, _merged(held[1], row) if held else row)
+    buckets[measure][key] = _merged(held, row) if held else row
 
 
 def _merged(x: tuple, y: tuple) -> tuple:
@@ -328,29 +330,45 @@ def _merged(x: tuple, y: tuple) -> tuple:
     by the gcd; entries that cancel are dropped."""
     (xs, xd), (ys, yd) = x, y
     den = math.lcm(xd, yd)
-    total, f = {d: v * (den // xd) for d, v in xs.items()}, den // yd
+    fx, fy = den // xd, den // yd
+    total = {d: v * fx for d, v in xs.items()} if fx != 1 else dict(xs)
     for d, v in ys.items():
-        total[d] = total.get(d, 0) + v * f
+        total[d] = total.get(d, 0) + v * fy
     g = math.gcd(den, *total.values())
     return {d: v // g for d, v in total.items() if v}, den // g
 
 
 def _drain(buckets: list[dict]) -> Iterator[tuple]:
-    """Rewrite the rows in ``buckets`` from the highest measure down and yield each row left with at
+    """Rewrite the rows in ``buckets`` by ``_plan`` from the highest measure down; yield each row left with at
     most one scale as ``(r, factors, row)``; as a rewrite lowers the measure, each row is rewritten
     or yielded once, after every contribution to it arrived."""
     for measure in range(len(buckets) - 1, -1, -1):
-        for (r, _), (factors, row) in buckets[measure].items():
+        for (r, factors), row in buckets[measure].items():
             if len(factors) <= 1:
-                yield r, factors, row
+                yield r, dict(factors), row
                 continue
-            for child in _rewrite_step(r, factors, row):
-                if _measure(child[1]) >= measure:
-                    raise ReductionError("product-reduction measure failed to decrease")
-                _push(buckets, *child)
+            for s, lower, fs, terms, den in _plan(factors):
+                child = row if terms is None else (_shift_product(row[0], terms), row[1] * den)
+                held = buckets[lower].get(key := (r + s, fs))
+                buckets[lower][key] = _merged(held, child) if held else child
 
 
-@lru_cache(maxsize=None)
+#: the most rewrite plans kept, one for each factor multiset: a ``reduce`` benchmark stream reads 155,
+#: ``B(2/3T)^6*B(7/4T)^6`` 166 and ``(B(2T)+B(3T)+B(5T)+B(7T)+B(11T)+B(13T))^6*B(1/2T)^6`` 341
+@lru_cache(maxsize=512)
+def _plan(factors: tuple) -> tuple[tuple, ...]:
+    """The step of a row of ``factors``, sorted (scale, power) pairs: each child of ``_rewrite_step`` on the unit row at
+    U^0 as (U-power, measure, factors, terms of X that multiply the row or None for the row itself, denominator)."""
+    unit, measure = ({0: 1}, 1), _measure(dict(factors))
+    plan = tuple((r, _measure(fs), tuple(sorted(fs.items())), None if row == unit else row[0].items(), row[1])
+                 for r, fs, row in _rewrite_step(0, dict(factors), unit))
+    if any(child[1] >= measure for child in plan):  # checked once for each plan
+        raise ReductionError("product-reduction measure failed to decrease")
+    return plan
+
+
+#: the most identity rows kept, one for each (ps, pn, k): a ``reduce`` stream reads 52, the six-scale sum above 81
+@lru_cache(maxsize=128)
 def _identity_terms(ps: int, pn: int, k: int) -> list[tuple[int, list[tuple[int, int]]]]:
     """The two polynomials in X of the rewrite of B^k(ps U) B(pn U), as (denominator, [(d, integer
     numerator of X^d)]): ps^k f and (pn/ps) h of ``h_f`` if ps | pn, else ps g_nm and pn g_mn of ``g_pair``."""

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import strategies as st
 
 from bernring import elements, exprparse, reduction, series
-from bernring.elements import Atom, BElement, Frozen, from_scalar
+from bernring.elements import Atom, BElement, Frozen, _new, _reduced, from_scalar, times_monomial
 from bernring.identities import BernSymbol
 from bernring.polys import LATEX, Poly, binomial, common_numerators, gcd_ext, lowest_terms
 from bernring.partfrac import g_pair, h_f
@@ -19,9 +20,7 @@ from bernring.reduction import (
     ReductionError,
     _chain_row,
     _derivative_row,
-    _drain,
     _measure,
-    _push,
     invert_term,
     lowering_op,
     product_reduce,
@@ -915,15 +914,105 @@ def product_reduce_by_fraction_pairs(x: BElement, y: BElement) -> dict[Atom, Fra
             q = math.lcm(at1.b.denominator, at2.b.denominator)
             sigma, c = math.floor(a * q), c * Fraction(q) ** m
             buckets = pending.setdefault((q, a - Fraction(sigma, q)), [])
-            _push(buckets, m, {int(at1.b * q): at1.n, int(at2.b * q): at2.n}, ({sigma: c.numerator}, c.denominator))
+            push_row(buckets, m, {int(at1.b * q): at1.n, int(at2.b * q): at2.n}, ({sigma: c.numerator}, c.denominator))
     for (q, f), buckets in pending.items():
-        for r, factors, (num, den) in _drain(buckets):
+        for r, factors, (num, den) in drain_by_steps(buckets):
             ((p, n),) = factors.items() or [(q, 0)]
             for sigma, v in num.items():
                 if v:
                     key, c = Atom(Fraction(p, q), n, r, f + Fraction(sigma, q)), Fraction(v, den) * Fraction(1, q) ** r
                     out[key] = out[key] + c if key in out else c
     return {at: c for at, c in out.items() if c}
+
+
+def push_row(buckets: list[dict], r: int, factors: dict[int, int], row: tuple) -> None:
+    """Add a row to ``buckets`` by its measure, then by r and the set of its factors, with the factors beside it."""
+    measure, key = _measure(factors), (r, frozenset(factors.items()))
+    buckets.extend({} for _ in range(measure + 1 - len(buckets)))
+    held = buckets[measure].get(key)
+    buckets[measure][key] = (factors, reduction._merged(held[1], row) if held else row)
+
+
+def drain_by_steps(buckets: list[dict]):
+    """The rows of ``buckets`` (``push_row``) rewritten as ``reduction._drain`` rewrites them, by a call of
+    ``_rewrite_step`` on every row, each child's measure checked there: no plan is read."""
+    for measure in range(len(buckets) - 1, -1, -1):
+        for (r, _), (factors, row) in buckets[measure].items():
+            if len(factors) <= 1:
+                yield r, factors, row
+                continue
+            for child in reduction._rewrite_step(r, factors, row):
+                if _measure(child[1]) >= measure:
+                    raise ReductionError("product-reduction measure failed to decrease")
+                push_row(buckets, *child)
+
+
+def product_reduce_by_steps(x: BElement, y: BElement) -> BElement:
+    """x * y by the rows of ``product_reduce``, every numerator carried whole through ``drain_by_steps``."""
+    out: dict[Atom, int] = {}
+    pending: dict[tuple[int, int, int], list[dict]] = {}
+    groups = [{}, {}]  # the atoms of x and y by their shift, in the order product_reduce takes the pairs
+    for z, by_shift in zip((x, y), groups):
+        for (bn, bd, n, m, an, ad), v in z.nums.items():
+            by_shift.setdefault((an, ad), []).append((bn, bd, n, m, v))
+    for ((an1, ad1), xs), ((an2, ad2), ys) in itertools.product(*(by_shift.items() for by_shift in groups)):
+        an, ad = _reduced(an1 * ad2 + an2 * ad1, ad1 * ad2)
+        for (bn1, bd1, n1, m1, v1), (bn2, bd2, n2, m2, v2) in itertools.product(xs, ys):
+            m, c = m1 + m2, v1 * v2
+            if not n1 or not n2 or (bn1, bd1) == (bn2, bd2):
+                key = _new(Atom, (bn1, bd1, n1 + n2, m, an, ad) if n1 else (bn2, bd2, n2, m, an, ad))
+                out[key] = out.get(key, 0) + c
+                continue
+            q = math.lcm(bd1, bd2)
+            sigma = an * q // ad
+            buckets = pending.setdefault((q, *_reduced(an * q - sigma * ad, ad * q)), [])
+            row = ({sigma: c * q**m}, 1) if m >= 0 else ({sigma: c}, q**-m)
+            push_row(buckets, m, {bn1 * (q // bd1): n1, bn2 * (q // bd2): n2}, row)
+    drained = [(key, *step) for key, buckets in pending.items() for step in drain_by_steps(buckets)]
+    bottoms = [den * q**r if r >= 0 else den for (q, _, _), r, _, (_, den) in drained]
+    scale = math.lcm(*bottoms)
+    out = {at: v * scale for at, v in out.items()}
+    for ((q, fn, fd), r, factors, (num, _)), bottom in zip(drained, bottoms):
+        ((p, n),) = factors.items() or [(q, 0)]
+        (bn, bd), w = _reduced(p, q), (scale // bottom) * (q**-r if r < 0 else 1)
+        for sigma, v in num.items():
+            if v:
+                key = _new(Atom, (bn, bd, n, r, *_reduced(fn * q + sigma * fd, fd * q)))
+                out[key] = out.get(key, 0) + v * w
+    return BElement(out, x.den * y.den * scale)
+
+
+class ProductThenMonomialParser(exprparse._Parser):
+    """The parser with each product of a term formed in full, by ``product_reduce_by_steps``, and the term's monomials
+    multiplied into the result at its end by ``times_monomial``; caps and counts are taken at the same tokens."""
+
+    def term(self) -> BElement:
+        rest = monomial = None
+        rest_caps, factor_caps = {}, None
+        factor = self.unary()
+        while True:
+            if len(factor.nums) == 1 and next(iter(factor.nums)).n == 0:
+                monomial = factor if monomial is None else times_monomial(monomial, factor)
+            elif rest is None:
+                rest, rest_caps = factor, factor_caps
+            else:
+                self.count(rest, factor, rest_caps, factor_caps)
+                rest, rest_caps = product_reduce_by_steps(rest, factor), None
+            if self.peek()[1] != "*":
+                break
+            self.advance()
+            factor = self.unary()
+            if rest_caps is None:
+                rest_caps = exprparse._scales(rest)
+            factor_caps = exprparse._scales(factor)
+            self.check_caps(rest_caps, factor_caps)
+        if monomial is None:
+            return rest
+        return monomial if rest is None else times_monomial(rest, monomial)
+
+
+def parse_by_product_then_monomial(text: str) -> BElement:
+    return ProductThenMonomialParser(text).parse()
 
 
 def semantic_element_by_fractions(combo: DCombination) -> dict[Atom, Fraction]:

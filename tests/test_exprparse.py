@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bernring import exprparse
+from bernring import exprparse, reduction
 from bernring.elements import BElement, atom, b_element, from_scalar, t_element
 from bernring.exprparse import (
     MAX_COEFFICIENT_BITS,
@@ -30,6 +30,7 @@ from conftest import (
     equals_by_subtraction,
     nested_power,
     parse_by_left_fold,
+    parse_by_product_then_monomial,
     product_of_sums,
     product_per_shift,
     t_power_chain,
@@ -194,6 +195,60 @@ class TestMonomialFold:
         message, _ = parsed_or_refused(parse_element, text)
         assert "past the cap of" in message
         assert_folds_agree(text)
+
+
+# -- a term's monomial riding in the last factor of its last product, against each product formed in full ------
+
+B_FACTORS = ["B(2T)", "B(3T)^2", "B(5/2T)", "B(7/4T)^3", "(B + T)", "(B(3T) - 2*e^{1/2T})", "d[B(2T)]", "B(-1T)"]
+
+monomials = st.builds(
+    lambda c, k, a: "*".join(part for part in (c, k, a) if part) or "1",
+    st.sampled_from(["", "3", "-1/2", "7/4", nested_power("2", 3), "-" + nested_power("3/5", 2)]),
+    st.sampled_from(["", "T", "T^3", "T^-2"]),
+    st.sampled_from(["", "e^{1/2T}", "e^{-7/4T}", "e^{2T}"]),
+)
+
+
+def assert_parsed_as_products_then_monomial(text: str) -> BElement:
+    """``text`` parses to the numerators, denominator and atom order of its products formed in full."""
+    got, want = parse_element(text), parse_by_product_then_monomial(text)
+    assert (list(got.nums.items()), got.den) == (list(want.nums.items()), want.den), text
+    return got
+
+
+class TestMonomialInTheLastFactor:
+    @given(st.lists(st.sampled_from(B_FACTORS), min_size=1, max_size=3), monomials)
+    @settings(max_examples=60, deadline=None)
+    def test_same_element_wherever_the_monomial_stands(self, factors, monomial):
+        """Before, between and after the B-factors, and in parentheses with one of them."""
+        texts = ["*".join([*factors[:i], monomial, *factors[i:]]) for i in range(len(factors) + 1)]
+        texts += ["*".join([*factors[:i], f"({monomial}*{factors[i]})", *factors[i + 1:]]) for i in range(len(factors))]
+        want = assert_parsed_as_products_then_monomial(texts[0])
+        for text in texts[1:]:
+            assert assert_parsed_as_products_then_monomial(text) == want, text
+
+    @pytest.mark.parametrize("text", ["B(2T)*B(3T)^2*5*T^2*e^{1/2T}", "2*B(2T)*T*B(3T)*e^{T}*B(5T)*-3", "T*e^{T}*7",
+                                      "(5*T*B(2/3T)^6)*B(7/4T)^6", "B(2T)*(B(3T)*2)*T", "0*B(2T)*B(3T)*T"])
+    def test_fixed_terms(self, text):
+        assert_parsed_as_products_then_monomial(text)
+
+
+class TestRefusalColumns:
+    """The checks of a term run at the factors where they ran while each product was formed in full."""
+
+    def test_pair_cap_before_the_monomials(self):
+        first, second = "+".join(f"e^{{{k}T}}" for k in range(1, 801)), "+".join(f"B({k}T)" for k in range(1, 31))
+        text = f"({first})*({second})*5*T"
+        refusal = parsed_or_refused(parse_element, text)
+        assert refusal == (f"atom-pair count 24000 of the products is past the cap of {MAX_PRODUCT_PAIRS}", 7296)
+        assert refusal == parsed_or_refused(parse_by_product_then_monomial, text) and text[7296:] == "*5*T"
+
+    @pytest.mark.parametrize("text", ["d[B(2T)^6*B(3T)^6]*2", "d[B(2T)^6*B(3T)^6]*2*T*e^{T}", "3*d[B(2T)^6*B(3T)^6]*2"])
+    def test_power_of_a_lone_factor(self, text):
+        """At column 21: after the monomial that follows the factor, or after the factor that follows a monomial."""
+        refusal = parsed_or_refused(parse_element, text)
+        assert refusal == (f"B-power 13 of a product is past the cap of {MAX_PRODUCT_POWER}", 20)
+        assert refusal == parsed_or_refused(parse_by_product_then_monomial, text)
 
 
 # -- one-atom powers in closed form, one-pass tokens and the depth cap, against the step-by-step routes --
@@ -564,6 +619,32 @@ class TestCoefficientBitsCap:
     )
     def test_largest_accepted_inputs(self, text, bits):
         assert coefficient_bits(parse_element(text)) == bits <= MAX_COEFFICIENT_BITS
+
+
+class TestCoefficientOutOfTheRows:
+    """A product's coefficient stays out of the rows it rewrites, wherever it stands, so the rows' numerators that reach
+    ``_shift_product`` are no larger with a 46,657-bit coefficient than without it."""
+
+    @staticmethod
+    def largest_row_bits(monkeypatch, text: str) -> int:
+        bits, shift_product = [0], reduction._shift_product
+
+        def recording(row, terms):
+            bits.append(max(abs(v).bit_length() for v in row.values()))
+            return shift_product(row, terms)
+
+        monkeypatch.setattr(reduction, "_shift_product", recording)
+        parsed_or_refused(parse_element, text)
+        return max(bits)
+
+    @pytest.mark.parametrize("text", [f"{nested_power('2', 6)}*{MEASURE_CAP_PRODUCT}",
+                                      f"{MEASURE_CAP_PRODUCT}*{nested_power('2', 6)}",
+                                      f"({nested_power('2', 6)}*B(2/3T)^6)*B(7/4T)^6"], ids=["leads", "trails", "inside"])
+    def test_rows_as_without_the_coefficient(self, monkeypatch, text):
+        alone = self.largest_row_bits(monkeypatch, MEASURE_CAP_PRODUCT)
+        assert 0 < alone < 1000 and self.largest_row_bits(monkeypatch, text) == alone
+        message = f"coefficient size 110702809 bits of the element is past the cap of {MAX_COEFFICIENT_BITS}"
+        assert parsed_or_refused(parse_element, text) == (message, len(text))
 
 
 class TestNegativePowerOfZero:

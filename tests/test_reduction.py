@@ -52,6 +52,7 @@ from conftest import (
     polys,
     product_reduce_by_fraction_pairs,
     product_reduce_by_states,
+    product_reduce_by_steps,
     reduce_to_first_order_by_chains,
     semantic_element_by_actions,
     semantic_element_by_fractions,
@@ -698,9 +699,68 @@ class TestScaleTablesAgainstLoops:
         assert all(new.hits > old.hits for new, old in zip(after, before))
 
 
+# -- products with each operand's content kept out of the rows and each row rewritten by a cached plan, -----------
+# -- against the per-step drain that carries every numerator whole -----------------------------------------------
+
+PLAN_SCALES = [F(1), F(2), F(3), F(5, 2), F(7, 4)]
+
+
+@st.composite
+def elements_with_content(draw) -> BElement:
+    """Up to three atoms over the plan scales, B-powers up to 6, with T-powers and shifts, their numerators all
+    multiplied by a content of up to 4,097 bits; the empty element among them."""
+    atoms = draw(st.lists(st.tuples(st.sampled_from(PLAN_SCALES), st.integers(0, 6), st.integers(-3, 3),
+                                    st.sampled_from([F(0), F(1, 2), F(-1, 3), F(5, 4)]), st.integers(-9, 9).filter(bool)),
+                          max_size=3))
+    content = draw(st.one_of(st.integers(1, 3), st.integers(1, 2**4096)))
+    return BElement({Atom(b if n else F(1), n, m, a): v * content for b, n, m, a, v in atoms}, draw(st.integers(1, 12)))
+
+
+def assert_products_agree(x: BElement, y: BElement) -> BElement:
+    """``product_reduce`` gives the per-step drain's numerators, denominator and atom order."""
+    got, want = product_reduce(x, y), product_reduce_by_steps(x, y)
+    assert (list(got.nums.items()), got.den) == (list(want.nums.items()), want.den)
+    return got
+
+
+class TestPlansAgainstSteps:
+    @given(elements_with_content(), elements_with_content())
+    @settings(max_examples=60, deadline=None)
+    def test_products_agree(self, x, y):
+        assert_products_agree(x, y)
+
+    @pytest.mark.parametrize("content", [1, 2**46656, -(3**2000)], ids=["1", "2^46656", "-3^2000"])
+    @pytest.mark.parametrize("text", ["B(2/3T)^6*B(7/4T)^6", "(B(2T)+B(3T)+B(5T)+B(7T)+B(11T)+B(13T))^3*B(1/2T)^6"])
+    def test_fixed_products_with_content_on_either_side(self, text, content):
+        left, right = text.rsplit("*", 1)
+        x, y = parse_element(left), parse_element(right)
+        product = assert_products_agree(x.scale(content), y)
+        assert product == assert_products_agree(x, y.scale(content)) == product_reduce(x, y).scale(content)
+
+    @pytest.mark.parametrize("text", ["0", "B(2T)", "3*T^2*e^{1/2T}*B(7/4T)^6"])
+    def test_empty_operand(self, text):
+        x = parse_element(text)
+        assert assert_products_agree(x, BElement.zero()) == assert_products_agree(BElement.zero(), x) == BElement.zero()
+
+    def test_caches_stay_bounded_past_their_size(self):
+        """703 products over pairs of scales below 40 read more plans and identity rows than either cache keeps: both
+        fill to their ``maxsize`` and no further, and the products whose entries were evicted still agree when rebuilt."""
+        caches = (reduction._plan, reduction._identity_terms)
+        pairs = list(itertools.combinations(range(2, 40), 2))
+        assert len(pairs) > max(cache.cache_info().maxsize for cache in caches)
+        for p1, p2 in pairs:
+            product_reduce(atom(0, 1, p1), atom(0, 2, p2) + atom(-1, 1, p2, F(1, 2)))
+        infos = [cache.cache_info() for cache in caches]
+        assert all(info.currsize == info.maxsize for info in infos)
+        for p1, p2 in pairs[:20]:
+            assert_products_agree(atom(0, 1, p1), atom(0, 2, p2) + atom(-1, 1, p2, F(1, 2)))
+        assert all(cache.cache_info().misses > info.misses for cache, info in zip(caches, infos))
+
+
 class TestMeasureGuard:
     def test_rewrite_that_keeps_the_measure_is_refused(self, monkeypatch):
         monkeypatch.setattr(reduction, "_rewrite_step", lambda r, factors, row: [(r, dict(factors), row)])
+        reduction._plan.cache_clear()  # a plan cached by an earlier test would skip the patched step
         with pytest.raises(ReductionError, match="failed to decrease"):
             product_reduce(atom(0, 1, 2), atom(0, 1, 3))
         with pytest.raises(ReductionError, match="failed to decrease"):
