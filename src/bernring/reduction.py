@@ -98,16 +98,11 @@ def _lowered(atoms: list[tuple[Atom, int]], den: int, bn: int, bd: int, pole: in
     """T^-pole times the sum of (v / den) T^m chain(n) at (bn/bd, a) over the atoms, as op(T, d + a) = Phi_{b,0} of the
     same at (1, 0): each c T^e d^k of chain(n) becomes c b^(e-k) T^e d^k, read off ``_chain_table``.  Returned as
     the integer rows {k: coefficients of T^0, T^1, ... in front of d^k} over one denominator, untrimmed, unreduced."""
-    if all(at.n <= 1 for at, _ in atoms):  # chain(n) is 1
-        row = [0] * (max(at.m for at, _ in atoms) - pole + 1)
-        for at, v in atoms:
-            row[at.m - pole] += v
-        return {0: row}, den
-    top = max(at.n for at, _ in atoms) - 1  # the largest k, and the largest e, of any chain(n)
+    top = max(1, *(at.n for at, _ in atoms)) - 1  # the largest k, and the largest e, of any chain(n)
     width = max(at.m for at, _ in atoms) - pole + top + 1
     parts = [[0] * width for _ in range(top + 1)]
     for at, v in atoms:
-        for k, e, c in _chain_table(at.n, top, bn, bd):
+        for k, e, c in _chain_table(at.n or 1, top, bn, bd):  # chain(0) is chain(1), 1
             parts[k][at.m - pole + e] += v * c
     return dict(enumerate(parts)), math.factorial(top) * den * (bn * bd) ** top
 
@@ -357,60 +352,36 @@ def _drain(buckets: list[dict]) -> Iterator[tuple]:
 #: ``B(2/3T)^6*B(7/4T)^6`` 166 and ``(B(2T)+B(3T)+B(5T)+B(7T)+B(11T)+B(13T))^6*B(1/2T)^6`` 341
 @lru_cache(maxsize=512)
 def _plan(factors: tuple) -> tuple[tuple, ...]:
-    """The step of a row of ``factors``, sorted (scale, power) pairs: each child of ``_rewrite_step`` on the unit row at
-    U^0 as (U-power, measure, factors, terms of X that multiply the row or None for the row itself, denominator)."""
-    unit, measure = ({0: 1}, 1), _measure(dict(factors))
-    plan = tuple((r, _measure(fs), tuple(sorted(fs.items())), None if row == unit else row[0].items(), row[1])
-                 for r, fs, row in _rewrite_step(0, dict(factors), unit))
+    """The rewrite step of a row of ``factors``, sorted (scale, power) pairs, in units of U = T/q: one pair of
+    distinct scales goes by a partial-fraction identity in X = e^U, divisor scales first (``h_f``), else through
+    the gcd scale (``g_pair``).  Each child is (U-power added, measure, factors, terms (d, v) of the polynomial in X
+    that multiplies the row, or None for the row itself, denominator); a polynomial that is 0 gives no child."""
+    scales, powers = [p for p, _ in factors], dict(factors)
+    pair = next(((s, big) for s in scales for big in scales if s != big and big % s == 0), None)
+    ps, pn = pair or scales[:2]
+    k = powers[ps] if pair else 1
+    rest = {p: e for p, e in {**powers, ps: powers[ps] - k, pn: powers[pn] - 1}.items() if e}
+    with_pn = {**rest, pn: rest.get(pn, 0) + 1}
+    if pair:
+        # B^k(l U) B(n U) with l | n: trades the whole B^k(l U) for U^k in front of B(n U) (l^k f),
+        # or raises the pole order at l ((n/l) h).
+        hf, children = h_f(k, ps, pn), []
+        pieces = [(k, with_pn, hf.f, ps**k), (0, {**rest, ps: k + 1}, hf.h, pn // ps)]
+    else:
+        # incomparable pair: one B-factor of each combines into B^2 at the gcd scale, passing the row
+        # whole, plus simple terms weighted by ps g_nm and pn g_mn.
+        g, ell = g_pair(ps, pn), math.gcd(ps, pn)
+        children = [(0, {**rest, ell: rest.get(ell, 0) + 2}, None, 1)]
+        pieces = [(1, with_pn, g.g_nm, ps), (1, {**rest, ps: rest.get(ps, 0) + 1}, g.g_mn, pn)]
+    for s, fs, poly, factor in pieces:
+        c = math.gcd(poly.den, factor)
+        if terms := tuple((d, v * factor // c) for d, v in enumerate(poly.nums) if v):
+            children.append((s, fs, terms, poly.den // c))
+    measure = _measure(powers)
+    plan = tuple((s, _measure(fs), tuple(sorted(fs.items())), terms, den) for s, fs, terms, den in children)
     if any(child[1] >= measure for child in plan):  # checked once for each plan
         raise ReductionError("product-reduction measure failed to decrease")
     return plan
-
-
-#: the most identity rows kept, one for each (ps, pn, k): a ``reduce`` stream reads 52, the six-scale sum above 81
-@lru_cache(maxsize=128)
-def _identity_terms(ps: int, pn: int, k: int) -> list[tuple[int, list[tuple[int, int]]]]:
-    """The two polynomials in X of the rewrite of B^k(ps U) B(pn U), as (denominator, [(d, integer
-    numerator of X^d)]): ps^k f and (pn/ps) h of ``h_f`` if ps | pn, else ps g_nm and pn g_mn of ``g_pair``."""
-    if pn % ps == 0:
-        pair = h_f(k, ps, pn)
-        polys = [(pair.f, ps**k), (pair.h, pn // ps)]
-    else:
-        pair = g_pair(ps, pn)
-        polys = [(pair.g_nm, ps), (pair.g_mn, pn)]
-    out = []
-    for poly, factor in polys:
-        g = math.gcd(poly.den, factor)
-        out.append((poly.den // g, [(d, v * factor // g) for d, v in enumerate(poly.nums) if v]))
-    return out
-
-
-def _rewrite_step(r: int, factors: dict[int, int], row: tuple) -> list[tuple]:
-    """Eliminate one pair of distinct scales from a pending row; returns the child rows.
-
-    Scales live in units of U = T/q; a row holds the power of U (r), the multiset of remaining
-    B-factors {scale: power} and a sparse polynomial in X = e^U, which each partial-fraction identity
-    multiplies by a fixed polynomial through ``_shift_product``.  A child is ``(r, factors, row)``.
-    """
-    scales = sorted(factors)
-    pair = next(((s, big) for s in scales for big in scales if s != big and big % s == 0), None)
-    ps, pn = pair or scales[:2]
-    k = factors[ps] if pair else 1
-    rest = {p: e for p, e in {**factors, ps: factors[ps] - k, pn: factors[pn] - 1}.items() if e}
-    first, second = _identity_terms(ps, pn, k)
-    with_pn = {**rest, pn: rest.get(pn, 0) + 1}
-    if pair:
-        # B^k(l U) B(n U) with l | n: raises the pole order at l, or trades
-        # the whole B^k(l U) for a T-power in front of B(n U).
-        children, pieces = [], [(r + k, with_pn, first), (r, {**rest, ps: k + 1}, second)]
-    else:
-        # incomparable pair: one B-factor of each combines into B^2 at the gcd
-        # scale plus simple terms weighted by the g-polynomials.
-        ell = math.gcd(ps, pn)
-        children = [(r, {**rest, ell: rest.get(ell, 0) + 2}, row)]
-        pieces = [(r + 1, with_pn, first), (r + 1, {**rest, ps: rest.get(ps, 0) + 1}, second)]
-    num, den = row
-    return children + [(s, fs, (_shift_product(num, terms), den * pden)) for s, fs, (pden, terms) in pieces if terms]
 
 
 def invert_term(at: Atom, coeff: Fraction) -> BElement:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import strategies as st
 
 from bernring import elements, exprparse, reduction, series
-from bernring.elements import Atom, BElement, Frozen, _new, _reduced, from_scalar, times_monomial
+from bernring.elements import Atom, BElement, Frozen, _new, _reduced, _shift_product, from_scalar, times_monomial
 from bernring.identities import BernSymbol
 from bernring.polys import LATEX, Poly, binomial, common_numerators, gcd_ext, lowest_terms
 from bernring.partfrac import g_pair, h_f
@@ -933,15 +933,59 @@ def push_row(buckets: list[dict], r: int, factors: dict[int, int], row: tuple) -
     buckets[measure][key] = (factors, reduction._merged(held[1], row) if held else row)
 
 
+def identity_terms(ps: int, pn: int, k: int) -> list[tuple[int, list[tuple[int, int]]]]:
+    """The two polynomials in X of the rewrite of B^k(ps U) B(pn U), as (denominator, [(d, integer
+    numerator of X^d)]): ps^k f and (pn/ps) h of ``h_f`` if ps | pn, else ps g_nm and pn g_mn of ``g_pair``."""
+    if pn % ps == 0:
+        pair = h_f(k, ps, pn)
+        polys = [(pair.f, ps**k), (pair.h, pn // ps)]
+    else:
+        pair = g_pair(ps, pn)
+        polys = [(pair.g_nm, ps), (pair.g_mn, pn)]
+    out = []
+    for poly, factor in polys:
+        g = math.gcd(poly.den, factor)
+        out.append((poly.den // g, [(d, v * factor // g) for d, v in enumerate(poly.nums) if v]))
+    return out
+
+
+def rewrite_step(r: int, factors: dict[int, int], row: tuple) -> list[tuple]:
+    """Eliminate one pair of distinct scales from a pending row; returns the child rows.
+
+    Scales live in units of U = T/q; a row holds the power of U (r), the multiset of remaining
+    B-factors {scale: power} and a sparse polynomial in X = e^U, which each partial-fraction identity
+    multiplies by a fixed polynomial through ``_shift_product``.  A child is ``(r, factors, row)``.
+    """
+    scales = sorted(factors)
+    pair = next(((s, big) for s in scales for big in scales if s != big and big % s == 0), None)
+    ps, pn = pair or scales[:2]
+    k = factors[ps] if pair else 1
+    rest = {p: e for p, e in {**factors, ps: factors[ps] - k, pn: factors[pn] - 1}.items() if e}
+    first, second = identity_terms(ps, pn, k)
+    with_pn = {**rest, pn: rest.get(pn, 0) + 1}
+    if pair:
+        # B^k(l U) B(n U) with l | n: raises the pole order at l, or trades
+        # the whole B^k(l U) for a T-power in front of B(n U).
+        children, pieces = [], [(r + k, with_pn, first), (r, {**rest, ps: k + 1}, second)]
+    else:
+        # incomparable pair: one B-factor of each combines into B^2 at the gcd
+        # scale plus simple terms weighted by the g-polynomials.
+        ell = math.gcd(ps, pn)
+        children = [(r, {**rest, ell: rest.get(ell, 0) + 2}, row)]
+        pieces = [(r + 1, with_pn, first), (r + 1, {**rest, ps: rest.get(ps, 0) + 1}, second)]
+    num, den = row
+    return children + [(s, fs, (_shift_product(num, terms), den * pden)) for s, fs, (pden, terms) in pieces if terms]
+
+
 def drain_by_steps(buckets: list[dict]):
     """The rows of ``buckets`` (``push_row``) rewritten as ``reduction._drain`` rewrites them, by a call of
-    ``_rewrite_step`` on every row, each child's measure checked there: no plan is read."""
+    ``rewrite_step`` on every row, each child's measure checked here: no plan is read."""
     for measure in range(len(buckets) - 1, -1, -1):
         for (r, _), (factors, row) in buckets[measure].items():
             if len(factors) <= 1:
                 yield r, factors, row
                 continue
-            for child in reduction._rewrite_step(r, factors, row):
+            for child in rewrite_step(r, factors, row):
                 if _measure(child[1]) >= measure:
                     raise ReductionError("product-reduction measure failed to decrease")
                 push_row(buckets, *child)

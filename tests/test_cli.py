@@ -720,6 +720,14 @@ class TestGoldens:
         recorded = (Path(__file__).parent / "norlund_json.sha256").read_text().strip()
         assert code == 0 and err == "" and hashlib.sha256(out.encode()).hexdigest() == recorded
 
+    def test_heavy_product_to_first_order_json(self, capsys):
+        """``reduce product "B(2/3T)^6*B(7/4T)^6" --to-first-order`` as JSON, 1,278,799 bytes from 166 rewrite
+        plans, pinned by the sha256 in ``tests/reduce_json.sha256``; record a new one with
+        ``python -m bernring --format json reduce product "B(2/3T)^6*B(7/4T)^6" --to-first-order | sha256sum``."""
+        code, out, err = run(capsys, "--format", "json", "reduce", "product", "B(2/3T)^6*B(7/4T)^6", "--to-first-order")
+        recorded = (Path(__file__).parent / "reduce_json.sha256").read_text().strip()
+        assert code == 0 and err == "" and hashlib.sha256(out.encode()).hexdigest() == recorded
+
 
 class TestVerify:
     def test_euler_range(self, capsys):

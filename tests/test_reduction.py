@@ -1,19 +1,22 @@
 import cProfile
 import fractions
 import itertools
+import math
 import pstats
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest
 from bernring import elements, reduction
 from bernring.elements import Atom, BElement, atom, b_element, from_scalar
 from bernring.exprparse import parse_element
 from bernring.identities import verify_agoh_dilcher_example, verify_lowering
-from bernring.partfrac import lemma_decompose
+from bernring.partfrac import GPair, g_pair, lemma_decompose
 from bernring.polys import Poly
 from bernring.reduction import (
     DCombination,
@@ -47,6 +50,7 @@ from conftest import (
     fold_product_reduce,
     fold_semantic_element,
     invert_term_by_binomials,
+    lowered_by_powers,
     lowering_chain,
     lowering_chain_by_products,
     polys,
@@ -54,6 +58,7 @@ from conftest import (
     product_reduce_by_states,
     product_reduce_by_steps,
     reduce_to_first_order_by_chains,
+    rewrite_step,
     semantic_element_by_actions,
     semantic_element_by_fractions,
     semantic_element_by_shifting,
@@ -743,24 +748,96 @@ class TestPlansAgainstSteps:
         assert assert_products_agree(x, BElement.zero()) == assert_products_agree(BElement.zero(), x) == BElement.zero()
 
     def test_caches_stay_bounded_past_their_size(self):
-        """703 products over pairs of scales below 40 read more plans and identity rows than either cache keeps: both
-        fill to their ``maxsize`` and no further, and the products whose entries were evicted still agree when rebuilt."""
-        caches = (reduction._plan, reduction._identity_terms)
+        """703 products over pairs of scales below 40 read more plans than the cache keeps: it fills to its
+        ``maxsize`` and no further, and the products whose plans were evicted still agree when rebuilt."""
         pairs = list(itertools.combinations(range(2, 40), 2))
-        assert len(pairs) > max(cache.cache_info().maxsize for cache in caches)
+        assert len(pairs) > reduction._plan.cache_info().maxsize
         for p1, p2 in pairs:
             product_reduce(atom(0, 1, p1), atom(0, 2, p2) + atom(-1, 1, p2, F(1, 2)))
-        infos = [cache.cache_info() for cache in caches]
-        assert all(info.currsize == info.maxsize for info in infos)
+        info = reduction._plan.cache_info()
+        assert info.currsize == info.maxsize
         for p1, p2 in pairs[:20]:
             assert_products_agree(atom(0, 1, p1), atom(0, 2, p2) + atom(-1, 1, p2, F(1, 2)))
-        assert all(cache.cache_info().misses > info.misses for cache, info in zip(caches, infos))
+        assert reduction._plan.cache_info().misses > info.misses
+
+
+#: every factor multiset of two distinct scales in 1..12 and of three in 1..7, powers 1..6, measure at most 180
+PLAN_KEYS = [
+    tuple(zip(scales, powers))
+    for scales in [*itertools.combinations(range(1, 13), 2), *itertools.combinations(range(1, 8), 3)]
+    for powers in itertools.product(range(1, 7), repeat=len(scales))
+    if sum(map(mul, scales, powers)) <= 180
+]
+
+sparse_rows = st.tuples(
+    st.dictionaries(st.integers(-10**6, 10**6), st.integers(-(2**200), 2**200).filter(bool), min_size=1, max_size=6),
+    st.integers(1, 10**9),
+)
+
+
+def assert_plan_gives_the_step(key: tuple, r: int, row: tuple) -> None:
+    """An uncached ``_plan`` applied to the row at U^r, as ``_drain`` applies it, gives the children of
+    ``rewrite_step`` in their order: U-power, factors, numerators in their order and denominator; each child's
+    measure is the measure of its factors, below the row's."""
+    plan = reduction._plan.__wrapped__(key)
+    got = [(r + s, list(fs), list((row[0] if terms is None else elements._shift_product(row[0], terms)).items()),
+            row[1] * den) for s, _, fs, terms, den in plan]
+    want = [(s, sorted(fs.items()), list(num.items()), den) for s, fs, (num, den) in rewrite_step(r, dict(key), row)]
+    assert got == want
+    measure = reduction._measure(dict(key))
+    assert all(lower == reduction._measure(dict(fs)) < measure for _, lower, fs, _, _ in plan)
+
+
+class TestPlanAgainstStep:
+    def test_every_small_multiset_on_the_unit_row(self):
+        assert len(PLAN_KEYS) > 9000
+        for key in PLAN_KEYS:
+            assert_plan_gives_the_step(key, 0, ({0: 1}, 1))
+
+    @given(st.sampled_from(PLAN_KEYS), st.integers(-8, 8), sparse_rows)
+    @settings(max_examples=300, deadline=None)
+    def test_sparse_rows(self, key, r, row):
+        assert_plan_gives_the_step(key, r, row)
+
+    def test_a_zero_polynomial_gives_no_child(self, monkeypatch):
+        """A piece whose polynomial is 0 is dropped, by the plan as by the step.  No pair of distinct positive scales
+        gives one, so a ``g_pair`` with g_mn = 0 is patched in for both."""
+        def with_zero_g_mn(m, n):
+            return GPair(m, n, math.gcd(m, n), Poly.zero(), g_pair(m, n).g_nm)
+
+        monkeypatch.setattr(reduction, "g_pair", with_zero_g_mn)
+        monkeypatch.setattr(conftest, "g_pair", with_zero_g_mn)
+        for key in [((2, 1), (3, 1)), ((3, 2), (5, 4), (7, 1))]:
+            assert len(reduction._plan.__wrapped__(key)) == 2
+            assert_plan_gives_the_step(key, 1, ({-3: 5, 4: -7}, 6))
+
+    @pytest.mark.parametrize(
+        "atoms, den, b",
+        [
+            ([(0, 0, F(0), 3)], 1, F(1)),
+            ([(0, 0, F(0), 3), (2, 0, F(0), -5)], 7, F(1)),
+            ([(-3, 0, F(1, 2), 2), (1, 0, F(1, 2), 9), (-1, 0, F(1, 2), -4)], 5, F(1)),
+            ([(-2, 0, F(-7, 4), 1), (-4, 0, F(-7, 4), 6)], 12, F(1)),
+            ([(0, 1, F(0), 1), (3, 1, F(0), -2)], 1, F(2)),
+            ([(-2, 1, F(1, 3), 4), (1, 1, F(1, 3), 1)], 9, F(5, 3)),
+            ([(-1, 1, F(0), 2), (0, 3, F(0), -1), (2, 2, F(0), 5)], 4, F(7, 4)),
+            ([(-3, 6, F(5, 2), 1), (0, 1, F(5, 2), 3)], 2, F(3, 2)),
+        ],
+        ids=["n0-one", "n0", "n0-poles", "n0-only-poles", "n1", "n1-poles", "n1-to-3-pole", "n6-poles"],
+    )
+    def test_lowered_against_the_power_loop(self, atoms, den, b):
+        """``_lowered`` on fixed groups, among them groups of n = 0 atoms alone, with and without T-poles, against
+        the loop over b-powers that takes B-powers up to 1 by a row of its own."""
+        group = [(Atom(b if n else F(1), n, m, a), v) for m, n, a, v in atoms]
+        bn, bd = group[0][0].bn, group[0][0].bd
+        pole = min(0, *(at.m for at, _ in group))
+        assert reduction._lowered(group, den, bn, bd, pole) == lowered_by_powers(group, den, bn, bd, pole)
 
 
 class TestMeasureGuard:
     def test_rewrite_that_keeps_the_measure_is_refused(self, monkeypatch):
-        monkeypatch.setattr(reduction, "_rewrite_step", lambda r, factors, row: [(r, dict(factors), row)])
-        reduction._plan.cache_clear()  # a plan cached by an earlier test would skip the patched step
+        monkeypatch.setattr(reduction, "_measure", lambda factors: 0)
+        reduction._plan.cache_clear()  # a plan cached by an earlier test would skip the patched measure
         with pytest.raises(ReductionError, match="failed to decrease"):
             product_reduce(atom(0, 1, 2), atom(0, 1, 3))
         with pytest.raises(ReductionError, match="failed to decrease"):
