@@ -168,9 +168,10 @@ class BElement(Frozen):
     # -- semantics -----------------------------------------------------------
 
     def expand(self, bound: int) -> TruncatedSeries:
-        """The Laurent series of this element, exact to the given bound.  A cached series enters the sum uncut,
-        its atom's T-power the offset, so only the two operands of a product are cut to the bound."""
-        ser = TruncatedSeries.combination([(*_atom_part(at, bound), v) for at, v in self.nums.items()], bound)
+        """The Laurent series of this element, exact to the given bound: each atom's cached series enters the
+        sum uncut, its T-power the offset; an atom with m > bound has no term up to the bound."""
+        ser = TruncatedSeries.combination(
+            [(_atom_series(at, bound - at.m), at.m, v) for at, v in self.nums.items() if at.m <= bound], bound)
         return ser if self.den == 1 else TruncatedSeries(ser.low, ser.nums, ser.bound, ser.den * self.den)
 
     def coeff(self, i: int) -> Fraction:
@@ -295,25 +296,18 @@ def t_element(power: int = 1) -> BElement:
 
 # -- series cache ------------------------------------------------------------
 
-_SERIES_CACHE: dict[tuple[int, int, int], TruncatedSeries] = {}
+_SERIES_CACHE: dict[tuple[int, int, int, int, int], TruncatedSeries] = {}
 
 
-def _cached_series(cn: int, cd: int, n: int, bound: int) -> TruncatedSeries:
-    """B(cT)^n for n >= 1 and e^{cT} for n = 0, c = cn/cd, exact to at least the bound: kept grown by grown_size."""
-    cached = _SERIES_CACHE.get((cn, cd, n))
+def _atom_series(at: Atom, bound: int) -> TruncatedSeries:
+    """B(bT)^n e^{aT}, the atom's series without its T^m (e^{aT} for n = 0), exact to at least the bound: one
+    entry per (b, n, a), kept grown by grown_size, so its product is formed once per growth."""
+    bn, bd, n, _, an, ad = at
+    cached = _SERIES_CACHE.get(key := (bn, bd, n, an, ad))
     if cached is None or cached.bound < bound:
-        work, c = grown_size(cached.bound if cached is not None else 0, bound), Fraction(cn, cd)
-        cached = bernoulli_power_series(n, work).scale_arg(c) if n else exp_series(c, work)
-        _SERIES_CACHE[cn, cd, n] = cached
+        work, a = grown_size(cached.bound if cached is not None else 0, bound), Fraction(an, ad)
+        cached = bernoulli_power_series(n, work).scale_arg(Fraction(bn, bd)) if n else exp_series(a, work)
+        if n and an:
+            cached = cached * exp_series(a, work)
+        _SERIES_CACHE[key] = cached
     return cached
-
-
-def _atom_part(at: Atom, bound: int) -> tuple[TruncatedSeries, int]:
-    """(x, d) with T^d x the series of the atom, exact to at least the bound."""
-    bn, bd, n, m, an, ad = at
-    work = bound - m
-    if work < 0:  # T^m times a power series has no term up to the bound
-        return TruncatedSeries.zero(bound), 0
-    if n and an:
-        return _cached_series(bn, bd, n, work).truncate(work) * _cached_series(an, ad, 0, work).truncate(work), m
-    return _cached_series(bn, bd, n, work) if n else _cached_series(an, ad, 0, work), m

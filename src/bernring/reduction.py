@@ -133,12 +133,12 @@ class DCombination(Frozen):
     whenever the T-powers can be absorbed into the operator; a negative m
     survives only when the combination genuinely needs a T-pole in front.
     Each operator is stored as op(T, d + a), as op(B^n(bT)e^{aT}) = e^{aT} op(T, d + a)[B^n(bT)], in
-    the integer rows that the lowering leaves; ``shifted``, the map gen -> op(T, d + a) of canonical
-    operators, and ``entries``, the map gen -> op, are views built on first read and kept.
+    the integer rows that the lowering leaves; ``entries``, the map gen -> op, is a view built on first
+    read and kept.
     """
 
-    __slots__ = ("_rows", "_shifted", "_entries")
-    _fields = ("shifted",)  # a view: ``==``, copy and pickle read the canonical operators
+    __slots__ = ("_rows", "_entries")
+    _fields = ("entries",)  # a view: ``==``, copy and pickle read it
     __hash__ = None  # the operators are held in a dict
 
     def __init__(self, entries: Mapping[Atom, WeylOp] | None = None):
@@ -146,24 +146,14 @@ class DCombination(Frozen):
             raise ValueError("generators must have B-power 0 or 1")
         cleaned = {gen: op for gen, op in (entries or {}).items() if not op.is_zero()}
         shifted = _reframed({gen: (op.rows, op.den) for gen, op in cleaned.items()}, 1)
-        self._init({gen: (op.rows, op.den) for gen, op in shifted.items()}, shifted, cleaned)
+        self._init({gen: (op.rows, op.den) for gen, op in shifted.items()}, cleaned)
 
     @classmethod
     def _of_rows(cls, rows: dict[Atom, tuple]) -> "DCombination":
         """The combination of the nonzero operators op(T, d + a), each as (rows {k: coefficients of T^0, T^1, ...
         in front of d^k}, denominator), its top row nonzero."""
-        (self := object.__new__(cls))._init(rows, None, None)
+        (self := object.__new__(cls))._init(rows, None)
         return self
-
-    def __reduce__(self):
-        return DCombination._of_rows, ({gen: (op.rows, op.den) for gen, op in self.shifted.items()},)
-
-    @property
-    def shifted(self) -> dict[Atom, WeylOp]:
-        """{generator: op(T, d + a)} in canonical form, built on first read and kept."""
-        if self._shifted is None:
-            return self._keep("_shifted", {gen: WeylOp(*op) for gen, op in self._rows.items()})
-        return self._shifted
 
     @property
     def entries(self) -> dict[Atom, WeylOp]:
@@ -355,7 +345,7 @@ def _plan(factors: tuple) -> tuple[tuple, ...]:
     """The rewrite step of a row of ``factors``, sorted (scale, power) pairs, in units of U = T/q: one pair of
     distinct scales goes by a partial-fraction identity in X = e^U, divisor scales first (``h_f``), else through
     the gcd scale (``g_pair``).  Each child is (U-power added, measure, factors, terms (d, v) of the polynomial in X
-    that multiplies the row, or None for the row itself, denominator); a polynomial that is 0 gives no child."""
+    that multiplies the row, or None for the row itself, denominator)."""
     scales, powers = [p for p, _ in factors], dict(factors)
     pair = next(((s, big) for s in scales for big in scales if s != big and big % s == 0), None)
     ps, pn = pair or scales[:2]
@@ -375,8 +365,7 @@ def _plan(factors: tuple) -> tuple[tuple, ...]:
         pieces = [(1, with_pn, g.g_nm, ps), (1, {**rest, ps: rest.get(ps, 0) + 1}, g.g_mn, pn)]
     for s, fs, poly, factor in pieces:
         c = math.gcd(poly.den, factor)
-        if terms := tuple((d, v * factor // c) for d, v in enumerate(poly.nums) if v):
-            children.append((s, fs, terms, poly.den // c))
+        children.append((s, fs, tuple((d, v * factor // c) for d, v in enumerate(poly.nums) if v), poly.den // c))
     measure = _measure(powers)
     plan = tuple((s, _measure(fs), tuple(sorted(fs.items())), terms, den) for s, fs, terms, den in children)
     if any(child[1] >= measure for child in plan):  # checked once for each plan
@@ -411,14 +400,12 @@ def _derivative_row(n: int) -> dict[tuple[int, int], int]:
     (-1)^n f_n = sum_j (j-1)! (S(n+1, j) T^(n-j+1) - n S(n, j) T^(n-j)) B^j."""
     while len(_DERIVATIVE_ROWS) <= n:
         k = len(_DERIVATIVE_ROWS)
-        stirling(k + 1, 0)
-        upper, lower = _STIRLING_ROWS[k + 1], _STIRLING_ROWS[k]
         row: dict[tuple[int, int], int] = {}
         for j in range(1, k + 2):
             w = (-1) ** k * math.factorial(j - 1)
-            row[k - j + 1, j] = w * upper[j]
+            row[k - j + 1, j] = w * stirling(k + 1, j)
             if j <= k:
-                row[k - j, j] = -w * k * lower[j]
+                row[k - j, j] = -w * k * stirling(k, j)
         _DERIVATIVE_ROWS.append(row)
     return _DERIVATIVE_ROWS[n]
 

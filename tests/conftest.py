@@ -31,7 +31,9 @@ from bernring.series import (
     bernoulli_number,
     bernoulli_number_order,
     bernoulli_poly_value,
+    bernoulli_power_series,
     exp_minus_one_over_t,
+    exp_series,
 )
 from bernring.weyl import WeylOp, derivative_of_atom
 
@@ -412,9 +414,12 @@ def window(ser: TruncatedSeries) -> tuple:
 
 
 def atom_series(at: Atom, bound: int) -> TruncatedSeries:
-    """The series of one atom, exact to the bound: ``elements._atom_part`` shifted by its offset and cut."""
-    ser, m = elements._atom_part(at, bound)
-    return ser.shift(m).truncate(bound)
+    """The series of one atom, exact to the bound, from its factor series and not the element cache: the product
+    of B(bT)^n and e^{aT}, each exact to bound - m, shifted by T^m; zero to the bound when m > bound."""
+    work = bound - at.m
+    if work < 0:
+        return TruncatedSeries.zero(bound)
+    return (bernoulli_power_series(at.n, work).scale_arg(at.b) * exp_series(at.a, work)).shift(at.m)
 
 
 def fold_expand(x: BElement, bound: int) -> TruncatedSeries:

@@ -728,6 +728,16 @@ class TestGoldens:
         recorded = (Path(__file__).parent / "reduce_json.sha256").read_text().strip()
         assert code == 0 and err == "" and hashlib.sha256(out.encode()).hexdigest() == recorded
 
+    def test_shifted_atom_identity_grid_json(self, capsys):
+        """``verify euler-polynomial`` over 60 orders, three shifts and two scales as JSON, 170,774 bytes that expand
+        shifted atoms T^m B(bT)^n e^{aT}, pinned by the sha256 in ``tests/euler_polynomial_json.sha256``; record a
+        new one with ``python -m bernring --format json verify euler-polynomial --n 1..60 --a 0,1/2,-7/3 --b 1/3,5/4
+        | sha256sum``."""
+        code, out, err = run(capsys, "--format", "json", "verify", "euler-polynomial", "--n", "1..60",
+                             "--a", "0,1/2,-7/3", "--b", "1/3,5/4")
+        recorded = (Path(__file__).parent / "euler_polynomial_json.sha256").read_text().strip()
+        assert code == 0 and err == "" and hashlib.sha256(out.encode()).hexdigest() == recorded
+
 
 class TestVerify:
     def test_euler_range(self, capsys):

@@ -358,7 +358,7 @@ class TestOneWindowExpand:
                 for bound in (m, 7, 40):
                     work = bound - m
                     once = (TruncatedSeries.one(work) * exp_series(a, work)).shift(m)
-                    assert window(atom_series(Atom(Fraction(1), 0, m, a), bound)) == window(once)
+                    assert window(BElement({Atom(Fraction(1), 0, m, a): 1}).expand(bound)) == window(once)
 
     def test_atom_past_the_bound_is_zero_to_the_bound(self):
         # T^m B(bT)^n e^{aT} with m > bound: once an error for n = 0, and exact to less than the bound for n >= 1
@@ -374,6 +374,22 @@ class TestOneWindowExpand:
             for bound in (4, 16):
                 got = x.expand(bound)
                 assert got.is_known_zero() and window(got) == window(fold_expand(x, bound))
+
+
+class TestAtomSeriesCache:
+    def test_one_product_per_growth_and_no_cut(self, monkeypatch):
+        """T^m B(3/2T)^2 e^{1/2T} for m = 0..3 at bounds 8 to 32 reads one cached series, grown once to 32: one product
+        is formed and no series is cut (16 products and 32 cuts while B(bT)^n and e^{aT} were cached apart)."""
+        products, cuts = [], []
+        mul, truncate = TruncatedSeries.__mul__, TruncatedSeries.truncate
+        b, a = Fraction(3, 2), Fraction(1, 2)
+        with monkeypatch.context() as patch:
+            patch.setattr(TruncatedSeries, "__mul__", lambda x, y: products.append(y) or mul(x, y))
+            patch.setattr(TruncatedSeries, "truncate", lambda x, bound: cuts.append(bound) or truncate(x, bound))
+            got = {(m, bound): atom(m, 2, b, a).expand(bound) for m in range(4) for bound in (8, 16, 24, 32)}
+        assert (len(products), len(cuts), list(elements._SERIES_CACHE)) == (1, 0, [(3, 2, 2, 1, 2)])
+        for (m, bound), ser in got.items():
+            assert window(ser) == window(atom_series(Atom(b, 2, m, a), bound))
 
 
 class TestHash:

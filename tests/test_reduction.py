@@ -411,7 +411,7 @@ class TestShiftedFrame:
         combo = reduce_to_first_order(x)
         assert combo.semantic_element().equals(x) and calls == []
         text = combo.render()
-        want = sum(1 for gen, op in combo.shifted.items() if op.order() >= 1 and gen.an)
+        want = sum(1 for gen, op in combo.entries.items() if op.order() >= 1 and gen.an)
         assert len(calls) == want > 0
         assert combo.render() == text and len(calls) == want
 
@@ -442,7 +442,7 @@ class TestShiftedFrame:
         """The T-pole divided out of the raw rows, or kept, as the Weyl-product route decides on canonical operators."""
         x = parse_element(text)
         combo = reduce_to_first_order(x)
-        assert sorted(gen.m for gen in combo.shifted) == sorted(poles)
+        assert sorted(gen.m for gen in combo.entries) == sorted(poles)
         assert combo == reduce_to_first_order_by_chains(x)
         assert combo.semantic_element() == x
         assert combo.semantic_element().terms == fold_semantic_element(combo).terms
@@ -775,10 +775,10 @@ sparse_rows = st.tuples(
 )
 
 
-def assert_plan_gives_the_step(key: tuple, r: int, row: tuple) -> None:
+def assert_plan_gives_the_step(key: tuple, r: int, row: tuple) -> tuple:
     """An uncached ``_plan`` applied to the row at U^r, as ``_drain`` applies it, gives the children of
     ``rewrite_step`` in their order: U-power, factors, numerators in their order and denominator; each child's
-    measure is the measure of its factors, below the row's."""
+    measure is the measure of its factors, below the row's.  Returns the plan."""
     plan = reduction._plan.__wrapped__(key)
     got = [(r + s, list(fs), list((row[0] if terms is None else elements._shift_product(row[0], terms)).items()),
             row[1] * den) for s, _, fs, terms, den in plan]
@@ -786,30 +786,39 @@ def assert_plan_gives_the_step(key: tuple, r: int, row: tuple) -> None:
     assert got == want
     measure = reduction._measure(dict(key))
     assert all(lower == reduction._measure(dict(fs)) < measure for _, lower, fs, _, _ in plan)
+    return plan
 
 
 class TestPlanAgainstStep:
     def test_every_small_multiset_on_the_unit_row(self):
-        assert len(PLAN_KEYS) > 9000
+        """Every plan gives the step, and every identity child, a row times a polynomial, has at least one term:
+        no pair of distinct positive scales gives a zero polynomial."""
+        assert len(PLAN_KEYS) == 9936
         for key in PLAN_KEYS:
-            assert_plan_gives_the_step(key, 0, ({0: 1}, 1))
+            plan = assert_plan_gives_the_step(key, 0, ({0: 1}, 1))
+            assert all(terms for *_, terms, _ in plan if terms is not None)
 
     @given(st.sampled_from(PLAN_KEYS), st.integers(-8, 8), sparse_rows)
     @settings(max_examples=300, deadline=None)
     def test_sparse_rows(self, key, r, row):
         assert_plan_gives_the_step(key, r, row)
 
-    def test_a_zero_polynomial_gives_no_child(self, monkeypatch):
-        """A piece whose polynomial is 0 is dropped, by the plan as by the step.  No pair of distinct positive scales
-        gives one, so a ``g_pair`` with g_mn = 0 is patched in for both."""
+    def test_a_zero_polynomial_drains_to_no_atom(self, monkeypatch):
+        """A piece whose polynomial is 0 is a plan child with no term, which the step drops: the products still agree.
+        No pair of distinct positive scales gives one, so a ``g_pair`` with g_mn = 0 is patched in for both, and the
+        plans made under the patch are dropped after it."""
         def with_zero_g_mn(m, n):
             return GPair(m, n, math.gcd(m, n), Poly.zero(), g_pair(m, n).g_nm)
 
         monkeypatch.setattr(reduction, "g_pair", with_zero_g_mn)
         monkeypatch.setattr(conftest, "g_pair", with_zero_g_mn)
-        for key in [((2, 1), (3, 1)), ((3, 2), (5, 4), (7, 1))]:
-            assert len(reduction._plan.__wrapped__(key)) == 2
-            assert_plan_gives_the_step(key, 1, ({-3: 5, 4: -7}, 6))
+        reduction._plan.cache_clear()
+        try:
+            assert [terms for *_, terms, _ in reduction._plan.__wrapped__(((2, 1), (3, 1)))][-1] == ()
+            for x, y in [("B(2T)", "B(3T)"), ("B(3T)^2 + T*B(5T)^4*e^{1/2T} - 2*B(7T)", "B(2T)*e^{-1/3T}")]:
+                assert_products_agree(parse_element(x), parse_element(y))
+        finally:
+            reduction._plan.cache_clear()
 
     @pytest.mark.parametrize(
         "atoms, den, b",
