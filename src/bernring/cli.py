@@ -23,8 +23,8 @@ count of the range times the digits of the point (``MAX_POLY_RANGE_WORK``).
 up to ``MAX_VERIFY_INDEX`` and at most ``MAX_VERIFY_CASES`` cases, and
 ``f-derivative`` caps its n jointly with ``--order`` (``MAX_F_DERIVATIVE_WORK``);
 ``reduce`` takes exponents up to ``exprparse.MAX_EXPONENT``, forms a power of one atom only up to
-``exprparse.MAX_POWER_SIZE`` in T-power and coefficient size, and multiplies at most ``exprparse.MAX_PRODUCT_PAIRS``
-pairs of atoms, of at most ``exprparse.MAX_REWRITE_WORK`` rewrite work, in one expression; ``pf`` takes scales
+``exprparse.MAX_POWER_SIZE`` in T-power and coefficient size, and spends at most ``exprparse.MAX_PRODUCT_WORK`` work,
+as ``product_reduce`` charges it, on the products of one expression; ``pf`` takes scales
 M, N up to ``MAX_PF_SCALE`` and ``pf hf`` a power K up to ``MAX_PF_POWER``.
 Rational arguments, like the numbers of a ``reduce`` expression, are ``p/q`` strings of at most
 ``MAX_RATIONAL_DIGITS`` digits a part; list-valued flags take comma-separated values, a negative

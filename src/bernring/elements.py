@@ -23,7 +23,7 @@ import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .polys import TEXT, Frozen, Style, _as_fraction, _ratio, join_signed, lowest_terms, scaled, subtract
 from .series import (
@@ -138,11 +138,7 @@ class BElement(Frozen):
         return BElement()
 
     def __add__(self, other: "BElement") -> "BElement":
-        den = math.lcm(self.den, other.den)
-        out, f = {at: v * (den // self.den) for at, v in self.nums.items()}, den // other.den
-        for at, v in other.nums.items():
-            out[at] = out.get(at, 0) + v * f
-        return BElement(out, den)
+        return element_sum((self, other))
 
     def __neg__(self) -> "BElement":
         return BElement({at: -v for at, v in self.nums.items()}, self.den)
@@ -271,6 +267,17 @@ def _atom(m: int, n: int, bn: int, bd: int, an: int, ad: int) -> BElement:
     bn = -bn  # the atoms of the binomial expansion have distinct B-powers j, over the common bd^n
     return BElement({_new(Atom, (bn, bd, j, m + n - j, an, ad) if j else (1, 1, 0, m + n, an, ad)):
                      math.comb(n, j) * bn ** (n - j) * bd**j for j in range(n + 1)}, bd**n)
+
+
+def element_sum(xs: Sequence[BElement]) -> BElement:
+    """The sum of the elements over the lcm of their denominators, in one pass: a term costs its atoms, not the sum."""
+    den = math.lcm(*(x.den for x in xs))
+    out: dict[Atom, int] = {}
+    for x in xs:
+        f = den // x.den
+        for at, v in x.nums.items():
+            out[at] = out.get(at, 0) + v * f
+    return BElement(out, den)
 
 
 def times_monomial(x: BElement, y: BElement) -> BElement:

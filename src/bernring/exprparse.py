@@ -19,10 +19,9 @@ optionally braced or parenthesized; a negative exponent is accepted on a
 single-atom base (it inverts T-powers, exponentials and B-factors exactly).  A
 power of one atom whose T-power or coefficient size is past ``MAX_POWER_SIZE``
 is refused before it is formed.  A product whose operands' largest B-powers add up to more than
-``MAX_PRODUCT_POWER``, or with a pair of atoms of distinct scales whose rewrite
-measure is past ``MAX_PRODUCT_MEASURE``, is refused before it is reduced; a
-power counts as the product of its factors one at a time.  So is a product past ``MAX_PRODUCT_PAIRS``
-atom pairs or ``MAX_REWRITE_WORK`` rewrite work, each counted over all products of the parse.
+``MAX_PRODUCT_POWER`` is refused before it is reduced; a power counts as the product of its factors one at a
+time.  The products of one parse spend at most ``MAX_PRODUCT_WORK`` of the work that ``product_reduce`` charges
+before doing it, and the product that would spend past it is refused there.
 A parsed element whose T-power weight is past ``MAX_T_POWER_WEIGHT``, or whose numerators have more
 bits in all than ``MAX_COEFFICIENT_BITS``, is refused.
 
@@ -33,10 +32,9 @@ monomial factors c T^k e^{aT} of a term ride in the last factor of its last prod
 
 from __future__ import annotations
 
-import math
 import re
 
-from .elements import Atom, BElement, _atom, _new, _reduced, atom, from_scalar, times_monomial
+from .elements import Atom, BElement, _atom, _new, _reduced, atom, element_sum, from_scalar, times_monomial
 from .reduction import invert_term, product_reduce
 from .weyl import derivative_of_element
 
@@ -53,27 +51,14 @@ MAX_RATIONAL_DIGITS = 20
 #: and long ``*`` chains stay bounded
 MAX_PRODUCT_POWER = 12
 
-#: the largest measure q (b1 n1 + b2 n2), q the lcm of the scales' denominators, that a pair of
-#: atoms B(b1 T)^n1, B(b2 T)^n2 of distinct scales starts its rewriting from in one product.  Of
-#: the inputs tried, the slowest accepted, ``B(2/3T)^6*B(7/4T)^6`` (174), takes 0.1-0.2 s to parse
-#: and lower to first order, 0.45-0.75 s as a cold ``reduce product ... --to-first-order`` command;
-#: past the cap, ``B(97T)^6*B(89T)^6`` (1,116) takes 1.3-2.2 s to multiply and lower (single runs
-#: in fresh interpreters, start-up counted for the command only, five sets of four; Python 3.11 on
-#: a shared 2-core x86_64 host whose speed varied by up to half between sets)
-MAX_PRODUCT_MEASURE = 180
-
-#: the most atom pairs that the products of one parse multiply, all products counted.  ``(B(2T)*(e^{T}+...
-#: +e^{NT}))*(B(3T)*(e^{1/7T}+...+e^{N/7T}))`` makes N^2 + 2N: N = 800 took 35.7 s before the cap; N = 140
-#: (19,880), the slowest of these accepted, takes 0.5-0.85 s as a cold ``reduce product`` (single runs;
-#: Python 3.11 on a shared 2-core x86_64 host).  A pair counts one here; ``MAX_REWRITE_WORK`` weighs its rewrite
-MAX_PRODUCT_PAIRS = 20_000
-
-#: the most rewrite work of the products of one parse, measure^2 for each row ``product_reduce`` rewrites
-#: (``_rows``): a row takes 0.03 s at measure 144, 0.04-0.07 s at 174 and 0.27-0.29 s at 600.  Each shift of
-#: ``B(2/3T)^6*(e^{1/13T}+...+e^{1/(12+N)T})*B(7/4T)^6`` is a row at 174: N = 16 (484,416) takes 0.63-0.65 s,
-#: N = 17 is refused (the pair cap let 10,000 through), and ``(B(2T)+B(3T)+...+B(13T))^6`` (324,310) takes
-#: 0.09-0.13 s (in-process, best and worst of three; Python 3.11 on a shared 2-core x86_64 host)
-MAX_REWRITE_WORK = 500_000
+#: the most work that the products of one parse spend, all products counted, in the units that ``product_reduce``
+#: charges before doing the work (``reduction.PAIR_WORK`` an atom pair or a level of rewrite measure, one an entry
+#: multiplied in a rewrite), so a refusal stops after at most this much.  Of the inputs tried, the slowest accepted,
+#: ``B(2/3T)^6*(e^{1/13T}+...+e^{1/28T})*B(7/4T)^6`` (2,956,848), takes 0.29-0.33 s to parse and 2.2 s as a cold
+#: ``reduce product ... --to-first-order`` command with ``--format json``; ``B(97T)^6*B(89T)^6`` (3,015,613) is
+#: refused in 0.25 s and ``B(1000000T)*B(999999T)`` (128,000,064) in 0.05 s, before any of its two million levels of
+#: measure is made (single cold runs, start-up counted; Python 3.11 on a shared 2-core x86_64 host)
+MAX_PRODUCT_WORK = 3_000_000
 
 #: the largest |T-power| k |m|, and coefficient size k (bits of the numerator or denominator of c), of a power
 #: (c T^m ...)^k of one atom, read in closed form: nested ``(...)^6`` multiply them by 6 a level.  Before the cap,
@@ -151,8 +136,7 @@ class _Parser:
         self.index = 0
         self.depth = 0  # of the d[...] the cursor is in
         self.nesting = 0  # of the (...) and d[...] the cursor is in
-        self.pairs = 0  # of atoms, multiplied by product_reduce so far in this parse
-        self.work = 0  # of those products, measure^2 a row (_rows)
+        self.work = 0  # spent by the products of this parse so far
 
     def peek(self):
         return self.tokens[self.index]
@@ -185,34 +169,34 @@ class _Parser:
         return value
 
     def expr(self) -> BElement:
-        value = self.term()
+        terms = [self.term()]
         while self.peek()[1] in ("+", "-"):
             op = self.advance()[1]
             rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            terms.append(rhs if op == "+" else -rhs)
+        return element_sum(terms) if len(terms) > 1 else terms[0]
 
     def term(self) -> BElement:
         """A product of factors, one pass over the atoms of each product: a B-factor is held back until the next
-        arrives or the term ends, then multiplied in by ``product_reduce`` with the term's monomials c T^k e^{aT} so far
-        folded into it.  Caps and counts are taken as each factor comes; a monomial shifts every atom alike, so it
-        moves none of them; one after a product skips ``check_caps``, as no product's B-power passes its operands'."""
-        rest = last = monomial = caps = None  # the term so far is rest * last * monomial, rest None while last is alone
+        arrives or the term ends, then multiplied in by ``product_reduce``, which spends its work, with the term's
+        monomials c T^k e^{aT} so far folded into it.  The B-power cap is checked as each factor comes; no monomial
+        moves a B-power, nor does a product pass its operands', so a monomial after a product skips ``check_power``."""
+        rest = last = monomial = top = None  # the term so far is rest * last * monomial, rest None while last is alone
         factor = self.unary()
         while True:
             if len(factor.nums) == 1 and next(iter(factor.nums)).n == 0:
-                if rest is None and last is not None and caps is None:  # once, as no monomial moves the B-power
-                    self.check_caps(caps := _scales(last), {})
+                if rest is None and last is not None and top is None:  # once, as no monomial moves the B-power
+                    self.check_power(top := _power(last), 0)
                 monomial = times_monomial(monomial, factor) if monomial else factor
             elif last is None:
                 if monomial:  # after a '*'
-                    self.check_caps({}, caps := _scales(factor))
+                    self.check_power(0, top := _power(factor))
                 last = factor
             else:
                 if rest is not None:
-                    last, monomial = product_reduce(rest, times_monomial(last, monomial) if monomial else last), None
-                self.check_caps(rest_caps := _scales(last), caps := _scales(factor))
-                self.count(last, factor, rest_caps, caps)
+                    last = product_reduce(rest, times_monomial(last, monomial) if monomial else last, self.spend)
+                    monomial = None
+                self.check_power(_power(last), top := _power(factor))
                 rest, last = last, factor
             if self.peek()[1] != "*":
                 break
@@ -221,27 +205,18 @@ class _Parser:
         if last is None:
             return monomial
         last = times_monomial(last, monomial) if monomial else last
-        return last if rest is None else product_reduce(rest, last)
+        return last if rest is None else product_reduce(rest, last, self.spend)
 
-    def check_caps(self, xs: dict, ys: dict) -> None:
-        """Refuse the product of two operands, given by their ``_scales``, if it is past
-        ``MAX_PRODUCT_POWER`` or ``MAX_PRODUCT_MEASURE``."""
-        total = sum(max((n for _, _, n in z), default=0) for z in (xs, ys))
-        if total > MAX_PRODUCT_POWER:
-            self.fail(f"B-power {total} of a product is past the cap of {MAX_PRODUCT_POWER}")
-        measure = max((_measure(s, t) for s in xs for t in ys if s[:2] != t[:2]), default=0)
-        if measure > MAX_PRODUCT_MEASURE:
-            self.fail(f"rewrite measure {measure} of a product is past the cap of {MAX_PRODUCT_MEASURE}")
+    def check_power(self, x: int, y: int) -> None:
+        """Refuse the product of two operands of largest B-powers x and y if it is past ``MAX_PRODUCT_POWER``."""
+        if x + y > MAX_PRODUCT_POWER:
+            self.fail(f"B-power {x + y} of a product is past the cap of {MAX_PRODUCT_POWER}")
 
-    def count(self, x: BElement, y: BElement, xs: dict, ys: dict) -> None:
-        """Count x*y, of ``_scales`` xs and ys, refused past ``MAX_PRODUCT_PAIRS``, then ``MAX_REWRITE_WORK``."""
-        self.pairs += len(x.nums) * len(y.nums)
-        if self.pairs > MAX_PRODUCT_PAIRS:
-            self.fail(f"atom-pair count {self.pairs} of the products is past the cap of {MAX_PRODUCT_PAIRS}")
-        self.work += sum(_rows(sa, ta, math.lcm(s[1], t[1])) * _measure(s, t) ** 2
-                         for s, sa in xs.items() for t, ta in ys.items() if s[:2] != t[:2])
-        if self.work > MAX_REWRITE_WORK:
-            self.fail(f"rewrite work {self.work} of the products is past the cap of {MAX_REWRITE_WORK}")
+    def spend(self, units: int) -> None:
+        """Add the work that ``product_reduce`` is about to do, refused past ``MAX_PRODUCT_WORK``."""
+        self.work += units
+        if self.work > MAX_PRODUCT_WORK:
+            self.fail(f"product work {self.work} of the parse is past the cap of {MAX_PRODUCT_WORK}")
 
     def unary(self) -> BElement:
         """A power after a run of minuses, read in a loop so that no run is too long to parse."""
@@ -357,18 +332,17 @@ def _element_power(base: BElement, exponent: int, parser: _Parser) -> BElement:
         ((at, coeff),) = base.terms.items()
         base, exponent = invert_term(at, coeff), -exponent
     if len(base.nums) != 1:
-        result, caps = from_scalar(1), _scales(base)
+        result, power = from_scalar(1), _power(base)
         for _ in range(exponent):
-            parser.check_caps(summary := _scales(result), caps)
-            parser.count(result, base, summary, caps)
-            result = product_reduce(result, base)
+            parser.check_power(_power(result), power)
+            result = product_reduce(result, base, parser.spend)
         return result
     # (c T^m B(bT)^n e^{aT})^k = c^k T^(km) B(bT)^(kn) e^{kaT}, refused where the products one factor
     # at a time would be: at the first step past the cap, B(bT)^(n floor(cap / n)) times B(bT)^n
     ((bn, bd, n, m, an, ad), v), = base.nums.items()
     k = exponent
     if n * k > MAX_PRODUCT_POWER:
-        parser.check_caps({(bn, bd, MAX_PRODUCT_POWER // n * n): []}, {(bn, bd, n): []})
+        parser.check_power(MAX_PRODUCT_POWER // n * n, n)
     if abs(m * k) > MAX_POWER_SIZE:
         parser.fail(f"T-power {m * k} of a power is past the cap of {MAX_POWER_SIZE}")
     if (size := k * max(abs(v).bit_length(), base.den.bit_length())) > MAX_POWER_SIZE:
@@ -378,25 +352,9 @@ def _element_power(base: BElement, exponent: int, parser: _Parser) -> BElement:
     return BElement({_new(Atom, (bn, bd, n * k, m * k, *_reduced(an * k, ad))): v**k}, base.den**k)
 
 
-def _scales(x: BElement) -> dict:
-    """The cap summary of x: the (m, an, ad) of its atoms with n >= 1, by scale and B-power (bn, bd, n)."""
-    summary: dict = {}
-    for bn, bd, n, m, an, ad in x.nums:
-        if n:
-            summary.setdefault((bn, bd, n), []).append((m, an, ad))
-    return summary
-
-
-def _measure(x: tuple, y: tuple) -> int:
-    """q (b1 n1 + b2 n2) of B(b1 T)^n1 and B(b2 T)^n2 given as (p1, d1, n1) and (p2, d2, n2), q = lcm(d1, d2)."""
-    (p1, d1, n1), (p2, d2, n2) = x, y
-    return math.lcm(d1, d2) * (p1 * n1 * d2 + p2 * n2 * d1) // (d1 * d2)
-
-
-def _rows(xa: list, ya: list, q: int) -> int:
-    """At most how many rows of ``product_reduce``, one T-power m1 + m2 and one shift a1 + a2 mod 1/q each, the pairs
-    of atoms (m, an, ad) of xa and ya fall on, q the lcm of their two scales' denominators."""
-    return math.prod(len({(m, _reduced(an * q % ad, ad)) for m, an, ad in atoms}) for atoms in (xa, ya))
+def _power(x: BElement) -> int:
+    """The largest B-power of an atom of x."""
+    return max((at.n for at in x.nums), default=0)
 
 
 def parse_element(text: str) -> BElement:

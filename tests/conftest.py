@@ -16,6 +16,7 @@ from bernring.identities import BernSymbol
 from bernring.polys import LATEX, Poly, binomial, common_numerators, gcd_ext, lowest_terms
 from bernring.partfrac import g_pair, h_f
 from bernring.reduction import (
+    PAIR_WORK,
     DCombination,
     ReductionError,
     _chain_row,
@@ -930,9 +931,15 @@ def product_reduce_by_fraction_pairs(x: BElement, y: BElement) -> dict[Atom, Fra
     return {at: c for at, c in out.items() if c}
 
 
-def push_row(buckets: list[dict], r: int, factors: dict[int, int], row: tuple) -> None:
-    """Add a row to ``buckets`` by its measure, then by r and the set of its factors, with the factors beside it."""
+def free(units: int) -> None:
+    """A ``spend`` that charges nothing."""
+
+
+def push_row(buckets: list[dict], r: int, factors: dict[int, int], row: tuple, spend=free) -> None:
+    """Add a row to ``buckets`` by its measure, then by r and the set of its factors, with the factors beside it;
+    ``PAIR_WORK`` is charged to ``spend`` for each level the buckets grow by, before they grow."""
     measure, key = _measure(factors), (r, frozenset(factors.items()))
+    spend(PAIR_WORK * max(0, measure + 1 - len(buckets)))
     buckets.extend({} for _ in range(measure + 1 - len(buckets)))
     held = buckets[measure].get(key)
     buckets[measure][key] = (factors, reduction._merged(held[1], row) if held else row)
@@ -954,12 +961,13 @@ def identity_terms(ps: int, pn: int, k: int) -> list[tuple[int, list[tuple[int, 
     return out
 
 
-def rewrite_step(r: int, factors: dict[int, int], row: tuple) -> list[tuple]:
+def rewrite_step(r: int, factors: dict[int, int], row: tuple, spend=free) -> list[tuple]:
     """Eliminate one pair of distinct scales from a pending row; returns the child rows.
 
     Scales live in units of U = T/q; a row holds the power of U (r), the multiset of remaining
     B-factors {scale: power} and a sparse polynomial in X = e^U, which each partial-fraction identity
-    multiplies by a fixed polynomial through ``_shift_product``.  A child is ``(r, factors, row)``.
+    multiplies by a fixed polynomial through ``_shift_product``, its entries times the polynomial's terms
+    charged to ``spend`` first.  A child is ``(r, factors, row)``.
     """
     scales = sorted(factors)
     pair = next(((s, big) for s in scales for big in scales if s != big and big % s == 0), None)
@@ -979,10 +987,14 @@ def rewrite_step(r: int, factors: dict[int, int], row: tuple) -> list[tuple]:
         children = [(r, {**rest, ell: rest.get(ell, 0) + 2}, row)]
         pieces = [(r + 1, with_pn, first), (r + 1, {**rest, ps: rest.get(ps, 0) + 1}, second)]
     num, den = row
-    return children + [(s, fs, (_shift_product(num, terms), den * pden)) for s, fs, (pden, terms) in pieces if terms]
+    for s, fs, (pden, terms) in pieces:
+        if terms:
+            spend(len(num) * len(terms))
+            children.append((s, fs, (_shift_product(num, terms), den * pden)))
+    return children
 
 
-def drain_by_steps(buckets: list[dict]):
+def drain_by_steps(buckets: list[dict], spend=free):
     """The rows of ``buckets`` (``push_row``) rewritten as ``reduction._drain`` rewrites them, by a call of
     ``rewrite_step`` on every row, each child's measure checked here: no plan is read."""
     for measure in range(len(buckets) - 1, -1, -1):
@@ -990,14 +1002,16 @@ def drain_by_steps(buckets: list[dict]):
             if len(factors) <= 1:
                 yield r, factors, row
                 continue
-            for child in rewrite_step(r, factors, row):
+            for child in rewrite_step(r, factors, row, spend):
                 if _measure(child[1]) >= measure:
                     raise ReductionError("product-reduction measure failed to decrease")
                 push_row(buckets, *child)
 
 
-def product_reduce_by_steps(x: BElement, y: BElement) -> BElement:
-    """x * y by the rows of ``product_reduce``, every numerator carried whole through ``drain_by_steps``."""
+def product_reduce_by_steps(x: BElement, y: BElement, spend=free) -> BElement:
+    """x * y by the rows of ``product_reduce``, every numerator carried whole through ``drain_by_steps``; the work
+    is charged to ``spend`` as ``product_reduce`` charges it, counted here on the rows as they are."""
+    spend(PAIR_WORK * len(x.nums) * len(y.nums))
     out: dict[Atom, int] = {}
     pending: dict[tuple[int, int, int], list[dict]] = {}
     groups = [{}, {}]  # the atoms of x and y by their shift, in the order product_reduce takes the pairs
@@ -1016,8 +1030,8 @@ def product_reduce_by_steps(x: BElement, y: BElement) -> BElement:
             sigma = an * q // ad
             buckets = pending.setdefault((q, *_reduced(an * q - sigma * ad, ad * q)), [])
             row = ({sigma: c * q**m}, 1) if m >= 0 else ({sigma: c}, q**-m)
-            push_row(buckets, m, {bn1 * (q // bd1): n1, bn2 * (q // bd2): n2}, row)
-    drained = [(key, *step) for key, buckets in pending.items() for step in drain_by_steps(buckets)]
+            push_row(buckets, m, {bn1 * (q // bd1): n1, bn2 * (q // bd2): n2}, row, spend)
+    drained = [(key, *step) for key, buckets in pending.items() for step in drain_by_steps(buckets, spend)]
     bottoms = [den * q**r if r >= 0 else den for (q, _, _), r, _, (_, den) in drained]
     scale = math.lcm(*bottoms)
     out = {at: v * scale for at, v in out.items()}
@@ -1032,29 +1046,25 @@ def product_reduce_by_steps(x: BElement, y: BElement) -> BElement:
 
 
 class ProductThenMonomialParser(exprparse._Parser):
-    """The parser with each product of a term formed in full, by ``product_reduce_by_steps``, and the term's monomials
-    multiplied into the result at its end by ``times_monomial``; caps and counts are taken at the same tokens."""
+    """The parser with each product of a term formed in full as its second factor arrives, by
+    ``product_reduce_by_steps`` charging its own count of the work, and the term's monomials multiplied into the
+    result at its end by ``times_monomial``; the B-power cap is read from every atom at the same tokens."""
 
     def term(self) -> BElement:
         rest = monomial = None
-        rest_caps, factor_caps = {}, None
         factor = self.unary()
         while True:
             if len(factor.nums) == 1 and next(iter(factor.nums)).n == 0:
                 monomial = factor if monomial is None else times_monomial(monomial, factor)
             elif rest is None:
-                rest, rest_caps = factor, factor_caps
+                rest = factor
             else:
-                self.count(rest, factor, rest_caps, factor_caps)
-                rest, rest_caps = product_reduce_by_steps(rest, factor), None
+                rest = product_reduce_by_steps(rest, factor, self.spend)
             if self.peek()[1] != "*":
                 break
             self.advance()
             factor = self.unary()
-            if rest_caps is None:
-                rest_caps = exprparse._scales(rest)
-            factor_caps = exprparse._scales(factor)
-            self.check_caps(rest_caps, factor_caps)
+            caps_by_rescan(self, BElement() if rest is None else rest, factor)
         if monomial is None:
             return rest
         return monomial if rest is None else times_monomial(rest, monomial)
@@ -1240,18 +1250,10 @@ def tokenize_by_matches(text: str) -> list[tuple]:
 
 
 def caps_by_rescan(parser: exprparse._Parser, x: BElement, y: BElement) -> None:
-    """The caps of the product x*y, read from every atom of both operands at each product."""
+    """The B-power cap of the product x*y, read from every atom of both operands at each product."""
     total = sum(max((at.n for at in z.nums), default=0) for z in (x, y))
     if total > exprparse.MAX_PRODUCT_POWER:
         parser.fail(f"B-power {total} of a product is past the cap of {exprparse.MAX_PRODUCT_POWER}")
-    xs, ys = ({(at.bn, at.bd, at.n) for at in z.nums if at.n} for z in (x, y))
-    measure = max(
-        (math.lcm(d1, d2) * (p1 * n1 * d2 + p2 * n2 * d1) // (d1 * d2)
-         for p1, d1, n1 in xs for p2, d2, n2 in ys if (p1, d1) != (p2, d2)),
-        default=0,
-    )
-    if measure > exprparse.MAX_PRODUCT_MEASURE:
-        parser.fail(f"rewrite measure {measure} of a product is past the cap of {exprparse.MAX_PRODUCT_MEASURE}")
 
 
 def power_by_products(base: BElement, exponent: int, parser: "LeftFoldParser") -> BElement:
@@ -1275,11 +1277,12 @@ def equals_by_subtraction(x: BElement, y: BElement) -> bool:
 
 class LeftFoldParser(exprparse._Parser):
     """The parser by its step-by-step routes: tokens by one match at a time, a term's factors multiplied
-    in one at a time from the left, monomials too, every power by repeated products, and the caps of
-    each product read from every atom of both operands."""
+    in one at a time from the left, monomials too, every power by repeated products, the B-power cap of
+    each product read from every atom of both operands, and its work spent as ``product_reduce`` charges it."""
 
     def __init__(self, text: str):
         self.text, self.tokens, self.index, self.depth, self.nesting = text, tokenize_by_matches(text), 0, 0, 0
+        self.work = 0
 
     def term(self) -> BElement:
         value = self.unary()
@@ -1290,7 +1293,7 @@ class LeftFoldParser(exprparse._Parser):
 
     def product(self, x: BElement, y: BElement) -> BElement:
         caps_by_rescan(self, x, y)
-        return product_reduce(x, y)
+        return product_reduce(x, y, self.spend)
 
     def power(self) -> BElement:
         base = self.primary()

@@ -18,10 +18,8 @@ from bernring.exprparse import (
     MAX_EXPONENT,
     MAX_NESTING_DEPTH,
     MAX_POWER_SIZE,
-    MAX_PRODUCT_MEASURE,
-    MAX_PRODUCT_PAIRS,
     MAX_PRODUCT_POWER,
-    MAX_REWRITE_WORK,
+    MAX_PRODUCT_WORK,
     MAX_T_POWER_WEIGHT,
     parse_element,
 )
@@ -141,8 +139,8 @@ class TestSizeCaps:
             (["reduce", "product", f"T^{{-{MAX_EXPONENT + 1}}}", "--to-first-order"], MAX_EXPONENT),
             (["reduce", "product", "((B(2T)*B(3T))^6)^3"], MAX_PRODUCT_POWER),
             (["reduce", "product", "B(2T)^6*B(3T)^6*B(5T)", "--to-first-order"], MAX_PRODUCT_POWER),
-            (["reduce", "product", "B(97T)^6*B(89T)^6", "--to-first-order"], MAX_PRODUCT_MEASURE),
-            (["reduce", "product", "B(1/13T)^6*B(1/19T)^6"], MAX_PRODUCT_MEASURE),
+            (["reduce", "product", "B(97T)^6*B(89T)^6", "--to-first-order"], MAX_PRODUCT_WORK),
+            (["reduce", "product", "B(1000000T)*B(999999T)"], MAX_PRODUCT_WORK),
             (["--order", "200", "verify", "f-derivative", "--n", "1..60"], cli.MAX_F_DERIVATIVE_WORK),
             (["--order", "200", "verify", "f-derivative", "--n", "14"], cli.MAX_F_DERIVATIVE_WORK),
             (["bern", "poly", "0..1000", "--at", "12345678901234567890/98765432109876543211"], cli.MAX_POLY_RANGE_WORK),
@@ -160,16 +158,17 @@ class TestSizeCaps:
             (["reduce", "product", nested_d(100, "B(2T)^6*B(3T)")], MAX_DERIVATIVE_DEPTH),
             (["reduce", "product", "(" * 200 + "B" + ")" * 200], MAX_NESTING_DEPTH),
             (["reduce", "product", "(" * 200 + "B" + ")" * 200, "--to-first-order"], MAX_NESTING_DEPTH),
-            (["reduce", "product", product_of_sums(800)], MAX_PRODUCT_PAIRS),
-            (["reduce", "product", product_of_sums(141), "--to-first-order"], MAX_PRODUCT_PAIRS),
-            (["reduce", "product", " + ".join([product_of_sums(80)] * 4)], MAX_PRODUCT_PAIRS),
-            (["reduce", "product", product_per_shift(40), "--to-first-order"], MAX_REWRITE_WORK),
+            (["reduce", "product", product_of_sums(800)], MAX_PRODUCT_WORK),
+            (["reduce", "product", product_of_sums(216), "--to-first-order"], MAX_PRODUCT_WORK),
+            (["reduce", "product", " + ".join([product_of_sums(80)] * 8)], MAX_PRODUCT_WORK),
+            (["reduce", "product", product_per_shift(40), "--to-first-order"], MAX_PRODUCT_WORK),
             (["reduce", "product", nested_power("2", 9)], MAX_POWER_SIZE),
             (["reduce", "product", nested_power("T", 12) + "*B", "--to-first-order"], MAX_POWER_SIZE),
             (["reduce", "product", t_power_chain(1296), "--to-first-order"], MAX_T_POWER_WEIGHT),
             (["reduce", "product", nested_power("2", 6) + "*B(2/3T)^6*B(7/4T)^6"], MAX_COEFFICIENT_BITS),
             (["reduce", "product", nested_power("2", 5) + "*B(2/3T)^6*B(7/4T)^6", "--to-first-order"],
              MAX_COEFFICIENT_BITS),
+            (["reduce", "product", product_per_shift(17), "--to-first-order"], MAX_PRODUCT_WORK),
         ],
     )
     def test_refused_past_cap(self, capsys, argv, cap):
@@ -201,16 +200,16 @@ class TestSizeCaps:
         code, out, _ = run(capsys, "reduce", "product", t_power_chain(216), "--to-first-order")
         assert code == 0 and out.startswith("[") and "T^1302" in out
 
-    def test_product_at_the_measure_cap(self, capsys):
-        scale = (MAX_PRODUCT_MEASURE - 6) // 6  # B(T)^6 B(pT)^6 starts at measure 6 + 6p
-        code, out, _ = run(capsys, "reduce", "product", f"B(T)^6*B({scale}T)^6", "--to-first-order")
+    @pytest.mark.parametrize("text", ["B(29T)^6*B(31T)^6", "B(1/13T)^6*B(1/19T)^6", product_per_shift(16)],
+                             ids=["29-31", "1/13-1/19", "per-shift-16"])
+    def test_products_of_large_measure_within_the_budget(self, capsys, text):
+        """Products past the rewrite measure of 180 that the work budget admits, down to first order."""
+        code, out, _ = run(capsys, "reduce", "product", text, "--to-first-order")
         assert code == 0 and out.startswith("[")
 
-    def test_product_at_the_pair_cap(self, capsys):
-        n = 140  # the largest n with n^2 + 2n at most the cap
-        assert n * n + 2 * n <= MAX_PRODUCT_PAIRS < (n + 1) ** 2 + 2 * (n + 1)
-        code, out, _ = run(capsys, "reduce", "product", product_of_sums(n))
-        assert code == 0 and out.count("*e^{") > 2 * n
+    def test_largest_product_of_sums_within_the_budget(self, capsys):
+        code, out, _ = run(capsys, "reduce", "product", product_of_sums(215))  # 215^2 + 2 * 215 atom pairs
+        assert code == 0 and out.count("*e^{") > 2 * 215
 
     def test_deepest_derivative(self, capsys):
         text = nested_d(MAX_DERIVATIVE_DEPTH, "B(2T)^6*B(3T)")

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernring import elements, identities
-from bernring.elements import Atom, BElement, atom, b_element, from_scalar, t_element
+from bernring.elements import Atom, BElement, atom, b_element, element_sum, from_scalar, t_element
 from bernring.polys import Poly
 from bernring.reduction import invert_term, product_reduce, reduce_to_first_order
 from bernring.series import TruncatedSeries, bernoulli_poly_value, bernoulli_series, exp_series, factorial
@@ -99,6 +99,16 @@ class TestAgainstFractionRoutes:
         assert_stored_as(x.scale(Fraction(-7, 9)), fraction_terms_scale(x, Fraction(-7, 9)))
         assert_stored_as(x.mul_monomial(-3, HUGE_SHIFT), fraction_terms_mul_monomial(x, -3, HUGE_SHIFT))
         assert (x - y).is_zero() == (not to_exp_poly_by_fractions(x - y)) == x.equals(y)
+
+    @given(st.lists(coefficient_elements(), max_size=5), st.lists(st.booleans(), min_size=5, max_size=5))
+    @settings(max_examples=80, deadline=None)
+    def test_sum_in_one_pass(self, xs, negated):
+        """``element_sum`` against a Fraction sum per shared atom, one element at a time."""
+        xs = [-x if minus else x for x, minus in zip(xs, negated)]
+        want: dict = {}
+        for x in xs:
+            want = fraction_terms_sum(BElement(want), x)
+        assert_stored_as(element_sum(xs), want)
 
     @given(coefficient_elements())
     @settings(max_examples=80, deadline=None)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,20 +14,20 @@ from bernring.exprparse import (
     MAX_EXPONENT,
     MAX_NESTING_DEPTH,
     MAX_POWER_SIZE,
-    MAX_PRODUCT_PAIRS,
     MAX_PRODUCT_POWER,
+    MAX_PRODUCT_WORK,
     MAX_RATIONAL_DIGITS,
-    MAX_REWRITE_WORK,
     MAX_T_POWER_WEIGHT,
     ExprError,
     _Parser,
     _tokenize,
     parse_element,
 )
-from bernring.reduction import negative_power_expand, product_reduce
+from bernring.reduction import PAIR_WORK, negative_power_expand, product_reduce
 from bernring.selftest import random_element
 from bernring.weyl import derivative_of_element
 from conftest import (
+    ProductThenMonomialParser,
     equals_by_subtraction,
     nested_power,
     parse_by_left_fold,
@@ -107,6 +108,17 @@ class TestOperators:
         )
 
 
+class TestSumInOnePass:
+    def test_atoms_built_grow_with_the_terms(self, monkeypatch):
+        """A sum of 2,000 exponentials builds its elements from 4,000 atoms: one element a term and the sum once
+        (2,002,999 while each ``+`` copied the sum so far)."""
+        built, init = [], BElement.__init__
+        monkeypatch.setattr(BElement, "__init__",
+                            lambda self, terms=None, den=None: built.append(len(terms or ())) or init(self, terms, den))
+        x = parse_element(" + ".join(f"e^{{{k}T}}" for k in range(1, 2001)))
+        assert len(x.nums) == 2000 and sum(built) == 4000
+
+
 class TestErrors:
     @pytest.mark.parametrize(
         "text",
@@ -155,8 +167,17 @@ def parsed_or_refused(parse, text: str):
     return value, value.render()
 
 
+def by_cap(outcome):
+    """A work refusal named by its cap and column: the left fold multiplies monomials as products too, so it spends
+    more than the parser."""
+    message, rest = outcome
+    if isinstance(message, str) and message.startswith("product work "):
+        return message.partition(" of the parse ")[2], rest
+    return outcome
+
+
 def assert_folds_agree(text: str) -> None:
-    assert parsed_or_refused(parse_element, text) == parsed_or_refused(parse_by_left_fold, text), text
+    assert by_cap(parsed_or_refused(parse_element, text)) == by_cap(parsed_or_refused(parse_by_left_fold, text)), text
 
 
 class TestMonomialFold:
@@ -234,14 +255,19 @@ class TestMonomialInTheLastFactor:
 
 
 class TestRefusalColumns:
-    """The checks of a term run at the factors where they ran while each product was formed in full."""
+    """The B-power checks of a term run at the factors where they ran while each product was formed in full; its work is
+    refused where its product is formed."""
 
-    def test_pair_cap_before_the_monomials(self):
-        first, second = "+".join(f"e^{{{k}T}}" for k in range(1, 801)), "+".join(f"B({k}T)" for k in range(1, 31))
-        text = f"({first})*({second})*5*T"
-        refusal = parsed_or_refused(parse_element, text)
-        assert refusal == (f"atom-pair count 24000 of the products is past the cap of {MAX_PRODUCT_PAIRS}", 7296)
-        assert refusal == parsed_or_refused(parse_by_product_then_monomial, text) and text[7296:] == "*5*T"
+    def test_work_refused_where_the_product_is_formed(self):
+        """800 shifts times 30 scales, 24,000 atom pairs, are accepted; at 1,600 shifts the pair charge is refused with
+        the work counted alike, at the term's end where the monomials ride in the last factor, and before them where
+        the product is formed as its second factor arrives."""
+        texts = ["(" + "+".join(f"e^{{{k}T}}" for k in range(1, n + 1)) + ")*("
+                 + "+".join(f"B({k}T)" for k in range(1, 31)) + ")*5*T" for n in (800, 1600)]
+        assert len(assert_parsed_as_products_then_monomial(texts[0]).nums) == 24_000
+        message = f"product work {PAIR_WORK * 48_000} of the parse is past the cap of {MAX_PRODUCT_WORK}"
+        assert parsed_or_refused(parse_element, texts[1]) == (message, len(texts[1]))
+        assert parsed_or_refused(parse_by_product_then_monomial, texts[1]) == (message, len(texts[1]) - len("*5*T"))
 
     @pytest.mark.parametrize("text", ["d[B(2T)^6*B(3T)^6]*2", "d[B(2T)^6*B(3T)^6]*2*T*e^{T}", "3*d[B(2T)^6*B(3T)^6]*2"])
     def test_power_of_a_lone_factor(self, text):
@@ -470,83 +496,118 @@ class TestNumberDigits:
         assert err.value.pos == 2
 
 
-class TestPairCap:
+# -- one work budget for the products of a parse, spent as product_reduce charges it, against a count taken apart ----
+
+
+def counted_work(monkeypatch, text: str):
+    """Parse ``text``: its outcome (``parsed_or_refused``), the work the parser spent, the work counted apart by
+    wrapping the pieces of ``product_reduce`` (``PAIR_WORK`` an atom pair of each call, ``PAIR_WORK`` a level that
+    ``_push`` grew a bucket list by, the entries times the terms of each ``_shift_product`` of a rewrite) and the
+    charges in their order; the patches are undone before it returns."""
+    counted, charges = [], []
+    reduce, push, shift_product, spend = exprparse.product_reduce, reduction._push, reduction._shift_product, _Parser.spend
+
+    def pushing(buckets, *args):
+        before = len(buckets)
+        push(buckets, *args)
+        counted.append(PAIR_WORK * (len(buckets) - before))
+
+    monkeypatch.setattr(exprparse, "product_reduce",
+                        lambda x, y, spend: counted.append(PAIR_WORK * len(x.nums) * len(y.nums)) or reduce(x, y, spend))
+    monkeypatch.setattr(reduction, "_push", pushing)
+    monkeypatch.setattr(reduction, "_shift_product",
+                        lambda row, terms: counted.append(len(row) * len(terms)) or shift_product(row, terms))
+    monkeypatch.setattr(_Parser, "spend", lambda self, units: charges.append(units) or spend(self, units))
+    parser = _Parser(text)
+    outcome = parsed_or_refused(lambda _: parser.parse(), text)
+    monkeypatch.undo()
+    return outcome, parser.work, sum(counted), charges
+
+
+small_factors = st.lists(
+    st.builds(lambda c, m, n, b, a: atom(m, n, b, a).scale(c).render(),
+              st.sampled_from([1, -2, F(3, 5)]), st.integers(-1, 2), st.integers(0, 3),
+              st.sampled_from([1, 2, 3, F(1, 2), F(3, 2), F(5, 3), F(-2, 3)]), st.sampled_from([0, 1, F(1, 2), F(-2, 3)])),
+    min_size=1, max_size=3,
+).map(lambda atoms: "(" + " + ".join(atoms) + ")")
+
+
+class TestProductWork:
     @pytest.mark.parametrize(
-        "text, pairs",
+        "text",
         [
-            ("B(2T)*B(3T)", 1),
-            ("B(5T)^3*T*e^{T}", 0),  # a power of one atom and monomial factors multiply no pair
-            ("(B + T)^3", 2 + 4 + 6),
-            ("B(2T)*B(3T) + B(2T)*B(5T)", 2),
-            ("d[B(2T)*B(3T)]*B", 1 + len(parse_element("d[B(2T)*B(3T)]").nums)),
-            (product_of_sums(10), 120),
-            ("(B(2T)+B(3T)+B(5T)+B(7T)+B(11T)+B(13T))^6", 7050),
+            "B(2T)*B(3T)",
+            "B(5T)^3*T*e^{T}",  # a power of one atom and monomial factors multiply nothing
+            "(B + T)^3",
+            "B(2T)*B(3T) + B(2T)*B(5T)",
+            "d[B(2T)*B(3T)]*B",
+            product_of_sums(10),
+            "B(2/3T)^6*(T+T^2+T^3)*B(7/4T)^6",
+            "B(2/3T)^6*(e^{T}+e^{2T}+e^{3T})*B(7/4T)^6",
+            "(B(2T)+B(3T)+B(5T)+B(7T)+B(11T)+B(13T))^6",
+            "B(2T)*B(3T)^2*B(5/2T)*T*B(7/4T)",
         ],
+        ids=lambda text: text if len(text) < 60 else "sums-10",
     )
-    def test_pairs_counted_over_the_whole_parse(self, text, pairs):
-        parser = _Parser(text)
-        parser.parse()
-        assert parser.pairs == pairs
+    def test_spent_as_counted_apart(self, monkeypatch, text):
+        outcome, work, counted, charges = counted_work(monkeypatch, text)
+        assert isinstance(outcome[0], BElement) and work == counted == sum(charges) <= MAX_PRODUCT_WORK
+        oracle = ProductThenMonomialParser(text)  # each product formed in full, its rows charged as they are
+        assert (oracle.parse(), oracle.work) == (outcome[0], work)
 
-    @pytest.mark.parametrize(
-        "text, last",
-        [
-            (product_of_sums(141), 141 * 141),
-            (product_of_sums(800), 800 * 800),
-            (" + ".join([product_of_sums(80)] * 4), 80 * 80),  # the last product of the fourth sum
-            ("(B(2T)*(" + "+".join(f"e^{{{k}T}}" for k in range(1, 151)) + "))^2", 150 * 150),  # the square
-        ],
-    )
-    def test_refused_at_the_product_past_the_cap(self, monkeypatch, text, last):
-        """The product that takes the count past the cap, of ``last`` pairs, is refused before it is reduced."""
-        seen, reduce = [], exprparse.product_reduce
-        monkeypatch.setattr(exprparse, "product_reduce", lambda x, y: seen.append(len(x.nums) * len(y.nums)) or reduce(x, y))
-        with pytest.raises(ExprError) as err:
-            parse_element(text)
-        pairs = sum(seen) + last
-        assert sum(seen) <= MAX_PRODUCT_PAIRS < pairs
-        assert str(err.value) == f"atom-pair count {pairs} of the products is past the cap of {MAX_PRODUCT_PAIRS}"
+    @given(st.lists(small_factors, min_size=2, max_size=3).map("*".join))
+    @settings(max_examples=60, deadline=None)
+    def test_random_products_spent_as_counted_apart(self, text):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            outcome, work, counted, _ = counted_work(monkeypatch, text)
+        assert work == counted and outcome == parsed_or_refused(parse_by_left_fold, text)
 
-
-class TestRewriteWorkCap:
     @pytest.mark.parametrize(
         "text, work",
         [
-            ("B(2T)*B(3T)", 5**2),
-            ("B(5T)^3*T*e^{T}", 0),
-            ("(B + T)^3", 0),  # one scale
-            ("B(2T)*B(3T) + B(2T)*B(5T)", 5**2 + 7**2),
-            (product_of_sums(10), 7 * 5**2),  # the shifts k/7 fall on seven rows of one T-power
-            ("B(2/3T)^6*(T+T^2+T^3)*B(7/4T)^6", 3 * 174**2),  # a row a T-power
-            ("B(2/3T)^6*(e^{T}+e^{2T}+e^{3T})*B(7/4T)^6", 174**2),  # one row: the shifts are 0 mod 1/12
-            (product_per_shift(16), 16 * 174**2),  # a row a shift
-            ("(B(2T)+B(3T)+B(5T)+B(7T)+B(11T)+B(13T))^6", 324_310),
+            (product_per_shift(16), 2_956_848),
+            (product_per_shift(17), 3_000_394),
+            (product_per_shift(40), 3_001_702),
+            (product_of_sums(141), 1_296_483),
+            (product_of_sums(215), 2_993_747),
+            (product_of_sums(216), 3_013_632),  # the pairs of the last product are refused at their charge
+            (product_of_sums(800), 41_062_400),
+            (" + ".join([product_of_sums(80)] * 4), 1_697_708),
+            (" + ".join([product_of_sums(80)] * 8), 3_390_829),  # all products of the parse counted
+            # B(2T) times the sum, then 1 times the base and the base times itself, refused at the pairs' charge
+            ("(B(2T)*(" + "+".join(f"e^{{{k}T}}" for k in range(1, 221)) + "))^2", PAIR_WORK * (220 + 220 + 220**2)),
+            ("B(29T)^6*B(31T)^6", 778_493),
+            ("B(1/13T)^6*B(1/19T)^6", 223_201),
+            ("B(97T)^6*B(89T)^6", 3_015_613),
+            ("B(1000000T)*B(999999T)", 128_000_064),  # two million levels of measure, refused before any is made
         ],
+        ids=["per-shift-16", "per-shift-17", "per-shift-40", "sums-141", "sums-215", "sums-216", "sums-800",
+             "four-sums-80", "eight-sums-80", "square-220", "29-31", "1/13-1/19", "97-89", "huge-scales"],
     )
-    def test_work_counted_over_the_whole_parse(self, text, work):
-        parser = _Parser(text)
-        parser.parse()
-        assert parser.work == work <= MAX_REWRITE_WORK
+    def test_budget_at_the_shape_boundaries(self, monkeypatch, text, work):
+        """Accepted inputs spend what is counted apart; a refusal stops at the first charge past the cap, so the work
+        done before it is at most the cap."""
+        outcome, spent, counted, charges = counted_work(monkeypatch, text)
+        assert spent == work == sum(charges)
+        if work <= MAX_PRODUCT_WORK:
+            assert isinstance(outcome[0], BElement) and counted == work
+        else:
+            assert outcome[0] == f"product work {work} of the parse is past the cap of {MAX_PRODUCT_WORK}"
+            assert work - charges[-1] <= MAX_PRODUCT_WORK < work
+            assert counted in (work - charges[-1], work)  # the pairs of a call are counted as it starts
 
-    @pytest.mark.parametrize("shifts", [17, 40])
-    def test_refused_before_the_product_is_reduced(self, monkeypatch, shifts):
-        seen, reduce = [], exprparse.product_reduce
-        monkeypatch.setattr(exprparse, "product_reduce", lambda x, y: seen.append(len(x.nums) * len(y.nums)) or reduce(x, y))
-        with pytest.raises(ExprError) as err:
-            parse_element(product_per_shift(shifts))
-        assert seen == [shifts]  # the product by the sum of exponentials ran, the one by B(7/4T)^6 did not
-        work = shifts * 174**2
-        assert (16 + 1) * 174**2 > MAX_REWRITE_WORK >= 16 * 174**2
-        assert str(err.value) == f"rewrite work {work} of the products is past the cap of {MAX_REWRITE_WORK}"
-
-    def test_pair_cap_checked_first(self):
-        """A product past both caps, 150 rows of measure 174 from 150^2 atom pairs, is refused by its pairs."""
-        first = "+".join(f"e^{{1/{k}T}}" for k in range(13, 163))
-        second = "+".join(f"e^{{{k}T}}" for k in range(1, 151))
-        with pytest.raises(ExprError) as err:
-            parse_element(f"(B(2/3T)^6*({first}))*(B(7/4T)^6*({second}))")
-        assert str(err.value) == f"atom-pair count {150 + 150 + 150**2} of the products is past the cap of {MAX_PRODUCT_PAIRS}"
-        assert 150 * 174**2 > MAX_REWRITE_WORK
+    def test_huge_scales_refused_before_any_bucket(self, monkeypatch):
+        """B(1000000T)*B(999999T) starts at measure 1,999,999: its charge is refused before ``_plan`` runs or a
+        bucket list of two million levels is made."""
+        monkeypatch.setattr(reduction, "_plan", lambda factors: pytest.fail("a rewrite plan was read"))
+        tracemalloc.start()
+        try:
+            outcome = parsed_or_refused(parse_element, "B(1000000T)*B(999999T)")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome == (f"product work 128000064 of the parse is past the cap of {MAX_PRODUCT_WORK}", 22)
+        assert peak < 1_000_000
 
 
 class TestTPowerWeightCap:
